@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -125,9 +126,13 @@ class ConfField:
     defects: list[float] = field(default_factory=list)
     skipped: list[int] = field(default_factory=list)
 
+    @cached_property
+    def _flats(self) -> np.ndarray:
+        """The sample points as rows, built on the first query."""
+        return np.asarray([q.flat() for q in self.points])
+
     def nearest_index(self, p: BlockPoint) -> int:
-        flats = np.asarray([q.flat() for q in self.points])
-        dist2 = np.sum((flats - p.flat()) ** 2, axis=1)
+        dist2 = np.sum((self._flats - p.flat()) ** 2, axis=1)
         idx = int(np.argmin(dist2))
         if math.sqrt(float(dist2[idx])) > self.resolution:
             raise CoverageError(

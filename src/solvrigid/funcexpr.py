@@ -359,10 +359,9 @@ class Precompose(FuncExpr):
     """Evaluate a child expression on the image of an inner block map.
 
     The inner object must expose ``eval_blocks(blocks) -> list[ndarray]``,
-    ``deps_of(j) -> frozenset[int]``, ``lip_bound() -> float`` and an
-    ``invertible`` flag (when True the child's sup certificate survives
-    unchanged, since precomposition by a bijection does not change the range).
-    Runtime-only node: it has no JSON encoding.
+    ``deps_of(j) -> frozenset[int]`` and ``lip_bound() -> float``. Each
+    evaluation evaluates the whole inner map. Runtime-only node: it has no
+    JSON encoding.
     """
 
     def __init__(self, child: FuncExpr, inner):
@@ -385,12 +384,40 @@ class Precompose(FuncExpr):
 
     @property
     def sup_bound(self):
-        if getattr(self.inner, "invertible", False):
-            return self.child.sup_bound
         return self.child.sup_bound
 
 
-_NODE_PARSERS = {}
+class Displacement(FuncExpr):
+    """Block ``index`` of a word map's image minus the same input block.
+
+    The word must expose ``eval_blocks``. The certificates are the word's:
+    its composition rules derive them and pass them in. Runtime-only node:
+    it has no JSON encoding.
+    """
+
+    def __init__(self, word, index: int, dim: int, sup_bound: float, lipschitz: float,
+                 deps: frozenset[int]):
+        self.word = word
+        self.index = int(index)
+        self.dim = int(dim)
+        self._sup_bound = sup_bound
+        self._lipschitz = lipschitz
+        self._deps = frozenset(deps)
+
+    def __call__(self, blocks):
+        image = self.word.eval_blocks(blocks)[self.index]
+        return image - np.asarray(blocks[self.index], dtype=float)
+
+    def deps(self):
+        return self._deps
+
+    @property
+    def lipschitz(self):
+        return self._lipschitz
+
+    @property
+    def sup_bound(self):
+        return self._sup_bound
 
 
 def expr_from_json(obj: dict) -> FuncExpr:

@@ -10,32 +10,40 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, InputError, NotInUniformSubgroup
-from .funcexpr import BlockVar, Const, FuncExpr, Lin, Precompose, Sum
-from .nilpotent import AlmostTranslation
+from .funcexpr import BlockVar, Const, FuncExpr, Lin, Sum
+from .nilpotent import AlmostTranslation, Letter
 from .quasimetric import distance, estimate_qsim_constants
 from .spectral import BlockPoint, SpectralData
 
 
 class BlockMap:
-    """A map of R^n whose i-th component depends only on blocks i..r."""
+    """A map of R^n whose i-th component depends only on blocks i..r.
 
-    def __init__(self, spec: SpectralData, components: Sequence[FuncExpr]):
+    With an ``inner`` map (anything with ``eval_blocks``, ``deps_of`` and
+    ``lip_bound``) the components read the inner image, which is evaluated
+    once per point.
+    """
+
+    def __init__(self, spec: SpectralData, components: Sequence[FuncExpr], inner=None):
         components = tuple(components)
         if len(components) != spec.r:
             raise InputError("one component per block required")
+        self.spec = spec
+        self.components = components
+        self.inner = inner
         for i, (f, n) in enumerate(zip(components, spec.multiplicities)):
             if f.dim != n:
                 raise InputError(f"component {i} has dim {f.dim}, block needs {n}")
-            if any(j < i for j in f.deps()):
+            if any(j < i for j in self.deps_of(i)):
                 raise InputError(f"component {i} may only depend on blocks >= {i}")
-        self.spec = spec
-        self.components = components
 
     @staticmethod
     def identity(spec: SpectralData) -> "BlockMap":
         return BlockMap(spec, [BlockVar(i, n) for i, n in enumerate(spec.multiplicities)])
 
     def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        if self.inner is not None:
+            blocks = self.inner.eval_blocks(blocks)
         return [f(blocks) for f in self.components]
 
     def __call__(self, p: BlockPoint) -> BlockPoint:
@@ -43,12 +51,14 @@ class BlockMap:
         return BlockPoint(tuple(self.eval_blocks(p.blocks)))
 
     def deps_of(self, j: int) -> frozenset[int]:
-        return self.components[j].deps()
+        deps = self.components[j].deps()
+        if self.inner is None:
+            return deps
+        return frozenset().union(*(self.inner.deps_of(k) for k in deps))
 
     def lip_bound(self) -> float:
-        return sum(f.lipschitz for f in self.components)
-
-    invertible = False
+        lip = 1.0 if self.inner is None else self.inner.lip_bound()
+        return sum(f.lipschitz * lip for f in self.components)
 
 
 class SimMap:
@@ -98,8 +108,6 @@ class SimMap:
     def lip_bound(self) -> float:
         return max(self.stretch**a for a in self.spec.exponents)
 
-    invertible = True
-
     def compose(self, other: "SimMap") -> "SimMap":
         """self after other, renormalized to Sim form."""
         if self.spec != other.spec:
@@ -134,15 +142,30 @@ class SimMap:
         return BlockMap(self.spec, comps)
 
 
+def _inverse_linear_parts(s: SimMap) -> list[np.ndarray]:
+    """Per block, the linear part t^-alpha_i A_i^T of s^-1."""
+    return [s.stretch ** (-e) * rot.T for e, rot in zip(s.spec.exponents, s.rotations)]
+
+
 def conjugate_almost_by_sim(s: SimMap, a: AlmostTranslation) -> AlmostTranslation:
-    """s^-1 after a after s, which is again an almost translation."""
+    """s^-1 after a after s, which is again an almost translation.
+
+    Each letter is conjugated; a letter conjugated before is conjugated once
+    by the composed similarity, so conjugations do not stack.
+    """
     if s.spec != a.spec:
         raise InputError("spec mismatch")
-    newb = [
-        Lin(s.stretch ** (-e) * rot.T, Precompose(b, s))
-        for e, rot, b in zip(s.spec.exponents, s.rotations, a.perturbations)
-    ]
-    return AlmostTranslation(s.spec, newb, a.K)
+    mats = _inverse_linear_parts(s)
+    lip = s.lip_bound()
+    certificates = []
+    for m, b in zip(mats, a.perturbations):
+        opnorm = float(np.linalg.norm(m, 2))
+        certificates.append((opnorm * b.sup_bound, opnorm * (b.lipschitz * lip), b.deps()))
+    letters = []
+    for letter in a.letters:
+        sim = s if letter.sim is None else letter.sim.compose(s)
+        letters.append(Letter(letter.base, letter.sign, sim, _inverse_linear_parts(sim)))
+    return AlmostTranslation.from_letters(s.spec, letters, certificates, a.K)
 
 
 class ASimMap:
@@ -176,8 +199,6 @@ class ASimMap:
     def lip_bound(self) -> float:
         return self.sim.lip_bound() * self.almost.lip_bound()
 
-    invertible = True
-
     def compose(self, other: "ASimMap") -> "ASimMap":
         """self after other, renormalized to sim-then-almost form."""
         sim = self.sim.compose(other.sim)
@@ -187,10 +208,6 @@ class ASimMap:
     def inverse(self) -> "ASimMap":
         sim_inv = self.sim.inverse()
         return ASimMap(sim_inv, conjugate_almost_by_sim(sim_inv, self.almost.inverse()))
-
-
-def evaluate(F, p: BlockPoint) -> BlockPoint:
-    return F(p)
 
 
 def compose(F, G):
@@ -207,8 +224,8 @@ def compose(F, G):
     gb = _as_block_map(G)
     if fb.spec != gb.spec:
         raise InputError("spec mismatch in composition")
-    comps = [Precompose(f, gb) for f in fb.components]
-    return BlockMap(fb.spec, comps)
+    inner = gb if fb.inner is None else compose(fb.inner, gb)
+    return BlockMap(fb.spec, fb.components, inner)
 
 
 def invert(F):
@@ -239,10 +256,7 @@ def _as_block_map(F) -> BlockMap:
         ]
         return BlockMap(F.spec, comps)
     if isinstance(F, ASimMap):
-        sim = F.sim.as_block_map()
-        alm = _as_block_map(F.almost)
-        comps = [Precompose(f, alm) for f in sim.components]
-        return BlockMap(F.spec, comps)
+        return BlockMap(F.spec, F.sim.as_block_map().components, _as_block_map(F.almost))
     raise InputError(f"cannot view {type(F).__name__} as a block map")
 
 

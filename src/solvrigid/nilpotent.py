@@ -22,13 +22,50 @@ from .errors import (
     InputError,
     NotInKernel,
 )
-from .funcexpr import Const, FuncExpr, Precompose, Scale, Sum
+from .funcexpr import Const, Displacement, FuncExpr
 from .quasimetric import distance
 from .spectral import BlockPoint, SpectralData
 
 
+class Letter:
+    """One letter of a word: a base element, possibly inverted and conjugated.
+
+    Applied to x it gives x_i + M_i d_i(s(x)), where d is the displacement of
+    ``base`` (of its inverse when ``sign`` is -1), s is the conjugating
+    similarity and M_i, in ``mats``, the linear part of block i of s^-1;
+    without a conjugation s and M_i are the identity.
+    """
+
+    __slots__ = ("base", "sign", "sim", "mats")
+
+    def __init__(self, base: "AlmostTranslation", sign: int = 1, sim=None,
+                 mats: Sequence[np.ndarray] | None = None):
+        self.base = base
+        self.sign = sign
+        self.sim = sim
+        self.mats = mats
+
+    def inverse(self) -> "Letter":
+        return Letter(self.base, -self.sign, self.sim, self.mats)
+
+    def apply(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        if self.sim is None:
+            d = self.base._displacement(blocks, self.sign)
+            return [np.asarray(x, dtype=float) + di for x, di in zip(blocks, d)]
+        d = self.base._displacement(self.sim.eval_blocks(blocks), self.sign)
+        return [np.asarray(x, dtype=float) + m @ di for x, m, di in zip(blocks, self.mats, d)]
+
+
 class AlmostTranslation:
-    """x_i -> x_i + B_i(x_{i+1}, ..., x_r) with certified bounded B_i."""
+    """x_i -> x_i + B_i(x_{i+1}, ..., x_r) with certified bounded B_i.
+
+    An element is a word: the letters it applies, first to last. An element
+    built from explicit perturbations is a base letter and its own one-letter
+    word. Composition concatenates letters, so evaluating a word costs one
+    pass over it. A word's ``perturbations[i]`` is a ``Displacement`` node that
+    reads block i's displacement off the word; its certificates follow the
+    composition rules (sup bounds add, Lipschitz bounds follow the chain rule).
+    """
 
     def __init__(self, spec: SpectralData, perturbations: Sequence[FuncExpr], K: float = 1.0):
         perturbations = tuple(perturbations)
@@ -46,6 +83,29 @@ class AlmostTranslation:
         self.spec = spec
         self.perturbations = perturbations
         self.K = float(K)
+        self.letters = (Letter(self),)
+
+    @staticmethod
+    def from_letters(
+        spec: SpectralData,
+        letters: Sequence[Letter],
+        certificates: Sequence[tuple[float, float, frozenset[int]]],
+        K: float,
+    ) -> "AlmostTranslation":
+        """The word applying ``letters`` in order.
+
+        ``certificates`` gives (sup bound, Lipschitz bound, deps) of each
+        block's displacement, as the composition rules derive them.
+        """
+        word = object.__new__(AlmostTranslation)
+        word.spec = spec
+        word.K = float(K)
+        word.letters = tuple(letters)
+        word.perturbations = tuple(
+            Displacement(word, i, n, sup, lip, deps)
+            for i, (n, (sup, lip, deps)) in enumerate(zip(spec.multiplicities, certificates))
+        )
+        return word
 
     @staticmethod
     def identity(spec: SpectralData, K: float = 1.0) -> "AlmostTranslation":
@@ -56,8 +116,27 @@ class AlmostTranslation:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _displacement(self, blocks: Sequence[np.ndarray], sign: int) -> list[np.ndarray]:
+        """Per-block displacement of this base letter (sign 1) or of its inverse (sign -1).
+
+        The inverse solves from the last block down: B_i reads only blocks
+        after i, which are already solved.
+        """
+        if sign == 1:
+            return [p(blocks) for p in self.perturbations]
+        out = [np.asarray(b, dtype=float) for b in blocks]
+        d: list[np.ndarray] = [None] * self.spec.r
+        for i in range(self.spec.r - 1, -1, -1):
+            d[i] = -self.perturbations[i](out)
+            out[i] = out[i] + d[i]
+        return d
+
     def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return [np.asarray(b, dtype=float) + p(blocks) for b, p in zip(blocks, self.perturbations)]
+        if self.letters[0].base is self:  # a base letter
+            return [np.asarray(b, dtype=float) + p(blocks) for b, p in zip(blocks, self.perturbations)]
+        for letter in self.letters:
+            blocks = letter.apply(blocks)
+        return blocks
 
     def __call__(self, p: BlockPoint) -> BlockPoint:
         p.require_conforms(self.spec)
@@ -69,33 +148,40 @@ class AlmostTranslation:
     def lip_bound(self) -> float:
         return 1.0 + sum(p.lipschitz for p in self.perturbations)
 
-    invertible = True
-
     # -- group structure ----------------------------------------------------
 
     def compose(self, other: "AlmostTranslation") -> "AlmostTranslation":
         """self after other; perturbations add along the inner image."""
         if self.spec != other.spec:
             raise InputError("spec mismatch in almost-translation composition")
-        newb = [
-            Sum((bo, Precompose(bs, other)))
+        lip = other.lip_bound()
+        certificates = [
+            (
+                bo.sup_bound + bs.sup_bound,
+                bo.lipschitz + bs.lipschitz * lip,
+                bo.deps().union(*(other.deps_of(j) for j in bs.deps())),
+            )
             for bs, bo in zip(self.perturbations, other.perturbations)
         ]
-        return AlmostTranslation(self.spec, newb, self.K * other.K)
+        return AlmostTranslation.from_letters(
+            self.spec, other.letters + self.letters, certificates, self.K * other.K
+        )
 
     def inverse(self) -> "AlmostTranslation":
+        """Letters reversed and inverted.
+
+        Block i's displacement is -B_i after the inverse of the later blocks,
+        so its Lipschitz bound carries 1 + the later blocks' bounds.
+        """
         r = self.spec.r
-        newb: list[FuncExpr] = [None] * r
-        newb[r - 1] = Scale(-1.0, self.perturbations[r - 1])
-        for i in range(r - 2, -1, -1):
-            partial = AlmostTranslation(
-                self.spec,
-                [Const(np.zeros(n)) for n in self.spec.multiplicities[: i + 1]]
-                + list(newb[i + 1 :]),
-                self.K,
-            )
-            newb[i] = Scale(-1.0, Precompose(self.perturbations[i], partial))
-        return AlmostTranslation(self.spec, newb, self.K)
+        certificates: list[tuple[float, float, frozenset[int]]] = [None] * r
+        for i in range(r - 1, -1, -1):
+            b = self.perturbations[i]
+            later = 1.0 + sum(c[1] for c in certificates[i + 1 :])
+            deps = frozenset().union(*(certificates[j][2] | {j} for j in b.deps()))
+            certificates[i] = (b.sup_bound, b.lipschitz * later, deps)
+        letters = [letter.inverse() for letter in reversed(self.letters)]
+        return AlmostTranslation.from_letters(self.spec, letters, certificates, self.K)
 
     def power(self, n: int) -> "AlmostTranslation":
         base = self if n >= 0 else self.inverse()

@@ -1,6 +1,7 @@
 """Similarity algebra, classification, homomorphisms, reciprocity, and the
 rotation-rigidity witness search."""
 
+import functools
 import math
 
 import numpy as np
@@ -11,12 +12,19 @@ from solvrigid import (
     AlmostTranslation,
     BlockMap,
     BlockPoint,
+    BlockVar,
     BoundaryPair,
     Const,
     FirstBlockAffineMap,
     InputError,
+    Lin,
     NotInUniformSubgroup,
+    Osc,
+    Precompose,
+    Scale,
     SimMap,
+    SpectralData,
+    Sum,
     affine_inverse,
     check_reciprocity,
     check_triangularity,
@@ -111,6 +119,157 @@ class TestASimMap:
         p = random_point(SPEC_NIL, RNG, 2.0)
         assert c(p).isclose(s(a(p)), atol=1e-10)
         assert invert(s)(s(p)).isclose(p, atol=1e-12)
+
+
+def _asim_letter(rng):
+    """A rotation-stretch-translation after an oscillating almost translation on SPEC_ROT."""
+    theta = rng.uniform(-math.pi, math.pi)
+    sim = SimMap(SPEC_ROT, rng.uniform(0.8, 1.25), [_rot(theta), np.eye(1)],
+                 [rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1)])
+    bump = Osc(rng.uniform(-0.5, 0.5, 2), [rng.uniform(0.5, 2.0)], rng.uniform(0, 2 * math.pi),
+               BlockVar(1, 1))
+    return ASimMap(sim, AlmostTranslation(SPEC_ROT, [bump, Const(rng.uniform(-1, 1, 1))]))
+
+
+class TestASimWords:
+    LETTERS = 10
+
+    def _folds(self):
+        rng = np.random.default_rng(11)
+        letters = [_asim_letter(rng) for _ in range(self.LETTERS)]
+        left = functools.reduce(lambda acc, a: acc.compose(a), letters)
+        right = functools.reduce(lambda acc, a: a.compose(acc), reversed(letters))
+        return letters, left, right
+
+    def test_folds_match_letter_by_letter(self):
+        letters, left, right = self._folds()
+        for _ in range(10):
+            p = random_point(SPEC_ROT, RNG, 2.0)
+            want = p
+            for a in reversed(letters):
+                want = a(want)
+            for word in (left, right):
+                assert np.max(np.abs(word(p).flat() - want.flat())) <= 1e-9
+
+    def test_each_letter_evaluated_once(self, count_calls):
+        _, left, right = self._folds()
+        calls = count_calls(Osc)  # one Osc node per letter
+        p = random_point(SPEC_ROT, RNG, 2.0)
+        for word in (left, right):
+            calls.clear()
+            word(p)
+            assert len(calls) == self.LETTERS
+
+
+def _tree_compose(s, o):
+    """Composition as nested Precompose trees: the reference certificate rules."""
+    newb = [Sum((bo, Precompose(bs, o))) for bs, bo in zip(s.perturbations, o.perturbations)]
+    return AlmostTranslation(s.spec, newb, s.K * o.K)
+
+
+def _tree_inverse(a):
+    r = a.spec.r
+    newb = [None] * r
+    newb[r - 1] = Scale(-1.0, a.perturbations[r - 1])
+    for i in range(r - 2, -1, -1):
+        zeros = [Const(np.zeros(n)) for n in a.spec.multiplicities[: i + 1]]
+        partial = AlmostTranslation(a.spec, zeros + newb[i + 1 :], a.K)
+        newb[i] = Scale(-1.0, Precompose(a.perturbations[i], partial))
+    return AlmostTranslation(a.spec, newb, a.K)
+
+
+def _tree_conjugate(s, a):
+    newb = [
+        Lin(s.stretch ** (-e) * rot.T, Precompose(b, s))
+        for e, rot, b in zip(s.spec.exponents, s.rotations, a.perturbations)
+    ]
+    return AlmostTranslation(s.spec, newb, a.K)
+
+
+class TestWordCertificates:
+    SPEC = SpectralData((1.0, 2.0, 3.0), (2, 1, 1))
+
+    def _letters(self):
+        # a's block 0 reads block 1 only and b's reads nothing, so deps must
+        # follow the chain through block 1's own dependence on block 2
+        a = AlmostTranslation(self.SPEC, [
+            Osc([0.3, -0.2], [1.0], 0.1, BlockVar(1, 1)),
+            Osc([0.5], [2.0], 0.0, BlockVar(2, 1)),
+            Const([1.5]),
+        ], K=1.5)
+        b = AlmostTranslation(self.SPEC, [
+            Const([0.1, 0.4]),
+            Osc([0.7], [1.3], -0.3, BlockVar(2, 1)),
+            Const([0.25]),
+        ], K=2.0)
+        return a, b
+
+    def _build(self, compose_, inverse):
+        """A length-6 word, folded with mixed association."""
+        a, b = self._letters()
+        return compose_(
+            compose_(compose_(a, inverse(b)), compose_(b, a)), compose_(inverse(a), b)
+        )
+
+    def _assert_same_certificates(self, got, want):
+        assert got.K == want.K
+        assert got.lip_bound() == want.lip_bound()
+        for i in range(self.SPEC.r):
+            assert got.b_max(i) == want.b_max(i)
+            assert got.perturbations[i].lipschitz == want.perturbations[i].lipschitz
+            assert got.perturbations[i].deps() == want.perturbations[i].deps()
+            assert got.deps_of(i) == want.deps_of(i)
+        for _ in range(3):
+            p = random_point(self.SPEC, RNG, 2.0)
+            assert got(p).isclose(want(p), atol=1e-12)
+            for gb, wb in zip(got.perturbations, want.perturbations):
+                assert np.max(np.abs(gb(p.blocks) - wb(p.blocks))) <= 1e-12
+
+    def test_word_inverse_and_conjugates_match_tree_recursion(self):
+        word = self._build(lambda x, y: x.compose(y), lambda x: x.inverse())
+        tree = self._build(_tree_compose, _tree_inverse)
+        assert len(word.letters) == 6
+        s1 = SimMap(self.SPEC, 1.3, [_rot(0.4), -np.eye(1), np.eye(1)],
+                    [np.array([0.2, -0.1]), np.array([0.3]), np.array([-0.7])])
+        s2 = SimMap(self.SPEC, 0.6, [_rot(-1.2), np.eye(1), -np.eye(1)])
+        a, b = self._letters()
+        self._assert_same_certificates(a.compose(b), _tree_compose(a, b))
+        self._assert_same_certificates(a.inverse(), _tree_inverse(a))
+        self._assert_same_certificates(word, tree)
+        self._assert_same_certificates(word.inverse(), _tree_inverse(tree))
+        self._assert_same_certificates(conjugate_almost_by_sim(s1, word), _tree_conjugate(s1, tree))
+        self._assert_same_certificates(
+            conjugate_almost_by_sim(s2, conjugate_almost_by_sim(s1, word)),
+            _tree_conjugate(s2, _tree_conjugate(s1, tree)),
+        )
+
+
+class TestGenericComposition:
+    def _generic(self):
+        return BlockMap(SPEC_NIL, [
+            Sum((BlockVar(0, 1), Osc([0.5], [1.0], 0.0, BlockVar(1, 1)))),
+            Sum((BlockVar(1, 1), Const([1.0]))),
+        ])
+
+    def test_nested_compositions_evaluate_inner_once(self, count_calls):
+        n = 8
+        maps = [self._generic() for _ in range(n)]
+        asim = ASimMap(SimMap.dilation(SPEC_NIL, 2.0), oscillating_kernel_element())
+        left = functools.reduce(compose, maps)
+        right = functools.reduce(lambda acc, m: compose(m, acc), reversed(maps))
+        calls = count_calls(Osc)  # one Osc node per map
+        p = random_point(SPEC_NIL, RNG, 2.0)
+        want = p
+        for m in reversed(maps):
+            want = m(want)
+        for word in (left, right):
+            calls.clear()
+            assert word(p).isclose(want, atol=1e-12)
+            assert len(calls) == n
+        want = asim(want)
+        calls.clear()
+        assert compose(asim, right)(p).isclose(want, atol=1e-12)
+        assert len(calls) == n + 1
 
 
 class TestTriangularity:

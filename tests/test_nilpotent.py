@@ -1,6 +1,7 @@
 """Almost translations, kernel projections, oscillation bounds, orbit
 counting, and the exact approximate-root algorithm."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,39 @@ class TestAlmostTranslation:
         assert a.power(3)(p).isclose(a(a(a(p))), atol=1e-10)
         assert a.power(-1)(a(p)).isclose(p, atol=1e-10)
         assert a.power(0)(p).isclose(p)
+
+
+class TestWords:
+    """Composed elements are words: an evaluation applies each letter once."""
+
+    def test_power_evaluates_each_letter_once(self, count_calls):
+        calls = count_calls(Osc)
+        gamma = oscillating_kernel_element()  # one Osc node per letter
+        p = _rand_point()
+        for n in (14, -14):
+            word = gamma.power(n)
+            calls.clear()
+            word(p)
+            assert len(calls) == 14
+
+    def test_power_matches_closed_form(self):
+        c = 4.0
+        gamma = oscillating_kernel_element(c=c)
+        for n in range(-14, 15):
+            x1, x2 = RNG.uniform(-3, 3, 2)
+            p = BlockPoint((np.array([x1]), np.array([x2])))
+            if n >= 0:
+                want = (x1 + sum(math.sin(x2 + k * c) for k in range(n)), x2 + n * c)
+            else:
+                want = (x1 - sum(math.sin(x2 - k * c) for k in range(1, -n + 1)), x2 + n * c)
+            assert np.max(np.abs(gamma.power(n)(p).flat() - want)) <= 1e-9, n
+
+    def test_inverse_undoes_long_word(self):
+        word = oscillating_kernel_element().power(14)
+        inv = word.inverse()
+        for _ in range(20):
+            p = _rand_point()
+            assert inv(word(p)).isclose(p, atol=1e-10)
 
 
 class TestBounds:
