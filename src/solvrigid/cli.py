@@ -48,18 +48,19 @@ class ConfigError(SolvRigidError):
     """Config does not match the schema; message carries a JSON pointer."""
 
 
+# key: (accepted JSON types, least allowed value or None)
 _SCHEMA = {
-    "spec": dict,
-    "seed": int,
-    "triples": int,
-    "pairs": int,
-    "beta": (int, float),
-    "grid": dict,
-    "word_len": int,
-    "tolerance": (int, float),
-    "conjugation_tol": (int, float),
-    "root_order": int,
-    "probe_count": int,
+    "spec": (dict, None),
+    "seed": (int, 0),
+    "triples": (int, 1),
+    "pairs": (int, 1),
+    "beta": ((int, float), None),
+    "grid": (dict, None),
+    "word_len": (int, 1),
+    "tolerance": ((int, float), None),
+    "conjugation_tol": ((int, float), None),
+    "root_order": (int, 1),
+    "probe_count": (int, 1),
 }
 
 _GRID_SCHEMA = {"lo": (int, float), "hi": (int, float), "resolution": (int, float)}
@@ -90,8 +91,11 @@ class RunConfig:
         for key, val in obj.items():
             if key not in _SCHEMA:
                 raise ConfigError(f"/{key}: unknown config key")
-            if not isinstance(val, _SCHEMA[key]) or isinstance(val, bool):
-                raise ConfigError(f"/{key}: expected {_SCHEMA[key]}, got {type(val).__name__}")
+            types, least = _SCHEMA[key]
+            if not isinstance(val, types) or isinstance(val, bool):
+                raise ConfigError(f"/{key}: expected {types}, got {type(val).__name__}")
+            if least is not None and val < least:
+                raise ConfigError(f"/{key}: must be at least {least}, got {val}")
         cfg = RunConfig()
         if "spec" in obj:
             try:
@@ -109,12 +113,8 @@ class RunConfig:
             cfg.grid_resolution = float(obj["grid"].get("resolution", cfg.grid_resolution))
             if cfg.grid_hi <= cfg.grid_lo or cfg.grid_resolution <= 0:
                 raise ConfigError("/grid: requires lo < hi and resolution > 0")
-        for key in ("seed", "triples", "pairs", "word_len", "root_order", "probe_count"):
-            if key in obj:
-                setattr(cfg, key, int(obj[key]))
-        for key in ("beta", "tolerance", "conjugation_tol"):
-            if key in obj:
-                setattr(cfg, key, float(obj[key]))
+        for key in obj.keys() - {"spec", "grid"}:
+            setattr(cfg, key, obj[key] if _SCHEMA[key][0] is int else float(obj[key]))
         return cfg
 
     def to_json(self) -> dict:
@@ -423,11 +423,11 @@ def main(argv=None) -> int:
                 cfg = RunConfig.from_json(json.load(fh))
         else:
             cfg = RunConfig()
+        if args.seed is not None:
+            cfg = RunConfig.from_json({**cfg.to_json(), "seed": args.seed})
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
     return run(args.subcommand, cfg, args.out, verbose=args.verbose)
 
 

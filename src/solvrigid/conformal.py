@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ConvergenceError, CoverageError, DomainError, InputError
 from .quasimetric import distance
 from .spectral import BlockPoint, SpectralData
+from .tukia import walk_words
 
 
 def conf_class(matrix) -> np.ndarray:
@@ -144,31 +145,6 @@ class ConfField:
         return self.values[self.nearest_index(p)]
 
 
-def _all_words(n_generators: int, word_len: int) -> list[list[int]]:
-    """All generator-index words up to word_len (identity included).
-
-    Callers wanting inverse letters list the inverse maps as generators.
-    """
-    out: list[list[int]] = [[]]
-    frontier: list[list[int]] = [[]]
-    for _ in range(word_len):
-        frontier = [w + [gi] for w in frontier for gi in range(n_generators)]
-        out.extend(frontier)
-    return out
-
-
-def _apply_word(generators, word, p: BlockPoint):
-    """Evaluate the word (leftmost letter acts last) and its first-block Jacobian."""
-    n1 = p.blocks[0].shape[0]
-    jac = np.eye(n1)
-    cur = p
-    for gi in reversed(word):
-        g = generators[gi]
-        jac = g.first_block_derivative(cur) @ jac
-        cur = g(cur)
-    return cur, jac
-
-
 def invariant_structure(
     generators,
     grid: Sequence[BlockPoint],
@@ -183,15 +159,21 @@ def invariant_structure(
     point is the worst generator violation of the transformation law
     mu(G p) = g'(p)[mu(p)], measured against the nearest grid sample.
     """
-    words = _all_words(len(generators), word_len)
     n1 = grid[0].blocks[0].shape[0]
+
+    def step(gi, state):
+        # the first-block Jacobian follows the chain rule along the word
+        cur, jac = state
+        g = generators[gi]
+        return g(cur), g.first_block_derivative(cur) @ jac
+
     points, values, skipped = [], [], []
     for idx, p in enumerate(grid):
         classes = []
         seen = set()
+        walk = walk_words(range(len(generators)), word_len, (p, np.eye(n1)), step)
         try:
-            for w in words:
-                _, jac = _apply_word(generators, w, p)
+            for _, (_, jac) in walk:
                 if abs(np.linalg.det(jac)) < 1e-12:
                     raise DomainError("singular first-block Jacobian")
                 cls = act(jac, np.eye(n1))

@@ -63,8 +63,10 @@ class SpectralData:
             mults = obj["mults"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"spectral data must carry 'alphas' and 'mults': {exc}") from exc
-        if any(isinstance(a, float) and not math.isfinite(a) for a in alphas):
-            raise InputError("non-finite exponent in spectral data")
+        if not isinstance(alphas, (list, tuple)) or any(type(a) not in (float, int) for a in alphas):
+            raise InputError("'alphas' must be a list of numbers")
+        if not isinstance(mults, (list, tuple)) or any(type(n) is not int for n in mults):
+            raise InputError("'mults' must be a list of integers")
         return SpectralData(tuple(alphas), tuple(mults))
 
 

@@ -30,21 +30,48 @@ class OneDGenerator:
     label: str = ""
 
 
+def walk_words(letters, depth: int, start, step, reduced: bool = False):
+    """Yield (word, state) for every word of at most ``depth`` letters.
+
+    ``word[0]`` acts last, so the state of ``(a,) + w`` is ``step(a, state
+    of w)``: each word costs one step, reusing its parent's state. Words
+    come in shortlex order (by length, then letter by letter in the order
+    of ``letters``), the identity ``((), start)`` first. A step that
+    returns None prunes that word and every word extending it. With
+    ``reduced`` the letters are (index, sign) pairs and no letter is put
+    next to its inverse.
+    """
+    level = [((), start)]
+    yield level[0]
+    for _ in range(depth):
+        nxt = []
+        for a in letters:
+            for w, state in level:
+                if reduced and w and w[0] == (a[0], -a[1]):
+                    continue
+                child = step(a, state)
+                if child is not None:
+                    nxt.append(((a,) + w, child))
+                    yield nxt[-1]
+        level = nxt
+
+
 def reduced_words(n_generators: int, word_len: int) -> list[tuple[tuple[int, int], ...]]:
     """Freely reduced words over generators and inverses, up to word_len."""
-    out: list[tuple[tuple[int, int], ...]] = [()]
-    frontier: list[tuple[tuple[int, int], ...]] = [()]
     letters = [(i, s) for i in range(n_generators) for s in (1, -1)]
-    for _ in range(word_len):
-        nxt = []
-        for w in frontier:
-            for idx, sgn in letters:
-                if w and w[-1] == (idx, -sgn):
-                    continue
-                nxt.append(w + ((idx, sgn),))
-        frontier = nxt
-        out.extend(frontier)
-    return out
+    return [w for w, _ in walk_words(letters, word_len, (), lambda a, s: s, reduced=True)]
+
+
+def _chain_1d(generators: Sequence[OneDGenerator], letter, state: tuple) -> tuple:
+    """(x, derivative, stretch) after one more letter, by the chain rule."""
+    idx, sgn = letter
+    g = generators[idx]
+    x, deriv, stretch = state
+    if sgn == 1:
+        deriv *= g.dfn(x)
+        return g.fn(x), deriv, stretch * g.stretch
+    x = g.inv(x)
+    return x, deriv / g.dfn(x), stretch / g.stretch
 
 
 def word_apply_1d(generators: Sequence[OneDGenerator], word, x: float) -> float:
@@ -56,19 +83,10 @@ def word_apply_1d(generators: Sequence[OneDGenerator], word, x: float) -> float:
 
 def word_derivative_1d(generators: Sequence[OneDGenerator], word, x: float) -> tuple[float, float]:
     """(derivative, stretch) of the word at x, by the chain rule."""
-    deriv = 1.0
-    stretch = 1.0
-    for idx, sgn in reversed(word):
-        g = generators[idx]
-        if sgn == 1:
-            deriv *= g.dfn(x)
-            x = g.fn(x)
-            stretch *= g.stretch
-        else:
-            x = g.inv(x)
-            deriv /= g.dfn(x)
-            stretch /= g.stretch
-    return deriv, stretch
+    state = (x, 1.0, 1.0)
+    for letter in reversed(word):
+        state = _chain_1d(generators, letter, state)
+    return state[1], state[2]
 
 
 @dataclass
@@ -106,23 +124,28 @@ def sup_measure_1d(
     """
     xs = np.asarray(xs, dtype=float)
     depth = sample.word_len if word_len is None else word_len
-    words = reduced_words(len(sample.generators), depth)
+    gens = sample.generators
+    letters = [(i, s) for i in range(len(gens)) for s in (1, -1)]
+    bad = False
+
+    def step(letter, state):
+        # every extension of a word flagged here would be flagged too
+        nonlocal bad
+        try:
+            state = _chain_1d(gens, letter, state)
+        except ZeroDivisionError:
+            state = None
+        if state is None or state[1] == 0.0 or not math.isfinite(state[1]):
+            bad = True
+            return None
+        return state
+
     values = np.empty_like(xs)
     flagged = []
     for i, x in enumerate(xs):
-        best = 0.0
         bad = False
-        for w in words:
-            try:
-                deriv, stretch = word_derivative_1d(sample.generators, w, float(x))
-            except ZeroDivisionError:
-                bad = True
-                continue
-            if deriv == 0.0 or not math.isfinite(deriv):
-                bad = True
-                continue
-            best = max(best, abs(deriv) / stretch**sample.alpha1)
-        values[i] = best
+        walk = walk_words(letters, depth, (float(x), 1.0, 1.0), step, reduced=True)
+        values[i] = max(abs(deriv) / stretch**sample.alpha1 for _, (_, deriv, stretch) in walk)
         if bad:
             flagged.append(i)
     return SupMeasure1D(xs=xs, values=values, flagged=flagged)
@@ -191,19 +214,20 @@ def verify_conjugation(
     if not span > 0:
         raise InputError("conjugator is not increasing on the probe range")
     depth = sample.word_len if word_len is None else word_len
-    words = reduced_words(len(sample.generators), depth)
+    gens = sample.generators
+    letters = [(i, s) for i in range(len(gens)) for s in (1, -1)]
+    us = [(F.fn(float(x)), F.fn(float(x) + probe_step)) for x in probes]
+    start = [(F.inv(u0), F.inv(u1)) for u0, u1 in us]
+
+    def step(letter, images):
+        return [tuple(word_apply_1d(gens, (letter,), x) for x in pair) for pair in images]
+
     verdicts = []
     worst = 0.0
-    for w in words:
+    for w, images in walk_words(letters, depth, start, step, reduced=True):
         if not w:
             continue
-        slopes = []
-        for x in probes:
-            u0 = F.fn(float(x))
-            u1 = F.fn(float(x) + probe_step)
-            v0 = F.fn(word_apply_1d(sample.generators, w, F.inv(u0)))
-            v1 = F.fn(word_apply_1d(sample.generators, w, F.inv(u1)))
-            slopes.append(abs((v1 - v0) / (u1 - u0)))
+        slopes = [abs((F.fn(x1) - F.fn(x0)) / (u1 - u0)) for (u0, u1), (x0, x1) in zip(us, images)]
         logs = np.log(np.asarray(slopes))
         gmean = float(np.exp(logs.mean()))
         defect = float(np.max(np.abs(np.asarray(slopes) / gmean - 1.0)))
@@ -215,15 +239,6 @@ def verify_conjugation(
 
 
 # -- stretch normalization --------------------------------------------------
-
-
-def _word_eta(word, y: tuple, alpha1: float) -> float:
-    """Normalized first-block stretch of a generator word at y (cocycle)."""
-    eta = 1.0
-    for g in reversed(word):
-        eta *= g.lam_of(y) / g.stretch**alpha1
-        y = tuple(g.quotient(y))
-    return eta
 
 
 @dataclass
@@ -249,27 +264,20 @@ def normalize_stretch(sample: GroupSample, word_len: Optional[int] = None) -> No
             )
     depth = sample.word_len if word_len is None else word_len
     alpha1 = gens[0].spec.exponents[0]
-    index_words = [w for w in _forward_words(len(gens), depth)]
+
+    def step(gi, state):
+        # the normalized first-block stretch is a cocycle along the quotient
+        eta, y = state
+        g = gens[gi]
+        return eta * (g.lam_of(y) / g.stretch**alpha1), tuple(g.quotient(y))
 
     def mu_of(y: tuple) -> float:
-        best = 1.0
-        for w in index_words:
-            best = max(best, _word_eta([gens[i] for i in w], y, alpha1))
-        return best
+        return max(eta for _, (eta, _) in walk_words(range(len(gens)), depth, (1.0, y), step))
 
     conjugated = []
     for g in gens:
         conjugated.append(_conjugate_by_scale(g, mu_of))
     return NormalizedSample(conjugated=conjugated, mu_of=mu_of, alpha1=alpha1)
-
-
-def _forward_words(n_generators: int, word_len: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(word_len):
-        frontier = [w + (gi,) for w in frontier for gi in range(n_generators)]
-        out.extend(frontier)
-    return out
 
 
 def _conjugate_by_scale(g: FirstBlockAffineMap, mu_of: Callable[[tuple], float]) -> FirstBlockAffineMap:

@@ -34,6 +34,29 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="/spec"):
             RunConfig.from_json({"spec": {"alphas": [2.0, 1.0], "mults": [1, 1]}})
 
+    @pytest.mark.parametrize(
+        "obj, args, pointer",
+        [
+            ({"root_order": 0}, [], "/root_order"),
+            ({"seed": -1}, [], "/seed"),
+            ({"seed": 1}, ["--seed", "-1"], "/seed"),
+            ({"triples": 0}, [], "/triples"),
+            ({"pairs": 0}, [], "/pairs"),
+            ({"probe_count": 0}, [], "/probe_count"),
+            ({"word_len": 0}, [], "/word_len"),
+            ({"spec": {"alphas": 2.0, "mults": [1]}}, [], "/spec"),
+            ({"spec": {"alphas": ["two", "three"], "mults": [1, 1]}}, [], "/spec"),
+            ({"spec": {"alphas": [2.0], "mults": [1.5]}}, [], "/spec"),
+        ],
+    )
+    def test_out_of_bounds_exits_2_pointered(self, obj, args, pointer, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(obj))
+        out = tmp_path / "r"
+        assert main(["roots", "--config", str(cfg), *args, "--out", str(out)]) == 2
+        assert f"config error: {pointer}:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "sub", ["metric", "geodesic", "classify", "conformal", "conjugate", "roots"]

@@ -30,6 +30,51 @@ from solvrigid.fixtures import SPEC_R2, SPEC_ROT, constant_rotation_map
 RNG = np.random.default_rng(17)
 
 
+def _ref_invariant_structure(generators, grid, word_len, resolution):
+    """Enumerate-then-fold reference: every word folded from the identity."""
+    words = [[]]
+    frontier = [[]]
+    for _ in range(word_len):
+        frontier = [w + [gi] for w in frontier for gi in range(len(generators))]
+        words.extend(frontier)
+    n1 = grid[0].blocks[0].shape[0]
+    points, values, skipped = [], [], []
+    for idx, p in enumerate(grid):
+        classes = []
+        seen = set()
+        try:
+            for w in words:
+                jac = np.eye(n1)
+                cur = p
+                for gi in reversed(w):
+                    g = generators[gi]
+                    jac = g.first_block_derivative(cur) @ jac
+                    cur = g(cur)
+                if abs(np.linalg.det(jac)) < 1e-12:
+                    raise DomainError("singular first-block Jacobian")
+                cls = act(jac, np.eye(n1))
+                key = tuple(np.round(cls, 9).ravel())
+                if key not in seen:
+                    seen.add(key)
+                    classes.append(cls)
+        except DomainError:
+            skipped.append(idx)
+            continue
+        points.append(p)
+        values.append(circumcenter(classes))
+    field_ = ConfField(points=points, values=values, resolution=resolution, skipped=skipped)
+    for p, mu_p in zip(points, values):
+        worst = 0.0
+        for g in generators:
+            try:
+                mu_gp = field_.value_at(g(p))
+            except CoverageError:
+                continue
+            worst = max(worst, kdist(mu_gp, act(g.first_block_derivative(p), mu_p)))
+        field_.defects.append(worst)
+    return field_
+
+
 def random_spd(n=3):
     q = np.linalg.qr(RNG.normal(size=(n, n)))[0]
     return conf_class(q @ np.diag(np.exp(RNG.uniform(-1.2, 1.2, n))) @ q.T)
@@ -158,6 +203,27 @@ class TestInvariantStructure:
         expect = circumcenter(orbit)
         for val in field.values:
             assert np.allclose(val, expect, atol=1e-8)
+
+    def test_walk_equals_enumerate_then_fold(self):
+        t = np.diag([2.0, 0.5])
+
+        def quot(y):
+            return (y[0] + 1.0,)
+
+        diag = FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=lambda y: t)
+        # singular where y = 0, so grid points whose orbit meets it are skipped
+        fold = FirstBlockAffineMap(
+            SPEC_ROT, 1.0, quot, A_of=lambda y: np.diag([float(y[0][0]), 1.0])
+        )
+        rot = constant_rotation_map(0.8)
+        for gens in ([rot, affine_inverse(rot, lambda y: (y[0] - 1.0,))], [diag, fold]):
+            field = invariant_structure(gens, self._grid(), word_len=3, resolution=0.51)
+            ref = _ref_invariant_structure(gens, self._grid(), 3, 0.51)
+            assert len(field.values) == len(ref.values)
+            assert all(np.array_equal(a, b) for a, b in zip(field.values, ref.values))
+            assert field.defects == ref.defects
+            assert field.skipped == ref.skipped
+        assert field.skipped
 
     def test_value_at_raises_off_grid(self):
         field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.4)

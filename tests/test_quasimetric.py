@@ -52,6 +52,20 @@ class TestSpectralData:
         with pytest.raises(InputError):
             SpectralData.from_json({"alphas": [1.0]})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"alphas": 2.0, "mults": [1]},
+            {"alphas": ["two"], "mults": [1]},
+            {"alphas": [True], "mults": [1]},
+            {"alphas": [2.0], "mults": [1.5]},
+            {"alphas": [2.0], "mults": "1"},
+        ],
+    )
+    def test_from_json_rejects_malformed_lists(self, obj):
+        with pytest.raises(InputError):
+            SpectralData.from_json(obj)
+
 
 class TestDistance:
     def test_single_block_is_root_of_norm(self):

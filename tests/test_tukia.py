@@ -1,6 +1,8 @@
 """Conjugation pipeline: sup measures, conjugators, stretch normalization,
 and the radial iteration."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +33,7 @@ from solvrigid.fixtures import (
     similarity_1d_sample,
     stretch_bump_sample,
 )
-from solvrigid.tukia import word_apply_1d, word_derivative_1d
+from solvrigid.tukia import WordVerdict, walk_words, word_apply_1d, word_derivative_1d
 
 
 def _pipeline(sample, lo=-3.0, hi=3.0, h=0.01):
@@ -42,11 +44,138 @@ def _pipeline(sample, lo=-3.0, hi=3.0, h=0.01):
     return mu, conjugator_1d(mu)
 
 
+# -- enumerate-then-fold reference: every word is listed, then folded from
+# the identity letter by letter (the walker shares each word's prefix)
+
+
+def _ref_reduced_words(n_generators, word_len):
+    out = [()]
+    frontier = [()]
+    letters = [(i, s) for i in range(n_generators) for s in (1, -1)]
+    for _ in range(word_len):
+        nxt = []
+        for w in frontier:
+            for idx, sgn in letters:
+                if w and w[-1] == (idx, -sgn):
+                    continue
+                nxt.append(w + ((idx, sgn),))
+        frontier = nxt
+        out.extend(frontier)
+    return out
+
+
+def _ref_word_derivative(generators, word, x):
+    deriv = 1.0
+    stretch = 1.0
+    for idx, sgn in reversed(word):
+        g = generators[idx]
+        if sgn == 1:
+            deriv *= g.dfn(x)
+            x = g.fn(x)
+            stretch *= g.stretch
+        else:
+            x = g.inv(x)
+            deriv /= g.dfn(x)
+            stretch /= g.stretch
+    return deriv, stretch
+
+
+def _ref_sup_measure(sample, xs, word_len):
+    words = _ref_reduced_words(len(sample.generators), word_len)
+    values = np.empty_like(xs)
+    flagged = []
+    for i, x in enumerate(xs):
+        best = 0.0
+        bad = False
+        for w in words:
+            try:
+                deriv, stretch = _ref_word_derivative(sample.generators, w, float(x))
+            except ZeroDivisionError:
+                bad = True
+                continue
+            if deriv == 0.0 or not math.isfinite(deriv):
+                bad = True
+                continue
+            best = max(best, abs(deriv) / stretch**sample.alpha1)
+        values[i] = best
+        if bad:
+            flagged.append(i)
+    return values, flagged
+
+
+def _ref_verdicts(sample, F, probes, probe_step, word_len):
+    verdicts = []
+    for w in _ref_reduced_words(len(sample.generators), word_len):
+        if not w:
+            continue
+        slopes = []
+        for x in probes:
+            u0 = F.fn(float(x))
+            u1 = F.fn(float(x) + probe_step)
+            v0 = F.fn(word_apply_1d(sample.generators, w, F.inv(u0)))
+            v1 = F.fn(word_apply_1d(sample.generators, w, F.inv(u1)))
+            slopes.append(abs((v1 - v0) / (u1 - u0)))
+        logs = np.log(np.asarray(slopes))
+        gmean = float(np.exp(logs.mean()))
+        defect = float(np.max(np.abs(np.asarray(slopes) / gmean - 1.0)))
+        verdicts.append(WordVerdict(word=w, defect=defect, mean_scale=gmean))
+    return verdicts
+
+
+def _ref_mu_of(gens, word_len, alpha1):
+    words = [()]
+    frontier = [()]
+    for _ in range(word_len):
+        frontier = [w + (gi,) for w in frontier for gi in range(len(gens))]
+        words.extend(frontier)
+
+    def eta_of(word, y):
+        eta = 1.0
+        for gi in reversed(word):
+            g = gens[gi]
+            eta *= g.lam_of(y) / g.stretch**alpha1
+            y = tuple(g.quotient(y))
+        return eta
+
+    def mu_of(y):
+        best = 1.0
+        for w in words:
+            best = max(best, eta_of(w, y))
+        return best
+
+    return mu_of
+
+
+def _pruning_sample(word_len):
+    """A shift whose derivative is 0 at -1 and infinite at 2, and a dilation.
+
+    The shift's inverse divides by zero two letters deep from x = 1, so
+    the sup measure prunes words beyond depth 1.
+    """
+    shift = OneDGenerator(
+        fn=lambda x: x + 1.0,
+        dfn=lambda x: {-1.0: 0.0, 2.0: math.inf}.get(x, 1.0),
+        inv=lambda x: x - 1.0,
+    )
+    dil = similarity_1d_sample().generators[0]
+    return GroupSample(generators=[shift, dil], word_len=word_len, uniform_K=2.0)
+
+
 class TestWords:
     def test_reduced_word_count_single_generator(self):
         # only powers g^k survive free reduction: two per length plus identity
         words = reduced_words(1, 5)
         assert len(words) == 11
+
+    def test_walk_is_shortlex_and_prunes_extensions(self):
+        # the state is the word spelled out; "ab" and every word ending in it is pruned
+        walk = list(walk_words("ab", 3, "", lambda a, s: None if a + s == "ab" else a + s))
+        shortlex = ["".join(p) for n in range(4) for p in itertools.product("ab", repeat=n)]
+        assert [s for _, s in walk] == [w for w in shortlex if not w.endswith("ab")]
+        assert all("".join(w) == s for w, s in walk)
+
+    def test_shortlex_order_of_enumerate_then_fold(self):
+        assert reduced_words(2, 4) == _ref_reduced_words(2, 4)
 
     def test_no_adjacent_cancellation(self):
         for w in reduced_words(2, 4):
@@ -92,6 +221,35 @@ class TestSupMeasure:
         sample = GroupSample(generators=[flat], word_len=1, uniform_K=1.0)
         mu = sup_measure_1d(sample, np.array([-1.0, 0.0, 1.0]))
         assert mu.flagged == [1]
+
+    def test_deep_division_by_zero_flagged(self):
+        sample = _pruning_sample(word_len=3)
+        assert sup_measure_1d(sample, np.array([1.0]), word_len=1).flagged == []
+        assert sup_measure_1d(sample, np.array([1.0])).flagged == [0]
+
+    @pytest.mark.parametrize("word_len", [1, 3, 5])
+    def test_walk_equals_enumerate_then_fold(self, word_len):
+        flat = OneDGenerator(
+            fn=lambda x: x, dfn=lambda x: 0.0 if x == 0.0 else 1.0, inv=lambda x: x
+        )
+        flat_sample = GroupSample(generators=[flat], word_len=word_len, uniform_K=1.0)
+        xs = np.arange(-4.0, 4.25, 0.25)
+        for sample in (flat_sample, _pruning_sample(word_len), piecewise_1d_sample(word_len)):
+            mu = sup_measure_1d(sample, xs)
+            values, flagged = _ref_sup_measure(sample, xs, word_len)
+            assert np.array_equal(mu.values, values)
+            assert mu.flagged == flagged
+
+    def test_one_derivative_call_per_word_and_grid_point(self):
+        calls = []
+        sample = piecewise_1d_sample(word_len=6)
+        g = sample.generators[0]
+        counted = dataclasses.replace(g, dfn=lambda x: calls.append(x) or g.dfn(x))
+        sample = dataclasses.replace(sample, generators=[counted])
+        xs = np.linspace(-2.0, 2.0, 9)
+        mu = sup_measure_1d(sample, xs)
+        assert mu.flagged == []
+        assert len(calls) == len(xs) * (len(reduced_words(1, 6)) - 1)
 
 
 class TestConjugator:
@@ -148,6 +306,16 @@ class TestVerifyConjugation:
         assert not report.passed
         assert report.max_defect > 0.1
 
+    def test_walk_equals_enumerate_then_fold(self):
+        sample = piecewise_1d_sample(word_len=4)
+        _, conj = _pipeline(sample, h=0.05)
+        half = OneDGenerator(fn=lambda x: x + 0.5, dfn=lambda x: 1.0, inv=lambda x: x - 0.5)
+        two = dataclasses.replace(sample, generators=sample.generators + [half])
+        probes = np.linspace(-3, 2, 7)
+        for s in (sample, two):
+            report = verify_conjugation(s, conj, probes, probe_step=1.0)
+            assert report.verdicts == _ref_verdicts(s, conj, probes, 1.0, 4)
+
     def test_conjugated_sample_passes_with_identity(self):
         # idempotence: wrap the pipeline output into new generators and
         # verify them against the identity conjugator
@@ -202,6 +370,19 @@ class TestNormalizeStretch:
             yt = (np.array([y]),)
             assert normalized.mu_of(yt) == pytest.approx(1.0, abs=1e-12)
             assert g.lam_of(yt) == pytest.approx(g.stretch ** normalized.alpha1, rel=1e-12)
+
+    def test_walk_equals_enumerate_then_fold(self):
+        bump = stretch_bump_sample(word_len=6)
+        dil = normalized_dilation_sample(word_len=6)
+        two = dataclasses.replace(bump, generators=bump.generators + dil.generators)
+        for sample in (bump, dil, two):
+            normalized = normalize_stretch(sample)
+            mu_ref = _ref_mu_of(sample.generators, 6, normalized.alpha1)
+            for g, conj in zip(sample.generators, normalized.conjugated):
+                for y in np.linspace(-3.0, 3.0, 13):
+                    yt = (np.array([y]),)
+                    lam = mu_ref(tuple(g.quotient(yt))) * g.lam_of(yt) / mu_ref(yt)
+                    assert conj.lam_of(yt) == lam
 
     def test_non_affine_generators_rejected(self):
         sample = piecewise_1d_sample()
