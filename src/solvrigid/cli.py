@@ -28,7 +28,7 @@ from .nilpotent import (
     epsilon_bound,
     root_power_word,
 )
-from .quasimetric import ChainGrid, chain_energy, dilate, distance
+from .quasimetric import ChainGrid, chain_energy, dilate_rows, distance, distance_rows
 from .solvgroup import (
     SolvPoint,
     SolvSpec,
@@ -38,9 +38,10 @@ from .solvgroup import (
     multiply,
     pair_to_point,
     pair_to_point_bisect,
+    pair_to_point_heights,
     VerticalGeodesic,
 )
-from .spectral import BlockPoint, SpectralData, random_pairs, random_point
+from .spectral import BlockPoint, SpectralData, random_pairs, random_point, random_row_blocks
 from .tukia import conjugator_1d, sup_measure_1d, verify_conjugation
 
 
@@ -64,6 +65,15 @@ _SCHEMA = {
 }
 
 _GRID_SCHEMA = {"lo": (int, float), "hi": (int, float), "resolution": (int, float)}
+
+# Most grid points run_conjugate may build: about 80 MB per float array.
+MAX_GRID_POINTS = 10**7
+
+
+def _conjugate_grid_range(lo: float, hi: float, word_len: int) -> tuple[int, int]:
+    """Ends of the conjugation grid: [lo, hi] widened so it covers every word
+    image of every probe (words drift by at most word_len + 1)."""
+    return math.floor(lo) - word_len - 2, math.ceil(hi) + word_len + 2
 
 
 @dataclass
@@ -111,10 +121,18 @@ class RunConfig:
             cfg.grid_lo = float(obj["grid"].get("lo", cfg.grid_lo))
             cfg.grid_hi = float(obj["grid"].get("hi", cfg.grid_hi))
             cfg.grid_resolution = float(obj["grid"].get("resolution", cfg.grid_resolution))
-            if cfg.grid_hi <= cfg.grid_lo or cfg.grid_resolution <= 0:
-                raise ConfigError("/grid: requires lo < hi and resolution > 0")
+            if not (math.isfinite(cfg.grid_lo) and math.isfinite(cfg.grid_hi)
+                    and cfg.grid_lo < cfg.grid_hi and cfg.grid_resolution > 0):
+                raise ConfigError("/grid: requires finite lo < hi and resolution > 0")
         for key in obj.keys() - {"spec", "grid"}:
             setattr(cfg, key, obj[key] if _SCHEMA[key][0] is int else float(obj[key]))
+        lo, hi = _conjugate_grid_range(cfg.grid_lo, cfg.grid_hi, cfg.word_len)
+        points = (hi - lo) / cfg.grid_resolution
+        if not points <= MAX_GRID_POINTS:
+            raise ConfigError(
+                f"/grid/resolution: the conjugation grid would hold {points:.3g} points "
+                f"(lo, hi and word_len {cfg.word_len} included), more than {MAX_GRID_POINTS}"
+            )
         return cfg
 
     def to_json(self) -> dict:
@@ -147,21 +165,22 @@ def run_metric(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     a1 = spec.exponents[0]
     tri_worst = 0.0
     sym_worst = 0.0
-    for _ in range(cfg.triples):
-        p, q, s = (random_point(spec, rng, 3.0) for _ in range(3))
-        dpq, dqs, dps = distance(spec, p, q), distance(spec, q, s), distance(spec, p, s)
+    for block in random_row_blocks(spec, rng, cfg.triples, 3, 3.0):
+        p, q, s = block[:, 0], block[:, 1], block[:, 2]
+        dpq, dqs = distance_rows(spec, p, q), distance_rows(spec, q, s)
+        dps = distance_rows(spec, p, s)
         slack = dps**a1 - (dpq**a1 + dqs**a1)
-        tri_worst = max(tri_worst, slack / max(dps**a1, 1.0))
-        sym_worst = max(sym_worst, abs(dpq - distance(spec, q, p)))
+        tri_worst = max(tri_worst, float(np.max(slack / np.maximum(dps**a1, 1.0))))
+        sym_worst = max(sym_worst, float(np.max(np.abs(dpq - distance_rows(spec, q, p)))))
     dil_worst = 0.0
     for t in (0.5, 2.0, 3.0):
-        for _ in range(200):
-            p, q = random_point(spec, rng, 3.0), random_point(spec, rng, 3.0)
-            d = distance(spec, p, q)
-            if d == 0.0:
-                continue
-            d2 = distance(spec, dilate(spec, t, p), dilate(spec, t, q))
-            dil_worst = max(dil_worst, abs(d2 - t * d) / (t * d))
+        for block in random_row_blocks(spec, rng, 200, 2, 3.0):
+            p, q = block[:, 0], block[:, 1]
+            d = distance_rows(spec, p, q)
+            keep = d != 0.0
+            d2 = distance_rows(spec, dilate_rows(spec, t, p[keep]), dilate_rows(spec, t, q[keep]))
+            td = t * d[keep]
+            dil_worst = max(dil_worst, float(np.max(np.abs(d2 - td) / td, initial=0.0)))
     x0 = BlockPoint.zero(spec)
     x1 = BlockPoint(tuple(
         (np.ones(n) if i == 0 else np.zeros(n)) for i, n in enumerate(spec.multiplicities)
@@ -184,12 +203,12 @@ def run_metric(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
 def run_geodesic(cfg: RunConfig, rng: np.random.Generator, out_dir: Path | None = None) -> list[dict]:
     spec = SolvSpec(lower=cfg.spec)
     worst_pair = 0.0
-    for p, q in random_pairs(cfg.spec, rng, cfg.pairs, 3.0):
-        d = distance(cfg.spec, p, q)
-        if d == 0.0:
-            continue
-        t = pair_to_point(spec, p, q).height
-        worst_pair = max(worst_pair, abs(math.exp(t) - d) / d)
+    for block in random_row_blocks(cfg.spec, rng, cfg.pairs, 2, 3.0):
+        p, q = block[:, 0], block[:, 1]
+        d = distance_rows(cfg.spec, p, q)
+        keep = d != 0.0
+        t, d = pair_to_point_heights(spec, p[keep], q[keep]), d[keep]
+        worst_pair = max(worst_pair, float(np.max(np.abs(np.exp(t) - d) / d, initial=0.0)))
     worst_bisect = 0.0
     for p, q in random_pairs(cfg.spec, rng, 20, 3.0):
         d = distance(cfg.spec, p, q)
@@ -300,12 +319,10 @@ def run_conformal(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
 
 def run_conjugate(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     sample = fixtures.piecewise_1d_sample(word_len=cfg.word_len)
-    # the grid must cover every word image of every probe (words drift by at
-    # most word_len + 1), and is offset by half a cell so the sup measure's
-    # jump points land mid-cell, where the trapezoid rule is exact
+    # the grid is offset by half a cell so the sup measure's jump points land
+    # mid-cell, where the trapezoid rule is exact
     h = cfg.grid_resolution
-    lo = math.floor(cfg.grid_lo) - cfg.word_len - 2
-    hi = math.ceil(cfg.grid_hi) + cfg.word_len + 2
+    lo, hi = _conjugate_grid_range(cfg.grid_lo, cfg.grid_hi, cfg.word_len)
     xs = np.arange(lo + 0.5 * h, hi, h)
     sup_len = int(max(abs(lo), abs(hi))) + 2
     mu = sup_measure_1d(sample, xs, word_len=sup_len)

@@ -2,12 +2,44 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DimensionMismatch, DomainError, InputError
 from .spectral import BlockPoint, SpectralData
+
+# A sum of squares below this may have lost relative precision to underflow
+# (each subnormal square is off by up to 2^-1075); such blocks, exact zeros
+# included, are recomputed from entries scaled by their largest magnitude.
+_SQ_MIN = 2.0 ** -960
+
+
+def _block_norm(diff: np.ndarray):
+    """Euclidean norm over the last axis of one block difference or of rows of them.
+
+    The one per-block formula of the metric, shared by the scalar and the row
+    paths: the square root of the dot product, rescaled where the sum of
+    squares is below ``_SQ_MIN`` or not finite. Raises InputError on a
+    non-finite entry, so a NaN or infinite coordinate is never dropped.
+    """
+    sq = np.vecdot(diff, diff)
+    if sq.ndim == 0:
+        return math.sqrt(sq) if _SQ_MIN <= sq < math.inf else float(_rescaled_norm(diff))
+    out = np.sqrt(sq)
+    redo = ~((sq >= _SQ_MIN) & (sq < math.inf))
+    if redo.any():
+        out[redo] = _rescaled_norm(diff[redo])
+    return out
+
+
+def _rescaled_norm(diff: np.ndarray) -> np.ndarray:
+    big = np.max(np.abs(diff), axis=-1, keepdims=True)
+    if not np.isfinite(big).all():
+        raise InputError("point has a non-finite coordinate (or a block gap beyond float range)")
+    unit = np.divide(diff, big, out=np.zeros_like(diff), where=big > 0.0)
+    return big[..., 0] * np.sqrt(np.vecdot(unit, unit))
 
 
 def distance(spec: SpectralData, p: BlockPoint, q: BlockPoint) -> float:
@@ -16,18 +48,53 @@ def distance(spec: SpectralData, p: BlockPoint, q: BlockPoint) -> float:
     q.require_conforms(spec)
     best = 0.0
     for a, x, y in zip(spec.exponents, p.blocks, q.blocks):
-        d = float(np.linalg.norm(x - y))
+        d = _block_norm(x - y)
         if d > 0.0:
             best = max(best, d ** (1.0 / a))
     return best
 
 
-def dilate(spec: SpectralData, t: float, p: BlockPoint) -> BlockPoint:
-    """Scale block i by t^alpha_i; multiplies the quasi-metric by t exactly."""
+def _require_rows(spec: SpectralData, *arrays) -> list[np.ndarray]:
+    out = [np.asarray(a, dtype=float) for a in arrays]
+    for a in out:
+        if a.ndim != 2 or a.shape[1] != spec.total_dim or a.shape != out[0].shape:
+            raise DimensionMismatch(
+                f"rows of shape {a.shape}, expected (N, {spec.total_dim}) matching the other rows"
+            )
+    return out
+
+
+def distance_rows(spec: SpectralData, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`distance` of two ``(N, total_dim)`` arrays of points."""
+    P, Q = _require_rows(spec, P, Q)
+    diff = P - Q
+    best = np.zeros(len(diff))
+    for a, s in zip(spec.exponents, spec.block_slices()):
+        # np.float_power evaluates pow element by element as ``**`` on a float
+        # does, so each row equals the scalar distance bit for bit; the SIMD
+        # loop of np.power may round differently
+        np.maximum(best, np.float_power(_block_norm(diff[:, s]), 1.0 / a), out=best)
+    return best
+
+
+def _dilation_factors(spec: SpectralData, t: float) -> list[float]:
     if not t > 0:
         raise DomainError(f"dilation parameter must be positive, got {t}")
+    return [t**a for a in spec.exponents]
+
+
+def dilate(spec: SpectralData, t: float, p: BlockPoint) -> BlockPoint:
+    """Scale block i by t^alpha_i; multiplies the quasi-metric by t exactly."""
+    factors = _dilation_factors(spec, t)
     p.require_conforms(spec)
-    return BlockPoint(tuple((t ** a) * x for a, x in zip(spec.exponents, p.blocks)))
+    return BlockPoint(tuple(f * x for f, x in zip(factors, p.blocks)))
+
+
+def dilate_rows(spec: SpectralData, t: float, P: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`dilate` of an ``(N, total_dim)`` array of points."""
+    factors = _dilation_factors(spec, t)
+    (P,) = _require_rows(spec, P)
+    return P * np.repeat(factors, spec.multiplicities)
 
 
 @dataclass(frozen=True)
@@ -75,7 +142,7 @@ def chain_energy(
         raise DomainError(f"beta must be positive, got {beta}")
     p.require_conforms(spec)
     q.require_conforms(spec)
-    gaps = [float(np.linalg.norm(x - y)) for x, y in zip(p.blocks, q.blocks)]
+    gaps = [_block_norm(x - y) for x, y in zip(p.blocks, q.blocks)]
     best_per_block = [float("inf")] * spec.r
     prev_total = float("inf")
     last_dec = float("inf")

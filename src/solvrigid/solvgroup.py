@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .mapalg import SimMap, check_triangularity
-from .quasimetric import distance
+from .quasimetric import distance, distance_rows
 from .spectral import BlockPoint, SpectralData
 
 
@@ -175,6 +175,19 @@ def pair_to_point(spec: SolvSpec, p: BlockPoint, q: BlockPoint) -> SolvPoint:
     if d == 0.0:
         raise DomainError("coincident boundary points have no divergence height")
     return SolvPoint(height=math.log(d), x=p, z=None)
+
+
+def pair_to_point_heights(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Row-wise heights of :func:`pair_to_point`: the log of each row distance.
+
+    ``P`` and ``Q`` are ``(N, total_dim)`` arrays of boundary points.
+    """
+    if not spec.pure:
+        raise InputError("pair-to-point map is defined for the pure lower case")
+    d = distance_rows(spec.lower, P, Q)
+    if not d.all():
+        raise DomainError("coincident boundary points have no divergence height")
+    return np.log(d)
 
 
 def pair_to_point_bisect(

@@ -81,9 +81,8 @@ class BlockPoint:
         object.__setattr__(self, "blocks", blocks)
 
     def conforms(self, spec: SpectralData) -> bool:
-        return len(self.blocks) == spec.r and all(
-            b.shape == (n,) for b, n in zip(self.blocks, spec.multiplicities)
-        )
+        # blocks are 1-D (see __post_init__), so their lengths are their shapes
+        return tuple(map(len, self.blocks)) == spec.multiplicities
 
     def require_conforms(self, spec: SpectralData) -> None:
         if not self.conforms(spec):
@@ -121,6 +120,11 @@ class BlockPoint:
         )
 
 
+# Rows per array drawn by random_row_blocks: large enough to amortize numpy's
+# per-call cost, small enough that memory stays flat at any sample count.
+ROW_BLOCK = 4096
+
+
 def random_point(spec: SpectralData, rng: np.random.Generator, scale: float = 1.0) -> BlockPoint:
     return BlockPoint(tuple(rng.uniform(-scale, scale, n) for n in spec.multiplicities))
 
@@ -131,3 +135,16 @@ def random_pairs(
     return [
         (random_point(spec, rng, scale), random_point(spec, rng, scale)) for _ in range(count)
     ]
+
+
+def random_row_blocks(
+    spec: SpectralData, rng: np.random.Generator, count: int, k: int, scale: float = 1.0
+):
+    """Yield ``count`` rows of ``k`` points as ``(m, k, total_dim)`` arrays, m <= ROW_BLOCK.
+
+    The draws are the same numbers in the same order as ``count`` rounds of
+    ``k`` :func:`random_point` calls, so row ``j`` of block ``b`` holds the
+    points of round ``b * ROW_BLOCK + j``.
+    """
+    for start in range(0, count, ROW_BLOCK):
+        yield rng.uniform(-scale, scale, (min(ROW_BLOCK, count - start), k, spec.total_dim))

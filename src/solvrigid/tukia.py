@@ -223,7 +223,6 @@ def verify_conjugation(
         return [tuple(word_apply_1d(gens, (letter,), x) for x in pair) for pair in images]
 
     verdicts = []
-    worst = 0.0
     for w, images in walk_words(letters, depth, start, step, reduced=True):
         if not w:
             continue
@@ -232,7 +231,9 @@ def verify_conjugation(
         gmean = float(np.exp(logs.mean()))
         defect = float(np.max(np.abs(np.asarray(slopes) / gmean - 1.0)))
         verdicts.append(WordVerdict(word=w, defect=defect, mean_scale=gmean))
-        worst = max(worst, defect)
+    # np.max propagates NaN, so a word whose images left the conjugator's grid
+    # (a zero slope, hence a NaN defect) shows in max_defect and fails the report
+    worst = float(np.max([v.defect for v in verdicts], initial=0.0))
     return ConjugationReport(
         conjugator=F, verdicts=verdicts, max_defect=worst, passed=worst <= tol
     )

@@ -3,9 +3,12 @@ emission, and determinism."""
 
 import json
 
+import numpy as np
 import pytest
 
-from solvrigid.cli import ConfigError, RunConfig, main
+from solvrigid import cli, quasimetric, solvgroup
+from solvrigid.cli import MAX_GRID_POINTS, ConfigError, RunConfig, main
+from solvrigid.spectral import ROW_BLOCK, random_point, random_row_blocks
 
 
 def _reports(out_dir):
@@ -47,6 +50,9 @@ class TestConfigSchema:
             ({"spec": {"alphas": 2.0, "mults": [1]}}, [], "/spec"),
             ({"spec": {"alphas": ["two", "three"], "mults": [1, 1]}}, [], "/spec"),
             ({"spec": {"alphas": [2.0], "mults": [1.5]}}, [], "/spec"),
+            ({"grid": {"resolution": 1e-9}}, [], "/grid/resolution"),
+            ({"word_len": 10**9}, [], "/grid/resolution"),
+            ({"grid": {"lo": float("-inf")}}, [], "/grid"),
         ],
     )
     def test_out_of_bounds_exits_2_pointered(self, obj, args, pointer, tmp_path, capsys):
@@ -56,6 +62,14 @@ class TestConfigSchema:
         assert main(["roots", "--config", str(cfg), *args, "--out", str(out)]) == 2
         assert f"config error: {pointer}:" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_grid_point_cap_is_inclusive(self):
+        # default lo, hi and word_len: the grid spans [-3 - 8, 3 + 8], 22 units
+        cell = 22.0 / MAX_GRID_POINTS
+        RunConfig.from_json({"grid": {"resolution": cell * 1.001}})
+        with pytest.raises(ConfigError, match="/grid/resolution"):
+            RunConfig.from_json({"grid": {"resolution": cell * 0.999}})
 
 
 @pytest.mark.parametrize(
@@ -130,3 +144,46 @@ def test_geodesic_emits_csv(tmp_path):
     rows = csvs[0].read_text().strip().splitlines()
     assert len(rows) == 41
     assert len(rows[0].split(",")) == 3  # height plus two lower coordinates
+
+
+def _recording_row_blocks(monkeypatch) -> list:
+    drawn = []
+
+    def recording(*args, **kwargs):
+        for block in random_row_blocks(*args, **kwargs):
+            drawn.append(block)
+            yield block
+
+    monkeypatch.setattr(cli, "random_row_blocks", recording)
+    return drawn
+
+
+def _per_point_loop(spec, rng, points) -> np.ndarray:
+    return np.concatenate([random_point(spec, rng, 3.0).flat() for _ in range(points)])
+
+
+def test_row_blocks_draw_the_per_point_samples(monkeypatch):
+    # the row suites must see the samples of the old per-point loops: the
+    # triples, then 3 x 200 dilation pairs; the geodesic pairs come first
+    drawn = _recording_row_blocks(monkeypatch)
+    cfg = RunConfig.from_json({"triples": ROW_BLOCK + 5, "pairs": ROW_BLOCK + 3})
+    assert all(c["passed"] for c in cli.run_metric(cfg, np.random.default_rng(2)))
+    assert [b.shape[:2] for b in drawn] == [(ROW_BLOCK, 3), (5, 3)] + [(200, 2)] * 3
+    want = _per_point_loop(cfg.spec, np.random.default_rng(2), 3 * cfg.triples + 3 * 400)
+    assert np.array_equal(np.concatenate([b.ravel() for b in drawn]), want)
+
+    drawn.clear()
+    assert all(c["passed"] for c in cli.run_geodesic(cfg, np.random.default_rng(2)))
+    assert [b.shape[:2] for b in drawn] == [(ROW_BLOCK, 2), (3, 2)]
+    want = _per_point_loop(cfg.spec, np.random.default_rng(2), 2 * cfg.pairs)
+    assert np.array_equal(np.concatenate([b.ravel() for b in drawn]), want)
+
+
+def test_metric_and_geodesic_use_the_row_kernels(count_calls):
+    # every module that imported the scalar distance by name; at the old
+    # per-point loops this was 31260 calls
+    calls = count_calls(quasimetric, solvgroup, cli, name="distance")
+    cfg = RunConfig.from_json({"triples": 5000, "pairs": 5000})
+    checks = cli.run_metric(cfg, np.random.default_rng(0)) + cli.run_geodesic(cfg, np.random.default_rng(0))
+    assert all(c["passed"] for c in checks)
+    assert len(calls) < 500

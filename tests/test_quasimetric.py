@@ -10,15 +10,21 @@ from hypothesis import strategies as st
 from solvrigid import (
     BlockPoint,
     ChainGrid,
+    DimensionMismatch,
     DomainError,
     InputError,
     SpectralData,
     chain_energy,
     dilate,
+    dilate_rows,
     distance,
+    distance_rows,
     enumerate_chain_cost,
     estimate_qsim_constants,
+    random_point,
+    random_row_blocks,
 )
+from solvrigid.spectral import ROW_BLOCK
 from solvrigid.fixtures import SPEC_R1, SPEC_R2, SPEC_R3
 
 
@@ -182,3 +188,91 @@ class TestQsimConstants:
         p = BlockPoint.zero(SPEC_R1)
         with pytest.raises(InputError):
             estimate_qsim_constants(SPEC_R1, lambda q: q, [(p, p)])
+
+
+SPEC_NAN = SpectralData((1.0, 2.0), (1, 1))
+# SPEC_R3 is also the spec of the boundary_batch benchmark workload
+ROW_SPECS = [SPEC_R1, SPEC_R2, SPEC_R3]
+
+
+class TestNonFinite:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scalar_distance_rejects(self, bad):
+        p = _point(SPEC_NAN, [bad, 1.0])
+        with pytest.raises(InputError):
+            distance(SPEC_NAN, p, BlockPoint.zero(SPEC_NAN))
+        with pytest.raises(InputError):
+            distance(SPEC_NAN, p, p)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_row_distance_rejects(self, bad):
+        P = np.zeros((5, 2))
+        P[3, 1] = bad
+        with pytest.raises(InputError):
+            distance_rows(SPEC_NAN, P, np.ones((5, 2)))
+
+    def test_chain_energy_rejects(self):
+        p = _point(SPEC_NAN, [math.nan, 1.0])
+        with pytest.raises(InputError):
+            chain_energy(SPEC_NAN, 3.0, p, BlockPoint.zero(SPEC_NAN), ChainGrid())
+
+
+class TestTinyGaps:
+    def test_gap_whose_square_underflows(self):
+        # (1.4e-162)^2 is below the smallest subnormal: a plain sum of squares
+        # gives distance 0 for two distinct points
+        gap = 1.38e-162
+        p = _point(SPEC_R3, [0.0, 0.0, 0.0, gap, 0.0])
+        want = gap ** (1.0 / 3.5)
+        assert distance(SPEC_R3, p, BlockPoint.zero(SPEC_R3)) == pytest.approx(want, rel=1e-15)
+        rows = distance_rows(SPEC_R3, p.flat()[None], np.zeros((1, 5)))
+        assert rows[0] == pytest.approx(want, rel=1e-15)
+
+    def test_dilation_stays_exact_near_underflow(self):
+        p = _point(SPEC_R3, [0.0, 0.0, 0.0, 0.0, 1.5663668947752864e-161])
+        q = BlockPoint.zero(SPEC_R3)
+        d = distance(SPEC_R3, p, q)
+        d2 = distance(SPEC_R3, dilate(SPEC_R3, 0.5, p), dilate(SPEC_R3, 0.5, q))
+        assert d2 == pytest.approx(0.5 * d, rel=1e-12)
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("spec", ROW_SPECS)
+    def test_distance_rows_match_scalar(self, spec, row_pairs, within_ulps):
+        P, Q = row_pairs(spec, np.random.default_rng(5))
+        want = [distance(spec, BlockPoint.from_flat(spec, p), BlockPoint.from_flat(spec, q))
+                for p, q in zip(P, Q)]
+        got = distance_rows(spec, P, Q)
+        assert within_ulps(got, want)
+        assert np.all(got[::7] == 0.0) and np.all(got[2::7] > 0.0)
+
+    @pytest.mark.parametrize("spec", ROW_SPECS)
+    def test_dilate_rows_match_scalar(self, spec, row_pairs, within_ulps):
+        P, _ = row_pairs(spec, np.random.default_rng(6))
+        for t in (0.5, 3.0):
+            want = [dilate(spec, t, BlockPoint.from_flat(spec, p)).flat() for p in P]
+            assert within_ulps(dilate_rows(spec, t, P), want)
+
+    def test_dilate_rows_rejects_nonpositive_parameter(self):
+        with pytest.raises(DomainError):
+            dilate_rows(SPEC_R1, 0.0, np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("p_shape, q_shape", [((4,), (4,)), ((4, 3), (4, 3)),
+                                                  ((1, 4, 5), (1, 4, 5)), ((4, 5), (3, 5))])
+    def test_misshaped_rows_rejected(self, p_shape, q_shape):
+        with pytest.raises(DimensionMismatch):
+            distance_rows(SPEC_R3, np.zeros(p_shape), np.zeros(q_shape))
+
+
+class TestRowDraws:
+    @pytest.mark.parametrize("count, k", [(ROW_BLOCK + 7, 3), (200, 2), (2 * ROW_BLOCK + 1, 2)])
+    def test_blocks_equal_the_per_point_loop(self, count, k):
+        rows_rng, loop_rng = np.random.default_rng(4), np.random.default_rng(4)
+        blocks = list(random_row_blocks(SPEC_R3, rows_rng, count, k, 3.0))
+        assert [len(b) for b in blocks][:-1] == [ROW_BLOCK] * (len(blocks) - 1)
+        got = np.concatenate(blocks)
+        want = [[random_point(SPEC_R3, loop_rng, 3.0).flat() for _ in range(k)] for _ in range(count)]
+        assert np.array_equal(got, np.asarray(want))
+        # the generators are left in the same state, so later draws agree too
+        assert rows_rng.bit_generator.state == loop_rng.bit_generator.state

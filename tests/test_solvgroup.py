@@ -22,10 +22,11 @@ from solvrigid import (
     multiply,
     pair_to_point,
     pair_to_point_bisect,
+    pair_to_point_heights,
     random_point,
     suspend_boundary_map,
 )
-from solvrigid.fixtures import SPEC_R2
+from solvrigid.fixtures import SPEC_R1, SPEC_R2, SPEC_R3
 
 RNG = np.random.default_rng(9)
 PURE = SolvSpec(lower=SPEC_R2)
@@ -110,6 +111,37 @@ class TestPairToPoint:
         p, q = random_point(SPEC_R2, RNG), random_point(SPEC_R2, RNG)
         with pytest.raises(InputError):
             pair_to_point(MIXED, p, q)
+
+    @pytest.mark.parametrize("spec", [SPEC_R1, SPEC_R2, SPEC_R3])
+    def test_heights_match_scalar(self, spec, row_pairs, within_ulps):
+        solv = SolvSpec(lower=spec)
+        P, Q = row_pairs(spec, np.random.default_rng(8), rows=14_000)
+        keep = np.any(P != Q, axis=1)  # coincident pairs have no height
+        P, Q = P[keep], Q[keep]
+        want = [pair_to_point(solv, BlockPoint.from_flat(spec, p), BlockPoint.from_flat(spec, q)).height
+                for p, q in zip(P, Q)]
+        assert len(want) >= 10_000
+        assert within_ulps(pair_to_point_heights(solv, P, Q), want)
+
+    def test_heights_reject_coincident_rows_and_mixed_spec(self):
+        P = RNG.uniform(-1, 1, (3, 2))
+        Q = P.copy()
+        Q[0] += 1.0
+        with pytest.raises(DomainError):
+            pair_to_point_heights(PURE, P, Q)
+        with pytest.raises(InputError):
+            pair_to_point_heights(MIXED, P, Q + 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # (nan, 1) and 0 used to give height 0.0: the NaN block was dropped
+        p = BlockPoint((np.array([bad]), np.array([1.0])))
+        with pytest.raises(InputError):
+            pair_to_point(PURE, p, BlockPoint.zero(SPEC_R2))
+        P = np.zeros((4, 2))
+        P[2, 0] = bad
+        with pytest.raises(InputError):
+            pair_to_point_heights(PURE, P, np.ones((4, 2)))
 
 
 class TestVerticalGeodesic:

@@ -288,6 +288,18 @@ class TestVerifyConjugation:
         assert report.passed
         assert report.max_defect <= 1e-12
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_images_off_the_grid_fail(self):
+        # word images leave [-2, 2], np.interp clamps them, a slope becomes 0
+        # and the defect NaN: the report must fail and show it
+        sample = similarity_1d_sample(word_len=4)
+        xs = np.linspace(-2, 2, 81)
+        ident = OneDConjugator(xs=xs, values=xs.copy())
+        report = verify_conjugation(sample, ident, np.linspace(-1, 1, 5))
+        assert any(math.isnan(v.defect) for v in report.verdicts)
+        assert math.isnan(report.max_defect)
+        assert report.passed is False
+
     def test_pipeline_output_passes(self):
         sample = piecewise_1d_sample(word_len=6)
         _, conj = _pipeline(sample)
