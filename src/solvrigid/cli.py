@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .conformal import act, circumcenter, conf_class, ddist, kdist
+from .conformal import act, conf_class, ddist, kdist, solve_circumcenter
 from .errors import InputError, SolvRigidError
 from .mapalg import ASimMap, SimMap, classify, height_hom, stretch_hom
 from .nilpotent import (
@@ -49,19 +49,21 @@ class ConfigError(SolvRigidError):
     """Config does not match the schema; message carries a JSON pointer."""
 
 
-# key: (accepted JSON types, least allowed value or None)
+# key: (accepted JSON types, least allowed value or None, whether that value
+# itself is excluded); every number must also be finite, since Python's json
+# reads NaN and Infinity and a report must stay standard JSON
 _SCHEMA = {
-    "spec": (dict, None),
-    "seed": (int, 0),
-    "triples": (int, 1),
-    "pairs": (int, 1),
-    "beta": ((int, float), None),
-    "grid": (dict, None),
-    "word_len": (int, 1),
-    "tolerance": ((int, float), None),
-    "conjugation_tol": ((int, float), None),
-    "root_order": (int, 1),
-    "probe_count": (int, 1),
+    "spec": (dict, None, False),
+    "seed": (int, 0, False),
+    "triples": (int, 1, False),
+    "pairs": (int, 1, False),
+    "beta": ((int, float), 0, True),
+    "grid": (dict, None, False),
+    "word_len": (int, 1, False),
+    "tolerance": ((int, float), 0, True),
+    "conjugation_tol": ((int, float), 0, True),
+    "root_order": (int, 1, False),
+    "probe_count": (int, 1, False),
 }
 
 _GRID_SCHEMA = {"lo": (int, float), "hi": (int, float), "resolution": (int, float)}
@@ -101,11 +103,14 @@ class RunConfig:
         for key, val in obj.items():
             if key not in _SCHEMA:
                 raise ConfigError(f"/{key}: unknown config key")
-            types, least = _SCHEMA[key]
+            types, least, strict = _SCHEMA[key]
             if not isinstance(val, types) or isinstance(val, bool):
                 raise ConfigError(f"/{key}: expected {types}, got {type(val).__name__}")
-            if least is not None and val < least:
-                raise ConfigError(f"/{key}: must be at least {least}, got {val}")
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"/{key}: must be finite, got {val}")
+            if least is not None and (val <= least if strict else val < least):
+                bound = "greater than" if strict else "at least"
+                raise ConfigError(f"/{key}: must be {bound} {least}, got {val}")
         cfg = RunConfig()
         if "spec" in obj:
             try:
@@ -122,8 +127,9 @@ class RunConfig:
             cfg.grid_hi = float(obj["grid"].get("hi", cfg.grid_hi))
             cfg.grid_resolution = float(obj["grid"].get("resolution", cfg.grid_resolution))
             if not (math.isfinite(cfg.grid_lo) and math.isfinite(cfg.grid_hi)
+                    and math.isfinite(cfg.grid_resolution)
                     and cfg.grid_lo < cfg.grid_hi and cfg.grid_resolution > 0):
-                raise ConfigError("/grid: requires finite lo < hi and resolution > 0")
+                raise ConfigError("/grid: requires finite lo < hi and finite resolution > 0")
         for key in obj.keys() - {"spec", "grid"}:
             setattr(cfg, key, obj[key] if _SCHEMA[key][0] is int else float(obj[key]))
         lo, hi = _conjugate_grid_range(cfg.grid_lo, cfg.grid_hi, cfg.word_len)
@@ -301,19 +307,31 @@ def run_conformal(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
         tri_worst = max(tri_worst, kdist(a, c) - kdist(a, b) - kdist(b, c))
         x = random_gl()
         inv_worst = max(inv_worst, abs(kdist(act(x, a), act(x, b)) - kdist(a, b)))
+
+    def center_of(classes, gaps):
+        # an uncertified center (gap above tolerance) fails its check
+        # instead of ending the run
+        res = solve_circumcenter(classes, tol=cfg.tolerance)
+        gaps.append(res.gap)
+        return res.center
+
+    sym_gaps, eq_gaps = [], []
     a = random_spd()
-    sym_defect = kdist(np.eye(3), circumcenter([a, np.linalg.inv(a)]))
+    sym_defect = kdist(np.eye(3), center_of([a, np.linalg.inv(a)], sym_gaps))
     eq_worst = 0.0
     for _ in range(5):
         pts = [random_spd() for _ in range(5)]
         x = random_gl()
-        moved = circumcenter([act(x, p) for p in pts])
-        eq_worst = max(eq_worst, ddist(moved, act(x, circumcenter(pts))))
+        moved = center_of([act(x, p) for p in pts], eq_gaps)
+        eq_worst = max(eq_worst, ddist(moved, act(x, center_of(pts, eq_gaps))))
+    sym_gap, eq_gap = max(sym_gaps), max(eq_gaps)
     return [
         _check("kdist-triangle", tri_worst <= 1e-10, tri_worst),
         _check("kdist-gl-invariance", inv_worst <= 1e-10, inv_worst),
-        _check("circumcenter-symmetric-pair", sym_defect <= 1e-9, sym_defect),
-        _check("circumcenter-equivariance", eq_worst <= 1e-6, eq_worst),
+        _check("circumcenter-symmetric-pair", sym_defect <= 1e-9 and sym_gap <= cfg.tolerance,
+               sym_defect, certified_gap=sym_gap),
+        _check("circumcenter-equivariance", eq_worst <= 1e-6 and eq_gap <= cfg.tolerance,
+               eq_worst, certified_gap=eq_gap),
     ]
 
 

@@ -73,48 +73,189 @@ def dilatation(A) -> float:
     return math.exp(kdist(np.eye(np.asarray(A).shape[0]), A))
 
 
-def _geodesic_step(P: np.ndarray, A: np.ndarray, eta: float) -> np.ndarray:
-    """Point at parameter eta on the geodesic from P to A."""
-    w, v = np.linalg.eigh(P)
-    ph = v @ np.diag(w**0.5) @ v.T
-    pmh = v @ np.diag(w**-0.5) @ v.T
-    mid = pmh @ A @ pmh
-    mw, mv = np.linalg.eigh(0.5 * (mid + mid.T))
-    powed = mv @ np.diag(mw**eta) @ mv.T
-    return conf_class(ph @ powed @ ph)
+def _whitened_logs(Q: np.ndarray, mats: np.ndarray):
+    """Q^(+-1/2), the logs L_i = log(Q^(-1/2) A_i Q^(-1/2)) and their norms.
+
+    The norm of L_i is ddist(Q, A_i); one stacked eigh serves every class.
+    """
+    w, v = np.linalg.eigh(Q)
+    qh = (v * w**0.5) @ v.T
+    qmh = (v * w**-0.5) @ v.T
+    rel = qmh @ mats @ qmh
+    mw, mv = np.linalg.eigh(0.5 * (rel + np.swapaxes(rel, 1, 2)))
+    lw = np.log(mw)
+    logs = (mv * lw[:, None, :]) @ np.swapaxes(mv, 1, 2)
+    return qh, logs, np.sqrt(np.sum(lw**2, axis=1))
 
 
-def circumcenter(classes: Sequence[np.ndarray], tol: float = 1e-9, max_iters: int = 4000) -> np.ndarray:
-    """Center of the smallest enclosing disk for the Riemannian metric.
+def _affine_fit(G: np.ndarray, S: list[int], rhs: np.ndarray) -> np.ndarray:
+    """Solve [[G_SS, 1], [1^T, 0]] [x; t] = [rhs; 1] for the weights x."""
+    m = len(S)
+    kkt = np.ones((m + 1, m + 1))
+    kkt[:m, :m] = G[np.ix_(S, S)]
+    kkt[m, m] = 0.0
+    return np.linalg.solve(kkt, np.append(rhs, 1.0))[:m]
 
-    Minimax descent: step from the current center toward the farthest
-    point with harmonic step sizes, keeping the best radius seen. The
-    iteration is deterministic (first-index ties), so it commutes with the
-    GL action applied to the whole input set.
+
+def _meb_weights(G: np.ndarray) -> tuple[np.ndarray, float]:
+    """Weights lam on the simplex maximizing lam.diag(G) - lam^T G lam, and
+    that value.
+
+    This is the dual of the Euclidean minimum enclosing ball of points given
+    by their Gram matrix G: the center is sum lam_i L_i and the optimal value
+    is the squared radius. A primal active-set method: the support S stays
+    affinely independent (at most dimension + 1 points), the point that lies
+    farthest outside the current ball joins S, and a point whose weight would
+    turn negative leaves it. A joining point in the affine hull of S replaces
+    one point of S instead, along the direction that keeps the center. Every
+    decision reads G alone and breaks ties at the first index, so the result
+    is invariant under isometries of the points. Any lam returned is feasible,
+    so its dual value is a lower bound on the radius even where rounding
+    stops the method early.
+    """
+    k = G.shape[0]
+    d = np.diag(G).copy()
+    scale = max(float(np.max(d)), 1e-300)
+
+    def value(weights):
+        return float(weights @ d - weights @ G @ weights)
+
+    lam = np.zeros(k)
+    first = int(np.argmax(d))
+    lam[first] = 1.0
+    S = [first]
+    best = value(lam)
+    for _ in range(4 * k + 16):
+        g = d - 2.0 * (G @ lam)  # |L_i - c|^2 - |c|^2
+        out = g.copy()
+        out[S] = -np.inf
+        j = int(np.argmax(out))
+        if not out[j] > np.max(g[S]) + 1e-13 * scale:
+            break
+        new = lam.copy()
+        a = _affine_fit(G, S, G[S, j])
+        if G[j, j] - 2.0 * a @ G[S, j] + a @ G[np.ix_(S, S)] @ a <= 1e-12 * scale * (1.0 + a @ a):
+            # L_j = sum a_i L_i up to rounding: trade weight from S to j along
+            # the direction that keeps the center; S stays affinely independent
+            pos = a > 0.0
+            ratios = np.where(pos, new[S] / np.where(pos, a, 1.0), np.inf)
+            drop = int(np.argmin(ratios))
+            new[S] -= ratios[drop] * a
+            new[j] = ratios[drop]
+            new[S[drop]] = 0.0
+            S[drop] = j
+        else:
+            S.append(j)
+        while True:
+            mu = _affine_fit(G, S, 0.5 * d[S])
+            if np.all(mu > 0.0):
+                new[S] = mu
+                break
+            # step toward mu until the first weight reaches zero, and drop it
+            cur = new[S]
+            neg = mu <= 0.0
+            ratios = np.where(neg, cur / np.where(neg & (cur > mu), cur - mu, 1.0), np.inf)
+            drop = int(np.argmin(ratios))
+            new[S] = cur + ratios[drop] * (mu - cur)
+            new[S[drop]] = 0.0
+            del S[drop]
+        np.maximum(new, 0.0, out=new)
+        new /= np.sum(new)
+        # each exact step raises the dual value; rounding that stops it ends the method
+        val = value(new)
+        if not val > best:
+            break
+        lam, best = new, val
+    return lam, best
+
+
+@dataclass(frozen=True)
+class CircumcenterResult:
+    """A circumcenter with its certificate.
+
+    ``radius`` is max_i ddist(center, A_i); ``lower`` is a proven lower bound
+    on the smallest such radius over all centers, so ``gap`` bounds how far
+    ``radius`` is from optimal. ``exit`` is "certified" (gap <= tol),
+    "max_iters", or "no_descent" (no step shortens the radius in floating
+    point).
+    """
+
+    center: np.ndarray
+    radius: float
+    lower: float
+    iterations: int
+    exit: str
+
+    @property
+    def gap(self) -> float:
+        # at the optimum rounding can put lower a few ulps above radius
+        return max(self.radius - self.lower, 0.0)
+
+
+def solve_circumcenter(
+    classes: Sequence[np.ndarray], tol: float = 1e-9, max_iters: int = 4000
+) -> CircumcenterResult:
+    """Center of the smallest enclosing ball for the Riemannian metric, certified.
+
+    In a Hadamard space log_Q is 1-Lipschitz for every Q (CAT(0)
+    comparison), so the Euclidean minimum enclosing ball of the tangent
+    vectors L_i = log_Q(A_i) has radius at most the circumradius: a lower
+    bound, while max_i |L_i| = max_i ddist(Q, A_i) is an upper one. Each
+    iteration solves that ball exactly and moves Q to exp_Q(s c) toward its
+    center c, halving s until the radius strictly decreases, and stops once
+    upper - best lower <= tol. Every decision reads GL-invariant numbers
+    (the Gram matrix of the L_i and the distances) and breaks ties at the
+    first index, and the move exp_Q is GL-equivariant, so the solver
+    commutes with the GL action applied to the whole input set.
     """
     if not classes:
         raise InputError("circumcenter of an empty set")
-    mats = [conf_class(a) for a in classes]
+    mats = np.stack([conf_class(a) for a in classes])
+    Q = mats[0]
     if len(mats) == 1:
-        return mats[0]
-    P = mats[0]
-    best_P, best_r = P, max(ddist(P, a) for a in mats)
-    stall = 0
-    for it in range(max_iters):
-        dists = [ddist(P, a) for a in mats]
-        far = int(np.argmax(dists))
-        radius = dists[far]
-        if radius < best_r - tol * 0.01:
-            best_P, best_r = P, radius
-            stall = 0
-        else:
-            stall += 1
-        if radius <= tol or stall > 200:
+        return CircumcenterResult(Q, 0.0, 0.0, 0, "certified")
+    qh, logs, radii = _whitened_logs(Q, mats)
+    radius, lower = float(np.max(radii)), 0.0
+    exit_ = "max_iters"
+    it = 0
+    while it < max_iters:
+        it += 1
+        G = np.einsum("iab,jab->ij", logs, logs)
+        lam, value = _meb_weights(G)
+        lower = max(lower, math.sqrt(max(value, 0.0)))
+        if radius - lower <= tol:
+            exit_ = "certified"
             break
-        P = _geodesic_step(P, mats[far], 1.0 / (it + 2))
-    if not math.isfinite(best_r):
-        raise ConvergenceError("circumcenter iteration diverged", last_value=best_r)
-    return best_P
+        w, v = np.linalg.eigh(np.einsum("i,iab->ab", lam, logs))
+        s = 1.0
+        while s > 1e-12:
+            step = qh @ (v * np.exp(s * w)) @ v.T @ qh
+            trial = conf_class(0.5 * (step + step.T))
+            t_qh, t_logs, t_radii = _whitened_logs(trial, mats)
+            if float(np.max(t_radii)) < radius:
+                Q, qh, logs, radius = trial, t_qh, t_logs, float(np.max(t_radii))
+                break
+            s *= 0.5
+        else:
+            exit_ = "no_descent"
+            break
+    return CircumcenterResult(Q, radius, lower, it, exit_)
+
+
+def circumcenter(classes: Sequence[np.ndarray], tol: float = 1e-9, max_iters: int = 4000) -> np.ndarray:
+    """Center of the smallest enclosing ball for the Riemannian metric.
+
+    Raises ConvergenceError, carrying the certified gap, when the solver
+    stops before the gap is at most tol; see ``solve_circumcenter``.
+    """
+    res = solve_circumcenter(classes, tol=tol, max_iters=max_iters)
+    if res.exit != "certified":
+        raise ConvergenceError(
+            f"circumcenter not certified ({res.exit} after {res.iterations} iterations): "
+            f"gap {res.gap:.3g} above tol {tol:.3g}",
+            last_value=res.gap,
+        )
+    return res.center
 
 
 @dataclass
@@ -145,6 +286,30 @@ class ConfField:
         return self.values[self.nearest_index(p)]
 
 
+def _orbit_classes(generators, p: BlockPoint, word_len: int) -> list[np.ndarray]:
+    """The distinct classes D[I] of the first-block Jacobians D of all words
+    up to word_len at p; DomainError where one of them is singular."""
+    n1 = p.blocks[0].shape[0]
+
+    def step(gi, state):
+        # the first-block Jacobian follows the chain rule along the word
+        cur, jac = state
+        g = generators[gi]
+        return g(cur), g.first_block_derivative(cur) @ jac
+
+    classes = []
+    seen = set()
+    for _, (_, jac) in walk_words(range(len(generators)), word_len, (p, np.eye(n1)), step):
+        if abs(np.linalg.det(jac)) < 1e-12:
+            raise DomainError("singular first-block Jacobian")
+        cls = act(jac, np.eye(n1))
+        key = tuple(np.round(cls, 9).ravel())
+        if key not in seen:
+            seen.add(key)
+            classes.append(cls)
+    return classes
+
+
 def invariant_structure(
     generators,
     grid: Sequence[BlockPoint],
@@ -159,28 +324,10 @@ def invariant_structure(
     point is the worst generator violation of the transformation law
     mu(G p) = g'(p)[mu(p)], measured against the nearest grid sample.
     """
-    n1 = grid[0].blocks[0].shape[0]
-
-    def step(gi, state):
-        # the first-block Jacobian follows the chain rule along the word
-        cur, jac = state
-        g = generators[gi]
-        return g(cur), g.first_block_derivative(cur) @ jac
-
     points, values, skipped = [], [], []
     for idx, p in enumerate(grid):
-        classes = []
-        seen = set()
-        walk = walk_words(range(len(generators)), word_len, (p, np.eye(n1)), step)
         try:
-            for _, (_, jac) in walk:
-                if abs(np.linalg.det(jac)) < 1e-12:
-                    raise DomainError("singular first-block Jacobian")
-                cls = act(jac, np.eye(n1))
-                key = tuple(np.round(cls, 9).ravel())
-                if key not in seen:
-                    seen.add(key)
-                    classes.append(cls)
+            classes = _orbit_classes(generators, p, word_len)
         except DomainError:
             skipped.append(idx)
             continue

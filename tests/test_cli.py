@@ -53,6 +53,14 @@ class TestConfigSchema:
             ({"grid": {"resolution": 1e-9}}, [], "/grid/resolution"),
             ({"word_len": 10**9}, [], "/grid/resolution"),
             ({"grid": {"lo": float("-inf")}}, [], "/grid"),
+            ({"grid": {"resolution": float("inf")}}, [], "/grid"),
+            ({"beta": -1.0}, [], "/beta"),
+            ({"beta": 0}, [], "/beta"),
+            ({"beta": float("nan")}, [], "/beta"),
+            ({"tolerance": 0.0}, [], "/tolerance"),
+            ({"tolerance": float("inf")}, [], "/tolerance"),
+            ({"conjugation_tol": float("nan")}, [], "/conjugation_tol"),
+            ({"conjugation_tol": -1e-3}, [], "/conjugation_tol"),
         ],
     )
     def test_out_of_bounds_exits_2_pointered(self, obj, args, pointer, tmp_path, capsys):
@@ -136,6 +144,18 @@ def test_invariant_failure_exits_1_with_report(tmp_path):
     assert main(["conjugate", "--config", str(cfg), "--out", str(out)]) == 1
     payload = json.loads(_reports(out)[0].read_text())
     assert not payload["passed"]
+
+def test_uncertified_circumcenter_fails_its_check(tmp_path):
+    # no floating-point center certifies a gap of 1e-300; the check must
+    # fail with its gap in the report, not end the run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerance": 1e-300}))
+    out = tmp_path / "r"
+    assert main(["conformal", "--config", str(cfg), "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(_reports(out)[0].read_text())["checks"]}
+    eq = checks["circumcenter-equivariance"]
+    assert not eq["passed"] and eq["certified_gap"] > 1e-300
+
 
 def test_geodesic_emits_csv(tmp_path):
     main(["geodesic", "--out", str(tmp_path)])

@@ -8,6 +8,7 @@ import pytest
 
 from solvrigid import (
     BlockPoint,
+    ConvergenceError,
     CoverageError,
     DomainError,
     FirstBlockAffineMap,
@@ -23,8 +24,9 @@ from solvrigid import (
     invariant_structure,
     kdist,
     measure_distortion_check,
+    solve_circumcenter,
 )
-from solvrigid.conformal import ConfField
+from solvrigid.conformal import ConfField, _orbit_classes
 from solvrigid.fixtures import SPEC_R2, SPEC_ROT, constant_rotation_map
 
 RNG = np.random.default_rng(17)
@@ -73,6 +75,29 @@ def _ref_invariant_structure(generators, grid, word_len, resolution):
             worst = max(worst, kdist(mu_gp, act(g.first_block_derivative(p), mu_p)))
         field_.defects.append(worst)
     return field_
+
+
+def _harmonic_descent_radius(mats, iters=100):
+    """Reference: the Badoiu-Clarkson descent, a step of 1/(k+2) along the
+    geodesic toward the farthest point; returns the best radius seen."""
+    mats = np.asarray(mats)
+    P = mats[0]
+    best = math.inf
+    for k in range(iters):
+        w, v = np.linalg.eigh(P)
+        ph, pmh = (v * w**0.5) @ v.T, (v * w**-0.5) @ v.T
+        mw, mv = np.linalg.eigh(pmh @ mats @ pmh)
+        dists = np.sqrt(np.sum(np.log(mw) ** 2, axis=1))
+        far = int(np.argmax(dists))
+        best = min(best, float(dists[far]))
+        step = ph @ (mv[far] * mw[far] ** (1.0 / (k + 2))) @ mv[far].T @ ph
+        P = conf_class(0.5 * (step + step.T))
+    return best
+
+
+def _spd_power(a, t):
+    w, v = np.linalg.eigh(a)
+    return (v * w**t) @ v.T
 
 
 def random_spd(n=3):
@@ -175,6 +200,45 @@ class TestCircumcenter:
             moved = circumcenter([act(x, p) for p in pts])
             assert ddist(moved, act(x, circumcenter(pts))) <= 1e-6
 
+    def test_two_classes_center_is_geometric_mean(self):
+        for _ in range(10):
+            a, b = random_spd(), random_spd()
+            ah, amh = _spd_power(a, 0.5), _spd_power(a, -0.5)
+            expect = ah @ _spd_power(amh @ b @ amh, 0.5) @ ah
+            assert np.max(np.abs(circumcenter([a, b]) - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("direction", [[1.0, -1.0], [1.0, 0.5, -1.5]])
+    def test_commuting_diagonal_classes_center_is_log_midpoint(self, direction):
+        # classes exp(t_i h) on one flat line: the center is exp(m h) with m
+        # the midpoint of the extreme log-eigenvalue parameters
+        h = np.array(direction)
+        for _ in range(10):
+            ts = RNG.uniform(-2.0, 2.0, 6)
+            c = circumcenter([np.diag(np.exp(t * h)) for t in ts])
+            m = 0.5 * (ts.max() + ts.min())
+            assert np.max(np.abs(c - np.diag(np.exp(m * h)))) <= 1e-12
+
+    def test_certificate_is_sound_and_beats_harmonic_descent(self):
+        tol = 1e-9
+        for _ in range(200):
+            pts = [random_spd() for _ in range(5)]
+            res = solve_circumcenter(pts, tol=tol)
+            radius = max(ddist(res.center, a) for a in pts)
+            assert res.exit == "certified" and res.gap <= tol
+            # the 1e-12 allows for rounding between the solver's distances
+            # and ddist once the bounds meet
+            assert res.lower <= radius + 1e-12
+            assert radius <= res.lower + tol + 1e-12
+            assert radius <= _harmonic_descent_radius(pts) + 1e-12
+
+    def test_uncertified_center_raises_with_gap(self):
+        pts = [random_spd() for _ in range(5)]
+        res = solve_circumcenter(pts, max_iters=1)
+        assert res.exit == "max_iters" and res.gap > 1e-9
+        with pytest.raises(ConvergenceError) as info:
+            circumcenter(pts, max_iters=1)
+        assert info.value.last_value == res.gap
+
 
 class TestInvariantStructure:
     def _grid(self):
@@ -224,6 +288,33 @@ class TestInvariantStructure:
             assert field.defects == ref.defects
             assert field.skipped == ref.skipped
         assert field.skipped
+
+    def test_three_generator_orbits_certify(self):
+        # 18-22 classes per point; each solve takes 23-29 iterations, where
+        # a full step without backtracking cycles between two radii
+        t = np.diag([2.0, 0.5])
+
+        def quot(y):
+            return (y[0] + 1.0,)
+
+        gens = [
+            FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=lambda y: t),
+            FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=lambda y: np.diag([float(y[0][0]), 1.0])),
+            constant_rotation_map(0.8),
+        ]
+        solved = 0
+        for p in self._grid():
+            try:
+                classes = _orbit_classes(gens, p, 3)
+            except DomainError:
+                continue
+            res = solve_circumcenter(classes)
+            assert res.exit == "certified" and res.gap <= 1e-9
+            assert res.iterations <= 40
+            solved += 1
+        assert solved == 4
+        field = invariant_structure(gens, self._grid(), word_len=3, resolution=0.51)
+        assert field.skipped == [1, 2, 3]
 
     def test_value_at_raises_off_grid(self):
         field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.4)
