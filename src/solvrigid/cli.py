@@ -381,14 +381,12 @@ def run_roots(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
         bound = epsilon_bound(gamma, i)
         if bound == 0.0:
             continue
-        osc = 0.0
-        vals = []
-        for _ in range(cfg.probe_count):
-            p = random_point(spec, rng, 4.0)
-            vals.append(gamma.perturbations[i](p.blocks))
-        for a in vals[:50]:
-            for b in vals[:50]:
-                osc = max(osc, float(np.linalg.norm(np.asarray(a) - np.asarray(b))))
+        vals = np.array([gamma.perturbations[i](random_point(spec, rng, 4.0).blocks)
+                         for _ in range(cfg.probe_count)])
+        # pairwise distances, a block of rows at a time so memory stays linear
+        rows = max(1, 2**12 // len(vals))
+        osc = max(float(np.linalg.norm(vals[j:j + rows, None] - vals[None], axis=-1).max())
+                  for j in range(0, len(vals), rows))
         worst_ratio = max(worst_ratio, osc / bound)
     checks.append(_check("epsilon-bound-dominates", worst_ratio <= 1.0, max(worst_ratio - 1.0, 0.0)))
     return checks

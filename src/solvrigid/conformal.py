@@ -11,9 +11,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, CoverageError, DomainError, InputError
+from .nilpotent import walk_words
 from .quasimetric import distance
 from .spectral import BlockPoint, SpectralData
-from .tukia import walk_words
 
 
 def conf_class(matrix) -> np.ndarray:
@@ -21,7 +21,10 @@ def conf_class(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("conformal class must be a square matrix")
-    if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
+    scale = np.max(np.abs(a))
+    if not math.isfinite(scale):
+        raise InputError("conformal class must be finite")
+    if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, scale):
         raise InputError("conformal class must be symmetric")
     a = 0.5 * (a + a.T)
     w = np.linalg.eigvalsh(a)

@@ -74,7 +74,10 @@ class BlockVar(FuncExpr):
         self.dim = int(dim)
 
     def __call__(self, blocks):
-        b = np.asarray(blocks[self.index], dtype=float)
+        try:
+            b = np.asarray(blocks[self.index], dtype=float)
+        except IndexError:
+            raise InputError(f"block {self.index} is past the input's {len(blocks)} blocks") from None
         if b.shape != (self.dim,):
             raise InputError(f"block {self.index} has dim {b.shape}, expected ({self.dim},)")
         return b.copy()
@@ -355,38 +358,6 @@ class Osc(FuncExpr):
         }
 
 
-class Precompose(FuncExpr):
-    """Evaluate a child expression on the image of an inner block map.
-
-    The inner object must expose ``eval_blocks(blocks) -> list[ndarray]``,
-    ``deps_of(j) -> frozenset[int]`` and ``lip_bound() -> float``. Each
-    evaluation evaluates the whole inner map. Runtime-only node: it has no
-    JSON encoding.
-    """
-
-    def __init__(self, child: FuncExpr, inner):
-        self.child = child
-        self.inner = inner
-        self.dim = child.dim
-
-    def __call__(self, blocks):
-        return self.child(self.inner.eval_blocks(blocks))
-
-    def deps(self):
-        out = frozenset()
-        for j in self.child.deps():
-            out |= self.inner.deps_of(j)
-        return out
-
-    @property
-    def lipschitz(self):
-        return self.child.lipschitz * self.inner.lip_bound()
-
-    @property
-    def sup_bound(self):
-        return self.child.sup_bound
-
-
 class Displacement(FuncExpr):
     """Block ``index`` of a word map's image minus the same input block.
 
@@ -420,30 +391,68 @@ class Displacement(FuncExpr):
         return self._sup_bound
 
 
+def _finite(value, scalar: bool = False) -> np.ndarray:
+    """A JSON number (``scalar``) or nested list of numbers, all finite."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"expected numbers, got {value!r}") from None
+    if (scalar and a.ndim) or not np.all(np.isfinite(a)):
+        raise InputError(f"expected finite {'number' if scalar else 'numbers'}, got {value!r}")
+    return a
+
+
+def _count(value) -> int:
+    """A JSON non-negative integer."""
+    v = float(_finite(value, scalar=True))
+    if v < 0 or v != int(v):
+        raise InputError(f"expected a non-negative integer, got {value!r}")
+    return int(v)
+
+
+def _children(value) -> list[FuncExpr]:
+    if not isinstance(value, list):
+        raise InputError(f"expected a list of nodes, got {value!r}")
+    return [expr_from_json(c) for c in value]
+
+
 def expr_from_json(obj: dict) -> FuncExpr:
+    """The expression a JSON node encodes.
+
+    A node that is not an object, lacks a field, or holds a non-numeric or
+    non-finite number, or a block index or dim that is not a non-negative
+    integer, raises InputError.
+    """
+    if not isinstance(obj, dict):
+        raise InputError(f"expression node must be an object, got {obj!r}")
     tag = obj.get("node")
-    if tag == "const":
-        return Const(obj["value"])
-    if tag == "block":
-        return BlockVar(obj["index"], obj["dim"])
-    if tag == "lin":
-        return Lin(obj["matrix"], expr_from_json(obj["child"]))
-    if tag == "sum":
-        return Sum([expr_from_json(c) for c in obj["children"]])
-    if tag == "scale":
-        return Scale(obj["factor"], expr_from_json(obj["child"]))
-    if tag == "abspow":
-        return AbsPow(obj["exponent"], expr_from_json(obj["child"]))
-    if tag == "min":
-        return PMin([expr_from_json(c) for c in obj["children"]])
-    if tag == "max":
-        return PMax([expr_from_json(c) for c in obj["children"]])
-    if tag == "clamp":
-        return Clamp(obj["lo"], obj["hi"], expr_from_json(obj["child"]))
-    if tag == "pwl":
-        return Pwl(obj["xs"], obj["ys"], expr_from_json(obj["child"]))
-    if tag == "osc":
-        return Osc(obj["amp"], obj["weights"], obj["phase"], expr_from_json(obj["child"]))
+    try:
+        if tag == "const":
+            return Const(_finite(obj["value"]))
+        if tag == "block":
+            return BlockVar(_count(obj["index"]), _count(obj["dim"]))
+        if tag == "lin":
+            return Lin(_finite(obj["matrix"]), expr_from_json(obj["child"]))
+        if tag == "sum":
+            return Sum(_children(obj["children"]))
+        if tag == "scale":
+            return Scale(_finite(obj["factor"], scalar=True), expr_from_json(obj["child"]))
+        if tag == "abspow":
+            return AbsPow(_finite(obj["exponent"], scalar=True), expr_from_json(obj["child"]))
+        if tag == "min":
+            return PMin(_children(obj["children"]))
+        if tag == "max":
+            return PMax(_children(obj["children"]))
+        if tag == "clamp":
+            lo, hi = _finite(obj["lo"], scalar=True), _finite(obj["hi"], scalar=True)
+            return Clamp(lo, hi, expr_from_json(obj["child"]))
+        if tag == "pwl":
+            return Pwl(_finite(obj["xs"]), _finite(obj["ys"]), expr_from_json(obj["child"]))
+        if tag == "osc":
+            return Osc(_finite(obj["amp"]), _finite(obj["weights"]),
+                       _finite(obj["phase"], scalar=True), expr_from_json(obj["child"]))
+    except KeyError as exc:
+        raise InputError(f"{tag!r} node lacks the field {exc}") from None
     raise InputError(f"unknown expression node tag: {tag!r}")
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DomainError, InputError, NotInUniformSubgroup
 from .funcexpr import BlockVar, Const, FuncExpr, Lin, Sum
 from .nilpotent import AlmostTranslation, Letter
-from .quasimetric import distance, estimate_qsim_constants
+from .quasimetric import _qsim_logs, distance, estimate_qsim_constants
 from .spectral import BlockPoint, SpectralData
 
 
@@ -313,16 +313,7 @@ def classify(spec: SpectralData, F, samples) -> Classification:
     if isinstance(F, ASimMap):
         n, k = estimate_qsim_constants(spec, F, samples)
         return Classification("ASim", F.stretch, F.stretch, k)
-    ratios = []
-    for p, q in samples:
-        d = distance(spec, p, q)
-        if d > 0:
-            ratios.append(distance(spec, F(p), F(q)) / d)
-    if not ratios:
-        raise InputError("no non-degenerate sample pairs")
-    logs = np.log(np.asarray(ratios))
-    n = float(np.exp(logs.mean()))
-    k = max(float(np.exp(np.abs(logs - logs.mean()).max())), 1.0)
+    n, k, logs = _qsim_logs(spec, F, samples)
     if k <= 1.0 + 1e-9:
         return Classification("Sim", n, n, 1.0)
     if n / k <= 1.0 <= n * k:

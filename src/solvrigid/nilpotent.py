@@ -5,7 +5,9 @@ depends only on the later blocks, with the last block translated by a
 constant. Floating-point elements carry expression trees with sup/Lipschitz
 certificates; an exact-rational word representation backs the l-th-root
 algorithm, whose postconditions are checked with equality rather than
-tolerances.
+tolerances. ``walk_words`` is the one enumerator of words in a group's
+generators: the orbit count here, the 1-D conjugation pipeline and the
+conformal word orbits all walk it.
 """
 
 from __future__ import annotations
@@ -132,8 +134,6 @@ class AlmostTranslation:
         return d
 
     def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        if self.letters[0].base is self:  # a base letter
-            return [np.asarray(b, dtype=float) + p(blocks) for b, p in zip(blocks, self.perturbations)]
         for letter in self.letters:
             blocks = letter.apply(blocks)
         return blocks
@@ -235,6 +235,32 @@ class OrbitCount:
     saturated: bool
 
 
+def walk_words(letters, depth: int, start, step, reduced: bool = False):
+    """Yield (word, state) for every word of at most ``depth`` letters.
+
+    ``word[0]`` acts last, so the state of ``(a,) + w`` is ``step(a, state
+    of w)``: each word costs one step, reusing its parent's state. Words
+    come in shortlex order (by length, then letter by letter in the order
+    of ``letters``), the identity ``((), start)`` first. A step that
+    returns None prunes that word and every word extending it. With
+    ``reduced`` the letters are (index, sign) pairs and no letter is put
+    next to its inverse.
+    """
+    level = [((), start)]
+    yield level[0]
+    for _ in range(depth):
+        nxt = []
+        for a in letters:
+            for w, state in level:
+                if reduced and w and w[0] == (a[0], -a[1]):
+                    continue
+                child = step(a, state)
+                if child is not None:
+                    nxt.append(((a,) + w, child))
+                    yield nxt[-1]
+        level = nxt
+
+
 def orbit_growth(
     generators: Sequence[AlmostTranslation],
     basepoint: BlockPoint,
@@ -245,47 +271,47 @@ def orbit_growth(
 ) -> OrbitCount:
     """Count distinct group elements moving the basepoint at most k.
 
-    Breadth-first search over words up to word_cap, deduplicating elements
-    by their action on a probe set. ``saturated`` is set when elements
-    within radius k were still appearing in the final layer, i.e. the word
-    cap (rather than the radius) may have stopped the count.
+    Walks the words up to word_cap over the generators and their inverses;
+    a word's state is its images of the basepoint and of the probes, one
+    letter step from its parent's. An element is identified by its rounded
+    probe images: a word whose element was already seen is pruned with
+    every word extending it. ``saturated`` is set when elements within
+    radius k were still appearing in the final layer, i.e. the word cap
+    (rather than the radius) may have stopped the count.
     """
     if not generators:
         return OrbitCount(count=1, saturated=False)
     spec = generators[0].spec
-    if fingerprint_probes is None:
-        fingerprint_probes = [
-            basepoint,
-            BlockPoint(tuple(np.full(n, 0.625) for n in spec.multiplicities)),
-        ]
+    if fingerprint_probes is None:  # the basepoint is a probe
+        points = [basepoint, BlockPoint(tuple(np.full(n, 0.625) for n in spec.multiplicities))]
+        first = 0
+    else:
+        points, first = [basepoint, *fingerprint_probes], 1
+    for q in points:
+        q.require_conforms(spec)
 
-    def fingerprint(g: AlmostTranslation):
-        return tuple(
-            tuple(np.round(g(q).flat(), 9)) for q in fingerprint_probes
-        )
+    def fingerprint(images):
+        return tuple(tuple(np.round(np.concatenate(q), 9)) for q in images[first:])
 
+    seen = set()
+
+    def step(a: AlmostTranslation, images):
+        images = [a.eval_blocks(q) for q in images]
+        fp = fingerprint(images)
+        if fp in seen:
+            return None
+        seen.add(fp)
+        return images
+
+    start = [q.blocks for q in points]
+    seen.add(fingerprint(start))
     alphabet = list(generators) + [g.inverse() for g in generators]
-    ident = AlmostTranslation.identity(spec)
-    seen = {fingerprint(ident)}
-    inside = 1 if distance(spec, ident(basepoint), basepoint) <= k else 0
-    frontier = [ident]
-    saturated = False
-    for depth in range(1, word_cap + 1):
-        nxt = []
-        for g in frontier:
-            for a in alphabet:
-                h = a.compose(g)
-                fp = fingerprint(h)
-                if fp in seen:
-                    continue
-                seen.add(fp)
-                nxt.append(h)
-                if distance(spec, h(basepoint), basepoint) <= k:
-                    inside += 1
-                    if depth == word_cap:
-                        saturated = True
-        frontier = nxt
-    return OrbitCount(count=inside, saturated=saturated)
+    count, saturated = 0, False
+    for word, images in walk_words(alphabet, word_cap, start, step):
+        if distance(spec, BlockPoint(tuple(images[0])), basepoint) <= k:
+            count += 1
+            saturated |= len(word) == word_cap > 0
+    return OrbitCount(count=count, saturated=saturated)
 
 
 # -- exact-rational words ---------------------------------------------------

@@ -184,12 +184,8 @@ def enumerate_chain_cost(
     return cost
 
 
-def estimate_qsim_constants(spec: SpectralData, F, samples) -> tuple[float, float]:
-    """Empirical quasisimilarity constants (N, K) of a map on sampled pairs.
-
-    N is the geometric mean of image/preimage distance ratios; K bounds the
-    two-sided deviation from N. ``F`` maps BlockPoint to BlockPoint.
-    """
+def _qsim_logs(spec: SpectralData, F, samples) -> tuple[float, float, np.ndarray]:
+    """(N, K, log ratios) on the sample pairs, pairs at distance 0 skipped."""
     ratios = []
     for p, q in samples:
         d = distance(spec, p, q)
@@ -201,4 +197,14 @@ def estimate_qsim_constants(spec: SpectralData, F, samples) -> tuple[float, floa
     logs = np.log(np.asarray(ratios))
     n = float(np.exp(logs.mean()))
     k = float(np.exp(np.abs(logs - logs.mean()).max()))
-    return n, max(k, 1.0)
+    return n, max(k, 1.0), logs
+
+
+def estimate_qsim_constants(spec: SpectralData, F, samples) -> tuple[float, float]:
+    """Empirical quasisimilarity constants (N, K) of a map on sampled pairs.
+
+    N is the geometric mean of image/preimage distance ratios; K bounds the
+    two-sided deviation from N. ``F`` maps BlockPoint to BlockPoint.
+    """
+    n, k, _ = _qsim_logs(spec, F, samples)
+    return n, k

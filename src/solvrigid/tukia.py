@@ -12,11 +12,12 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InputError
 from .mapalg import FirstBlockAffineMap
+from .nilpotent import walk_words
 from .quasimetric import dilate, distance
 from .spectral import BlockPoint, SpectralData
 
 
-# -- word enumeration -------------------------------------------------------
+# -- 1-D generators ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -30,38 +31,6 @@ class OneDGenerator:
     label: str = ""
 
 
-def walk_words(letters, depth: int, start, step, reduced: bool = False):
-    """Yield (word, state) for every word of at most ``depth`` letters.
-
-    ``word[0]`` acts last, so the state of ``(a,) + w`` is ``step(a, state
-    of w)``: each word costs one step, reusing its parent's state. Words
-    come in shortlex order (by length, then letter by letter in the order
-    of ``letters``), the identity ``((), start)`` first. A step that
-    returns None prunes that word and every word extending it. With
-    ``reduced`` the letters are (index, sign) pairs and no letter is put
-    next to its inverse.
-    """
-    level = [((), start)]
-    yield level[0]
-    for _ in range(depth):
-        nxt = []
-        for a in letters:
-            for w, state in level:
-                if reduced and w and w[0] == (a[0], -a[1]):
-                    continue
-                child = step(a, state)
-                if child is not None:
-                    nxt.append(((a,) + w, child))
-                    yield nxt[-1]
-        level = nxt
-
-
-def reduced_words(n_generators: int, word_len: int) -> list[tuple[tuple[int, int], ...]]:
-    """Freely reduced words over generators and inverses, up to word_len."""
-    letters = [(i, s) for i in range(n_generators) for s in (1, -1)]
-    return [w for w, _ in walk_words(letters, word_len, (), lambda a, s: s, reduced=True)]
-
-
 def _chain_1d(generators: Sequence[OneDGenerator], letter, state: tuple) -> tuple:
     """(x, derivative, stretch) after one more letter, by the chain rule."""
     idx, sgn = letter
@@ -72,21 +41,6 @@ def _chain_1d(generators: Sequence[OneDGenerator], letter, state: tuple) -> tupl
         return g.fn(x), deriv, stretch * g.stretch
     x = g.inv(x)
     return x, deriv / g.dfn(x), stretch / g.stretch
-
-
-def word_apply_1d(generators: Sequence[OneDGenerator], word, x: float) -> float:
-    for idx, sgn in reversed(word):
-        g = generators[idx]
-        x = g.fn(x) if sgn == 1 else g.inv(x)
-    return x
-
-
-def word_derivative_1d(generators: Sequence[OneDGenerator], word, x: float) -> tuple[float, float]:
-    """(derivative, stretch) of the word at x, by the chain rule."""
-    state = (x, 1.0, 1.0)
-    for letter in reversed(word):
-        state = _chain_1d(generators, letter, state)
-    return state[1], state[2]
 
 
 @dataclass
@@ -220,7 +174,9 @@ def verify_conjugation(
     start = [(F.inv(u0), F.inv(u1)) for u0, u1 in us]
 
     def step(letter, images):
-        return [tuple(word_apply_1d(gens, (letter,), x) for x in pair) for pair in images]
+        idx, sgn = letter
+        f = gens[idx].fn if sgn == 1 else gens[idx].inv
+        return [(f(x0), f(x1)) for x0, x1 in images]
 
     verdicts = []
     for w, images in walk_words(letters, depth, start, step, reduced=True):

@@ -207,3 +207,12 @@ def test_metric_and_geodesic_use_the_row_kernels(count_calls):
     checks = cli.run_metric(cfg, np.random.default_rng(0)) + cli.run_geodesic(cfg, np.random.default_rng(0))
     assert all(c["passed"] for c in checks)
     assert len(calls) < 500
+
+
+def test_epsilon_check_compares_every_probe(monkeypatch):
+    # at seed 0 the first 50 of the 500 draws of sin span 1.9797 and all of
+    # them 2.0000: a bound between the two fails only when every draw counts
+    monkeypatch.setattr(cli, "epsilon_bound", lambda gamma, i: 1.99)
+    checks = {c["name"]: c for c in cli.run_roots(RunConfig(), np.random.default_rng(0))}
+    eps = checks["epsilon-bound-dominates"]
+    assert not eps["passed"] and eps["defect"] > 0

@@ -124,6 +124,20 @@ class TestClassValidation:
         with pytest.raises(InputError):
             conf_class(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [
+        np.full((2, 2), np.nan),  # read as an all-NaN class
+        [[1.0, np.inf], [np.inf, 1.0]],  # likewise
+        np.full((3, 3), np.nan),  # ended in numpy's LinAlgError
+    ])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InputError):
+            conf_class(bad)
+
+    def test_circumcenter_rejects_non_finite_class(self):
+        # exited no_descent with a NaN gap
+        with pytest.raises(InputError):
+            solve_circumcenter([np.full((2, 2), np.nan), np.eye(2)])
+
     def test_act_rejects_singular(self):
         with pytest.raises(DomainError):
             act(np.zeros((3, 3)), np.eye(3))

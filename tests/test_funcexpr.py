@@ -101,3 +101,31 @@ def test_json_round_trip():
 def test_json_rejects_unknown_tag():
     with pytest.raises(InputError):
         expr_from_json({"node": "spline"})
+
+
+NAN, INF = float("nan"), float("inf")
+X1 = {"node": "block", "index": 1, "dim": 1}
+
+
+@pytest.mark.parametrize("payload", [
+    [X1],  # not an object
+    "const",
+    {"node": "lin", "child": X1},  # a missing field
+    {"node": "osc", "amp": [1.0], "weights": [1.0], "child": X1},
+    {"node": "const", "value": "abc"},  # not numeric
+    {"node": "const", "value": [1.0, "x"]},
+    {"node": "scale", "factor": [2.0], "child": X1},
+    {"node": "const", "value": [NAN]},  # not finite
+    {"node": "scale", "factor": NAN, "child": X1},
+    {"node": "osc", "amp": [1.0], "weights": [INF], "phase": 0.0, "child": X1},
+    {"node": "lin", "matrix": [[NAN]], "child": X1},
+    {"node": "pwl", "xs": [0.0, 1.0], "ys": [0.0, INF], "child": X1},
+    {"node": "clamp", "lo": -INF, "hi": 0.0, "child": X1},
+    {"node": "block", "index": -1, "dim": 1},  # negative or fractional index
+    {"node": "block", "index": 1.5, "dim": 1},
+    {"node": "sum", "children": 5},
+    {"node": "block", "index": 5, "dim": 1},  # past the blocks: caught at evaluation
+], ids=lambda p: json.dumps(p)[:60])
+def test_json_rejects_malformed_nodes(payload):
+    with pytest.raises(InputError):
+        expr_from_json(payload)(BLOCKS)

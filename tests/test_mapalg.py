@@ -16,11 +16,11 @@ from solvrigid import (
     BoundaryPair,
     Const,
     FirstBlockAffineMap,
+    FuncExpr,
     InputError,
     Lin,
     NotInUniformSubgroup,
     Osc,
-    Precompose,
     Scale,
     SimMap,
     SpectralData,
@@ -159,6 +159,37 @@ class TestASimWords:
             calls.clear()
             word(p)
             assert len(calls) == self.LETTERS
+
+
+class Precompose(FuncExpr):
+    """A child expression evaluated on the image of an inner block map.
+
+    Each evaluation evaluates the whole inner map; the certificates follow
+    the composition rules directly, which makes these trees the reference
+    for the certificates that words carry.
+    """
+
+    def __init__(self, child: FuncExpr, inner):
+        self.child = child
+        self.inner = inner
+        self.dim = child.dim
+
+    def __call__(self, blocks):
+        return self.child(self.inner.eval_blocks(blocks))
+
+    def deps(self):
+        out = frozenset()
+        for j in self.child.deps():
+            out |= self.inner.deps_of(j)
+        return out
+
+    @property
+    def lipschitz(self):
+        return self.child.lipschitz * self.inner.lip_bound()
+
+    @property
+    def sup_bound(self):
+        return self.child.sup_bound
 
 
 def _tree_compose(s, o):

@@ -15,10 +15,12 @@ from solvrigid import (
     InfiniteIndexSuspected,
     InputError,
     NotInKernel,
+    OrbitCount,
     Osc,
     approx_lth_root,
     default_probes,
     displacement_bound,
+    distance,
     epsilon_bound,
     orbit_growth,
     root_power_word,
@@ -152,6 +154,51 @@ class TestTauProject:
         assert np.allclose(tau_project(gamma, 0), [2.5])
 
 
+def _ref_orbit(generators, basepoint, word_cap):
+    """The (depth, distance from the basepoint) of every distinct element.
+
+    The breadth-first reference: each new element is composed from its
+    parent and evaluated from the identity on the probes, then deduplicated
+    by its probe images rounded to 1e-9.
+    """
+    spec = generators[0].spec
+    probes = [basepoint, BlockPoint(tuple(np.full(n, 0.625) for n in spec.multiplicities))]
+
+    def fingerprint(g):
+        return tuple(tuple(np.round(g(q).flat(), 9)) for q in probes)
+
+    alphabet = list(generators) + [g.inverse() for g in generators]
+    ident = AlmostTranslation.identity(spec)
+    seen = {fingerprint(ident)}
+    found = [(0, distance(spec, ident(basepoint), basepoint))]
+    frontier = [ident]
+    for depth in range(1, word_cap + 1):
+        nxt = []
+        for g in frontier:
+            for a in alphabet:
+                h = a.compose(g)
+                fp = fingerprint(h)
+                if fp in seen:
+                    continue
+                seen.add(fp)
+                nxt.append(h)
+                found.append((depth, distance(spec, h(basepoint), basepoint)))
+        frontier = nxt
+    return found
+
+
+def _ref_count(found, k, word_cap):
+    inside = [depth for depth, d in found if d <= k]
+    return OrbitCount(count=len(inside), saturated=word_cap in inside)
+
+
+def _assert_orbit_counts_match(generators, basepoint, radii, word_cap):
+    found = _ref_orbit(generators, basepoint, word_cap)
+    for k in radii:
+        got = orbit_growth(generators, basepoint, k, word_cap)
+        assert got == _ref_count(found, k, word_cap), (k, word_cap)
+
+
 class TestOrbitGrowth:
     def test_single_translation_counts_ball(self):
         g = unit_translation_1d()
@@ -169,6 +216,43 @@ class TestOrbitGrowth:
 
     def test_no_generators(self):
         assert orbit_growth([], BlockPoint.zero(SPEC_R1), 1.0, 3).count == 1
+
+    def test_translation_matches_reference(self):
+        g = unit_translation_1d()
+        for x in (0.0, 0.3, -2.5):
+            for cap in (1, 3, 6):
+                base = BlockPoint((np.array([x]),))
+                _assert_orbit_counts_match([g], base, (0.5, 1.0, 2.0, 4.0), cap)
+
+    def test_kernel_element_matches_reference(self):
+        rng = np.random.default_rng(5)
+        for c in np.linspace(0.5, 5.0, 91):
+            base = BlockPoint(tuple(rng.uniform(-1, 1, (2, 1))))
+            gamma = oscillating_kernel_element(c=float(c))
+            _assert_orbit_counts_match([gamma], base, (0.5, 1.0, 2.0, 4.0), 6)
+
+    def test_two_generators_match_reference(self):
+        # the first pair commutes, so distinct words give one element and the
+        # count rests on the deduplication; the second pair does not
+        gamma = oscillating_kernel_element(c=4.0)
+        shift = AlmostTranslation(SPEC_NIL, [Const([0.7]), Const([0.0])])
+        wobble = AlmostTranslation(SPEC_NIL, [Osc([0.3], [2.0], 0.5, BlockVar(1, 1)), Const([1.5])])
+        rng = np.random.default_rng(6)
+        for pair in ((gamma, shift), (gamma, wobble)):
+            for _ in range(3):
+                base = BlockPoint(tuple(rng.uniform(-1, 1, (2, 1))))
+                _assert_orbit_counts_match(list(pair), base, (0.5, 1.0, 2.0, 4.0), 4)
+
+    def test_each_word_costs_one_letter_step(self, count_calls):
+        calls = count_calls(Osc)  # one Osc node per letter of gamma or its inverse
+        gamma = oscillating_kernel_element(c=4.0)
+        base = BlockPoint((np.array([0.3]), np.array([-0.2])))
+        orbit_growth([gamma], base, 2.0, word_cap=7)
+        # the walk steps both letters on the identity and on gamma^k and
+        # gamma^-k for 0 < |k| < 7, and each step applies one letter to at
+        # most three points; composing and re-evaluating made 276 calls
+        stepped = 2 + 4 * 6
+        assert len(calls) <= 3 * stepped
 
 
 class TestExactWords:

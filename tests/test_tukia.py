@@ -20,7 +20,6 @@ from solvrigid import (
     dilate,
     normalize_stretch,
     radial_conjugator,
-    reduced_words,
     sup_measure_1d,
     verify_conjugation,
 )
@@ -33,7 +32,8 @@ from solvrigid.fixtures import (
     similarity_1d_sample,
     stretch_bump_sample,
 )
-from solvrigid.tukia import WordVerdict, walk_words, word_apply_1d, word_derivative_1d
+from solvrigid.nilpotent import walk_words
+from solvrigid.tukia import WordVerdict, _chain_1d
 
 
 def _pipeline(sample, lo=-3.0, hi=3.0, h=0.01):
@@ -62,6 +62,13 @@ def _ref_reduced_words(n_generators, word_len):
         frontier = nxt
         out.extend(frontier)
     return out
+
+
+def _ref_word_apply(generators, word, x):
+    for idx, sgn in reversed(word):
+        g = generators[idx]
+        x = g.fn(x) if sgn == 1 else g.inv(x)
+    return x
 
 
 def _ref_word_derivative(generators, word, x):
@@ -112,8 +119,8 @@ def _ref_verdicts(sample, F, probes, probe_step, word_len):
         for x in probes:
             u0 = F.fn(float(x))
             u1 = F.fn(float(x) + probe_step)
-            v0 = F.fn(word_apply_1d(sample.generators, w, F.inv(u0)))
-            v1 = F.fn(word_apply_1d(sample.generators, w, F.inv(u1)))
+            v0 = F.fn(_ref_word_apply(sample.generators, w, F.inv(u0)))
+            v1 = F.fn(_ref_word_apply(sample.generators, w, F.inv(u1)))
             slopes.append(abs((v1 - v0) / (u1 - u0)))
         logs = np.log(np.asarray(slopes))
         gmean = float(np.exp(logs.mean()))
@@ -161,10 +168,15 @@ def _pruning_sample(word_len):
     return GroupSample(generators=[shift, dil], word_len=word_len, uniform_K=2.0)
 
 
+def _walked_reduced_words(n_generators, word_len):
+    letters = [(i, s) for i in range(n_generators) for s in (1, -1)]
+    return [w for w, _ in walk_words(letters, word_len, (), lambda a, s: s, reduced=True)]
+
+
 class TestWords:
     def test_reduced_word_count_single_generator(self):
         # only powers g^k survive free reduction: two per length plus identity
-        words = reduced_words(1, 5)
+        words = _walked_reduced_words(1, 5)
         assert len(words) == 11
 
     def test_walk_is_shortlex_and_prunes_extensions(self):
@@ -175,10 +187,10 @@ class TestWords:
         assert all("".join(w) == s for w, s in walk)
 
     def test_shortlex_order_of_enumerate_then_fold(self):
-        assert reduced_words(2, 4) == _ref_reduced_words(2, 4)
+        assert _walked_reduced_words(2, 4) == _ref_reduced_words(2, 4)
 
     def test_no_adjacent_cancellation(self):
-        for w in reduced_words(2, 4):
+        for w in _walked_reduced_words(2, 4):
             for a, b in zip(w, w[1:]):
                 assert not (a[0] == b[0] and a[1] == -b[1])
 
@@ -186,12 +198,19 @@ class TestWords:
         sample = piecewise_1d_sample()
         g = sample.generators
         w = ((0, 1), (0, 1), (0, -1))
+
+        def chain(x):
+            # the walker's state of w: (image, derivative, stretch)
+            walk = walk_words([(0, 1), (0, -1)], 3, (x, 1.0, 1.0),
+                              lambda a, s: _chain_1d(g, a, s))
+            return dict(walk)[w]
+
         x = -2.3
-        assert word_apply_1d(g, w, x) == pytest.approx(g[0].fn(x))
-        deriv, stretch = word_derivative_1d(g, w, x)
+        image, deriv, stretch = chain(x)
+        assert image == pytest.approx(g[0].fn(x))
         assert stretch == pytest.approx(1.0)
         step = 1e-7
-        fd = (word_apply_1d(g, w, x + step) - word_apply_1d(g, w, x)) / step
+        fd = (chain(x + step)[0] - image) / step
         assert deriv == pytest.approx(fd, rel=1e-5)
 
 
@@ -249,7 +268,7 @@ class TestSupMeasure:
         xs = np.linspace(-2.0, 2.0, 9)
         mu = sup_measure_1d(sample, xs)
         assert mu.flagged == []
-        assert len(calls) == len(xs) * (len(reduced_words(1, 6)) - 1)
+        assert len(calls) == len(xs) * (len(_ref_reduced_words(1, 6)) - 1)
 
 
 class TestConjugator:
