@@ -72,6 +72,14 @@ _GRID_SCHEMA = {"lo": (int, float), "hi": (int, float), "resolution": (int, floa
 MAX_GRID_POINTS = 10**7
 
 
+def _as_float(val) -> float:
+    """A JSON number as a float; an int beyond float range reads inf."""
+    try:
+        return float(val)
+    except OverflowError:
+        return math.inf
+
+
 def _conjugate_grid_range(lo: float, hi: float, word_len: int) -> tuple[int, int]:
     """Ends of the conjugation grid: [lo, hi] widened so it covers every word
     image of every probe (words drift by at most word_len + 1)."""
@@ -106,8 +114,8 @@ class RunConfig:
             types, least, strict = _SCHEMA[key]
             if not isinstance(val, types) or isinstance(val, bool):
                 raise ConfigError(f"/{key}: expected {types}, got {type(val).__name__}")
-            if isinstance(val, float) and not math.isfinite(val):
-                raise ConfigError(f"/{key}: must be finite, got {val}")
+            if not isinstance(val, dict) and not math.isfinite(_as_float(val)):
+                raise ConfigError(f"/{key}: must be finite, got {_as_float(val)}")
             if least is not None and (val <= least if strict else val < least):
                 bound = "greater than" if strict else "at least"
                 raise ConfigError(f"/{key}: must be {bound} {least}, got {val}")
@@ -123,9 +131,9 @@ class RunConfig:
                     raise ConfigError(f"/grid/{key}: unknown grid key")
                 if not isinstance(val, _GRID_SCHEMA[key]) or isinstance(val, bool):
                     raise ConfigError(f"/grid/{key}: expected a number")
-            cfg.grid_lo = float(obj["grid"].get("lo", cfg.grid_lo))
-            cfg.grid_hi = float(obj["grid"].get("hi", cfg.grid_hi))
-            cfg.grid_resolution = float(obj["grid"].get("resolution", cfg.grid_resolution))
+            cfg.grid_lo = _as_float(obj["grid"].get("lo", cfg.grid_lo))
+            cfg.grid_hi = _as_float(obj["grid"].get("hi", cfg.grid_hi))
+            cfg.grid_resolution = _as_float(obj["grid"].get("resolution", cfg.grid_resolution))
             if not (math.isfinite(cfg.grid_lo) and math.isfinite(cfg.grid_hi)
                     and math.isfinite(cfg.grid_resolution)
                     and cfg.grid_lo < cfg.grid_hi and cfg.grid_resolution > 0):
@@ -133,7 +141,10 @@ class RunConfig:
         for key in obj.keys() - {"spec", "grid"}:
             setattr(cfg, key, obj[key] if _SCHEMA[key][0] is int else float(obj[key]))
         lo, hi = _conjugate_grid_range(cfg.grid_lo, cfg.grid_hi, cfg.word_len)
-        points = (hi - lo) / cfg.grid_resolution
+        try:
+            points = (hi - lo) / cfg.grid_resolution
+        except OverflowError:  # a span of ints beyond float range
+            points = math.inf
         if not points <= MAX_GRID_POINTS:
             raise ConfigError(
                 f"/grid/resolution: the conjugation grid would hold {points:.3g} points "
@@ -458,7 +469,7 @@ def main(argv=None) -> int:
             cfg = RunConfig()
         if args.seed is not None:
             cfg = RunConfig.from_json({**cfg.to_json(), "seed": args.seed})
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, ValueError, ConfigError) as exc:  # ValueError: bad JSON, UTF-8 or digits
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return run(args.subcommand, cfg, args.out, verbose=args.verbose)

@@ -17,21 +17,51 @@ from .spectral import BlockPoint, SpectralData
 
 
 def conf_class(matrix) -> np.ndarray:
-    """Validate and renormalize a symmetric positive definite det-one matrix."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError("conformal class must be a square matrix")
-    scale = np.max(np.abs(a))
+    """Validate and renormalize a symmetric positive definite det-one matrix.
+
+    Where the symmetrized matrix or the eigenvalue product leaves the float
+    range, the matrix is first scaled by an exact power of two; any other
+    input takes the plain path, bit for bit.
+    """
+    try:
+        a = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("conformal class must be a matrix of numbers") from None
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise InputError("conformal class must be a nonempty square matrix")
+    scale = float(np.abs(a).max())
     if not math.isfinite(scale):
         raise InputError("conformal class must be finite")
-    if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, scale):
-        raise InputError("conformal class must be symmetric")
+    with np.errstate(over="ignore"):
+        if np.abs(a - a.T).max() > 1e-12 * max(1.0, scale):
+            raise InputError("conformal class must be symmetric")
+        out = _det_one(a, scale)
+        if out is None:
+            out = _det_one(np.ldexp(a, -math.frexp(scale)[1]), 1.0)
+    if out is None:
+        raise InputError("conformal class is beyond float range")
+    return out
+
+
+def _det_one(a: np.ndarray, scale: float) -> Optional[np.ndarray]:
+    """0.5 (a + a^T) over the n-th root of its determinant, or None where a
+    step leaves the float range; ``scale`` bounds the entries of ``a``."""
     a = 0.5 * (a + a.T)
+    # two entries below 2^1022 in magnitude cannot sum past the float range
+    if scale >= 2.0**1022 and not np.isfinite(a).all():
+        return None
     w = np.linalg.eigvalsh(a)
     if w[0] <= 0:
         raise InputError("conformal class must be positive definite")
     det = float(np.prod(w))
-    return a / det ** (1.0 / a.shape[0])
+    if det == 0.0 or not math.isfinite(det):
+        return None
+    root = det ** (1.0 / a.shape[0])
+    a = a / root
+    # no entry of a symmetric matrix exceeds its largest eigenvalue in magnitude
+    if not w[-1] / root < 2.0**1022 and not np.isfinite(a).all():
+        return None
+    return a
 
 
 def act(X, A) -> np.ndarray:

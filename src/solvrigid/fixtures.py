@@ -25,32 +25,21 @@ SPEC_FIG1 = SPEC_R2
 _BREAK = 0.4  # slope 1.5 on [0, 0.4), slope 2/3 on [0.4, 1), shift by 1 elsewhere
 
 
-def _pw_fn(x: float) -> float:
-    if x < 0.0:
-        return x + 1.0
-    if x < _BREAK:
-        return 1.0 + 1.5 * x
-    if x < 1.0:
-        return 1.6 + (2.0 / 3.0) * (x - _BREAK)
-    return x + 1.0
+def _pw_fn(x):
+    return np.where(x < 0.0, x + 1.0,
+                    np.where(x < _BREAK, 1.0 + 1.5 * x,
+                             np.where(x < 1.0, 1.6 + (2.0 / 3.0) * (x - _BREAK), x + 1.0)))
 
 
-def _pw_dfn(x: float) -> float:
-    if 0.0 <= x < _BREAK:
-        return 1.5
-    if _BREAK <= x < 1.0:
-        return 2.0 / 3.0
-    return 1.0
+def _pw_dfn(x):
+    return np.where((0.0 <= x) & (x < _BREAK), 1.5,
+                    np.where((_BREAK <= x) & (x < 1.0), 2.0 / 3.0, 1.0))
 
 
-def _pw_inv(u: float) -> float:
-    if u < 1.0:
-        return u - 1.0
-    if u < 1.6:
-        return (u - 1.0) / 1.5
-    if u < 2.0:
-        return _BREAK + 1.5 * (u - 1.6)
-    return u - 1.0
+def _pw_inv(u):
+    return np.where(u < 1.0, u - 1.0,
+                    np.where(u < 1.6, (u - 1.0) / 1.5,
+                             np.where(u < 2.0, _BREAK + 1.5 * (u - 1.6), u - 1.0)))
 
 
 def piecewise_1d_sample(word_len: int = 12) -> GroupSample:

@@ -395,7 +395,7 @@ def _finite(value, scalar: bool = False) -> np.ndarray:
     """A JSON number (``scalar``) or nested list of numbers, all finite."""
     try:
         a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"expected numbers, got {value!r}") from None
     if (scalar and a.ndim) or not np.all(np.isfinite(a)):
         raise InputError(f"expected finite {'number' if scalar else 'numbers'}, got {value!r}")

@@ -55,7 +55,10 @@ def distance(spec: SpectralData, p: BlockPoint, q: BlockPoint) -> float:
 
 
 def _require_rows(spec: SpectralData, *arrays) -> list[np.ndarray]:
-    out = [np.asarray(a, dtype=float) for a in arrays]
+    try:
+        out = [np.asarray(a, dtype=float) for a in arrays]
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("rows must be arrays of numbers") from None
     for a in out:
         if a.ndim != 2 or a.shape[1] != spec.total_dim or a.shape != out[0].shape:
             raise DimensionMismatch(
@@ -67,20 +70,26 @@ def _require_rows(spec: SpectralData, *arrays) -> list[np.ndarray]:
 def distance_rows(spec: SpectralData, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Row-wise :func:`distance` of two ``(N, total_dim)`` arrays of points."""
     P, Q = _require_rows(spec, P, Q)
-    diff = P - Q
-    best = np.zeros(len(diff))
-    for a, s in zip(spec.exponents, spec.block_slices()):
-        # np.float_power evaluates pow element by element as ``**`` on a float
-        # does, so each row equals the scalar distance bit for bit; the SIMD
-        # loop of np.power may round differently
-        np.maximum(best, np.float_power(_block_norm(diff[:, s]), 1.0 / a), out=best)
+    best = np.zeros(len(P))
+    # a non-finite gap (inf - inf included) raises InputError in _block_norm;
+    # a distance beyond float range reads inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = P - Q
+        for a, s in zip(spec.exponents, spec.block_slices()):
+            # np.float_power evaluates pow element by element as ``**`` on a
+            # float does, so each row equals the scalar distance bit for bit;
+            # the SIMD loop of np.power may round differently
+            np.maximum(best, np.float_power(_block_norm(diff[:, s]), 1.0 / a), out=best)
     return best
 
 
 def _dilation_factors(spec: SpectralData, t: float) -> list[float]:
-    if not t > 0:
-        raise DomainError(f"dilation parameter must be positive, got {t}")
-    return [t**a for a in spec.exponents]
+    if not 0 < t < math.inf:
+        raise DomainError(f"dilation parameter must be positive and finite, got {t}")
+    try:
+        return [t**a for a in spec.exponents]
+    except OverflowError:
+        raise DomainError(f"dilation factors of t = {t} are beyond float range") from None
 
 
 def dilate(spec: SpectralData, t: float, p: BlockPoint) -> BlockPoint:
@@ -94,7 +103,10 @@ def dilate_rows(spec: SpectralData, t: float, P: np.ndarray) -> np.ndarray:
     """Row-wise :func:`dilate` of an ``(N, total_dim)`` array of points."""
     factors = _dilation_factors(spec, t)
     (P,) = _require_rows(spec, P)
-    return P * np.repeat(factors, spec.multiplicities)
+    # a coordinate beyond float range reads inf, and inf times an underflowed
+    # factor NaN; distance_rows raises InputError on either
+    with np.errstate(over="ignore", invalid="ignore"):
+        return P * np.repeat(factors, spec.multiplicities)
 
 
 @dataclass(frozen=True)

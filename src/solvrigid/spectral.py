@@ -23,8 +23,11 @@ class SpectralData:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(float(a) for a in self.exponents)
-        mults = tuple(int(n) for n in self.multiplicities)
+        try:
+            exps = tuple(float(a) for a in self.exponents)
+            mults = tuple(int(n) for n in self.multiplicities)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("exponents and multiplicities must be numbers") from None
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "multiplicities", mults)
         if len(exps) != len(mults) or not exps:
@@ -56,13 +59,13 @@ class SpectralData:
 
     @staticmethod
     def from_json(obj: dict | str) -> "SpectralData":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         try:
+            if isinstance(obj, str):
+                obj = json.loads(obj)
             alphas = obj["alphas"]
             mults = obj["mults"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"spectral data must carry 'alphas' and 'mults': {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"spectral data must be JSON with 'alphas' and 'mults': {exc}") from exc
         if not isinstance(alphas, (list, tuple)) or any(type(a) not in (float, int) for a in alphas):
             raise InputError("'alphas' must be a list of numbers")
         if not isinstance(mults, (list, tuple)) or any(type(n) is not int for n in mults):
@@ -77,7 +80,10 @@ class BlockPoint:
     blocks: tuple[np.ndarray, ...] = field()
 
     def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=float).reshape(-1) for b in self.blocks)
+        try:
+            blocks = tuple(np.asarray(b, dtype=float).reshape(-1) for b in self.blocks)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("point blocks must be arrays of numbers") from None
         object.__setattr__(self, "blocks", blocks)
 
     def conforms(self, spec: SpectralData) -> bool:

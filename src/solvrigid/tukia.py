@@ -4,7 +4,6 @@ post-conjugation similarity verification."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -22,11 +21,19 @@ from .spectral import BlockPoint, SpectralData
 
 @dataclass(frozen=True)
 class OneDGenerator:
-    """Monotone map of the line with exact derivative and inverse."""
+    """Monotone map of the line with exact derivative and inverse.
 
-    fn: Callable[[float], float]
-    dfn: Callable[[float], float]
-    inv: Callable[[float], float]
+    ``fn``, ``dfn`` and ``inv`` map an array of points to an array of the
+    same shape, element by element (a scalar to a 0-d array; a constant
+    derivative may be a float, which broadcasts). A division by zero gives
+    an inf or NaN element, as numpy arithmetic does: the sup measure flags
+    a grid point where a word meets a zero or non-finite derivative or a
+    non-finite image, and drops that word and its extensions there.
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    dfn: Callable[[np.ndarray], np.ndarray]
+    inv: Callable[[np.ndarray], np.ndarray]
     stretch: float = 1.0
     label: str = ""
 
@@ -37,8 +44,7 @@ def _chain_1d(generators: Sequence[OneDGenerator], letter, state: tuple) -> tupl
     g = generators[idx]
     x, deriv, stretch = state
     if sgn == 1:
-        deriv *= g.dfn(x)
-        return g.fn(x), deriv, stretch * g.stretch
+        return g.fn(x), deriv * g.dfn(x), stretch * g.stretch
     x = g.inv(x)
     return x, deriv / g.dfn(x), stretch / g.stretch
 
@@ -62,8 +68,8 @@ class SupMeasure1D:
     values: np.ndarray
     flagged: list[int]
 
-    def __call__(self, x: float) -> float:
-        return float(np.interp(x, self.xs, self.values))
+    def __call__(self, x):
+        return np.interp(x, self.xs, self.values)
 
 
 def sup_measure_1d(
@@ -71,38 +77,35 @@ def sup_measure_1d(
 ) -> SupMeasure1D:
     """Pointwise max of stretch-normalized word derivatives on the grid.
 
-    Grid points where some word derivative vanishes are flagged and their
-    value taken over the remaining words. ``word_len`` overrides the
-    sample's truncation depth; callers widen it when the grid extends far
-    beyond the probe window, so the sup stays faithful at every node.
+    One walk over the words carries the whole grid: a word's state is its
+    images and derivatives at every grid point and the mask of the points
+    where it is live. A flagged point (see OneDGenerator) takes its value
+    over the words still live there; a word live at no point is pruned.
+    ``word_len`` overrides the sample's truncation depth; callers widen it
+    when the grid extends far beyond the probe window, so the sup stays
+    faithful at every node.
     """
     xs = np.asarray(xs, dtype=float)
     depth = sample.word_len if word_len is None else word_len
     gens = sample.generators
     letters = [(i, s) for i in range(len(gens)) for s in (1, -1)]
-    bad = False
+    bad = np.zeros(xs.shape, dtype=bool)
 
     def step(letter, state):
-        # every extension of a word flagged here would be flagged too
-        nonlocal bad
-        try:
-            state = _chain_1d(gens, letter, state)
-        except ZeroDivisionError:
-            state = None
-        if state is None or state[1] == 0.0 or not math.isfinite(state[1]):
-            bad = True
-            return None
-        return state
+        # a point dead for a word stays dead for every extension of it
+        x, deriv, stretch, alive = state
+        x, deriv, stretch = _chain_1d(gens, letter, (x, deriv, stretch))
+        ok = (deriv != 0.0) & np.isfinite(deriv) & np.isfinite(x)
+        bad[alive & ~ok] = True
+        alive = alive & ok
+        return (x, deriv, stretch, alive) if alive.any() else None
 
-    values = np.empty_like(xs)
-    flagged = []
-    for i, x in enumerate(xs):
-        bad = False
-        walk = walk_words(letters, depth, (float(x), 1.0, 1.0), step, reduced=True)
-        values[i] = max(abs(deriv) / stretch**sample.alpha1 for _, (_, deriv, stretch) in walk)
-        if bad:
-            flagged.append(i)
-    return SupMeasure1D(xs=xs, values=values, flagged=flagged)
+    values = np.zeros_like(xs)
+    start = (xs, np.ones_like(xs), 1.0, np.ones(xs.shape, dtype=bool))
+    with np.errstate(all="ignore"):
+        for _, (_, deriv, stretch, alive) in walk_words(letters, depth, start, step, reduced=True):
+            np.maximum(values, np.abs(deriv) / stretch**sample.alpha1, out=values, where=alive)
+    return SupMeasure1D(xs=xs, values=values, flagged=np.flatnonzero(bad).tolist())
 
 
 @dataclass
@@ -112,13 +115,13 @@ class OneDConjugator:
     xs: np.ndarray
     values: np.ndarray
 
-    def fn(self, x: float) -> float:
-        return float(np.interp(x, self.xs, self.values))
+    def fn(self, x):
+        return np.interp(x, self.xs, self.values)
 
-    def inv(self, u: float) -> float:
-        return float(np.interp(u, self.values, self.xs))
+    def inv(self, u):
+        return np.interp(u, self.values, self.xs)
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
         return self.fn(x)
 
 
@@ -170,22 +173,22 @@ def verify_conjugation(
     depth = sample.word_len if word_len is None else word_len
     gens = sample.generators
     letters = [(i, s) for i in range(len(gens)) for s in (1, -1)]
-    us = [(F.fn(float(x)), F.fn(float(x) + probe_step)) for x in probes]
-    start = [(F.inv(u0), F.inv(u1)) for u0, u1 in us]
+    # one row of interval endpoints per probe
+    us = F.fn(np.stack([probes, probes + probe_step], axis=1))
+    gaps = us[:, 1] - us[:, 0]
 
     def step(letter, images):
         idx, sgn = letter
-        f = gens[idx].fn if sgn == 1 else gens[idx].inv
-        return [(f(x0), f(x1)) for x0, x1 in images]
+        return gens[idx].fn(images) if sgn == 1 else gens[idx].inv(images)
 
     verdicts = []
-    for w, images in walk_words(letters, depth, start, step, reduced=True):
+    for w, images in walk_words(letters, depth, F.inv(us), step, reduced=True):
         if not w:
             continue
-        slopes = [abs((F.fn(x1) - F.fn(x0)) / (u1 - u0)) for (u0, u1), (x0, x1) in zip(us, images)]
-        logs = np.log(np.asarray(slopes))
-        gmean = float(np.exp(logs.mean()))
-        defect = float(np.max(np.abs(np.asarray(slopes) / gmean - 1.0)))
+        vs = F.fn(images)
+        slopes = np.abs((vs[:, 1] - vs[:, 0]) / gaps)
+        gmean = float(np.exp(np.log(slopes).mean()))
+        defect = float(np.max(np.abs(slopes / gmean - 1.0)))
         verdicts.append(WordVerdict(word=w, defect=defect, mean_scale=gmean))
     # np.max propagates NaN, so a word whose images left the conjugator's grid
     # (a zero slope, hence a NaN defect) shows in max_defect and fails the report

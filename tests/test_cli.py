@@ -135,6 +135,17 @@ def test_schema_violation_exits_2(tmp_path, capsys):
     assert not out.exists() or _reports(out) == []
 
 
+@pytest.mark.parametrize("text", [
+    b"\xff{}",  # not UTF-8: raised UnicodeDecodeError
+    b'{"seed": ' + b"9" * 5000 + b"}",  # past int's digit limit: raised ValueError
+], ids=["not-utf8", "5000-digit-int"])
+def test_unreadable_config_exits_2(text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    assert main(["metric", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_invariant_failure_exits_1_with_report(tmp_path):
     cfg = tmp_path / "cfg.json"
     # a tolerance below the discretization floor makes the conjugation

@@ -133,6 +133,39 @@ class TestClassValidation:
         with pytest.raises(InputError):
             conf_class(bad)
 
+    @pytest.mark.parametrize("big, n", [
+        (1e308, 2),  # a + a.T overflowed: all NaN
+        (1e-200, 2),  # the eigenvalue product underflowed: inf and NaN
+        (2.0**600, 3),  # the eigenvalue product overflowed: the zero matrix
+        (5e-324, 2),
+    ])
+    def test_extreme_scales_give_the_identity(self, big, n):
+        assert np.array_equal(conf_class(big * np.eye(n)), np.eye(n))
+
+    def test_extreme_scale_keeps_the_shape(self):
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert np.allclose(conf_class(2.0**1000 * a), conf_class(a), rtol=1e-15, atol=0.0)
+
+    def test_in_range_classes_unchanged(self):
+        # the plain path: symmetrize, divide by the n-th root of the determinant
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 5):
+            for _ in range(50):
+                q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                a = q @ np.diag(np.exp(rng.uniform(-8.0, 8.0, n))) @ q.T
+                a = 0.5 * (a + a.T)
+                det = float(np.prod(np.linalg.eigvalsh(a)))
+                assert np.array_equal(conf_class(a), a / det ** (1.0 / n))
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((0, 0)),  # raised numpy's ValueError
+        [["a"]],  # likewise
+        np.diag([1.0, 1e-200, 1e-200]),  # the class itself is beyond float range
+    ])
+    def test_rejects_empty_non_numeric_and_unrepresentable(self, bad):
+        with pytest.raises(InputError):
+            conf_class(bad)
+
     def test_circumcenter_rejects_non_finite_class(self):
         # exited no_descent with a NaN gap
         with pytest.raises(InputError):

@@ -23,6 +23,8 @@ from solvrigid import (
     sup_measure_1d,
     verify_conjugation,
 )
+from solvrigid import tukia
+from solvrigid.cli import RunConfig, _conjugate_grid_range
 from solvrigid.fixtures import (
     SPEC_RADIAL,
     normalized_dilation_sample,
@@ -153,6 +155,51 @@ def _ref_mu_of(gens, word_len, alpha1):
     return mu_of
 
 
+# -- the piecewise fixture as scalar branches, the reference for its np.where form
+
+_BREAK = 0.4
+
+
+def _scalar_pw_fn(x):
+    if x < 0.0:
+        return x + 1.0
+    if x < _BREAK:
+        return 1.0 + 1.5 * x
+    if x < 1.0:
+        return 1.6 + (2.0 / 3.0) * (x - _BREAK)
+    return x + 1.0
+
+
+def _scalar_pw_dfn(x):
+    if 0.0 <= x < _BREAK:
+        return 1.5
+    if _BREAK <= x < 1.0:
+        return 2.0 / 3.0
+    return 1.0
+
+
+def _scalar_pw_inv(u):
+    if u < 1.0:
+        return u - 1.0
+    if u < 1.6:
+        return (u - 1.0) / 1.5
+    if u < 2.0:
+        return _BREAK + 1.5 * (u - 1.6)
+    return u - 1.0
+
+
+def _scalar_piecewise_sample(word_len):
+    gen = OneDGenerator(fn=_scalar_pw_fn, dfn=_scalar_pw_dfn, inv=_scalar_pw_inv)
+    return GroupSample(generators=[gen], word_len=word_len, uniform_K=1.5, alpha1=1.0)
+
+
+def _flat_sample(word_len):
+    flat = OneDGenerator(
+        fn=lambda x: x, dfn=lambda x: np.where(x == 0.0, 0.0, 1.0), inv=lambda x: x
+    )
+    return GroupSample(generators=[flat], word_len=word_len, uniform_K=1.0)
+
+
 def _pruning_sample(word_len):
     """A shift whose derivative is 0 at -1 and infinite at 2, and a dilation.
 
@@ -161,7 +208,7 @@ def _pruning_sample(word_len):
     """
     shift = OneDGenerator(
         fn=lambda x: x + 1.0,
-        dfn=lambda x: {-1.0: 0.0, 2.0: math.inf}.get(x, 1.0),
+        dfn=lambda x: np.where(x == -1.0, 0.0, np.where(x == 2.0, math.inf, 1.0)),
         inv=lambda x: x - 1.0,
     )
     dil = similarity_1d_sample().generators[0]
@@ -234,11 +281,7 @@ class TestSupMeasure:
         assert set(np.round(mu.values, 12)) <= {1.0, 1.5}
 
     def test_vanishing_derivative_flagged(self):
-        flat = OneDGenerator(
-            fn=lambda x: x, dfn=lambda x: 0.0 if x == 0.0 else 1.0, inv=lambda x: x
-        )
-        sample = GroupSample(generators=[flat], word_len=1, uniform_K=1.0)
-        mu = sup_measure_1d(sample, np.array([-1.0, 0.0, 1.0]))
+        mu = sup_measure_1d(_flat_sample(word_len=1), np.array([-1.0, 0.0, 1.0]))
         assert mu.flagged == [1]
 
     def test_deep_division_by_zero_flagged(self):
@@ -248,16 +291,74 @@ class TestSupMeasure:
 
     @pytest.mark.parametrize("word_len", [1, 3, 5])
     def test_walk_equals_enumerate_then_fold(self, word_len):
-        flat = OneDGenerator(
-            fn=lambda x: x, dfn=lambda x: 0.0 if x == 0.0 else 1.0, inv=lambda x: x
-        )
-        flat_sample = GroupSample(generators=[flat], word_len=word_len, uniform_K=1.0)
         xs = np.arange(-4.0, 4.25, 0.25)
-        for sample in (flat_sample, _pruning_sample(word_len), piecewise_1d_sample(word_len)):
+        samples = (_flat_sample(word_len), _pruning_sample(word_len), piecewise_1d_sample(word_len))
+        for sample in samples:
             mu = sup_measure_1d(sample, xs)
-            values, flagged = _ref_sup_measure(sample, xs, word_len)
+            # the reference folds 0-d arrays, where dividing by a zero
+            # derivative gives inf or NaN instead of raising
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values, flagged = _ref_sup_measure(sample, xs, word_len)
             assert np.array_equal(mu.values, values)
             assert mu.flagged == flagged
+
+    def test_cli_grid_equals_scalar_reference(self):
+        # the reference runs the fixture's scalar branches, so this also
+        # checks its np.where form element by element
+        cfg = RunConfig()
+        lo, hi = _conjugate_grid_range(cfg.grid_lo, cfg.grid_hi, cfg.word_len)
+        xs = np.arange(lo + 0.5 * 0.01, hi, 0.01)
+        mu = sup_measure_1d(piecewise_1d_sample(), xs, word_len=13)
+        values, flagged = _ref_sup_measure(_scalar_piecewise_sample(13), xs, 13)
+        assert len(xs) == 2200
+        assert np.array_equal(mu.values, values)
+        assert mu.flagged == flagged
+
+    def test_reciprocal_flags_where_scalar_division_raised(self):
+        # on floats 1/0 raises ZeroDivisionError; on arrays it is inf
+        recip = OneDGenerator(
+            fn=lambda x: 1.0 / x, dfn=lambda x: -1.0 / (x * x), inv=lambda x: 1.0 / x
+        )
+        shift = OneDGenerator(fn=lambda x: x + 0.5, dfn=lambda x: 1.0, inv=lambda x: x - 0.5)
+        sample = GroupSample(generators=[recip, shift], word_len=3, uniform_K=1.0)
+        xs = np.arange(-2.0, 2.25, 0.25)
+
+        def raises(word, x):
+            try:
+                _ref_word_derivative(sample.generators, word, x)
+            except ZeroDivisionError:
+                return True
+            return False
+
+        words = _ref_reduced_words(2, 3)
+        raised = [i for i, x in enumerate(xs) if any(raises(w, float(x)) for w in words)]
+        mu = sup_measure_1d(sample, xs)
+        values, flagged = _ref_sup_measure(sample, xs, 3)
+        assert 0 < len(raised) < len(xs)
+        assert mu.flagged == raised == flagged
+        assert np.array_equal(mu.values, values)
+
+    def test_branch_dead_at_every_point_is_not_extended(self, monkeypatch):
+        steps = []
+
+        def counting_walk(letters, depth, start, step, reduced=False):
+            def counted(letter, state):
+                steps.append(letter)
+                return step(letter, state)
+
+            return walk_words(letters, depth, start, counted, reduced)
+
+        monkeypatch.setattr(tukia, "walk_words", counting_walk)
+        sample = _pruning_sample(word_len=3)
+        # four letters, three children per word: 4 + 12 + 36 steps when
+        # every word stays live, as at x = 10
+        assert sup_measure_1d(sample, np.array([1.0, 10.0])).flagged == [0]
+        assert len(steps) == 52
+        # at x = 1 three words of length 2 die (s s, S S and s d), so the
+        # third level takes 9 * 3 steps instead of 12 * 3
+        steps.clear()
+        assert sup_measure_1d(sample, np.array([1.0])).flagged == [0]
+        assert len(steps) == 4 + 12 + 27
 
     def test_one_derivative_call_per_word_and_grid_point(self):
         calls = []
@@ -268,7 +369,9 @@ class TestSupMeasure:
         xs = np.linspace(-2.0, 2.0, 9)
         mu = sup_measure_1d(sample, xs)
         assert mu.flagged == []
-        assert len(calls) == len(xs) * (len(_ref_reduced_words(1, 6)) - 1)
+        words = len(_ref_reduced_words(1, 6)) - 1
+        assert len(calls) == words
+        assert sum(np.size(x) for x in calls) == len(xs) * words
 
 
 class TestConjugator:
@@ -288,6 +391,12 @@ class TestConjugator:
         conj = conjugator_1d(mu)
         assert conj.fn(1.2) == pytest.approx(3.0, abs=1e-12)
         assert conj.fn(0.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_conjugator_and_measure_take_arrays(self):
+        mu, conj = _pipeline(piecewise_1d_sample(word_len=4), h=0.05)
+        x = np.array([[-1.3, 0.2], [0.7, 2.9]])
+        for f in (mu, conj.fn, conj.inv, conj):
+            assert np.array_equal(f(x), [[f(v) for v in row] for row in x])
 
     def test_nonpositive_measure_rejected(self):
         from solvrigid.tukia import SupMeasure1D
