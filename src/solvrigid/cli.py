@@ -300,24 +300,35 @@ def run_classify(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
 
 
 def run_conformal(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
-    def random_spd(n=3):
+    # the generator's draws for one class and for one action matrix; stacked
+    # draws build a stack of them, equal member by member to one at a time
+    def spd_draw():
+        return rng.normal(size=(3, 3)), rng.uniform(-1.2, 1.2, 3)
+
+    def gl_draw():
+        return rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.uniform(0.5, 2.0, 3)
+
+    def random_spd(normals, logs):
         # moderate log-eigenvalue spread keeps the eigensolver well inside
         # the 1e-10 invariance tolerance
-        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
-        return conf_class(q @ np.diag(np.exp(rng.uniform(-1.2, 1.2, n))) @ q.T)
+        q = np.linalg.qr(normals)[0]
+        return conf_class(q @ (np.exp(logs)[..., None] * np.eye(3)) @ q.mT)
 
-    def random_gl(n=3):
-        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        return u @ np.diag(rng.uniform(0.5, 2.0, n)) @ v
+    def random_gl(u_normals, v_normals, scales):
+        u, v = np.linalg.qr(u_normals)[0], np.linalg.qr(v_normals)[0]
+        return u @ (scales[..., None] * np.eye(3)) @ v
 
-    tri_worst = 0.0
-    inv_worst = 0.0
-    for _ in range(200):
-        a, b, c = random_spd(), random_spd(), random_spd()
-        tri_worst = max(tri_worst, kdist(a, c) - kdist(a, b) - kdist(b, c))
-        x = random_gl()
-        inv_worst = max(inv_worst, abs(kdist(act(x, a), act(x, b)) - kdist(a, b)))
+    def stacked(draws):
+        return [np.stack(col) for col in zip(*draws)]
+
+    # per sample, in the generator's order: classes a, b, c, then an action x
+    cols = stacked(spd_draw() + spd_draw() + spd_draw() + gl_draw() for _ in range(200))
+    a, b, c = random_spd(*cols[0:2]), random_spd(*cols[2:4]), random_spd(*cols[4:6])
+    x = random_gl(*cols[6:9])
+    ab = kdist(a, b)
+    # np.max propagates NaN, so a NaN defect fails its check
+    tri_worst = float(np.max(kdist(a, c) - ab - kdist(b, c), initial=0.0))
+    inv_worst = float(np.max(np.abs(kdist(act(x, a), act(x, b)) - ab), initial=0.0))
 
     def center_of(classes, gaps):
         # an uncertified center (gap above tolerance) fails its check
@@ -327,13 +338,13 @@ def run_conformal(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
         return res.center
 
     sym_gaps, eq_gaps = [], []
-    a = random_spd()
+    a = random_spd(*spd_draw())
     sym_defect = kdist(np.eye(3), center_of([a, np.linalg.inv(a)], sym_gaps))
     eq_worst = 0.0
     for _ in range(5):
-        pts = [random_spd() for _ in range(5)]
-        x = random_gl()
-        moved = center_of([act(x, p) for p in pts], eq_gaps)
+        pts = random_spd(*stacked(spd_draw() for _ in range(5)))
+        x = random_gl(*gl_draw())
+        moved = center_of(act(x, pts), eq_gaps)
         eq_worst = max(eq_worst, ddist(moved, act(x, center_of(pts, eq_gaps))))
     sym_gap, eq_gap = max(sym_gaps), max(eq_gaps)
     return [

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -16,89 +16,120 @@ from .quasimetric import distance
 from .spectral import BlockPoint, SpectralData
 
 
-def conf_class(matrix) -> np.ndarray:
-    """Validate and renormalize a symmetric positive definite det-one matrix.
-
-    Where the symmetrized matrix or the eigenvalue product leaves the float
-    range, the matrix is first scaled by an exact power of two; any other
-    input takes the plain path, bit for bit.
-    """
+def _as_stack(matrix, what: str) -> np.ndarray:
+    """``matrix`` as a float array: one square matrix or an (N, n, n) stack."""
     try:
         a = np.asarray(matrix, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise InputError("conformal class must be a matrix of numbers") from None
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise InputError("conformal class must be a nonempty square matrix")
-    scale = float(np.abs(a).max())
-    if not math.isfinite(scale):
-        raise InputError("conformal class must be finite")
-    with np.errstate(over="ignore"):
-        if np.abs(a - a.T).max() > 1e-12 * max(1.0, scale):
-            raise InputError("conformal class must be symmetric")
-        out = _det_one(a, scale)
-        if out is None:
-            out = _det_one(np.ldexp(a, -math.frexp(scale)[1]), 1.0)
-    if out is None:
-        raise InputError("conformal class is beyond float range")
-    return out
-
-
-def _det_one(a: np.ndarray, scale: float) -> Optional[np.ndarray]:
-    """0.5 (a + a^T) over the n-th root of its determinant, or None where a
-    step leaves the float range; ``scale`` bounds the entries of ``a``."""
-    a = 0.5 * (a + a.T)
-    # two entries below 2^1022 in magnitude cannot sum past the float range
-    if scale >= 2.0**1022 and not np.isfinite(a).all():
-        return None
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= 0:
-        raise InputError("conformal class must be positive definite")
-    det = float(np.prod(w))
-    if det == 0.0 or not math.isfinite(det):
-        return None
-    root = det ** (1.0 / a.shape[0])
-    a = a / root
-    # no entry of a symmetric matrix exceeds its largest eigenvalue in magnitude
-    if not w[-1] / root < 2.0**1022 and not np.isfinite(a).all():
-        return None
+        raise InputError(f"{what} must be a matrix of numbers or a stack of them") from None
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
+        raise InputError(f"{what} must be a nonempty square matrix or a stack of them")
     return a
+
+
+def conf_class(matrix) -> np.ndarray:
+    """Validate and renormalize a symmetric positive definite det-one matrix,
+    or each member of an (N, n, n) stack of them.
+
+    Where a symmetrized member or its eigenvalue product leaves the float
+    range, that member is first scaled by an exact power of two; every
+    other member takes the plain path, bit for bit.
+    """
+    a = _as_stack(matrix, "conformal class")
+    stack = a.reshape(-1, *a.shape[-2:])
+    scale = np.abs(stack).max(axis=(1, 2))
+    if not scale.max() < math.inf:
+        raise InputError("conformal class must be finite")
+    # a member whose steps leave the float range is flagged by _det_one
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if (np.abs(stack - stack.mT) > 1e-12 * np.maximum(1.0, scale)[:, None, None]).any():
+            raise InputError("conformal class must be symmetric")
+        out, redo = _det_one(stack, scale)
+        if redo.any():
+            exps = np.frexp(scale[redo])[1][:, None, None]
+            out[redo], redo = _det_one(np.ldexp(stack[redo], -exps), np.ones(len(exps)))
+            if redo.any():
+                raise InputError("conformal class is beyond float range")
+    return out.reshape(a.shape)
+
+
+def _det_one(a: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0.5 (a + a^T) over the n-th root of its determinant for each member of
+    the stack ``a``, and the mask of members where a step left the float
+    range (their results are void); ``scale`` bounds each member's entries."""
+    a = 0.5 * (a + a.mT)
+    redo = np.zeros(len(a), dtype=bool)
+    # two entries below 2^1022 in magnitude cannot sum past the float range
+    if scale.max() >= 2.0**1022:
+        redo = (scale >= 2.0**1022) & ~np.isfinite(a).all(axis=(1, 2))
+        a[redo] = np.eye(a.shape[-1])  # the eigensolver sees finite members only
+    w = np.linalg.eigvalsh(a)
+    if not w[:, 0].min() > 0:
+        raise InputError("conformal class must be positive definite")
+    det = w.prod(axis=1)
+    # np.float_power evaluates pow element by element as ``**`` on a float does
+    root = np.float_power(det, 1.0 / a.shape[-1])
+    a /= root[:, None, None]
+    # no entry of a symmetric matrix exceeds its largest eigenvalue in
+    # magnitude; a zero determinant makes this ratio inf
+    top = w[:, -1] / root
+    if not (top.max() < 2.0**1022 and det.max() < math.inf):
+        redo |= (det == math.inf) | (~(top < 2.0**1022) & ~np.isfinite(a).all(axis=(1, 2)))
+    return a, redo
 
 
 def act(X, A) -> np.ndarray:
     """X[A] = |det X|^(-2/n) X^T A X, renormalized to determinant one.
 
-    The order convention is fixed by the cocycle (XY)[A] = Y[X[A]], which
-    holds exactly and is what the invariance law of the structure field uses.
+    Either side may be an (N, n, n) stack, acted on member by member. The
+    order convention is fixed by the cocycle (XY)[A] = Y[X[A]], which holds
+    exactly and is what the invariance law of the structure field uses.
     """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    det = float(np.linalg.det(X))
-    if abs(det) < 1e-300 or not math.isfinite(det):
+    X = _as_stack(X, "action matrix")
+    A = _as_stack(A, "conformal class")
+    if X.shape[-1] != A.shape[-1] or (X.ndim == A.ndim == 3 and len(X) != len(A)):
+        raise InputError("action matrices and classes must match in size and count")
+    det = np.abs(np.linalg.det(X))
+    if not (det.min() >= 1e-300 and det.max() < math.inf):
         raise DomainError("action matrix must be invertible")
-    return conf_class(abs(det) ** (-2.0 / n) * X.T @ np.asarray(A, dtype=float) @ X)
+    factor = np.float_power(det, -2.0 / X.shape[-1])[..., None, None]
+    # a non-finite product is rejected by conf_class, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = factor * X.mT @ A @ X
+    return conf_class(moved)
 
 
 def _sqrt_inv(A: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(A)
-    return v @ np.diag(w ** -0.5) @ v.T
+    # the rows of w ** -0.5 as diagonal matrices: np.diag over a stack
+    return v @ ((w ** -0.5)[..., None] * np.eye(w.shape[-1])) @ v.mT
 
 
 def _rel_eigvals(A, B) -> np.ndarray:
-    """Eigenvalues of B in the frame where A is the identity."""
+    """Eigenvalues of B in the frame where A is the identity (rows for stacks)."""
     s = _sqrt_inv(np.asarray(A, dtype=float))
     return np.linalg.eigvalsh(s @ np.asarray(B, dtype=float) @ s)
 
 
-def kdist(A, B) -> float:
-    """max(log lam_max, log 1/lam_min) of B relative to A; GL-invariant."""
+def kdist(A, B):
+    """max(log lam_max, log 1/lam_min) of B relative to A; GL-invariant.
+
+    A float for two classes, an array for stacks (either side may be one class).
+    """
     w = _rel_eigvals(A, B)
-    return max(math.log(w[-1]), -math.log(w[0]), 0.0)
+    # math.log, not np.log: numpy's vectorized log may differ by an ulp
+    d = [max(math.log(hi), -math.log(lo), 0.0)
+         for lo, hi in zip(w[..., 0].ravel().tolist(), w[..., -1].ravel().tolist())]
+    return d[0] if w.ndim == 1 else np.array(d)
 
 
-def ddist(A, B) -> float:
-    """Riemannian distance: l2 norm of the relative log-eigenvalues."""
-    w = _rel_eigvals(A, B)
-    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+def ddist(A, B):
+    """Riemannian distance: l2 norm of the relative log-eigenvalues.
+
+    A float for two classes, an array for stacks (either side may be one class).
+    """
+    d = np.sqrt(np.sum(np.log(_rel_eigvals(A, B)) ** 2, axis=-1))
+    return float(d) if d.ndim == 0 else d
 
 
 def dilatation(A) -> float:
@@ -241,9 +272,11 @@ def solve_circumcenter(
     first index, and the move exp_Q is GL-equivariant, so the solver
     commutes with the GL action applied to the whole input set.
     """
-    if not classes:
+    if len(classes) == 0:
         raise InputError("circumcenter of an empty set")
-    mats = np.stack([conf_class(a) for a in classes])
+    mats = conf_class(classes)
+    if mats.ndim != 3:
+        raise InputError("circumcenter takes a sequence of classes")
     Q = mats[0]
     if len(mats) == 1:
         return CircumcenterResult(Q, 0.0, 0.0, 0, "certified")

@@ -47,10 +47,16 @@ def distance(spec: SpectralData, p: BlockPoint, q: BlockPoint) -> float:
     p.require_conforms(spec)
     q.require_conforms(spec)
     best = 0.0
-    for a, x, y in zip(spec.exponents, p.blocks, q.blocks):
-        d = _block_norm(x - y)
-        if d > 0.0:
-            best = max(best, d ** (1.0 / a))
+    # as in distance_rows: a non-finite gap raises InputError in _block_norm,
+    # and a distance beyond float range reads inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, x, y in zip(spec.exponents, p.blocks, q.blocks):
+            d = _block_norm(x - y)
+            if d > 0.0:
+                try:
+                    best = max(best, d ** (1.0 / a))
+                except OverflowError:
+                    best = math.inf
     return best
 
 
@@ -96,7 +102,9 @@ def dilate(spec: SpectralData, t: float, p: BlockPoint) -> BlockPoint:
     """Scale block i by t^alpha_i; multiplies the quasi-metric by t exactly."""
     factors = _dilation_factors(spec, t)
     p.require_conforms(spec)
-    return BlockPoint(tuple(f * x for f, x in zip(factors, p.blocks)))
+    # as in dilate_rows: a coordinate beyond float range reads inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        return BlockPoint(tuple(f * x for f, x in zip(factors, p.blocks)))
 
 
 def dilate_rows(spec: SpectralData, t: float, P: np.ndarray) -> np.ndarray:

@@ -187,8 +187,10 @@ def verify_conjugation(
             continue
         vs = F.fn(images)
         slopes = np.abs((vs[:, 1] - vs[:, 0]) / gaps)
-        gmean = float(np.exp(np.log(slopes).mean()))
-        defect = float(np.max(np.abs(slopes / gmean - 1.0)))
+        # a zero slope makes the mean 0 and the defect NaN, which fails the report
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gmean = float(np.exp(np.log(slopes).mean()))
+            defect = float(np.max(np.abs(slopes / gmean - 1.0)))
         verdicts.append(WordVerdict(word=w, defect=defect, mean_scale=gmean))
     # np.max propagates NaN, so a word whose images left the conjugator's grid
     # (a zero slope, hence a NaN defect) shows in max_defect and fails the report

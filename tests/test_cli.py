@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from solvrigid import cli, quasimetric, solvgroup
+from solvrigid import cli, conformal, quasimetric, solvgroup
+from solvrigid.conformal import act, conf_class, kdist
 from solvrigid.cli import MAX_GRID_POINTS, ConfigError, RunConfig, main
 from solvrigid.spectral import ROW_BLOCK, random_point, random_row_blocks
 
@@ -227,3 +228,42 @@ def test_epsilon_check_compares_every_probe(monkeypatch):
     checks = {c["name"]: c for c in cli.run_roots(RunConfig(), np.random.default_rng(0))}
     eps = checks["epsilon-bound-dominates"]
     assert not eps["passed"] and eps["defect"] > 0
+
+
+def _per_sample_conformal(rng) -> tuple[float, float]:
+    """The kdist-triangle and kdist-gl-invariance defects of the per-sample
+    loop that the stacked pass of run_conformal replaced."""
+
+    def random_spd(n=3):
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        return conf_class(q @ np.diag(np.exp(rng.uniform(-1.2, 1.2, n))) @ q.T)
+
+    def random_gl(n=3):
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        return u @ np.diag(rng.uniform(0.5, 2.0, n)) @ v
+
+    tri_worst = 0.0
+    inv_worst = 0.0
+    for _ in range(200):
+        a, b, c = random_spd(), random_spd(), random_spd()
+        tri_worst = max(tri_worst, kdist(a, c) - kdist(a, b) - kdist(b, c))
+        x = random_gl()
+        inv_worst = max(inv_worst, abs(kdist(act(x, a), act(x, b)) - kdist(a, b)))
+    return tri_worst, inv_worst
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_stacked_conformal_defects_equal_the_per_sample_loop(seed):
+    checks = {c["name"]: c["defect"] for c in cli.run_conformal(RunConfig(), np.random.default_rng(seed))}
+    tri, inv = _per_sample_conformal(np.random.default_rng(seed))
+    assert checks["kdist-triangle"] == tri
+    assert checks["kdist-gl-invariance"] == inv
+
+
+def test_conformal_suite_computes_kdist_on_stacks(count_calls):
+    # the per-sample loop made 801 calls: 4 per sample and the symmetric pair's
+    calls = count_calls(conformal, cli, name="kdist")
+    checks = cli.run_conformal(RunConfig(), np.random.default_rng(0))
+    assert all(c["passed"] for c in checks)
+    assert len(calls) <= 10

@@ -176,6 +176,103 @@ class TestClassValidation:
             act(np.zeros((3, 3)), np.eye(3))
 
 
+def _random_stack(rng, count, n=3):
+    """count positive definite matrices with log-eigenvalues in [-8, 8]; every
+    10th is scaled by 1e250 and every 10th from the 5th by 1e-250, so their
+    determinants leave the float range and take the rescale path."""
+    q = np.linalg.qr(rng.normal(size=(count, n, n)))[0]
+    a = q @ (np.exp(rng.uniform(-8.0, 8.0, (count, n)))[..., None] * np.eye(n)) @ q.mT
+    a[::10] *= 1e250
+    a[5::10] *= 1e-250
+    return a
+
+
+def _random_gl_stack(rng, count, n=3):
+    u = np.linalg.qr(rng.normal(size=(count, n, n)))[0]
+    v = np.linalg.qr(rng.normal(size=(count, n, n)))[0]
+    return u @ (rng.uniform(0.5, 2.0, (count, n))[..., None] * np.eye(n)) @ v
+
+
+class TestStacks:
+    # a stack goes through the code of one class: member by member, bit for bit
+    def test_conf_class_equals_the_per_matrix_loop(self):
+        raw = _random_stack(np.random.default_rng(21), 1200)
+        got = conf_class(raw)
+        assert got.shape == raw.shape
+        assert np.array_equal(got, np.stack([conf_class(a) for a in raw]))
+        assert np.allclose(np.linalg.det(got), 1.0, rtol=1e-9, atol=0.0)
+
+    def test_act_equals_the_per_matrix_loop(self):
+        rng = np.random.default_rng(22)
+        raw, X = _random_stack(rng, 1200), _random_gl_stack(rng, 1200)
+        assert np.array_equal(act(X, raw), np.stack([act(x, a) for x, a in zip(X, raw)]))
+        # one action matrix on a stack of classes
+        assert np.array_equal(act(X[7], raw), np.stack([act(X[7], a) for a in raw]))
+
+    @pytest.mark.parametrize("dist", [kdist, ddist])
+    def test_distances_equal_the_per_matrix_loop(self, dist):
+        rng = np.random.default_rng(23)
+        A = conf_class(_random_stack(rng, 1200))
+        B = conf_class(_random_stack(rng, 1200))
+        got = dist(A, B)
+        assert isinstance(got, np.ndarray) and got.shape == (1200,)
+        want = [dist(a, b) for a, b in zip(A, B)]
+        assert all(isinstance(d, float) for d in want)
+        assert np.array_equal(got, want)
+        # one class against a stack
+        assert np.array_equal(dist(A[3], B), [dist(A[3], b) for b in B])
+
+    @pytest.mark.parametrize("member", [
+        np.full((3, 3), np.nan),
+        np.diag([1.0, np.inf, 1.0]),
+        [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # asymmetric
+        np.diag([1.0, -1.0, 1.0]),  # indefinite
+        np.diag([1.0, 1e-200, 1e-200]),  # beyond float range even rescaled
+    ], ids=["nan", "inf", "asymmetric", "indefinite", "unrepresentable"])
+    def test_one_bad_member_rejects_the_stack(self, member):
+        stack = _random_stack(np.random.default_rng(24), 20)
+        stack[13] = member
+        with pytest.raises(InputError):
+            conf_class(stack)
+        with pytest.raises(InputError):
+            act(_random_gl_stack(np.random.default_rng(25), 20), stack)
+
+    @pytest.mark.parametrize("bad", [
+        [np.eye(2), np.eye(3)],  # ragged
+        [np.eye(3), [[1.0, 0.0, 0.0]]],  # ragged
+        np.zeros((0, 3, 3)),  # empty stack
+        np.ones((2, 3, 4)),  # members not square
+        np.ones((2, 2, 3, 3)),  # a stack of stacks
+        np.ones(3),
+    ], ids=["ragged-size", "ragged-rows", "empty", "not-square", "4-d", "1-d"])
+    def test_misshaped_stacks_rejected(self, bad):
+        with pytest.raises(InputError):
+            conf_class(bad)
+        with pytest.raises(InputError):
+            act(bad, np.eye(3))
+
+    def test_act_rejects_mismatched_sides(self):
+        rng = np.random.default_rng(26)
+        with pytest.raises(InputError):
+            act(_random_gl_stack(rng, 4), conf_class(_random_stack(rng, 5)))
+        with pytest.raises(InputError):
+            act(np.eye(2), conf_class(_random_stack(rng, 5)))
+
+    def test_singular_member_of_x_raises_domain_error(self):
+        rng = np.random.default_rng(27)
+        X = _random_gl_stack(rng, 6)
+        X[4] = np.outer([1.0, 2.0, 3.0], [1.0, 0.0, 1.0])
+        with pytest.raises(DomainError):
+            act(X, conf_class(_random_stack(rng, 6)))
+
+    def test_circumcenter_takes_a_stack(self):
+        rng = np.random.default_rng(28)
+        pts = conf_class(_random_stack(rng, 5)[1:5])
+        assert np.array_equal(circumcenter(pts), circumcenter(list(pts)))
+        with pytest.raises(InputError):
+            solve_circumcenter(np.eye(3))  # one class, not a sequence of them
+
+
 class TestAction:
     def test_cocycle_exact(self):
         for _ in range(50):

@@ -196,7 +196,6 @@ ROW_SPECS = [SPEC_R1, SPEC_R2, SPEC_R3]
 
 
 class TestNonFinite:
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_scalar_distance_rejects(self, bad):
         p = _point(SPEC_NAN, [bad, 1.0])
@@ -211,6 +210,19 @@ class TestNonFinite:
         P[3, 1] = bad
         with pytest.raises(InputError):
             distance_rows(SPEC_NAN, P, np.ones((5, 2)))
+
+    def test_scalar_distance_beyond_float_range_is_inf_as_in_rows(self):
+        # 3^1000 leaves the float range: the scalar path raised OverflowError
+        spec = SpectralData((1e-3,), (1,))
+        p, q = _point(spec, [0.0]), _point(spec, [3.0])
+        rows = distance_rows(spec, p.flat()[None], q.flat()[None])
+        assert distance(spec, p, q) == rows[0] == math.inf
+
+    def test_scalar_gap_beyond_float_range_rejects_without_warning(self):
+        # the subtraction overflows; numpy's warning came before the InputError
+        spec = SpectralData((1.0,), (1,))
+        with pytest.raises(InputError):
+            distance(spec, _point(spec, [1e308]), _point(spec, [-1e308]))
 
     def test_chain_energy_rejects(self):
         p = _point(SPEC_NAN, [math.nan, 1.0])

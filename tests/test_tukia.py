@@ -416,7 +416,6 @@ class TestVerifyConjugation:
         assert report.passed
         assert report.max_defect <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_images_off_the_grid_fail(self):
         # word images leave [-2, 2], np.interp clamps them, a slope becomes 0
         # and the defect NaN: the report must fail and show it

@@ -13,7 +13,9 @@ from solvrigid import (
     SolvRigidError,
     SpectralData,
     conf_class,
+    dilate,
     dilate_rows,
+    distance,
     distance_rows,
     pair_to_point_heights,
 )
@@ -59,13 +61,30 @@ config_json = st.fixed_dictionaries({}, optional={
 
 def _symmetrized(a):
     with np.errstate(over="ignore", invalid="ignore"):
-        return a + a.T
+        return a + a.mT
+
+
+def _scaled_gram(args):
+    # a @ a^T scaled by 2^e: positive semidefinite members at any scale
+    a, e = args
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return np.ldexp(a @ a.mT, e)
 
 
 matrices = (
     hnp.arrays(float, st.tuples(st.integers(0, 4), st.integers(0, 4)))
     | hnp.arrays(float, st.integers(0, 4).map(lambda n: (n, n))).map(_symmetrized)
     | arrays
+)
+square_stacks = st.tuples(st.integers(0, 3), st.integers(0, 4)).map(lambda s: (s[0], s[1], s[1]))
+# (N, n, n) stacks: any shape, symmetric, Gram members from 2^-1100 to 2^1100
+# in size, and lists of matrices, ragged ones too
+stacks = (
+    hnp.arrays(float, st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 4)))
+    | hnp.arrays(float, square_stacks).map(_symmetrized)
+    | st.tuples(hnp.arrays(float, square_stacks, elements=st.floats(-10, 10)),
+                st.integers(-1100, 1100)).map(_scaled_gram)
+    | st.lists(matrices, max_size=3)
 )
 
 
@@ -84,6 +103,29 @@ def row_pairs(draw):
     return spec, draw(rows), draw(rows)
 
 
+@st.composite
+def point_pairs(draw):
+    """A spec and two points: conforming blocks of any floats, or malformed blocks."""
+    spec = draw(specs())
+    blocks = st.tuples(*(hnp.arrays(float, n) for n in spec.multiplicities)) | st.lists(
+        arrays, max_size=3).map(tuple)
+    return spec, draw(blocks), draw(blocks)
+
+
+@st.composite
+def dilations(draw):
+    spec, p, _ = draw(point_pairs())
+    return spec, draw(st.floats()), p
+
+
+def _distance(spec, p, q):
+    return distance(spec, BlockPoint(p), BlockPoint(q))
+
+
+def _dilate(spec, t, p):
+    return dilate(spec, t, BlockPoint(p))
+
+
 def _pair_to_point(spec, P, Q):
     return pair_to_point_heights(SolvSpec(lower=spec), P, Q)
 
@@ -92,6 +134,7 @@ def _pair_to_point(spec, P, Q):
 TARGETS = {
     "expr_from_json": (st.tuples(expr_nodes), expr_from_json),
     "conf_class": (st.tuples(matrices), conf_class),
+    "conf_class_stack": (st.tuples(stacks), conf_class),
     "SpectralData.from_json": (st.tuples(spec_json), SpectralData.from_json),
     "RunConfig.from_json": (st.tuples(config_json), RunConfig.from_json),
     "BlockPoint": (st.tuples(st.lists(arrays, max_size=3).map(tuple) | arrays), BlockPoint),
@@ -99,6 +142,8 @@ TARGETS = {
     "dilate_rows": (st.tuples(specs(), st.floats(), arrays | hnp.arrays(
         float, st.tuples(st.integers(0, 3), st.integers(1, 4)))), dilate_rows),
     "pair_to_point_heights": (row_pairs(), _pair_to_point),
+    "distance": (point_pairs(), _distance),
+    "dilate": (dilations(), _dilate),
 }
 
 
