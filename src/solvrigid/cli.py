@@ -312,11 +312,11 @@ def run_conformal(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
         # moderate log-eigenvalue spread keeps the eigensolver well inside
         # the 1e-10 invariance tolerance
         q = np.linalg.qr(normals)[0]
-        return conf_class(q @ (np.exp(logs)[..., None] * np.eye(3)) @ q.mT)
+        return conf_class((q * np.exp(logs)[..., None, :]) @ q.mT)
 
     def random_gl(u_normals, v_normals, scales):
         u, v = np.linalg.qr(u_normals)[0], np.linalg.qr(v_normals)[0]
-        return u @ (scales[..., None] * np.eye(3)) @ v
+        return (u * scales[..., None, :]) @ v
 
     def stacked(draws):
         return [np.stack(col) for col in zip(*draws)]

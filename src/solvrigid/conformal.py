@@ -38,30 +38,31 @@ def conf_class(matrix) -> np.ndarray:
     a = _as_stack(matrix, "conformal class")
     stack = a.reshape(-1, *a.shape[-2:])
     scale = np.abs(stack).max(axis=(1, 2))
-    if not scale.max() < math.inf:
+    peak = scale.max()
+    if not peak < math.inf:
         raise InputError("conformal class must be finite")
     # a member whose steps leave the float range is flagged by _det_one
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if (np.abs(stack - stack.mT) > 1e-12 * np.maximum(1.0, scale)[:, None, None]).any():
             raise InputError("conformal class must be symmetric")
-        out, redo = _det_one(stack, scale)
+        out, redo = _det_one(stack, peak)
         if redo.any():
             exps = np.frexp(scale[redo])[1][:, None, None]
-            out[redo], redo = _det_one(np.ldexp(stack[redo], -exps), np.ones(len(exps)))
+            out[redo], redo = _det_one(np.ldexp(stack[redo], -exps), 1.0)
             if redo.any():
                 raise InputError("conformal class is beyond float range")
     return out.reshape(a.shape)
 
 
-def _det_one(a: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _det_one(a: np.ndarray, peak: float) -> tuple[np.ndarray, np.ndarray]:
     """0.5 (a + a^T) over the n-th root of its determinant for each member of
     the stack ``a``, and the mask of members where a step left the float
-    range (their results are void); ``scale`` bounds each member's entries."""
+    range (their results are void); ``peak`` bounds the entries of ``a``."""
     a = 0.5 * (a + a.mT)
     redo = np.zeros(len(a), dtype=bool)
     # two entries below 2^1022 in magnitude cannot sum past the float range
-    if scale.max() >= 2.0**1022:
-        redo = (scale >= 2.0**1022) & ~np.isfinite(a).all(axis=(1, 2))
+    if peak >= 2.0**1022:
+        redo = ~np.isfinite(a).all(axis=(1, 2))
         a[redo] = np.eye(a.shape[-1])  # the eigensolver sees finite members only
     w = np.linalg.eigvalsh(a)
     if not w[:, 0].min() > 0:
@@ -101,8 +102,7 @@ def act(X, A) -> np.ndarray:
 
 def _sqrt_inv(A: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(A)
-    # the rows of w ** -0.5 as diagonal matrices: np.diag over a stack
-    return v @ ((w ** -0.5)[..., None] * np.eye(w.shape[-1])) @ v.mT
+    return (v * (w ** -0.5)[..., None, :]) @ v.mT
 
 
 def _rel_eigvals(A, B) -> np.ndarray:
@@ -352,9 +352,10 @@ class ConfField:
         return self.values[self.nearest_index(p)]
 
 
-def _orbit_classes(generators, p: BlockPoint, word_len: int) -> list[np.ndarray]:
+def _orbit_classes(generators, p: BlockPoint, word_len: int) -> np.ndarray:
     """The distinct classes D[I] of the first-block Jacobians D of all words
-    up to word_len at p; DomainError where one of them is singular."""
+    up to word_len at p, as a stack in word order; DomainError where one of
+    the Jacobians is singular."""
     n1 = p.blocks[0].shape[0]
 
     def step(gi, state):
@@ -363,17 +364,18 @@ def _orbit_classes(generators, p: BlockPoint, word_len: int) -> list[np.ndarray]
         g = generators[gi]
         return g(cur), g.first_block_derivative(cur) @ jac
 
-    classes = []
+    jacs = np.stack([jac for _, (_, jac) in walk_words(range(len(generators)), word_len,
+                                                      (p, np.eye(n1)), step)])
+    if not np.abs(np.linalg.det(jacs)).min() >= 1e-12:
+        raise DomainError("singular first-block Jacobian")
+    classes = act(jacs, np.eye(n1))
+    keep = []
     seen = set()
-    for _, (_, jac) in walk_words(range(len(generators)), word_len, (p, np.eye(n1)), step):
-        if abs(np.linalg.det(jac)) < 1e-12:
-            raise DomainError("singular first-block Jacobian")
-        cls = act(jac, np.eye(n1))
-        key = tuple(np.round(cls, 9).ravel())
+    for i, key in enumerate(map(tuple, np.round(classes, 9).reshape(len(classes), -1).tolist())):
         if key not in seen:
             seen.add(key)
-            classes.append(cls)
-    return classes
+            keep.append(i)
+    return classes[keep]
 
 
 def invariant_structure(
@@ -400,18 +402,24 @@ def invariant_structure(
         points.append(p)
         values.append(circumcenter(classes, tol=tol))
     field_ = ConfField(points=points, values=values, resolution=resolution, skipped=skipped)
-    defects = []
-    for p, mu_p in zip(field_.points, field_.values):
-        worst = 0.0
-        for g in generators:
-            gp = g(p)
+    # per generator, one stacked act and kdist over the points whose image
+    # lies on the grid
+    defects = [0.0] * len(points)
+    for g in generators:
+        at, derivs, mus, images = [], [], [], []
+        for i, (p, mu_p) in enumerate(zip(points, values)):
             try:
-                mu_gp = field_.value_at(gp)
+                mu_gp = field_.value_at(g(p))
             except CoverageError:
                 continue
-            pushed = act(g.first_block_derivative(p), mu_p)
-            worst = max(worst, kdist(mu_gp, pushed))
-        defects.append(worst)
+            at.append(i)
+            derivs.append(g.first_block_derivative(p))
+            mus.append(mu_p)
+            images.append(mu_gp)
+        if at:
+            dists = kdist(np.stack(images), act(np.stack(derivs), np.stack(mus)))
+            for i, d in zip(at, dists.tolist()):
+                defects[i] = max(defects[i], d)
     field_.defects = defects
     return field_
 

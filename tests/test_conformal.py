@@ -17,6 +17,7 @@ from solvrigid import (
     affine_inverse,
     circumcenter,
     conf_class,
+    conformal,
     conformality_defect,
     ddist,
     dilatation,
@@ -181,7 +182,7 @@ def _random_stack(rng, count, n=3):
     10th is scaled by 1e250 and every 10th from the 5th by 1e-250, so their
     determinants leave the float range and take the rescale path."""
     q = np.linalg.qr(rng.normal(size=(count, n, n)))[0]
-    a = q @ (np.exp(rng.uniform(-8.0, 8.0, (count, n)))[..., None] * np.eye(n)) @ q.mT
+    a = (q * np.exp(rng.uniform(-8.0, 8.0, (count, n)))[..., None, :]) @ q.mT
     a[::10] *= 1e250
     a[5::10] *= 1e-250
     return a
@@ -190,7 +191,7 @@ def _random_stack(rng, count, n=3):
 def _random_gl_stack(rng, count, n=3):
     u = np.linalg.qr(rng.normal(size=(count, n, n)))[0]
     v = np.linalg.qr(rng.normal(size=(count, n, n)))[0]
-    return u @ (rng.uniform(0.5, 2.0, (count, n))[..., None] * np.eye(n)) @ v
+    return (u * rng.uniform(0.5, 2.0, (count, n))[..., None, :]) @ v
 
 
 class TestStacks:
@@ -459,6 +460,18 @@ class TestInvariantStructure:
         assert solved == 4
         field = invariant_structure(gens, self._grid(), word_len=3, resolution=0.51)
         assert field.skipped == [1, 2, 3]
+
+    def test_orbits_and_defects_act_on_stacks(self, count_calls):
+        # one act per point for the word orbits, one act and one kdist per
+        # generator for the defects; one per word and per covered pair would
+        # be 105 + 4 acts and 4 kdists
+        g = constant_rotation_map(0.8)
+        gens = [g, affine_inverse(g, lambda y: (y[0] - 1.0,))]
+        acts = count_calls(conformal, name="act")
+        kdists = count_calls(conformal, name="kdist")
+        field = invariant_structure(gens, self._grid(), word_len=3, resolution=0.51)
+        assert len(field.values) == 7
+        assert len(acts) == 7 + 2 and len(kdists) == 2
 
     def test_value_at_raises_off_grid(self):
         field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.4)
