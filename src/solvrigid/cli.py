@@ -431,11 +431,10 @@ def run(subcommand: str, cfg: RunConfig, out_dir: Path, verbose: bool = False) -
     checks = []
     for name in names:
         rng = np.random.default_rng(cfg.seed)
-        suite = _SUITES[name]
         if name == "geodesic":
-            results = suite(cfg, rng, out_dir=out_dir)
+            results = run_geodesic(cfg, rng, out_dir=out_dir)
         else:
-            results = suite(cfg, rng)
+            results = _SUITES[name](cfg, rng)
         for c in results:
             c["suite"] = name
         checks.extend(results)
@@ -462,10 +461,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir: Path, verbose: bool = False) -
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="solvrigid", description=__doc__)
-    parser.add_argument(
-        "subcommand",
-        choices=["metric", "geodesic", "classify", "conformal", "conjugate", "roots", "all"],
-    )
+    parser.add_argument("subcommand", choices=[*_SUITES, "all"])
     parser.add_argument("--config", type=Path, default=None, help="JSON run configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", type=Path, default=Path("reports"), help="report directory")

@@ -102,13 +102,32 @@ def act(X, A) -> np.ndarray:
 
 def _sqrt_inv(A: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(A)
+    if not w.min() > 0:
+        raise InputError("conformal class must be positive definite")
     return (v * (w ** -0.5)[..., None, :]) @ v.mT
 
 
 def _rel_eigvals(A, B) -> np.ndarray:
-    """Eigenvalues of B in the frame where A is the identity (rows for stacks)."""
-    s = _sqrt_inv(np.asarray(A, dtype=float))
-    return np.linalg.eigvalsh(s @ np.asarray(B, dtype=float) @ s)
+    """Eigenvalues of B in the frame where A is the identity (rows for stacks).
+
+    InputError unless A and B are finite, of one size and (for two stacks)
+    count, and these eigenvalues and those of A are finite and positive.
+    """
+    A, B = _as_stack(A, "conformal class"), _as_stack(B, "conformal class")
+    if A.shape[-1] != B.shape[-1] or (A.ndim == B.ndim == 3 and len(A) != len(B)):
+        raise InputError("conformal classes must match in size and count")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise InputError("conformal class must be finite")
+    s = _sqrt_inv(A)
+    # a product beyond float range is rejected here, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = s @ B @ s
+    if not np.isfinite(rel).all():
+        raise InputError("conformal classes are too far apart for float range")
+    w = np.linalg.eigvalsh(rel)
+    if not w.min() > 0:
+        raise InputError("conformal class must be positive definite")
+    return w
 
 
 def kdist(A, B):
@@ -132,9 +151,14 @@ def ddist(A, B):
     return float(d) if d.ndim == 0 else d
 
 
-def dilatation(A) -> float:
-    """exp of the k-distance from the identity; 1 means conformal."""
-    return math.exp(kdist(np.eye(np.asarray(A).shape[0]), A))
+def dilatation(A):
+    """exp of the k-distance from the identity; 1 means conformal.
+
+    A float for one class, an array for an (N, n, n) stack.
+    """
+    A = _as_stack(A, "conformal class")
+    d = kdist(np.eye(A.shape[-1]), A)
+    return math.exp(d) if A.ndim == 2 else np.array([math.exp(x) for x in d.tolist()])
 
 
 def _whitened_logs(Q: np.ndarray, mats: np.ndarray):
@@ -308,17 +332,17 @@ def solve_circumcenter(
     return CircumcenterResult(Q, radius, lower, it, exit_)
 
 
-def circumcenter(classes: Sequence[np.ndarray], tol: float = 1e-9, max_iters: int = 4000) -> np.ndarray:
+def circumcenter(classes: Sequence[np.ndarray], max_iters: int = 4000) -> np.ndarray:
     """Center of the smallest enclosing ball for the Riemannian metric.
 
     Raises ConvergenceError, carrying the certified gap, when the solver
-    stops before the gap is at most tol; see ``solve_circumcenter``.
+    stops before the gap is at most 1e-9; see ``solve_circumcenter``.
     """
-    res = solve_circumcenter(classes, tol=tol, max_iters=max_iters)
+    res = solve_circumcenter(classes, tol=1e-9, max_iters=max_iters)
     if res.exit != "certified":
         raise ConvergenceError(
             f"circumcenter not certified ({res.exit} after {res.iterations} iterations): "
-            f"gap {res.gap:.3g} above tol {tol:.3g}",
+            f"gap {res.gap:.3g} above tol 1e-09",
             last_value=res.gap,
         )
     return res.center
@@ -383,12 +407,12 @@ def invariant_structure(
     grid: Sequence[BlockPoint],
     word_len: int,
     resolution: float = 1.0,
-    tol: float = 1e-9,
 ) -> ConfField:
     """Circumcenter field of the word-orbit classes, with invariance defects.
 
     At each grid point the classes D[I] of all word Jacobians D up to
-    word_len are collected and their circumcenter taken. The defect at a
+    word_len are collected and their circumcenter taken, certified to a gap
+    of 1e-9 (``circumcenter``). The defect at a
     point is the worst generator violation of the transformation law
     mu(G p) = g'(p)[mu(p)], measured against the nearest grid sample.
     """
@@ -400,7 +424,7 @@ def invariant_structure(
             skipped.append(idx)
             continue
         points.append(p)
-        values.append(circumcenter(classes, tol=tol))
+        values.append(circumcenter(classes))
     field_ = ConfField(points=points, values=values, resolution=resolution, skipped=skipped)
     # per generator, one stacked act and kdist over the points whose image
     # lies on the grid
@@ -439,13 +463,13 @@ def measure_distortion_check(
     boxes: Sequence[tuple[np.ndarray, np.ndarray]],
     rng: np.random.Generator,
     samples: int = 2000,
-    fd_step: float = 1e-5,
 ) -> tuple[float, float]:
     """Monte-Carlo volume-distortion band of F over axis boxes.
 
     Each box contributes the average |det DF| over uniform samples (the
-    change-of-variables density); returns the (min, max) over boxes.
-    Degenerate boxes are skipped.
+    change-of-variables density), DF taken by forward differences of step
+    1e-5 (1 + |x_j|); returns the (min, max) over boxes. Degenerate boxes
+    are skipped.
     """
     n = spec.total_dim
     ratios = []
@@ -462,7 +486,7 @@ def measure_distortion_check(
             jac = np.empty((n, n))
             for j in range(n):
                 xp = x.copy()
-                h = fd_step * (1.0 + abs(x[j]))
+                h = 1e-5 * (1.0 + abs(x[j]))
                 xp[j] += h
                 jac[:, j] = (F(BlockPoint.from_flat(spec, xp)).flat() - f0) / h
             acc += abs(float(np.linalg.det(jac)))

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .funcexpr import Const, Osc
+from .funcexpr import BlockVar, Const, Osc
 from .mapalg import BoundaryPair, FirstBlockAffineMap, SimMap
 from .nilpotent import AlmostTranslation, ExactGenerator, ExactWord
-from .spectral import SpectralData
+from .spectral import BlockPoint, SpectralData
 from .tukia import GroupSample, OneDGenerator
 
 SPEC_R1 = SpectralData((2.0,), (1,))
@@ -49,8 +49,8 @@ def piecewise_1d_sample(word_len: int = 12) -> GroupSample:
     derivatives lie in {2/3, 1, 3/2}: the group is uniformly 1.5-Bilip and
     the generator is unit-stretch.
     """
-    gen = OneDGenerator(fn=_pw_fn, dfn=_pw_dfn, inv=_pw_inv, stretch=1.0, label="bump")
-    return GroupSample(generators=[gen], word_len=word_len, uniform_K=1.5, alpha1=1.0)
+    gen = OneDGenerator(fn=_pw_fn, dfn=_pw_dfn, inv=_pw_inv, stretch=1.0)
+    return GroupSample(generators=[gen], word_len=word_len, alpha1=1.0)
 
 
 def similarity_1d_sample(word_len: int = 6) -> GroupSample:
@@ -60,9 +60,8 @@ def similarity_1d_sample(word_len: int = 6) -> GroupSample:
         dfn=lambda x: 2.0,
         inv=lambda x: 0.5 * x,
         stretch=2.0,
-        label="scale2",
     )
-    return GroupSample(generators=[gen], word_len=word_len, uniform_K=1.0, alpha1=1.0)
+    return GroupSample(generators=[gen], word_len=word_len, alpha1=1.0)
 
 
 # -- stretch-normalization fixtures ----------------------------------------
@@ -88,19 +87,18 @@ def stretch_bump_sample(word_len: int = 12) -> GroupSample:
         stretch=1.0,
         quotient=quot,
         lam_of=lam,
-        label="lam-bump",
     )
-    return GroupSample(generators=[gen], word_len=word_len, uniform_K=2.0, alpha1=1.0)
+    return GroupSample(generators=[gen], word_len=word_len, alpha1=1.0)
 
 
-def normalized_dilation_sample(t: float = 2.0, word_len: int = 6) -> GroupSample:
-    """Generator whose first-block stretch already equals t^alpha_1."""
+def normalized_dilation_sample(word_len: int = 6) -> GroupSample:
+    """Dilation by t = 2, whose first-block stretch already equals t^alpha_1."""
 
-    def quot(y, _t=t):
-        return tuple(_t ** e * b for e, b in zip(SPEC_STRETCH.exponents[1:], y))
+    def quot(y):
+        return tuple(2.0 ** e * b for e, b in zip(SPEC_STRETCH.exponents[1:], y))
 
-    gen = FirstBlockAffineMap(spec=SPEC_STRETCH, stretch=t, quotient=quot, label="dil")
-    return GroupSample(generators=[gen], word_len=word_len, uniform_K=1.0, alpha1=1.0)
+    gen = FirstBlockAffineMap(spec=SPEC_STRETCH, stretch=2.0, quotient=quot)
+    return GroupSample(generators=[gen], word_len=word_len, alpha1=1.0)
 
 
 # -- rotation fixtures ------------------------------------------------------
@@ -123,7 +121,6 @@ def constant_rotation_map(theta: float = 0.7) -> FirstBlockAffineMap:
         quotient=quot,
         A_of=lambda y: _rotation(theta),
         B_of=lambda y: np.array([math.sin(float(y[0][0])), 0.0]),
-        label="const-rot",
     )
 
 
@@ -136,9 +133,7 @@ def varying_rotation_map() -> FirstBlockAffineMap:
     def a_of(y):
         return _rotation(0.5 * math.tanh(float(y[0][0])))
 
-    return FirstBlockAffineMap(
-        spec=SPEC_ROT, stretch=1.0, quotient=quot, A_of=a_of, label="vary-rot"
-    )
+    return FirstBlockAffineMap(spec=SPEC_ROT, stretch=1.0, quotient=quot, A_of=a_of)
 
 
 # -- radial-conjugator fixture ---------------------------------------------
@@ -158,8 +153,6 @@ def radial_generator() -> FirstBlockAffineMap:
     lam = 1.0 / math.sqrt(2.0)
 
     def inv(p):
-        from .spectral import BlockPoint
-
         y = 2.0 * p.blocks[1]
         x = math.sqrt(2.0) * (p.blocks[0] - float(y[0]) ** 2)
         return BlockPoint((np.atleast_1d(x), y))
@@ -171,7 +164,6 @@ def radial_generator() -> FirstBlockAffineMap:
         lam_of=lambda y, _l=lam: _l,
         B_of=b_of,
         inverse_map=inv,
-        label="radial",
     )
     return g
 
@@ -200,7 +192,7 @@ def radial_escape_words(count: int = 8) -> list[FirstBlockAffineMap]:
 
 
 def radial_sample() -> GroupSample:
-    return GroupSample(generators=[radial_generator()], word_len=4, uniform_K=2.0, alpha1=1.0)
+    return GroupSample(generators=[radial_generator()], word_len=4, alpha1=1.0)
 
 
 # -- reciprocity fixtures ---------------------------------------------------
@@ -221,20 +213,14 @@ def mismatched_boundary_pair() -> BoundaryPair:
 SPEC_NIL = SpectralData((1.0, 2.0), (1, 1))
 
 
-def oscillating_kernel_element(c: float = 4.0, K: float = 2.0) -> AlmostTranslation:
-    """B_1(x_2) = sin(x_2), B_2 = c; certificates sized for the bound checks."""
-    b1 = Osc(amp=[1.0], weights=[1.0], phase=0.0, child=_block_var(1, 1))
-    return AlmostTranslation(SPEC_NIL, [b1, Const([c])], K=K)
+def oscillating_kernel_element(c: float = 4.0) -> AlmostTranslation:
+    """B_1(x_2) = sin(x_2), B_2 = c, K = 2; certificates sized for the bound checks."""
+    b1 = Osc(amp=[1.0], weights=[1.0], phase=0.0, child=BlockVar(1, 1))
+    return AlmostTranslation(SPEC_NIL, [b1, Const([c])], K=2.0)
 
 
 def unit_translation_1d() -> AlmostTranslation:
     return AlmostTranslation(SPEC_R1, [Const([1.0])], K=1.0)
-
-
-def _block_var(index: int, dim: int):
-    from .funcexpr import BlockVar
-
-    return BlockVar(index, dim)
 
 
 # -- exact-rational root fixtures ------------------------------------------

@@ -456,11 +456,12 @@ def expr_from_json(obj: dict) -> FuncExpr:
     raise InputError(f"unknown expression node tag: {tag!r}")
 
 
-def probe_lipschitz(expr: FuncExpr, spec, rng, probes: int = 1000, scale: float = 5.0) -> float:
-    """Max finite-difference slope of an expression on random probe pairs."""
+def probe_lipschitz(expr: FuncExpr, spec, rng, probes: int = 1000) -> float:
+    """Max finite-difference slope of an expression on random probe pairs,
+    drawn uniformly from [-5, 5] in every coordinate."""
     worst = 0.0
     for _ in range(probes):
-        a = [rng.uniform(-scale, scale, n) for n in spec.multiplicities]
+        a = [rng.uniform(-5.0, 5.0, n) for n in spec.multiplicities]
         b = [x.copy() for x in a]
         js = sorted(expr.deps())
         if not js:

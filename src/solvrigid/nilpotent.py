@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -266,32 +266,26 @@ def orbit_growth(
     basepoint: BlockPoint,
     k: float,
     word_cap: int,
-    *,
-    fingerprint_probes: Sequence[BlockPoint] | None = None,
 ) -> OrbitCount:
     """Count distinct group elements moving the basepoint at most k.
 
     Walks the words up to word_cap over the generators and their inverses;
-    a word's state is its images of the basepoint and of the probes, one
-    letter step from its parent's. An element is identified by its rounded
-    probe images: a word whose element was already seen is pruned with
-    every word extending it. ``saturated`` is set when elements within
-    radius k were still appearing in the final layer, i.e. the word cap
-    (rather than the radius) may have stopped the count.
+    a word's state is its images of the basepoint and of the probe point
+    whose coordinates are all 0.625, one letter step from its parent's. An
+    element is identified by these two images rounded to 9 decimals: a word
+    whose element was already seen is pruned with every word extending it.
+    ``saturated`` is set when elements within radius k were still appearing
+    in the final layer, i.e. the word cap (rather than the radius) may have
+    stopped the count.
     """
     if not generators:
         return OrbitCount(count=1, saturated=False)
     spec = generators[0].spec
-    if fingerprint_probes is None:  # the basepoint is a probe
-        points = [basepoint, BlockPoint(tuple(np.full(n, 0.625) for n in spec.multiplicities))]
-        first = 0
-    else:
-        points, first = [basepoint, *fingerprint_probes], 1
-    for q in points:
-        q.require_conforms(spec)
+    basepoint.require_conforms(spec)
+    points = [basepoint, BlockPoint(tuple(np.full(n, 0.625) for n in spec.multiplicities))]
 
     def fingerprint(images):
-        return tuple(tuple(np.round(np.concatenate(q), 9)) for q in images[first:])
+        return tuple(tuple(np.round(np.concatenate(q), 9)) for q in images)
 
     seen = set()
 
@@ -477,7 +471,6 @@ class RootCertificate:
     gamma_prime: ExactWord
     eta: ExactWord
     coefficients: dict[int, int]
-    order: int
 
 
 def approx_lth_root(
@@ -485,7 +478,6 @@ def approx_lth_root(
     generator_indices: Sequence[int],
     levels: Sequence[Sequence[int]],
     l: int,
-    probes: Sequence[tuple[FracVec, ...]] | None = None,
 ) -> RootCertificate:
     """Extract an approximate l-th root of gamma_p within the subgroup.
 
@@ -495,13 +487,13 @@ def approx_lth_root(
     the current kernel element over the level generators, split off the
     floor(a_i/l) part, and push the remainder word one level down. All
     arithmetic is exact; failure of the coefficient solve (or non-integer
-    coefficients) raises InfiniteIndexSuspected.
+    coefficients) raises InfiniteIndexSuspected. Kernel membership and the
+    final identity are checked on ``default_probes``.
     """
     gens = gamma_p.gens
     dims = gamma_p.dims
     r = len(dims)
-    if probes is None:
-        probes = default_probes(dims)
+    probes = default_probes(dims)
     if l < 1:
         raise InputError("root order must be >= 1")
 
@@ -555,7 +547,7 @@ def approx_lth_root(
     for hat in reversed(hats):  # hat_1 ... hat_r
         eta = eta * hat
     gamma_prime = gamma_p * eta.inverse()
-    return RootCertificate(gamma_prime=gamma_prime, eta=eta, coefficients=coeffs, order=l)
+    return RootCertificate(gamma_prime=gamma_prime, eta=eta, coefficients=coeffs)
 
 
 def root_power_word(cert: RootCertificate, gens: Sequence[ExactGenerator]) -> ExactWord:

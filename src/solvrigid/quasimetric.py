@@ -117,13 +117,16 @@ def dilate_rows(spec: SpectralData, t: float, P: np.ndarray) -> np.ndarray:
         return P * np.repeat(factors, spec.multiplicities)
 
 
+# chain_energy stops once a round lowers the estimate by less than this
+STOP_DECREMENT = 1e-8
+
+
 @dataclass(frozen=True)
 class ChainGrid:
     """Subdivision control for the chain-functional estimate."""
 
     resolution: int = 1
     max_depth: int = 12
-    stop_decrement: float = 1e-8
 
     def __post_init__(self):
         if self.resolution < 1 or self.max_depth < 1:
@@ -175,7 +178,7 @@ def chain_energy(
         rounds = depth + 1
         if np.isfinite(prev_total):
             last_dec = prev_total - total
-            if last_dec < grid.stop_decrement:
+            if last_dec < STOP_DECREMENT:
                 prev_total = total
                 break
         prev_total = total

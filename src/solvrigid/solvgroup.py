@@ -190,10 +190,12 @@ def pair_to_point_heights(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.nd
     return np.log(d)
 
 
-def pair_to_point_bisect(
-    spec: SolvSpec, p: BlockPoint, q: BlockPoint, tol: float = 1e-13, max_iter: int = 200
-) -> float:
-    """Root-finding oracle for the divergence height: solve d_t(p, q) = 1."""
+def pair_to_point_bisect(spec: SolvSpec, p: BlockPoint, q: BlockPoint) -> float:
+    """Root-finding oracle for the divergence height: solve d_t(p, q) = 1.
+
+    Bisects the bracket log D(p, q) +- 1 until it is narrower than 1e-13,
+    for at most 200 halvings.
+    """
     if not spec.pure:
         raise InputError("pair-to-point map is defined for the pure lower case")
     d = distance(spec.lower, p, q)
@@ -201,10 +203,10 @@ def pair_to_point_bisect(
         raise DomainError("coincident boundary points have no divergence height")
     lo, hi = math.log(d) - 1.0, math.log(d) + 1.0
     flo = level_distance(spec, lo, (p, None), (q, None)) - 1.0
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = level_distance(spec, mid, (p, None), (q, None)) - 1.0
-        if abs(hi - lo) < tol:
+        if abs(hi - lo) < 1e-13:
             break
         if (flo > 0) == (fmid > 0):
             lo, flo = mid, fmid
@@ -233,12 +235,15 @@ class SuspendedMap:
         return SolvPoint(height=p.height + self.shift, x=self.boundary(p.x), z=p.z)
 
 
-def suspend_boundary_map(spec: SolvSpec, G, a: float, *, probes: int = 50) -> SuspendedMap:
-    """Extend a boundary map to the model space: spatial action plus height shift."""
+def suspend_boundary_map(spec: SolvSpec, G, a: float) -> SuspendedMap:
+    """Extend a boundary map to the model space: spatial action plus height shift.
+
+    A map without ``components`` must pass ``check_triangularity`` on 50 probes.
+    """
     if not spec.pure:
         raise InputError("suspension implemented for the pure lower case")
     if not hasattr(G, "components"):  # opaque maps get the probe check
-        verdict = check_triangularity(G, spec.lower, probes=probes)
+        verdict = check_triangularity(G, spec.lower, probes=50)
         if not verdict.passed:
             raise InputError(
                 f"boundary map failed the triangularity check at {verdict.worst_pair} "

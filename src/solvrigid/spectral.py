@@ -120,9 +120,10 @@ class BlockPoint:
     def __neg__(self) -> "BlockPoint":
         return BlockPoint(tuple(-a for a in self.blocks))
 
-    def isclose(self, other: "BlockPoint", atol: float = 0.0, rtol: float = 1e-12) -> bool:
+    def isclose(self, other: "BlockPoint", atol: float = 0.0) -> bool:
+        """Blockwise np.allclose with relative tolerance 1e-12."""
         return all(
-            np.allclose(a, b, atol=atol, rtol=rtol) for a, b in zip(self.blocks, other.blocks)
+            np.allclose(a, b, atol=atol, rtol=1e-12) for a, b in zip(self.blocks, other.blocks)
         )
 
 

@@ -4,12 +4,12 @@ post-conjugation similarity verification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InputError
+from .errors import ConvergenceError, InputError
 from .mapalg import FirstBlockAffineMap
 from .nilpotent import walk_words
 from .quasimetric import dilate, distance
@@ -35,7 +35,6 @@ class OneDGenerator:
     dfn: Callable[[np.ndarray], np.ndarray]
     inv: Callable[[np.ndarray], np.ndarray]
     stretch: float = 1.0
-    label: str = ""
 
 
 def _chain_1d(generators: Sequence[OneDGenerator], letter, state: tuple) -> tuple:
@@ -55,7 +54,6 @@ class GroupSample:
 
     generators: list
     word_len: int
-    uniform_K: float
     alpha1: float = 1.0
 
 
@@ -144,11 +142,9 @@ class WordVerdict:
 
 @dataclass
 class ConjugationReport:
-    conjugator: object
     verdicts: list[WordVerdict]
     max_defect: float
     passed: bool
-    diagnostics: dict = field(default_factory=dict)
 
 
 def verify_conjugation(
@@ -157,9 +153,9 @@ def verify_conjugation(
     probes: np.ndarray,
     probe_step: float = 0.5,
     tol: float = 1e-3,
-    word_len: Optional[int] = None,
 ) -> ConjugationReport:
-    """Classify every conjugated word by its first-block derivative spread.
+    """Classify every conjugated word, up to the sample's ``word_len``, by its
+    first-block derivative spread.
 
     The defect of a word is the maximal relative deviation of the
     conjugated slope (measured over probe intervals) from its geometric
@@ -170,7 +166,6 @@ def verify_conjugation(
     span = F.fn(float(probes.max() + probe_step)) - F.fn(float(probes.min()))
     if not span > 0:
         raise InputError("conjugator is not increasing on the probe range")
-    depth = sample.word_len if word_len is None else word_len
     gens = sample.generators
     letters = [(i, s) for i in range(len(gens)) for s in (1, -1)]
     # one row of interval endpoints per probe
@@ -182,7 +177,7 @@ def verify_conjugation(
         return gens[idx].fn(images) if sgn == 1 else gens[idx].inv(images)
 
     verdicts = []
-    for w, images in walk_words(letters, depth, F.inv(us), step, reduced=True):
+    for w, images in walk_words(letters, sample.word_len, F.inv(us), step, reduced=True):
         if not w:
             continue
         vs = F.fn(images)
@@ -195,9 +190,7 @@ def verify_conjugation(
     # np.max propagates NaN, so a word whose images left the conjugator's grid
     # (a zero slope, hence a NaN defect) shows in max_defect and fails the report
     worst = float(np.max([v.defect for v in verdicts], initial=0.0))
-    return ConjugationReport(
-        conjugator=F, verdicts=verdicts, max_defect=worst, passed=worst <= tol
-    )
+    return ConjugationReport(verdicts=verdicts, max_defect=worst, passed=worst <= tol)
 
 
 # -- stretch normalization --------------------------------------------------
@@ -210,10 +203,11 @@ class NormalizedSample:
     alpha1: float
 
 
-def normalize_stretch(sample: GroupSample, word_len: Optional[int] = None) -> NormalizedSample:
+def normalize_stretch(sample: GroupSample) -> NormalizedSample:
     """Conjugate so the first-block stretch is exactly t_g^alpha_1.
 
-    mu(y) is the truncated sup of normalized stretches over forward words;
+    mu(y) is the sup of normalized stretches over forward words up to the
+    sample's ``word_len``;
     conjugating by (x, y) -> (mu(y) x, y) rescales each generator's lam to
     mu(g y) lam(y) / mu(y). Generators must have affine first blocks.
     """
@@ -224,7 +218,6 @@ def normalize_stretch(sample: GroupSample, word_len: Optional[int] = None) -> No
                 "stretch normalization needs affine first blocks; run the "
                 "sup-measure pipeline first"
             )
-    depth = sample.word_len if word_len is None else word_len
     alpha1 = gens[0].spec.exponents[0]
 
     def step(gi, state):
@@ -234,7 +227,7 @@ def normalize_stretch(sample: GroupSample, word_len: Optional[int] = None) -> No
         return eta * (g.lam_of(y) / g.stretch**alpha1), tuple(g.quotient(y))
 
     def mu_of(y: tuple) -> float:
-        return max(eta for _, (eta, _) in walk_words(range(len(gens)), depth, (1.0, y), step))
+        return max(eta for _, (eta, _) in walk_words(range(len(gens)), sample.word_len, (1.0, y), step))
 
     conjugated = []
     for g in gens:
@@ -256,7 +249,6 @@ def _conjugate_by_scale(g: FirstBlockAffineMap, mu_of: Callable[[tuple], float])
         lam_of=lam,
         A_of=g.A_of,
         B_of=b_of,
-        label=f"norm({g.label})",
     )
 
 
@@ -274,25 +266,22 @@ class RadialStep:
 class RadialReport:
     conjugators: list
     steps: list[RadialStep]
-    limit: object
 
 
 def radial_conjugator(
     sample: GroupSample,
     escape: Sequence[FirstBlockAffineMap],
     a_matrix: np.ndarray,
-    probe_box: float = 1.0,
-    probe_count: int = 64,
-    rng: Optional[np.random.Generator] = None,
 ) -> RadialReport:
     """Conjugator sequence dilation(t_i) . a . G_i along an escaping orbit.
 
     t_i is the reciprocal of the escape word's quotient similarity
-    constant; the report tracks the sup-distance between successive maps on
-    a probe box and the similarity defect of the conjugated generators.
+    constant; the report tracks the sup-distance between successive maps,
+    and the similarity defect of the conjugated generators, on 64 probes
+    drawn uniformly from [-1, 1] in every coordinate (seed 11). The last
+    conjugator approximates the limit.
     """
-    if rng is None:
-        rng = np.random.default_rng(11)
+    rng = np.random.default_rng(11)
     if not escape:
         raise InputError("escape sequence must be nonempty")
     spec = escape[0].spec
@@ -315,8 +304,8 @@ def radial_conjugator(
         return F, F_inv
 
     probes = [
-        BlockPoint(tuple(rng.uniform(-probe_box, probe_box, n) for n in spec.multiplicities))
-        for _ in range(probe_count)
+        BlockPoint(tuple(rng.uniform(-1.0, 1.0, n) for n in spec.multiplicities))
+        for _ in range(64)
     ]
     maps = [make_conjugator(t, g) for t, g in zip(ts, escape)]
     steps = []
@@ -328,7 +317,7 @@ def radial_conjugator(
             cauchy = float("nan")
         defect = _similarity_defect(sample, F, F_inv, probes, spec)
         steps.append(RadialStep(t=ts[i], cauchy_defect=cauchy, similarity_defect=defect))
-    return RadialReport(conjugators=[m[0] for m in maps], steps=steps, limit=maps[-1][0])
+    return RadialReport(conjugators=[m[0] for m in maps], steps=steps)
 
 
 def _similarity_defect(sample: GroupSample, F, F_inv, probes, spec: SpectralData) -> float:

@@ -266,6 +266,31 @@ class TestStacks:
         with pytest.raises(DomainError):
             act(X, conf_class(_random_stack(rng, 6)))
 
+    def test_dilatation_equals_the_per_matrix_loop(self):
+        for n in (2, 3):
+            raw = conf_class(_random_stack(np.random.default_rng(29), 40, n))
+            got = dilatation(raw)
+            assert isinstance(got, np.ndarray) and got.shape == (40,)
+            want = [dilatation(a) for a in raw]
+            assert all(isinstance(d, float) for d in want)
+            assert all(g == w for g, w in zip(got.tolist(), want))
+
+    @pytest.mark.parametrize("dist", [kdist, ddist])
+    @pytest.mark.parametrize("a, b", [
+        (np.eye(2), -np.eye(2)),  # negative definite
+        (-np.eye(2), np.eye(2)),
+        (np.eye(2), np.diag([1.0, 0.0])),  # singular
+        (np.eye(2), np.eye(3)),  # sizes differ
+        (np.stack([np.eye(2)] * 3), np.stack([np.eye(2)] * 4)),  # counts differ
+        (np.eye(2), np.full((2, 2), np.nan)),
+        (np.diag([np.inf, 1.0]), np.eye(2)),
+        (1e-300 * np.eye(2), 1e300 * np.eye(2)),  # relative eigenvalues overflow
+        (np.eye(2), np.ones(2)),  # not a matrix
+    ], ids=["neg-b", "neg-a", "singular", "sizes", "counts", "nan", "inf", "overflow", "1-d"])
+    def test_distances_reject_bad_classes(self, dist, a, b):
+        with pytest.raises(InputError):
+            dist(a, b)
+
     def test_circumcenter_takes_a_stack(self):
         rng = np.random.default_rng(28)
         pts = conf_class(_random_stack(rng, 5)[1:5])

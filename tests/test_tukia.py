@@ -190,14 +190,14 @@ def _scalar_pw_inv(u):
 
 def _scalar_piecewise_sample(word_len):
     gen = OneDGenerator(fn=_scalar_pw_fn, dfn=_scalar_pw_dfn, inv=_scalar_pw_inv)
-    return GroupSample(generators=[gen], word_len=word_len, uniform_K=1.5, alpha1=1.0)
+    return GroupSample(generators=[gen], word_len=word_len, alpha1=1.0)
 
 
 def _flat_sample(word_len):
     flat = OneDGenerator(
         fn=lambda x: x, dfn=lambda x: np.where(x == 0.0, 0.0, 1.0), inv=lambda x: x
     )
-    return GroupSample(generators=[flat], word_len=word_len, uniform_K=1.0)
+    return GroupSample(generators=[flat], word_len=word_len)
 
 
 def _pruning_sample(word_len):
@@ -212,7 +212,7 @@ def _pruning_sample(word_len):
         inv=lambda x: x - 1.0,
     )
     dil = similarity_1d_sample().generators[0]
-    return GroupSample(generators=[shift, dil], word_len=word_len, uniform_K=2.0)
+    return GroupSample(generators=[shift, dil], word_len=word_len)
 
 
 def _walked_reduced_words(n_generators, word_len):
@@ -320,7 +320,7 @@ class TestSupMeasure:
             fn=lambda x: 1.0 / x, dfn=lambda x: -1.0 / (x * x), inv=lambda x: 1.0 / x
         )
         shift = OneDGenerator(fn=lambda x: x + 0.5, dfn=lambda x: 1.0, inv=lambda x: x - 0.5)
-        sample = GroupSample(generators=[recip, shift], word_len=3, uniform_K=1.0)
+        sample = GroupSample(generators=[recip, shift], word_len=3)
         xs = np.arange(-2.0, 2.25, 0.25)
 
         def raises(word, x):
@@ -469,7 +469,7 @@ class TestVerifyConjugation:
             return _c.fn(_g.inv(_c.inv(x)))
 
         wrapped = OneDGenerator(fn=fn, dfn=lambda x: 1.0, inv=inv, stretch=1.0)
-        new_sample = GroupSample(generators=[wrapped], word_len=4, uniform_K=1.5)
+        new_sample = GroupSample(generators=[wrapped], word_len=4)
         span = 8.0
         xs = np.linspace(-span, span, 1601)
         ident = OneDConjugator(xs=xs, values=xs.copy())

@@ -13,10 +13,12 @@ from solvrigid import (
     SolvRigidError,
     SpectralData,
     conf_class,
+    ddist,
     dilate,
     dilate_rows,
     distance,
     distance_rows,
+    kdist,
     pair_to_point_heights,
 )
 from solvrigid.cli import RunConfig
@@ -86,6 +88,8 @@ stacks = (
                 st.integers(-1100, 1100)).map(_scaled_gram)
     | st.lists(matrices, max_size=3)
 )
+# two classes, stacks or malformed inputs, for the distances
+class_pairs = st.tuples(matrices | stacks, matrices | stacks)
 
 
 @st.composite
@@ -135,6 +139,8 @@ TARGETS = {
     "expr_from_json": (st.tuples(expr_nodes), expr_from_json),
     "conf_class": (st.tuples(matrices), conf_class),
     "conf_class_stack": (st.tuples(stacks), conf_class),
+    "kdist": (class_pairs, kdist),
+    "ddist": (class_pairs, ddist),
     "SpectralData.from_json": (st.tuples(spec_json), SpectralData.from_json),
     "RunConfig.from_json": (st.tuples(config_json), RunConfig.from_json),
     "BlockPoint": (st.tuples(st.lists(arrays, max_size=3).map(tuple) | arrays), BlockPoint),
