@@ -226,13 +226,12 @@ def run_geodesic(cfg: RunConfig, rng: np.random.Generator, out_dir: Path | None 
         keep = d != 0.0
         t, d = pair_to_point_heights(spec, p[keep], q[keep]), d[keep]
         worst_pair = max(worst_pair, float(np.max(np.abs(np.exp(t) - d) / d, initial=0.0)))
-    worst_bisect = 0.0
-    for p, q in random_pairs(cfg.spec, rng, 20, 3.0):
-        d = distance(cfg.spec, p, q)
-        if d == 0.0:
-            continue
-        t_closed = pair_to_point(spec, p, q).height
-        worst_bisect = max(worst_bisect, abs(t_closed - pair_to_point_bisect(spec, p, q)))
+    # the scalar closed form, pair by pair, against the oracle bisecting every pair at once
+    pairs = [(p, q) for p, q in random_pairs(cfg.spec, rng, 20, 3.0) if distance(cfg.spec, p, q) != 0.0]
+    t_closed = np.array([pair_to_point(spec, p, q).height for p, q in pairs])
+    rows = np.array([[p.flat(), q.flat()] for p, q in pairs]).reshape(-1, 2, cfg.spec.total_dim)
+    t_bisect = pair_to_point_bisect(spec, rows[:, 0], rows[:, 1])
+    worst_bisect = float(np.max(np.abs(t_closed - t_bisect), initial=0.0))
     comp_worst = 0.0
     for _ in range(50):
         a, b = rng.uniform(-1.5, 1.5, 2)
@@ -275,7 +274,7 @@ def run_geodesic(cfg: RunConfig, rng: np.random.Generator, out_dir: Path | None 
 
 def run_classify(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     spec = fixtures.SPEC_NIL
-    samples = random_pairs(spec, rng, 300, 3.0)
+    samples = np.concatenate(list(random_row_blocks(spec, rng, 300, 2, 3.0)))
     sim = SimMap.dilation(spec, 2.0)
     c_sim = classify(spec, sim, samples)
     asim = ASimMap(SimMap.dilation(spec, 1.5), fixtures.oscillating_kernel_element())
@@ -403,8 +402,9 @@ def run_roots(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
         bound = epsilon_bound(gamma, i)
         if bound == 0.0:
             continue
-        vals = np.array([gamma.perturbations[i](random_point(spec, rng, 4.0).blocks)
-                         for _ in range(cfg.probe_count)])
+        probes = np.concatenate(list(random_row_blocks(spec, rng, cfg.probe_count, 1, 4.0)))[:, 0]
+        vals = gamma.perturbations[i]([probes[:, s] for s in spec.block_slices()])
+        vals = np.broadcast_to(vals, (len(probes), spec.multiplicities[i]))
         # pairwise distances, a block of rows at a time so memory stays linear
         rows = max(1, 2**12 // len(vals))
         osc = max(float(np.linalg.norm(vals[j:j + rows, None] - vals[None], axis=-1).max())

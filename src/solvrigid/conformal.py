@@ -151,14 +151,23 @@ def ddist(A, B):
     return float(d) if d.ndim == 0 else d
 
 
+def _exp(x: float) -> float:
+    """math.exp, reading inf beyond float range as distance does."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def dilatation(A):
     """exp of the k-distance from the identity; 1 means conformal.
 
-    A float for one class, an array for an (N, n, n) stack.
+    A float for one class, an array for an (N, n, n) stack. A dilatation
+    beyond float range reads inf.
     """
     A = _as_stack(A, "conformal class")
     d = kdist(np.eye(A.shape[-1]), A)
-    return math.exp(d) if A.ndim == 2 else np.array([math.exp(x) for x in d.tolist()])
+    return _exp(d) if A.ndim == 2 else np.array([_exp(x) for x in d.tolist()])
 
 
 def _whitened_logs(Q: np.ndarray, mats: np.ndarray):

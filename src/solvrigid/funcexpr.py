@@ -1,13 +1,19 @@
 """Expression trees for block-map components, with Lipschitz/sup certificates.
 
-Every node evaluates a tuple of block vectors to a vector and carries two
-certificates: a Lipschitz bound (with respect to the Euclidean norm on the
-concatenation of the referenced blocks) and a sup-norm bound. Either may be
-infinite; composition rules propagate them conservatively.
+Every node evaluates a tuple of blocks to a vector and carries two
+certificates. The blocks are those of one point, shapes ``(n_i,)``, or of N
+points, shapes ``(N, n_i)``; the value is then ``(dim,)`` or ``(N, dim)``,
+one path for both, and each row equals the one-point value bit for bit. A
+``const`` node keeps its ``(dim,)`` value on row input, and the node or map
+that adds it broadcasts it over the rows. The certificates are a Lipschitz
+bound (with respect to the Euclidean norm on the concatenation of the
+referenced blocks) and a sup-norm bound. Either may be infinite;
+composition rules propagate them conservatively.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -78,8 +84,10 @@ class BlockVar(FuncExpr):
             b = np.asarray(blocks[self.index], dtype=float)
         except IndexError:
             raise InputError(f"block {self.index} is past the input's {len(blocks)} blocks") from None
-        if b.shape != (self.dim,):
-            raise InputError(f"block {self.index} has dim {b.shape}, expected ({self.dim},)")
+        if b.ndim not in (1, 2) or b.shape[-1] != self.dim:
+            raise InputError(
+                f"block {self.index} has shape {b.shape}, expected ({self.dim},) or (N, {self.dim})"
+            )
         return b.copy()
 
     def deps(self):
@@ -107,7 +115,8 @@ class Lin(FuncExpr):
         self._opnorm = float(np.linalg.norm(self.matrix, 2))
 
     def __call__(self, blocks):
-        return self.matrix @ self.child(blocks)
+        # np.matvec gives each row of a stack the bits of the one-vector product
+        return np.matvec(self.matrix, self.child(blocks))
 
     def deps(self):
         return self.child.deps()
@@ -223,8 +232,8 @@ class _Pointwise(FuncExpr):
         self.dim = children[0].dim
 
     def __call__(self, blocks):
-        vals = [c(blocks) for c in self.children]
-        return type(self).op.reduce(vals)
+        # pairwise, so that a const child broadcasts over the rows
+        return functools.reduce(type(self).op, (c(blocks) for c in self.children))
 
     def deps(self):
         return frozenset().union(*(c.deps() for c in self.children))
@@ -330,8 +339,10 @@ class Osc(FuncExpr):
         self.dim = self.amp.shape[0]
 
     def __call__(self, blocks):
-        u = self.child(blocks)
-        return self.amp * math.sin(float(self.weights @ u) + self.phase)
+        # np.vecdot gives each row the bits of the one-point inner product;
+        # a matrix product of the rows with the weights does not
+        phase = np.vecdot(self.child(blocks), self.weights) + self.phase
+        return self.amp * np.sin(phase)[..., None]
 
     def deps(self):
         return self.child.deps()

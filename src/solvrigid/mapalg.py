@@ -3,6 +3,7 @@ the classification / homomorphism machinery built on top of them."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -13,7 +14,7 @@ from .errors import DomainError, InputError, NotInUniformSubgroup
 from .funcexpr import BlockVar, Const, FuncExpr, Lin, Sum
 from .nilpotent import AlmostTranslation, Letter
 from .quasimetric import _qsim_logs, distance, estimate_qsim_constants
-from .spectral import BlockPoint, SpectralData
+from .spectral import BlockPoint, SpectralData, require_blocks
 
 
 class BlockMap:
@@ -42,12 +43,14 @@ class BlockMap:
         return BlockMap(spec, [BlockVar(i, n) for i, n in enumerate(spec.multiplicities)])
 
     def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The image blocks of one point or of N points; a constant component
+        gives a ``(n_i,)`` block for every row."""
+        blocks = require_blocks(self.spec, blocks)
         if self.inner is not None:
             blocks = self.inner.eval_blocks(blocks)
         return [f(blocks) for f in self.components]
 
     def __call__(self, p: BlockPoint) -> BlockPoint:
-        p.require_conforms(self.spec)
         return BlockPoint(tuple(self.eval_blocks(p.blocks)))
 
     def deps_of(self, j: int) -> frozenset[int]:
@@ -61,10 +64,22 @@ class BlockMap:
         return sum(f.lipschitz * lip for f in self.components)
 
 
+@functools.lru_cache(maxsize=64)
+def _identity_parts(multiplicities: tuple[int, ...]):
+    """Read-only identity rotations and zero translations, built once per block structure."""
+    eyes = tuple(np.eye(n) for n in multiplicities)
+    zeros = tuple(np.zeros(n) for n in multiplicities)
+    for a in eyes + zeros:
+        a.flags.writeable = False
+    return eyes, zeros
+
+
 class SimMap:
     """Standard dilation composed with blockwise rotation and translation.
 
-    Block i maps to t^alpha_i * A_i (x_i + B_i).
+    Block i maps to t^alpha_i * A_i (x_i + B_i). Rotations default to the
+    identity and translations to zero; a rotation the caller passes must be
+    orthogonal to 1e-12.
     """
 
     def __init__(self, spec: SpectralData, stretch: float, rotations=None, translations=None):
@@ -72,17 +87,24 @@ class SimMap:
             raise DomainError(f"stretch must be positive, got {stretch}")
         self.spec = spec
         self.stretch = float(stretch)
-        if rotations is None:
-            rotations = [np.eye(n) for n in spec.multiplicities]
-        if translations is None:
-            translations = [np.zeros(n) for n in spec.multiplicities]
-        self.rotations = tuple(np.asarray(a, dtype=float) for a in rotations)
-        self.translations = tuple(np.asarray(b, dtype=float).reshape(-1) for b in translations)
+        eyes, zeros = _identity_parts(spec.multiplicities)
+        self.rotations = eyes if rotations is None else tuple(
+            np.asarray(a, dtype=float) for a in rotations
+        )
+        self.translations = zeros if translations is None else tuple(
+            np.asarray(b, dtype=float).reshape(-1) for b in translations
+        )
         for i, (a, b, n) in enumerate(zip(self.rotations, self.translations, spec.multiplicities)):
             if a.shape != (n, n) or b.shape != (n,):
                 raise InputError(f"rotation/translation {i} does not match block dim {n}")
-            if np.max(np.abs(a.T @ a - np.eye(n))) > 1e-12:
+            if rotations is not None and np.max(np.abs(a.T @ a - eyes[i])) > 1e-12:
                 raise InputError(f"rotation {i} is not orthogonal to 1e-12")
+
+    @functools.cached_property
+    def _linear(self) -> tuple[np.ndarray, ...]:
+        """Per block the linear part t^alpha_i A_i, built on the first evaluation:
+        most similarities that compositions build are never evaluated."""
+        return tuple(self.stretch**e * a for e, a in zip(self.spec.exponents, self.rotations))
 
     @staticmethod
     def dilation(spec: SpectralData, t: float) -> "SimMap":
@@ -93,13 +115,14 @@ class SimMap:
         return SimMap(spec, 1.0)
 
     def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return [
-            self.stretch**a * rot @ (np.asarray(x, dtype=float) + b)
-            for a, x, rot, b in zip(self.spec.exponents, blocks, self.rotations, self.translations)
-        ]
+        """The image blocks of one point, ``(n_i,)`` blocks, or of N points, ``(N, n_i)``."""
+        return self._apply(require_blocks(self.spec, blocks))
+
+    def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        """eval_blocks on blocks that already passed require_blocks."""
+        return [np.matvec(m, x + b) for m, x, b in zip(self._linear, blocks, self.translations)]
 
     def __call__(self, p: BlockPoint) -> BlockPoint:
-        p.require_conforms(self.spec)
         return BlockPoint(tuple(self.eval_blocks(p.blocks)))
 
     def deps_of(self, j: int) -> frozenset[int]:
@@ -187,10 +210,9 @@ class ASimMap:
         return ASimMap(SimMap.identity(spec), AlmostTranslation.identity(spec))
 
     def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return self.sim.eval_blocks(self.almost.eval_blocks(blocks))
+        return self.sim._apply(self.almost.eval_blocks(blocks))
 
     def __call__(self, p: BlockPoint) -> BlockPoint:
-        p.require_conforms(self.spec)
         return BlockPoint(tuple(self.eval_blocks(p.blocks)))
 
     def deps_of(self, j: int) -> frozenset[int]:
@@ -308,7 +330,11 @@ class Classification:
 
 
 def classify(spec: SpectralData, F, samples) -> Classification:
-    """Strongest verified class of a map on the given sample pairs."""
+    """Strongest verified class of a map on the given sample pairs.
+
+    ``F`` is a boundary map with ``eval_blocks``; ``samples`` is an
+    ``(N, 2, total_dim)`` array of point pairs.
+    """
     if isinstance(F, SimMap):
         return Classification("Sim", F.stretch, F.stretch, 1.0)
     if isinstance(F, ASimMap):

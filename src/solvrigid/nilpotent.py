@@ -26,7 +26,7 @@ from .errors import (
 )
 from .funcexpr import Const, Displacement, FuncExpr
 from .quasimetric import distance
-from .spectral import BlockPoint, SpectralData
+from .spectral import BlockPoint, SpectralData, require_blocks
 
 
 class Letter:
@@ -53,9 +53,9 @@ class Letter:
     def apply(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
         if self.sim is None:
             d = self.base._displacement(blocks, self.sign)
-            return [np.asarray(x, dtype=float) + di for x, di in zip(blocks, d)]
-        d = self.base._displacement(self.sim.eval_blocks(blocks), self.sign)
-        return [np.asarray(x, dtype=float) + m @ di for x, m, di in zip(blocks, self.mats, d)]
+            return [x + di for x, di in zip(blocks, d)]
+        d = self.base._displacement(self.sim._apply(blocks), self.sign)
+        return [x + np.matvec(m, di) for x, m, di in zip(blocks, self.mats, d)]
 
 
 class AlmostTranslation:
@@ -126,7 +126,7 @@ class AlmostTranslation:
         """
         if sign == 1:
             return [p(blocks) for p in self.perturbations]
-        out = [np.asarray(b, dtype=float) for b in blocks]
+        out = list(blocks)
         d: list[np.ndarray] = [None] * self.spec.r
         for i in range(self.spec.r - 1, -1, -1):
             d[i] = -self.perturbations[i](out)
@@ -134,12 +134,16 @@ class AlmostTranslation:
         return d
 
     def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The image blocks of one point, ``(n_i,)`` blocks, or of N points, ``(N, n_i)``."""
+        return self._apply(require_blocks(self.spec, blocks))
+
+    def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        """eval_blocks on blocks that already passed require_blocks."""
         for letter in self.letters:
             blocks = letter.apply(blocks)
         return blocks
 
     def __call__(self, p: BlockPoint) -> BlockPoint:
-        p.require_conforms(self.spec)
         return BlockPoint(tuple(self.eval_blocks(p.blocks)))
 
     def deps_of(self, j: int) -> frozenset[int]:
@@ -281,7 +285,6 @@ def orbit_growth(
     if not generators:
         return OrbitCount(count=1, saturated=False)
     spec = generators[0].spec
-    basepoint.require_conforms(spec)
     points = [basepoint, BlockPoint(tuple(np.full(n, 0.625) for n in spec.multiplicities))]
 
     def fingerprint(images):
@@ -290,14 +293,14 @@ def orbit_growth(
     seen = set()
 
     def step(a: AlmostTranslation, images):
-        images = [a.eval_blocks(q) for q in images]
+        images = [a._apply(q) for q in images]
         fp = fingerprint(images)
         if fp in seen:
             return None
         seen.add(fp)
         return images
 
-    start = [q.blocks for q in points]
+    start = [require_blocks(spec, q.blocks) for q in points]
     seen.add(fingerprint(start))
     alphabet = list(generators) + [g.inverse() for g in generators]
     count, saturated = 0, False

@@ -207,17 +207,33 @@ def enumerate_chain_cost(
     return cost
 
 
+def _image_rows(spec: SpectralData, F, P: np.ndarray) -> np.ndarray:
+    """The ``(N, total_dim)`` rows of F's images of the rows of P, in one ``eval_blocks`` call."""
+    image = F.eval_blocks([P[:, s] for s in spec.block_slices()])
+    # a constant component gives one block for every row
+    return np.concatenate([np.broadcast_to(b, (len(P), n))
+                           for b, n in zip(image, spec.multiplicities)], axis=1)
+
+
 def _qsim_logs(spec: SpectralData, F, samples) -> tuple[float, float, np.ndarray]:
     """(N, K, log ratios) on the sample pairs, pairs at distance 0 skipped."""
-    ratios = []
-    for p, q in samples:
-        d = distance(spec, p, q)
-        if d == 0.0:
-            continue
-        ratios.append(distance(spec, F(p), F(q)) / d)
-    if not ratios:
+    if not hasattr(F, "eval_blocks"):
+        raise InputError(f"{type(F).__name__} is not a boundary map: it has no eval_blocks")
+    try:
+        samples = np.asarray(samples, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("samples must be an array of numbers") from None
+    if samples.ndim != 3 or samples.shape[1:] != (2, spec.total_dim):
+        raise DimensionMismatch(
+            f"samples of shape {samples.shape}, expected (N, 2, {spec.total_dim})"
+        )
+    P, Q = samples[:, 0], samples[:, 1]
+    d = distance_rows(spec, P, Q)
+    keep = d != 0.0
+    if not keep.any():
         raise InputError("no non-degenerate sample pairs")
-    logs = np.log(np.asarray(ratios))
+    P, Q = P[keep], Q[keep]
+    logs = np.log(distance_rows(spec, _image_rows(spec, F, P), _image_rows(spec, F, Q)) / d[keep])
     n = float(np.exp(logs.mean()))
     k = float(np.exp(np.abs(logs - logs.mean()).max()))
     return n, max(k, 1.0), logs
@@ -227,7 +243,9 @@ def estimate_qsim_constants(spec: SpectralData, F, samples) -> tuple[float, floa
     """Empirical quasisimilarity constants (N, K) of a map on sampled pairs.
 
     N is the geometric mean of image/preimage distance ratios; K bounds the
-    two-sided deviation from N. ``F`` maps BlockPoint to BlockPoint.
+    two-sided deviation from N. ``F`` is a boundary map with
+    ``eval_blocks``, which maps all sample points in one call per side;
+    ``samples`` is an ``(N, 2, total_dim)`` array of point pairs.
     """
     n, k, _ = _qsim_logs(spec, F, samples)
     return n, k

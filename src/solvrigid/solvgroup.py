@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .mapalg import SimMap, check_triangularity
-from .quasimetric import distance, distance_rows
+from .quasimetric import _block_norm, distance, distance_rows
 from .spectral import BlockPoint, SpectralData
 
 
@@ -190,28 +190,45 @@ def pair_to_point_heights(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.nd
     return np.log(d)
 
 
-def pair_to_point_bisect(spec: SolvSpec, p: BlockPoint, q: BlockPoint) -> float:
-    """Root-finding oracle for the divergence height: solve d_t(p, q) = 1.
+def pair_to_point_bisect(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Root-finding oracle for the divergence heights: solve d_t(p, q) = 1 per row.
 
-    Bisects the bracket log D(p, q) +- 1 until it is narrower than 1e-13,
-    for at most 200 halvings.
+    ``P`` and ``Q`` are ``(N, total_dim)`` arrays of boundary points. Every
+    row bisects its own bracket log D(p, q) +- 1 until that bracket is
+    narrower than 1e-13, for at most 200 halvings. The logs and the level
+    exponentials e^(-t alpha_i) are libm's, element by element, since
+    numpy's vectorized exp and log may round differently.
     """
     if not spec.pure:
         raise InputError("pair-to-point map is defined for the pure lower case")
-    d = distance(spec.lower, p, q)
-    if d == 0.0:
+    d = distance_rows(spec.lower, P, Q)
+    if not d.all():
         raise DomainError("coincident boundary points have no divergence height")
-    lo, hi = math.log(d) - 1.0, math.log(d) + 1.0
-    flo = level_distance(spec, lo, (p, None), (q, None)) - 1.0
+    diff = np.asarray(P, dtype=float) - np.asarray(Q, dtype=float)
+    # as in distance_rows: _block_norm rescales a gap whose square overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = [(a, _block_norm(diff[:, s]))
+                for a, s in zip(spec.lower.exponents, spec.lower.block_slices())]
+
+    def excess(t):
+        """Level distance at heights t, minus 1."""
+        level = np.zeros(len(t))
+        for a, gap in gaps:
+            np.maximum(level, np.array([math.exp(-s * a) for s in t.tolist()]) * gap, out=level)
+        return level - 1.0
+
+    logd = np.array([math.log(x) for x in d.tolist()])
+    lo, hi = logd - 1.0, logd + 1.0
+    flo = excess(lo)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = level_distance(spec, mid, (p, None), (q, None)) - 1.0
-        if abs(hi - lo) < 1e-13:
+        live = np.abs(hi - lo) >= 1e-13
+        if not live.any():
             break
-        if (flo > 0) == (fmid > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
+        mid = 0.5 * (lo + hi)
+        fmid = excess(mid)
+        up = live & ((flo > 0) == (fmid > 0))
+        lo, flo = np.where(up, mid, lo), np.where(up, fmid, flo)
+        hi = np.where(live & ~up, mid, hi)
     return 0.5 * (lo + hi)
 
 

@@ -127,6 +127,35 @@ class BlockPoint:
         )
 
 
+def require_blocks(spec: SpectralData, blocks) -> list[np.ndarray]:
+    """The blocks of one point, shapes ``(n_i,)``, or of N points, ``(N, n_i)``, as float arrays.
+
+    A 1-D block among row blocks is shared by every row, as numpy broadcasts
+    it. Raises InputError on non-numeric or non-finite blocks and
+    DimensionMismatch on any other count or shape of blocks, or row blocks
+    of differing N.
+    """
+    try:
+        out = [np.asarray(b, dtype=float) for b in blocks]
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("point blocks must be arrays of numbers") from None
+    shapes = [b.shape for b in out]
+    if shapes != [(n,) for n in spec.multiplicities]:  # not one point: rows
+        rows = {s[:-1] for s in shapes} - {()}
+        if (len(out) != spec.r or len(rows) > 1 or any(len(n) > 1 for n in rows)
+                or any(s[-1:] != (n,) for s, n in zip(shapes, spec.multiplicities))):
+            raise DimensionMismatch(
+                f"blocks of shapes {shapes} are neither one point nor rows "
+                f"of multiplicities {spec.multiplicities}"
+            )
+    for b in out:
+        # the sum of squares is finite when every entry is, short of
+        # overflow: only then is the entrywise test needed
+        if not math.isfinite(np.vdot(b, b)) and not np.isfinite(b).all():
+            raise InputError("point has a non-finite coordinate")
+    return out
+
+
 # Rows per array drawn by random_row_blocks: large enough to amortize numpy's
 # per-call cost, small enough that memory stays flat at any sample count.
 ROW_BLOCK = 4096

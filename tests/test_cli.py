@@ -2,14 +2,19 @@
 emission, and determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from solvrigid import cli, conformal, quasimetric, solvgroup
+from solvrigid import cli, conformal, fixtures, mapalg, nilpotent, quasimetric, solvgroup, spectral
 from solvrigid.conformal import act, conf_class, kdist
 from solvrigid.cli import MAX_GRID_POINTS, ConfigError, RunConfig, main
-from solvrigid.spectral import ROW_BLOCK, random_point, random_row_blocks
+from solvrigid.mapalg import ASimMap, SimMap
+from solvrigid.nilpotent import epsilon_bound
+from solvrigid.quasimetric import distance
+from solvrigid.solvgroup import SolvSpec, level_distance, pair_to_point
+from solvrigid.spectral import ROW_BLOCK, SpectralData, random_pairs, random_point, random_row_blocks
 
 
 def _reports(out_dir):
@@ -267,3 +272,106 @@ def test_conformal_suite_computes_kdist_on_stacks(count_calls):
     checks = cli.run_conformal(RunConfig(), np.random.default_rng(0))
     assert all(c["passed"] for c in checks)
     assert len(calls) <= 10
+
+
+def _per_sample_asim_check(rng) -> dict:
+    """The almost-similarity check of the per-sample loop that the row pass
+    of run_classify replaced: one map and distance call per sample point."""
+    spec = fixtures.SPEC_NIL
+    asim = ASimMap(SimMap.dilation(spec, 1.5), fixtures.oscillating_kernel_element())
+    ratios = []
+    for p, q in random_pairs(spec, rng, 300, 3.0):
+        d = distance(spec, p, q)
+        if d != 0.0:
+            ratios.append(distance(spec, asim(p), asim(q)) / d)
+    logs = np.log(np.asarray(ratios))
+    k = max(float(np.exp(np.abs(logs - logs.mean()).max())), 1.0)
+    return cli._check("almost-similarity-classified", True, 0.0, kind="ASim", K=k)
+
+
+def _per_probe_epsilon_check(cfg, rng, bound_of) -> dict:
+    """The epsilon-bound check of the per-probe loop that the row pass of
+    run_roots replaced: one random_point draw and evaluation per probe."""
+    gamma = fixtures.oscillating_kernel_element()
+    spec = gamma.spec
+    worst_ratio = 0.0
+    for i in range(spec.r):
+        bound = bound_of(gamma, i)
+        if bound == 0.0:
+            continue
+        vals = np.array([gamma.perturbations[i](random_point(spec, rng, 4.0).blocks)
+                         for _ in range(cfg.probe_count)])
+        osc = float(np.linalg.norm(vals[:, None] - vals[None], axis=-1).max())
+        worst_ratio = max(worst_ratio, osc / bound)
+    return cli._check("epsilon-bound-dominates", worst_ratio <= 1.0, max(worst_ratio - 1.0, 0.0))
+
+
+def _scalar_bisect(spec, p, q) -> float:
+    """The one-pair bisection that pair_to_point_bisect replaced."""
+    d = distance(spec.lower, p, q)
+    lo, hi = math.log(d) - 1.0, math.log(d) + 1.0
+    flo = level_distance(spec, lo, (p, None), (q, None)) - 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fmid = level_distance(spec, mid, (p, None), (q, None)) - 1.0
+        if abs(hi - lo) < 1e-13:
+            break
+        if (flo > 0) == (fmid > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _per_pair_bisect_check(cfg, rng) -> dict:
+    """The bisection-oracle check of the per-pair loop, after the suite's row draws."""
+    spec = SolvSpec(lower=cfg.spec)
+    for _ in random_row_blocks(cfg.spec, rng, cfg.pairs, 2, 3.0):
+        pass
+    worst = 0.0
+    for p, q in random_pairs(cfg.spec, rng, 20, 3.0):
+        if distance(cfg.spec, p, q) != 0.0:
+            worst = max(worst, abs(pair_to_point(spec, p, q).height - _scalar_bisect(spec, p, q)))
+    return cli._check("pair-to-point-bisect-oracle", worst <= 1e-9, worst)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_row_passes_equal_the_per_sample_loops(seed, monkeypatch):
+    cfg = RunConfig()
+
+    def checks(run):
+        return {c["name"]: c for c in run(cfg, np.random.default_rng(seed))}
+
+    assert checks(cli.run_classify)["almost-similarity-classified"] == _per_sample_asim_check(
+        np.random.default_rng(seed))
+    assert checks(cli.run_geodesic)["pair-to-point-bisect-oracle"] == _per_pair_bisect_check(
+        cfg, np.random.default_rng(seed))
+    # at the true bound the defect reads 0; below the sampled oscillation it
+    # carries the oscillation's bits
+    for bound_of in (epsilon_bound, lambda gamma, i: 1.5):
+        monkeypatch.setattr(cli, "epsilon_bound", bound_of)
+        assert checks(cli.run_roots)["epsilon-bound-dominates"] == _per_probe_epsilon_check(
+            cfg, np.random.default_rng(seed), bound_of)
+
+
+def test_bisection_rows_equal_the_per_pair_bisection():
+    spec = SolvSpec(lower=SpectralData((0.5, 1.0, 3.5), (2, 1, 2)))
+    pairs = next(random_row_blocks(spec.lower, np.random.default_rng(4), 50, 2, 3.0))
+    pairs[1, 1] = pairs[1, 0] + 1e-9  # a pair whose bracket sits far below the others
+    # at height 691 the bracket's ends are one ulp, 1.1e-13, apart at best:
+    # this row halves 200 times while the others stop after about 45
+    pairs[2, 1, :2] = pairs[2, 0, :2] + 1e150
+    got = solvgroup.pair_to_point_bisect(spec, pairs[:, 0], pairs[:, 1])
+    want = [_scalar_bisect(spec, *(spectral.BlockPoint.from_flat(spec.lower, x) for x in pair))
+            for pair in pairs]
+    assert np.array_equal(got, want)
+
+
+def test_classify_and_roots_draw_and_measure_on_rows(count_calls):
+    # the per-sample loops made 1200 distance calls and 1100 random_point draws
+    distances = count_calls(quasimetric, mapalg, nilpotent, solvgroup, cli, name="distance")
+    draws = count_calls(spectral, cli, name="random_point")
+    checks = cli.run_classify(RunConfig(), np.random.default_rng(0))
+    checks += cli.run_roots(RunConfig(), np.random.default_rng(0))
+    assert all(c["passed"] for c in checks)
+    assert len(distances) == 0 and len(draws) == 0

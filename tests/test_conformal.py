@@ -341,6 +341,13 @@ class TestMetrics:
         w = np.linalg.eigvalsh(t)
         assert dilatation(t) == pytest.approx(max(w[-1], 1.0 / w[0]), rel=1e-12)
 
+    def test_dilatation_beyond_float_range_reads_inf(self):
+        # k-distance 744 from the identity: e^744 is beyond float range
+        far = np.diag([1.0, 5e-324])
+        assert dilatation(far) == math.inf
+        got = dilatation(np.stack([np.eye(2), far]))
+        assert got[0] == 1.0 and got[1] == math.inf
+
 
 class TestCircumcenter:
     def test_singleton(self):

@@ -8,6 +8,7 @@ import pytest
 
 from solvrigid import (
     AbsPow,
+    AlmostTranslation,
     BlockVar,
     Clamp,
     Const,
@@ -129,3 +130,45 @@ X1 = {"node": "block", "index": 1, "dim": 1}
 def test_json_rejects_malformed_nodes(payload):
     with pytest.raises(InputError):
         expr_from_json(payload)(BLOCKS)
+
+
+def _displacement():
+    """Block 0's Displacement node of a three-letter word."""
+    a = AlmostTranslation(SPEC, [Osc([0.3, -0.2], [1.0], 0.1, BlockVar(1, 1)), Const([1.5])])
+    return a.compose(a.inverse()).compose(a).perturbations[0]
+
+
+# one node of each type, on blocks of dims 2 and 1
+NODES = {
+    "const": Const([1.0, -2.0]),
+    "block": BlockVar(0, 2),
+    "lin": Lin([[1.0, 2.0], [0.5, -1.0], [3.0, 0.1]], BlockVar(0, 2)),
+    "sum": Sum((BlockVar(1, 1), Const([0.5]), Scale(2.0, BlockVar(1, 1)))),
+    "scale": Scale(-1.5, BlockVar(0, 2)),
+    "abspow": AbsPow(1.7, BlockVar(0, 2)),
+    "min": PMin((BlockVar(1, 1), Const([0.2]), Lin([[1.0, -1.0]], BlockVar(0, 2)))),
+    "max": PMax((Const([0.2]), BlockVar(1, 1), Lin([[1.0, -1.0]], BlockVar(0, 2)))),
+    "clamp": Clamp(-1.0, 0.5, BlockVar(0, 2)),
+    "pwl": Pwl([-1.0, 0.0, 2.0], [0.0, 1.0, -1.0], BlockVar(1, 1)),
+    "osc": Osc([2.0, -1.0], [0.7, -1.3], 0.4, BlockVar(0, 2)),
+    "displacement": _displacement(),
+}
+
+
+@pytest.mark.parametrize("name", list(NODES))
+def test_rows_equal_the_per_point_loop(name):
+    e = NODES[name]
+    rows = np.random.default_rng(5).uniform(-3, 3, (40, SPEC.total_dim))
+    blocks = [rows[:, s] for s in SPEC.block_slices()]
+    got = e(blocks)
+    want = np.array([e([b[j] for b in blocks]) for j in range(len(rows))])
+    # a const node keeps one value for all rows; its consumer broadcasts it
+    assert got.shape == ((e.dim,) if name == "const" else (len(rows), e.dim))
+    assert np.array_equal(np.broadcast_to(got, want.shape), want)
+
+
+@pytest.mark.parametrize("block", [np.zeros((4, 3)), np.zeros((2, 4, 2)), np.zeros(()), np.zeros(3)],
+                         ids=["rows-of-3", "3-d", "0-d", "point-of-3"])
+def test_misshaped_row_block_rejected(block):
+    with pytest.raises(InputError):
+        BlockVar(0, 2)([block, np.zeros(1)])

@@ -33,8 +33,8 @@ from solvrigid import (
     conjugate_almost_by_sim,
     height_hom,
     invert,
-    random_pairs,
     random_point,
+    random_row_blocks,
     rotation_hom,
     rotation_rigidity_witness,
     stretch_hom,
@@ -159,6 +159,78 @@ class TestASimWords:
             calls.clear()
             word(p)
             assert len(calls) == self.LETTERS
+
+
+def _row_maps():
+    """Boundary maps on SPEC_ROT: a similarity with rotations, words, and block maps."""
+    s = SimMap(SPEC_ROT, 1.3, [_rot(0.7), -np.eye(1)], [np.array([0.4, -0.2]), np.array([0.3])])
+    a = AlmostTranslation(SPEC_ROT, [Osc([0.3, -0.2], [1.0], 0.1, BlockVar(1, 1)), Const([0.7])])
+    word = a.compose(a.inverse()).compose(a)
+    asim = ASimMap(s, word)
+    generic = BlockMap(SPEC_ROT, [
+        Sum((BlockVar(0, 2), Osc([0.5, 0.1], [1.0], 0.0, BlockVar(1, 1)))),
+        Const([1.0]),
+    ])
+    return {
+        "sim": s,
+        "word": word,
+        "word-inverse": word.inverse(),
+        "word-conjugate": conjugate_almost_by_sim(s, word),
+        "asim": asim,
+        "asim-word": asim.compose(_asim_letter(np.random.default_rng(3))),
+        "block-map": compose(generic, s),
+    }
+
+
+ROW_MAPS = _row_maps()
+
+
+class TestRowEvaluation:
+    ROWS = np.random.default_rng(8).uniform(-3, 3, (30, SPEC_ROT.total_dim))
+
+    @staticmethod
+    def _blocks(rows):
+        return [rows[..., s] for s in SPEC_ROT.block_slices()]
+
+    @pytest.mark.parametrize("name", list(ROW_MAPS))
+    def test_rows_equal_the_per_point_loop(self, name):
+        F = ROW_MAPS[name]
+        got = F.eval_blocks(self._blocks(self.ROWS))
+        want = [F.eval_blocks(self._blocks(row)) for row in self.ROWS]
+        for i, n in enumerate(SPEC_ROT.multiplicities):
+            # a constant component gives one block for every row
+            block = np.broadcast_to(got[i], (len(self.ROWS), n))
+            assert np.array_equal(block, np.array([w[i] for w in want]))
+
+    @pytest.mark.parametrize("name", list(ROW_MAPS))
+    def test_point_block_is_shared_by_the_rows(self, name):
+        F = ROW_MAPS[name]
+        rows = self.ROWS.copy()
+        rows[:, :2] = rows[0, :2]
+        got = F.eval_blocks([self.ROWS[0, :2], rows[:, 2:]])
+        for g, w in zip(got, F.eval_blocks(self._blocks(rows))):
+            assert np.array_equal(np.broadcast_to(g, w.shape), w)
+
+    @pytest.mark.parametrize("name", list(ROW_MAPS))
+    @pytest.mark.parametrize("shapes", [
+        [(5, 3), (5, 1)],  # a block of the wrong dim
+        [(5, 2), (4, 1)],  # rows of differing N
+        [(1, 5, 2), (1, 5, 1)],  # 3-d blocks
+        [(), (1,)],  # a 0-d block
+        [(5, 2)],  # too few blocks
+        [(5, 2), (5, 1), (5, 1)],  # too many
+    ], ids=lambda s: str(s))
+    def test_misshaped_blocks_rejected(self, name, shapes):
+        with pytest.raises(InputError):
+            ROW_MAPS[name].eval_blocks([np.zeros(s) for s in shapes])
+
+    @pytest.mark.parametrize("name", list(ROW_MAPS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "x"])
+    def test_non_finite_or_non_numeric_blocks_rejected(self, name, bad):
+        blocks = [np.zeros((4, 2)).tolist(), np.zeros((4, 1)).tolist()]
+        blocks[1][2][0] = bad
+        with pytest.raises(InputError):
+            ROW_MAPS[name].eval_blocks(blocks)
 
 
 class Precompose(FuncExpr):
@@ -324,20 +396,22 @@ class TestTriangularity:
 
 
 class TestClassification:
+    @staticmethod
+    def _pairs(count, scale=1.0):
+        return next(random_row_blocks(SPEC_NIL, RNG, count, 2, scale))
+
     def test_similarity(self):
-        c = classify(SPEC_NIL, SimMap.dilation(SPEC_NIL, 2.0), random_pairs(SPEC_NIL, RNG, 50))
+        c = classify(SPEC_NIL, SimMap.dilation(SPEC_NIL, 2.0), self._pairs(50))
         assert c.kind == "Sim" and c.stretch == pytest.approx(2.0)
 
     def test_almost_similarity(self):
         g = ASimMap(SimMap.dilation(SPEC_NIL, 2.0), oscillating_kernel_element())
-        c = classify(SPEC_NIL, g, random_pairs(SPEC_NIL, RNG, 200, 5.0))
+        c = classify(SPEC_NIL, g, self._pairs(200, 5.0))
         assert c.kind == "ASim" and c.stretch == pytest.approx(2.0)
 
     def test_bilip_map(self):
-        def squeeze(p):
-            return BlockPoint((1.5 * p.blocks[0], p.blocks[1]))
-
-        c = classify(SPEC_NIL, squeeze, random_pairs(SPEC_NIL, RNG, 300, 5.0))
+        squeeze = BlockMap(SPEC_NIL, [Lin([[1.5]], BlockVar(0, 1)), BlockVar(1, 1)])
+        c = classify(SPEC_NIL, squeeze, self._pairs(300, 5.0))
         assert c.kind in ("Bilip", "QSim")
         assert c.K > 1.0
 

@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvrigid import (
+    BlockMap,
     BlockPoint,
+    BlockVar,
     ChainGrid,
+    Const,
     DimensionMismatch,
     DomainError,
     InputError,
+    SimMap,
     SpectralData,
     chain_energy,
     dilate,
@@ -175,19 +179,25 @@ class TestChainEnergy:
 class TestQsimConstants:
     def test_dilation_has_trivial_k(self):
         rng = np.random.default_rng(3)
-        pairs = [
-            (BlockPoint(tuple(rng.uniform(-2, 2, n) for n in SPEC_R2.multiplicities)),
-             BlockPoint(tuple(rng.uniform(-2, 2, n) for n in SPEC_R2.multiplicities)))
-            for _ in range(100)
-        ]
-        n, k = estimate_qsim_constants(SPEC_R2, lambda p: dilate(SPEC_R2, 2.0, p), pairs)
+        pairs = rng.uniform(-2, 2, (100, 2, SPEC_R2.total_dim))
+        n, k = estimate_qsim_constants(SPEC_R2, SimMap.dilation(SPEC_R2, 2.0), pairs)
         assert n == pytest.approx(2.0, rel=1e-12)
         assert k == pytest.approx(1.0, rel=1e-12)
 
+    def test_constant_component_is_shared_by_the_rows(self):
+        rng = np.random.default_rng(6)
+        pairs = rng.uniform(-2, 2, (50, 2, SPEC_R2.total_dim))
+        collapse = BlockMap(SPEC_R2, [BlockVar(0, 1), Const([1.0])])
+        points = [[BlockPoint.from_flat(SPEC_R2, x) for x in pair] for pair in pairs]
+        logs = np.log([distance(SPEC_R2, collapse(p), collapse(q)) / distance(SPEC_R2, p, q)
+                       for p, q in points])
+        n, k = estimate_qsim_constants(SPEC_R2, collapse, pairs)
+        assert n == float(np.exp(logs.mean()))
+        assert k == max(float(np.exp(np.abs(logs - logs.mean()).max())), 1.0)
+
     def test_degenerate_sample_rejected(self):
-        p = BlockPoint.zero(SPEC_R1)
         with pytest.raises(InputError):
-            estimate_qsim_constants(SPEC_R1, lambda q: q, [(p, p)])
+            estimate_qsim_constants(SPEC_R1, SimMap.identity(SPEC_R1), np.zeros((1, 2, 1)))
 
 
 SPEC_NAN = SpectralData((1.0, 2.0), (1, 1))

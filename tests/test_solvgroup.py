@@ -16,6 +16,7 @@ from solvrigid import (
     VerticalGeodesic,
     boundary_of_height_isometry,
     distance,
+    distance_rows,
     identity_point,
     inverse,
     level_distance,
@@ -24,6 +25,7 @@ from solvrigid import (
     pair_to_point_bisect,
     pair_to_point_heights,
     random_point,
+    random_row_blocks,
     suspend_boundary_map,
 )
 from solvrigid.fixtures import SPEC_R1, SPEC_R2, SPEC_R3
@@ -95,12 +97,13 @@ class TestPairToPoint:
             assert o.x is p
 
     def test_agrees_with_bisection_oracle(self):
-        for _ in range(20):
-            p, q = random_point(SPEC_R2, RNG, 3.0), random_point(SPEC_R2, RNG, 3.0)
-            if distance(SPEC_R2, p, q) == 0.0:
-                continue
+        pairs = next(random_row_blocks(SPEC_R2, RNG, 20, 2, 3.0))
+        pairs = pairs[distance_rows(SPEC_R2, pairs[:, 0], pairs[:, 1]) != 0.0]
+        heights = pair_to_point_bisect(PURE, pairs[:, 0], pairs[:, 1])
+        for (p, q), bisected in zip(pairs, heights):
+            p, q = BlockPoint.from_flat(SPEC_R2, p), BlockPoint.from_flat(SPEC_R2, q)
             closed = pair_to_point(PURE, p, q).height
-            assert closed == pytest.approx(pair_to_point_bisect(PURE, p, q), abs=1e-9)
+            assert closed == pytest.approx(bisected, abs=1e-9)
 
     def test_coincident_points_rejected(self):
         p = random_point(SPEC_R2, RNG)

@@ -1,5 +1,7 @@
-"""Malformed input to the parsers, validators and row kernels raises only
-the package's own errors."""
+"""Malformed input to the parsers, validators, row kernels and boundary maps
+raises only the package's own errors."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +10,21 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from solvrigid import (
+    ASimMap,
+    AlmostTranslation,
+    BlockMap,
     BlockPoint,
+    BlockVar,
+    Const,
     InputError,
+    Lin,
+    Osc,
+    SimMap,
     SolvRigidError,
     SpectralData,
     conf_class,
     ddist,
+    dilatation,
     dilate,
     dilate_rows,
     distance,
@@ -22,6 +33,7 @@ from solvrigid import (
     pair_to_point_heights,
 )
 from solvrigid.cli import RunConfig
+from solvrigid.fixtures import SPEC_ROT
 from solvrigid.funcexpr import expr_from_json
 from solvrigid.solvgroup import SolvSpec
 
@@ -122,6 +134,32 @@ def dilations(draw):
     return spec, draw(st.floats()), p
 
 
+def _boundary_maps():
+    """A rotation similarity, an almost-translation word, their composite and a block map."""
+    s = SimMap(SPEC_ROT, 1.3, [[[0.6, -0.8], [0.8, 0.6]], [[-1.0]]], [[0.4, -0.2], [0.3]])
+    a = AlmostTranslation(SPEC_ROT, [Osc([0.3, -0.2], [1.0], 0.1, BlockVar(1, 1)), Const([0.7])])
+    word = a.compose(a.inverse())
+    return [s, word, ASimMap(s, word),
+            BlockMap(SPEC_ROT, [Lin([[1.0, 2.0], [0.0, 1.0]], BlockVar(0, 2)), Const([1.0])], word)]
+
+
+# coordinates up to 1e6, and non-finite ones: an image beyond float range
+# still overflows with numpy's warning, a separate fault
+coordinates = st.floats(-1e6, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf])
+map_blocks = st.tuples(
+    st.sampled_from(_boundary_maps()),
+    st.integers(0, 4).flatmap(lambda n: st.tuples(
+        hnp.arrays(float, (n, 2), elements=coordinates), hnp.arrays(float, (n, 1), elements=coordinates)))
+    | st.tuples(hnp.arrays(float, 2, elements=coordinates), hnp.arrays(float, 1, elements=coordinates))
+    | st.lists(hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                          elements=coordinates) | arrays, max_size=3),
+)
+
+
+def _eval_blocks(F, blocks):
+    return F.eval_blocks(blocks)
+
+
 def _distance(spec, p, q):
     return distance(spec, BlockPoint(p), BlockPoint(q))
 
@@ -139,6 +177,7 @@ TARGETS = {
     "expr_from_json": (st.tuples(expr_nodes), expr_from_json),
     "conf_class": (st.tuples(matrices), conf_class),
     "conf_class_stack": (st.tuples(stacks), conf_class),
+    "dilatation": (st.tuples(matrices | stacks), dilatation),
     "kdist": (class_pairs, kdist),
     "ddist": (class_pairs, ddist),
     "SpectralData.from_json": (st.tuples(spec_json), SpectralData.from_json),
@@ -150,6 +189,7 @@ TARGETS = {
     "pair_to_point_heights": (row_pairs(), _pair_to_point),
     "distance": (point_pairs(), _distance),
     "dilate": (dilations(), _dilate),
+    "eval_blocks": (map_blocks, _eval_blocks),
 }
 
 
