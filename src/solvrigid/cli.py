@@ -28,7 +28,7 @@ from .nilpotent import (
     epsilon_bound,
     root_power_word,
 )
-from .quasimetric import ChainGrid, chain_energy, dilate_rows, distance, distance_rows
+from .quasimetric import ChainGrid, chain_energy, dilate, distance
 from .solvgroup import (
     SolvPoint,
     SolvSpec,
@@ -38,10 +38,9 @@ from .solvgroup import (
     multiply,
     pair_to_point,
     pair_to_point_bisect,
-    pair_to_point_heights,
     VerticalGeodesic,
 )
-from .spectral import BlockPoint, SpectralData, random_pairs, random_point, random_row_blocks
+from .spectral import BlockPoint, SpectralData, random_point, random_row_blocks
 from .tukia import conjugator_1d, sup_measure_1d, verify_conjugation
 
 
@@ -184,18 +183,18 @@ def run_metric(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     sym_worst = 0.0
     for block in random_row_blocks(spec, rng, cfg.triples, 3, 3.0):
         p, q, s = block[:, 0], block[:, 1], block[:, 2]
-        dpq, dqs = distance_rows(spec, p, q), distance_rows(spec, q, s)
-        dps = distance_rows(spec, p, s)
+        dpq, dqs = distance(spec, p, q), distance(spec, q, s)
+        dps = distance(spec, p, s)
         slack = dps**a1 - (dpq**a1 + dqs**a1)
         tri_worst = max(tri_worst, float(np.max(slack / np.maximum(dps**a1, 1.0))))
-        sym_worst = max(sym_worst, float(np.max(np.abs(dpq - distance_rows(spec, q, p)))))
+        sym_worst = max(sym_worst, float(np.max(np.abs(dpq - distance(spec, q, p)))))
     dil_worst = 0.0
     for t in (0.5, 2.0, 3.0):
         for block in random_row_blocks(spec, rng, 200, 2, 3.0):
             p, q = block[:, 0], block[:, 1]
-            d = distance_rows(spec, p, q)
+            d = distance(spec, p, q)
             keep = d != 0.0
-            d2 = distance_rows(spec, dilate_rows(spec, t, p[keep]), dilate_rows(spec, t, q[keep]))
+            d2 = distance(spec, dilate(spec, t, p[keep]), dilate(spec, t, q[keep]))
             td = t * d[keep]
             dil_worst = max(dil_worst, float(np.max(np.abs(d2 - td) / td, initial=0.0)))
     x0 = BlockPoint.zero(spec)
@@ -222,14 +221,15 @@ def run_geodesic(cfg: RunConfig, rng: np.random.Generator, out_dir: Path | None 
     worst_pair = 0.0
     for block in random_row_blocks(cfg.spec, rng, cfg.pairs, 2, 3.0):
         p, q = block[:, 0], block[:, 1]
-        d = distance_rows(cfg.spec, p, q)
+        d = distance(cfg.spec, p, q)
         keep = d != 0.0
-        t, d = pair_to_point_heights(spec, p[keep], q[keep]), d[keep]
+        t, d = pair_to_point(spec, p[keep], q[keep]), d[keep]
         worst_pair = max(worst_pair, float(np.max(np.abs(np.exp(t) - d) / d, initial=0.0)))
-    # the scalar closed form, pair by pair, against the oracle bisecting every pair at once
-    pairs = [(p, q) for p, q in random_pairs(cfg.spec, rng, 20, 3.0) if distance(cfg.spec, p, q) != 0.0]
-    t_closed = np.array([pair_to_point(spec, p, q).height for p, q in pairs])
-    rows = np.array([[p.flat(), q.flat()] for p, q in pairs]).reshape(-1, 2, cfg.spec.total_dim)
+    # the closed form on one pair at a time (the one-point path of
+    # pair_to_point and distance), against the oracle bisecting every pair at once
+    rows = next(random_row_blocks(cfg.spec, rng, 20, 2, 3.0))
+    rows = rows[distance(cfg.spec, rows[:, 0], rows[:, 1]) != 0.0]
+    t_closed = np.array([pair_to_point(spec, p, q) for p, q in rows])
     t_bisect = pair_to_point_bisect(spec, rows[:, 0], rows[:, 1])
     worst_bisect = float(np.max(np.abs(t_closed - t_bisect), initial=0.0))
     comp_worst = 0.0

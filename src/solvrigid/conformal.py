@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConvergenceError, CoverageError, DomainError, InputError
 from .nilpotent import walk_words
-from .quasimetric import distance
+from .quasimetric import _exp
 from .spectral import BlockPoint, SpectralData
 
 
@@ -149,14 +149,6 @@ def ddist(A, B):
     """
     d = np.sqrt(np.sum(np.log(_rel_eigvals(A, B)) ** 2, axis=-1))
     return float(d) if d.ndim == 0 else d
-
-
-def _exp(x: float) -> float:
-    """math.exp, reading inf beyond float range as distance does."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def dilatation(A):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,9 +20,9 @@ _SQ_MIN = 2.0 ** -960
 def _block_norm(diff: np.ndarray):
     """Euclidean norm over the last axis of one block difference or of rows of them.
 
-    The one per-block formula of the metric, shared by the scalar and the row
-    paths: the square root of the dot product, rescaled where the sum of
-    squares is below ``_SQ_MIN`` or not finite. Raises InputError on a
+    The one per-block formula of the metric, for one point and for rows: the
+    square root of the dot product, rescaled where the sum of squares is
+    below ``_SQ_MIN`` or not finite. Raises InputError on a
     non-finite entry, so a NaN or infinite coordinate is never dropped.
     """
     sq = np.vecdot(diff, diff)
@@ -42,51 +43,57 @@ def _rescaled_norm(diff: np.ndarray) -> np.ndarray:
     return big[..., 0] * np.sqrt(np.vecdot(unit, unit))
 
 
-def distance(spec: SpectralData, p: BlockPoint, q: BlockPoint) -> float:
-    """max_i |x_i - y_i|^(1/alpha_i) with the Euclidean norm per block."""
-    p.require_conforms(spec)
-    q.require_conforms(spec)
-    best = 0.0
-    # as in distance_rows: a non-finite gap raises InputError in _block_norm,
-    # and a distance beyond float range reads inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, x, y in zip(spec.exponents, p.blocks, q.blocks):
-            d = _block_norm(x - y)
-            if d > 0.0:
-                try:
-                    best = max(best, d ** (1.0 / a))
-                except OverflowError:
-                    best = math.inf
-    return best
-
-
-def _require_rows(spec: SpectralData, *arrays) -> list[np.ndarray]:
+def _exp(x: float) -> float:
+    """math.exp, reading inf beyond float range as distance does."""
     try:
-        out = [np.asarray(a, dtype=float) for a in arrays]
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("rows must be arrays of numbers") from None
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _require_points(spec: SpectralData, *points) -> list[np.ndarray]:
+    """One point ``(total_dim,)`` or rows ``(N, total_dim)`` per argument, all of one shape.
+
+    A BlockPoint is checked against the spec's blocks (DimensionMismatch)
+    and flattened; anything else is read as a float array.
+    """
+    out = []
+    for p in points:
+        if isinstance(p, BlockPoint):
+            p.require_conforms(spec)
+            out.append(p.flat())
+            continue
+        try:
+            out.append(np.asarray(p, dtype=float))
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("points must be arrays of numbers") from None
     for a in out:
-        if a.ndim != 2 or a.shape[1] != spec.total_dim or a.shape != out[0].shape:
+        if a.ndim not in (1, 2) or a.shape[-1] != spec.total_dim or a.shape != out[0].shape:
             raise DimensionMismatch(
-                f"rows of shape {a.shape}, expected (N, {spec.total_dim}) matching the other rows"
+                f"points of shape {a.shape}, expected ({spec.total_dim},) or "
+                f"(N, {spec.total_dim}) matching the other points"
             )
     return out
 
 
-def distance_rows(spec: SpectralData, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`distance` of two ``(N, total_dim)`` arrays of points."""
-    P, Q = _require_rows(spec, P, Q)
-    best = np.zeros(len(P))
+def distance(spec: SpectralData, P, Q):
+    """max_i |x_i - y_i|^(1/alpha_i) with the Euclidean norm per block.
+
+    A float for two points, an ``(N,)`` array for two ``(N, total_dim)``
+    arrays of rows.
+    """
+    P, Q = _require_points(spec, P, Q)
     # a non-finite gap (inf - inf included) raises InputError in _block_norm;
     # a distance beyond float range reads inf
     with np.errstate(over="ignore", invalid="ignore"):
         diff = P - Q
-        for a, s in zip(spec.exponents, spec.block_slices()):
-            # np.float_power evaluates pow element by element as ``**`` on a
-            # float does, so each row equals the scalar distance bit for bit;
-            # the SIMD loop of np.power may round differently
-            np.maximum(best, np.float_power(_block_norm(diff[:, s]), 1.0 / a), out=best)
-    return best
+        # np.float_power evaluates pow element by element as ``**`` on a float
+        # does; the SIMD loop of np.power may round differently
+        best = functools.reduce(np.maximum, [
+            np.float_power(_block_norm(diff[..., s]), 1.0 / a)
+            for a, s in zip(spec.exponents, spec.block_slices())
+        ])
+    return float(best) if best.ndim == 0 else best
 
 
 def _dilation_factors(spec: SpectralData, t: float) -> list[float]:
@@ -98,21 +105,15 @@ def _dilation_factors(spec: SpectralData, t: float) -> list[float]:
         raise DomainError(f"dilation factors of t = {t} are beyond float range") from None
 
 
-def dilate(spec: SpectralData, t: float, p: BlockPoint) -> BlockPoint:
-    """Scale block i by t^alpha_i; multiplies the quasi-metric by t exactly."""
-    factors = _dilation_factors(spec, t)
-    p.require_conforms(spec)
-    # as in dilate_rows: a coordinate beyond float range reads inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        return BlockPoint(tuple(f * x for f, x in zip(factors, p.blocks)))
+def dilate(spec: SpectralData, t: float, P) -> np.ndarray:
+    """Scale block i by t^alpha_i; multiplies the quasi-metric by t exactly.
 
-
-def dilate_rows(spec: SpectralData, t: float, P: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`dilate` of an ``(N, total_dim)`` array of points."""
+    A ``(total_dim,)`` array for one point, ``(N, total_dim)`` for rows.
+    """
     factors = _dilation_factors(spec, t)
-    (P,) = _require_rows(spec, P)
+    (P,) = _require_points(spec, P)
     # a coordinate beyond float range reads inf, and inf times an underflowed
-    # factor NaN; distance_rows raises InputError on either
+    # factor NaN; distance raises InputError on either
     with np.errstate(over="ignore", invalid="ignore"):
         return P * np.repeat(factors, spec.multiplicities)
 
@@ -228,12 +229,12 @@ def _qsim_logs(spec: SpectralData, F, samples) -> tuple[float, float, np.ndarray
             f"samples of shape {samples.shape}, expected (N, 2, {spec.total_dim})"
         )
     P, Q = samples[:, 0], samples[:, 1]
-    d = distance_rows(spec, P, Q)
+    d = distance(spec, P, Q)
     keep = d != 0.0
     if not keep.any():
         raise InputError("no non-degenerate sample pairs")
     P, Q = P[keep], Q[keep]
-    logs = np.log(distance_rows(spec, _image_rows(spec, F, P), _image_rows(spec, F, Q)) / d[keep])
+    logs = np.log(distance(spec, _image_rows(spec, F, P), _image_rows(spec, F, Q)) / d[keep])
     n = float(np.exp(logs.mean()))
     k = float(np.exp(np.abs(logs - logs.mean()).max()))
     return n, max(k, 1.0), logs

@@ -10,9 +10,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DimensionMismatch, DomainError, InputError
 from .mapalg import SimMap, check_triangularity
-from .quasimetric import _block_norm, distance, distance_rows
+from .quasimetric import _block_norm, _exp, _require_points, distance
 from .spectral import BlockPoint, SpectralData
 
 
@@ -120,19 +120,28 @@ def level_distance(
     """Distance within the height-t level set, in max-of-blocks form.
 
     Lower blocks contract like e^{-t alpha_i}, upper blocks expand like
-    e^{t beta_i}.
+    e^{t beta_i}. A level distance beyond float range reads inf; a zero gap
+    contributes 0 at any height.
     """
     if isinstance(p, SolvPoint):
         p = (p.x, p.z)
     if isinstance(q, SolvPoint):
         q = (q.x, q.z)
     best = 0.0
-    if spec.lower is not None:
-        for a, xb, yb in zip(spec.lower.exponents, p[0].blocks, q[0].blocks):
-            best = max(best, math.exp(-t * a) * float(np.linalg.norm(xb - yb)))
-    if spec.upper is not None:
-        for b, zb, wb in zip(spec.upper.exponents, p[1].blocks, q[1].blocks):
-            best = max(best, math.exp(t * b) * float(np.linalg.norm(zb - wb)))
+    for data, sign, x, y in ((spec.lower, -1.0, p[0], q[0]), (spec.upper, 1.0, p[1], q[1])):
+        if data is None:
+            continue
+        x, y = _require_points(data, x, y)
+        if x.ndim != 1:
+            raise DimensionMismatch(f"points of shape {x.shape}, expected ({data.total_dim},)")
+        # as in distance: _block_norm raises InputError on a non-finite gap
+        # and keeps a gap whose square underflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = x - y
+            for a, s in zip(data.exponents, data.block_slices()):
+                gap = _block_norm(diff[s])
+                if gap > 0.0:
+                    best = max(best, _exp(sign * t * a) * gap)
     return best
 
 
@@ -164,49 +173,40 @@ class VerticalGeodesic:
         return rows
 
 
-def pair_to_point(spec: SolvSpec, p: BlockPoint, q: BlockPoint) -> SolvPoint:
-    """Point where the vertical geodesics through p and q are unit-separated.
+def pair_to_point(spec: SolvSpec, P, Q):
+    """Height at which the vertical geodesics through p and q are unit-separated.
 
-    Pure lower case; the height solves e^t = D(p, q) in closed form.
+    Pure lower case; the height solves e^t = D(p, q) in closed form, t = log
+    D(p, q), with libm's log per element. A float for two boundary points,
+    an ``(N,)`` array for two ``(N, total_dim)`` arrays of rows.
     """
     if not spec.pure:
         raise InputError("pair-to-point map is defined for the pure lower case")
-    d = distance(spec.lower, p, q)
-    if d == 0.0:
+    d = distance(spec.lower, P, Q)
+    if not np.all(d):
         raise DomainError("coincident boundary points have no divergence height")
-    return SolvPoint(height=math.log(d), x=p, z=None)
-
-
-def pair_to_point_heights(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Row-wise heights of :func:`pair_to_point`: the log of each row distance.
-
-    ``P`` and ``Q`` are ``(N, total_dim)`` arrays of boundary points.
-    """
-    if not spec.pure:
-        raise InputError("pair-to-point map is defined for the pure lower case")
-    d = distance_rows(spec.lower, P, Q)
-    if not d.all():
-        raise DomainError("coincident boundary points have no divergence height")
-    return np.log(d)
+    if isinstance(d, float):
+        return math.log(d)
+    return np.fromiter(map(math.log, d.tolist()), float, len(d))
 
 
 def pair_to_point_bisect(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Root-finding oracle for the divergence heights: solve d_t(p, q) = 1 per row.
 
     ``P`` and ``Q`` are ``(N, total_dim)`` arrays of boundary points. Every
-    row bisects its own bracket log D(p, q) +- 1 until that bracket is
-    narrower than 1e-13, for at most 200 halvings. The logs and the level
-    exponentials e^(-t alpha_i) are libm's, element by element, since
-    numpy's vectorized exp and log may round differently.
+    row bisects its own bracket log D(p, q) +- 1 (from :func:`pair_to_point`)
+    until that bracket is narrower than 1e-13, for at most 200 halvings. The
+    level exponentials e^(-t alpha_i) are libm's, element by element, since
+    numpy's vectorized exp may round differently. Raises DomainError where
+    one of them, on a nonzero gap, is beyond float range.
     """
-    if not spec.pure:
-        raise InputError("pair-to-point map is defined for the pure lower case")
-    d = distance_rows(spec.lower, P, Q)
-    if not d.all():
-        raise DomainError("coincident boundary points have no divergence height")
-    diff = np.asarray(P, dtype=float) - np.asarray(Q, dtype=float)
-    # as in distance_rows: _block_norm rescales a gap whose square overflows
+    logd = pair_to_point(spec, P, Q)
+    P, Q = _require_points(spec.lower, P, Q)
+    if P.ndim != 2:
+        raise DimensionMismatch(f"points of shape {P.shape}, expected (N, {P.shape[-1]}) rows")
+    # as in distance: _block_norm rescales a gap whose square overflows
     with np.errstate(over="ignore", invalid="ignore"):
+        diff = P - Q
         gaps = [(a, _block_norm(diff[:, s]))
                 for a, s in zip(spec.lower.exponents, spec.lower.block_slices())]
 
@@ -214,22 +214,29 @@ def pair_to_point_bisect(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.nda
         """Level distance at heights t, minus 1."""
         level = np.zeros(len(t))
         for a, gap in gaps:
-            np.maximum(level, np.array([math.exp(-s * a) for s in t.tolist()]) * gap, out=level)
+            factor = np.array([_exp(-s * a) for s in t.tolist()])
+            factor[gap == 0.0] = 0.0  # as in level_distance: a zero gap contributes 0
+            if np.isinf(factor).any():
+                raise DomainError("a level factor e^(-t alpha_i) of the bisection bracket "
+                                  "is beyond float range")
+            np.maximum(level, factor * gap, out=level)
         return level - 1.0
 
-    logd = np.array([math.log(x) for x in d.tolist()])
     lo, hi = logd - 1.0, logd + 1.0
-    flo = excess(lo)
-    for _ in range(200):
-        live = np.abs(hi - lo) >= 1e-13
-        if not live.any():
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = excess(mid)
-        up = live & ((flo > 0) == (fmid > 0))
-        lo, flo = np.where(up, mid, lo), np.where(up, fmid, flo)
-        hi = np.where(live & ~up, mid, hi)
-    return 0.5 * (lo + hi)
+    # a level distance beyond float range reads inf; a row whose height does
+    # has a NaN bracket width (inf - inf), so it is never live and reads inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        flo = excess(lo)
+        for _ in range(200):
+            live = np.abs(hi - lo) >= 1e-13
+            if not live.any():
+                break
+            mid = 0.5 * (lo + hi)
+            fmid = excess(mid)
+            up = live & ((flo > 0) == (fmid > 0))
+            lo, flo = np.where(up, mid, lo), np.where(up, fmid, flo)
+            hi = np.where(live & ~up, mid, hi)
+        return 0.5 * (lo + hi)
 
 
 def boundary_of_height_isometry(spec: SolvSpec, a: float) -> SimMap:

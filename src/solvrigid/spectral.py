@@ -165,14 +165,6 @@ def random_point(spec: SpectralData, rng: np.random.Generator, scale: float = 1.
     return BlockPoint(tuple(rng.uniform(-scale, scale, n) for n in spec.multiplicities))
 
 
-def random_pairs(
-    spec: SpectralData, rng: np.random.Generator, count: int, scale: float = 1.0
-) -> list[tuple[BlockPoint, BlockPoint]]:
-    return [
-        (random_point(spec, rng, scale), random_point(spec, rng, scale)) for _ in range(count)
-    ]
-
-
 def random_row_blocks(
     spec: SpectralData, rng: np.random.Generator, count: int, k: int, scale: float = 1.0
 ):

@@ -294,10 +294,10 @@ def radial_conjugator(
         def F(p: BlockPoint) -> BlockPoint:
             q = G(p)
             q = BlockPoint((a_matrix @ q.blocks[0],) + tuple(q.blocks[1:]))
-            return dilate(spec, t, q)
+            return BlockPoint.from_flat(spec, dilate(spec, t, q))
 
         def F_inv(p: BlockPoint) -> BlockPoint:
-            q = dilate(spec, 1.0 / t, p)
+            q = BlockPoint.from_flat(spec, dilate(spec, 1.0 / t, p))
             q = BlockPoint((np.linalg.solve(a_matrix, q.blocks[0]),) + tuple(q.blocks[1:]))
             return G.invert_point(q)
 

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 
@@ -26,18 +25,6 @@ def count_calls(monkeypatch):
         return calls
 
     return install
-
-
-@pytest.fixture
-def within_ulps():
-    """Whether two float arrays agree elementwise to within ``ulps`` units in the last place."""
-
-    def check(got, want, ulps=4) -> bool:
-        got, want = np.asarray(got), np.asarray(want)
-        scale = np.maximum(np.abs(got), np.abs(want))
-        return bool(np.all(np.abs(got - want) <= ulps * np.spacing(scale)))
-
-    return check
 
 
 @pytest.fixture

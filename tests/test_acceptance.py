@@ -31,6 +31,7 @@ from solvrigid import (
     normalize_stretch,
     pair_to_point,
     random_point,
+    random_row_blocks,
     root_power_word,
     rotation_hom,
     rotation_rigidity_witness,
@@ -79,24 +80,39 @@ class _Criterion:
         return False
 
 
+def _per_point_state(seed, draws):
+    """The generator state after ``count`` random_point calls at scale 5 per (spec, count)."""
+    rng = np.random.default_rng(seed)
+    for spec, count in draws:
+        for _ in range(count):
+            random_point(spec, rng, 5.0)
+    return rng.bit_generator.state
+
+
 def test_metric_axioms():
+    specs = (SPEC_R1, SPEC_R2, SPEC_R3)
     with _Criterion("metric-axioms", 5.0):
         rng = np.random.default_rng(0)
-        for spec in (SPEC_R1, SPEC_R2, SPEC_R3):
+        for spec in specs:
             a1 = spec.exponents[0]
-            for _ in range(10_000):
-                p, q, s = (random_point(spec, rng, 5.0) for _ in range(3))
-                lhs = distance(spec, p, s) ** a1
-                rhs = distance(spec, p, q) ** a1 + distance(spec, q, s) ** a1
-                assert lhs <= rhs + 1e-12 * max(lhs, 1.0)
+            for block in random_row_blocks(spec, rng, 10_000, 3, 5.0):
+                p, q, s = block[:, 0], block[:, 1], block[:, 2]
+                # np.float_power is pow per element, as ``**`` on a float
+                lhs = np.float_power(distance(spec, p, s), a1)
+                rhs = (np.float_power(distance(spec, p, q), a1)
+                       + np.float_power(distance(spec, q, s), a1))
+                assert np.all(lhs <= rhs + 1e-12 * np.maximum(lhs, 1.0))
             for t in (0.5, 2.0):
-                for _ in range(200):
-                    p, q = random_point(spec, rng, 5.0), random_point(spec, rng, 5.0)
+                for block in random_row_blocks(spec, rng, 200, 2, 5.0):
+                    p, q = block[:, 0], block[:, 1]
                     d = distance(spec, p, q)
-                    if d == 0.0:
-                        continue
-                    d2 = distance(spec, dilate(spec, t, p), dilate(spec, t, q))
-                    assert abs(d2 - t * d) <= 1e-12 * t * d
+                    keep = d != 0.0
+                    d2 = distance(spec, dilate(spec, t, p[keep]), dilate(spec, t, q[keep]))
+                    d = d[keep]
+                    assert np.all(np.abs(d2 - t * d) <= 1e-12 * t * d)
+    # the draws of one random_point call per point: 3 per triple, 2 per pair
+    assert rng.bit_generator.state == _per_point_state(0, [(spec, 3 * 10_000 + 2 * 2 * 200)
+                                                           for spec in specs])
 
 
 def test_chain_functional_oracle():
@@ -116,13 +132,13 @@ def test_boundary_correspondence():
     with _Criterion("boundary-correspondence", 5.0):
         rng = np.random.default_rng(1)
         spec = SolvSpec(lower=SPEC_R2)
-        for _ in range(10_000):
-            p, q = random_point(SPEC_R2, rng, 5.0), random_point(SPEC_R2, rng, 5.0)
+        for block in random_row_blocks(SPEC_R2, rng, 10_000, 2, 5.0):
+            p, q = block[:, 0], block[:, 1]
             d = distance(SPEC_R2, p, q)
-            if d == 0.0:
-                continue
-            t = pair_to_point(spec, p, q).height
-            assert abs(math.exp(t) - d) <= 1e-12 * d
+            keep = d != 0.0
+            t, d = pair_to_point(spec, p[keep], q[keep]), d[keep]
+            assert np.all(np.abs(np.exp(t) - d) <= 1e-12 * d)
+        after_pairs = rng.bit_generator.state
         for a in (-1.5, 0.0, 0.8):
             bd = boundary_of_height_isometry(spec, a)
             assert bd.stretch == math.exp(a)
@@ -137,6 +153,8 @@ def test_boundary_correspondence():
             x = random_point(SPEC_R2, rng, 2.0)
             scale = max(1.0, float(np.max(np.abs(rhs(x).flat()))))
             assert float(np.max(np.abs(lhs(x).flat() - rhs(x).flat()))) <= 1e-12 * scale
+    # the pairs are the draws of one random_point call per point
+    assert after_pairs == _per_point_state(1, [(SPEC_R2, 2 * 10_000)])
 
 
 def test_symmetric_space_suite():

@@ -14,7 +14,7 @@ from solvrigid.mapalg import ASimMap, SimMap
 from solvrigid.nilpotent import epsilon_bound
 from solvrigid.quasimetric import distance
 from solvrigid.solvgroup import SolvSpec, level_distance, pair_to_point
-from solvrigid.spectral import ROW_BLOCK, SpectralData, random_pairs, random_point, random_row_blocks
+from solvrigid.spectral import ROW_BLOCK, SpectralData, random_point, random_row_blocks
 
 
 def _reports(out_dir):
@@ -201,7 +201,8 @@ def _per_point_loop(spec, rng, points) -> np.ndarray:
 
 def test_row_blocks_draw_the_per_point_samples(monkeypatch):
     # the row suites must see the samples of the old per-point loops: the
-    # triples, then 3 x 200 dilation pairs; the geodesic pairs come first
+    # triples, then 3 x 200 dilation pairs; the geodesic pairs, then the 20
+    # pairs of the bisection oracle
     drawn = _recording_row_blocks(monkeypatch)
     cfg = RunConfig.from_json({"triples": ROW_BLOCK + 5, "pairs": ROW_BLOCK + 3})
     assert all(c["passed"] for c in cli.run_metric(cfg, np.random.default_rng(2)))
@@ -211,14 +212,14 @@ def test_row_blocks_draw_the_per_point_samples(monkeypatch):
 
     drawn.clear()
     assert all(c["passed"] for c in cli.run_geodesic(cfg, np.random.default_rng(2)))
-    assert [b.shape[:2] for b in drawn] == [(ROW_BLOCK, 2), (3, 2)]
-    want = _per_point_loop(cfg.spec, np.random.default_rng(2), 2 * cfg.pairs)
+    assert [b.shape[:2] for b in drawn] == [(ROW_BLOCK, 2), (3, 2), (20, 2)]
+    want = _per_point_loop(cfg.spec, np.random.default_rng(2), 2 * cfg.pairs + 2 * 20)
     assert np.array_equal(np.concatenate([b.ravel() for b in drawn]), want)
 
 
 def test_metric_and_geodesic_use_the_row_kernels(count_calls):
-    # every module that imported the scalar distance by name; at the old
-    # per-point loops this was 31260 calls
+    # every module that imported distance by name; at the old per-point
+    # loops this was 31260 calls
     calls = count_calls(quasimetric, solvgroup, cli, name="distance")
     cfg = RunConfig.from_json({"triples": 5000, "pairs": 5000})
     checks = cli.run_metric(cfg, np.random.default_rng(0)) + cli.run_geodesic(cfg, np.random.default_rng(0))
@@ -280,7 +281,8 @@ def _per_sample_asim_check(rng) -> dict:
     spec = fixtures.SPEC_NIL
     asim = ASimMap(SimMap.dilation(spec, 1.5), fixtures.oscillating_kernel_element())
     ratios = []
-    for p, q in random_pairs(spec, rng, 300, 3.0):
+    for pair in next(random_row_blocks(spec, rng, 300, 2, 3.0)):
+        p, q = (spectral.BlockPoint.from_flat(spec, x) for x in pair)
         d = distance(spec, p, q)
         if d != 0.0:
             ratios.append(distance(spec, asim(p), asim(q)) / d)
@@ -329,9 +331,10 @@ def _per_pair_bisect_check(cfg, rng) -> dict:
     for _ in random_row_blocks(cfg.spec, rng, cfg.pairs, 2, 3.0):
         pass
     worst = 0.0
-    for p, q in random_pairs(cfg.spec, rng, 20, 3.0):
+    for pair in next(random_row_blocks(cfg.spec, rng, 20, 2, 3.0)):
+        p, q = (spectral.BlockPoint.from_flat(cfg.spec, x) for x in pair)
         if distance(cfg.spec, p, q) != 0.0:
-            worst = max(worst, abs(pair_to_point(spec, p, q).height - _scalar_bisect(spec, p, q)))
+            worst = max(worst, abs(pair_to_point(spec, p, q) - _scalar_bisect(spec, p, q)))
     return cli._check("pair-to-point-bisect-oracle", worst <= 1e-9, worst)
 
 
@@ -368,10 +371,11 @@ def test_bisection_rows_equal_the_per_pair_bisection():
 
 
 def test_classify_and_roots_draw_and_measure_on_rows(count_calls):
-    # the per-sample loops made 1200 distance calls and 1100 random_point draws
+    # the per-sample loops made 1200 one-point distance calls and 1100
+    # random_point draws; what is left are calls on rows
     distances = count_calls(quasimetric, mapalg, nilpotent, solvgroup, cli, name="distance")
     draws = count_calls(spectral, cli, name="random_point")
     checks = cli.run_classify(RunConfig(), np.random.default_rng(0))
     checks += cli.run_roots(RunConfig(), np.random.default_rng(0))
     assert all(c["passed"] for c in checks)
-    assert len(distances) == 0 and len(draws) == 0
+    assert all(np.ndim(args[1]) == 2 for args in distances) and len(draws) == 0

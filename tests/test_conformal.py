@@ -524,7 +524,7 @@ class TestMeasureDistortion:
 
         class Dil:
             def __call__(self, p):
-                return dilate(SPEC_R2, t, p)
+                return BlockPoint.from_flat(SPEC_R2, dilate(SPEC_R2, t, p))
 
         boxes = [(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
                  (np.array([0.0, 0.0]), np.array([2.0, 2.0]))]

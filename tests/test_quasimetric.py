@@ -20,9 +20,7 @@ from solvrigid import (
     SpectralData,
     chain_energy,
     dilate,
-    dilate_rows,
     distance,
-    distance_rows,
     enumerate_chain_cost,
     estimate_qsim_constants,
     random_point,
@@ -30,6 +28,8 @@ from solvrigid import (
 )
 from solvrigid.spectral import ROW_BLOCK
 from solvrigid.fixtures import SPEC_R1, SPEC_R2, SPEC_R3
+
+import metric_reference as reference
 
 
 def _point(spec, values):
@@ -124,7 +124,7 @@ class TestDilate:
         p = _point(SPEC_R2, [1.3, -0.7])
         once = dilate(SPEC_R2, 6.0, p)
         twice = dilate(SPEC_R2, 2.0, dilate(SPEC_R2, 3.0, p))
-        assert once.isclose(twice)
+        assert np.allclose(once, twice, rtol=1e-12, atol=0.0)
 
 
 class TestChainEnergy:
@@ -219,13 +219,13 @@ class TestNonFinite:
         P = np.zeros((5, 2))
         P[3, 1] = bad
         with pytest.raises(InputError):
-            distance_rows(SPEC_NAN, P, np.ones((5, 2)))
+            distance(SPEC_NAN, P, np.ones((5, 2)))
 
     def test_scalar_distance_beyond_float_range_is_inf_as_in_rows(self):
         # 3^1000 leaves the float range: the scalar path raised OverflowError
         spec = SpectralData((1e-3,), (1,))
         p, q = _point(spec, [0.0]), _point(spec, [3.0])
-        rows = distance_rows(spec, p.flat()[None], q.flat()[None])
+        rows = distance(spec, p.flat()[None], q.flat()[None])
         assert distance(spec, p, q) == rows[0] == math.inf
 
     def test_scalar_gap_beyond_float_range_rejects_without_warning(self):
@@ -248,7 +248,7 @@ class TestTinyGaps:
         p = _point(SPEC_R3, [0.0, 0.0, 0.0, gap, 0.0])
         want = gap ** (1.0 / 3.5)
         assert distance(SPEC_R3, p, BlockPoint.zero(SPEC_R3)) == pytest.approx(want, rel=1e-15)
-        rows = distance_rows(SPEC_R3, p.flat()[None], np.zeros((1, 5)))
+        rows = distance(SPEC_R3, p.flat()[None], np.zeros((1, 5)))
         assert rows[0] == pytest.approx(want, rel=1e-15)
 
     def test_dilation_stays_exact_near_underflow(self):
@@ -261,30 +261,42 @@ class TestTinyGaps:
 
 class TestRowKernels:
     @pytest.mark.parametrize("spec", ROW_SPECS)
-    def test_distance_rows_match_scalar(self, spec, row_pairs, within_ulps):
+    def test_distance_equals_the_reference(self, spec, row_pairs):
         P, Q = row_pairs(spec, np.random.default_rng(5))
-        want = [distance(spec, BlockPoint.from_flat(spec, p), BlockPoint.from_flat(spec, q))
+        want = [reference.distance(spec, BlockPoint.from_flat(spec, p), BlockPoint.from_flat(spec, q))
                 for p, q in zip(P, Q)]
-        got = distance_rows(spec, P, Q)
-        assert within_ulps(got, want)
+        got = distance(spec, P, Q)
+        assert np.array_equal(got, want)
+        assert [distance(spec, p, q) for p, q in zip(P, Q)] == want
         assert np.all(got[::7] == 0.0) and np.all(got[2::7] > 0.0)
 
     @pytest.mark.parametrize("spec", ROW_SPECS)
-    def test_dilate_rows_match_scalar(self, spec, row_pairs, within_ulps):
+    def test_dilate_equals_the_reference(self, spec, row_pairs):
         P, _ = row_pairs(spec, np.random.default_rng(6))
         for t in (0.5, 3.0):
-            want = [dilate(spec, t, BlockPoint.from_flat(spec, p)).flat() for p in P]
-            assert within_ulps(dilate_rows(spec, t, P), want)
+            want = np.array([reference.dilate(spec, t, BlockPoint.from_flat(spec, p)).flat()
+                             for p in P])
+            assert np.array_equal(dilate(spec, t, P), want)
+            assert np.array_equal([dilate(spec, t, p) for p in P], want)
 
     def test_dilate_rows_rejects_nonpositive_parameter(self):
         with pytest.raises(DomainError):
-            dilate_rows(SPEC_R1, 0.0, np.zeros((2, 1)))
+            dilate(SPEC_R1, 0.0, np.zeros((2, 1)))
 
     @pytest.mark.parametrize("p_shape, q_shape", [((4,), (4,)), ((4, 3), (4, 3)),
-                                                  ((1, 4, 5), (1, 4, 5)), ((4, 5), (3, 5))])
+                                                  ((1, 4, 5), (1, 4, 5)), ((4, 5), (3, 5)),
+                                                  ((5,), (1, 5))])
     def test_misshaped_rows_rejected(self, p_shape, q_shape):
         with pytest.raises(DimensionMismatch):
-            distance_rows(SPEC_R3, np.zeros(p_shape), np.zeros(q_shape))
+            distance(SPEC_R3, np.zeros(p_shape), np.zeros(q_shape))
+
+    def test_block_point_checked_before_flattening(self):
+        # blocks of sizes (1, 2, 2) flatten to the 5 coordinates of SPEC_R3
+        p = BlockPoint((np.zeros(1), np.zeros(2), np.zeros(2)))
+        with pytest.raises(DimensionMismatch):
+            distance(SPEC_R3, p, np.zeros(5))
+        with pytest.raises(DimensionMismatch):
+            dilate(SPEC_R3, 2.0, p)
 
 
 class TestRowDraws:

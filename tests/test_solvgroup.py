@@ -8,27 +8,29 @@ import pytest
 
 from solvrigid import (
     BlockPoint,
+    DimensionMismatch,
     DomainError,
     InputError,
     SimMap,
     SolvPoint,
     SolvSpec,
+    SpectralData,
     VerticalGeodesic,
     boundary_of_height_isometry,
     distance,
-    distance_rows,
     identity_point,
     inverse,
     level_distance,
     multiply,
     pair_to_point,
     pair_to_point_bisect,
-    pair_to_point_heights,
     random_point,
     random_row_blocks,
     suspend_boundary_map,
 )
 from solvrigid.fixtures import SPEC_R1, SPEC_R2, SPEC_R3
+
+import metric_reference as reference
 
 RNG = np.random.default_rng(9)
 PURE = SolvSpec(lower=SPEC_R2)
@@ -84,6 +86,26 @@ class TestLevelDistance:
         assert level_distance(PURE, -2.0, pl, ql) > level_distance(PURE, 0.0, pl, ql)
         assert d0 >= 0.0
 
+    def test_non_finite_coordinate_rejected(self):
+        # np.linalg.norm of a NaN gap read 0.0: the block was dropped
+        p = BlockPoint((np.array([math.nan]), np.array([1.0])))
+        with pytest.raises(InputError):
+            level_distance(PURE, 0.0, (p, None), (BlockPoint.zero(SPEC_R2), None))
+
+    def test_gap_whose_square_underflows(self):
+        # (1e-170)^2 underflows to 0, and np.linalg.norm read the gap as 0
+        p = BlockPoint((np.array([1e-170]), np.zeros(1)))
+        q = BlockPoint.zero(SPEC_R2)
+        assert level_distance(PURE, 0.0, (p, None), (q, None)) == 1e-170
+        assert distance(SPEC_R2, p, q) == 1e-170 ** 0.5
+
+    def test_beyond_float_range_reads_inf(self):
+        # e^1000 is beyond float range: math.exp raised OverflowError
+        solv = SolvSpec(lower=SpectralData((1.0,), (1,)))
+        one, zero = BlockPoint((np.ones(1),)), BlockPoint((np.zeros(1),))
+        assert level_distance(solv, -1000.0, (one, None), (zero, None)) == math.inf
+        assert level_distance(solv, -1000.0, (one, None), (one, None)) == 0.0
+
 
 class TestPairToPoint:
     def test_height_is_log_distance(self):
@@ -92,17 +114,16 @@ class TestPairToPoint:
             d = distance(SPEC_R2, p, q)
             if d == 0.0:
                 continue
-            o = pair_to_point(PURE, p, q)
-            assert math.exp(o.height) == pytest.approx(d, rel=1e-12)
-            assert o.x is p
+            t = pair_to_point(PURE, p, q)
+            assert math.exp(t) == pytest.approx(d, rel=1e-12)
 
     def test_agrees_with_bisection_oracle(self):
         pairs = next(random_row_blocks(SPEC_R2, RNG, 20, 2, 3.0))
-        pairs = pairs[distance_rows(SPEC_R2, pairs[:, 0], pairs[:, 1]) != 0.0]
+        pairs = pairs[distance(SPEC_R2, pairs[:, 0], pairs[:, 1]) != 0.0]
         heights = pair_to_point_bisect(PURE, pairs[:, 0], pairs[:, 1])
         for (p, q), bisected in zip(pairs, heights):
             p, q = BlockPoint.from_flat(SPEC_R2, p), BlockPoint.from_flat(SPEC_R2, q)
-            closed = pair_to_point(PURE, p, q).height
+            closed = pair_to_point(PURE, p, q)
             assert closed == pytest.approx(bisected, abs=1e-9)
 
     def test_coincident_points_rejected(self):
@@ -116,24 +137,25 @@ class TestPairToPoint:
             pair_to_point(MIXED, p, q)
 
     @pytest.mark.parametrize("spec", [SPEC_R1, SPEC_R2, SPEC_R3])
-    def test_heights_match_scalar(self, spec, row_pairs, within_ulps):
+    def test_heights_match_scalar(self, spec, row_pairs):
         solv = SolvSpec(lower=spec)
         P, Q = row_pairs(spec, np.random.default_rng(8), rows=14_000)
         keep = np.any(P != Q, axis=1)  # coincident pairs have no height
         P, Q = P[keep], Q[keep]
-        want = [pair_to_point(solv, BlockPoint.from_flat(spec, p), BlockPoint.from_flat(spec, q)).height
+        want = [reference.pair_to_point(solv, BlockPoint.from_flat(spec, p), BlockPoint.from_flat(spec, q))
                 for p, q in zip(P, Q)]
         assert len(want) >= 10_000
-        assert within_ulps(pair_to_point_heights(solv, P, Q), want)
+        assert np.array_equal(pair_to_point(solv, P, Q), want)
+        assert [pair_to_point(solv, p, q) for p, q in zip(P, Q)] == want
 
     def test_heights_reject_coincident_rows_and_mixed_spec(self):
         P = RNG.uniform(-1, 1, (3, 2))
         Q = P.copy()
         Q[0] += 1.0
         with pytest.raises(DomainError):
-            pair_to_point_heights(PURE, P, Q)
+            pair_to_point(PURE, P, Q)
         with pytest.raises(InputError):
-            pair_to_point_heights(MIXED, P, Q + 1.0)
+            pair_to_point(MIXED, P, Q + 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_points_rejected(self, bad):
@@ -144,7 +166,20 @@ class TestPairToPoint:
         P = np.zeros((4, 2))
         P[2, 0] = bad
         with pytest.raises(InputError):
-            pair_to_point_heights(PURE, P, np.ones((4, 2)))
+            pair_to_point(PURE, P, np.ones((4, 2)))
+
+    def test_bisection_level_factor_beyond_float_range_rejected(self):
+        # log D is -203.9, so e^(-t alpha_2) at the bracket's low end t = -204.9
+        # is e^717, beyond float range: math.exp raised OverflowError
+        solv = SolvSpec(lower=SpectralData((1.0, 3.5), (1, 1)))
+        P, Q = np.zeros((2, 2)), np.array([[1e-310, 1e-310], [1.0, 0.5]])
+        with pytest.raises(DomainError):
+            pair_to_point_bisect(solv, P, Q)
+        assert pair_to_point_bisect(solv, P[1:], Q[1:])[0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_bisection_takes_rows_only(self):
+        with pytest.raises(DimensionMismatch):
+            pair_to_point_bisect(PURE, np.zeros(2), np.ones(2))
 
 
 class TestVerticalGeodesic:

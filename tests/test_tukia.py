@@ -540,7 +540,7 @@ class TestRadialConjugator:
                 return tuple(_t ** e * b for e, b in zip(spec.exponents[1:], y))
 
             def inv(p, _t=t):
-                return dilate(spec, 1.0 / _t, p)
+                return BlockPoint.from_flat(spec, dilate(spec, 1.0 / _t, p))
 
             escape.append(
                 FirstBlockAffineMap(spec, t, quot, inverse_map=inv)

@@ -1,5 +1,5 @@
-"""Malformed input to the parsers, validators, row kernels and boundary maps
-raises only the package's own errors."""
+"""Malformed input to the parsers, validators, metric and boundary maps raises
+only the package's own errors."""
 
 import math
 
@@ -26,11 +26,11 @@ from solvrigid import (
     ddist,
     dilatation,
     dilate,
-    dilate_rows,
     distance,
-    distance_rows,
     kdist,
-    pair_to_point_heights,
+    level_distance,
+    pair_to_point,
+    pair_to_point_bisect,
 )
 from solvrigid.cli import RunConfig
 from solvrigid.fixtures import SPEC_ROT
@@ -121,17 +121,31 @@ def row_pairs(draw):
 
 @st.composite
 def point_pairs(draw):
-    """A spec and two points: conforming blocks of any floats, or malformed blocks."""
+    """A spec and two points of any floats or malformed: the blocks of a
+    BlockPoint as a tuple, or one point or rows as an array or list."""
     spec = draw(specs())
     blocks = st.tuples(*(hnp.arrays(float, n) for n in spec.multiplicities)) | st.lists(
         arrays, max_size=3).map(tuple)
-    return spec, draw(blocks), draw(blocks)
+    shape = st.just((spec.total_dim,)) | st.tuples(st.integers(0, 4), st.just(spec.total_dim))
+    flat = hnp.arrays(float, shape) | hnp.arrays(float, hnp.array_shapes(max_dims=3)) | arrays
+    return spec, draw(blocks | flat), draw(blocks | flat)
 
 
 @st.composite
 def dilations(draw):
     spec, p, _ = draw(point_pairs())
     return spec, draw(st.floats()), p
+
+
+@st.composite
+def levels(draw):
+    spec, p, q = draw(point_pairs())
+    return spec, draw(st.floats()), p, q
+
+
+def _point(x):
+    """A BlockPoint of the blocks that point_pairs draws as a tuple; other draws as they are."""
+    return BlockPoint(x) if isinstance(x, tuple) else x
 
 
 def _boundary_maps():
@@ -161,15 +175,23 @@ def _eval_blocks(F, blocks):
 
 
 def _distance(spec, p, q):
-    return distance(spec, BlockPoint(p), BlockPoint(q))
+    return distance(spec, _point(p), _point(q))
 
 
 def _dilate(spec, t, p):
-    return dilate(spec, t, BlockPoint(p))
+    return dilate(spec, t, _point(p))
 
 
-def _pair_to_point(spec, P, Q):
-    return pair_to_point_heights(SolvSpec(lower=spec), P, Q)
+def _pair_to_point(spec, p, q):
+    return pair_to_point(SolvSpec(lower=spec), _point(p), _point(q))
+
+
+def _pair_to_point_bisect(spec, p, q):
+    return pair_to_point_bisect(SolvSpec(lower=spec), _point(p), _point(q))
+
+
+def _level_distance(spec, t, p, q):
+    return level_distance(SolvSpec(lower=spec), t, (_point(p), None), (_point(q), None))
 
 
 # target -> (strategy of argument tuples, callable)
@@ -183,12 +205,14 @@ TARGETS = {
     "SpectralData.from_json": (st.tuples(spec_json), SpectralData.from_json),
     "RunConfig.from_json": (st.tuples(config_json), RunConfig.from_json),
     "BlockPoint": (st.tuples(st.lists(arrays, max_size=3).map(tuple) | arrays), BlockPoint),
-    "distance_rows": (row_pairs(), distance_rows),
+    "distance_rows": (row_pairs(), distance),
     "dilate_rows": (st.tuples(specs(), st.floats(), arrays | hnp.arrays(
-        float, st.tuples(st.integers(0, 3), st.integers(1, 4)))), dilate_rows),
-    "pair_to_point_heights": (row_pairs(), _pair_to_point),
+        float, st.tuples(st.integers(0, 3), st.integers(1, 4)))), dilate),
     "distance": (point_pairs(), _distance),
     "dilate": (dilations(), _dilate),
+    "pair_to_point": (point_pairs(), _pair_to_point),
+    "pair_to_point_bisect": (point_pairs(), _pair_to_point_bisect),
+    "level_distance": (levels(), _level_distance),
     "eval_blocks": (map_blocks, _eval_blocks),
 }
 
@@ -210,4 +234,4 @@ def test_non_numeric_points_and_rows():
     with pytest.raises(InputError):
         BlockPoint((np.array(["a"]),))
     with pytest.raises(InputError):
-        distance_rows(spec, [["a"]], [["b"]])
+        distance(spec, [["a"]], [["b"]])
