@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from .solvgroup import (
     pair_to_point_bisect,
     VerticalGeodesic,
 )
-from .spectral import BlockPoint, SpectralData, random_point, random_row_blocks
+from .spectral import BlockPoint, SpectralData, random_point, random_row_blocks, split_rows
 from .tukia import conjugator_1d, sup_measure_1d, verify_conjugation
 
 
@@ -48,27 +48,10 @@ class ConfigError(SolvRigidError):
     """Config does not match the schema; message carries a JSON pointer."""
 
 
-# key: (accepted JSON types, least allowed value or None, whether that value
-# itself is excluded); every number must also be finite, since Python's json
-# reads NaN and Infinity and a report must stay standard JSON
-_SCHEMA = {
-    "spec": (dict, None, False),
-    "seed": (int, 0, False),
-    "triples": (int, 1, False),
-    "pairs": (int, 1, False),
-    "beta": ((int, float), 0, True),
-    "grid": (dict, None, False),
-    "word_len": (int, 1, False),
-    "tolerance": ((int, float), 0, True),
-    "conjugation_tol": ((int, float), 0, True),
-    "root_order": (int, 1, False),
-    "probe_count": (int, 1, False),
-}
-
-_GRID_SCHEMA = {"lo": (int, float), "hi": (int, float), "resolution": (int, float)}
-
 # Most grid points run_conjugate may build: about 80 MB per float array.
 MAX_GRID_POINTS = 10**7
+
+_NUMBER = (int, float)
 
 
 def _as_float(val) -> float:
@@ -85,23 +68,38 @@ def _conjugate_grid_range(lo: float, hi: float, word_len: int) -> tuple[int, int
     return math.floor(lo) - word_len - 2, math.ceil(hi) + word_len + 2
 
 
+def _key(pointer: str, types, default, least=None, strict=False):
+    """A config field: its JSON pointer, accepted JSON types, default, and least
+    allowed value (None for no bound; ``strict`` excludes the value itself).
+    Every number must also be finite, since Python's json reads NaN and
+    Infinity and a report must stay standard JSON."""
+    meta = {"pointer": pointer, "schema": (types, least, strict)}
+    if callable(default):
+        return field(default_factory=default, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
-    """Single-document run configuration with schema-checked JSON round trip."""
+    """Single-document run configuration with schema-checked JSON round trip.
 
-    spec: SpectralData = field(default_factory=lambda: SpectralData((2.0, 3.0), (1, 1)))
-    seed: int = 0
-    triples: int = 2000
-    pairs: int = 2000
-    beta: float = 3.0
-    grid_lo: float = -3.0
-    grid_hi: float = 3.0
-    grid_resolution: float = 0.01
-    word_len: int = 6
-    tolerance: float = 1e-9
-    conjugation_tol: float = 1e-3
-    root_order: int = 2
-    probe_count: int = 500
+    Each field's metadata gives its JSON key (``grid`` fields sit in one
+    object), accepted types and bound; it drives from_json and to_json.
+    """
+
+    spec: SpectralData = _key("spec", dict, lambda: SpectralData((2.0, 3.0), (1, 1)))
+    seed: int = _key("seed", int, 0, least=0)
+    triples: int = _key("triples", int, 2000, least=1)
+    pairs: int = _key("pairs", int, 2000, least=1)
+    beta: float = _key("beta", _NUMBER, 3.0, least=0, strict=True)
+    grid_lo: float = _key("grid/lo", _NUMBER, -3.0)
+    grid_hi: float = _key("grid/hi", _NUMBER, 3.0)
+    grid_resolution: float = _key("grid/resolution", _NUMBER, 0.01)
+    word_len: int = _key("word_len", int, 6, least=1)
+    tolerance: float = _key("tolerance", _NUMBER, 1e-9, least=0, strict=True)
+    conjugation_tol: float = _key("conjugation_tol", _NUMBER, 1e-3, least=0, strict=True)
+    root_order: int = _key("root_order", int, 2, least=1)
+    probe_count: int = _key("probe_count", int, 500, least=1)
 
     @staticmethod
     def from_json(obj: dict) -> "RunConfig":
@@ -126,19 +124,19 @@ class RunConfig:
                 raise ConfigError(f"/spec: {exc}") from exc
         if "grid" in obj:
             for key, val in obj["grid"].items():
-                if key not in _GRID_SCHEMA:
+                member = _FIELDS.get(f"grid/{key}")
+                if member is None:
                     raise ConfigError(f"/grid/{key}: unknown grid key")
-                if not isinstance(val, _GRID_SCHEMA[key]) or isinstance(val, bool):
+                if not isinstance(val, member.metadata["schema"][0]) or isinstance(val, bool):
                     raise ConfigError(f"/grid/{key}: expected a number")
-            cfg.grid_lo = _as_float(obj["grid"].get("lo", cfg.grid_lo))
-            cfg.grid_hi = _as_float(obj["grid"].get("hi", cfg.grid_hi))
-            cfg.grid_resolution = _as_float(obj["grid"].get("resolution", cfg.grid_resolution))
+                setattr(cfg, member.name, _as_float(val))
             if not (math.isfinite(cfg.grid_lo) and math.isfinite(cfg.grid_hi)
                     and math.isfinite(cfg.grid_resolution)
                     and cfg.grid_lo < cfg.grid_hi and cfg.grid_resolution > 0):
                 raise ConfigError("/grid: requires finite lo < hi and finite resolution > 0")
         for key in obj.keys() - {"spec", "grid"}:
-            setattr(cfg, key, obj[key] if _SCHEMA[key][0] is int else float(obj[key]))
+            val = obj[key]
+            setattr(cfg, _FIELDS[key].name, val if _SCHEMA[key][0] is int else float(val))
         lo, hi = _conjugate_grid_range(cfg.grid_lo, cfg.grid_hi, cfg.word_len)
         try:
             points = (hi - lo) / cfg.grid_resolution
@@ -152,19 +150,22 @@ class RunConfig:
         return cfg
 
     def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "seed": self.seed,
-            "triples": self.triples,
-            "pairs": self.pairs,
-            "beta": self.beta,
-            "grid": {"lo": self.grid_lo, "hi": self.grid_hi, "resolution": self.grid_resolution},
-            "word_len": self.word_len,
-            "tolerance": self.tolerance,
-            "conjugation_tol": self.conjugation_tol,
-            "root_order": self.root_order,
-            "probe_count": self.probe_count,
-        }
+        out: dict = {}
+        for pointer, f in _FIELDS.items():
+            val = getattr(self, f.name)
+            *outer, key = pointer.split("/")
+            target = out.setdefault(outer[0], {}) if outer else out
+            target[key] = val.to_json() if isinstance(val, SpectralData) else val
+        return out
+
+
+_FIELDS = {f.metadata["pointer"]: f for f in fields(RunConfig)}
+# top-level JSON key: (accepted JSON types, least allowed value or None, whether
+# that value itself is excluded); a key with members, as grid/lo, is an object
+_SCHEMA = {
+    p.split("/")[0]: (dict, None, False) if "/" in p else f.metadata["schema"]
+    for p, f in _FIELDS.items()
+}
 
 
 def _check(name: str, passed: bool, defect: float, **extra) -> dict:
@@ -403,7 +404,7 @@ def run_roots(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
         if bound == 0.0:
             continue
         probes = np.concatenate(list(random_row_blocks(spec, rng, cfg.probe_count, 1, 4.0)))[:, 0]
-        vals = gamma.perturbations[i]([probes[:, s] for s in spec.block_slices()])
+        vals = gamma.perturbations[i](split_rows(spec, probes))
         vals = np.broadcast_to(vals, (len(probes), spec.multiplicities[i]))
         # pairwise distances, a block of rows at a time so memory stays linear
         rows = max(1, 2**12 // len(vals))

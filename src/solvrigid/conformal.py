@@ -5,15 +5,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, CoverageError, DomainError, InputError
 from .nilpotent import walk_words
-from .quasimetric import _exp
-from .spectral import BlockPoint, SpectralData
+from .quasimetric import _exp, _image_rows
+from .spectral import BlockPoint, SpectralData, require_blocks, split_rows
 
 
 def _as_stack(matrix, what: str) -> np.ndarray:
@@ -351,110 +350,114 @@ def circumcenter(classes: Sequence[np.ndarray], max_iters: int = 4000) -> np.nda
 
 @dataclass
 class ConfField:
-    """Conformal classes sampled on a finite grid, with per-point defects."""
+    """Conformal classes sampled at the ``(N, total_dim)`` rows ``points``,
+    with per-point defects."""
 
-    points: list[BlockPoint]
+    points: np.ndarray
     values: list[np.ndarray]
     resolution: float
     defects: list[float] = field(default_factory=list)
     skipped: list[int] = field(default_factory=list)
 
-    @cached_property
-    def _flats(self) -> np.ndarray:
-        """The sample points as rows, built on the first query."""
-        return np.asarray([q.flat() for q in self.points])
+    def _nearest(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The index of the sample nearest to each of the rows, and the mask of
+        the rows that lie within the resolution of it."""
+        dist2 = np.sum((self.points - rows[:, None]) ** 2, axis=-1)
+        idx = np.argmin(dist2, axis=1)
+        return idx, ~(np.sqrt(dist2[np.arange(len(rows)), idx]) > self.resolution)
 
     def nearest_index(self, p: BlockPoint) -> int:
-        dist2 = np.sum((self._flats - p.flat()) ** 2, axis=1)
-        idx = int(np.argmin(dist2))
-        if math.sqrt(float(dist2[idx])) > self.resolution:
+        idx, covered = self._nearest(p.flat()[None])
+        if not covered[0]:
             raise CoverageError(
                 f"point farther than grid resolution {self.resolution} from every sample"
             )
-        return idx
+        return int(idx[0])
 
     def value_at(self, p: BlockPoint) -> np.ndarray:
         return self.values[self.nearest_index(p)]
 
 
-def _orbit_classes(generators, p: BlockPoint, word_len: int) -> np.ndarray:
-    """The distinct classes D[I] of the first-block Jacobians D of all words
-    up to word_len at p, as a stack in word order; DomainError where one of
-    the Jacobians is singular."""
-    n1 = p.blocks[0].shape[0]
+def _orbit_classes(generators, blocks: list[np.ndarray], word_len: int):
+    """At each point of the row blocks, the distinct classes D[I] of the
+    first-block Jacobians D of all words up to word_len, as a stack in word
+    order.
+
+    Returns the mask of the points where every such Jacobian is finite and
+    invertible, and the stacks at those points in order.
+    """
+    n1 = blocks[0].shape[-1]
 
     def step(gi, state):
-        # the first-block Jacobian follows the chain rule along the word
-        cur, jac = state
+        # the first-block Jacobian follows the chain rule along the word's
+        # quotient images
+        y, jac = state
         g = generators[gi]
-        return g(cur), g.first_block_derivative(cur) @ jac
+        return g.quotient(y), g._linear(y) @ jac
 
-    jacs = np.stack([jac for _, (_, jac) in walk_words(range(len(generators)), word_len,
-                                                      (p, np.eye(n1)), step)])
-    if not np.abs(np.linalg.det(jacs)).min() >= 1e-12:
-        raise DomainError("singular first-block Jacobian")
-    classes = act(jacs, np.eye(n1))
-    keep = []
-    seen = set()
-    for i, key in enumerate(map(tuple, np.round(classes, 9).reshape(len(classes), -1).tolist())):
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return classes[keep]
+    start = (blocks[1:], np.broadcast_to(np.eye(n1), (len(blocks[0]), n1, n1)))
+    with np.errstate(all="ignore"):
+        walk = walk_words(range(len(generators)), word_len, start, step)
+        jacs = np.stack([jac for _, (_, jac) in walk], axis=1)
+        dets = np.abs(np.linalg.det(jacs))
+    ok = ((dets >= 1e-12) & (dets < math.inf)).all(axis=1)
+    if not ok.any():
+        return ok, []
+    alive = jacs[ok]
+    classes = act(alive.reshape(-1, n1, n1), np.eye(n1))
+    # the first word of each rounded class at each point, in word order
+    owner = np.repeat(np.arange(len(alive)), alive.shape[1])
+    keys = np.column_stack([owner, np.round(classes, 9).reshape(len(classes), -1)])
+    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    ends = np.cumsum(np.bincount(owner[first], minlength=len(alive)))[:-1]
+    return ok, np.split(classes[first], ends)
 
 
 def invariant_structure(
     generators,
-    grid: Sequence[BlockPoint],
+    grid: np.ndarray,
     word_len: int,
     resolution: float = 1.0,
 ) -> ConfField:
     """Circumcenter field of the word-orbit classes, with invariance defects.
 
-    At each grid point the classes D[I] of all word Jacobians D up to
-    word_len are collected and their circumcenter taken, certified to a gap
-    of 1e-9 (``circumcenter``). The defect at a
-    point is the worst generator violation of the transformation law
+    ``grid`` holds the sample points as ``(N, total_dim)`` rows. At each
+    grid point the classes D[I] of all word Jacobians D up to word_len are
+    collected, walking the words once for the whole grid, and their
+    circumcenter taken, certified to a gap of 1e-9 (``circumcenter``); a
+    point where a Jacobian is singular or not finite is skipped. The defect
+    at a point is the worst generator violation of the transformation law
     mu(G p) = g'(p)[mu(p)], measured against the nearest grid sample.
     """
-    points, values, skipped = [], [], []
-    for idx, p in enumerate(grid):
-        try:
-            classes = _orbit_classes(generators, p, word_len)
-        except DomainError:
-            skipped.append(idx)
-            continue
-        points.append(p)
-        values.append(circumcenter(classes))
-    field_ = ConfField(points=points, values=values, resolution=resolution, skipped=skipped)
+    spec = generators[0].spec
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 2:
+        raise InputError("grid must be (N, total_dim) rows")
+    ok, orbits = _orbit_classes(generators, require_blocks(spec, split_rows(spec, grid)), word_len)
+    points = grid[ok]
+    values = [circumcenter(classes) for classes in orbits]
+    field_ = ConfField(points=points, values=values, resolution=resolution,
+                       skipped=np.flatnonzero(~ok).tolist())
     # per generator, one stacked act and kdist over the points whose image
     # lies on the grid
-    defects = [0.0] * len(points)
-    for g in generators:
-        at, derivs, mus, images = [], [], [], []
-        for i, (p, mu_p) in enumerate(zip(points, values)):
-            try:
-                mu_gp = field_.value_at(g(p))
-            except CoverageError:
-                continue
-            at.append(i)
-            derivs.append(g.first_block_derivative(p))
-            mus.append(mu_p)
-            images.append(mu_gp)
-        if at:
-            dists = kdist(np.stack(images), act(np.stack(derivs), np.stack(mus)))
-            for i, d in zip(at, dists.tolist()):
-                defects[i] = max(defects[i], d)
-    field_.defects = defects
+    defects = np.zeros(len(points))
+    if values:
+        mus = np.stack(values)
+        for g in generators:
+            idx, covered = field_._nearest(_image_rows(spec, g, points))
+            if covered.any():
+                derivs = g.first_block_derivative(split_rows(spec, points))[covered]
+                pushed = act(derivs, mus[covered])
+                defects[covered] = np.maximum(defects[covered], kdist(mus[idx[covered]], pushed))
+    field_.defects = defects.tolist()
     return field_
 
 
 def conformality_defect(F, mu: ConfField, nu: ConfField, p: BlockPoint) -> float:
     """exp k( mu(p), f'(p)[nu(F p)] ); equals 1 at (mu, nu)-conformal points."""
     mu_p = mu.value_at(p)
-    fp = F(p)
-    nu_fp = nu.value_at(fp)
-    pushed = act(F.first_block_derivative(p), nu_fp)
+    nu_fp = nu.value_at(F(p))
+    pushed = act(F.first_block_derivative(p.blocks), nu_fp)
     return math.exp(kdist(mu_p, pushed))
 
 
@@ -465,12 +468,13 @@ def measure_distortion_check(
     rng: np.random.Generator,
     samples: int = 2000,
 ) -> tuple[float, float]:
-    """Monte-Carlo volume-distortion band of F over axis boxes.
+    """Monte-Carlo volume-distortion band of a boundary map F over axis boxes.
 
     Each box contributes the average |det DF| over uniform samples (the
     change-of-variables density), DF taken by forward differences of step
-    1e-5 (1 + |x_j|); returns the (min, max) over boxes. Degenerate boxes
-    are skipped.
+    1e-5 (1 + |x_j|); returns the (min, max) over boxes. F maps every
+    sample of a box and its n moved copies in one ``eval_blocks`` call.
+    Degenerate boxes are skipped.
     """
     n = spec.total_dim
     ratios = []
@@ -479,19 +483,15 @@ def measure_distortion_check(
         hi = np.asarray(hi, dtype=float).reshape(-1)
         if lo.shape != (n,) or hi.shape != (n,) or np.any(hi <= lo):
             continue
-        acc = 0.0
-        for _ in range(samples):
-            x = rng.uniform(lo, hi)
-            base = BlockPoint.from_flat(spec, x)
-            f0 = F(base).flat()
-            jac = np.empty((n, n))
-            for j in range(n):
-                xp = x.copy()
-                h = 1e-5 * (1.0 + abs(x[j]))
-                xp[j] += h
-                jac[:, j] = (F(BlockPoint.from_flat(spec, xp)).flat() - f0) / h
-            acc += abs(float(np.linalg.det(jac)))
-        ratios.append(acc / samples)
+        x = rng.uniform(lo, hi, (samples, n))
+        h = 1e-5 * (1.0 + np.abs(x))
+        # per sample: the sample, then the sample with coordinate j moved by h_j
+        moved = np.repeat(x[:, None], n + 1, axis=1)
+        moved[:, np.arange(1, n + 1), np.arange(n)] += h
+        images = _image_rows(spec, F, moved.reshape(-1, n)).reshape(samples, n + 1, n)
+        jacs = ((images[:, 1:] - images[:, :1]) / h[..., None]).mT
+        # np.cumsum adds in sample order, as a loop does; np.sum adds pairwise
+        ratios.append(np.cumsum(np.abs(np.linalg.det(jacs)))[-1] / samples)
     if not ratios:
         raise InputError("all boxes degenerate")
-    return min(ratios), max(ratios)
+    return float(min(ratios)), float(max(ratios))

@@ -3,6 +3,7 @@ conjugation pipeline, rotation witnesses, and exact-rational kernel words."""
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import numpy as np
 from .funcexpr import BlockVar, Const, Osc
 from .mapalg import BoundaryPair, FirstBlockAffineMap, SimMap
 from .nilpotent import AlmostTranslation, ExactGenerator, ExactWord
-from .spectral import BlockPoint, SpectralData
+from .spectral import SpectralData
 from .tukia import GroupSample, OneDGenerator
 
 SPEC_R1 = SpectralData((2.0,), (1,))
@@ -69,6 +70,10 @@ def similarity_1d_sample(word_len: int = 6) -> GroupSample:
 SPEC_STRETCH = SpectralData((1.0, 2.0), (1, 1))
 
 
+def _shift(y):
+    return [y[0] + 1.0]
+
+
 def stretch_bump_sample(word_len: int = 12) -> GroupSample:
     """Unit-stretch generator whose first-block factor doubles on one window.
 
@@ -76,18 +81,10 @@ def stretch_bump_sample(word_len: int = 12) -> GroupSample:
     once per orbit and the normalized stretches stay bounded (uniform).
     """
 
-    def quot(y):
-        return (y[0] + 1.0,)
-
     def lam(y):
-        return 2.0 if 0.0 <= float(y[0][0]) < 1.0 else 1.0
+        return np.where((0.0 <= y[0][..., 0]) & (y[0][..., 0] < 1.0), 2.0, 1.0)
 
-    gen = FirstBlockAffineMap(
-        spec=SPEC_STRETCH,
-        stretch=1.0,
-        quotient=quot,
-        lam_of=lam,
-    )
+    gen = FirstBlockAffineMap(spec=SPEC_STRETCH, stretch=1.0, quotient=_shift, lam_of=lam)
     return GroupSample(generators=[gen], word_len=word_len, alpha1=1.0)
 
 
@@ -95,7 +92,7 @@ def normalized_dilation_sample(word_len: int = 6) -> GroupSample:
     """Dilation by t = 2, whose first-block stretch already equals t^alpha_1."""
 
     def quot(y):
-        return tuple(2.0 ** e * b for e, b in zip(SPEC_STRETCH.exponents[1:], y))
+        return [2.0 ** e * b for e, b in zip(SPEC_STRETCH.exponents[1:], y)]
 
     gen = FirstBlockAffineMap(spec=SPEC_STRETCH, stretch=2.0, quotient=quot)
     return GroupSample(generators=[gen], word_len=word_len, alpha1=1.0)
@@ -106,34 +103,29 @@ def normalized_dilation_sample(word_len: int = 6) -> GroupSample:
 SPEC_ROT = SpectralData((1.0, 2.0), (2, 1))
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _rotation(theta) -> np.ndarray:
+    """The rotation by theta: one matrix, or a stack for an array of angles."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
 def constant_rotation_map(theta: float = 0.7) -> FirstBlockAffineMap:
-    def quot(y):
-        return (y[0] + 1.0,)
-
     return FirstBlockAffineMap(
         spec=SPEC_ROT,
         stretch=1.0,
-        quotient=quot,
+        quotient=_shift,
         A_of=lambda y: _rotation(theta),
-        B_of=lambda y: np.array([math.sin(float(y[0][0])), 0.0]),
+        B_of=lambda y: np.concatenate([np.sin(y[0]), np.zeros_like(y[0])], axis=-1),
     )
 
 
 def varying_rotation_map() -> FirstBlockAffineMap:
     """Counterexample: leaf rotation depends (boundedly) on the quotient."""
 
-    def quot(y):
-        return (y[0] + 1.0,)
-
     def a_of(y):
-        return _rotation(0.5 * math.tanh(float(y[0][0])))
+        return _rotation(0.5 * np.tanh(y[0][..., 0]))
 
-    return FirstBlockAffineMap(spec=SPEC_ROT, stretch=1.0, quotient=quot, A_of=a_of)
+    return FirstBlockAffineMap(spec=SPEC_ROT, stretch=1.0, quotient=_shift, A_of=a_of)
 
 
 # -- radial-conjugator fixture ---------------------------------------------
@@ -143,52 +135,33 @@ SPEC_RADIAL = SpectralData((1.0, 2.0), (1, 1))
 
 def radial_generator() -> FirstBlockAffineMap:
     """Contraction fixing the origin with a quadratic first-block defect."""
-
-    def quot(y):
-        return (y[0] / 2.0,)
-
-    def b_of(y):
-        return np.array([math.sqrt(2.0) * float(y[0][0]) ** 2])
-
     lam = 1.0 / math.sqrt(2.0)
 
-    def inv(p):
-        y = 2.0 * p.blocks[1]
-        x = math.sqrt(2.0) * (p.blocks[0] - float(y[0]) ** 2)
-        return BlockPoint((np.atleast_1d(x), y))
+    def inv(blocks):
+        y = 2.0 * blocks[1]
+        return [math.sqrt(2.0) * (blocks[0] - y**2), y]
 
-    g = FirstBlockAffineMap(
+    return FirstBlockAffineMap(
         spec=SPEC_RADIAL,
         stretch=lam,
-        quotient=quot,
-        lam_of=lambda y, _l=lam: _l,
-        B_of=b_of,
+        quotient=lambda y: [y[0] / 2.0],
+        lam_of=lambda y: lam,
+        B_of=lambda y: math.sqrt(2.0) * y[0] ** 2,
         inverse_map=inv,
     )
-    return g
 
 
 def radial_escape_words(count: int = 8) -> list[FirstBlockAffineMap]:
     """Powers of the radial generator, each carrying its exact inverse."""
     g = radial_generator()
     base_inv = g.inverse_map
-    words = []
-    cur = g
-    for i in range(1, count + 1):
-        word = cur
-
-        def make_inv(k):
-            def inv(p):
-                for _ in range(k):
-                    p = base_inv(p)
-                return p
-
-            return inv
-
-        word.inverse_map = make_inv(i)
-        words.append(word)
-        cur = g.compose(cur)
-    return words
+    words = [g]
+    for _ in range(count - 1):
+        words.append(g.compose(words[-1]))
+    for k, word in enumerate(words, 1):
+        word.inverse_map = lambda blocks, k=k: functools.reduce(
+            lambda b, _: base_inv(b), range(k), blocks)
+    return words[:count]
 
 
 def radial_sample() -> GroupSample:

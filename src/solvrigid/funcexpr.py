@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
+from .spectral import finite_blocks, require_blocks
 
 INF = float("inf")
 
@@ -28,6 +29,12 @@ class FuncExpr:
     dim: int
 
     def __call__(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """The value at the blocks of one point or of N points; InputError on
+        a non-numeric or non-finite block. Maps, which check their input
+        once, evaluate their nodes through ``_eval``."""
+        return self._eval(finite_blocks(blocks))
+
+    def _eval(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
     def deps(self) -> frozenset[int]:
@@ -56,7 +63,7 @@ class Const(FuncExpr):
         self.value = np.asarray(value, dtype=float).reshape(-1)
         self.dim = self.value.shape[0]
 
-    def __call__(self, blocks):
+    def _eval(self, blocks):
         return self.value.copy()
 
     def deps(self):
@@ -79,9 +86,9 @@ class BlockVar(FuncExpr):
         self.index = int(index)
         self.dim = int(dim)
 
-    def __call__(self, blocks):
+    def _eval(self, blocks):
         try:
-            b = np.asarray(blocks[self.index], dtype=float)
+            b = blocks[self.index]
         except IndexError:
             raise InputError(f"block {self.index} is past the input's {len(blocks)} blocks") from None
         if b.ndim not in (1, 2) or b.shape[-1] != self.dim:
@@ -114,9 +121,9 @@ class Lin(FuncExpr):
         self.dim = self.matrix.shape[0]
         self._opnorm = float(np.linalg.norm(self.matrix, 2))
 
-    def __call__(self, blocks):
+    def _eval(self, blocks):
         # np.matvec gives each row of a stack the bits of the one-vector product
-        return np.matvec(self.matrix, self.child(blocks))
+        return np.matvec(self.matrix, self.child._eval(blocks))
 
     def deps(self):
         return self.child.deps()
@@ -141,10 +148,10 @@ class Sum(FuncExpr):
         self.children = children
         self.dim = children[0].dim
 
-    def __call__(self, blocks):
-        out = self.children[0](blocks)
+    def _eval(self, blocks):
+        out = self.children[0]._eval(blocks)
         for c in self.children[1:]:
-            out = out + c(blocks)
+            out = out + c._eval(blocks)
         return out
 
     def deps(self):
@@ -168,8 +175,8 @@ class Scale(FuncExpr):
         self.child = child
         self.dim = child.dim
 
-    def __call__(self, blocks):
-        return self.factor * self.child(blocks)
+    def _eval(self, blocks):
+        return self.factor * self.child._eval(blocks)
 
     def deps(self):
         return self.child.deps()
@@ -196,8 +203,8 @@ class AbsPow(FuncExpr):
         self.child = child
         self.dim = child.dim
 
-    def __call__(self, blocks):
-        return np.abs(self.child(blocks)) ** self.exponent
+    def _eval(self, blocks):
+        return np.abs(self.child._eval(blocks)) ** self.exponent
 
     def deps(self):
         return self.child.deps()
@@ -231,9 +238,9 @@ class _Pointwise(FuncExpr):
         self.children = children
         self.dim = children[0].dim
 
-    def __call__(self, blocks):
+    def _eval(self, blocks):
         # pairwise, so that a const child broadcasts over the rows
-        return functools.reduce(type(self).op, (c(blocks) for c in self.children))
+        return functools.reduce(type(self).op, (c._eval(blocks) for c in self.children))
 
     def deps(self):
         return frozenset().union(*(c.deps() for c in self.children))
@@ -268,8 +275,8 @@ class Clamp(FuncExpr):
         self.child = child
         self.dim = child.dim
 
-    def __call__(self, blocks):
-        return np.clip(self.child(blocks), self.lo, self.hi)
+    def _eval(self, blocks):
+        return np.clip(self.child._eval(blocks), self.lo, self.hi)
 
     def deps(self):
         return self.child.deps()
@@ -302,8 +309,8 @@ class Pwl(FuncExpr):
         slopes = np.diff(self.ys) / np.diff(self.xs)
         self._max_slope = float(np.abs(slopes).max()) if slopes.size else 0.0
 
-    def __call__(self, blocks):
-        u = self.child(blocks)
+    def _eval(self, blocks):
+        u = self.child._eval(blocks)
         return np.interp(u, self.xs, self.ys)
 
     def deps(self):
@@ -338,10 +345,10 @@ class Osc(FuncExpr):
         self.child = child
         self.dim = self.amp.shape[0]
 
-    def __call__(self, blocks):
+    def _eval(self, blocks):
         # np.vecdot gives each row the bits of the one-point inner product;
         # a matrix product of the rows with the weights does not
-        phase = np.vecdot(self.child(blocks), self.weights) + self.phase
+        phase = np.vecdot(self.child._eval(blocks), self.weights) + self.phase
         return self.amp * np.sin(phase)[..., None]
 
     def deps(self):
@@ -372,9 +379,10 @@ class Osc(FuncExpr):
 class Displacement(FuncExpr):
     """Block ``index`` of a word map's image minus the same input block.
 
-    The word must expose ``eval_blocks``. The certificates are the word's:
-    its composition rules derive them and pass them in. Runtime-only node:
-    it has no JSON encoding.
+    The word is an ``AlmostTranslation``; a direct call checks the blocks
+    against its spec, as the word's ``eval_blocks`` does. The certificates
+    are the word's: its composition rules derive them and pass them in.
+    Runtime-only node: it has no JSON encoding.
     """
 
     def __init__(self, word, index: int, dim: int, sup_bound: float, lipschitz: float,
@@ -386,9 +394,11 @@ class Displacement(FuncExpr):
         self._lipschitz = lipschitz
         self._deps = frozenset(deps)
 
+    def _eval(self, blocks):
+        return self.word._apply(blocks)[self.index] - blocks[self.index]
+
     def __call__(self, blocks):
-        image = self.word.eval_blocks(blocks)[self.index]
-        return image - np.asarray(blocks[self.index], dtype=float)
+        return self._eval(require_blocks(self.word.spec, blocks))
 
     def deps(self):
         return self._deps

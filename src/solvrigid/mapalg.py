@@ -13,8 +13,9 @@ import numpy as np
 from .errors import DomainError, InputError, NotInUniformSubgroup
 from .funcexpr import BlockVar, Const, FuncExpr, Lin, Sum
 from .nilpotent import AlmostTranslation, Letter
-from .quasimetric import _qsim_logs, distance, estimate_qsim_constants
-from .spectral import BlockPoint, SpectralData, require_blocks
+from .quasimetric import _image_rows, _qsim_logs, distance, estimate_qsim_constants
+from .spectral import (BlockPoint, SpectralData, join_blocks, random_row_blocks, require_blocks,
+                       split_rows)
 
 
 class BlockMap:
@@ -46,9 +47,10 @@ class BlockMap:
         """The image blocks of one point or of N points; a constant component
         gives a ``(n_i,)`` block for every row."""
         blocks = require_blocks(self.spec, blocks)
-        if self.inner is not None:
-            blocks = self.inner.eval_blocks(blocks)
-        return [f(blocks) for f in self.components]
+        with np.errstate(all="ignore"):
+            if self.inner is not None:
+                blocks = self.inner.eval_blocks(blocks)
+            return [f._eval(blocks) for f in self.components]
 
     def __call__(self, p: BlockPoint) -> BlockPoint:
         return BlockPoint(tuple(self.eval_blocks(p.blocks)))
@@ -115,8 +117,11 @@ class SimMap:
         return SimMap(spec, 1.0)
 
     def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """The image blocks of one point, ``(n_i,)`` blocks, or of N points, ``(N, n_i)``."""
-        return self._apply(require_blocks(self.spec, blocks))
+        """The image blocks of one point, ``(n_i,)`` blocks, or of N points, ``(N, n_i)``;
+        an image beyond float range reads inf."""
+        blocks = require_blocks(self.spec, blocks)
+        with np.errstate(all="ignore"):
+            return self._apply(blocks)
 
     def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         """eval_blocks on blocks that already passed require_blocks."""
@@ -210,7 +215,9 @@ class ASimMap:
         return ASimMap(SimMap.identity(spec), AlmostTranslation.identity(spec))
 
     def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return self.sim._apply(self.almost.eval_blocks(blocks))
+        blocks = require_blocks(self.spec, blocks)
+        with np.errstate(all="ignore"):
+            return self.sim._apply(self.almost._apply(blocks))
 
     def __call__(self, p: BlockPoint) -> BlockPoint:
         return BlockPoint(tuple(self.eval_blocks(p.blocks)))
@@ -406,52 +413,72 @@ def check_reciprocity(pair: BoundaryPair) -> ReciprocityVerdict:
     return ReciprocityVerdict(passed=False, log_defect=defect, drift=drift)
 
 
+def _times(lam, matrices):
+    """lam * matrices, row by row where lam is an (N,) array of factors."""
+    return np.asarray(lam)[..., None, None] * matrices
+
+
 @dataclass
 class FirstBlockAffineMap:
     """G(x, y) = (lam(y) * A(y) (x + B(y)), g(y)) with g a quotient similarity.
 
     ``spec`` covers all blocks; block 0 carries the affine action and the
-    remaining blocks form the quotient, on which ``quotient`` acts as a
-    similarity with constant ``stretch`` for the quotient metric.
+    remaining blocks y form the quotient, on which ``quotient`` acts as a
+    similarity with constant ``stretch`` for the quotient metric. The
+    callables take the quotient blocks of one point, ``(n_i,)``, or of N
+    points, ``(N, n_i)``: ``quotient`` gives the image blocks, ``lam_of`` a
+    scalar or ``(N,)``, ``A_of`` an ``(n1, n1)`` matrix or ``(N, n1, n1)``,
+    and ``B_of`` an ``(n1,)`` vector or ``(N, n1)``. A part that does not
+    vary may give its one-point value for rows, which broadcasts, as
+    ``Const`` does. ``inverse_map`` takes all blocks to those of the preimage.
     """
 
     spec: SpectralData
     stretch: float
-    quotient: Callable[[tuple], tuple]
-    lam_of: Optional[Callable[[tuple], float]] = None
-    A_of: Optional[Callable[[tuple], np.ndarray]] = None
-    B_of: Optional[Callable[[tuple], np.ndarray]] = None
-    inverse_map: Optional[Callable[[BlockPoint], BlockPoint]] = None
+    quotient: Callable[[list], list]
+    lam_of: Optional[Callable[[list], np.ndarray]] = None
+    A_of: Optional[Callable[[list], np.ndarray]] = None
+    B_of: Optional[Callable[[list], np.ndarray]] = None
+    inverse_map: Optional[Callable[[list], list]] = None
 
     def __post_init__(self):
-        n1 = self.spec.multiplicities[0]
-        a1 = self.spec.exponents[0]
-        if self.lam_of is None:
-            t = self.stretch
-            self.lam_of = lambda y, _t=t, _a=a1: _t**_a
-        if self.A_of is None:
-            self.A_of = lambda y, _n=n1: np.eye(_n)
-        if self.B_of is None:
-            self.B_of = lambda y, _n=n1: np.zeros(_n)
+        n1, lam = self.spec.multiplicities[0], self.stretch ** self.spec.exponents[0]
+        self.lam_of = self.lam_of or (lambda y: lam)
+        self.A_of = self.A_of or (lambda y: np.eye(n1))
+        self.B_of = self.B_of or (lambda y: np.zeros(n1))
 
     def rest_spec(self) -> SpectralData:
         return SpectralData(self.spec.exponents[1:], self.spec.multiplicities[1:])
 
+    def _linear(self, y: Sequence[np.ndarray]) -> np.ndarray:
+        """lam(y) A(y) at quotient blocks that passed require_blocks."""
+        return _times(self.lam_of(y), self.A_of(y))
+
+    def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The image blocks of one point, ``(n_i,)`` blocks, or of N points, ``(N, n_i)``."""
+        blocks = require_blocks(self.spec, blocks)
+        y = blocks[1:]
+        with np.errstate(all="ignore"):
+            return [np.matvec(self._linear(y), blocks[0] + self.B_of(y)), *self.quotient(y)]
+
     def __call__(self, p: BlockPoint) -> BlockPoint:
-        p.require_conforms(self.spec)
-        y = tuple(p.blocks[1:])
-        x = p.blocks[0]
-        x2 = self.lam_of(y) * self.A_of(y) @ (x + self.B_of(y))
-        return BlockPoint((x2,) + tuple(self.quotient(y)))
+        return BlockPoint(tuple(self.eval_blocks(p.blocks)))
 
-    def first_block_derivative(self, p: BlockPoint) -> np.ndarray:
-        y = tuple(p.blocks[1:])
-        return self.lam_of(y) * self.A_of(y)
+    def first_block_derivative(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """lam(y) A(y) at the blocks of one point, or an (N, n1, n1) stack for N points."""
+        blocks = require_blocks(self.spec, blocks)
+        rows = np.broadcast_shapes(*(b.shape[:-1] for b in blocks))
+        n1 = self.spec.multiplicities[0]
+        with np.errstate(all="ignore"):
+            return np.broadcast_to(self._linear(blocks[1:]), rows + (n1, n1))
 
-    def invert_point(self, p: BlockPoint) -> BlockPoint:
+    def invert_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The preimage blocks of one point or of N points."""
         if self.inverse_map is None:
             raise InputError("map was built without an inverse")
-        return self.inverse_map(p)
+        blocks = require_blocks(self.spec, blocks)
+        with np.errstate(all="ignore"):
+            return list(self.inverse_map(blocks))
 
     def compose(self, other: "FirstBlockAffineMap") -> "FirstBlockAffineMap":
         """self after other; the lam cocycle multiplies along the quotient."""
@@ -460,55 +487,36 @@ class FirstBlockAffineMap:
         f, g = self, other
 
         def lam(y):
-            return g.lam_of(y) * f.lam_of(tuple(g.quotient(y)))
+            return g.lam_of(y) * f.lam_of(g.quotient(y))
 
         def a_of(y):
-            return f.A_of(tuple(g.quotient(y))) @ g.A_of(y)
+            return f.A_of(g.quotient(y)) @ g.A_of(y)
 
         def b_of(y):
-            gy = tuple(g.quotient(y))
-            return g.B_of(y) + (1.0 / g.lam_of(y)) * np.linalg.inv(g.A_of(y)) @ f.B_of(gy)
+            inv = _times(1.0 / np.asarray(g.lam_of(y)), np.linalg.inv(g.A_of(y)))
+            return g.B_of(y) + np.matvec(inv, f.B_of(g.quotient(y)))
 
-        def quot(y):
-            return f.quotient(tuple(g.quotient(y)))
-
-        return FirstBlockAffineMap(
-            spec=self.spec,
-            stretch=f.stretch * g.stretch,
-            quotient=quot,
-            lam_of=lam,
-            A_of=a_of,
-            B_of=b_of,
-        )
+        return FirstBlockAffineMap(self.spec, f.stretch * g.stretch,
+                                   lambda y: f.quotient(g.quotient(y)), lam, a_of, b_of)
 
 
 def affine_inverse(
-    g: FirstBlockAffineMap, quotient_inverse: Callable[[tuple], tuple]
+    g: FirstBlockAffineMap, quotient_inverse: Callable[[list], list]
 ) -> FirstBlockAffineMap:
     """Inverse of a first-block affine map, given the quotient's inverse."""
 
     def lam(yp):
-        return 1.0 / g.lam_of(tuple(quotient_inverse(yp)))
+        return 1.0 / np.asarray(g.lam_of(quotient_inverse(yp)))
 
     def a_of(yp):
-        return np.linalg.inv(g.A_of(tuple(quotient_inverse(yp))))
+        return np.linalg.inv(g.A_of(quotient_inverse(yp)))
 
     def b_of(yp):
-        y = tuple(quotient_inverse(yp))
-        return -g.lam_of(y) * g.A_of(y) @ g.B_of(y)
+        y = quotient_inverse(yp)
+        return np.matvec(_times(-np.asarray(g.lam_of(y)), g.A_of(y)), g.B_of(y))
 
-    def inv_point(p: BlockPoint) -> BlockPoint:
-        return g(p)
-
-    return FirstBlockAffineMap(
-        spec=g.spec,
-        stretch=1.0 / g.stretch,
-        quotient=quotient_inverse,
-        lam_of=lam,
-        A_of=a_of,
-        B_of=b_of,
-        inverse_map=inv_point,
-    )
+    return FirstBlockAffineMap(g.spec, 1.0 / g.stretch, quotient_inverse, lam, a_of, b_of,
+                               inverse_map=g.eval_blocks)
 
 
 @dataclass(frozen=True)
@@ -529,44 +537,35 @@ def rotation_rigidity_witness(
 
     The search compares 40 leaves drawn uniformly from [-3, 3] in every
     quotient coordinate (seed 7), and returns None when no two rotations
-    differ by more than 1e-8 in operator norm (the map passes). The probe
-    vector is doubled at most 200 times; a witness whose sandwich never
-    broke has ratio NaN.
+    differ by more than 1e-8 in operator norm (the map passes); otherwise it
+    takes the first pair, in the order of the leaves, of the largest gap.
+    The probe vector is doubled at most 200 times; a witness whose sandwich
+    never broke has ratio NaN.
     """
     rng = np.random.default_rng(7)
     rest = G.rest_spec()
     n1 = G.spec.multiplicities[0]
-    t = G.stretch
-    a1 = G.spec.exponents[0]
-
-    ys = [
-        tuple(rng.uniform(-3.0, 3.0, n) for n in rest.multiplicities)
-        for _ in range(40)
-    ]
-    best = (1e-8, None, None)
-    for i in range(len(ys)):
-        for j in range(i + 1, len(ys)):
-            gap = float(np.linalg.norm(G.A_of(ys[i]) - G.A_of(ys[j]), 2))
-            if gap > best[0]:
-                best = (gap, ys[i], ys[j])
-    gap, y, yp = best
-    if y is None:
+    bound = G.stretch * K
+    leaves = next(random_row_blocks(rest, rng, 40, 1, 3.0))[:, 0]
+    rots = np.broadcast_to(G.A_of(split_rows(rest, leaves)), (40, n1, n1))
+    first, second = np.triu_indices(40, 1)
+    gaps = np.linalg.norm(rots[first] - rots[second], 2, axis=(1, 2))
+    k = int(np.argmax(gaps))
+    if not gaps[k] > 1e-8:
         return None
+    y, yp = (split_rows(rest, leaves[i]) for i in (first[k], second[k]))
 
-    diff = G.A_of(y) - G.A_of(yp)
-    _, _, vt = np.linalg.svd(diff)
-    direction = vt[0]
-    dy = distance(rest, BlockPoint(y), BlockPoint(yp))
-    bound = t * K * max(dy, 1e-12)
-
-    scale = 1.0
-    for _ in range(200):
-        z = scale * direction
-        p = BlockPoint((z - G.B_of(y),) + y)
-        q = BlockPoint((z - G.B_of(yp),) + yp)
-        d_src = distance(G.spec, p, q)
-        d_img = distance(G.spec, G(p), G(q))
-        if d_img > t * K * d_src:
-            return RotationWitness(y=y, y_prime=yp, z=z, ratio=d_img / d_src, bound=t * K)
-        scale *= 2.0
-    return RotationWitness(y=y, y_prime=yp, z=scale * direction, ratio=float("nan"), bound=t * K)
+    _, _, vt = np.linalg.svd(rots[first[k]] - rots[second[k]])
+    # one row per probe scale 2^0, ..., 2^199, at the two leaves
+    z = 2.0 ** np.arange(200.0)[:, None] * vt[0]
+    p = join_blocks([z - G.B_of(y), *y])
+    q = join_blocks([z - G.B_of(yp), *yp])
+    d_src = distance(G.spec, p, q)
+    d_img = distance(G.spec, _image_rows(G.spec, G, p), _image_rows(G.spec, G, q))
+    broke = np.flatnonzero(d_img > bound * d_src)
+    if broke.size:
+        i = broke[0]
+        return RotationWitness(y=tuple(y), y_prime=tuple(yp), z=z[i], ratio=d_img[i] / d_src[i],
+                               bound=bound)
+    return RotationWitness(y=tuple(y), y_prime=tuple(yp), z=2.0**200 * vt[0], ratio=float("nan"),
+                           bound=bound)

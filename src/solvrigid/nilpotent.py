@@ -125,17 +125,19 @@ class AlmostTranslation:
         after i, which are already solved.
         """
         if sign == 1:
-            return [p(blocks) for p in self.perturbations]
+            return [p._eval(blocks) for p in self.perturbations]
         out = list(blocks)
         d: list[np.ndarray] = [None] * self.spec.r
         for i in range(self.spec.r - 1, -1, -1):
-            d[i] = -self.perturbations[i](out)
+            d[i] = -self.perturbations[i]._eval(out)
             out[i] = out[i] + d[i]
         return d
 
     def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
         """The image blocks of one point, ``(n_i,)`` blocks, or of N points, ``(N, n_i)``."""
-        return self._apply(require_blocks(self.spec, blocks))
+        blocks = require_blocks(self.spec, blocks)
+        with np.errstate(all="ignore"):
+            return self._apply(blocks)
 
     def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         """eval_blocks on blocks that already passed require_blocks."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InputError
-from .spectral import BlockPoint, SpectralData
+from .spectral import BlockPoint, SpectralData, join_blocks, split_rows
 
 # A sum of squares below this may have lost relative precision to underflow
 # (each subnormal square is off by up to 2^-1075); such blocks, exact zeros
@@ -210,10 +210,8 @@ def enumerate_chain_cost(
 
 def _image_rows(spec: SpectralData, F, P: np.ndarray) -> np.ndarray:
     """The ``(N, total_dim)`` rows of F's images of the rows of P, in one ``eval_blocks`` call."""
-    image = F.eval_blocks([P[:, s] for s in spec.block_slices()])
     # a constant component gives one block for every row
-    return np.concatenate([np.broadcast_to(b, (len(P), n))
-                           for b, n in zip(image, spec.multiplicities)], axis=1)
+    return np.broadcast_to(join_blocks(F.eval_blocks(split_rows(spec, P))), P.shape)
 
 
 def _qsim_logs(spec: SpectralData, F, samples) -> tuple[float, float, np.ndarray]:

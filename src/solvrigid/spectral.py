@@ -127,6 +127,20 @@ class BlockPoint:
         )
 
 
+def finite_blocks(blocks) -> list[np.ndarray]:
+    """``blocks`` as float arrays; InputError on a non-numeric or non-finite block."""
+    try:
+        out = [np.asarray(b, dtype=float) for b in blocks]
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("point blocks must be arrays of numbers") from None
+    for b in out:
+        # the sum of squares is finite when every entry is, short of
+        # overflow: only then is the entrywise test needed
+        if not math.isfinite(np.vdot(b, b)) and not np.isfinite(b).all():
+            raise InputError("point has a non-finite coordinate")
+    return out
+
+
 def require_blocks(spec: SpectralData, blocks) -> list[np.ndarray]:
     """The blocks of one point, shapes ``(n_i,)``, or of N points, ``(N, n_i)``, as float arrays.
 
@@ -135,10 +149,7 @@ def require_blocks(spec: SpectralData, blocks) -> list[np.ndarray]:
     DimensionMismatch on any other count or shape of blocks, or row blocks
     of differing N.
     """
-    try:
-        out = [np.asarray(b, dtype=float) for b in blocks]
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("point blocks must be arrays of numbers") from None
+    out = finite_blocks(blocks)
     shapes = [b.shape for b in out]
     if shapes != [(n,) for n in spec.multiplicities]:  # not one point: rows
         rows = {s[:-1] for s in shapes} - {()}
@@ -148,12 +159,18 @@ def require_blocks(spec: SpectralData, blocks) -> list[np.ndarray]:
                 f"blocks of shapes {shapes} are neither one point nor rows "
                 f"of multiplicities {spec.multiplicities}"
             )
-    for b in out:
-        # the sum of squares is finite when every entry is, short of
-        # overflow: only then is the entrywise test needed
-        if not math.isfinite(np.vdot(b, b)) and not np.isfinite(b).all():
-            raise InputError("point has a non-finite coordinate")
     return out
+
+
+def split_rows(spec: SpectralData, rows: np.ndarray) -> list[np.ndarray]:
+    """The blocks of one point ``(total_dim,)`` or of rows ``(N, total_dim)``, as views."""
+    return [rows[..., s] for s in spec.block_slices()]
+
+
+def join_blocks(blocks) -> np.ndarray:
+    """The inverse of split_rows; a one-point block among row blocks is shared by every row."""
+    lead = np.broadcast_shapes(*(b.shape[:-1] for b in blocks))
+    return np.concatenate([np.broadcast_to(b, lead + b.shape[-1:]) for b in blocks], axis=-1)
 
 
 # Rows per array drawn by random_row_blocks: large enough to amortize numpy's

@@ -4,6 +4,8 @@ post-conjugation similarity verification."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -13,7 +15,7 @@ from .errors import ConvergenceError, InputError
 from .mapalg import FirstBlockAffineMap
 from .nilpotent import walk_words
 from .quasimetric import dilate, distance
-from .spectral import BlockPoint, SpectralData
+from .spectral import SpectralData, join_blocks, random_row_blocks, split_rows
 
 
 # -- 1-D generators ---------------------------------------------------------
@@ -199,7 +201,7 @@ def verify_conjugation(
 @dataclass
 class NormalizedSample:
     conjugated: list[FirstBlockAffineMap]
-    mu_of: Callable[[tuple], float]
+    mu_of: Callable[[Sequence[np.ndarray]], np.ndarray]
     alpha1: float
 
 
@@ -207,8 +209,9 @@ def normalize_stretch(sample: GroupSample) -> NormalizedSample:
     """Conjugate so the first-block stretch is exactly t_g^alpha_1.
 
     mu(y) is the sup of normalized stretches over forward words up to the
-    sample's ``word_len``;
-    conjugating by (x, y) -> (mu(y) x, y) rescales each generator's lam to
+    sample's ``word_len``; ``mu_of`` takes the quotient blocks of one point
+    or of N points and walks the words once for all of them.
+    Conjugating by (x, y) -> (mu(y) x, y) rescales each generator's lam to
     mu(g y) lam(y) / mu(y). Generators must have affine first blocks.
     """
     gens = sample.generators
@@ -224,32 +227,24 @@ def normalize_stretch(sample: GroupSample) -> NormalizedSample:
         # the normalized first-block stretch is a cocycle along the quotient
         eta, y = state
         g = gens[gi]
-        return eta * (g.lam_of(y) / g.stretch**alpha1), tuple(g.quotient(y))
+        return eta * (g.lam_of(y) / g.stretch**alpha1), g.quotient(y)
 
-    def mu_of(y: tuple) -> float:
-        return max(eta for _, (eta, _) in walk_words(range(len(gens)), sample.word_len, (1.0, y), step))
+    def mu_of(y):
+        walk = walk_words(range(len(gens)), sample.word_len, (1.0, y), step)
+        return functools.reduce(np.maximum, (eta for _, (eta, _) in walk))
 
-    conjugated = []
-    for g in gens:
-        conjugated.append(_conjugate_by_scale(g, mu_of))
+    conjugated = [_conjugate_by_scale(g, mu_of) for g in gens]
     return NormalizedSample(conjugated=conjugated, mu_of=mu_of, alpha1=alpha1)
 
 
-def _conjugate_by_scale(g: FirstBlockAffineMap, mu_of: Callable[[tuple], float]) -> FirstBlockAffineMap:
+def _conjugate_by_scale(g: FirstBlockAffineMap, mu_of: Callable) -> FirstBlockAffineMap:
     def lam(y):
-        return mu_of(tuple(g.quotient(y))) * g.lam_of(y) / mu_of(y)
+        return mu_of(g.quotient(y)) * g.lam_of(y) / mu_of(y)
 
     def b_of(y):
-        return mu_of(y) * g.B_of(y)
+        return np.asarray(mu_of(y))[..., None] * g.B_of(y)
 
-    return FirstBlockAffineMap(
-        spec=g.spec,
-        stretch=g.stretch,
-        quotient=g.quotient,
-        lam_of=lam,
-        A_of=g.A_of,
-        B_of=b_of,
-    )
+    return dataclasses.replace(g, lam_of=lam, B_of=b_of, inverse_map=None)
 
 
 # -- radial conjugator ------------------------------------------------------
@@ -279,7 +274,8 @@ def radial_conjugator(
     constant; the report tracks the sup-distance between successive maps,
     and the similarity defect of the conjugated generators, on 64 probes
     drawn uniformly from [-1, 1] in every coordinate (seed 11). The last
-    conjugator approximates the limit.
+    conjugator approximates the limit. A conjugator maps the blocks of one
+    point or of N points, as ``eval_blocks`` does.
     """
     rng = np.random.default_rng(11)
     if not escape:
@@ -291,53 +287,51 @@ def radial_conjugator(
     a_matrix = np.asarray(a_matrix, dtype=float)
 
     def make_conjugator(t: float, G: FirstBlockAffineMap):
-        def F(p: BlockPoint) -> BlockPoint:
-            q = G(p)
-            q = BlockPoint((a_matrix @ q.blocks[0],) + tuple(q.blocks[1:]))
-            return BlockPoint.from_flat(spec, dilate(spec, t, q))
+        def F(blocks):
+            q = G.eval_blocks(blocks)
+            q[0] = np.matvec(a_matrix, q[0])
+            return split_rows(spec, dilate(spec, t, join_blocks(q)))
 
-        def F_inv(p: BlockPoint) -> BlockPoint:
-            q = BlockPoint.from_flat(spec, dilate(spec, 1.0 / t, p))
-            q = BlockPoint((np.linalg.solve(a_matrix, q.blocks[0]),) + tuple(q.blocks[1:]))
-            return G.invert_point(q)
+        def F_inv(blocks):
+            q = split_rows(spec, dilate(spec, 1.0 / t, join_blocks(blocks)))
+            q[0] = np.linalg.solve(a_matrix, q[0][..., None])[..., 0]
+            return G.invert_blocks(q)
 
         return F, F_inv
 
-    probes = [
-        BlockPoint(tuple(rng.uniform(-1.0, 1.0, n) for n in spec.multiplicities))
-        for _ in range(64)
-    ]
+    probes = next(random_row_blocks(spec, rng, 64, 1, 1.0))[:, 0]
     maps = [make_conjugator(t, g) for t, g in zip(ts, escape)]
-    steps = []
-    for i, (F, F_inv) in enumerate(maps):
-        if i + 1 < len(maps):
-            Fn = maps[i + 1][0]
-            cauchy = max(float(np.linalg.norm(F(p).flat() - Fn(p).flat())) for p in probes)
-        else:
-            cauchy = float("nan")
-        defect = _similarity_defect(sample, F, F_inv, probes, spec)
-        steps.append(RadialStep(t=ts[i], cauchy_defect=cauchy, similarity_defect=defect))
+    images = [join_blocks(F(split_rows(spec, probes))) for F, _ in maps]
+    cauchy = [float(np.max(np.sqrt(np.vecdot(a - b, a - b)))) for a, b in zip(images, images[1:])]
+    steps = [
+        RadialStep(t, c, _similarity_defect(sample, F, F_inv, probes, spec))
+        for t, c, (F, F_inv) in zip(ts, cauchy + [float("nan")], maps)
+    ]
     return RadialReport(conjugators=[m[0] for m in maps], steps=steps)
 
 
-def _similarity_defect(sample: GroupSample, F, F_inv, probes, spec: SpectralData) -> float:
-    """Spread of first-block distance ratios of the conjugated generators."""
+def _similarity_defect(sample: GroupSample, F, F_inv, probes: np.ndarray,
+                       spec: SpectralData) -> float:
+    """Spread of first-block distance ratios of the conjugated generators.
+
+    Each probe row is paired with its shifts by 0.25 and 0.5 in each block,
+    in the order probe, block, shift.
+    """
+    shifted = np.repeat(probes[:, None, None], spec.r, axis=1).repeat(2, axis=2)
+    for bi, s in enumerate(spec.block_slices()):
+        shifted[:, bi, :, s] += np.array([[0.25], [0.5]])
+    P = np.repeat(probes, 2 * spec.r, axis=0)
+    Q = shifted.reshape(P.shape)
+    d0 = distance(spec, P, Q)
+
+    def conjugated(G, rows):
+        return join_blocks(F(G.eval_blocks(F_inv(split_rows(spec, rows)))))
+
     worst = 0.0
     for G in sample.generators:
-        ratios = []
-        for p in probes:
-            hp = F(G(F_inv(p)))
-            for bi in range(spec.r):
-                for delta in (0.25, 0.5):
-                    shifted = list(p.blocks)
-                    shifted[bi] = shifted[bi] + delta
-                    q = BlockPoint(tuple(shifted))
-                    hq = F(G(F_inv(q)))
-                    d0 = distance(spec, p, q)
-                    d1 = distance(spec, hp, hq)
-                    if d0 > 0 and d1 > 0:
-                        ratios.append(d1 / d0)
-        if ratios:
-            logs = np.log(np.asarray(ratios))
+        d1 = distance(spec, np.repeat(conjugated(G, probes), 2 * spec.r, axis=0), conjugated(G, Q))
+        keep = (d0 > 0) & (d1 > 0)
+        if keep.any():
+            logs = np.log(d1[keep] / d0[keep])
             worst = max(worst, float(np.max(np.abs(logs - logs.mean()))))
     return worst

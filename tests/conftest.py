@@ -5,12 +5,12 @@ import pytest
 def count_calls(monkeypatch):
     """Install one recorder of the calls to an attribute of one or more owners.
 
-    By default the attribute is ``__call__`` (evaluations of nodes of a
+    By default the attribute is ``_eval`` (evaluations of nodes of a
     FuncExpr class); a module-level function is counted by patching it in
     every module that imported it by name.
     """
 
-    def install(*owners, name="__call__") -> list:
+    def install(*owners, name="_eval") -> list:
         calls = []
 
         def recorder(original):

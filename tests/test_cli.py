@@ -3,6 +3,7 @@ emission, and determinism."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +78,18 @@ class TestConfigSchema:
         assert f"config error: {pointer}:" in capsys.readouterr().err
         assert not out.exists()
 
+
+    def test_doc_table_matches_the_field_metadata(self):
+        text = (Path(__file__).resolve().parents[1] / "docs" / "report-schema.md").read_text()
+        lines = text.split("## Configuration keys")[1].splitlines()
+        rows = [[c.strip().strip("`") for c in line.split("|")[1:-1]]
+                for line in lines if line.startswith("| `")]
+        kinds = {int: "integer", cli._NUMBER: "number", dict: "object"}
+        defaults = RunConfig().to_json()
+        assert [row[0] for row in rows] == list(cli._SCHEMA)
+        for key, kind, _, default in rows:
+            assert kind.split(":")[0] == kinds[cli._SCHEMA[key][0]], key
+            assert json.loads(default) == defaults[key], key
 
     def test_grid_point_cap_is_inclusive(self):
         # default lo, hi and word_len: the grid spans [-3 - 8, 3 + 8], 22 units

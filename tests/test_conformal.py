@@ -28,7 +28,10 @@ from solvrigid import (
     solve_circumcenter,
 )
 from solvrigid.conformal import ConfField, _orbit_classes
-from solvrigid.fixtures import SPEC_R2, SPEC_ROT, constant_rotation_map
+from solvrigid.fixtures import SPEC_R2, SPEC_ROT, constant_rotation_map, varying_rotation_map
+from solvrigid.spectral import join_blocks, split_rows
+
+import affine_reference
 
 RNG = np.random.default_rng(17)
 
@@ -40,6 +43,7 @@ def _ref_invariant_structure(generators, grid, word_len, resolution):
     for _ in range(word_len):
         frontier = [w + [gi] for w in frontier for gi in range(len(generators))]
         words.extend(frontier)
+    grid = [BlockPoint.from_flat(SPEC_ROT, row) for row in grid]
     n1 = grid[0].blocks[0].shape[0]
     points, values, skipped = [], [], []
     for idx, p in enumerate(grid):
@@ -51,7 +55,7 @@ def _ref_invariant_structure(generators, grid, word_len, resolution):
                 cur = p
                 for gi in reversed(w):
                     g = generators[gi]
-                    jac = g.first_block_derivative(cur) @ jac
+                    jac = g.first_block_derivative(cur.blocks) @ jac
                     cur = g(cur)
                 if abs(np.linalg.det(jac)) < 1e-12:
                     raise DomainError("singular first-block Jacobian")
@@ -65,7 +69,8 @@ def _ref_invariant_structure(generators, grid, word_len, resolution):
             continue
         points.append(p)
         values.append(circumcenter(classes))
-    field_ = ConfField(points=points, values=values, resolution=resolution, skipped=skipped)
+    rows = np.reshape([q.flat() for q in points], (-1, SPEC_ROT.total_dim))
+    field_ = ConfField(points=rows, values=values, resolution=resolution, skipped=skipped)
     for p, mu_p in zip(points, values):
         worst = 0.0
         for g in generators:
@@ -73,9 +78,17 @@ def _ref_invariant_structure(generators, grid, word_len, resolution):
                 mu_gp = field_.value_at(g(p))
             except CoverageError:
                 continue
-            worst = max(worst, kdist(mu_gp, act(g.first_block_derivative(p), mu_p)))
+            worst = max(worst, kdist(mu_gp, act(g.first_block_derivative(p.blocks), mu_p)))
         field_.defects.append(worst)
     return field_
+
+
+def _diag_y(y):
+    """diag(y, 1) at each quotient point: singular where y = 0."""
+    m = np.zeros(y[0].shape[:-1] + (2, 2))
+    m[..., 0, 0] = y[0][..., 0]
+    m[..., 1, 1] = 1.0
+    return m
 
 
 def _harmonic_descent_radius(mats, iters=100):
@@ -419,9 +432,7 @@ class TestCircumcenter:
 
 class TestInvariantStructure:
     def _grid(self):
-        return [
-            BlockPoint((np.zeros(2), np.array([float(y)]))) for y in range(-3, 4)
-        ]
+        return np.array([[0.0, 0.0, float(y)] for y in range(-3, 4)])
 
     def test_rotation_generator_gives_identity_field_with_zero_defect(self):
         g = constant_rotation_map(0.8)
@@ -454,7 +465,7 @@ class TestInvariantStructure:
         diag = FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=lambda y: t)
         # singular where y = 0, so grid points whose orbit meets it are skipped
         fold = FirstBlockAffineMap(
-            SPEC_ROT, 1.0, quot, A_of=lambda y: np.diag([float(y[0][0]), 1.0])
+            SPEC_ROT, 1.0, quot, A_of=_diag_y
         )
         rot = constant_rotation_map(0.8)
         for gens in ([rot, affine_inverse(rot, lambda y: (y[0] - 1.0,))], [diag, fold]):
@@ -466,6 +477,34 @@ class TestInvariantStructure:
             assert field.skipped == ref.skipped
         assert field.skipped
 
+    def test_grid_rows_equal_the_per_point_reference(self):
+        # the field of the three generators below, and of a rotation and its
+        # inverse, on a 25-point grid
+        t = np.diag([2.0, 0.5])
+
+        def quot(y):
+            return (y[0] + 1.0,)
+
+        rot = constant_rotation_map(0.8)
+        grid = np.column_stack([np.zeros((25, 2)), np.linspace(-3.0, 3.0, 25)])
+        points = [BlockPoint.from_flat(SPEC_ROT, row) for row in grid]
+        three = [FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=lambda y: t),
+                 FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=_diag_y), rot]
+        ref_rot = affine_reference.from_map(rot)
+        for gens, refs in (
+            (three, [affine_reference.from_map(g) for g in three]),
+            ([rot, affine_inverse(rot, lambda y: (y[0] - 1.0,))],
+             [ref_rot, affine_reference.affine_inverse(ref_rot, lambda y: (y[0] - 1.0,))]),
+        ):
+            field = invariant_structure(gens, grid, word_len=3, resolution=0.51)
+            ref_points, values, defects, skipped = affine_reference.invariant_structure(
+                refs, points, 3, 0.51)
+            assert np.array_equal(field.points, np.reshape([p.flat() for p in ref_points], (-1, 3)))
+            assert len(field.values) == len(values)
+            assert all(np.array_equal(a, b) for a, b in zip(field.values, values))
+            assert field.defects == defects
+            assert field.skipped == skipped
+
     def test_three_generator_orbits_certify(self):
         # 18-22 classes per point; each solve takes 23-29 iterations, where
         # a full step without backtracking cycles between two radii
@@ -476,15 +515,12 @@ class TestInvariantStructure:
 
         gens = [
             FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=lambda y: t),
-            FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=lambda y: np.diag([float(y[0][0]), 1.0])),
+            FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=_diag_y),
             constant_rotation_map(0.8),
         ]
         solved = 0
-        for p in self._grid():
-            try:
-                classes = _orbit_classes(gens, p, 3)
-            except DomainError:
-                continue
+        _, orbits = _orbit_classes(gens, split_rows(SPEC_ROT, self._grid()), 3)
+        for classes in orbits:
             res = solve_circumcenter(classes)
             assert res.exit == "certified" and res.gap <= 1e-9
             assert res.iterations <= 40
@@ -494,16 +530,16 @@ class TestInvariantStructure:
         assert field.skipped == [1, 2, 3]
 
     def test_orbits_and_defects_act_on_stacks(self, count_calls):
-        # one act per point for the word orbits, one act and one kdist per
-        # generator for the defects; one per word and per covered pair would
-        # be 105 + 4 acts and 4 kdists
+        # one act for the word orbits of the whole grid, one act and one
+        # kdist per generator for the defects; one per word and per covered
+        # pair would be 105 + 4 acts and 4 kdists
         g = constant_rotation_map(0.8)
         gens = [g, affine_inverse(g, lambda y: (y[0] - 1.0,))]
         acts = count_calls(conformal, name="act")
         kdists = count_calls(conformal, name="kdist")
         field = invariant_structure(gens, self._grid(), word_len=3, resolution=0.51)
         assert len(field.values) == 7
-        assert len(acts) == 7 + 2 and len(kdists) == 2
+        assert len(acts) == 1 + 2 and len(kdists) == 2
 
     def test_value_at_raises_off_grid(self):
         field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.4)
@@ -523,14 +559,23 @@ class TestMeasureDistortion:
         expected = t ** sum(SPEC_R2.exponents)
 
         class Dil:
-            def __call__(self, p):
-                return BlockPoint.from_flat(SPEC_R2, dilate(SPEC_R2, t, p))
+            def eval_blocks(self, blocks):
+                return split_rows(SPEC_R2, dilate(SPEC_R2, t, join_blocks(blocks)))
 
         boxes = [(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
                  (np.array([0.0, 0.0]), np.array([2.0, 2.0]))]
         lo, hi = measure_distortion_check(Dil(), SPEC_R2, boxes, np.random.default_rng(1), samples=50)
         assert lo == pytest.approx(expected, rel=1e-3)
         assert hi == pytest.approx(expected, rel=1e-3)
+
+    def test_rows_equal_the_per_sample_reference(self):
+        g = varying_rotation_map()
+        boxes = [(np.array([-1.0, -1.0, -2.0]), np.array([1.0, 0.5, 2.0])),
+                 (np.zeros(3), np.ones(3))]
+        got = measure_distortion_check(g, SPEC_ROT, boxes, np.random.default_rng(2), samples=300)
+        want = affine_reference.measure_distortion_check(
+            affine_reference.from_map(g), SPEC_ROT, boxes, np.random.default_rng(2), 300)
+        assert got == want
 
     def test_degenerate_boxes_rejected(self):
         with pytest.raises(InputError):

@@ -46,8 +46,13 @@ from solvrigid.fixtures import (
     matched_boundary_pair,
     mismatched_boundary_pair,
     oscillating_kernel_element,
+    radial_escape_words,
+    radial_generator,
     varying_rotation_map,
 )
+from solvrigid.spectral import join_blocks, split_rows
+
+import affine_reference
 
 RNG = np.random.default_rng(42)
 
@@ -161,6 +166,10 @@ class TestASimWords:
             assert len(calls) == self.LETTERS
 
 
+def _unshift(y):
+    return [y[0] - 1.0]
+
+
 def _row_maps():
     """Boundary maps on SPEC_ROT: a similarity with rotations, words, and block maps."""
     s = SimMap(SPEC_ROT, 1.3, [_rot(0.7), -np.eye(1)], [np.array([0.4, -0.2]), np.array([0.3])])
@@ -179,6 +188,8 @@ def _row_maps():
         "asim": asim,
         "asim-word": asim.compose(_asim_letter(np.random.default_rng(3))),
         "block-map": compose(generic, s),
+        "affine": varying_rotation_map().compose(constant_rotation_map(0.5)),
+        "affine-inverse": affine_inverse(constant_rotation_map(0.9), _unshift),
     }
 
 
@@ -246,8 +257,8 @@ class Precompose(FuncExpr):
         self.inner = inner
         self.dim = child.dim
 
-    def __call__(self, blocks):
-        return self.child(self.inner.eval_blocks(blocks))
+    def _eval(self, blocks):
+        return self.child._eval(self.inner.eval_blocks(blocks))
 
     def deps(self):
         out = frozenset()
@@ -473,12 +484,59 @@ class TestFirstBlockAffine:
         for _ in range(20):
             p = random_point(SPEC_ROT, RNG, 3.0)
             assert g_inv(g(p)).isclose(p, atol=1e-12)
-            assert g_inv.invert_point(g_inv(p)).isclose(p, atol=1e-12)
+            assert BlockPoint(tuple(g_inv.invert_blocks(g_inv(p).blocks))).isclose(p, atol=1e-12)
 
     def test_missing_inverse_raises(self):
         g = constant_rotation_map()
         with pytest.raises(InputError):
-            g.invert_point(random_point(SPEC_ROT, RNG))
+            g.invert_blocks(random_point(SPEC_ROT, RNG).blocks)
+
+
+def _affine_pairs():
+    """Library maps and their per-point closure copies, built from the same callables."""
+    rot, vary = constant_rotation_map(0.9), varying_rotation_map()
+    ref_rot, ref_vary = affine_reference.from_map(rot), affine_reference.from_map(vary)
+    return {
+        "rotation": (rot, ref_rot),
+        "varying": (vary, ref_vary),
+        "composite": (vary.compose(rot), ref_vary.compose(ref_rot)),
+        "inverse": (affine_inverse(vary, _unshift),
+                    affine_reference.affine_inverse(ref_vary, _unshift)),
+        "radial-word": (radial_escape_words(3)[-1],
+                        affine_reference.radial_escape_words(
+                            affine_reference.from_map(radial_generator()), 3)[-1]),
+    }
+
+
+class TestAffineRowsEqualClosures:
+    @pytest.mark.parametrize("name", list(_affine_pairs()))
+    def test_images_derivatives_and_preimages(self, name):
+        g, ref = _affine_pairs()[name]
+        rows = np.random.default_rng(5).uniform(-3, 3, (40, g.spec.total_dim))
+        blocks = split_rows(g.spec, rows)
+        images = join_blocks(g.eval_blocks(blocks))
+        derivs = g.first_block_derivative(blocks)
+        for row, image, deriv in zip(rows, images, derivs):
+            p = BlockPoint.from_flat(g.spec, row)
+            assert np.array_equal(image, ref(p).flat())
+            assert np.array_equal(deriv, ref.first_block_derivative(p))
+            assert np.array_equal(g.first_block_derivative(p.blocks), deriv)
+        if ref.inverse_map is not None:
+            pre = join_blocks(g.invert_blocks(blocks))
+            for row, q in zip(rows, pre):
+                assert np.array_equal(q, ref.invert_point(BlockPoint.from_flat(g.spec, row)).flat())
+
+    @pytest.mark.parametrize("name", ["rotation", "varying", "composite", "inverse"])
+    def test_rotation_witness(self, name):
+        g, ref = _affine_pairs()[name]
+        got = rotation_rigidity_witness(g, K=1.5)
+        want = affine_reference.rotation_rigidity_witness(ref, K=1.5)
+        assert (got is None) == (want is None) == (name == "rotation")
+        if got is not None:
+            y, yp, z, ratio, bound = want
+            assert all(np.array_equal(a, b) for a, b in zip(got.y + got.y_prime, y + yp))
+            assert np.array_equal(got.z, z)
+            assert got.ratio == ratio and got.bound == bound
 
 
 class TestRotationWitness:

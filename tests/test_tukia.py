@@ -30,12 +30,16 @@ from solvrigid.fixtures import (
     normalized_dilation_sample,
     piecewise_1d_sample,
     radial_escape_words,
+    radial_generator,
     radial_sample,
     similarity_1d_sample,
     stretch_bump_sample,
 )
 from solvrigid.nilpotent import walk_words
+from solvrigid.spectral import join_blocks, split_rows
 from solvrigid.tukia import WordVerdict, _chain_1d
+
+import affine_reference
 
 
 def _pipeline(sample, lo=-3.0, hi=3.0, h=0.01):
@@ -523,6 +527,23 @@ class TestNormalizeStretch:
                     lam = mu_ref(tuple(g.quotient(yt))) * g.lam_of(yt) / mu_ref(yt)
                     assert conj.lam_of(yt) == lam
 
+    def test_rows_equal_the_per_point_reference(self):
+        bump = stretch_bump_sample(word_len=6)
+        dil = normalized_dilation_sample(word_len=6)
+        two = dataclasses.replace(bump, generators=bump.generators + dil.generators)
+        ys = np.linspace(-3.0, 3.0, 49)[:, None]
+        for sample in (bump, dil, two):
+            normalized = normalize_stretch(sample)
+            refs = [affine_reference.from_map(g) for g in sample.generators]
+            mu_ref, conj_ref = affine_reference.normalize_stretch(refs, 6)
+            mu = np.broadcast_to(normalized.mu_of([ys]), len(ys))
+            assert np.array_equal(mu, [mu_ref((y,)) for y in ys])
+            for conj, ref in zip(normalized.conjugated, conj_ref):
+                lam = np.broadcast_to(conj.lam_of([ys]), len(ys))
+                assert np.array_equal(lam, [ref.lam_of((y,)) for y in ys])
+                b = np.broadcast_to(conj.B_of([ys]), (len(ys), 1))
+                assert np.array_equal(b, [ref.B_of((y,)) for y in ys])
+
     def test_non_affine_generators_rejected(self):
         sample = piecewise_1d_sample()
         with pytest.raises(InputError):
@@ -539,8 +560,8 @@ class TestRadialConjugator:
             def quot(y, _t=t):
                 return tuple(_t ** e * b for e, b in zip(spec.exponents[1:], y))
 
-            def inv(p, _t=t):
-                return BlockPoint.from_flat(spec, dilate(spec, 1.0 / _t, p))
+            def inv(blocks, _t=t):
+                return split_rows(spec, dilate(spec, 1.0 / _t, join_blocks(blocks)))
 
             escape.append(
                 FirstBlockAffineMap(spec, t, quot, inverse_map=inv)
@@ -550,7 +571,7 @@ class TestRadialConjugator:
         for F in report.conjugators:
             for _ in range(5):
                 p = BlockPoint(tuple(rng.uniform(-1, 1, n) for n in spec.multiplicities))
-                assert F(p).isclose(p, atol=1e-12)
+                assert BlockPoint(tuple(F(p.blocks))).isclose(p, atol=1e-12)
 
     def test_radial_fixture_stabilizes_with_vanishing_defect(self):
         report = radial_conjugator(radial_sample(), radial_escape_words(8), np.eye(1))
@@ -558,6 +579,15 @@ class TestRadialConjugator:
         assert all(b < a for a, b in zip(cauchy, cauchy[1:]))
         defects = [s.similarity_defect for s in report.steps]
         assert defects[-1] < 1e-6
+
+    def test_defects_equal_the_per_probe_reference(self):
+        report = radial_conjugator(radial_sample(), radial_escape_words(8), np.eye(1))
+        g = affine_reference.from_map(radial_generator())
+        escape = affine_reference.radial_escape_words(g, 8)
+        cauchy, defects = affine_reference.radial_conjugator([g], escape, np.eye(1))
+        assert [s.cauchy_defect for s in report.steps[:-1]] == cauchy[:-1]
+        assert math.isnan(report.steps[-1].cauchy_defect) and math.isnan(cauchy[-1])
+        assert [s.similarity_defect for s in report.steps] == defects
 
     def test_non_escaping_stretches_rejected(self):
         g = radial_escape_words(1)[0]

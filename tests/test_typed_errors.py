@@ -22,6 +22,7 @@ from solvrigid import (
     SimMap,
     SolvRigidError,
     SpectralData,
+    compose,
     conf_class,
     ddist,
     dilatation,
@@ -33,7 +34,14 @@ from solvrigid import (
     pair_to_point_bisect,
 )
 from solvrigid.cli import RunConfig
-from solvrigid.fixtures import SPEC_ROT
+from solvrigid.fixtures import (
+    SPEC_RADIAL,
+    SPEC_ROT,
+    constant_rotation_map,
+    radial_escape_words,
+    radial_generator,
+    varying_rotation_map,
+)
 from solvrigid.funcexpr import expr_from_json
 from solvrigid.solvgroup import SolvSpec
 
@@ -157,17 +165,30 @@ def _boundary_maps():
             BlockMap(SPEC_ROT, [Lin([[1.0, 2.0], [0.0, 1.0]], BlockVar(0, 2)), Const([1.0])], word)]
 
 
-# coordinates up to 1e6, and non-finite ones: an image beyond float range
-# still overflows with numpy's warning, a separate fault
-coordinates = st.floats(-1e6, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf])
-map_blocks = st.tuples(
-    st.sampled_from(_boundary_maps()),
-    st.integers(0, 4).flatmap(lambda n: st.tuples(
-        hnp.arrays(float, (n, 2), elements=coordinates), hnp.arrays(float, (n, 1), elements=coordinates)))
-    | st.tuples(hnp.arrays(float, 2, elements=coordinates), hnp.arrays(float, 1, elements=coordinates))
-    | st.lists(hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
-                          elements=coordinates) | arrays, max_size=3),
-)
+# any finite coordinate, and non-finite ones: an image beyond float range reads inf
+coordinates = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [math.nan, math.inf, -math.inf])
+
+
+def _blocks_for(maps, dims):
+    """A map of ``maps`` and blocks for it: rows or one point of block dims ``dims``, or
+    malformed blocks."""
+    return st.tuples(
+        st.sampled_from(maps),
+        st.integers(0, 4).flatmap(lambda n: st.tuples(
+            *(hnp.arrays(float, (n, d), elements=coordinates) for d in dims)))
+        | st.tuples(*(hnp.arrays(float, d, elements=coordinates) for d in dims))
+        | st.lists(hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                      max_side=3), elements=coordinates)
+                   | arrays, max_size=3),
+    )
+
+
+map_blocks = _blocks_for(_boundary_maps(), SPEC_ROT.multiplicities)
+affine_blocks = _blocks_for(
+    [constant_rotation_map(), varying_rotation_map(),
+     varying_rotation_map().compose(constant_rotation_map())], SPEC_ROT.multiplicities,
+) | _blocks_for([radial_generator(), radial_escape_words(3)[-1]], SPEC_RADIAL.multiplicities)
 
 
 def _eval_blocks(F, blocks):
@@ -214,6 +235,7 @@ TARGETS = {
     "pair_to_point_bisect": (point_pairs(), _pair_to_point_bisect),
     "level_distance": (levels(), _level_distance),
     "eval_blocks": (map_blocks, _eval_blocks),
+    "FirstBlockAffineMap.eval_blocks": (affine_blocks, _eval_blocks),
 }
 
 
@@ -235,3 +257,48 @@ def test_non_numeric_points_and_rows():
         BlockPoint((np.array(["a"]),))
     with pytest.raises(InputError):
         distance(spec, [["a"]], [["b"]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_affine_maps_reject_non_finite_points(bad):
+    p = BlockPoint((np.array([0.5, bad]), np.array([1.0])))
+    for g in (constant_rotation_map(), varying_rotation_map()):
+        with pytest.raises(InputError):
+            g(p)
+        with pytest.raises(InputError):
+            g.first_block_derivative(p.blocks)
+
+
+def test_images_beyond_float_range_read_inf():
+    big = [np.full((2, 2), 1e308), np.full((2, 1), 1e308)]
+    s = SimMap(SPEC_ROT, 2.0)
+    block_map = BlockMap(SPEC_ROT, [Lin([[2.0, 0.0], [0.0, 2.0]], BlockVar(0, 2)), Const([1.0])])
+    for F in (s, ASimMap(s, AlmostTranslation.identity(SPEC_ROT)), block_map):
+        image = F.eval_blocks(big)
+        assert np.isinf(image[0]).all()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "x"])
+def test_direct_node_calls_check_their_blocks(bad):
+    osc = Osc([1.0], [1.0], 0.0, BlockVar(0, 1))
+    with pytest.raises(InputError):
+        osc([np.array([bad], dtype=object)])
+    word = AlmostTranslation(SPEC_ROT, [Osc([0.3, -0.2], [1.0], 0.1, BlockVar(1, 1)), Const([0.7])])
+    with pytest.raises(InputError):
+        word.compose(word).perturbations[0]([np.zeros(2), np.array([bad], dtype=object)])
+
+
+def test_nodes_inside_maps_are_not_checked_again(monkeypatch):
+    from solvrigid import funcexpr
+
+    checks = []
+    monkeypatch.setattr(funcexpr, "finite_blocks", lambda b: checks.append(b) or b)
+    monkeypatch.setattr(funcexpr, "require_blocks", lambda spec, b: checks.append(b) or b)
+    a = AlmostTranslation(SPEC_ROT, [Osc([0.3, -0.2], [1.0], 0.1, BlockVar(1, 1)), Const([0.7])])
+    word = a.compose(a.inverse())
+    block_map = BlockMap(SPEC_ROT, [Lin([[1.0, 2.0], [0.0, 1.0]], BlockVar(0, 2)), Const([1.0])])
+    for F in (word, ASimMap(SimMap(SPEC_ROT, 1.3), word), compose(block_map, word)):
+        F.eval_blocks([np.zeros((3, 2)), np.ones((3, 1))])
+    assert checks == []
+    a.perturbations[0]([np.zeros(2), np.ones(1)])
+    assert len(checks) == 1
