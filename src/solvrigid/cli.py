@@ -33,7 +33,6 @@ from .solvgroup import (
     SolvPoint,
     SolvSpec,
     boundary_of_height_isometry,
-    identity_point,
     inverse,
     multiply,
     pair_to_point,
@@ -239,23 +238,19 @@ def run_geodesic(cfg: RunConfig, rng: np.random.Generator, out_dir: Path | None 
         lhs = boundary_of_height_isometry(spec, a).compose(boundary_of_height_isometry(spec, b))
         rhs = boundary_of_height_isometry(spec, a + b)
         p = random_point(cfg.spec, rng, 2.0)
-        scale = max(1.0, float(np.max(np.abs(rhs(p).flat()))))
-        comp_worst = max(
-            comp_worst, float(np.max(np.abs(lhs(p).flat() - rhs(p).flat()))) / scale
-        )
-    ident = identity_point(spec)
-    grp_worst = 0.0
-    for _ in range(100):
-        g = SolvPoint(height=float(rng.uniform(-1, 1)), x=random_point(cfg.spec, rng))
-        h = SolvPoint(height=float(rng.uniform(-1, 1)), x=random_point(cfg.spec, rng))
-        k = SolvPoint(height=float(rng.uniform(-1, 1)), x=random_point(cfg.spec, rng))
-        assoc = multiply(spec, multiply(spec, g, h), k)
-        assoc2 = multiply(spec, g, multiply(spec, h, k))
-        grp_worst = max(grp_worst, abs(assoc.height - assoc2.height))
-        grp_worst = max(grp_worst, float(np.max(np.abs(assoc.x.flat() - assoc2.x.flat()))))
-        inv = multiply(spec, g, inverse(spec, g))
-        grp_worst = max(grp_worst, abs(inv.height - ident.height))
-        grp_worst = max(grp_worst, float(np.max(np.abs(inv.x.flat()))))
+        want = rhs(p).flat()
+        scale = max(1.0, float(np.max(np.abs(want))))
+        comp_worst = max(comp_worst, float(np.max(np.abs(lhs(p).flat() - want))) / scale)
+    # the 100 triples (g, h, k) in one draw, the numbers of the per-triple
+    # loop: per point a height, then its random_point coordinates
+    g, h, k = (SolvPoint(height=d[:, 0], x=d[:, 1:])
+               for d in rng.uniform(-1, 1, (100, 3, 1 + cfg.spec.total_dim)).swapaxes(0, 1))
+    assoc = multiply(spec, multiply(spec, g, h), k)
+    assoc2 = multiply(spec, g, multiply(spec, h, k))
+    inv = multiply(spec, g, inverse(spec, g))
+    grp_worst = float(max(np.max(np.abs(assoc.height - assoc2.height)),
+                          np.max(np.abs(assoc.x - assoc2.x)),
+                          np.max(np.abs(inv.height)), np.max(np.abs(inv.x))))
     checks = [
         _check("pair-to-point-exp-height", worst_pair <= 1e-12, worst_pair),
         _check("pair-to-point-bisect-oracle", worst_bisect <= 1e-9, worst_bisect),

@@ -137,10 +137,16 @@ class SimMap:
         return max(self.stretch**a for a in self.spec.exponents)
 
     def compose(self, other: "SimMap") -> "SimMap":
-        """self after other, renormalized to Sim form."""
+        """self after other, renormalized to Sim form.
+
+        Two factors that both hold the shared identity rotations give a map
+        that holds them too (eye @ eye is exact), with no products to check.
+        """
         if self.spec != other.spec:
             raise InputError("spec mismatch in similarity composition")
-        rots = [a1 @ a2 for a1, a2 in zip(self.rotations, other.rotations)]
+        # the chain looks up the identity only when both hold the same rotations
+        eyes = self.rotations is other.rotations is _identity_parts(self.spec.multiplicities)[0]
+        rots = None if eyes else [a1 @ a2 for a1, a2 in zip(self.rotations, other.rotations)]
         trans = [
             b2 + other.stretch ** (-a) * a2.T @ b1
             for a, a2, b1, b2 in zip(

@@ -50,9 +50,16 @@ class SolvSpec:
 
 @dataclass(frozen=True)
 class SolvPoint:
-    height: float
-    x: Optional[BlockPoint] = None
-    z: Optional[BlockPoint] = None
+    """A point (height, x, z) of the model space, or N of them as rows.
+
+    One point: a float height, and x and z as BlockPoints or ``(total_dim,)``
+    arrays. Rows: an ``(N,)`` array of heights, and x and z as
+    ``(N, total_dim)`` arrays.
+    """
+
+    height: float | np.ndarray
+    x: Optional[BlockPoint | np.ndarray] = None
+    z: Optional[BlockPoint | np.ndarray] = None
 
     def conforms(self, spec: SolvSpec) -> bool:
         ok = True
@@ -75,40 +82,112 @@ def identity_point(spec: SolvSpec) -> SolvPoint:
     )
 
 
-def _scale_blocks(data: Optional[SpectralData], p: Optional[BlockPoint], factors) -> Optional[BlockPoint]:
-    if data is None:
-        return None
-    return BlockPoint(tuple(f * b for f, b in zip(factors, p.blocks)))
+def _require_solv_points(spec: SolvSpec, *points) -> tuple[list[np.ndarray], list]:
+    """Heights and coordinates of one point or of N rows per argument, all of one shape.
+
+    Returns the heights, each a 0-d or ``(N,)`` array, and per factor (lower,
+    upper) the coordinates of every point as ``(total_dim,)`` or
+    ``(N, total_dim)`` arrays, read through _require_points, or None for an
+    absent factor. A one-point argument is not shared by rows: mixed shapes
+    raise DimensionMismatch, as does a height count that differs from the row
+    count. Finiteness is checked on the result (see _solv_result).
+    """
+    try:
+        heights = [np.asarray(p.height, dtype=float) for p in points]
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("heights must be numbers") from None
+    coords = []
+    for data, name in ((spec.lower, "x"), (spec.upper, "z")):
+        xs = [getattr(p, name) for p in points]
+        if data is not None and any(x is None for x in xs):
+            raise InputError("point does not conform to the solvable spec")
+        coords.append(None if data is None else _require_points(data, *xs))
+    present = [x for c in coords if c is not None for x in c]
+    leads = {h.shape for h in heights} | {x.shape[:-1] for x in present}
+    if len(leads) > 1:
+        raise DimensionMismatch(
+            f"heights and coordinates of shapes {[a.shape for a in heights + present]} "
+            "are neither one point nor N rows"
+        )
+    return heights, coords
+
+
+def _height_factors(data: SpectralData, t: np.ndarray) -> np.ndarray:
+    """e^(t alpha_i) per block, repeated over the block's coordinates.
+
+    ``(total_dim,)`` for one height, ``(N, total_dim)`` for N. libm's exp, one
+    element at a time (numpy's vectorized exp may round differently), so every
+    row's factors are the one-point factors bit for bit. A factor beyond
+    float range reads inf.
+    """
+    f = np.array([[_exp(s * a) for a in data.exponents] for s in t.ravel().tolist()])
+    return f.reshape(t.shape + (data.r,)).repeat(data.multiplicities, axis=-1)
+
+
+def _solv_result(spec: SolvSpec, inputs, height: np.ndarray, x, z) -> SolvPoint:
+    """A SolvPoint of BlockPoints for one point, of rows for rows.
+
+    Every non-finite input makes the result non-finite, so the inputs are
+    checked only then: InputError on a non-finite height or coordinate,
+    DomainError where a factor e^(t alpha_i) or a product is beyond float range.
+    """
+    if not all(np.isfinite(a).all() for a in (height, x, z) if a is not None):
+        heights, coords = inputs
+        if not all(np.isfinite(a).all()
+                   for a in heights + [x for c in coords if c is not None for x in c]):
+            raise InputError("point has a non-finite height or coordinate")
+        raise DomainError("a factor e^(t alpha_i) or a product of the group law "
+                          "is beyond float range")
+    if height.ndim:
+        return SolvPoint(height, x, z)
+    return SolvPoint(
+        float(height),
+        None if x is None else BlockPoint.from_flat(spec.lower, x),
+        None if z is None else BlockPoint.from_flat(spec.upper, z),
+    )
 
 
 def multiply(spec: SolvSpec, p: SolvPoint, q: SolvPoint) -> SolvPoint:
-    """(t, x, z) * (s, y, w) = (t + s, x + e^{tA} y, z + e^{-tB} w)."""
-    p.require_conforms(spec)
-    q.require_conforms(spec)
-    t = p.height
-    x = None
-    if spec.lower is not None:
-        factors = [math.exp(t * a) for a in spec.lower.exponents]
-        x = p.x + _scale_blocks(spec.lower, q.x, factors)
-    z = None
-    if spec.upper is not None:
-        factors = [math.exp(-t * b) for b in spec.upper.exponents]
-        z = p.z + _scale_blocks(spec.upper, q.z, factors)
-    return SolvPoint(height=p.height + q.height, x=x, z=z)
+    """(t, x, z) * (s, y, w) = (t + s, x + e^{tA} y, z + e^{-tB} w).
+
+    For two points a point (x and z BlockPoints); for two SolvPoints of N
+    rows a SolvPoint of N rows, each equal to the one-point product bit for
+    bit.
+    """
+    inputs = _require_solv_points(spec, p, q)
+    (t, s), (lower, upper) = inputs
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = None if lower is None else lower[0] + _height_factors(spec.lower, t) * lower[1]
+        z = None if upper is None else upper[0] + _height_factors(spec.upper, -t) * upper[1]
+        return _solv_result(spec, inputs, t + s, x, z)
 
 
 def inverse(spec: SolvSpec, p: SolvPoint) -> SolvPoint:
-    p.require_conforms(spec)
-    t = p.height
-    x = None
-    if spec.lower is not None:
-        factors = [math.exp(-t * a) for a in spec.lower.exponents]
-        x = _scale_blocks(spec.lower, -p.x, factors)
-    z = None
-    if spec.upper is not None:
-        factors = [math.exp(t * b) for b in spec.upper.exponents]
-        z = _scale_blocks(spec.upper, -p.z, factors)
-    return SolvPoint(height=-t, x=x, z=z)
+    """(t, x, z)^-1 = (-t, -e^{-tA} x, -e^{tB} z), for one point or for rows as multiply."""
+    inputs = _require_solv_points(spec, p)
+    (t,), (lower, upper) = inputs
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = None if lower is None else _height_factors(spec.lower, -t) * -lower[0]
+        z = None if upper is None else _height_factors(spec.upper, t) * -upper[0]
+        return _solv_result(spec, inputs, -t, x, z)
+
+
+def _level_terms(exponents: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """e^exponent * gap per element; 0 where the gap is 0.
+
+    The factor is libm's exp, one element at a time. Where it leaves the
+    normal float range (it overflows, or underflows below 2^-1022), the term is
+    exp(log gap + exponent) instead, which stays in range where the product
+    does; every other term keeps the bits of the plain product.
+    """
+    factor = np.fromiter(map(_exp, exponents.tolist()), float, len(exponents))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = factor * gaps
+    far = (factor < 2.0 ** -1022) | (factor == math.inf)
+    if far.any():
+        terms[far] = [_exp(math.log(g) + e) if g else 0.0
+                      for e, g in zip(exponents[far].tolist(), gaps[far].tolist())]
+    return terms
 
 
 def level_distance(
@@ -127,7 +206,7 @@ def level_distance(
         p = (p.x, p.z)
     if isinstance(q, SolvPoint):
         q = (q.x, q.z)
-    best = 0.0
+    exponents, gaps = [], []
     for data, sign, x, y in ((spec.lower, -1.0, p[0], q[0]), (spec.upper, 1.0, p[1], q[1])):
         if data is None:
             continue
@@ -139,10 +218,9 @@ def level_distance(
         with np.errstate(over="ignore", invalid="ignore"):
             diff = x - y
             for a, s in zip(data.exponents, data.block_slices()):
-                gap = _block_norm(diff[s])
-                if gap > 0.0:
-                    best = max(best, _exp(sign * t * a) * gap)
-    return best
+                exponents.append(sign * t * a)
+                gaps.append(_block_norm(diff[s]))
+    return max([0.0, *_level_terms(np.array(exponents), np.array(gaps)).tolist()])
 
 
 @dataclass(frozen=True)
@@ -196,9 +274,7 @@ def pair_to_point_bisect(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.nda
     ``P`` and ``Q`` are ``(N, total_dim)`` arrays of boundary points. Every
     row bisects its own bracket log D(p, q) +- 1 (from :func:`pair_to_point`)
     until that bracket is narrower than 1e-13, for at most 200 halvings. The
-    level exponentials e^(-t alpha_i) are libm's, element by element, since
-    numpy's vectorized exp may round differently. Raises DomainError where
-    one of them, on a nonzero gap, is beyond float range.
+    level terms e^(-t alpha_i) * gap are level_distance's, element by element.
     """
     logd = pair_to_point(spec, P, Q)
     P, Q = _require_points(spec.lower, P, Q)
@@ -214,12 +290,7 @@ def pair_to_point_bisect(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.nda
         """Level distance at heights t, minus 1."""
         level = np.zeros(len(t))
         for a, gap in gaps:
-            factor = np.array([_exp(-s * a) for s in t.tolist()])
-            factor[gap == 0.0] = 0.0  # as in level_distance: a zero gap contributes 0
-            if np.isinf(factor).any():
-                raise DomainError("a level factor e^(-t alpha_i) of the bisection bracket "
-                                  "is beyond float range")
-            np.maximum(level, factor * gap, out=level)
+            np.maximum(level, _level_terms(-t * a, gap), out=level)
         return level - 1.0
 
     lo, hi = logd - 1.0, logd + 1.0

@@ -1,13 +1,15 @@
 """Per-point reference copies of the boundary quasi-metric, the standard
-dilations and the divergence height: a loop over the blocks of two
-BlockPoints, Python's ``**`` per block and libm's log. The library serves one
-point and rows through one body; the tests compare both with these."""
+dilations, the divergence height and the solvable group law: a loop over the
+blocks of BlockPoints, Python's ``**`` per block and libm's log and exp. The
+library serves one point and rows through one body; the tests compare both
+with these."""
 
 import math
 
 import numpy as np
 
 from solvrigid.quasimetric import _block_norm
+from solvrigid.solvgroup import SolvPoint
 from solvrigid.spectral import BlockPoint
 
 
@@ -33,3 +35,28 @@ def dilate(spec, t: float, p: BlockPoint) -> BlockPoint:
 def pair_to_point(solv, p: BlockPoint, q: BlockPoint) -> float:
     """The divergence height log D(p, q) of a pure lower spec."""
     return math.log(distance(solv.lower, p, q))
+
+
+def _scaled(factors, p: BlockPoint) -> BlockPoint:
+    return BlockPoint(tuple(f * b for f, b in zip(factors, p.blocks)))
+
+
+def multiply(solv, p: SolvPoint, q: SolvPoint) -> SolvPoint:
+    """(t, x, z) * (s, y, w) = (t + s, x + e^{tA} y, z + e^{-tB} w)."""
+    t = p.height
+    x = z = None
+    if solv.lower is not None:
+        x = p.x + _scaled([math.exp(t * a) for a in solv.lower.exponents], q.x)
+    if solv.upper is not None:
+        z = p.z + _scaled([math.exp(-t * b) for b in solv.upper.exponents], q.z)
+    return SolvPoint(p.height + q.height, x, z)
+
+
+def inverse(solv, p: SolvPoint) -> SolvPoint:
+    t = p.height
+    x = z = None
+    if solv.lower is not None:
+        x = _scaled([math.exp(-t * a) for a in solv.lower.exponents], -p.x)
+    if solv.upper is not None:
+        z = _scaled([math.exp(t * b) for b in solv.upper.exponents], -p.z)
+    return SolvPoint(-t, x, z)

@@ -14,8 +14,17 @@ from solvrigid.cli import MAX_GRID_POINTS, ConfigError, RunConfig, main
 from solvrigid.mapalg import ASimMap, SimMap
 from solvrigid.nilpotent import epsilon_bound
 from solvrigid.quasimetric import distance
-from solvrigid.solvgroup import SolvSpec, level_distance, pair_to_point
+from solvrigid.solvgroup import (
+    SolvPoint,
+    SolvSpec,
+    boundary_of_height_isometry,
+    identity_point,
+    level_distance,
+    pair_to_point,
+)
 from solvrigid.spectral import ROW_BLOCK, SpectralData, random_point, random_row_blocks
+
+import metric_reference as reference
 
 
 def _reports(out_dir):
@@ -381,6 +390,63 @@ def test_bisection_rows_equal_the_per_pair_bisection():
     want = [_scalar_bisect(spec, *(spectral.BlockPoint.from_flat(spec.lower, x) for x in pair))
             for pair in pairs]
     assert np.array_equal(got, want)
+
+
+def _per_triple_geodesic_checks(cfg, rng) -> dict:
+    """The composition-law and group-law checks of the per-sample loops that
+    the row pass of run_geodesic replaced, after the suite's earlier draws:
+    one random_point draw per sample, and one-point products of the group
+    law's per-point reference copy."""
+    spec = SolvSpec(lower=cfg.spec)
+    for _ in random_row_blocks(cfg.spec, rng, cfg.pairs, 2, 3.0):
+        pass
+    next(random_row_blocks(cfg.spec, rng, 20, 2, 3.0))
+    comp_worst = 0.0
+    for _ in range(50):
+        a, b = rng.uniform(-1.5, 1.5, 2)
+        lhs = boundary_of_height_isometry(spec, a).compose(boundary_of_height_isometry(spec, b))
+        rhs = boundary_of_height_isometry(spec, a + b)
+        p = random_point(cfg.spec, rng, 2.0)
+        scale = max(1.0, float(np.max(np.abs(rhs(p).flat()))))
+        comp_worst = max(comp_worst, float(np.max(np.abs(lhs(p).flat() - rhs(p).flat()))) / scale)
+    ident = identity_point(spec)
+    grp_worst = 0.0
+    for _ in range(100):
+        g = SolvPoint(height=float(rng.uniform(-1, 1)), x=random_point(cfg.spec, rng))
+        h = SolvPoint(height=float(rng.uniform(-1, 1)), x=random_point(cfg.spec, rng))
+        k = SolvPoint(height=float(rng.uniform(-1, 1)), x=random_point(cfg.spec, rng))
+        assoc = reference.multiply(spec, reference.multiply(spec, g, h), k)
+        assoc2 = reference.multiply(spec, g, reference.multiply(spec, h, k))
+        grp_worst = max(grp_worst, abs(assoc.height - assoc2.height))
+        grp_worst = max(grp_worst, float(np.max(np.abs(assoc.x.flat() - assoc2.x.flat()))))
+        inv = reference.multiply(spec, g, reference.inverse(spec, g))
+        grp_worst = max(grp_worst, abs(inv.height - ident.height))
+        grp_worst = max(grp_worst, float(np.max(np.abs(inv.x.flat()))))
+    return {
+        "boundary-composition-law": cli._check("boundary-composition-law", comp_worst <= 1e-12,
+                                               comp_worst),
+        "group-law": cli._check("group-law", grp_worst <= 1e-12, grp_worst),
+    }
+
+
+_BOUNDARY_BATCH = {"spec": {"alphas": [1.0, 2.0, 3.5], "mults": [2, 1, 2]}, "pairs": 20000}
+
+
+@pytest.mark.parametrize("config, seed", [({}, 0), ({}, 5), ({}, 11), (_BOUNDARY_BATCH, 1)])
+def test_group_law_rows_equal_the_per_triple_loop(config, seed):
+    cfg = RunConfig.from_json(config)
+    checks = {c["name"]: c for c in cli.run_geodesic(cfg, np.random.default_rng(seed))}
+    want = _per_triple_geodesic_checks(cfg, np.random.default_rng(seed))
+    assert {name: checks[name] for name in want} == want
+
+
+def test_geodesic_checks_the_group_law_in_one_row_pass(count_calls):
+    # the per-triple loop made 500 multiply, 100 inverse and 350 random_point calls
+    products = count_calls(solvgroup, cli, name="multiply")
+    inverses = count_calls(solvgroup, cli, name="inverse")
+    draws = count_calls(spectral, cli, name="random_point")
+    assert all(c["passed"] for c in cli.run_geodesic(RunConfig(), np.random.default_rng(0)))
+    assert len(products) <= 5 and len(inverses) <= 1 and len(draws) <= 60
 
 
 def test_classify_and_roots_draw_and_measure_on_rows(count_calls):

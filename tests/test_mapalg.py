@@ -75,6 +75,21 @@ class TestSimMap:
             p = random_point(SPEC_ROT, RNG, 3.0)
             assert comp(p).isclose(s1(s2(p)), atol=1e-12)
 
+    def test_composed_dilations_keep_the_identity_rotations(self):
+        s1 = SimMap(SPEC_ROT, 2.0, translations=[np.array([1.0, -0.5]), np.array([0.2])])
+        s2 = SimMap.dilation(SPEC_ROT, 0.7)
+        comp = s1.compose(s2)
+        assert comp.rotations is s1.rotations is s2.rotations
+        # the product path: the same parts with eye @ eye passed as rotations
+        rots = [a1 @ a2 for a1, a2 in zip(s1.rotations, s2.rotations)]
+        product = SimMap(SPEC_ROT, comp.stretch, rots, comp.translations)
+        blocks = split_rows(SPEC_ROT, RNG.uniform(-3, 3, (50, SPEC_ROT.total_dim)))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(comp.eval_blocks(blocks), product.eval_blocks(blocks)))
+        rotated = SimMap(SPEC_ROT, 1.0, [_rot(0.3), np.eye(1)]).compose(s2)
+        assert rotated.rotations is not s2.rotations
+        assert np.array_equal(rotated.rotations[0], _rot(0.3) @ np.eye(2))
+
     def test_inverse_matches_pointwise(self):
         s = SimMap(SPEC_ROT, 1.7, [_rot(0.9), np.eye(1)], [np.array([0.3, 0.1]), np.array([2.0])])
         inv = s.inverse()

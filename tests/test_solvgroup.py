@@ -2,6 +2,7 @@
 boundary correspondence."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ import metric_reference as reference
 RNG = np.random.default_rng(9)
 PURE = SolvSpec(lower=SPEC_R2)
 MIXED = SolvSpec(lower=SPEC_R2, upper=SPEC_R2)
+BATCH = SolvSpec(lower=SpectralData((1.0, 2.0, 3.5), (2, 1, 2)))  # the boundary_batch spec
 
 
 def _solv_point(spec, h=None):
@@ -74,6 +76,104 @@ class TestGroupLaw:
         assert again == MIXED
 
 
+def _solv_rows(spec, rng, n):
+    """n points as rows: heights in +-30, coordinates in +-3."""
+    def coords(data):
+        return None if data is None else rng.uniform(-3, 3, (n, data.total_dim))
+
+    return SolvPoint(rng.uniform(-30, 30, n), coords(spec.lower), coords(spec.upper))
+
+
+def _row(spec, rows, i):
+    """Row i of ``rows`` as one point of BlockPoints."""
+    def block(data, x):
+        return None if data is None else BlockPoint.from_flat(data, x[i])
+
+    return SolvPoint(float(rows.height[i]), block(spec.lower, rows.x), block(spec.upper, rows.z))
+
+
+def _flat(p):
+    return [None if c is None else c.flat() for c in (p.x, p.z)]
+
+
+class TestGroupLawRows:
+    @pytest.mark.parametrize("spec", [PURE, MIXED, BATCH], ids=["pure", "mixed", "batch"])
+    def test_rows_equal_the_per_point_loop(self, spec):
+        rng = np.random.default_rng(5)
+        g, h = _solv_rows(spec, rng, 1000), _solv_rows(spec, rng, 1000)
+        product, inv = multiply(spec, g, h), inverse(spec, g)
+        for i in range(1000):
+            gi, hi = _row(spec, g, i), _row(spec, h, i)
+            for rows, one, ref in (
+                (product, multiply(spec, gi, hi), reference.multiply(spec, gi, hi)),
+                (inv, inverse(spec, gi), reference.inverse(spec, gi)),
+            ):
+                assert rows.height[i] == one.height == ref.height
+                assert isinstance(one.x or one.z, BlockPoint)
+                for got, want, row in zip(_flat(one), _flat(ref), (rows.x, rows.z)):
+                    assert (got is None) == (want is None) == (row is None)
+                    if got is not None:
+                        assert np.array_equal(got, want) and np.array_equal(row[i], want)
+
+    def test_arrays_for_one_point(self):
+        g = _solv_point(MIXED)
+        flat = SolvPoint(g.height, g.x.flat(), g.z.flat())
+        for got, want in ((multiply(MIXED, flat, flat), multiply(MIXED, g, g)),
+                          (inverse(MIXED, flat), inverse(MIXED, g))):
+            assert got.height == want.height
+            assert all(np.array_equal(a, b) for a, b in zip(_flat(got), _flat(want)))
+
+    def test_one_point_is_not_shared_by_rows(self):
+        # rows and one point are rejected, as distance rejects them
+        rows = _solv_rows(PURE, np.random.default_rng(1), 4)
+        with pytest.raises(DimensionMismatch):
+            multiply(PURE, rows, _row(PURE, rows, 0))
+        with pytest.raises(DimensionMismatch):
+            multiply(PURE, SolvPoint(rows.height[:3], rows.x), SolvPoint(rows.height[:3], rows.x))
+        with pytest.raises(DimensionMismatch):
+            inverse(PURE, SolvPoint(0.5, rows.x))
+        with pytest.raises(DimensionMismatch):
+            inverse(MIXED, SolvPoint(rows.height, rows.x, rows.x[:3]))
+        with pytest.raises(DimensionMismatch):
+            inverse(PURE, SolvPoint(rows.height, rows.x[:, :1]))
+
+    def test_factor_beyond_float_range(self):
+        # e^(400 * 2) is beyond float range: math.exp raised OverflowError
+        p = SolvPoint(400.0, BlockPoint.zero(SPEC_R2))
+        with pytest.raises(DomainError):
+            multiply(PURE, p, p)
+        with pytest.raises(DomainError):
+            inverse(PURE, SolvPoint(-400.0, p.x))
+        rows = SolvPoint(np.array([0.0, 400.0]), np.zeros((2, 2)))
+        with pytest.raises(DomainError):
+            multiply(PURE, rows, rows)
+        with pytest.raises(DomainError):
+            inverse(PURE, SolvPoint(-rows.height, rows.x))
+
+    def test_product_beyond_float_range(self):
+        p = SolvPoint(300.0, BlockPoint((np.array([1e300]), np.zeros(1))))
+        with pytest.raises(DomainError):
+            multiply(PURE, p, p)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN height gave NaN coordinates
+        p = _solv_point(MIXED)
+        for q in (SolvPoint(bad, p.x, p.z), SolvPoint(p.height, p.x.flat() * bad, p.z)):
+            with pytest.raises(InputError):
+                multiply(MIXED, p, q)
+            with pytest.raises(InputError):
+                inverse(MIXED, q)
+        rows = _solv_rows(PURE, np.random.default_rng(2), 3)
+        rows.height[1] = bad
+        with pytest.raises(InputError):
+            inverse(PURE, rows)
+
+    def test_missing_factor_rejected(self):
+        with pytest.raises(InputError):
+            inverse(MIXED, SolvPoint(0.0, BlockPoint.zero(SPEC_R2)))
+
+
 class TestLevelDistance:
     def test_lower_contracts_upper_expands(self):
         p = _solv_point(MIXED, 0.0)
@@ -105,6 +205,14 @@ class TestLevelDistance:
         one, zero = BlockPoint((np.ones(1),)), BlockPoint((np.zeros(1),))
         assert level_distance(solv, -1000.0, (one, None), (zero, None)) == math.inf
         assert level_distance(solv, -1000.0, (one, None), (one, None)) == 0.0
+
+    def test_factor_beyond_float_range_on_a_tiny_gap(self):
+        # e^800 is beyond float range, e^800 * 1e-300 = 2.7e47 is not: this read inf
+        solv = SolvSpec(lower=SpectralData((1.0,), (1,)))
+        gap, zero = BlockPoint((np.array([1e-300]),)), BlockPoint((np.zeros(1),))
+        want = float(Decimal(1e-300) * Decimal(800).exp())
+        assert level_distance(solv, -800.0, (gap, None), (zero, None)) == pytest.approx(
+            want, rel=1e-12, abs=0)
 
 
 class TestPairToPoint:
@@ -168,14 +276,16 @@ class TestPairToPoint:
         with pytest.raises(InputError):
             pair_to_point(PURE, P, np.ones((4, 2)))
 
-    def test_bisection_level_factor_beyond_float_range_rejected(self):
+    def test_bisection_level_factor_beyond_float_range(self):
         # log D is -203.9, so e^(-t alpha_2) at the bracket's low end t = -204.9
-        # is e^717, beyond float range: math.exp raised OverflowError
+        # is e^717, beyond float range, while its product with the 1e-310 gap is
+        # not: math.exp raised OverflowError, and then the bisection DomainError
         solv = SolvSpec(lower=SpectralData((1.0, 3.5), (1, 1)))
-        P, Q = np.zeros((2, 2)), np.array([[1e-310, 1e-310], [1.0, 0.5]])
-        with pytest.raises(DomainError):
-            pair_to_point_bisect(solv, P, Q)
-        assert pair_to_point_bisect(solv, P[1:], Q[1:])[0] == pytest.approx(0.0, abs=1e-9)
+        P = np.zeros((3, 2))
+        Q = np.array([[1e-310, 1e-310], [0.0, 1e-310], [1.0, 0.5]])
+        heights = pair_to_point_bisect(solv, P, Q)
+        assert heights[0] == pytest.approx(-203.9, abs=0.1)
+        assert np.allclose(heights, pair_to_point(solv, P, Q), rtol=0, atol=1e-9)
 
     def test_bisection_takes_rows_only(self):
         with pytest.raises(DimensionMismatch):

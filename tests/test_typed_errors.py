@@ -28,8 +28,10 @@ from solvrigid import (
     dilatation,
     dilate,
     distance,
+    inverse,
     kdist,
     level_distance,
+    multiply,
     pair_to_point,
     pair_to_point_bisect,
 )
@@ -43,7 +45,7 @@ from solvrigid.fixtures import (
     varying_rotation_map,
 )
 from solvrigid.funcexpr import expr_from_json
-from solvrigid.solvgroup import SolvSpec
+from solvrigid.solvgroup import SolvPoint, SolvSpec
 
 numbers = st.integers() | st.floats() | st.just(-(10**400))  # an int beyond float range
 json_values = st.recursive(
@@ -170,6 +172,32 @@ coordinates = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from
     [math.nan, math.inf, -math.inf])
 
 
+@st.composite
+def solv_points(draw, count):
+    """A solvable spec and ``count`` points of it: one point or rows of one
+    count, with heights up to +-1e3 and non-finite ones, or malformed."""
+    upper = draw(st.none() | specs())
+    lower = draw(specs() if upper is None else st.none() | specs())
+    n = draw(st.none() | st.integers(0, 4))  # None: one point
+    lead = () if n is None else (n,)
+    height = st.floats(-1e3, 1e3) | st.sampled_from([math.nan, math.inf, -math.inf])
+    heights = (height if n is None else hnp.arrays(float, lead, elements=height)) | arrays
+
+    def coords(data):
+        if data is None:
+            return st.none() | arrays
+        return (
+            hnp.arrays(float, lead + (data.total_dim,), elements=coordinates)
+            | st.tuples(*(hnp.arrays(float, k, elements=coordinates)
+                          for k in data.multiplicities)).map(BlockPoint)
+            | hnp.arrays(float, hnp.array_shapes(max_dims=3)) | arrays | st.none()
+        )
+
+    points = [SolvPoint(draw(heights), draw(coords(lower)), draw(coords(upper)))
+              for _ in range(count)]
+    return (SolvSpec(lower, upper), *points)
+
+
 def _blocks_for(maps, dims):
     """A map of ``maps`` and blocks for it: rows or one point of block dims ``dims``, or
     malformed blocks."""
@@ -234,6 +262,8 @@ TARGETS = {
     "pair_to_point": (point_pairs(), _pair_to_point),
     "pair_to_point_bisect": (point_pairs(), _pair_to_point_bisect),
     "level_distance": (levels(), _level_distance),
+    "multiply": (solv_points(2), multiply),
+    "inverse": (solv_points(1), inverse),
     "eval_blocks": (map_blocks, _eval_blocks),
     "FirstBlockAffineMap.eval_blocks": (affine_blocks, _eval_blocks),
 }
