@@ -325,23 +325,22 @@ def run_conformal(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     tri_worst = float(np.max(kdist(a, c) - ab - kdist(b, c), initial=0.0))
     inv_worst = float(np.max(np.abs(kdist(act(x, a), act(x, b)) - ab), initial=0.0))
 
-    def center_of(classes, gaps):
-        # an uncertified center (gap above tolerance) fails its check
-        # instead of ending the run
-        res = solve_circumcenter(classes, tol=cfg.tolerance)
-        gaps.append(res.gap)
-        return res.center
-
-    sym_gaps, eq_gaps = [], []
+    # an uncertified center (gap above tolerance) fails its check instead of
+    # ending the run
     a = random_spd(*spd_draw())
-    sym_defect = kdist(np.eye(3), center_of([a, np.linalg.inv(a)], sym_gaps))
-    eq_worst = 0.0
+    sym = solve_circumcenter([a, np.linalg.inv(a)], tol=cfg.tolerance)
+    sym_defect, sym_gap = kdist(np.eye(3), sym.center), sym.gap
+    # per sample, in the generator's order: a set of 5 classes, then an
+    # action x; one batch solves each set moved by x and as drawn
+    sets, xs = [], []
     for _ in range(5):
-        pts = random_spd(*stacked(spd_draw() for _ in range(5)))
-        x = random_gl(*gl_draw())
-        moved = center_of(act(x, pts), eq_gaps)
-        eq_worst = max(eq_worst, ddist(moved, act(x, center_of(pts, eq_gaps))))
-    sym_gap, eq_gap = max(sym_gaps), max(eq_gaps)
+        sets.append(random_spd(*stacked(spd_draw() for _ in range(5))))
+        xs.append(random_gl(*gl_draw()))
+    eq = solve_circumcenter(
+        np.stack([s for x, pts in zip(xs, sets) for s in (act(x, pts), pts)]), tol=cfg.tolerance)
+    moved, centers = eq.center[0::2], eq.center[1::2]
+    eq_worst = max([0.0] + ddist(moved, act(np.stack(xs), centers)).tolist())
+    eq_gap = max(eq.gap.tolist())
     return [
         _check("kdist-triangle", tri_worst <= 1e-10, tri_worst),
         _check("kdist-gl-invariance", inv_worst <= 1e-10, inv_worst),

@@ -162,32 +162,50 @@ def dilatation(A):
 
 
 def _whitened_logs(Q: np.ndarray, mats: np.ndarray):
-    """Q^(+-1/2), the logs L_i = log(Q^(-1/2) A_i Q^(-1/2)) and their norms.
+    """Q^(+-1/2), the logs L_i = log(Q^(-1/2) A_i Q^(-1/2)) and their norms,
+    for a (P, n, n) stack of centers Q and the (P, k, n, n) class sets.
 
     The norm of L_i is ddist(Q, A_i); one stacked eigh serves every class.
     """
     w, v = np.linalg.eigh(Q)
-    qh = (v * w**0.5) @ v.T
-    qmh = (v * w**-0.5) @ v.T
-    rel = qmh @ mats @ qmh
-    mw, mv = np.linalg.eigh(0.5 * (rel + np.swapaxes(rel, 1, 2)))
+    qh = (v * (w**0.5)[:, None]) @ v.mT
+    qmh = (v * (w**-0.5)[:, None]) @ v.mT
+    rel = qmh[:, None] @ mats @ qmh[:, None]
+    mw, mv = np.linalg.eigh(0.5 * (rel + rel.mT))
     lw = np.log(mw)
-    logs = (mv * lw[:, None, :]) @ np.swapaxes(mv, 1, 2)
-    return qh, logs, np.sqrt(np.sum(lw**2, axis=1))
+    logs = (mv * lw[..., None, :]) @ mv.mT
+    return qh, logs, np.sqrt(np.sum(lw**2, axis=-1))
 
 
-def _affine_fit(G: np.ndarray, S: list[int], rhs: np.ndarray) -> np.ndarray:
-    """Solve [[G_SS, 1], [1^T, 0]] [x; t] = [rhs; 1] for the weights x."""
-    m = len(S)
-    kkt = np.ones((m + 1, m + 1))
-    kkt[:m, :m] = G[np.ix_(S, S)]
-    kkt[m, m] = 0.0
-    return np.linalg.solve(kkt, np.append(rhs, 1.0))[:m]
+def _support_gram(G: np.ndarray, rows: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """G_SS of the problems ``rows`` on their (P, m) supports S, in S order."""
+    return G[rows[:, None, None], S[:, :, None], S[:, None, :]]
 
 
-def _meb_weights(G: np.ndarray) -> tuple[np.ndarray, float]:
+def _affine_fits(GSS: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve [[G_SS, 1], [1^T, 0]] [x; t] = [rhs; 1] for the weights x, one
+    system per member of the (P, m, m) stack GSS and row of the (P, m) rhs."""
+    P, m = rhs.shape
+    kkt = np.ones((P, m + 1, m + 1))
+    kkt[:, :m, :m] = GSS
+    kkt[:, m, m] = 0.0
+    b = np.ones((P, m + 1, 1))
+    b[:, :m, 0] = rhs
+    return np.linalg.solve(kkt, b)[:, :m, 0]
+
+
+def _by_size(size: np.ndarray):
+    """(m, rows) for each support size m, the rows of the problems with it."""
+    return [(m, np.flatnonzero(size == m)) for m in sorted(set(size.tolist()))]
+
+
+def _dual_value(lam: np.ndarray, d: np.ndarray, G: np.ndarray) -> np.ndarray:
+    return np.vecdot(lam, d) - np.vecdot(np.vecmat(lam, G), lam)
+
+
+def _meb_weights(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights lam on the simplex maximizing lam.diag(G) - lam^T G lam, and
-    that value.
+    that value, for each Gram matrix of the (P, k, k) stack G.
 
     This is the dual of the Euclidean minimum enclosing ball of points given
     by their Gram matrix G: the center is sum lam_i L_i and the optimal value
@@ -200,66 +218,110 @@ def _meb_weights(G: np.ndarray) -> tuple[np.ndarray, float]:
     is invariant under isometries of the points. Any lam returned is feasible,
     so its dual value is a lower bound on the radius even where rounding
     stops the method early.
+
+    The problems run in lock step and never mix: each stops at its own step,
+    and the KKT systems are solved stacked, one call per support size, so
+    every problem gets what it gets alone. S is kept as the first ``size``
+    entries of a row, in join order.
     """
-    k = G.shape[0]
-    d = np.diag(G).copy()
-    scale = max(float(np.max(d)), 1e-300)
-
-    def value(weights):
-        return float(weights @ d - weights @ G @ weights)
-
-    lam = np.zeros(k)
-    first = int(np.argmax(d))
-    lam[first] = 1.0
-    S = [first]
-    best = value(lam)
+    P, k = G.shape[:2]
+    lam_out, best_out = np.zeros((P, k)), np.zeros(P)
+    # the diagonal is copied: a dot product with the strided view may round differently
+    d = np.diagonal(G, axis1=1, axis2=2).copy()
+    peak = d.max(axis=1)
+    scale = np.where(1e-300 > peak, 1e-300, peak)
+    live = np.arange(P)
+    first = np.argmax(d, axis=1)
+    lam = np.zeros((P, k))
+    lam[live, first] = 1.0
+    S = np.zeros((P, k), dtype=np.intp)
+    S[:, 0] = first
+    size = np.ones(P, dtype=np.intp)
+    inS = lam > 0.0
+    best = _dual_value(lam, d, G)
     for _ in range(4 * k + 16):
-        g = d - 2.0 * (G @ lam)  # |L_i - c|^2 - |c|^2
-        out = g.copy()
-        out[S] = -np.inf
-        j = int(np.argmax(out))
-        if not out[j] > np.max(g[S]) + 1e-13 * scale:
-            break
+        g = d - 2.0 * np.matvec(G, lam)  # |L_i - c|^2 - |c|^2
+        out = np.where(inS, -np.inf, g)
+        j = np.argmax(out, axis=1)
+        go = out.max(axis=1) > np.where(inS, g, -np.inf).max(axis=1) + 1e-13 * scale
+        if not go.all():
+            if not go.any():
+                break
+            lam_out[live[~go]], best_out[live[~go]] = lam[~go], best[~go]
+            G, d, scale, live, lam, S, size, inS, best, j = (
+                x[go] for x in (G, d, scale, live, lam, S, size, inS, best, j))
         new = lam.copy()
-        a = _affine_fit(G, S, G[S, j])
-        if G[j, j] - 2.0 * a @ G[S, j] + a @ G[np.ix_(S, S)] @ a <= 1e-12 * scale * (1.0 + a @ a):
+        for m, rows in _by_size(size):
+            Sr, jr = S[rows, :m], j[rows]
+            GSS, GSj = _support_gram(G, rows, Sr), G[rows[:, None], Sr, jr[:, None]]
+            a = _affine_fits(GSS, GSj)
+            near = (G[rows, jr, jr] - np.vecdot(2.0 * a, GSj) + np.vecdot(np.vecmat(a, GSS), a)
+                    <= 1e-12 * scale[rows] * (1.0 + np.vecdot(a, a)))
             # L_j = sum a_i L_i up to rounding: trade weight from S to j along
             # the direction that keeps the center; S stays affinely independent
-            pos = a > 0.0
-            ratios = np.where(pos, new[S] / np.where(pos, a, 1.0), np.inf)
-            drop = int(np.argmin(ratios))
-            new[S] -= ratios[drop] * a
-            new[j] = ratios[drop]
-            new[S[drop]] = 0.0
-            S[drop] = j
-        else:
-            S.append(j)
-        while True:
-            mu = _affine_fit(G, S, 0.5 * d[S])
-            if np.all(mu > 0.0):
-                new[S] = mu
-                break
-            # step toward mu until the first weight reaches zero, and drop it
-            cur = new[S]
-            neg = mu <= 0.0
-            ratios = np.where(neg, cur / np.where(neg & (cur > mu), cur - mu, 1.0), np.inf)
-            drop = int(np.argmin(ratios))
-            new[S] = cur + ratios[drop] * (mu - cur)
-            new[S[drop]] = 0.0
-            del S[drop]
+            if near.any():
+                rr, Sn, an, jn = rows[near], Sr[near], a[near], jr[near]
+                cur = new[rr[:, None], Sn]
+                pos = an > 0.0
+                ratios = np.where(pos, cur / np.where(pos, an, 1.0), np.inf)
+                drop = np.argmin(ratios, axis=1)
+                step = ratios[np.arange(len(rr)), drop]
+                new[rr[:, None], Sn] = cur - step[:, None] * an
+                new[rr, jn] = step
+                gone = Sn[np.arange(len(rr)), drop]
+                new[rr, gone] = 0.0
+                inS[rr, gone] = False
+                S[rr, drop] = jn
+            # otherwise j joins S
+            ra = rows[~near]
+            S[ra, m] = jr[~near]
+            size[ra] = m + 1
+            inS[rows, jr] = True
+        pending = np.arange(len(live))
+        while len(pending):
+            stuck = []
+            for m, at in _by_size(size[pending]):
+                rows = pending[at]
+                Sr = S[rows, :m]
+                mu = _affine_fits(_support_gram(G, rows, Sr), 0.5 * d[rows[:, None], Sr])
+                fits = (mu > 0.0).all(axis=1)
+                new[rows[fits][:, None], Sr[fits]] = mu[fits]
+                if fits.all():
+                    continue
+                # step toward mu until the first weight reaches zero, and drop it
+                rb, Sb, mb = rows[~fits], Sr[~fits], mu[~fits]
+                cur = new[rb[:, None], Sb]
+                neg = mb <= 0.0
+                ratios = np.where(neg, cur / np.where(neg & (cur > mb), cur - mb, 1.0), np.inf)
+                drop = np.argmin(ratios, axis=1)
+                new[rb[:, None], Sb] = cur + ratios[np.arange(len(rb)), drop][:, None] * (mb - cur)
+                gone = Sb[np.arange(len(rb)), drop]
+                new[rb, gone] = 0.0
+                inS[rb, gone] = False
+                S[rb, :m - 1] = Sb[np.arange(m) != drop[:, None]].reshape(len(rb), m - 1)
+                size[rb] = m - 1
+                stuck.append(rb)
+            pending = np.concatenate(stuck) if stuck else []
         np.maximum(new, 0.0, out=new)
-        new /= np.sum(new)
+        new /= np.sum(new, axis=1)[:, None]
         # each exact step raises the dual value; rounding that stops it ends the method
-        val = value(new)
-        if not val > best:
-            break
+        val = _dual_value(new, d, G)
+        up = val > best
+        if not up.all():
+            if not up.any():
+                break
+            lam_out[live[~up]], best_out[live[~up]] = lam[~up], best[~up]
+            G, d, scale, live, new, S, size, inS, val = (
+                x[up] for x in (G, d, scale, live, new, S, size, inS, val))
         lam, best = new, val
-    return lam, best
+    lam_out[live], best_out[live] = lam, best
+    return lam_out, best_out
 
 
 @dataclass(frozen=True)
 class CircumcenterResult:
-    """A circumcenter with its certificate.
+    """A circumcenter with its certificate, or (B,)-arrays of them for a
+    batch of class sets (``center`` then is a (B, n, n) stack).
 
     ``radius`` is max_i ddist(center, A_i); ``lower`` is a proven lower bound
     on the smallest such radius over all centers, so ``gap`` bounds how far
@@ -269,21 +331,36 @@ class CircumcenterResult:
     """
 
     center: np.ndarray
-    radius: float
-    lower: float
-    iterations: int
-    exit: str
+    radius: float | np.ndarray
+    lower: float | np.ndarray
+    iterations: int | np.ndarray
+    exit: str | np.ndarray
 
     @property
-    def gap(self) -> float:
+    def gap(self) -> float | np.ndarray:
         # at the optimum rounding can put lower a few ulps above radius
-        return max(self.radius - self.lower, 0.0)
+        gap = self.radius - self.lower
+        return np.where(0.0 > gap, 0.0, gap) if isinstance(gap, np.ndarray) else max(gap, 0.0)
 
 
-def solve_circumcenter(
-    classes: Sequence[np.ndarray], tol: float = 1e-9, max_iters: int = 4000
-) -> CircumcenterResult:
+def _class_sets(classes) -> np.ndarray:
+    """The validated classes of one set (k, n, n) or of a batch (B, k, n, n)."""
+    try:
+        a = np.asarray(classes, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("circumcenter takes a set of classes or a batch of sets") from None
+    if a.ndim not in (3, 4) or a.shape[-1] != a.shape[-2] or a.size == 0:
+        raise InputError("circumcenter takes a nonempty set of classes (k, n, n) "
+                         "or a batch of sets (B, k, n, n)")
+    return conf_class(a.reshape(-1, *a.shape[-2:])).reshape(a.shape)
+
+
+def solve_circumcenter(classes, tol: float = 1e-9, max_iters: int = 4000) -> CircumcenterResult:
     """Center of the smallest enclosing ball for the Riemannian metric, certified.
+
+    ``classes`` is one set of classes, a sequence or a (k, n, n) stack, or a
+    (B, k, n, n) batch of sets; a batch gives a result of (B,) arrays whose
+    members equal the one-set solves bit for bit.
 
     In a Hadamard space log_Q is 1-Lipschitz for every Q (CAT(0)
     comparison), so the Euclidean minimum enclosing ball of the tangent
@@ -294,56 +371,74 @@ def solve_circumcenter(
     upper - best lower <= tol. Every decision reads GL-invariant numbers
     (the Gram matrix of the L_i and the distances) and breaks ties at the
     first index, and the move exp_Q is GL-equivariant, so the solver
-    commutes with the GL action applied to the whole input set.
+    commutes with the GL action applied to the whole input set. The sets of
+    a batch take their iterations in lock step, each until its own exit.
     """
-    if len(classes) == 0:
-        raise InputError("circumcenter of an empty set")
-    mats = conf_class(classes)
-    if mats.ndim != 3:
-        raise InputError("circumcenter takes a sequence of classes")
-    Q = mats[0]
-    if len(mats) == 1:
-        return CircumcenterResult(Q, 0.0, 0.0, 0, "certified")
+    mats = _class_sets(classes)
+    one = mats.ndim == 3
+    if one:
+        mats = mats[None]
+    B, k = mats.shape[:2]
+    Q = mats[:, 0].copy()
     qh, logs, radii = _whitened_logs(Q, mats)
-    radius, lower = float(np.max(radii)), 0.0
-    exit_ = "max_iters"
+    # a one-class set is its own center; the others start at their first class
+    live = np.arange(B if k > 1 else 0)
+    rad, low = radii.max(axis=1) if k > 1 else np.zeros(B), np.zeros(B)
+    iterations = np.zeros(B, dtype=int)
+    exits = np.full(B, "max_iters" if k > 1 else "certified", dtype=object)
     it = 0
-    while it < max_iters:
+    while it < max_iters and len(live):
         it += 1
-        G = np.einsum("iab,jab->ij", logs, logs)
-        lam, value = _meb_weights(G)
-        lower = max(lower, math.sqrt(max(value, 0.0)))
-        if radius - lower <= tol:
-            exit_ = "certified"
+        iterations[live] = it
+        lam, value = _meb_weights(np.einsum("piab,pjab->pij", logs[live], logs[live]))
+        root = np.sqrt(np.where(0.0 > value, 0.0, value))
+        low[live] = np.where(root > low[live], root, low[live])
+        done = rad[live] - low[live] <= tol
+        exits[live[done]] = "certified"
+        live, lam = live[~done], lam[~done]
+        if not len(live):
             break
-        w, v = np.linalg.eigh(np.einsum("i,iab->ab", lam, logs))
+        w, v = np.linalg.eigh(np.einsum("pi,piab->pab", lam, logs[live]))
+        # every set backtracks from s = 1 until its radius decreases
         s = 1.0
-        while s > 1e-12:
-            step = qh @ (v * np.exp(s * w)) @ v.T @ qh
-            trial = conf_class(0.5 * (step + step.T))
-            t_qh, t_logs, t_radii = _whitened_logs(trial, mats)
-            if float(np.max(t_radii)) < radius:
-                Q, qh, logs, radius = trial, t_qh, t_logs, float(np.max(t_radii))
-                break
+        pending = np.arange(len(live))
+        while s > 1e-12 and len(pending):
+            at, vp = live[pending], v[pending]
+            step = qh[at] @ (vp * np.exp(s * w[pending])[:, None]) @ vp.mT @ qh[at]
+            trial = conf_class(0.5 * (step + step.mT))
+            t_qh, t_logs, t_radii = _whitened_logs(trial, mats[at])
+            t_rad = t_radii.max(axis=1)
+            down = t_rad < rad[at]
+            moved = at[down]
+            Q[moved], qh[moved] = trial[down], t_qh[down]
+            logs[moved], rad[moved] = t_logs[down], t_rad[down]
+            pending = pending[~down]
             s *= 0.5
-        else:
-            exit_ = "no_descent"
-            break
-    return CircumcenterResult(Q, radius, lower, it, exit_)
+        exits[live[pending]] = "no_descent"
+        live = np.delete(live, pending)
+    if one:
+        return CircumcenterResult(Q[0], float(rad[0]), float(low[0]), int(iterations[0]), exits[0])
+    return CircumcenterResult(Q, rad, low, iterations, exits.astype(str))
 
 
-def circumcenter(classes: Sequence[np.ndarray], max_iters: int = 4000) -> np.ndarray:
-    """Center of the smallest enclosing ball for the Riemannian metric.
+def circumcenter(classes, max_iters: int = 4000) -> np.ndarray:
+    """Center of the smallest enclosing ball for the Riemannian metric, of one
+    class set or of each set of a (B, k, n, n) batch.
 
     Raises ConvergenceError, carrying the certified gap, when the solver
-    stops before the gap is at most 1e-9; see ``solve_circumcenter``.
+    stops before the gap is at most 1e-9; for a batch it names the first
+    such member and carries its gap. See ``solve_circumcenter``.
     """
     res = solve_circumcenter(classes, tol=1e-9, max_iters=max_iters)
-    if res.exit != "certified":
+    exits, iters, gaps = (np.atleast_1d(f) for f in (res.exit, res.iterations, res.gap))
+    failed = np.flatnonzero(exits != "certified")
+    if len(failed):
+        i = failed[0]
+        member = f"batch member {i}: " if np.ndim(res.exit) else ""
         raise ConvergenceError(
-            f"circumcenter not certified ({res.exit} after {res.iterations} iterations): "
-            f"gap {res.gap:.3g} above tol 1e-09",
-            last_value=res.gap,
+            f"{member}circumcenter not certified ({exits[i]} after {iters[i]} iterations): "
+            f"gap {gaps[i]:.3g} above tol 1e-09",
+            last_value=float(gaps[i]),
         )
     return res.center
 
@@ -424,8 +519,9 @@ def invariant_structure(
     ``grid`` holds the sample points as ``(N, total_dim)`` rows. At each
     grid point the classes D[I] of all word Jacobians D up to word_len are
     collected, walking the words once for the whole grid, and their
-    circumcenter taken, certified to a gap of 1e-9 (``circumcenter``); a
-    point where a Jacobian is singular or not finite is skipped. The defect
+    circumcenter taken, certified to a gap of 1e-9 (``circumcenter``, one
+    batched call for the points of each class count); a point where a
+    Jacobian is singular or not finite is skipped. The defect
     at a point is the worst generator violation of the transformation law
     mu(G p) = g'(p)[mu(p)], measured against the nearest grid sample.
     """
@@ -435,7 +531,11 @@ def invariant_structure(
         raise InputError("grid must be (N, total_dim) rows")
     ok, orbits = _orbit_classes(generators, require_blocks(spec, split_rows(spec, grid)), word_len)
     points = grid[ok]
-    values = [circumcenter(classes) for classes in orbits]
+    values = [None] * len(orbits)
+    for k in sorted({len(classes) for classes in orbits}):
+        at = [i for i, classes in enumerate(orbits) if len(classes) == k]
+        for i, center in zip(at, circumcenter(np.stack([orbits[i] for i in at]))):
+            values[i] = center
     field_ = ConfField(points=points, values=values, resolution=resolution,
                        skipped=np.flatnonzero(~ok).tolist())
     # per generator, one stacked act and kdist over the points whose image

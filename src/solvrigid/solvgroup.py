@@ -200,8 +200,14 @@ def level_distance(
 
     Lower blocks contract like e^{-t alpha_i}, upper blocks expand like
     e^{t beta_i}. A level distance beyond float range reads inf; a zero gap
-    contributes 0 at any height.
+    contributes 0 at any height. A non-finite height raises InputError.
     """
+    try:
+        t = float(t)
+    except (TypeError, ValueError):
+        raise InputError("height must be a number") from None
+    if not math.isfinite(t):
+        raise InputError("height must be finite")
     if isinstance(p, SolvPoint):
         p = (p.x, p.z)
     if isinstance(q, SolvPoint):
@@ -326,8 +332,15 @@ class SuspendedMap:
     shift: float
 
     def __call__(self, p: SolvPoint) -> SolvPoint:
-        p.require_conforms(self.spec)
-        return SolvPoint(height=p.height + self.shift, x=self.boundary(p.x), z=p.z)
+        """The image of one point, whose x is a BlockPoint or a ``(total_dim,)``
+        array; InputError on a non-finite height or coordinate."""
+        (t,), ((x,), _) = _require_solv_points(self.spec, p)
+        if t.ndim:
+            raise DimensionMismatch("a suspended map takes one point, not rows")
+        if not (np.isfinite(t) and np.isfinite(x).all()):
+            raise InputError("point has a non-finite height or coordinate")
+        return SolvPoint(height=float(t) + self.shift,
+                         x=self.boundary(BlockPoint.from_flat(self.spec.lower, x)), z=p.z)
 
 
 def suspend_boundary_map(spec: SolvSpec, G, a: float) -> SuspendedMap:

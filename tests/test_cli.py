@@ -297,6 +297,69 @@ def test_conformal_suite_computes_kdist_on_stacks(count_calls):
     assert len(calls) <= 10
 
 
+def _per_solve_circumcenter_checks(cfg, rng) -> dict:
+    """The two circumcenter checks of run_conformal as the loop that solved
+    one class set per call (11 calls) computed them, after the same draws."""
+
+    def spd_draw():
+        return rng.normal(size=(3, 3)), rng.uniform(-1.2, 1.2, 3)
+
+    def random_spd(normals, logs):
+        q = np.linalg.qr(normals)[0]
+        return conf_class((q * np.exp(logs)[..., None, :]) @ q.mT)
+
+    def random_gl(u_normals, v_normals, scales):
+        u, v = np.linalg.qr(u_normals)[0], np.linalg.qr(v_normals)[0]
+        return (u * scales[..., None, :]) @ v
+
+    for _ in range(200):  # the stacked kdist samples
+        spd_draw(), spd_draw(), spd_draw()
+        rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.uniform(0.5, 2.0, 3)
+
+    def center_of(classes, gaps):
+        res = conformal.solve_circumcenter(classes, tol=cfg.tolerance)
+        gaps.append(res.gap)
+        return res.center
+
+    sym_gaps, eq_gaps = [], []
+    a = random_spd(*spd_draw())
+    sym_defect = kdist(np.eye(3), center_of([a, np.linalg.inv(a)], sym_gaps))
+    eq_worst = 0.0
+    for _ in range(5):
+        draws = [spd_draw() for _ in range(5)]
+        pts = random_spd(*[np.stack(col) for col in zip(*draws)])
+        x = random_gl(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.uniform(0.5, 2.0, 3))
+        moved = center_of(act(x, pts), eq_gaps)
+        eq_worst = max(eq_worst, conformal.ddist(moved, act(x, center_of(pts, eq_gaps))))
+    sym_gap, eq_gap = max(sym_gaps), max(eq_gaps)
+    return {
+        "circumcenter-symmetric-pair": cli._check(
+            "circumcenter-symmetric-pair", sym_defect <= 1e-9 and sym_gap <= cfg.tolerance,
+            sym_defect, certified_gap=sym_gap),
+        "circumcenter-equivariance": cli._check(
+            "circumcenter-equivariance", eq_worst <= 1e-6 and eq_gap <= cfg.tolerance,
+            eq_worst, certified_gap=eq_gap),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_batched_circumcenters_equal_the_per_solve_loop(seed):
+    cfg = RunConfig()
+    checks = {c["name"]: c for c in cli.run_conformal(cfg, np.random.default_rng(seed))}
+    want = _per_solve_circumcenter_checks(cfg, np.random.default_rng(seed))
+    assert {name: checks[name] for name in want} == want
+
+
+def test_conformal_suite_solves_its_sets_in_one_batch(count_calls):
+    # the per-solve loop made 11 calls: the symmetric pair, then each of the
+    # 5 equivariance sets moved and as drawn
+    calls = count_calls(conformal, cli, name="solve_circumcenter")
+    checks = cli.run_conformal(RunConfig(), np.random.default_rng(0))
+    assert all(c["passed"] for c in checks)
+    assert len(calls) <= 2
+    assert max(np.ndim(args[0]) for args in calls) == 4
+
+
 def _per_sample_asim_check(rng) -> dict:
     """The almost-similarity check of the per-sample loop that the row pass
     of run_classify replaced: one map and distance call per sample point."""

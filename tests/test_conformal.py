@@ -32,6 +32,7 @@ from solvrigid.fixtures import SPEC_R2, SPEC_ROT, constant_rotation_map, varying
 from solvrigid.spectral import join_blocks, split_rows
 
 import affine_reference
+import conformal_reference
 
 RNG = np.random.default_rng(17)
 
@@ -430,6 +431,100 @@ class TestCircumcenter:
         assert info.value.last_value == res.gap
 
 
+def _same_result(got, want) -> bool:
+    return (np.array_equal(got.center, want.center) and got.radius == want.radius
+            and got.lower == want.lower and got.iterations == want.iterations
+            and got.exit == want.exit)
+
+
+def _member(res, i):
+    return conformal.CircumcenterResult(res.center[i], float(res.radius[i]), float(res.lower[i]),
+                                        int(res.iterations[i]), str(res.exit[i]))
+
+
+def _three_generator_orbits(points):
+    t = np.diag([2.0, 0.5])
+
+    def quot(y):
+        return (y[0] + 1.0,)
+
+    gens = [
+        FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=lambda y: t),
+        FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=_diag_y),
+        constant_rotation_map(0.8),
+    ]
+    grid = np.column_stack([np.zeros((points, 2)), np.linspace(-3.0, 3.0, points)])
+    return gens, grid, _orbit_classes(gens, split_rows(SPEC_ROT, grid), 3)[1]
+
+
+class TestBatchedCircumcenter:
+    """A batch of class sets is solved in lock step; each member equals its
+    one-set solve, and each one-set solve equals the per-set reference copy
+    in tests/conformal_reference.py, bit for bit."""
+
+    def _check_sets(self, sets, max_iters=4000):
+        batch = solve_circumcenter(np.stack(sets), max_iters=max_iters)
+        assert batch.center.shape == np.shape(sets)[:1] + np.shape(sets)[2:]
+        assert all(np.shape(f) == (len(sets),) for f in
+                   (batch.radius, batch.lower, batch.iterations, batch.exit, batch.gap))
+        for i, classes in enumerate(sets):
+            one = solve_circumcenter(classes, max_iters=max_iters)
+            ref = conformal_reference.solve_circumcenter(classes, max_iters=max_iters)
+            assert _same_result(one, ref)
+            assert _same_result(_member(batch, i), one)
+            assert batch.gap[i] == one.gap
+        return batch
+
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    def test_random_and_moved_sets_equal_the_reference(self, k):
+        # 50 sets and the 50 copies act(x, set): 100 sets per k, 300 in all
+        rng = np.random.default_rng(40 + k)
+        q = np.linalg.qr(rng.normal(size=(50 * k, 3, 3)))[0]
+        spd = (q * np.exp(rng.uniform(-1.2, 1.2, (50 * k, 3)))[..., None, :]) @ q.mT
+        sets = list(conf_class(spd).reshape(50, k, 3, 3))
+        xs = _random_gl_stack(rng, 50)
+        batch = self._check_sets(sets + [act(x, s) for x, s in zip(xs, sets)])
+        assert set(batch.exit.tolist()) == {"certified"}
+        # a capped batch leaves its members uncertified, each as alone
+        capped = self._check_sets(sets[:10], max_iters=1)
+        assert "max_iters" in capped.exit.tolist()
+
+    def test_one_class_members(self):
+        rng = np.random.default_rng(7)
+        sets = [conf_class(_random_stack(rng, 1)) for _ in range(4)]
+        batch = self._check_sets(sets)
+        assert batch.iterations.tolist() == [0] * 4 and batch.radius.tolist() == [0.0] * 4
+
+    def test_three_generator_orbits_equal_the_reference(self):
+        _, _, orbits = _three_generator_orbits(31)
+        for k in sorted({len(classes) for classes in orbits}):
+            self._check_sets([classes for classes in orbits if len(classes) == k])
+
+    @pytest.mark.parametrize("bad", [
+        np.ones((1, 2, 2, 2, 2)),  # 5-D
+        np.ones((0, 2, 2, 2)),  # no sets
+        np.ones((3, 0, 2, 2)),  # empty sets
+        np.stack([np.stack([np.eye(2), np.eye(2)]), np.stack([np.eye(2), -np.eye(2)])]),
+        np.stack([np.stack([np.eye(2), np.eye(2)]), np.full((2, 2, 2), np.nan)]),
+    ], ids=["5-d", "empty-batch", "empty-sets", "indefinite-member", "nan-member"])
+    def test_rejects_bad_batches(self, bad):
+        with pytest.raises(InputError):
+            solve_circumcenter(bad)
+        with pytest.raises(InputError):
+            circumcenter(bad)
+
+    def test_uncertified_batch_member_named_with_its_gap(self):
+        rng = np.random.default_rng(3)
+        pair = conf_class(_random_stack(rng, 2))
+        sets = np.stack([pair[[0, 0]], pair, conf_class(_random_stack(rng, 2))])
+        res = solve_circumcenter(sets, max_iters=1)
+        first = res.exit.tolist().index("max_iters")
+        assert first > 0  # the first member, two equal classes, certifies at once
+        with pytest.raises(ConvergenceError, match=f"batch member {first}:") as info:
+            circumcenter(sets, max_iters=1)
+        assert info.value.last_value == res.gap[first]
+
+
 class TestInvariantStructure:
     def _grid(self):
         return np.array([[0.0, 0.0, float(y)] for y in range(-3, 4)])
@@ -540,6 +635,18 @@ class TestInvariantStructure:
         field = invariant_structure(gens, self._grid(), word_len=3, resolution=0.51)
         assert len(field.values) == 7
         assert len(acts) == 1 + 2 and len(kdists) == 2
+
+    def test_one_circumcenter_call_per_class_count(self, count_calls):
+        # the per-point loop made one call per grid point whose orbit is alive
+        gens, grid, orbits = _three_generator_orbits(31)
+        counts = {len(classes) for classes in orbits}
+        calls = count_calls(conformal, name="circumcenter")
+        field = invariant_structure(gens, grid, word_len=3, resolution=0.51)
+        assert len(calls) == len(counts) > 1
+        assert sorted(np.shape(args[0])[1] for args in calls) == sorted(counts)
+        assert sum(len(args[0]) for args in calls) == len(field.values) == len(orbits)
+        for classes, value in zip(orbits, field.values):
+            assert np.array_equal(value, conformal_reference.solve_circumcenter(classes).center)
 
     def test_value_at_raises_off_grid(self):
         field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.4)

@@ -192,6 +192,13 @@ class TestLevelDistance:
         with pytest.raises(InputError):
             level_distance(PURE, 0.0, (p, None), (BlockPoint.zero(SPEC_R2), None))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_height_rejected(self, t):
+        # every level term was NaN at a NaN height, and max dropped them: 0.0
+        p = BlockPoint((np.array([1.0]), np.array([2.0])))
+        with pytest.raises(InputError):
+            level_distance(PURE, t, (p, None), (BlockPoint.zero(SPEC_R2), None))
+
     def test_gap_whose_square_underflows(self):
         # (1e-170)^2 underflows to 0, and np.linalg.norm read the gap as 0
         p = BlockPoint((np.array([1e-170]), np.zeros(1)))
@@ -325,6 +332,25 @@ class TestBoundaryCorrespondence:
         g = SolvPoint(height=0.25, x=random_point(SPEC_R2, RNG))
         out = sus(g)
         assert out.height == pytest.approx(1.25)
+
+    def test_suspension_takes_flat_coordinates(self):
+        # a (total_dim,) array raised AttributeError from SolvPoint.conforms
+        sus = suspend_boundary_map(PURE, SimMap.dilation(SPEC_R2, math.e), 1.0)
+        x = random_point(SPEC_R2, RNG)
+        flat, blocks = sus(SolvPoint(0.25, x.flat())), sus(SolvPoint(0.25, x))
+        assert flat.height == blocks.height == 1.25
+        assert np.array_equal(flat.x.flat(), blocks.x.flat())
+        with pytest.raises(DimensionMismatch):
+            sus(SolvPoint(0.25, np.zeros(3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_suspension_rejects_non_finite_points(self, bad):
+        # a NaN height passed through into the image
+        sus = suspend_boundary_map(PURE, SimMap.dilation(SPEC_R2, math.e), 1.0)
+        with pytest.raises(InputError):
+            sus(SolvPoint(bad, BlockPoint.zero(SPEC_R2)))
+        with pytest.raises(InputError):
+            sus(SolvPoint(0.0, np.array([0.0, bad])))
 
     def test_suspension_rejects_nontriangular_map(self):
         def bad(p):
