@@ -62,6 +62,7 @@ class Const(FuncExpr):
     def __init__(self, value):
         self.value = np.asarray(value, dtype=float).reshape(-1)
         self.dim = self.value.shape[0]
+        self._sup_bound = float(np.linalg.norm(self.value))
 
     def _eval(self, blocks):
         return self.value.copy()
@@ -75,7 +76,7 @@ class Const(FuncExpr):
 
     @property
     def sup_bound(self):
-        return float(np.linalg.norm(self.value))
+        return self._sup_bound
 
     def to_json(self):
         return {"node": "const", "value": self.value.tolist()}
@@ -344,6 +345,8 @@ class Osc(FuncExpr):
         self.phase = float(phase)
         self.child = child
         self.dim = self.amp.shape[0]
+        self._sup_bound = float(np.linalg.norm(self.amp))
+        self._gain = self._sup_bound * float(np.linalg.norm(self.weights))
 
     def _eval(self, blocks):
         # np.vecdot gives each row the bits of the one-point inner product;
@@ -356,15 +359,11 @@ class Osc(FuncExpr):
 
     @property
     def lipschitz(self):
-        return (
-            float(np.linalg.norm(self.amp))
-            * float(np.linalg.norm(self.weights))
-            * self.child.lipschitz
-        )
+        return self._gain * self.child.lipschitz
 
     @property
     def sup_bound(self):
-        return float(np.linalg.norm(self.amp))
+        return self._sup_bound
 
     def to_json(self):
         return {

@@ -102,11 +102,40 @@ class SimMap:
             if rotations is not None and np.max(np.abs(a.T @ a - eyes[i])) > 1e-12:
                 raise InputError(f"rotation {i} is not orthogonal to 1e-12")
 
+    @staticmethod
+    def _from_parts(spec: SpectralData, stretch: float, rotations, translations) -> "SimMap":
+        """A similarity whose rotations are products or transposes of checked
+        rotations, so they are not checked again. The stretch still is: a
+        product of stretches can underflow to 0."""
+        if not stretch > 0:
+            raise DomainError(f"stretch must be positive, got {stretch}")
+        s = object.__new__(SimMap)
+        s.spec = spec
+        s.stretch = float(stretch)
+        s.rotations = tuple(rotations)
+        s.translations = tuple(translations)
+        return s
+
     @functools.cached_property
     def _linear(self) -> tuple[np.ndarray, ...]:
         """Per block the linear part t^alpha_i A_i, built on the first evaluation:
         most similarities that compositions build are never evaluated."""
         return tuple(self.stretch**e * a for e, a in zip(self.spec.exponents, self.rotations))
+
+    @functools.cached_property
+    def _inverse_linear(self) -> tuple[np.ndarray, ...]:
+        """Per block the linear part t^-alpha_i A_i^T of the inverse, read-only:
+        every letter conjugated by this similarity shares it."""
+        mats = tuple(self.stretch ** (-e) * a.T
+                     for e, a in zip(self.spec.exponents, self.rotations))
+        for m in mats:
+            m.flags.writeable = False
+        return mats
+
+    @functools.cached_property
+    def _inverse_opnorms(self) -> tuple[float, ...]:
+        """The operator 2-norms of ``_inverse_linear``."""
+        return tuple(float(np.linalg.norm(m, 2)) for m in self._inverse_linear)
 
     @staticmethod
     def dilation(spec: SpectralData, t: float) -> "SimMap":
@@ -139,21 +168,23 @@ class SimMap:
     def compose(self, other: "SimMap") -> "SimMap":
         """self after other, renormalized to Sim form.
 
-        Two factors that both hold the shared identity rotations give a map
-        that holds them too (eye @ eye is exact), with no products to check.
+        The rotations are products of checked rotations and are not checked
+        again. Two factors that both hold the shared identity rotations give a
+        map that holds them too (eye @ eye is exact).
         """
         if self.spec != other.spec:
             raise InputError("spec mismatch in similarity composition")
         # the chain looks up the identity only when both hold the same rotations
         eyes = self.rotations is other.rotations is _identity_parts(self.spec.multiplicities)[0]
-        rots = None if eyes else [a1 @ a2 for a1, a2 in zip(self.rotations, other.rotations)]
+        rots = (self.rotations if eyes
+                else [a1 @ a2 for a1, a2 in zip(self.rotations, other.rotations)])
         trans = [
             b2 + other.stretch ** (-a) * a2.T @ b1
             for a, a2, b1, b2 in zip(
                 self.spec.exponents, other.rotations, self.translations, other.translations
             )
         ]
-        return SimMap(self.spec, self.stretch * other.stretch, rots, trans)
+        return SimMap._from_parts(self.spec, self.stretch * other.stretch, rots, trans)
 
     def inverse(self) -> "SimMap":
         rots = [a.T for a in self.rotations]
@@ -161,7 +192,7 @@ class SimMap:
             -(self.stretch**e) * a @ b
             for e, a, b in zip(self.spec.exponents, self.rotations, self.translations)
         ]
-        return SimMap(self.spec, 1.0 / self.stretch, rots, trans)
+        return SimMap._from_parts(self.spec, 1.0 / self.stretch, rots, trans)
 
     def as_block_map(self) -> BlockMap:
         comps = [
@@ -176,11 +207,6 @@ class SimMap:
         return BlockMap(self.spec, comps)
 
 
-def _inverse_linear_parts(s: SimMap) -> list[np.ndarray]:
-    """Per block, the linear part t^-alpha_i A_i^T of s^-1."""
-    return [s.stretch ** (-e) * rot.T for e, rot in zip(s.spec.exponents, s.rotations)]
-
-
 def conjugate_almost_by_sim(s: SimMap, a: AlmostTranslation) -> AlmostTranslation:
     """s^-1 after a after s, which is again an almost translation.
 
@@ -189,16 +215,15 @@ def conjugate_almost_by_sim(s: SimMap, a: AlmostTranslation) -> AlmostTranslatio
     """
     if s.spec != a.spec:
         raise InputError("spec mismatch")
-    mats = _inverse_linear_parts(s)
     lip = s.lip_bound()
-    certificates = []
-    for m, b in zip(mats, a.perturbations):
-        opnorm = float(np.linalg.norm(m, 2))
-        certificates.append((opnorm * b.sup_bound, opnorm * (b.lipschitz * lip), b.deps()))
+    certificates = [
+        (opnorm * b.sup_bound, opnorm * (b.lipschitz * lip), b.deps())
+        for opnorm, b in zip(s._inverse_opnorms, a.perturbations)
+    ]
     letters = []
     for letter in a.letters:
         sim = s if letter.sim is None else letter.sim.compose(s)
-        letters.append(Letter(letter.base, letter.sign, sim, _inverse_linear_parts(sim)))
+        letters.append(Letter(letter.base, letter.sign, sim))
     return AlmostTranslation.from_letters(s.spec, letters, certificates, a.K)
 
 

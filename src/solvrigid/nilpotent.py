@@ -38,17 +38,22 @@ class Letter:
     without a conjugation s and M_i are the identity.
     """
 
-    __slots__ = ("base", "sign", "sim", "mats")
+    __slots__ = ("base", "sign", "sim")
 
-    def __init__(self, base: "AlmostTranslation", sign: int = 1, sim=None,
-                 mats: Sequence[np.ndarray] | None = None):
+    def __init__(self, base: "AlmostTranslation", sign: int = 1, sim=None):
         self.base = base
         self.sign = sign
         self.sim = sim
-        self.mats = mats
+
+    @property
+    def mats(self) -> tuple[np.ndarray, ...]:
+        """The similarity's cached inverse linear parts, built when a word
+        holding the letter is first evaluated: most words that compositions
+        build are never evaluated."""
+        return self.sim._inverse_linear
 
     def inverse(self) -> "Letter":
-        return Letter(self.base, -self.sign, self.sim, self.mats)
+        return Letter(self.base, -self.sign, self.sim)
 
     def apply(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
         if self.sim is None:
@@ -338,17 +343,17 @@ class ExactGenerator:
         perturbations = list(perturbations)
         if len(perturbations) != self.r:
             raise InputError("one perturbation per block required")
-        self.constant_top = _fracvec(perturbations[-1])
-        self.perturbations = perturbations
+        if callable(perturbations[-1]):
+            raise InputError("last-block perturbation must be a constant tuple")
+        # constants become Fraction tuples once; a callable is converted per call
+        self.perturbations = [p if callable(p) else _fracvec(p) for p in perturbations]
         self.name = name
 
     def _b(self, i: int, later: tuple[FracVec, ...]) -> FracVec:
-        if i == self.r - 1:
-            return self.constant_top
         p = self.perturbations[i]
         if callable(p):
             return _fracvec(p(later))
-        return _fracvec(p)
+        return p
 
     def apply(self, point: tuple[FracVec, ...]) -> tuple[FracVec, ...]:
         out = list(point)
@@ -509,15 +514,16 @@ def approx_lth_root(
 
     for j in range(r - 1, -1, -1):
         eta_j = (gamma_p * hat_prod.inverse()) ** l * err_suffix
-        # eta_j must lie in the level-j kernel: blocks above j fixed
-        zero = eta_j.zero_point()
+        # eta_j must lie in the level-j kernel: blocks above j fixed; each
+        # probe's image is computed once and read for every block
+        images = [eta_j.apply(p) for p in probes]
         for m in range(j + 1, r):
-            for p in probes:
-                if any(v != 0 for v in eta_j.block_displacement(p, m)):
+            for p, image in zip(probes, images):
+                if image[m] != p[m]:
                     raise NotInKernel(m, f"descent left a nonzero block-{m} displacement")
-        disp = eta_j.block_displacement(zero, j)
-        for p in probes:
-            if eta_j.block_displacement(p, j) != disp:
+        disp = eta_j.block_displacement(eta_j.zero_point(), j)
+        for p, image in zip(probes, images):
+            if tuple(a - b for a, b in zip(image[j], p[j])) != disp:
                 raise NotInKernel(j, "level displacement is not constant on probes")
         level_gens = list(levels[j])
         if level_gens:

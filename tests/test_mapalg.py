@@ -15,6 +15,7 @@ from solvrigid import (
     BlockVar,
     BoundaryPair,
     Const,
+    DomainError,
     FirstBlockAffineMap,
     FuncExpr,
     InputError,
@@ -50,6 +51,8 @@ from solvrigid.fixtures import (
     radial_generator,
     varying_rotation_map,
 )
+from solvrigid.mapalg import _identity_parts
+from solvrigid.nilpotent import Letter
 from solvrigid.spectral import join_blocks, split_rows
 
 import affine_reference
@@ -179,6 +182,144 @@ class TestASimWords:
             calls.clear()
             word(p)
             assert len(calls) == self.LETTERS
+
+
+# -- composition through the checking constructor, with no cached parts ------
+
+
+def _checked_sim_compose(s, o):
+    """SimMap.compose, building the product with the public SimMap(...)."""
+    eyes = s.rotations is o.rotations is _identity_parts(s.spec.multiplicities)[0]
+    rots = None if eyes else [a1 @ a2 for a1, a2 in zip(s.rotations, o.rotations)]
+    trans = [b2 + o.stretch ** (-a) * a2.T @ b1
+             for a, a2, b1, b2 in zip(s.spec.exponents, o.rotations, s.translations,
+                                      o.translations)]
+    return SimMap(s.spec, s.stretch * o.stretch, rots, trans)
+
+
+def _checked_sim_inverse(s):
+    rots = [a.T for a in s.rotations]
+    trans = [-(s.stretch**e) * a @ b for e, a, b in zip(s.spec.exponents, s.rotations,
+                                                         s.translations)]
+    return SimMap(s.spec, 1.0 / s.stretch, rots, trans)
+
+
+def _inverse_linear_parts(s):
+    """Per block, the linear part t^-alpha_i A_i^T of s^-1, built afresh."""
+    return [s.stretch ** (-e) * rot.T for e, rot in zip(s.spec.exponents, s.rotations)]
+
+
+class _FreshLetter(Letter):
+    """A letter holding its own inverse linear parts rather than its similarity's."""
+
+    __slots__ = ("_mats",)
+
+    def __init__(self, base, sign, sim, mats):
+        super().__init__(base, sign, sim)
+        self._mats = mats
+
+    @property
+    def mats(self):
+        return self._mats
+
+    def inverse(self):
+        return _FreshLetter(self.base, -self.sign, self.sim, self._mats)
+
+
+def _checked_conjugate(s, a):
+    """conjugate_almost_by_sim with fresh parts and one matrix norm per block."""
+    mats = _inverse_linear_parts(s)
+    lip = s.lip_bound()
+    certificates = []
+    for m, b in zip(mats, a.perturbations):
+        opnorm = float(np.linalg.norm(m, 2))
+        certificates.append((opnorm * b.sup_bound, opnorm * (b.lipschitz * lip), b.deps()))
+    letters = []
+    for letter in a.letters:
+        sim = s if letter.sim is None else _checked_sim_compose(letter.sim, s)
+        letters.append(_FreshLetter(letter.base, letter.sign, sim, _inverse_linear_parts(sim)))
+    return AlmostTranslation.from_letters(s.spec, letters, certificates, a.K)
+
+
+def _checked_compose(f, g):
+    sim = _checked_sim_compose(f.sim, g.sim)
+    return ASimMap(sim, _checked_conjugate(g.sim, f.almost).compose(g.almost))
+
+
+def _checked_inverse(f):
+    sim_inv = _checked_sim_inverse(f.sim)
+    return ASimMap(sim_inv, _checked_conjugate(sim_inv, f.almost.inverse()))
+
+
+class TestCompositionReusesCheckedParts:
+    ALPHABET = 4
+    LETTERS = 10
+
+    def _alphabet(self, seed):
+        rng = np.random.default_rng(seed)
+        return [_asim_letter(rng) for _ in range(self.ALPHABET)], rng
+
+    def _assert_identical(self, got, want, rows):
+        assert got.stretch == want.stretch
+        for parts in ("rotations", "translations"):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(getattr(got.sim, parts), getattr(want.sim, parts)))
+        g, w = got.almost, want.almost
+        assert (g.K, g.lip_bound(), got.lip_bound()) == (w.K, w.lip_bound(), want.lip_bound())
+        for gb, wb in zip(g.perturbations, w.perturbations):
+            assert (gb.sup_bound, gb.lipschitz, gb.deps()) == (wb.sup_bound, wb.lipschitz,
+                                                                wb.deps())
+        for blocks in (split_rows(SPEC_ROT, rows[0]), split_rows(SPEC_ROT, rows)):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got.eval_blocks(blocks), want.eval_blocks(blocks)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_folds_and_inverses_equal_the_checked_path(self, seed):
+        alphabet, rng = self._alphabet(seed)
+        letters = [alphabet[i] for i in rng.integers(0, self.ALPHABET, self.LETTERS)]
+        rows = rng.uniform(-2, 2, (25, SPEC_ROT.total_dim))
+        folds = [
+            (functools.reduce(lambda acc, a: acc.compose(a), letters),
+             functools.reduce(_checked_compose, letters)),
+            (functools.reduce(lambda acc, a: a.compose(acc), reversed(letters)),
+             functools.reduce(lambda acc, a: _checked_compose(a, acc), reversed(letters))),
+        ]
+        for got, want in folds:
+            self._assert_identical(got, want, rows)
+            self._assert_identical(got.inverse(), _checked_inverse(want), rows)
+
+    def test_cached_inverse_parts(self):
+        s = _asim_letter(np.random.default_rng(5)).sim.compose(SimMap.dilation(SPEC_ROT, 1.7))
+        assert s._inverse_linear is s._inverse_linear
+        for m, want, norm in zip(s._inverse_linear, _inverse_linear_parts(s), s._inverse_opnorms):
+            assert np.array_equal(m, want)
+            assert norm == float(np.linalg.norm(m, 2))
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+
+    def test_underflowing_stretch_rejected(self):
+        # 1e-300 * 1e-30 underflows to 0, and the product is still checked
+        with pytest.raises(DomainError):
+            SimMap(SPEC_ROT, 1e-300).compose(SimMap(SPEC_ROT, 1e-30))
+
+    def test_fold_computes_each_alphabet_norm_once(self, monkeypatch):
+        alphabet, _ = self._alphabet(9)
+        # every letter after the first conjugates by its similarity, each at least twice
+        letters = [alphabet[i % self.ALPHABET] for i in range(self.LETTERS)]
+        parts = [(k, i, m) for k, a in enumerate(alphabet)
+                 for i, m in enumerate(_inverse_linear_parts(a.sim))]
+        counts = {(k, i): 0 for k, i, _ in parts}
+        norm = np.linalg.norm
+
+        def counted(x, *args, **kwargs):
+            for k, i, m in parts:
+                if np.shape(x) == m.shape and np.array_equal(x, m):
+                    counts[k, i] += 1
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        functools.reduce(lambda acc, a: acc.compose(a), letters)
+        assert counts == dict.fromkeys(counts, 1)
 
 
 def _unshift(y):

@@ -35,6 +35,7 @@ from solvrigid.fixtures import (
     oscillating_kernel_element,
     unit_translation_1d,
 )
+from solvrigid import nilpotent
 from solvrigid.nilpotent import ExactGenerator
 
 RNG = np.random.default_rng(23)
@@ -364,3 +365,53 @@ class TestApproxRoot:
         gens, gamma_p, levels = exact_r1_fixture()
         with pytest.raises(InputError):
             approx_lth_root(gamma_p, range(len(gens)), levels, 0)
+
+
+# per fixture and root order: (coefficients, letters of gamma_prime, letters of eta),
+# or None where a coefficient is not an integer
+ROOTS = {
+    ("r1", 1): None,
+    ("r1", 2): ({0: 1}, ((1, 1), (0, -1), (0, -1)), ((0, 1), (0, 1))),
+    ("r1", 3): None,
+    ("r1", 4): ({0: 2}, ((1, 1), (0, -1), (0, -1)), ((0, 1), (0, 1))),
+    ("r2", 1): None,
+    ("r2", 2): ({1: 1, 0: 1}, ((2, 1), (1, -1)), ((1, 1),)),
+    ("r2", 3): None,
+    ("r2", 4): ({1: 2, 0: 2}, ((2, 1), (1, -1)), ((1, 1),)),
+}
+FIXTURES = {"r1": exact_r1_fixture, "r2": exact_r2_fixture}
+
+
+class TestRootCost:
+    @pytest.mark.parametrize("key", sorted(ROOTS))
+    def test_certificates_are_unchanged(self, key):
+        gens, gamma_p, levels = FIXTURES[key[0]]()
+        if ROOTS[key] is None:
+            with pytest.raises(InfiniteIndexSuspected):
+                approx_lth_root(gamma_p, range(len(gens)), levels, key[1])
+            return
+        cert = approx_lth_root(gamma_p, range(len(gens)), levels, key[1])
+        assert (cert.coefficients, cert.gamma_prime.letters, cert.eta.letters) == ROOTS[key]
+
+    @pytest.mark.parametrize("fixture", [exact_r1_fixture, exact_r2_fixture])
+    def test_each_probe_image_computed_once_per_level(self, fixture, count_calls):
+        gens, gamma_p, levels = fixture()
+        calls = count_calls(ExactWord, name="apply")
+        approx_lth_root(gamma_p, range(len(gens)), levels, 2)
+        probes, r = len(default_probes(gens[0].dims)), len(gens[0].dims)
+        # per level every probe and the zero point, then the final identity check
+        assert len(calls) == r * (probes + 1) + probes
+
+    def test_constant_perturbations_converted_once(self, count_calls):
+        gens, _, _ = exact_r2_fixture()
+        point = default_probes(gens[0].dims)[1]
+        calls = count_calls(nilpotent, name="_fracvec")
+        assert gens[0].apply(point) == ((point[0][0] + 1,), point[1])
+        assert gens[0].apply_inverse(point) == ((point[0][0] - 1,), point[1])
+        assert calls == []
+        gens[2].apply(point)  # its first-block perturbation is a callable
+        assert len(calls) == 1
+
+    def test_callable_top_perturbation_rejected(self):
+        with pytest.raises(InputError):
+            ExactGenerator((1, 1), [(Fraction(0),), lambda later: (Fraction(1),)])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solvrigid import (
@@ -107,14 +107,42 @@ class TestDistance:
             distance(SPEC_R2, _point(SPEC_R1, [1.0]), _point(SPEC_R1, [0.0]))
 
 
+def _dilated_rounding(spec, a, b, t):
+    """Relative error of the dilated distance that rounding alone can cause.
+
+    Each dilated coordinate is rounded before the subtraction, which costs up
+    to 2^-52 max|coordinate| per coordinate of the gap, or 2^-1074 where the
+    product is subnormal. Relative to the gap that is eps_i in block i; the
+    1/alpha_i power turns it into eps_i / alpha_i to first order, and into
+    1 - (1 - eps_i)^(1/alpha_i) in general.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    worst = 0.0
+    for alpha, s in zip(spec.exponents, spec.block_slices()):
+        # math.hypot, since the square of a subnormal gap underflows
+        gap = math.hypot(*(a[s] - b[s]))
+        if gap == 0.0:
+            continue  # equal coordinates stay equal
+        scale = math.hypot(*np.maximum(np.abs(a[s]), np.abs(b[s])))
+        floor = math.sqrt(s.stop - s.start) * 2.0**-1074 / gap / t**alpha
+        eps = 2.0**-52 * scale / gap + floor
+        worst = max(worst, 1.0 if eps >= 1.0 else -math.expm1(math.log1p(-eps) / alpha))
+    return worst
+
+
 class TestDilate:
     @given(coords, coords, st.floats(min_value=0.1, max_value=10.0))
+    # the gap is 1e-9 of the coordinates: the dilated distance is off by 9.5e-9 relative
+    @example([0, 0, 0, 1.1754943508222875e-38, 0, 0, 0], [0, 0, 0, 1.175494351e-38, 0, 0, 0], 2.0)
+    # a subnormal gap that the dilation rounds to 0
+    @example([0, 0, 5e-324, 0, 0, 0, 0], [0.0] * 7, 0.1)
     @settings(max_examples=200, deadline=None)
     def test_exact_similarity(self, a, b, t):
         p, q = _point(SPEC_R3, a), _point(SPEC_R3, b)
         d = distance(SPEC_R3, p, q)
         d2 = distance(SPEC_R3, dilate(SPEC_R3, t, p), dilate(SPEC_R3, t, q))
-        assert d2 == pytest.approx(t * d, rel=1e-12, abs=1e-300)
+        rel = 1e-12 + _dilated_rounding(SPEC_R3, a, b, t)
+        assert d2 == pytest.approx(t * d, rel=rel, abs=1e-300)
 
     def test_rejects_nonpositive_parameter(self):
         with pytest.raises(DomainError):
