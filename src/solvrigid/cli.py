@@ -39,7 +39,7 @@ from .solvgroup import (
     pair_to_point_bisect,
     VerticalGeodesic,
 )
-from .spectral import BlockPoint, SpectralData, random_point, random_row_blocks, split_rows
+from .spectral import BlockPoint, SpectralData, random_row_blocks, split_rows
 from .tukia import conjugator_1d, sup_measure_1d, verify_conjugation
 
 
@@ -233,16 +233,17 @@ def run_geodesic(cfg: RunConfig, rng: np.random.Generator, out_dir: Path | None 
     t_bisect = pair_to_point_bisect(spec, rows[:, 0], rows[:, 1])
     worst_bisect = float(np.max(np.abs(t_closed - t_bisect), initial=0.0))
     comp_worst = 0.0
-    for _ in range(50):
-        a, b = rng.uniform(-1.5, 1.5, 2)
+    # the 50 samples (a, b, p) in one draw, the numbers of the per-sample loop
+    bound = np.repeat([1.5, 2.0], [2, cfg.spec.total_dim])
+    draws = rng.uniform(-bound, bound, (50, 2 + cfg.spec.total_dim))
+    for (a, b), p in zip(draws[:, :2], draws[:, 2:]):
         lhs = boundary_of_height_isometry(spec, a).compose(boundary_of_height_isometry(spec, b))
         rhs = boundary_of_height_isometry(spec, a + b)
-        p = random_point(cfg.spec, rng, 2.0)
-        want = rhs(p).flat()
+        want, got = (np.concatenate(f.eval_blocks(split_rows(cfg.spec, p))) for f in (rhs, lhs))
         scale = max(1.0, float(np.max(np.abs(want))))
-        comp_worst = max(comp_worst, float(np.max(np.abs(lhs(p).flat() - want))) / scale)
+        comp_worst = max(comp_worst, float(np.max(np.abs(got - want))) / scale)
     # the 100 triples (g, h, k) in one draw, the numbers of the per-triple
-    # loop: per point a height, then its random_point coordinates
+    # loop: per point a height, then its coordinates
     g, h, k = (SolvPoint(height=d[:, 0], x=d[:, 1:])
                for d in rng.uniform(-1, 1, (100, 3, 1 + cfg.spec.total_dim)).swapaxes(0, 1))
     assoc = multiply(spec, multiply(spec, g, h), k)
@@ -258,7 +259,8 @@ def run_geodesic(cfg: RunConfig, rng: np.random.Generator, out_dir: Path | None 
         _check("group-law", grp_worst <= 1e-12, grp_worst),
     ]
     if out_dir is not None:
-        geo = VerticalGeodesic(anchor=(random_point(cfg.spec, rng), None))
+        anchor = BlockPoint.from_flat(cfg.spec, rng.uniform(-1, 1, cfg.spec.total_dim))
+        geo = VerticalGeodesic(anchor=(anchor, None))
         rows = geo.sample_csv_rows(np.linspace(-2.0, 2.0, 41))
         text = "\n".join(",".join(f"{v:.12g}" for v in row) for row in rows) + "\n"
         digest = hashlib.sha256(text.encode()).hexdigest()[:16]

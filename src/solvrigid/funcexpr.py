@@ -13,6 +13,7 @@ composition rules propagate them conservatively.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from typing import Sequence
@@ -216,13 +217,17 @@ class AbsPow(FuncExpr):
         if c == 1.0:
             return self.child.lipschitz
         if c > 1.0 and math.isfinite(self.child.sup_bound):
-            return c * self.child.sup_bound ** (c - 1.0) * self.child.lipschitz
+            with contextlib.suppress(OverflowError):  # a power beyond float range reads inf
+                return c * self.child.sup_bound ** (c - 1.0) * self.child.lipschitz
         return INF
 
     @property
     def sup_bound(self):
         s = self.child.sup_bound
-        return s ** self.exponent if math.isfinite(s) else INF
+        if math.isfinite(s):
+            with contextlib.suppress(OverflowError):  # a power beyond float range reads inf
+                return s**self.exponent
+        return INF
 
     def to_json(self):
         return {"node": "abspow", "exponent": self.exponent, "child": self.child.to_json()}

@@ -76,6 +76,12 @@ def _identity_parts(multiplicities: tuple[int, ...]):
     return eyes, zeros
 
 
+def _checked_stretch(stretch) -> float:
+    if not 0 < stretch < math.inf:
+        raise DomainError(f"stretch must be positive and finite, got {stretch}")
+    return float(stretch)
+
+
 class SimMap:
     """Standard dilation composed with blockwise rotation and translation.
 
@@ -85,10 +91,8 @@ class SimMap:
     """
 
     def __init__(self, spec: SpectralData, stretch: float, rotations=None, translations=None):
-        if not stretch > 0:
-            raise DomainError(f"stretch must be positive, got {stretch}")
         self.spec = spec
-        self.stretch = float(stretch)
+        self.stretch = _checked_stretch(stretch)
         eyes, zeros = _identity_parts(spec.multiplicities)
         self.rotations = eyes if rotations is None else tuple(
             np.asarray(a, dtype=float) for a in rotations
@@ -106,28 +110,32 @@ class SimMap:
     def _from_parts(spec: SpectralData, stretch: float, rotations, translations) -> "SimMap":
         """A similarity whose rotations are products or transposes of checked
         rotations, so they are not checked again. The stretch still is: a
-        product of stretches can underflow to 0."""
-        if not stretch > 0:
-            raise DomainError(f"stretch must be positive, got {stretch}")
+        product of stretches can underflow to 0, an inverse overflow to inf."""
         s = object.__new__(SimMap)
         s.spec = spec
-        s.stretch = float(stretch)
+        s.stretch = _checked_stretch(stretch)
         s.rotations = tuple(rotations)
         s.translations = tuple(translations)
         return s
 
+    def _scaled(self, sign: float, mats) -> tuple[np.ndarray, ...]:
+        """Per block t^(sign alpha_i) M_i; DomainError where the power is beyond float range."""
+        try:
+            return tuple(self.stretch ** (sign * e) * m for e, m in zip(self.spec.exponents, mats))
+        except OverflowError:
+            raise DomainError(f"a power of stretch {self.stretch} is beyond float range") from None
+
     @functools.cached_property
     def _linear(self) -> tuple[np.ndarray, ...]:
-        """Per block the linear part t^alpha_i A_i, built on the first evaluation:
-        most similarities that compositions build are never evaluated."""
-        return tuple(self.stretch**e * a for e, a in zip(self.spec.exponents, self.rotations))
+        """Per block the linear part t^alpha_i A_i, built on first use: most
+        similarities that compositions build are never evaluated."""
+        return self._scaled(1.0, self.rotations)
 
     @functools.cached_property
     def _inverse_linear(self) -> tuple[np.ndarray, ...]:
         """Per block the linear part t^-alpha_i A_i^T of the inverse, read-only:
         every letter conjugated by this similarity shares it."""
-        mats = tuple(self.stretch ** (-e) * a.T
-                     for e, a in zip(self.spec.exponents, self.rotations))
+        mats = self._scaled(-1.0, [a.T for a in self.rotations])
         for m in mats:
             m.flags.writeable = False
         return mats
@@ -178,32 +186,20 @@ class SimMap:
         eyes = self.rotations is other.rotations is _identity_parts(self.spec.multiplicities)[0]
         rots = (self.rotations if eyes
                 else [a1 @ a2 for a1, a2 in zip(self.rotations, other.rotations)])
-        trans = [
-            b2 + other.stretch ** (-a) * a2.T @ b1
-            for a, a2, b1, b2 in zip(
-                self.spec.exponents, other.rotations, self.translations, other.translations
-            )
-        ]
+        # not other._inverse_linear: caching costs more than it saves on the
+        # one-off dilations that the CLI suites compose
+        inv = other._scaled(-1.0, [a.T for a in other.rotations])
+        trans = [b2 + m @ b1 for m, b1, b2 in zip(inv, self.translations, other.translations)]
         return SimMap._from_parts(self.spec, self.stretch * other.stretch, rots, trans)
 
     def inverse(self) -> "SimMap":
         rots = [a.T for a in self.rotations]
-        trans = [
-            -(self.stretch**e) * a @ b
-            for e, a, b in zip(self.spec.exponents, self.rotations, self.translations)
-        ]
+        trans = [-(m @ b) for m, b in zip(self._linear, self.translations)]
         return SimMap._from_parts(self.spec, 1.0 / self.stretch, rots, trans)
 
     def as_block_map(self) -> BlockMap:
-        comps = [
-            Lin(
-                self.stretch**e * a,
-                Sum((BlockVar(i, n), Const(b))),
-            )
-            for i, (e, n, a, b) in enumerate(
-                zip(self.spec.exponents, self.spec.multiplicities, self.rotations, self.translations)
-            )
-        ]
+        comps = [Lin(m, Sum((BlockVar(i, n), Const(b)))) for i, (n, m, b) in
+                 enumerate(zip(self.spec.multiplicities, self._linear, self.translations))]
         return BlockMap(self.spec, comps)
 
 

@@ -310,12 +310,11 @@ def orbit_growth(
     start = [require_blocks(spec, q.blocks) for q in points]
     seen.add(fingerprint(start))
     alphabet = list(generators) + [g.inverse() for g in generators]
-    count, saturated = 0, False
-    for word, images in walk_words(alphabet, word_cap, start, step):
-        if distance(spec, BlockPoint(tuple(images[0])), basepoint) <= k:
-            count += 1
-            saturated |= len(word) == word_cap > 0
-    return OrbitCount(count=count, saturated=saturated)
+    words = list(walk_words(alphabet, word_cap, start, step))
+    moved = np.array([np.concatenate(images[0]) for _, images in words])
+    near = distance(spec, moved, np.broadcast_to(np.concatenate(start[0]), moved.shape)) <= k
+    last = np.array([len(word) == word_cap > 0 for word, _ in words])
+    return OrbitCount(count=int(near.sum()), saturated=bool((near & last).any()))
 
 
 # -- exact-rational words ---------------------------------------------------

@@ -164,9 +164,10 @@ def chain_energy(
     """
     if not beta > 0:
         raise DomainError(f"beta must be positive, got {beta}")
-    p.require_conforms(spec)
-    q.require_conforms(spec)
-    gaps = [_block_norm(x - y) for x, y in zip(p.blocks, q.blocks)]
+    P, Q = _require_points(spec, p, q)
+    if P.ndim != 1:
+        raise DimensionMismatch(f"points of shape {P.shape}, expected ({spec.total_dim},)")
+    gaps = [_block_norm(P[s] - Q[s]) for s in spec.block_slices()]
     best_per_block = [float("inf")] * spec.r
     prev_total = float("inf")
     last_dec = float("inf")
@@ -194,18 +195,17 @@ def enumerate_chain_cost(
 ) -> float:
     """Brute-force chain cost: materialize the interleaved chain and sum D^beta.
 
-    Oracle companion of :func:`chain_energy` at a fixed subdivision count.
+    Oracle companion of :func:`chain_energy` at a fixed subdivision count. The
+    chain's points are rows, and its steps are measured in one distance call.
     """
-    cost = 0.0
-    current = [x.copy() for x in p.blocks]
-    for i in range(spec.r):
-        target = q.blocks[i]
+    P, Q = _require_points(spec, p, q)
+    chain = [P]
+    for s in spec.block_slices():
         for j in range(1, k + 1):
-            nxt = [b.copy() for b in current]
-            nxt[i] = p.blocks[i] + (j / k) * (target - p.blocks[i])
-            cost += distance(spec, BlockPoint(tuple(current)), BlockPoint(tuple(nxt))) ** beta
-            current = nxt
-    return cost
+            chain.append(chain[-1].copy())
+            chain[-1][s] = P[s] + (j / k) * (Q[s] - P[s])
+    chain = np.array(chain)
+    return sum(d**beta for d in distance(spec, chain[:-1], chain[1:]).tolist())
 
 
 def _image_rows(spec: SpectralData, F, P: np.ndarray) -> np.ndarray:

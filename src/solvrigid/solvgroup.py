@@ -61,18 +61,6 @@ class SolvPoint:
     x: Optional[BlockPoint | np.ndarray] = None
     z: Optional[BlockPoint | np.ndarray] = None
 
-    def conforms(self, spec: SolvSpec) -> bool:
-        ok = True
-        if spec.lower is not None:
-            ok = ok and self.x is not None and self.x.conforms(spec.lower)
-        if spec.upper is not None:
-            ok = ok and self.z is not None and self.z.conforms(spec.upper)
-        return ok
-
-    def require_conforms(self, spec: SolvSpec) -> None:
-        if not self.conforms(spec):
-            raise InputError("point does not conform to the solvable spec")
-
 
 def identity_point(spec: SolvSpec) -> SolvPoint:
     return SolvPoint(
@@ -173,60 +161,71 @@ def inverse(spec: SolvSpec, p: SolvPoint) -> SolvPoint:
 
 
 def _level_terms(exponents: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """e^exponent * gap per element; 0 where the gap is 0.
+    """e^exponent * gap per element of two arrays of one shape; 0 where the gap is 0.
 
     The factor is libm's exp, one element at a time. Where it leaves the
     normal float range (it overflows, or underflows below 2^-1022), the term is
     exp(log gap + exponent) instead, which stays in range where the product
     does; every other term keeps the bits of the plain product.
     """
-    factor = np.fromiter(map(_exp, exponents.tolist()), float, len(exponents))
+    factor = np.fromiter(map(_exp, exponents.ravel().tolist()), float, exponents.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = factor * gaps
+        terms = factor.reshape(exponents.shape) * gaps
     far = (factor < 2.0 ** -1022) | (factor == math.inf)
     if far.any():
+        far = far.reshape(exponents.shape)
         terms[far] = [_exp(math.log(g) + e) if g else 0.0
                       for e, g in zip(exponents[far].tolist(), gaps[far].tolist())]
     return terms
 
 
-def level_distance(
-    spec: SolvSpec,
-    t: float,
-    p: tuple[Optional[BlockPoint], Optional[BlockPoint]] | SolvPoint,
-    q: tuple[Optional[BlockPoint], Optional[BlockPoint]] | SolvPoint,
-) -> float:
-    """Distance within the height-t level set, in max-of-blocks form.
-
-    Lower blocks contract like e^{-t alpha_i}, upper blocks expand like
-    e^{t beta_i}. A level distance beyond float range reads inf; a zero gap
-    contributes 0 at any height. A non-finite height raises InputError.
-    """
-    try:
-        t = float(t)
-    except (TypeError, ValueError):
-        raise InputError("height must be a number") from None
-    if not math.isfinite(t):
-        raise InputError("height must be finite")
+def _level_distance(spec: SolvSpec, t: np.ndarray, p, q) -> np.ndarray:
+    """level_distance at 0-d or ``(N,)`` heights t, which may be infinite:
+    pair_to_point_bisect brackets a row whose height is beyond float range by
+    infinite heights."""
     if isinstance(p, SolvPoint):
         p = (p.x, p.z)
     if isinstance(q, SolvPoint):
         q = (q.x, q.z)
-    exponents, gaps = [], []
-    for data, sign, x, y in ((spec.lower, -1.0, p[0], q[0]), (spec.upper, 1.0, p[1], q[1])):
-        if data is None:
-            continue
-        x, y = _require_points(data, x, y)
-        if x.ndim != 1:
-            raise DimensionMismatch(f"points of shape {x.shape}, expected ({data.total_dim},)")
-        # as in distance: _block_norm raises InputError on a non-finite gap
-        # and keeps a gap whose square underflows
-        with np.errstate(over="ignore", invalid="ignore"):
+    factors = [(data, sign, *_require_points(data, x, y)) for data, sign, x, y in
+               ((spec.lower, -1.0, p[0], q[0]), (spec.upper, 1.0, p[1], q[1])) if data is not None]
+    leads = {t.shape} - {()} | {x.shape[:-1] for _, _, x, _ in factors}
+    if len(leads) > 1:
+        raise DimensionMismatch(f"heights of shape {t.shape} and points of shapes "
+                                f"{sorted(leads)} are neither one point nor N rows")
+    signed, gaps = [], []
+    # as in distance: _block_norm raises InputError on a non-finite gap and
+    # keeps a gap whose square underflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for data, sign, x, y in factors:
             diff = x - y
-            for a, s in zip(data.exponents, data.block_slices()):
-                exponents.append(sign * t * a)
-                gaps.append(_block_norm(diff[s]))
-    return max([0.0, *_level_terms(np.array(exponents), np.array(gaps)).tolist()])
+            signed += [sign * a for a in data.exponents]
+            gaps += [_block_norm(diff[..., s]) for s in data.block_slices()]
+        # one row of terms per block; (sign alpha_i) t is sign (t alpha_i) exactly
+        exponents = np.multiply.outer(signed, np.broadcast_to(t, leads.pop()))
+    return np.maximum(_level_terms(exponents, np.array(gaps)).max(axis=0), 0.0)
+
+
+def level_distance(spec: SolvSpec, t, p, q):
+    """Distance within the height-t level set, in max-of-blocks form.
+
+    Lower blocks contract like e^{-t alpha_i}, upper blocks expand like
+    e^{t beta_i}. ``p`` and ``q`` are SolvPoints or (x, z) pairs. A float for
+    one point each (x and z BlockPoints or ``(total_dim,)`` arrays) at a float
+    height; an ``(N,)`` array for ``(N, total_dim)`` rows at a float height or
+    at ``(N,)`` heights, each row equal to its one-point distance bit for bit.
+    A level distance beyond float range reads inf; a zero gap contributes 0 at
+    any height. A non-finite height raises InputError, heights unlike the rows
+    DimensionMismatch.
+    """
+    try:
+        t = np.asarray(t, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("height must be a number") from None
+    if not np.isfinite(t).all():
+        raise InputError("height must be finite")
+    d = _level_distance(spec, t, p, q)
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)
@@ -245,16 +244,11 @@ class VerticalGeodesic:
         return SolvPoint(height=h, x=self.anchor[0], z=self.anchor[1])
 
     def sample_csv_rows(self, ts) -> list[list[float]]:
-        rows = []
-        for t in ts:
-            p = self.point_at(float(t))
-            row = [p.height]
-            if p.x is not None:
-                row.extend(p.x.flat().tolist())
-            if p.z is not None:
-                row.extend(p.z.flat().tolist())
-            rows.append(row)
-        return rows
+        """Per parameter t the row (height, anchor coordinates)."""
+        t = np.asarray(ts, dtype=float)
+        anchor = np.concatenate([np.zeros(0), *(a.flat() for a in self.anchor if a is not None)])
+        heights = -t if self.orientation == "downward" else t
+        return np.column_stack([heights, np.tile(anchor, (len(t), 1))]).tolist()
 
 
 def pair_to_point(spec: SolvSpec, P, Q):
@@ -280,24 +274,15 @@ def pair_to_point_bisect(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.nda
     ``P`` and ``Q`` are ``(N, total_dim)`` arrays of boundary points. Every
     row bisects its own bracket log D(p, q) +- 1 (from :func:`pair_to_point`)
     until that bracket is narrower than 1e-13, for at most 200 halvings. The
-    level terms e^(-t alpha_i) * gap are level_distance's, element by element.
+    level distances are level_distance's on rows at per-row heights.
     """
     logd = pair_to_point(spec, P, Q)
-    P, Q = _require_points(spec.lower, P, Q)
-    if P.ndim != 2:
-        raise DimensionMismatch(f"points of shape {P.shape}, expected (N, {P.shape[-1]}) rows")
-    # as in distance: _block_norm rescales a gap whose square overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = P - Q
-        gaps = [(a, _block_norm(diff[:, s]))
-                for a, s in zip(spec.lower.exponents, spec.lower.block_slices())]
+    if np.ndim(logd) != 1:
+        raise DimensionMismatch(f"points of shape {np.shape(P)}, expected (N, total_dim) rows")
 
     def excess(t):
         """Level distance at heights t, minus 1."""
-        level = np.zeros(len(t))
-        for a, gap in gaps:
-            np.maximum(level, _level_terms(-t * a, gap), out=level)
-        return level - 1.0
+        return _level_distance(spec, t, (P, None), (Q, None)) - 1.0
 
     lo, hi = logd - 1.0, logd + 1.0
     # a level distance beyond float range reads inf; a row whose height does

@@ -86,16 +86,12 @@ class BlockPoint:
             raise InputError("point blocks must be arrays of numbers") from None
         object.__setattr__(self, "blocks", blocks)
 
-    def conforms(self, spec: SpectralData) -> bool:
-        # blocks are 1-D (see __post_init__), so their lengths are their shapes
-        return tuple(map(len, self.blocks)) == spec.multiplicities
-
     def require_conforms(self, spec: SpectralData) -> None:
-        if not self.conforms(spec):
-            got = [b.shape[0] for b in self.blocks]
-            raise DimensionMismatch(
-                f"point with block dims {got} does not conform to multiplicities {spec.multiplicities}"
-            )
+        # blocks are 1-D (see __post_init__), so their lengths are their shapes
+        got = tuple(map(len, self.blocks))
+        if got != spec.multiplicities:
+            raise DimensionMismatch(f"point with block dims {list(got)} does not conform to "
+                                    f"multiplicities {spec.multiplicities}")
 
     def flat(self) -> np.ndarray:
         return np.concatenate(self.blocks)
@@ -178,18 +174,15 @@ def join_blocks(blocks) -> np.ndarray:
 ROW_BLOCK = 4096
 
 
-def random_point(spec: SpectralData, rng: np.random.Generator, scale: float = 1.0) -> BlockPoint:
-    return BlockPoint(tuple(rng.uniform(-scale, scale, n) for n in spec.multiplicities))
-
-
 def random_row_blocks(
     spec: SpectralData, rng: np.random.Generator, count: int, k: int, scale: float = 1.0
 ):
     """Yield ``count`` rows of ``k`` points as ``(m, k, total_dim)`` arrays, m <= ROW_BLOCK.
 
     The draws are the same numbers in the same order as ``count`` rounds of
-    ``k`` :func:`random_point` calls, so row ``j`` of block ``b`` holds the
-    points of round ``b * ROW_BLOCK + j``.
+    ``k`` points drawn one at a time, each ``rng.uniform(-scale, scale,
+    total_dim)``, so row ``j`` of block ``b`` holds the points of round
+    ``b * ROW_BLOCK + j``.
     """
     for start in range(0, count, ROW_BLOCK):
         yield rng.uniform(-scale, scale, (min(ROW_BLOCK, count - start), k, spec.total_dim))

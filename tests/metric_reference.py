@@ -2,7 +2,8 @@
 dilations, the divergence height and the solvable group law: a loop over the
 blocks of BlockPoints, Python's ``**`` per block and libm's log and exp. The
 library serves one point and rows through one body; the tests compare both
-with these."""
+with these. ``random_point`` draws one point at a time, in the order that the
+library's row draws keep."""
 
 import math
 
@@ -11,6 +12,10 @@ import numpy as np
 from solvrigid.quasimetric import _block_norm
 from solvrigid.solvgroup import SolvPoint
 from solvrigid.spectral import BlockPoint
+
+
+def random_point(spec, rng: np.random.Generator, scale: float = 1.0) -> BlockPoint:
+    return BlockPoint(tuple(rng.uniform(-scale, scale, n) for n in spec.multiplicities))
 
 
 def distance(spec, p: BlockPoint, q: BlockPoint) -> float:
@@ -35,6 +40,31 @@ def dilate(spec, t: float, p: BlockPoint) -> BlockPoint:
 def pair_to_point(solv, p: BlockPoint, q: BlockPoint) -> float:
     """The divergence height log D(p, q) of a pure lower spec."""
     return math.log(distance(solv.lower, p, q))
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def level_distance(solv, t: float, p, q) -> float:
+    """max over blocks of e^(-t alpha_i) |x_i - y_i| and e^(t beta_i) |z_i - w_i| for
+    (x, z) and (y, w) pairs of ``(total_dim,)`` arrays; where the factor leaves the
+    normal float range the term is exp(log gap + exponent), and 0 for no gap."""
+    best = 0.0
+    for data, sign, x, y in ((solv.lower, -1.0, p[0], q[0]), (solv.upper, 1.0, p[1], q[1])):
+        if data is None:
+            continue
+        for a, s in zip(data.exponents, data.block_slices()):
+            with np.errstate(over="ignore"):  # _block_norm rescales a square beyond float range
+                gap, e = _block_norm(x[s] - y[s]), sign * t * a
+            if 2.0 ** -1022 <= _exp(e) < math.inf:
+                best = max(best, _exp(e) * gap)
+            elif gap:
+                best = max(best, _exp(math.log(gap) + e))
+    return best
 
 
 def _scaled(factors, p: BlockPoint) -> BlockPoint:

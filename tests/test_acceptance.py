@@ -30,7 +30,6 @@ from solvrigid import (
     kdist,
     normalize_stretch,
     pair_to_point,
-    random_point,
     random_row_blocks,
     root_power_word,
     rotation_hom,
@@ -61,6 +60,8 @@ from solvrigid.fixtures import (
 )
 from solvrigid.nilpotent import ExactWord
 
+import metric_reference as reference
+
 
 class _Criterion:
     def __init__(self, name, budget):
@@ -81,11 +82,11 @@ class _Criterion:
 
 
 def _per_point_state(seed, draws):
-    """The generator state after ``count`` random_point calls at scale 5 per (spec, count)."""
+    """The generator state after ``count`` one-point draws at scale 5 per (spec, count)."""
     rng = np.random.default_rng(seed)
     for spec, count in draws:
         for _ in range(count):
-            random_point(spec, rng, 5.0)
+            reference.random_point(spec, rng, 5.0)
     return rng.bit_generator.state
 
 
@@ -110,7 +111,7 @@ def test_metric_axioms():
                     d2 = distance(spec, dilate(spec, t, p[keep]), dilate(spec, t, q[keep]))
                     d = d[keep]
                     assert np.all(np.abs(d2 - t * d) <= 1e-12 * t * d)
-    # the draws of one random_point call per point: 3 per triple, 2 per pair
+    # the draws of one point at a time: 3 per triple, 2 per pair
     assert rng.bit_generator.state == _per_point_state(0, [(spec, 3 * 10_000 + 2 * 2 * 200)
                                                            for spec in specs])
 
@@ -150,10 +151,10 @@ def test_boundary_correspondence():
                 boundary_of_height_isometry(spec, b)
             )
             rhs = boundary_of_height_isometry(spec, a + b)
-            x = random_point(SPEC_R2, rng, 2.0)
+            x = reference.random_point(SPEC_R2, rng, 2.0)
             scale = max(1.0, float(np.max(np.abs(rhs(x).flat()))))
             assert float(np.max(np.abs(lhs(x).flat() - rhs(x).flat()))) <= 1e-12 * scale
-    # the pairs are the draws of one random_point call per point
+    # the pairs are the draws of one point at a time
     assert after_pairs == _per_point_state(1, [(SPEC_R2, 2 * 10_000)])
 
 

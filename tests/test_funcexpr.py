@@ -52,6 +52,16 @@ def test_abspow():
         AbsPow(0.0, Const([1.0]))
 
 
+def test_abspow_certificates_beyond_float_range_read_inf():
+    # 2.0 ** 1e10 raised builtins OverflowError from both certificates
+    e = AbsPow(1e10, Const([2.0]))
+    assert e.sup_bound == e.lipschitz == math.inf
+    assert expr_from_json(e.to_json()).sup_bound == math.inf
+    # a map that needs a finite sup certificate rejects the node
+    with pytest.raises(InputError):
+        AlmostTranslation(SpectralData((1.0, 2.0), (1, 1)), [e, Const([0.0])])
+
+
 def test_pointwise_min_max():
     lo = Const([0.0])
     hi = BlockVar(1, 1)

@@ -34,7 +34,6 @@ from solvrigid import (
     conjugate_almost_by_sim,
     height_hom,
     invert,
-    random_point,
     random_row_blocks,
     rotation_hom,
     rotation_rigidity_witness,
@@ -56,6 +55,7 @@ from solvrigid.nilpotent import Letter
 from solvrigid.spectral import join_blocks, split_rows
 
 import affine_reference
+from metric_reference import random_point
 
 RNG = np.random.default_rng(42)
 
@@ -92,6 +92,21 @@ class TestSimMap:
         rotated = SimMap(SPEC_ROT, 1.0, [_rot(0.3), np.eye(1)]).compose(s2)
         assert rotated.rotations is not s2.rotations
         assert np.array_equal(rotated.rotations[0], _rot(0.3) @ np.eye(2))
+
+    def test_infinite_stretch_rejected(self):
+        # not inf > 0 is False: a stretch of inf was accepted
+        with pytest.raises(DomainError):
+            SimMap(SPEC_ROT, math.inf)
+
+    def test_stretch_power_beyond_float_range_in_compose_rejected(self):
+        # 1e-200 ** -2 raised builtins OverflowError in the translation part
+        with pytest.raises(DomainError):
+            SimMap(SPEC_ROT, 1e-200).compose(SimMap(SPEC_ROT, 1e-200))
+
+    def test_inverse_stretch_beyond_float_range_rejected(self):
+        # 1 / 5e-324 is inf: the inverse was a map of stretch inf
+        with pytest.raises(DomainError):
+            SimMap(SPEC_ROT, 5e-324).inverse()
 
     def test_inverse_matches_pointwise(self):
         s = SimMap(SPEC_ROT, 1.7, [_rot(0.9), np.eye(1)], [np.array([0.3, 0.1]), np.array([2.0])])

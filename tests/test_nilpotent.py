@@ -255,6 +255,14 @@ class TestOrbitGrowth:
         stepped = 2 + 4 * 6
         assert len(calls) <= 3 * stepped
 
+    def test_orbit_is_measured_in_one_distance_call(self, count_calls):
+        # the walk measured each word in a one-point distance call of its own
+        calls = count_calls(nilpotent, name="distance")
+        base = BlockPoint((np.array([0.3]), np.array([-0.2])))
+        orbit_growth([oscillating_kernel_element(c=4.0)], base, 2.0, word_cap=7)
+        # the rows of gamma^k for |k| <= 7
+        assert len(calls) == 1 and np.shape(calls[0][1]) == (15, 2)
+
 
 class TestExactWords:
     def test_free_reduction(self):

@@ -23,13 +23,14 @@ from solvrigid import (
     distance,
     enumerate_chain_cost,
     estimate_qsim_constants,
-    random_point,
     random_row_blocks,
 )
+from solvrigid import quasimetric
 from solvrigid.spectral import ROW_BLOCK
 from solvrigid.fixtures import SPEC_R1, SPEC_R2, SPEC_R3
 
 import metric_reference as reference
+from metric_reference import random_point
 
 
 def _point(spec, values):
@@ -172,6 +173,30 @@ class TestChainEnergy:
         est = chain_energy(SPEC_R2, 2.5, p, q, ChainGrid(resolution=4, max_depth=1))
         oracle = enumerate_chain_cost(SPEC_R2, 2.5, p, q, 4)
         assert est.value <= oracle + 1e-12
+
+    def test_oracle_chain_equals_the_per_step_loop(self, count_calls):
+        def per_step(spec, beta, p, q, k):
+            # the loop that one distance call on the chain's rows replaced
+            cost, current = 0.0, list(p.blocks)
+            for i in range(spec.r):
+                for j in range(1, k + 1):
+                    nxt = list(current)
+                    nxt[i] = p.blocks[i] + (j / k) * (q.blocks[i] - p.blocks[i])
+                    cost += distance(spec, BlockPoint(tuple(current)), BlockPoint(tuple(nxt))) ** beta
+                    current = nxt
+            return cost
+
+        rng = np.random.default_rng(12)
+        calls = count_calls(quasimetric, name="distance")
+        for k in (0, 1, 3, 7):
+            p, q = random_point(SPEC_R3, rng, 3.0), random_point(SPEC_R3, rng, 3.0)
+            assert enumerate_chain_cost(SPEC_R3, 2.5, p, q, k) == per_step(SPEC_R3, 2.5, p, q, k)
+        assert len(calls) == 4  # one per chain
+
+    def test_rows_rejected(self):
+        rows = np.zeros((3, 2))
+        with pytest.raises(DimensionMismatch):
+            chain_energy(SPEC_R2, 2.0, rows, rows + 1.0, ChainGrid())
 
     def test_supercritical_decays_with_depth(self):
         p = BlockPoint.zero(SPEC_R2)

@@ -25,13 +25,13 @@ from solvrigid import (
     multiply,
     pair_to_point,
     pair_to_point_bisect,
-    random_point,
     random_row_blocks,
     suspend_boundary_map,
 )
 from solvrigid.fixtures import SPEC_R1, SPEC_R2, SPEC_R3
 
 import metric_reference as reference
+from metric_reference import random_point
 
 RNG = np.random.default_rng(9)
 PURE = SolvSpec(lower=SPEC_R2)
@@ -222,6 +222,60 @@ class TestLevelDistance:
             want, rel=1e-12, abs=0)
 
 
+class TestLevelDistanceRows:
+    @pytest.mark.parametrize("spec", [PURE, MIXED, BATCH, SolvSpec(lower=None, upper=SPEC_R3)])
+    def test_rows_equal_the_one_point_calls(self, spec):
+        rng = np.random.default_rng(21)
+        n = 300
+
+        def rows(data):
+            if data is None:
+                return None
+            return rng.uniform(-3, 3, (n, data.total_dim)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+
+        p, q = (rows(spec.lower), rows(spec.upper)), (rows(spec.lower), rows(spec.upper))
+        p[0 if spec.lower else 1][::7] = q[0 if spec.lower else 1][::7]  # no gap in that factor
+
+        def row(pair, i):
+            return tuple(None if a is None else a[i] for a in pair)
+
+        for t in (0.7, rng.uniform(-30, 30, n)):
+            heights = np.broadcast_to(t, n).tolist()
+            got = level_distance(spec, t, p, q)
+            want = [level_distance(spec, h, row(p, i), row(q, i)) for i, h in enumerate(heights)]
+            assert got.shape == (n,) and np.array_equal(got, want)
+            assert want == [reference.level_distance(spec, h, row(p, i), row(q, i))
+                            for i, h in enumerate(heights)]
+
+    def test_far_range_rows_equal_the_one_point_calls(self):
+        # the e^800, e^-800 and e^1000 factors of TestLevelDistance, as rows
+        solv = SolvSpec(lower=SpectralData((1.0,), (1,)))
+        x = np.array([[1e-300], [1.0], [1.0], [1e300], [0.5]])
+        y = np.array([[0.0], [0.0], [1.0], [0.0], [0.0]])
+        heights = np.array([-800.0, -1000.0, -1000.0, 800.0, 0.0])
+        for t in (heights, -800.0, 800.0):
+            got = level_distance(solv, t, (x, None), (y, None))
+            want = [level_distance(solv, h, (a, None), (b, None))
+                    for h, a, b in zip(np.broadcast_to(t, 5).tolist(), x, y)]
+            assert np.array_equal(got, want)
+            assert want == [reference.level_distance(solv, h, (a, None), (b, None))
+                            for h, a, b in zip(np.broadcast_to(t, 5).tolist(), x, y)]
+        got = level_distance(solv, heights, (x, None), (y, None))
+        assert got[1] == math.inf and got[2] == 0.0 and 0.0 < got[3] < 1e-40
+
+    def test_heights_unlike_the_rows_rejected(self):
+        x, y = np.zeros((3, 2)), np.ones((3, 2))
+        for t in (np.zeros(2), np.zeros((3, 1))):
+            with pytest.raises(DimensionMismatch):
+                level_distance(PURE, t, (x, None), (y, None))
+        with pytest.raises(DimensionMismatch):  # one point at three heights
+            level_distance(PURE, np.zeros(3), (x[0], None), (y[0], None))
+        with pytest.raises(DimensionMismatch):  # lower rows with an upper point
+            level_distance(MIXED, 0.0, (x, x[0]), (y, y[0]))
+        with pytest.raises(InputError):
+            level_distance(PURE, np.array([0.0, math.nan, 1.0]), (x, None), (y, None))
+
+
 class TestPairToPoint:
     def test_height_is_log_distance(self):
         for _ in range(50):
@@ -309,6 +363,17 @@ class TestVerticalGeodesic:
         assert geo.point_at(2.0).height == -2.0
         rows = geo.sample_csv_rows([0.0, 1.0])
         assert rows[0][0] == 0.0 and rows[1][0] == -1.0
+
+    def test_csv_rows_equal_the_per_parameter_loop(self):
+        x, z = random_point(SPEC_R2, RNG), random_point(SPEC_R3, RNG)
+        ts = np.linspace(-2.0, 2.0, 41)
+        for anchor in ((x, None), (None, z), (x, z)):
+            for orientation in ("upward", "downward"):
+                geo = VerticalGeodesic(anchor, orientation)
+                want = [[geo.point_at(float(t)).height,
+                         *(v for a in anchor if a is not None for v in a.flat().tolist())]
+                        for t in ts]
+                assert geo.sample_csv_rows(ts) == want
 
 
 class TestBoundaryCorrespondence:

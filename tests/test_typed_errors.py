@@ -153,6 +153,13 @@ def levels(draw):
     return spec, draw(st.floats()), p, q
 
 
+@st.composite
+def level_rows(draw):
+    spec, p, q = draw(row_pairs())
+    shapes = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)
+    return spec, draw(st.floats() | hnp.arrays(float, shapes) | arrays), p, q
+
+
 def _point(x):
     """A BlockPoint of the blocks that point_pairs draws as a tuple; other draws as they are."""
     return BlockPoint(x) if isinstance(x, tuple) else x
@@ -219,6 +226,15 @@ affine_blocks = _blocks_for(
 ) | _blocks_for([radial_generator(), radial_escape_words(3)[-1]], SPEC_RADIAL.multiplicities)
 
 
+def _expr_certificates(obj):
+    """expr_from_json, then the certificates of every node it built."""
+    nodes = [expr_from_json(obj)]
+    while nodes:
+        node = nodes.pop()
+        node.sup_bound, node.lipschitz
+        nodes += [*getattr(node, "children", ()), *filter(None, [getattr(node, "child", None)])]
+
+
 def _eval_blocks(F, blocks):
     return F.eval_blocks(blocks)
 
@@ -245,7 +261,10 @@ def _level_distance(spec, t, p, q):
 
 # target -> (strategy of argument tuples, callable)
 TARGETS = {
-    "expr_from_json": (st.tuples(expr_nodes), expr_from_json),
+    # a node whose certificates are beyond float range: 2.0 ** 1e10
+    "expr_from_json": (st.tuples(expr_nodes | st.just(
+        {"node": "abspow", "exponent": 1e10, "child": {"node": "const", "value": [2.0]}})),
+        _expr_certificates),
     "conf_class": (st.tuples(matrices), conf_class),
     "conf_class_stack": (st.tuples(stacks), conf_class),
     "dilatation": (st.tuples(matrices | stacks), dilatation),
@@ -262,6 +281,7 @@ TARGETS = {
     "pair_to_point": (point_pairs(), _pair_to_point),
     "pair_to_point_bisect": (point_pairs(), _pair_to_point_bisect),
     "level_distance": (levels(), _level_distance),
+    "level_distance_rows": (level_rows(), _level_distance),
     "multiply": (solv_points(2), multiply),
     "inverse": (solv_points(1), inverse),
     "eval_blocks": (map_blocks, _eval_blocks),
