@@ -171,7 +171,10 @@ class SimMap:
         return frozenset({j})
 
     def lip_bound(self) -> float:
-        return max(self.stretch**a for a in self.spec.exponents)
+        try:
+            return max(self.stretch**a for a in self.spec.exponents)
+        except OverflowError:  # a power beyond float range reads inf
+            return math.inf
 
     def compose(self, other: "SimMap") -> "SimMap":
         """self after other, renormalized to Sim form.
@@ -212,8 +215,9 @@ def conjugate_almost_by_sim(s: SimMap, a: AlmostTranslation) -> AlmostTranslatio
     if s.spec != a.spec:
         raise InputError("spec mismatch")
     lip = s.lip_bound()
+    # a zero Lipschitz bound stays 0 where lip reads inf
     certificates = [
-        (opnorm * b.sup_bound, opnorm * (b.lipschitz * lip), b.deps())
+        (opnorm * b.sup_bound, opnorm * (b.lipschitz and b.lipschitz * lip), b.deps())
         for opnorm, b in zip(s._inverse_opnorms, a.perturbations)
     ]
     letters = []

@@ -147,9 +147,8 @@ class ChainEnergyEstimate:
 def _segment_chain_cost(gap: float, alpha: float, beta: float, k: int) -> float:
     # k equal subdivisions of a single-block move of length `gap`:
     # each chain step costs (gap/k)^(beta/alpha).
-    if gap == 0.0:
-        return 0.0
-    return k * (gap / k) ** (beta / alpha)
+    with np.errstate(over="ignore"):  # a cost beyond float range reads inf
+        return k * float(np.float_power(gap / k, beta / alpha))
 
 
 def chain_energy(
@@ -167,7 +166,8 @@ def chain_energy(
     P, Q = _require_points(spec, p, q)
     if P.ndim != 1:
         raise DimensionMismatch(f"points of shape {P.shape}, expected ({spec.total_dim},)")
-    gaps = [_block_norm(P[s] - Q[s]) for s in spec.block_slices()]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in distance
+        gaps = [_block_norm(P[s] - Q[s]) for s in spec.block_slices()]
     best_per_block = [float("inf")] * spec.r
     prev_total = float("inf")
     last_dec = float("inf")
@@ -205,7 +205,8 @@ def enumerate_chain_cost(
             chain.append(chain[-1].copy())
             chain[-1][s] = P[s] + (j / k) * (Q[s] - P[s])
     chain = np.array(chain)
-    return sum(d**beta for d in distance(spec, chain[:-1], chain[1:]).tolist())
+    with np.errstate(over="ignore"):  # a cost beyond float range reads inf, as in distance
+        return sum(np.float_power(distance(spec, chain[:-1], chain[1:]), beta).tolist())
 
 
 def _image_rows(spec: SpectralData, F, P: np.ndarray) -> np.ndarray:

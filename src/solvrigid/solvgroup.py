@@ -179,14 +179,10 @@ def _level_terms(exponents: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _level_distance(spec: SolvSpec, t: np.ndarray, p, q) -> np.ndarray:
-    """level_distance at 0-d or ``(N,)`` heights t, which may be infinite:
-    pair_to_point_bisect brackets a row whose height is beyond float range by
-    infinite heights."""
-    if isinstance(p, SolvPoint):
-        p = (p.x, p.z)
-    if isinstance(q, SolvPoint):
-        q = (q.x, q.z)
+def _level_gaps(spec: SolvSpec, t: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """The signed exponents (-alpha_i lower, beta_i upper) and the ``(r,)`` or
+    ``(r, N)`` block gaps of p and q, checked against heights of t's shape."""
+    p, q = ((a.x, a.z) if isinstance(a, SolvPoint) else a for a in (p, q))
     factors = [(data, sign, *_require_points(data, x, y)) for data, sign, x, y in
                ((spec.lower, -1.0, p[0], q[0]), (spec.upper, 1.0, p[1], q[1])) if data is not None]
     leads = {t.shape} - {()} | {x.shape[:-1] for _, _, x, _ in factors}
@@ -201,9 +197,16 @@ def _level_distance(spec: SolvSpec, t: np.ndarray, p, q) -> np.ndarray:
             diff = x - y
             signed += [sign * a for a in data.exponents]
             gaps += [_block_norm(diff[..., s]) for s in data.block_slices()]
+    return np.array(signed), np.array(gaps)
+
+
+def _level_distance(t: np.ndarray, signed: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """level_distance from _level_gaps at heights t, which may be infinite where
+    pair_to_point_bisect brackets a row whose height is beyond float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
         # one row of terms per block; (sign alpha_i) t is sign (t alpha_i) exactly
-        exponents = np.multiply.outer(signed, np.broadcast_to(t, leads.pop()))
-    return np.maximum(_level_terms(exponents, np.array(gaps)).max(axis=0), 0.0)
+        exponents = np.multiply.outer(signed, np.broadcast_to(t, gaps.shape[1:]))
+    return np.maximum(_level_terms(exponents, gaps).max(axis=0), 0.0)
 
 
 def level_distance(spec: SolvSpec, t, p, q):
@@ -224,7 +227,7 @@ def level_distance(spec: SolvSpec, t, p, q):
         raise InputError("height must be a number") from None
     if not np.isfinite(t).all():
         raise InputError("height must be finite")
-    d = _level_distance(spec, t, p, q)
+    d = _level_distance(t, *_level_gaps(spec, t, p, q))
     return float(d) if d.ndim == 0 else d
 
 
@@ -255,17 +258,16 @@ def pair_to_point(spec: SolvSpec, P, Q):
     """Height at which the vertical geodesics through p and q are unit-separated.
 
     Pure lower case; the height solves e^t = D(p, q) in closed form, t = log
-    D(p, q), with libm's log per element. A float for two boundary points,
-    an ``(N,)`` array for two ``(N, total_dim)`` arrays of rows.
+    D(p, q), through one ``np.log`` for one point and rows alike. A float for
+    two boundary points, an ``(N,)`` array for two ``(N, total_dim)`` rows.
     """
     if not spec.pure:
         raise InputError("pair-to-point map is defined for the pure lower case")
     d = distance(spec.lower, P, Q)
     if not np.all(d):
         raise DomainError("coincident boundary points have no divergence height")
-    if isinstance(d, float):
-        return math.log(d)
-    return np.fromiter(map(math.log, d.tolist()), float, len(d))
+    t = np.log(d)
+    return float(t) if t.ndim == 0 else t
 
 
 def pair_to_point_bisect(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -279,10 +281,11 @@ def pair_to_point_bisect(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.nda
     logd = pair_to_point(spec, P, Q)
     if np.ndim(logd) != 1:
         raise DimensionMismatch(f"points of shape {np.shape(P)}, expected (N, total_dim) rows")
+    levels = _level_gaps(spec, logd, (P, None), (Q, None))  # the block gaps, once
 
     def excess(t):
         """Level distance at heights t, minus 1."""
-        return _level_distance(spec, t, (P, None), (Q, None)) - 1.0
+        return _level_distance(t, *levels) - 1.0
 
     lo, hi = logd - 1.0, logd + 1.0
     # a level distance beyond float range reads inf; a row whose height does

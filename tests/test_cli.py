@@ -2,7 +2,6 @@
 emission, and determinism."""
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +159,12 @@ PINNED_FILES = {
 def test_report_digests_are_pinned(seed, tmp_path):
     assert main(["all", "--seed", str(seed), "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == PINNED_FILES[seed]
+
+
+def test_pinned_digests_are_quoted_in_the_report_schema():
+    schema = (Path(__file__).parents[1] / "docs" / "report-schema.md").read_text()
+    names = [name for files in PINNED_FILES.values() for name in files]
+    assert names and [name for name in names if name not in schema] == []
 
 
 def test_config_file_and_seed_override(tmp_path):
@@ -411,9 +416,10 @@ def _per_probe_epsilon_check(cfg, rng, bound_of) -> dict:
 
 
 def _scalar_bisect(spec, p, q) -> float:
-    """The one-pair bisection that pair_to_point_bisect replaced."""
-    d = distance(spec.lower, p, q)
-    lo, hi = math.log(d) - 1.0, math.log(d) + 1.0
+    """The one-pair bisection that pair_to_point_bisect replaced, on the
+    bracket of pair_to_point's one-point height, as the row bisection's."""
+    logd = pair_to_point(spec, p, q)
+    lo, hi = logd - 1.0, logd + 1.0
     flo = level_distance(spec, lo, (p, None), (q, None)) - 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -459,17 +465,33 @@ def test_row_passes_equal_the_per_sample_loops(seed, monkeypatch):
             cfg, np.random.default_rng(seed), bound_of)
 
 
-def test_bisection_rows_equal_the_per_pair_bisection():
+def _bisection_rows():
     spec = SolvSpec(lower=SpectralData((0.5, 1.0, 3.5), (2, 1, 2)))
     pairs = next(random_row_blocks(spec.lower, np.random.default_rng(4), 50, 2, 3.0))
     pairs[1, 1] = pairs[1, 0] + 1e-9  # a pair whose bracket sits far below the others
     # at height 691 the bracket's ends are one ulp, 1.1e-13, apart at best:
     # this row halves 200 times while the others stop after about 45
     pairs[2, 1, :2] = pairs[2, 0, :2] + 1e150
+    return spec, pairs
+
+
+def test_bisection_rows_equal_the_per_pair_bisection():
+    spec, pairs = _bisection_rows()
     got = solvgroup.pair_to_point_bisect(spec, pairs[:, 0], pairs[:, 1])
     want = [_scalar_bisect(spec, *(spectral.BlockPoint.from_flat(spec.lower, x) for x in pair))
             for pair in pairs]
     assert np.array_equal(got, want)
+
+
+def test_bisection_computes_the_block_gaps_once(count_calls):
+    # the bisection used to recompute every block gap at each of its halvings:
+    # 603 _block_norm calls on the rows that halve 200 times, 138 on those
+    # that stop after 45
+    spec, pairs = _bisection_rows()
+    for rows in (pairs, pairs[3:]):
+        calls = count_calls(solvgroup, name="_block_norm")
+        solvgroup.pair_to_point_bisect(spec, rows[:, 0], rows[:, 1])
+        assert len(calls) == spec.lower.r
 
 
 def _per_triple_geodesic_checks(cfg, rng) -> dict:

@@ -103,6 +103,11 @@ class TestSimMap:
         with pytest.raises(DomainError):
             SimMap(SPEC_ROT, 1e-200).compose(SimMap(SPEC_ROT, 1e-200))
 
+    def test_lip_bound_beyond_float_range_reads_inf(self):
+        # 1e200 ** 2.0 raised builtins OverflowError
+        assert SimMap(SPEC_ROT, 1e200).lip_bound() == math.inf
+        assert SimMap(SPEC_ROT, 1e-200).lip_bound() == 1e-200
+
     def test_inverse_stretch_beyond_float_range_rejected(self):
         # 1 / 5e-324 is inf: the inverse was a map of stretch inf
         with pytest.raises(DomainError):
@@ -148,6 +153,17 @@ class TestASimMap:
         for _ in range(20):
             p = random_point(SPEC_NIL, RNG, 3.0)
             assert conj(p).isclose(s_inv(a(s(p))), atol=1e-10)
+
+    def test_compose_with_a_stretch_power_beyond_float_range(self):
+        # conjugating by the right factor reads its lip_bound, which raised
+        # builtins OverflowError; a zero Lipschitz bound stays 0 rather than 0 * inf
+        a = AlmostTranslation.identity(SPEC_ROT)
+        comp = ASimMap(SimMap(SPEC_ROT, 1.0), a).compose(ASimMap(SimMap(SPEC_ROT, 1e200), a))
+        assert comp.sim.stretch == 1e200
+        assert [(b.sup_bound, b.lipschitz) for b in comp.almost.perturbations] == [(0.0, 0.0)] * 2
+        assert comp.lip_bound() == math.inf
+        wobbly = ASimMap(SimMap(SPEC_ROT, 1e200), _asim_letter(np.random.default_rng(0)).almost)
+        assert ASimMap(SimMap(SPEC_ROT, 1.0), a).compose(wobbly).lip_bound() == math.inf
 
     def test_generic_compose_invert_dispatch(self):
         s = SimMap.dilation(SPEC_NIL, 2.0)

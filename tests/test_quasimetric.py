@@ -1,6 +1,7 @@
 """Block quasi-metric, dilations, and the chain functional against its oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,17 @@ class TestChainEnergy:
             p, q = random_point(SPEC_R3, rng, 3.0), random_point(SPEC_R3, rng, 3.0)
             assert enumerate_chain_cost(SPEC_R3, 2.5, p, q, k) == per_step(SPEC_R3, 2.5, p, q, k)
         assert len(calls) == 4  # one per chain
+
+    def test_cost_beyond_float_range_reads_inf(self):
+        # (1e300)^3 raised builtins OverflowError in both, and chain_energy
+        # printed numpy's vecdot overflow warning for the gap's square
+        spec = SpectralData((1.0,), (1,))
+        p, q = BlockPoint((np.zeros(1),)), BlockPoint((np.array([1e300]),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert enumerate_chain_cost(spec, 3.0, p, q, 1) == math.inf
+            est = chain_energy(spec, 3.0, p, q, ChainGrid(max_depth=3))
+        assert (est.value, est.last_decrement, est.rounds) == (math.inf, 0.0, 3)
 
     def test_rows_rejected(self):
         rows = np.zeros((3, 2))
