@@ -132,11 +132,11 @@ class Lin(FuncExpr):
 
     @property
     def lipschitz(self):
-        return self._opnorm * self.child.lipschitz
+        return self._opnorm and self._opnorm * self.child.lipschitz
 
     @property
     def sup_bound(self):
-        return self._opnorm * self.child.sup_bound
+        return self._opnorm and self._opnorm * self.child.sup_bound
 
     def to_json(self):
         return {"node": "lin", "matrix": self.matrix.tolist(), "child": self.child.to_json()}
@@ -185,11 +185,11 @@ class Scale(FuncExpr):
 
     @property
     def lipschitz(self):
-        return abs(self.factor) * self.child.lipschitz
+        return abs(self.factor) and abs(self.factor) * self.child.lipschitz
 
     @property
     def sup_bound(self):
-        return abs(self.factor) * self.child.sup_bound
+        return abs(self.factor) and abs(self.factor) * self.child.sup_bound
 
     def to_json(self):
         return {"node": "scale", "factor": self.factor, "child": self.child.to_json()}

@@ -3,6 +3,7 @@ the classification / homomorphism machinery built on top of them."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError, NotInUniformSubgroup
+from .errors import DimensionMismatch, DomainError, InputError, NotInUniformSubgroup
 from .funcexpr import BlockVar, Const, FuncExpr, Lin, Sum
 from .nilpotent import AlmostTranslation, Letter
 from .quasimetric import _image_rows, _qsim_logs, distance, estimate_qsim_constants
@@ -76,10 +77,19 @@ def _identity_parts(multiplicities: tuple[int, ...]):
     return eyes, zeros
 
 
-def _checked_stretch(stretch) -> float:
-    if not 0 < stretch < math.inf:
+_FLOATS = contextlib.nullcontext()  # float arithmetic beyond float range warns nothing
+
+
+def _checked_stretch(stretch) -> tuple:
+    """A float and (), or a ``(B,)`` array and (B,) for a stack of B; DomainError unless each
+    stretch is positive and finite."""
+    one = isinstance(stretch, float) or np.ndim(stretch) == 0
+    t = float(stretch) if one else np.array(stretch, dtype=float)
+    if not one and t.ndim != 1:
+        raise DimensionMismatch(f"a stack of stretches must have shape (B,), not {t.shape}")
+    if not (0 < t < math.inf if one else ((0 < t) & (t < math.inf)).all()):
         raise DomainError(f"stretch must be positive and finite, got {stretch}")
-    return float(stretch)
+    return t, () if one else t.shape
 
 
 class SimMap:
@@ -87,42 +97,54 @@ class SimMap:
 
     Block i maps to t^alpha_i * A_i (x_i + B_i). Rotations default to the
     identity and translations to zero; a rotation the caller passes must be
-    orthogonal to 1e-12.
+    orthogonal to 1e-12. A ``(B,)`` stretch makes a stack of B similarities,
+    each equal to its one-similarity map bit for bit (README.md has the contract).
     """
 
-    def __init__(self, spec: SpectralData, stretch: float, rotations=None, translations=None):
+    def __init__(self, spec: SpectralData, stretch, rotations=None, translations=None):
         self.spec = spec
-        self.stretch = _checked_stretch(stretch)
+        self.stretch, self._lead = _checked_stretch(stretch)
         eyes, zeros = _identity_parts(spec.multiplicities)
         self.rotations = eyes if rotations is None else tuple(
             np.asarray(a, dtype=float) for a in rotations
         )
         self.translations = zeros if translations is None else tuple(
-            np.asarray(b, dtype=float).reshape(-1) for b in translations
+            np.asarray(b, dtype=float) for b in translations
         )
         for i, (a, b, n) in enumerate(zip(self.rotations, self.translations, spec.multiplicities)):
-            if a.shape != (n, n) or b.shape != (n,):
-                raise InputError(f"rotation/translation {i} does not match block dim {n}")
+            if a.shape != (n, n) or b.shape not in ((n,), self._lead + (n,)):
+                raise DimensionMismatch(f"rotation/translation {i} does not match block dim {n}")
             if rotations is not None and np.max(np.abs(a.T @ a - eyes[i])) > 1e-12:
                 raise InputError(f"rotation {i} is not orthogonal to 1e-12")
 
     @staticmethod
-    def _from_parts(spec: SpectralData, stretch: float, rotations, translations) -> "SimMap":
+    def _from_parts(spec: SpectralData, stretch, rotations, translations) -> "SimMap":
         """A similarity whose rotations are products or transposes of checked
         rotations, so they are not checked again. The stretch still is: a
         product of stretches can underflow to 0, an inverse overflow to inf."""
         s = object.__new__(SimMap)
         s.spec = spec
-        s.stretch = _checked_stretch(stretch)
+        s.stretch, s._lead = _checked_stretch(stretch)
         s.rotations = tuple(rotations)
         s.translations = tuple(translations)
         return s
 
+    def _one(self, what: str) -> "SimMap":
+        if self._lead:
+            raise DimensionMismatch(f"{what} takes one similarity, not a stack of {self._lead[0]}")
+        return self
+
     def _scaled(self, sign: float, mats) -> tuple[np.ndarray, ...]:
-        """Per block t^(sign alpha_i) M_i; DomainError where the power is beyond float range."""
+        """Per block t^(sign alpha_i) M_i, ``(B, n_i, n_i)`` for a stack by np.float_power (libm's
+        pow, as ** on a float; np.power may round differently); DomainError beyond float range."""
+        exps = self.spec.exponents
         try:
-            return tuple(self.stretch ** (sign * e) * m for e, m in zip(self.spec.exponents, mats))
-        except OverflowError:
+            if self._lead:
+                with np.errstate(over="raise"):
+                    t = self.stretch[:, None, None]
+                    return tuple(np.float_power(t, sign * e) * m for e, m in zip(exps, mats))
+            return tuple(self.stretch ** (sign * e) * m for e, m in zip(exps, mats))
+        except (OverflowError, FloatingPointError):
             raise DomainError(f"a power of stretch {self.stretch} is beyond float range") from None
 
     @functools.cached_property
@@ -154,9 +176,11 @@ class SimMap:
         return SimMap(spec, 1.0)
 
     def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """The image blocks of one point, ``(n_i,)`` blocks, or of N points, ``(N, n_i)``;
-        an image beyond float range reads inf."""
+        """The image blocks of one point, ``(n_i,)`` blocks, or of N points, ``(N, n_i)``
+        (for a stack N = B); an image beyond float range reads inf."""
         blocks = require_blocks(self.spec, blocks)
+        if self._lead and {b.shape[:-1] for b in blocks} - {(), self._lead}:
+            raise DimensionMismatch(f"a stack of {self._lead[0]} similarities maps that many rows")
         with np.errstate(all="ignore"):
             return self._apply(blocks)
 
@@ -165,12 +189,16 @@ class SimMap:
         return [np.matvec(m, x + b) for m, x, b in zip(self._linear, blocks, self.translations)]
 
     def __call__(self, p: BlockPoint) -> BlockPoint:
-        return BlockPoint(tuple(self.eval_blocks(p.blocks)))
+        return BlockPoint(tuple(self._one("calling on a BlockPoint").eval_blocks(p.blocks)))
 
     def deps_of(self, j: int) -> frozenset[int]:
         return frozenset({j})
 
-    def lip_bound(self) -> float:
+    def lip_bound(self):
+        """max_i t^alpha_i, a ``(B,)`` array for a stack; a power beyond float range reads inf."""
+        if self._lead:
+            with np.errstate(over="ignore"):
+                return np.max([np.float_power(self.stretch, a) for a in self.spec.exponents], 0)
         try:
             return max(self.stretch**a for a in self.spec.exponents)
         except OverflowError:  # a power beyond float range reads inf
@@ -185,6 +213,8 @@ class SimMap:
         """
         if self.spec != other.spec:
             raise InputError("spec mismatch in similarity composition")
+        if self._lead and other._lead and self._lead != other._lead:
+            raise DimensionMismatch("composed stacks of similarities differ in size")
         # the chain looks up the identity only when both hold the same rotations
         eyes = self.rotations is other.rotations is _identity_parts(self.spec.multiplicities)[0]
         rots = (self.rotations if eyes
@@ -192,17 +222,19 @@ class SimMap:
         # not other._inverse_linear: caching costs more than it saves on the
         # one-off dilations that the CLI suites compose
         inv = other._scaled(-1.0, [a.T for a in other.rotations])
-        trans = [b2 + m @ b1 for m, b1, b2 in zip(inv, self.translations, other.translations)]
-        return SimMap._from_parts(self.spec, self.stretch * other.stretch, rots, trans)
+        trans = [c + np.matvec(m, b) for m, b, c in zip(inv, self.translations, other.translations)]
+        with np.errstate(over="ignore") if self._lead or other._lead else _FLOATS:
+            return SimMap._from_parts(self.spec, self.stretch * other.stretch, rots, trans)
 
     def inverse(self) -> "SimMap":
         rots = [a.T for a in self.rotations]
-        trans = [-(m @ b) for m, b in zip(self._linear, self.translations)]
-        return SimMap._from_parts(self.spec, 1.0 / self.stretch, rots, trans)
+        trans = [-np.matvec(m, b) for m, b in zip(self._linear, self.translations)]
+        with np.errstate(over="ignore") if self._lead else _FLOATS:
+            return SimMap._from_parts(self.spec, 1.0 / self.stretch, rots, trans)
 
     def as_block_map(self) -> BlockMap:
-        comps = [Lin(m, Sum((BlockVar(i, n), Const(b)))) for i, (n, m, b) in
-                 enumerate(zip(self.spec.multiplicities, self._linear, self.translations))]
+        comps = [Lin(m, Sum((BlockVar(i, n), Const(b)))) for i, (n, m, b) in enumerate(
+            zip(self.spec.multiplicities, self._one("as_block_map")._linear, self.translations))]
         return BlockMap(self.spec, comps)
 
 
@@ -214,7 +246,7 @@ def conjugate_almost_by_sim(s: SimMap, a: AlmostTranslation) -> AlmostTranslatio
     """
     if s.spec != a.spec:
         raise InputError("spec mismatch")
-    lip = s.lip_bound()
+    lip = s._one("conjugate_almost_by_sim").lip_bound()
     # a zero Lipschitz bound stays 0 where lip reads inf
     certificates = [
         (opnorm * b.sup_bound, opnorm * (b.lipschitz and b.lipschitz * lip), b.deps())
@@ -234,7 +266,7 @@ class ASimMap:
         if sim.spec != almost.spec:
             raise InputError("spec mismatch between similarity and almost parts")
         self.spec = sim.spec
-        self.sim = sim
+        self.sim = sim._one("ASimMap")
         self.almost = almost
 
     @property
@@ -374,7 +406,7 @@ def classify(spec: SpectralData, F, samples) -> Classification:
     ``(N, 2, total_dim)`` array of point pairs.
     """
     if isinstance(F, SimMap):
-        return Classification("Sim", F.stretch, F.stretch, 1.0)
+        return Classification("Sim", F._one("classify").stretch, F.stretch, 1.0)
     if isinstance(F, ASimMap):
         n, k = estimate_qsim_constants(spec, F, samples)
         return Classification("ASim", F.stretch, F.stretch, k)
@@ -396,7 +428,7 @@ def stretch_hom(elements: Sequence, spanning: Sequence[np.ndarray]) -> np.ndarra
     if len(elements) != len(spanning):
         raise InputError("one spanning vector per factor required")
     vs = np.asarray([np.asarray(v, dtype=float).reshape(-1) for v in spanning])
-    logs = np.asarray([math.log(e.stretch) for e in elements])
+    logs = np.asarray([height_hom(getattr(e, "sim", e)._one("stretch_hom")) for e in elements])
     v, *_ = np.linalg.lstsq(vs, logs, rcond=None)
     residual = float(np.linalg.norm(vs @ v - logs))
     if residual > 1e-9:
@@ -411,9 +443,9 @@ def rotation_hom(G: ASimMap) -> tuple[np.ndarray, ...]:
     return tuple(a.copy() for a in G.sim.rotations)
 
 
-def height_hom(G) -> float:
-    """log of the stretch; additive under composition."""
-    return math.log(G.stretch)
+def height_hom(G):
+    """log of the stretch (libm's, per member of a stack); additive under composition."""
+    return np.vectorize(math.log, otypes=[float])(G.stretch)[()]
 
 
 @dataclass(frozen=True)

@@ -304,11 +304,14 @@ def pair_to_point_bisect(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.nda
         return 0.5 * (lo + hi)
 
 
-def boundary_of_height_isometry(spec: SolvSpec, a: float) -> SimMap:
-    """Boundary map of height translation by a: the dilation by e^a."""
+def boundary_of_height_isometry(spec: SolvSpec, a) -> SimMap:
+    """Boundary map of height translation by a: the dilation by e^a, a stack for (B,) heights."""
     if not spec.pure:
         raise InputError("boundary correspondence implemented for the pure lower case")
-    return SimMap.dilation(spec.lower, math.exp(a))
+    heights = np.asarray(a, dtype=float)
+    if not np.isfinite(heights).all():
+        raise InputError(f"height must be finite, got {a}")
+    return SimMap.dilation(spec.lower, np.reshape([_exp(h) for h in heights.flat], heights.shape))
 
 
 @dataclass(frozen=True)

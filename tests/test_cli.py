@@ -2,6 +2,7 @@
 emission, and determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,80 @@ def test_group_law_rows_equal_the_per_triple_loop(config, seed):
     checks = {c["name"]: c for c in cli.run_geodesic(cfg, np.random.default_rng(seed))}
     want = _per_triple_geodesic_checks(cfg, np.random.default_rng(seed))
     assert {name: checks[name] for name in want} == want
+
+
+def _per_sample_classify_checks(cfg, rng) -> dict:
+    """The height-hom-additive check of the per-sample loop that the stacked
+    dilations of run_classify replaced, after the suite's earlier draws: two
+    one-similarity dilations and a composition per sample, with height_hom's
+    one-similarity body, libm's log of the stretch."""
+    spec = fixtures.SPEC_NIL
+    for _ in random_row_blocks(spec, rng, 300, 2, 3.0):
+        pass
+    hom_worst = 0.0
+    for _ in range(200):
+        t1, t2 = rng.uniform(0.5, 2.0, 2)
+        s1, s2 = SimMap.dilation(spec, float(t1)), SimMap.dilation(spec, float(t2))
+        hom_worst = max(hom_worst, abs(math.log(s1.compose(s2).stretch) - math.log(s1.stretch)
+                                       - math.log(s2.stretch)))
+    return {"height-hom-additive": cli._check("height-hom-additive", hom_worst <= 1e-9, hom_worst)}
+
+
+@pytest.mark.parametrize("config, seed", [({}, 0), ({}, 5), ({}, 11), (_BOUNDARY_BATCH, 1)])
+def test_stacked_dilations_equal_the_per_sample_loop(config, seed):
+    cfg = RunConfig.from_json(config)
+    checks = {c["name"]: c for c in cli.run_classify(cfg, np.random.default_rng(seed))}
+    want = _per_sample_classify_checks(cfg, np.random.default_rng(seed))
+    assert {name: checks[name] for name in want} == want
+
+
+def _count_similarities(monkeypatch) -> list:
+    """Record every SimMap built, through the constructor or from checked parts."""
+    built = []
+    init, from_parts = SimMap.__init__, SimMap._from_parts
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_from_parts(*args):
+        built.append(args)
+        return from_parts(*args)
+
+    monkeypatch.setattr(SimMap, "__init__", counted_init)
+    monkeypatch.setattr(SimMap, "_from_parts", staticmethod(counted_from_parts))
+    return built
+
+
+@pytest.mark.parametrize("suite", ["geodesic", "classify"])
+def test_suites_build_no_similarity_per_sample(suite, monkeypatch):
+    # the per-sample loops built 150 (geodesic) and 400 (classify) dilations;
+    # the stacks are a few similarities, however many samples there are
+    built = _count_similarities(monkeypatch)
+    run = {"geodesic": cli.run_geodesic, "classify": cli.run_classify}[suite]
+    for pairs in (100, 20000):
+        built.clear()
+        checks = run(RunConfig.from_json({"pairs": pairs}), np.random.default_rng(0))
+        assert all(c["passed"] for c in checks)
+        assert len(built) <= 8
+
+
+def test_composition_checks_fail_on_a_wrong_stacked_product(monkeypatch):
+    # every check must be able to fail: a product stretch off by 1e-9 relative
+    compose = SimMap.compose
+
+    def skewed(self, other):
+        out = compose(self, other)
+        if np.ndim(out.stretch) == 0:
+            return out
+        return SimMap(out.spec, out.stretch * (1 + 1e-9), out.rotations, out.translations)
+
+    monkeypatch.setattr(SimMap, "compose", skewed)
+    for seed in (0, 5, 11):
+        checks = {c["name"]: c for run in (cli.run_geodesic, cli.run_classify)
+                  for c in run(RunConfig(), np.random.default_rng(seed))}
+        for name in ("boundary-composition-law", "height-hom-additive"):
+            assert not checks[name]["passed"], (seed, name)
 
 
 def test_geodesic_checks_the_group_law_in_one_row_pass(count_calls):

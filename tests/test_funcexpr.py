@@ -62,6 +62,17 @@ def test_abspow_certificates_beyond_float_range_read_inf():
         AlmostTranslation(SpectralData((1.0, 2.0), (1, 1)), [e, Const([0.0])])
 
 
+@pytest.mark.parametrize("node", [Lin(np.zeros((1, 1)), BlockVar(1, 1)),
+                                  Scale(0.0, BlockVar(1, 1)), Scale(-0.0, BlockVar(1, 1))])
+def test_zero_factor_certificates_are_zero(node):
+    # 0 * inf read NaN over the unbounded block variable
+    assert node.sup_bound == node.lipschitz == 0.0
+    # an identically zero perturbation was rejected for its NaN sup certificate
+    a = AlmostTranslation(SpectralData((1.0, 2.0), (1, 1)), [node, Const([0.0])])
+    assert a.b_max(0) == 0.0
+    assert np.array_equal(a.eval_blocks([np.array([3.0]), np.array([2.0])])[0], [3.0])
+
+
 def test_pointwise_min_max():
     lo = Const([0.0])
     hi = BlockVar(1, 1)

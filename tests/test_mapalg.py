@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from solvrigid import (
     ASimMap,
@@ -15,6 +18,7 @@ from solvrigid import (
     BlockVar,
     BoundaryPair,
     Const,
+    DimensionMismatch,
     DomainError,
     FirstBlockAffineMap,
     FuncExpr,
@@ -52,6 +56,7 @@ from solvrigid.fixtures import (
 )
 from solvrigid.mapalg import _identity_parts
 from solvrigid.nilpotent import Letter
+from solvrigid.solvgroup import SolvSpec, boundary_of_height_isometry
 from solvrigid.spectral import join_blocks, split_rows
 
 import affine_reference
@@ -737,3 +742,120 @@ class TestRotationWitness:
         assert w is not None
         assert math.isfinite(w.ratio)
         assert w.ratio > w.bound
+
+
+def _equal_parts(got, want):
+    """Blocks of one member against the one-similarity blocks, bit for bit."""
+    return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@st.composite
+def _sim_stacks(draw):
+    """A stack of B similarities of SPEC_ROT with shared rotations and non-zero
+    translations, rows or shared per block, and the blocks of B points."""
+    b = draw(st.integers(1, 6))
+    stretch = draw(hnp.arrays(float, b, elements=st.floats(0.05, 20.0)))
+    theta = draw(st.floats(-math.pi, math.pi))
+    rots = [_rot(theta), draw(st.sampled_from([np.eye(1), -np.eye(1)]))]
+    coord = st.floats(-3, 3).filter(lambda v: v != 0.0)
+    trans = [draw(hnp.arrays(float, draw(st.sampled_from([(n,), (b, n)])), elements=coord))
+             for n in SPEC_ROT.multiplicities]
+    points = [draw(hnp.arrays(float, (b, n), elements=st.floats(-5, 5)))
+              for n in SPEC_ROT.multiplicities]
+    return SimMap(SPEC_ROT, stretch, rots, trans), points
+
+
+def _member(s, j):
+    """Member j of a stack as one similarity, or s itself when it is one."""
+    if not isinstance(s.stretch, np.ndarray):
+        return s
+    return SimMap(SPEC_ROT, float(s.stretch[j]), s.rotations,
+                  [b if b.ndim == 1 else b[j] for b in s.translations])
+
+
+def _same_member(stack, j, one):
+    """Stretch, rotations, translations and linear parts of member j equal those of ``one``."""
+    trans = [b if b.ndim == 1 else b[j] for b in stack.translations]
+    return (stack.stretch[j] == one.stretch
+            and _equal_parts(stack.rotations, one.rotations)
+            and _equal_parts(trans, one.translations)
+            and _equal_parts([m[j] for m in stack._linear], one._linear)
+            and _equal_parts([m[j] for m in stack._inverse_linear], one._inverse_linear))
+
+
+class TestSimMapStacks:
+    @given(_sim_stacks(), _sim_stacks(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_members_equal_their_one_similarity_maps(self, first, second, one_other):
+        stack, points = first
+        other = second[0]
+        b = len(stack.stretch)
+        if one_other:  # one similarity with a stack
+            other = _member(other, 0)
+        elif len(other.stretch) != b:
+            other = SimMap(SPEC_ROT, np.resize(other.stretch, b), other.rotations,
+                           [t if t.ndim == 1 else np.resize(t, (b, t.shape[1]))
+                            for t in other.translations])
+        images = stack.eval_blocks(points)
+        lips, heights = stack.lip_bound(), height_hom(stack)
+        products = (stack.compose(other), other.compose(stack), stack.inverse())
+        for j in range(b):
+            one = _member(stack, j)
+            assert _same_member(stack, j, one)
+            assert _equal_parts([x[j] for x in images], one.eval_blocks([x[j] for x in points]))
+            assert lips[j] == one.lip_bound()
+            assert heights[j] == height_hom(one) == math.log(one.stretch)
+            for got, want in zip(products, (one.compose(_member(other, j)),
+                                            _member(other, j).compose(one), one.inverse())):
+                assert _same_member(got, j, want)
+
+    @given(hnp.arrays(float, st.integers(1, 6), elements=st.floats(-3, 3)))
+    @settings(max_examples=50, deadline=None)
+    def test_height_isometry_members(self, heights):
+        spec = SolvSpec(lower=SPEC_ROT)
+        stack = boundary_of_height_isometry(spec, heights)
+        points = [np.full((len(heights), n), 1.5) for n in SPEC_ROT.multiplicities]
+        images = stack.eval_blocks(points)
+        for j, a in enumerate(heights.tolist()):
+            one = boundary_of_height_isometry(spec, a)
+            assert one.stretch == math.exp(a) and _same_member(stack, j, one)
+            assert _equal_parts([x[j] for x in images], one.eval_blocks([x[j] for x in points]))
+
+    def test_a_point_is_mapped_by_every_member(self):
+        stack = SimMap(SPEC_ROT, np.array([0.5, 2.0]), translations=[[1.0, 2.0], [[0.5], [-0.5]]])
+        images = stack.eval_blocks([np.array([1.0, -1.0]), np.array([3.0])])
+        rows = stack.eval_blocks([np.array([[1.0, -1.0]] * 2), np.array([[3.0]] * 2)])
+        assert _equal_parts(images, rows) and images[0].shape == (2, 2)
+
+    def test_one_similarity_methods_reject_stacks(self):
+        stack = SimMap.dilation(SPEC_ROT, np.array([1.0, 2.0]))
+        a = AlmostTranslation.identity(SPEC_ROT)
+        samples = np.zeros((3, 2, SPEC_ROT.total_dim))
+        for call in (lambda: ASimMap(stack, a), lambda: conjugate_almost_by_sim(stack, a),
+                     lambda: classify(SPEC_ROT, stack, samples), stack.as_block_map,
+                     lambda: stretch_hom([stack], [[1.0]]),
+                     lambda: stack(BlockPoint.zero(SPEC_ROT)),
+                     lambda: compose(stack, a)):
+            with pytest.raises(DimensionMismatch):
+                call()
+
+    @pytest.mark.parametrize("make", [
+        lambda: SimMap(SPEC_ROT, np.ones((2, 2))),  # not (B,)
+        lambda: SimMap(SPEC_ROT, np.ones(2), translations=[np.zeros((3, 2)), np.zeros(1)]),
+        lambda: SimMap(SPEC_ROT, 1.0, translations=[np.zeros((2, 2)), np.zeros(1)]),
+        lambda: SimMap(SPEC_ROT, np.ones(2)).compose(SimMap(SPEC_ROT, np.ones(3))),
+        lambda: SimMap(SPEC_ROT, np.ones(2)).eval_blocks([np.zeros((3, 2)), np.zeros((3, 1))]),
+    ])
+    def test_mismatched_stacks_rejected(self, make):
+        with pytest.raises(DimensionMismatch):
+            make()
+
+    def test_a_bad_member_is_rejected_as_one(self):
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                SimMap(SPEC_ROT, np.array([1.0, bad]))
+        # 1e-200 ** -2 is beyond float range for the second member only
+        with pytest.raises(DomainError):
+            SimMap(SPEC_ROT, 1.0).compose(SimMap(SPEC_ROT, np.array([1.0, 1e-200])))
+        lips = SimMap(SPEC_ROT, np.array([2.0, 1e200, 1e-200])).lip_bound()
+        assert lips.tolist() == [4.0, math.inf, 1e-200]

@@ -395,6 +395,24 @@ class TestBoundaryCorrespondence:
             p = random_point(SPEC_R2, RNG, 2.0)
             assert lhs(p).isclose(rhs(p), atol=1e-12)
 
+    def test_composition_law_on_stacks(self):
+        # one stack per side for 30 samples, each member the one-sample dilation
+        a, b = RNG.uniform(-1.5, 1.5, (2, 30))
+        lhs = boundary_of_height_isometry(PURE, a).compose(boundary_of_height_isometry(PURE, b))
+        rhs = boundary_of_height_isometry(PURE, a + b)
+        assert lhs.stretch.shape == (30,) and np.allclose(lhs.stretch, rhs.stretch, rtol=1e-15)
+        assert rhs.stretch.tolist() == [math.exp(h) for h in (a + b).tolist()]
+
+    @pytest.mark.parametrize("height, error", [
+        (1000.0, DomainError), (-1000.0, DomainError), (math.nan, InputError),
+        (math.inf, InputError), (-math.inf, InputError),
+        ([0.5, 1000.0], DomainError), ([0.5, math.nan], InputError), ([[0.5]], DimensionMismatch),
+    ])
+    def test_heights_beyond_range_or_non_finite_rejected(self, height, error):
+        # e^1000 raised builtins OverflowError, and a NaN height DomainError
+        with pytest.raises(error):
+            boundary_of_height_isometry(PURE, height)
+
     def test_suspension_accepts_triangular_and_shifts_height(self):
         sus = suspend_boundary_map(PURE, SimMap.dilation(SPEC_R2, math.e), 1.0)
         g = SolvPoint(height=0.25, x=random_point(SPEC_R2, RNG))

@@ -45,7 +45,7 @@ from solvrigid.fixtures import (
     varying_rotation_map,
 )
 from solvrigid.funcexpr import expr_from_json
-from solvrigid.solvgroup import SolvPoint, SolvSpec
+from solvrigid.solvgroup import SolvPoint, SolvSpec, boundary_of_height_isometry
 
 numbers = st.integers() | st.floats() | st.just(-(10**400))  # an int beyond float range
 json_values = st.recursive(
@@ -259,6 +259,25 @@ def _level_distance(spec, t, p, q):
     return level_distance(SolvSpec(lower=spec), t, (_point(p), None), (_point(q), None))
 
 
+@st.composite
+def stretch_stacks(draw):
+    """(B,) stretches in range with one member drawn from any float, B >= 1."""
+    stretch = draw(hnp.arrays(float, st.integers(1, 4), elements=st.floats(0.1, 10.0)))
+    stretch[draw(st.integers(0, len(stretch) - 1))] = draw(st.floats())
+    return (stretch,)
+
+
+def _stack_maps(stretch):
+    """A stack of similarities, its product with itself, inverse, Lipschitz bounds and images."""
+    s = SimMap(SPEC_ROT, stretch, [[[0.6, -0.8], [0.8, 0.6]], [[-1.0]]], [[0.4, -0.2], [0.3]])
+    s.compose(s), s.inverse(), s.lip_bound()
+    return s.eval_blocks([np.ones((len(stretch), 2)), np.ones((len(stretch), 1))])
+
+
+def _boundary_of_height_isometry(a):
+    return boundary_of_height_isometry(SolvSpec(lower=SPEC_ROT), a)
+
+
 # target -> (strategy of argument tuples, callable)
 TARGETS = {
     # a node whose certificates are beyond float range: 2.0 ** 1e10
@@ -286,6 +305,11 @@ TARGETS = {
     "inverse": (solv_points(1), inverse),
     "eval_blocks": (map_blocks, _eval_blocks),
     "FirstBlockAffineMap.eval_blocks": (affine_blocks, _eval_blocks),
+    "SimMap_stack": (stretch_stacks(), _stack_maps),
+    "boundary_of_height_isometry": (st.tuples(st.floats() | st.integers(-800, 800)),
+                                    _boundary_of_height_isometry),
+    "boundary_of_height_isometry_stack": (st.tuples(hnp.arrays(float, st.integers(0, 4))),
+                                          _boundary_of_height_isometry),
 }
 
 
