@@ -400,7 +400,7 @@ class TestBoundaryCorrespondence:
         a, b = RNG.uniform(-1.5, 1.5, (2, 30))
         lhs = boundary_of_height_isometry(PURE, a).compose(boundary_of_height_isometry(PURE, b))
         rhs = boundary_of_height_isometry(PURE, a + b)
-        assert lhs.stretch.shape == (30,) and np.allclose(lhs.stretch, rhs.stretch, rtol=1e-15)
+        assert lhs.stretch.shape == (30,) and np.allclose(lhs.stretch, rhs.stretch, rtol=1e-14)
         assert rhs.stretch.tolist() == [math.exp(h) for h in (a + b).tolist()]
 
     @pytest.mark.parametrize("height, error", [
