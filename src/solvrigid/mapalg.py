@@ -168,7 +168,7 @@ class SimMap:
         return tuple(float(np.linalg.norm(m, 2)) for m in self._inverse_linear)
 
     @staticmethod
-    def dilation(spec: SpectralData, t: float) -> "SimMap":
+    def dilation(spec: SpectralData, t) -> "SimMap":
         return SimMap(spec, t)
 
     @staticmethod
