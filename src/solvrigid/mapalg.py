@@ -3,7 +3,6 @@ the classification / homomorphism machinery built on top of them."""
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -77,14 +76,14 @@ def _identity_parts(multiplicities: tuple[int, ...]):
     return eyes, zeros
 
 
-_FLOATS = contextlib.nullcontext()  # float arithmetic beyond float range warns nothing
-
-
 def _checked_stretch(stretch) -> tuple:
-    """A float and (), or a ``(B,)`` array and (B,) for a stack of B; DomainError unless each
-    stretch is positive and finite."""
-    one = isinstance(stretch, float) or np.ndim(stretch) == 0
-    t = float(stretch) if one else np.array(stretch, dtype=float)
+    """A float and (), or a ``(B,)`` array and (B,) for a stack of B; InputError unless numbers
+    in float range, DomainError unless each stretch is positive and finite."""
+    try:
+        one = isinstance(stretch, float) or np.ndim(stretch) == 0
+        t = float(stretch) if one else np.array(stretch, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"stretch must be a number or a (B,) array, got {stretch!r}") from None
     if not one and t.ndim != 1:
         raise DimensionMismatch(f"a stack of stretches must have shape (B,), not {t.shape}")
     if not (0 < t < math.inf if one else ((0 < t) & (t < math.inf)).all()):
@@ -135,16 +134,13 @@ class SimMap:
         return self
 
     def _scaled(self, sign: float, mats) -> tuple[np.ndarray, ...]:
-        """Per block t^(sign alpha_i) M_i, ``(B, n_i, n_i)`` for a stack by np.float_power (libm's
+        """Per block t^(sign alpha_i) M_i, ``(B, n_i, n_i)`` for a stack, by np.float_power (libm's
         pow, as ** on a float; np.power may round differently); DomainError beyond float range."""
-        exps = self.spec.exponents
+        t, exps = np.reshape(self.stretch, self._lead + (1, 1)), self.spec.exponents
         try:
-            if self._lead:
-                with np.errstate(over="raise"):
-                    t = self.stretch[:, None, None]
-                    return tuple(np.float_power(t, sign * e) * m for e, m in zip(exps, mats))
-            return tuple(self.stretch ** (sign * e) * m for e, m in zip(exps, mats))
-        except (OverflowError, FloatingPointError):
+            with np.errstate(over="raise"):
+                return tuple(np.float_power(t, sign * a) * m for a, m in zip(exps, mats))
+        except FloatingPointError:
             raise DomainError(f"a power of stretch {self.stretch} is beyond float range") from None
 
     @functools.cached_property
@@ -196,13 +192,9 @@ class SimMap:
 
     def lip_bound(self):
         """max_i t^alpha_i, a ``(B,)`` array for a stack; a power beyond float range reads inf."""
-        if self._lead:
-            with np.errstate(over="ignore"):
-                return np.max([np.float_power(self.stretch, a) for a in self.spec.exponents], 0)
-        try:
-            return max(self.stretch**a for a in self.spec.exponents)
-        except OverflowError:  # a power beyond float range reads inf
-            return math.inf
+        with np.errstate(over="ignore"):
+            return functools.reduce(np.maximum, [np.float_power(self.stretch, a) for a in
+                                                 self.spec.exponents])
 
     def compose(self, other: "SimMap") -> "SimMap":
         """self after other, renormalized to Sim form.
@@ -219,17 +211,15 @@ class SimMap:
         eyes = self.rotations is other.rotations is _identity_parts(self.spec.multiplicities)[0]
         rots = (self.rotations if eyes
                 else [a1 @ a2 for a1, a2 in zip(self.rotations, other.rotations)])
-        # not other._inverse_linear: caching costs more than it saves on the
-        # one-off dilations that the CLI suites compose
-        inv = other._scaled(-1.0, [a.T for a in other.rotations])
-        trans = [c + np.matvec(m, b) for m, b, c in zip(inv, self.translations, other.translations)]
-        with np.errstate(over="ignore") if self._lead or other._lead else _FLOATS:
+        trans = [c + np.matvec(m, b) for m, b, c in
+                 zip(other._inverse_linear, self.translations, other.translations)]
+        with np.errstate(over="ignore"):  # a stack's product beyond float range warns nothing
             return SimMap._from_parts(self.spec, self.stretch * other.stretch, rots, trans)
 
     def inverse(self) -> "SimMap":
         rots = [a.T for a in self.rotations]
         trans = [-np.matvec(m, b) for m, b in zip(self._linear, self.translations)]
-        with np.errstate(over="ignore") if self._lead else _FLOATS:
+        with np.errstate(over="ignore"):
             return SimMap._from_parts(self.spec, 1.0 / self.stretch, rots, trans)
 
     def as_block_map(self) -> BlockMap:
@@ -428,7 +418,8 @@ def stretch_hom(elements: Sequence, spanning: Sequence[np.ndarray]) -> np.ndarra
     if len(elements) != len(spanning):
         raise InputError("one spanning vector per factor required")
     vs = np.asarray([np.asarray(v, dtype=float).reshape(-1) for v in spanning])
-    logs = np.asarray([height_hom(getattr(e, "sim", e)._one("stretch_hom")) for e in elements])
+    logs = np.asarray([height_hom(e._one("stretch_hom") if isinstance(e, SimMap) else e)
+                       for e in elements])
     v, *_ = np.linalg.lstsq(vs, logs, rcond=None)
     residual = float(np.linalg.norm(vs @ v - logs))
     if residual > 1e-9:

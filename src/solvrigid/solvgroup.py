@@ -308,7 +308,10 @@ def boundary_of_height_isometry(spec: SolvSpec, a) -> SimMap:
     """Boundary map of height translation by a: the dilation by e^a, a stack for (B,) heights."""
     if not spec.pure:
         raise InputError("boundary correspondence implemented for the pure lower case")
-    heights = np.asarray(a, dtype=float)
+    try:
+        heights = np.asarray(a, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"height must be a number or an array of them, got {a!r}") from None
     if not np.isfinite(heights).all():
         raise InputError(f"height must be finite, got {a}")
     return SimMap.dilation(spec.lower, np.reshape([_exp(h) for h in heights.flat], heights.shape))

@@ -641,6 +641,11 @@ class TestHomomorphisms:
         v = stretch_hom(els, [[1.0, 0.0], [3.0, 0.0]])
         assert v[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
+    def test_stretch_pairing_takes_any_element_with_a_stretch(self):
+        affine = FirstBlockAffineMap(SPEC_ROT, 2.0, lambda y: [2.0 * y[0]])
+        els = [affine, ASimMap(SimMap.dilation(SPEC_ROT, 8.0), AlmostTranslation.identity(SPEC_ROT))]
+        assert stretch_hom(els, [[1.0], [3.0]])[0] == pytest.approx(math.log(2.0), abs=1e-12)
+
     def test_inconsistent_stretches_rejected(self):
         els = [SimMap.dilation(SPEC_NIL, 2.0), SimMap.dilation(SPEC_NIL, 3.0)]
         with pytest.raises(NotInUniformSubgroup):

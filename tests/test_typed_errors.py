@@ -271,7 +271,8 @@ def _stack_maps(stretch):
     """A stack of similarities, its product with itself, inverse, Lipschitz bounds and images."""
     s = SimMap(SPEC_ROT, stretch, [[[0.6, -0.8], [0.8, 0.6]], [[-1.0]]], [[0.4, -0.2], [0.3]])
     s.compose(s), s.inverse(), s.lip_bound()
-    return s.eval_blocks([np.ones((len(stretch), 2)), np.ones((len(stretch), 1))])
+    rows = np.size(s.stretch)
+    return s.eval_blocks([np.ones((rows, 2)), np.ones((rows, 1))])
 
 
 def _boundary_of_height_isometry(a):
@@ -305,11 +306,11 @@ TARGETS = {
     "inverse": (solv_points(1), inverse),
     "eval_blocks": (map_blocks, _eval_blocks),
     "FirstBlockAffineMap.eval_blocks": (affine_blocks, _eval_blocks),
-    "SimMap_stack": (stretch_stacks(), _stack_maps),
-    "boundary_of_height_isometry": (st.tuples(st.floats() | st.integers(-800, 800)),
+    "SimMap_stack": (stretch_stacks() | st.tuples(arrays), _stack_maps),
+    "boundary_of_height_isometry": (st.tuples(numbers | st.integers(-800, 800)),
                                     _boundary_of_height_isometry),
-    "boundary_of_height_isometry_stack": (st.tuples(hnp.arrays(float, st.integers(0, 4))),
-                                          _boundary_of_height_isometry),
+    "boundary_of_height_isometry_stack": (st.tuples(
+        arrays | hnp.arrays(float, st.integers(0, 4))), _boundary_of_height_isometry),
 }
 
 
