@@ -12,15 +12,12 @@ import numpy as np
 from .errors import ConvergenceError, CoverageError, DomainError, InputError
 from .nilpotent import walk_words
 from .quasimetric import _exp, _image_rows
-from .spectral import BlockPoint, SpectralData, require_blocks, split_rows
+from .spectral import BlockPoint, SpectralData, floats, require_blocks, split_rows
 
 
 def _as_stack(matrix, what: str) -> np.ndarray:
     """``matrix`` as a float array: one square matrix or an (N, n, n) stack."""
-    try:
-        a = np.asarray(matrix, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{what} must be a matrix of numbers or a stack of them") from None
+    a = floats(matrix, what)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise InputError(f"{what} must be a nonempty square matrix or a stack of them")
     return a
@@ -166,12 +163,17 @@ def _whitened_logs(Q: np.ndarray, mats: np.ndarray):
     for a (P, n, n) stack of centers Q and the (P, k, n, n) class sets.
 
     The norm of L_i is ddist(Q, A_i); one stacked eigh serves every class.
+    A class singular to float precision can have an eigenvalue <= 0 here: InputError.
     """
     w, v = np.linalg.eigh(Q)
+    if not w.min() > 0:
+        raise InputError("conformal class must be positive definite")
     qh = (v * (w**0.5)[:, None]) @ v.mT
     qmh = (v * (w**-0.5)[:, None]) @ v.mT
     rel = qmh[:, None] @ mats @ qmh[:, None]
     mw, mv = np.linalg.eigh(0.5 * (rel + rel.mT))
+    if not mw.min() > 0:
+        raise InputError("conformal class must be positive definite")
     lw = np.log(mw)
     logs = (mv * lw[..., None, :]) @ mv.mT
     return qh, logs, np.sqrt(np.sum(lw**2, axis=-1))
@@ -343,24 +345,13 @@ class CircumcenterResult:
         return np.where(0.0 > gap, 0.0, gap) if isinstance(gap, np.ndarray) else max(gap, 0.0)
 
 
-def _class_sets(classes) -> np.ndarray:
-    """The validated classes of one set (k, n, n) or of a batch (B, k, n, n)."""
-    try:
-        a = np.asarray(classes, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("circumcenter takes a set of classes or a batch of sets") from None
-    if a.ndim not in (3, 4) or a.shape[-1] != a.shape[-2] or a.size == 0:
-        raise InputError("circumcenter takes a nonempty set of classes (k, n, n) "
-                         "or a batch of sets (B, k, n, n)")
-    return conf_class(a.reshape(-1, *a.shape[-2:])).reshape(a.shape)
-
-
 def solve_circumcenter(classes, tol: float = 1e-9, max_iters: int = 4000) -> CircumcenterResult:
     """Center of the smallest enclosing ball for the Riemannian metric, certified.
 
     ``classes`` is one set of classes, a sequence or a (k, n, n) stack, or a
     (B, k, n, n) batch of sets; a batch gives a result of (B,) arrays whose
-    members equal the one-set solves bit for bit.
+    members equal the one-set solves bit for bit. A ``tol`` that is not a
+    positive finite number raises InputError.
 
     In a Hadamard space log_Q is 1-Lipschitz for every Q (CAT(0)
     comparison), so the Euclidean minimum enclosing ball of the tangent
@@ -374,7 +365,14 @@ def solve_circumcenter(classes, tol: float = 1e-9, max_iters: int = 4000) -> Cir
     commutes with the GL action applied to the whole input set. The sets of
     a batch take their iterations in lock step, each until its own exit.
     """
-    mats = _class_sets(classes)
+    tol = floats(tol, "tolerance")
+    if tol.ndim or not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be a positive finite number, got {tol}")
+    a = floats(classes, "circumcenter classes")
+    if a.ndim not in (3, 4) or a.shape[-1] != a.shape[-2] or a.size == 0:
+        raise InputError("circumcenter takes a nonempty set of classes (k, n, n) "
+                         "or a batch of sets (B, k, n, n)")
+    mats = conf_class(a.reshape(-1, *a.shape[-2:])).reshape(a.shape)
     one = mats.ndim == 3
     if one:
         mats = mats[None]
@@ -457,20 +455,18 @@ class ConfField:
     def _nearest(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The index of the sample nearest to each of the rows, and the mask of
         the rows that lie within the resolution of it."""
-        dist2 = np.sum((self.points - rows[:, None]) ** 2, axis=-1)
+        with np.errstate(over="ignore"):  # a distance beyond float range reads inf
+            dist2 = np.sum((self.points - rows[:, None]) ** 2, axis=-1)
         idx = np.argmin(dist2, axis=1)
         return idx, ~(np.sqrt(dist2[np.arange(len(rows)), idx]) > self.resolution)
 
-    def nearest_index(self, p: BlockPoint) -> int:
+    def value_at(self, p: BlockPoint) -> np.ndarray:
         idx, covered = self._nearest(p.flat()[None])
         if not covered[0]:
             raise CoverageError(
                 f"point farther than grid resolution {self.resolution} from every sample"
             )
-        return int(idx[0])
-
-    def value_at(self, p: BlockPoint) -> np.ndarray:
-        return self.values[self.nearest_index(p)]
+        return self.values[idx[0]]
 
 
 def _orbit_classes(generators, blocks: list[np.ndarray], word_len: int):
@@ -526,7 +522,7 @@ def invariant_structure(
     mu(G p) = g'(p)[mu(p)], measured against the nearest grid sample.
     """
     spec = generators[0].spec
-    grid = np.asarray(grid, dtype=float)
+    grid = floats(grid, "grid")
     if grid.ndim != 2:
         raise InputError("grid must be (N, total_dim) rows")
     ok, orbits = _orbit_classes(generators, require_blocks(spec, split_rows(spec, grid)), word_len)
@@ -574,15 +570,18 @@ def measure_distortion_check(
     change-of-variables density), DF taken by forward differences of step
     1e-5 (1 + |x_j|); returns the (min, max) over boxes. F maps every
     sample of a box and its n moved copies in one ``eval_blocks`` call.
-    Degenerate boxes are skipped.
+    Degenerate boxes are skipped; a box with a non-finite width raises InputError.
     """
     n = spec.total_dim
     ratios = []
     for lo, hi in boxes:
-        lo = np.asarray(lo, dtype=float).reshape(-1)
-        hi = np.asarray(hi, dtype=float).reshape(-1)
+        lo = floats(lo, "box corner").reshape(-1)
+        hi = floats(hi, "box corner").reshape(-1)
         if lo.shape != (n,) or hi.shape != (n,) or np.any(hi <= lo):
             continue
+        with np.errstate(over="ignore", invalid="ignore"):  # rng.uniform raises OverflowError
+            if not np.isfinite(hi - lo).all():
+                raise InputError("box corners must be finite and less than float range apart")
         x = rng.uniform(lo, hi, (samples, n))
         h = 1e-5 * (1.0 + np.abs(x))
         # per sample: the sample, then the sample with coordinate j moved by h_j

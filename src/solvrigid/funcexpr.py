@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .spectral import finite_blocks, require_blocks
+from .spectral import finite_blocks, floats, require_blocks
 
 INF = float("inf")
 
@@ -61,7 +61,7 @@ class FuncExpr:
 
 class Const(FuncExpr):
     def __init__(self, value):
-        self.value = np.asarray(value, dtype=float).reshape(-1)
+        self.value = floats(value, "const value").reshape(-1)
         self.dim = self.value.shape[0]
         self._sup_bound = float(np.linalg.norm(self.value))
 
@@ -116,9 +116,11 @@ class BlockVar(FuncExpr):
 
 class Lin(FuncExpr):
     def __init__(self, matrix, child: FuncExpr):
-        self.matrix = np.asarray(matrix, dtype=float)
-        if self.matrix.ndim != 2 or self.matrix.shape[1] != child.dim:
-            raise InputError("linear node shape mismatch")
+        self.matrix = floats(matrix, "linear matrix")
+        # the operator norm's SVD fails on a NaN entry
+        if (self.matrix.ndim != 2 or self.matrix.shape[1] != child.dim
+                or not np.isfinite(self.matrix).all()):
+            raise InputError("linear node needs a finite matrix of the child's width")
         self.child = child
         self.dim = self.matrix.shape[0]
         self._opnorm = float(np.linalg.norm(self.matrix, 2))
@@ -304,10 +306,10 @@ class Pwl(FuncExpr):
     """Scalar piecewise-linear table with constant extension beyond the ends."""
 
     def __init__(self, xs, ys, child: FuncExpr):
-        self.xs = np.asarray(xs, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
-        if child.dim != 1 or self.xs.ndim != 1 or self.xs.shape != self.ys.shape:
-            raise InputError("piecewise-linear table requires a scalar child and matching knots")
+        self.xs = floats(xs, "piecewise-linear knots")
+        self.ys = floats(ys, "piecewise-linear values")
+        if child.dim != 1 or self.xs.ndim != 1 or not self.xs.shape == self.ys.shape != (0,):
+            raise InputError("pwl table needs a scalar child and nonempty knots, one value each")
         if np.any(np.diff(self.xs) <= 0):
             raise InputError("piecewise-linear knots must be strictly increasing")
         self.child = child
@@ -343,10 +345,11 @@ class Osc(FuncExpr):
     """amp_i * sin(weights . u + phase): bounded oscillation of a linear form."""
 
     def __init__(self, amp, weights, phase: float, child: FuncExpr):
-        self.amp = np.asarray(amp, dtype=float).reshape(-1)
-        self.weights = np.asarray(weights, dtype=float).reshape(-1)
-        if self.weights.shape[0] != child.dim:
-            raise InputError("oscillation weights must match child dimension")
+        self.amp = floats(amp, "oscillation amplitudes").reshape(-1)
+        self.weights = floats(weights, "oscillation weights").reshape(-1)
+        phase = floats(phase, "oscillation phase")
+        if self.weights.shape[0] != child.dim or phase.ndim:
+            raise InputError("oscillation weights must match the child, and phase be a number")
         self.phase = float(phase)
         self.child = child
         self.dim = self.amp.shape[0]
@@ -418,10 +421,7 @@ class Displacement(FuncExpr):
 
 def _finite(value, scalar: bool = False) -> np.ndarray:
     """A JSON number (``scalar``) or nested list of numbers, all finite."""
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"expected numbers, got {value!r}") from None
+    a = floats(value, "expression field")
     if (scalar and a.ndim) or not np.all(np.isfinite(a)):
         raise InputError(f"expected finite {'number' if scalar else 'numbers'}, got {value!r}")
     return a

@@ -14,16 +14,16 @@ from .errors import DimensionMismatch, DomainError, InputError, NotInUniformSubg
 from .funcexpr import BlockVar, Const, FuncExpr, Lin, Sum
 from .nilpotent import AlmostTranslation, Letter
 from .quasimetric import _image_rows, _qsim_logs, distance, estimate_qsim_constants
-from .spectral import (BlockPoint, SpectralData, join_blocks, random_row_blocks, require_blocks,
-                       split_rows)
+from .spectral import (BlockPoint, BoundaryMap, SpectralData, float_parts, floats, join_blocks,
+                       random_row_blocks, require_blocks, split_rows)
 
 
-class BlockMap:
+class BlockMap(BoundaryMap):
     """A map of R^n whose i-th component depends only on blocks i..r.
 
-    With an ``inner`` map (anything with ``eval_blocks``, ``deps_of`` and
+    With an ``inner`` map (a ``BoundaryMap`` with ``deps_of`` and
     ``lip_bound``) the components read the inner image, which is evaluated
-    once per point.
+    once per point; a constant component gives a ``(n_i,)`` block for every row.
     """
 
     def __init__(self, spec: SpectralData, components: Sequence[FuncExpr], inner=None):
@@ -43,17 +43,10 @@ class BlockMap:
     def identity(spec: SpectralData) -> "BlockMap":
         return BlockMap(spec, [BlockVar(i, n) for i, n in enumerate(spec.multiplicities)])
 
-    def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """The image blocks of one point or of N points; a constant component
-        gives a ``(n_i,)`` block for every row."""
-        blocks = require_blocks(self.spec, blocks)
-        with np.errstate(all="ignore"):
-            if self.inner is not None:
-                blocks = self.inner.eval_blocks(blocks)
-            return [f._eval(blocks) for f in self.components]
-
-    def __call__(self, p: BlockPoint) -> BlockPoint:
-        return BlockPoint(tuple(self.eval_blocks(p.blocks)))
+    def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        if self.inner is not None:
+            blocks = self.inner._apply(blocks)
+        return [f._eval(blocks) for f in self.components]
 
     def deps_of(self, j: int) -> frozenset[int]:
         deps = self.components[j].deps()
@@ -79,42 +72,45 @@ def _identity_parts(multiplicities: tuple[int, ...]):
 def _checked_stretch(stretch) -> tuple:
     """A float and (), or a ``(B,)`` array and (B,) for a stack of B; InputError unless numbers
     in float range, DomainError unless each stretch is positive and finite."""
-    try:
-        one = isinstance(stretch, float) or np.ndim(stretch) == 0
-        t = float(stretch) if one else np.array(stretch, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"stretch must be a number or a (B,) array, got {stretch!r}") from None
-    if not one and t.ndim != 1:
+    t = floats(stretch, "stretch")
+    one = t.ndim == 0
+    if t.ndim > 1:
         raise DimensionMismatch(f"a stack of stretches must have shape (B,), not {t.shape}")
+    t = float(t) if one else t.copy()  # a stack does not share the caller's array
     if not (0 < t < math.inf if one else ((0 < t) & (t < math.inf)).all()):
         raise DomainError(f"stretch must be positive and finite, got {stretch}")
     return t, () if one else t.shape
 
 
-class SimMap:
+class SimMap(BoundaryMap):
     """Standard dilation composed with blockwise rotation and translation.
 
     Block i maps to t^alpha_i * A_i (x_i + B_i). Rotations default to the
     identity and translations to zero; a rotation the caller passes must be
-    orthogonal to 1e-12. A ``(B,)`` stretch makes a stack of B similarities,
-    each equal to its one-similarity map bit for bit (README.md has the contract).
+    orthogonal to 1e-12, a translation finite. A ``(B,)`` stretch makes a stack
+    of B similarities, each equal to its one-similarity map bit for bit
+    (README.md has the contract).
     """
 
     def __init__(self, spec: SpectralData, stretch, rotations=None, translations=None):
         self.spec = spec
         self.stretch, self._lead = _checked_stretch(stretch)
         eyes, zeros = _identity_parts(spec.multiplicities)
-        self.rotations = eyes if rotations is None else tuple(
-            np.asarray(a, dtype=float) for a in rotations
-        )
+        self.rotations = eyes if rotations is None else tuple(float_parts(rotations, "rotations"))
         self.translations = zeros if translations is None else tuple(
-            np.asarray(b, dtype=float) for b in translations
-        )
+            float_parts(translations, "translations"))
+        if not len(self.rotations) == len(self.translations) == spec.r:
+            raise DimensionMismatch(f"one rotation and one translation per block, {spec.r} blocks")
         for i, (a, b, n) in enumerate(zip(self.rotations, self.translations, spec.multiplicities)):
             if a.shape != (n, n) or b.shape not in ((n,), self._lead + (n,)):
                 raise DimensionMismatch(f"rotation/translation {i} does not match block dim {n}")
-            if rotations is not None and np.max(np.abs(a.T @ a - eyes[i])) > 1e-12:
-                raise InputError(f"rotation {i} is not orthogonal to 1e-12")
+            if rotations is not None:
+                with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry gives NaN
+                    skew = np.max(np.abs(a.T @ a - eyes[i]))
+                if not skew <= 1e-12:  # so that NaN fails: NaN > 1e-12 is False
+                    raise InputError(f"rotation {i} is not orthogonal to 1e-12")
+            if translations is not None and not np.isfinite(b).all():
+                raise InputError(f"translation {i} is not finite")
 
     @staticmethod
     def _from_parts(spec: SpectralData, stretch, rotations, translations) -> "SimMap":
@@ -171,21 +167,14 @@ class SimMap:
     def identity(spec: SpectralData) -> "SimMap":
         return SimMap(spec, 1.0)
 
-    def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """The image blocks of one point, ``(n_i,)`` blocks, or of N points, ``(N, n_i)``
-        (for a stack N = B); an image beyond float range reads inf."""
-        blocks = require_blocks(self.spec, blocks)
+    def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        """The image blocks; a stack of B maps B rows, row j by member j, or one point by each."""
         if self._lead and {b.shape[:-1] for b in blocks} - {(), self._lead}:
             raise DimensionMismatch(f"a stack of {self._lead[0]} similarities maps that many rows")
-        with np.errstate(all="ignore"):
-            return self._apply(blocks)
-
-    def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """eval_blocks on blocks that already passed require_blocks."""
         return [np.matvec(m, x + b) for m, x, b in zip(self._linear, blocks, self.translations)]
 
     def __call__(self, p: BlockPoint) -> BlockPoint:
-        return BlockPoint(tuple(self._one("calling on a BlockPoint").eval_blocks(p.blocks)))
+        return BoundaryMap.__call__(self._one("calling on a BlockPoint"), p)
 
     def deps_of(self, j: int) -> frozenset[int]:
         return frozenset({j})
@@ -211,16 +200,22 @@ class SimMap:
         eyes = self.rotations is other.rotations is _identity_parts(self.spec.multiplicities)[0]
         rots = (self.rotations if eyes
                 else [a1 @ a2 for a1, a2 in zip(self.rotations, other.rotations)])
-        trans = [c + np.matvec(m, b) for m, b, c in
-                 zip(other._inverse_linear, self.translations, other.translations)]
-        with np.errstate(over="ignore"):  # a stack's product beyond float range warns nothing
-            return SimMap._from_parts(self.spec, self.stretch * other.stretch, rots, trans)
+        try:
+            with np.errstate(over="raise"):  # a stretch or translation beyond float range
+                trans = [c + np.matvec(m, b) for m, b, c in
+                         zip(other._inverse_linear, self.translations, other.translations)]
+                return SimMap._from_parts(self.spec, self.stretch * other.stretch, rots, trans)
+        except FloatingPointError:
+            raise DomainError("the composed similarity is beyond float range") from None
 
     def inverse(self) -> "SimMap":
         rots = [a.T for a in self.rotations]
-        trans = [-np.matvec(m, b) for m, b in zip(self._linear, self.translations)]
-        with np.errstate(over="ignore"):
-            return SimMap._from_parts(self.spec, 1.0 / self.stretch, rots, trans)
+        try:
+            with np.errstate(over="raise"):  # a stretch or translation beyond float range
+                trans = [-np.matvec(m, b) for m, b in zip(self._linear, self.translations)]
+                return SimMap._from_parts(self.spec, 1.0 / self.stretch, rots, trans)
+        except FloatingPointError:
+            raise DomainError("the inverse similarity is beyond float range") from None
 
     def as_block_map(self) -> BlockMap:
         comps = [Lin(m, Sum((BlockVar(i, n), Const(b)))) for i, (n, m, b) in enumerate(
@@ -249,7 +244,7 @@ def conjugate_almost_by_sim(s: SimMap, a: AlmostTranslation) -> AlmostTranslatio
     return AlmostTranslation.from_letters(s.spec, letters, certificates, a.K)
 
 
-class ASimMap:
+class ASimMap(BoundaryMap):
     """Similarity composed with an almost translation (translation acts first)."""
 
     def __init__(self, sim: SimMap, almost: AlmostTranslation):
@@ -267,13 +262,8 @@ class ASimMap:
     def identity(spec: SpectralData) -> "ASimMap":
         return ASimMap(SimMap.identity(spec), AlmostTranslation.identity(spec))
 
-    def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        blocks = require_blocks(self.spec, blocks)
-        with np.errstate(all="ignore"):
-            return self.sim._apply(self.almost._apply(blocks))
-
-    def __call__(self, p: BlockPoint) -> BlockPoint:
-        return BlockPoint(tuple(self.eval_blocks(p.blocks)))
+    def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        return self.sim._apply(self.almost._apply(blocks))
 
     def deps_of(self, j: int) -> frozenset[int]:
         return self.almost.deps_of(j)
@@ -417,7 +407,7 @@ def stretch_hom(elements: Sequence, spanning: Sequence[np.ndarray]) -> np.ndarra
     """
     if len(elements) != len(spanning):
         raise InputError("one spanning vector per factor required")
-    vs = np.asarray([np.asarray(v, dtype=float).reshape(-1) for v in spanning])
+    vs = floats([floats(v, "spanning vector").reshape(-1) for v in spanning], "spanning vectors")
     logs = np.asarray([height_hom(e._one("stretch_hom") if isinstance(e, SimMap) else e)
                        for e in elements])
     v, *_ = np.linalg.lstsq(vs, logs, rcond=None)
@@ -473,7 +463,7 @@ def _times(lam, matrices):
 
 
 @dataclass
-class FirstBlockAffineMap:
+class FirstBlockAffineMap(BoundaryMap):
     """G(x, y) = (lam(y) * A(y) (x + B(y)), g(y)) with g a quotient similarity.
 
     ``spec`` covers all blocks; block 0 carries the affine action and the
@@ -508,15 +498,9 @@ class FirstBlockAffineMap:
         """lam(y) A(y) at quotient blocks that passed require_blocks."""
         return _times(self.lam_of(y), self.A_of(y))
 
-    def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """The image blocks of one point, ``(n_i,)`` blocks, or of N points, ``(N, n_i)``."""
-        blocks = require_blocks(self.spec, blocks)
+    def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         y = blocks[1:]
-        with np.errstate(all="ignore"):
-            return [np.matvec(self._linear(y), blocks[0] + self.B_of(y)), *self.quotient(y)]
-
-    def __call__(self, p: BlockPoint) -> BlockPoint:
-        return BlockPoint(tuple(self.eval_blocks(p.blocks)))
+        return [np.matvec(self._linear(y), blocks[0] + self.B_of(y)), *self.quotient(y)]
 
     def first_block_derivative(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         """lam(y) A(y) at the blocks of one point, or an (N, n1, n1) stack for N points."""
@@ -570,7 +554,7 @@ def affine_inverse(
         return np.matvec(_times(-np.asarray(g.lam_of(y)), g.A_of(y)), g.B_of(y))
 
     return FirstBlockAffineMap(g.spec, 1.0 / g.stretch, quotient_inverse, lam, a_of, b_of,
-                               inverse_map=g.eval_blocks)
+                               inverse_map=g._apply)
 
 
 @dataclass(frozen=True)

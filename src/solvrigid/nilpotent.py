@@ -26,7 +26,7 @@ from .errors import (
 )
 from .funcexpr import Const, Displacement, FuncExpr
 from .quasimetric import distance
-from .spectral import BlockPoint, SpectralData, require_blocks
+from .spectral import BlockPoint, BoundaryMap, SpectralData, require_blocks
 
 
 class Letter:
@@ -63,7 +63,7 @@ class Letter:
         return [x + np.matvec(m, di) for x, m, di in zip(blocks, self.mats, d)]
 
 
-class AlmostTranslation:
+class AlmostTranslation(BoundaryMap):
     """x_i -> x_i + B_i(x_{i+1}, ..., x_r) with certified bounded B_i.
 
     An element is a word: the letters it applies, first to last. An element
@@ -138,20 +138,10 @@ class AlmostTranslation:
             out[i] = out[i] + d[i]
         return d
 
-    def eval_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """The image blocks of one point, ``(n_i,)`` blocks, or of N points, ``(N, n_i)``."""
-        blocks = require_blocks(self.spec, blocks)
-        with np.errstate(all="ignore"):
-            return self._apply(blocks)
-
     def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """eval_blocks on blocks that already passed require_blocks."""
         for letter in self.letters:
             blocks = letter.apply(blocks)
         return blocks
-
-    def __call__(self, p: BlockPoint) -> BlockPoint:
-        return BlockPoint(tuple(self.eval_blocks(p.blocks)))
 
     def deps_of(self, j: int) -> frozenset[int]:
         return frozenset({j}) | self.perturbations[j].deps()

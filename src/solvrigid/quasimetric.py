@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InputError
-from .spectral import BlockPoint, SpectralData, join_blocks, split_rows
+from .spectral import BlockPoint, SpectralData, floats, join_blocks, split_rows
 
 # A sum of squares below this may have lost relative precision to underflow
 # (each subnormal square is off by up to 2^-1075); such blocks, exact zeros
@@ -60,13 +60,12 @@ def _require_points(spec: SpectralData, *points) -> list[np.ndarray]:
     out = []
     for p in points:
         if isinstance(p, BlockPoint):
-            p.require_conforms(spec)
-            out.append(p.flat())
-            continue
-        try:
-            out.append(np.asarray(p, dtype=float))
-        except (TypeError, ValueError, OverflowError):
-            raise InputError("points must be arrays of numbers") from None
+            # its blocks are 1-D, so their lengths are their shapes
+            if tuple(map(len, p.blocks)) != spec.multiplicities:
+                raise DimensionMismatch(f"point with block dims {list(map(len, p.blocks))} does "
+                                        f"not conform to multiplicities {spec.multiplicities}")
+            p = p.flat()
+        out.append(floats(p, "points"))
     for a in out:
         if a.ndim not in (1, 2) or a.shape[-1] != spec.total_dim or a.shape != out[0].shape:
             raise DimensionMismatch(
@@ -96,21 +95,20 @@ def distance(spec: SpectralData, P, Q):
     return float(best) if best.ndim == 0 else best
 
 
-def _dilation_factors(spec: SpectralData, t: float) -> list[float]:
-    if not 0 < t < math.inf:
-        raise DomainError(f"dilation parameter must be positive and finite, got {t}")
-    try:
-        return [t**a for a in spec.exponents]
-    except OverflowError:
-        raise DomainError(f"dilation factors of t = {t} are beyond float range") from None
-
-
 def dilate(spec: SpectralData, t: float, P) -> np.ndarray:
     """Scale block i by t^alpha_i; multiplies the quasi-metric by t exactly.
 
     A ``(total_dim,)`` array for one point, ``(N, total_dim)`` for rows.
     """
-    factors = _dilation_factors(spec, t)
+    t = floats(t, "dilation parameter")
+    if t.ndim:
+        raise DimensionMismatch(f"dilation parameter must be one number, not of shape {t.shape}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"dilation parameter must be positive and finite, got {t}")
+    try:
+        factors = [float(t) ** a for a in spec.exponents]
+    except OverflowError:
+        raise DomainError(f"dilation factors of t = {t} are beyond float range") from None
     (P,) = _require_points(spec, P)
     # a coordinate beyond float range reads inf, and inf times an underflowed
     # factor NaN; distance raises InputError on either
@@ -219,10 +217,7 @@ def _qsim_logs(spec: SpectralData, F, samples) -> tuple[float, float, np.ndarray
     """(N, K, log ratios) on the sample pairs, pairs at distance 0 skipped."""
     if not hasattr(F, "eval_blocks"):
         raise InputError(f"{type(F).__name__} is not a boundary map: it has no eval_blocks")
-    try:
-        samples = np.asarray(samples, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("samples must be an array of numbers") from None
+    samples = floats(samples, "samples")
     if samples.ndim != 3 or samples.shape[1:] != (2, spec.total_dim):
         raise DimensionMismatch(
             f"samples of shape {samples.shape}, expected (N, 2, {spec.total_dim})"

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, InputError
 from .mapalg import SimMap, check_triangularity
 from .quasimetric import _block_norm, _exp, _require_points, distance
-from .spectral import BlockPoint, SpectralData
+from .spectral import BlockPoint, SpectralData, floats
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,14 @@ class SolvSpec:
 
     @staticmethod
     def from_json(obj: dict | str) -> "SolvSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        lower = SpectralData.from_json(obj["lower"]) if "lower" in obj else None
-        upper = SpectralData.from_json(obj["upper"]) if "upper" in obj else None
+        """The spec under 'lower' and 'upper' of a JSON object or its text; InputError otherwise."""
+        try:
+            if isinstance(obj, str):
+                obj = json.loads(obj)
+            lower, upper = (SpectralData.from_json(obj[k]) if k in obj else None
+                            for k in ("lower", "upper"))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"solvable spec must be a JSON object: {exc}") from None
         return SolvSpec(lower=lower, upper=upper)
 
 
@@ -80,10 +84,7 @@ def _require_solv_points(spec: SolvSpec, *points) -> tuple[list[np.ndarray], lis
     raise DimensionMismatch, as does a height count that differs from the row
     count. Finiteness is checked on the result (see _solv_result).
     """
-    try:
-        heights = [np.asarray(p.height, dtype=float) for p in points]
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("heights must be numbers") from None
+    heights = [floats(p.height, "heights") for p in points]
     coords = []
     for data, name in ((spec.lower, "x"), (spec.upper, "z")):
         xs = [getattr(p, name) for p in points]
@@ -221,10 +222,7 @@ def level_distance(spec: SolvSpec, t, p, q):
     any height. A non-finite height raises InputError, heights unlike the rows
     DimensionMismatch.
     """
-    try:
-        t = np.asarray(t, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("height must be a number") from None
+    t = floats(t, "height")
     if not np.isfinite(t).all():
         raise InputError("height must be finite")
     d = _level_distance(t, *_level_gaps(spec, t, p, q))
@@ -248,7 +246,7 @@ class VerticalGeodesic:
 
     def sample_csv_rows(self, ts) -> list[list[float]]:
         """Per parameter t the row (height, anchor coordinates)."""
-        t = np.asarray(ts, dtype=float)
+        t = floats(ts, "geodesic parameters")
         anchor = np.concatenate([np.zeros(0), *(a.flat() for a in self.anchor if a is not None)])
         heights = -t if self.orientation == "downward" else t
         return np.column_stack([heights, np.tile(anchor, (len(t), 1))]).tolist()
@@ -308,10 +306,7 @@ def boundary_of_height_isometry(spec: SolvSpec, a) -> SimMap:
     """Boundary map of height translation by a: the dilation by e^a, a stack for (B,) heights."""
     if not spec.pure:
         raise InputError("boundary correspondence implemented for the pure lower case")
-    try:
-        heights = np.asarray(a, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"height must be a number or an array of them, got {a!r}") from None
+    heights = floats(a, "height")
     if not np.isfinite(heights).all():
         raise InputError(f"height must be finite, got {a}")
     return SimMap.dilation(spec.lower, np.reshape([_exp(h) for h in heights.flat], heights.shape))

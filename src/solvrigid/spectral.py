@@ -1,4 +1,4 @@
-"""Block structure data: exponent lists and block-decomposed points of R^n."""
+"""Block structure data, block-decomposed points of R^n, and the input boundary."""
 
 from __future__ import annotations
 
@@ -9,6 +9,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InputError
+
+
+def floats(value, what: str) -> np.ndarray:
+    """``value`` as a float array, InputError naming ``what`` unless it is numbers in float
+    range: the one reader of numbers from outside. Each caller checks shape and finiteness."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be numbers in float range, got {value!r}") from None
+
+
+def float_parts(values, what: str) -> list[np.ndarray]:
+    """Each member of the sequence ``values`` (blocks, rotations, ...) read by ``floats``."""
+    if not np.iterable(values):
+        raise InputError(f"{what} must be a sequence of arrays, got {values!r}")
+    return [floats(v, what) for v in values]
 
 
 @dataclass(frozen=True)
@@ -23,21 +39,18 @@ class SpectralData:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            exps = tuple(float(a) for a in self.exponents)
-            mults = tuple(int(n) for n in self.multiplicities)
-        except (TypeError, ValueError, OverflowError):
-            raise InputError("exponents and multiplicities must be numbers") from None
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "multiplicities", mults)
-        if len(exps) != len(mults) or not exps:
+        exps = floats(self.exponents, "exponents")
+        mults = floats(self.multiplicities, "multiplicities")
+        if exps.ndim != 1 or exps.shape != mults.shape or not exps.size:
             raise InputError("exponents and multiplicities must be nonempty and equal length")
-        if any(not math.isfinite(a) or a <= 0 for a in exps):
-            raise InputError("exponents must be finite and positive")
-        if any(b <= a for a, b in zip(exps, exps[1:])):
-            raise InputError("exponents must be strictly increasing")
-        if any(n < 1 for n in mults):
+        # increasing from a positive first to a finite last: each is finite and positive
+        if not (0 < exps[0] and exps[-1] < math.inf and (exps[1:] > exps[:-1]).all()):
+            raise InputError("exponents must be finite, positive and strictly increasing")
+        # a fraction, NaN or inf is not a multiplicity; int() would truncate it
+        if not ((1 <= mults) & (mults < math.inf) & (mults == np.floor(mults))).all():
             raise InputError("multiplicities must be positive integers")
+        object.__setattr__(self, "exponents", tuple(exps.tolist()))
+        object.__setattr__(self, "multiplicities", tuple(map(int, mults.tolist())))
 
     @property
     def r(self) -> int:
@@ -80,25 +93,15 @@ class BlockPoint:
     blocks: tuple[np.ndarray, ...] = field()
 
     def __post_init__(self):
-        try:
-            blocks = tuple(np.asarray(b, dtype=float).reshape(-1) for b in self.blocks)
-        except (TypeError, ValueError, OverflowError):
-            raise InputError("point blocks must be arrays of numbers") from None
+        blocks = tuple(b.reshape(-1) for b in float_parts(self.blocks, "point blocks"))
         object.__setattr__(self, "blocks", blocks)
-
-    def require_conforms(self, spec: SpectralData) -> None:
-        # blocks are 1-D (see __post_init__), so their lengths are their shapes
-        got = tuple(map(len, self.blocks))
-        if got != spec.multiplicities:
-            raise DimensionMismatch(f"point with block dims {list(got)} does not conform to "
-                                    f"multiplicities {spec.multiplicities}")
 
     def flat(self) -> np.ndarray:
         return np.concatenate(self.blocks)
 
     @staticmethod
     def from_flat(spec: SpectralData, v: np.ndarray) -> "BlockPoint":
-        v = np.asarray(v, dtype=float).reshape(-1)
+        v = floats(v, "flat vector").reshape(-1)
         if v.shape[0] != spec.total_dim:
             raise DimensionMismatch(f"flat vector of length {v.shape[0]}, expected {spec.total_dim}")
         return BlockPoint(tuple(v[s] for s in spec.block_slices()))
@@ -125,10 +128,7 @@ class BlockPoint:
 
 def finite_blocks(blocks) -> list[np.ndarray]:
     """``blocks`` as float arrays; InputError on a non-numeric or non-finite block."""
-    try:
-        out = [np.asarray(b, dtype=float) for b in blocks]
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("point blocks must be arrays of numbers") from None
+    out = float_parts(blocks, "point blocks")
     for b in out:
         # the sum of squares is finite when every entry is, short of
         # overflow: only then is the entrywise test needed
@@ -156,6 +156,23 @@ def require_blocks(spec: SpectralData, blocks) -> list[np.ndarray]:
                 f"of multiplicities {spec.multiplicities}"
             )
     return out
+
+
+class BoundaryMap:
+    """A map of R^n whose ``eval_blocks`` checks the blocks of one point, ``(n_i,)``, or of N
+    points, ``(N, n_i)``, once and maps them by the subclass's ``_apply``; an image beyond
+    float range reads inf. A map that holds another reaches it through its ``_apply``."""
+
+    def eval_blocks(self, blocks) -> list[np.ndarray]:
+        blocks = require_blocks(self.spec, blocks)
+        with np.errstate(all="ignore"):
+            return self._apply(blocks)
+
+    def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        raise NotImplementedError
+
+    def __call__(self, p: BlockPoint) -> BlockPoint:
+        return BlockPoint(tuple(self.eval_blocks(p.blocks)))
 
 
 def split_rows(spec: SpectralData, rows: np.ndarray) -> list[np.ndarray]:

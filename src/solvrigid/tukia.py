@@ -15,7 +15,7 @@ from .errors import ConvergenceError, InputError
 from .mapalg import FirstBlockAffineMap
 from .nilpotent import walk_words
 from .quasimetric import dilate, distance
-from .spectral import SpectralData, join_blocks, random_row_blocks, split_rows
+from .spectral import SpectralData, floats, join_blocks, random_row_blocks, split_rows
 
 
 # -- 1-D generators ---------------------------------------------------------
@@ -85,7 +85,7 @@ def sup_measure_1d(
     when the grid extends far beyond the probe window, so the sup stays
     faithful at every node.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = floats(xs, "grid")
     depth = sample.word_len if word_len is None else word_len
     gens = sample.generators
     letters = [(i, s) for i in range(len(gens)) for s in (1, -1)]
@@ -164,7 +164,7 @@ def verify_conjugation(
     mean; all defects at most tol means the conjugated sample acts by
     similarities on the line.
     """
-    probes = np.asarray(probes, dtype=float)
+    probes = floats(probes, "probes")
     span = F.fn(float(probes.max() + probe_step)) - F.fn(float(probes.min()))
     if not span > 0:
         raise InputError("conjugator is not increasing on the probe range")
@@ -284,7 +284,7 @@ def radial_conjugator(
     ts = [1.0 / g.stretch for g in escape]
     if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
         raise ConvergenceError("escape stretches are not strictly increasing")
-    a_matrix = np.asarray(a_matrix, dtype=float)
+    a_matrix = floats(a_matrix, "a_matrix")
 
     def make_conjugator(t: float, G: FirstBlockAffineMap):
         def F(blocks):

@@ -513,6 +513,12 @@ class TestBatchedCircumcenter:
         with pytest.raises(InputError):
             circumcenter(bad)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9, "x", [1e-9, 1e-9]])
+    def test_rejects_a_tolerance_that_is_not_positive_and_finite(self, tol):
+        # a NaN tolerance certifies nothing: every set would end in no_descent
+        with pytest.raises(InputError):
+            solve_circumcenter([np.eye(2), np.diag([2.0, 0.5])], tol=tol)
+
     def test_uncertified_batch_member_named_with_its_gap(self):
         rng = np.random.default_rng(3)
         pair = conf_class(_random_stack(rng, 2))

@@ -75,6 +75,27 @@ class TestSimMap:
         with pytest.raises(InputError):
             SimMap(SPEC_ROT, 1.0, rotations=[2.0 * np.eye(2), np.eye(1)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_rotation(self, bad):
+        # NaN > 1e-12 is False, so a test written that way passes a NaN rotation
+        with pytest.raises(InputError):
+            SimMap(SPEC_NIL, 1.0, [[[bad]], [[1.0]]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_translation(self, bad):
+        with pytest.raises(InputError):
+            SimMap(SPEC_NIL, 1.0, translations=[[bad], [0.0]])
+        with pytest.raises(InputError):  # a row of a stack's translations
+            SimMap(SPEC_NIL, [1.0, 2.0], translations=[[[0.0], [bad]], [0.0]])
+
+    @pytest.mark.parametrize("parts", [
+        {"rotations": [np.eye(1)]}, {"translations": [[0.0]] * 3}, {"rotations": 5},
+        {"translations": [["x"], [0.0]]},
+    ], ids=["too-few-rotations", "too-many-translations", "not-a-sequence", "non-numeric"])
+    def test_rejects_parts_that_are_not_one_per_block(self, parts):
+        with pytest.raises(InputError):
+            SimMap(SPEC_NIL, 1.0, **parts)
+
     def test_compose_matches_pointwise(self):
         s1 = SimMap(SPEC_ROT, 2.0, [_rot(0.3), np.eye(1)], [np.array([1.0, -0.5]), np.array([0.2])])
         s2 = SimMap(SPEC_ROT, 0.7, [_rot(-1.1), -np.eye(1)], [np.array([0.4, 0.9]), np.array([-1.0])])
@@ -112,6 +133,16 @@ class TestSimMap:
         # 1e200 ** 2.0 raised builtins OverflowError
         assert SimMap(SPEC_ROT, 1e200).lip_bound() == math.inf
         assert SimMap(SPEC_ROT, 1e-200).lip_bound() == 1e-200
+
+    def test_translation_beyond_float_range_in_compose_or_inverse_rejected(self):
+        # the parts overflowed with numpy's RuntimeWarning and held an inf translation
+        with pytest.raises(DomainError):
+            SimMap(SPEC_NIL, 6.0, translations=[[0.0], [5e306]]).inverse()
+        far = SimMap(SPEC_NIL, 1.0, translations=[[0.0], [9e307]])
+        with pytest.raises(DomainError):
+            far.compose(far)
+        with pytest.raises(DomainError):  # a stack, whose stretch product overflows too
+            SimMap(SPEC_NIL, [1.0, 1e300]).compose(SimMap(SPEC_NIL, [1.0, 1e300]))
 
     def test_inverse_stretch_beyond_float_range_rejected(self):
         # 1 / 5e-324 is inf: the inverse was a map of stretch inf

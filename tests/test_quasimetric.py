@@ -56,6 +56,17 @@ class TestSpectralData:
         with pytest.raises(InputError):
             SpectralData((1.0,), (0,))
 
+    @pytest.mark.parametrize("mults", [(1.5,), (True, 2.9), (math.nan,), (math.inf,)])
+    def test_rejects_non_integral_multiplicities(self, mults):
+        # int() would truncate 1.5 to 1 and 2.9 to 2
+        with pytest.raises(InputError):
+            SpectralData((1.0, 2.0)[: len(mults)], mults)
+
+    def test_integral_multiplicities_of_any_number_type(self):
+        spec = SpectralData((1, 2.5), (True, 2.0))
+        assert spec.exponents == (1.0, 2.5) and spec.multiplicities == (1, 2)
+        assert all(type(n) is int for n in spec.multiplicities)
+
     def test_json_round_trip(self):
         again = SpectralData.from_json(SPEC_R3.to_json())
         assert again == SPEC_R3
@@ -149,6 +160,11 @@ class TestDilate:
     def test_rejects_nonpositive_parameter(self):
         with pytest.raises(DomainError):
             dilate(SPEC_R1, 0.0, BlockPoint.zero(SPEC_R1))
+
+    @pytest.mark.parametrize("t", ["x", [2.0, 3.0], 10**400], ids=["text", "array", "huge-int"])
+    def test_rejects_a_parameter_that_is_not_one_number(self, t):
+        with pytest.raises(InputError):
+            dilate(SPEC_R1, t, BlockPoint.zero(SPEC_R1))
 
     def test_group_property(self):
         p = _point(SPEC_R2, [1.3, -0.7])

@@ -1,6 +1,7 @@
 """Solvable model space: group law, level metrics, geodesics, and the
 boundary correspondence."""
 
+import json
 import math
 from decimal import Decimal
 
@@ -74,6 +75,13 @@ class TestGroupLaw:
     def test_json_round_trip(self):
         again = SolvSpec.from_json(MIXED.to_json())
         assert again == MIXED
+        assert SolvSpec.from_json(json.dumps(MIXED.to_json())) == MIXED
+
+    @pytest.mark.parametrize("obj", ["x", 5, None, ["lower"], '"lower"', "{}",
+                                     {"lower": "x"}, {"upper": {"alphas": [1.0]}}])
+    def test_from_json_rejects_malformed(self, obj):
+        with pytest.raises(InputError):
+            SolvSpec.from_json(obj)
 
 
 def _solv_rows(spec, rng, n):

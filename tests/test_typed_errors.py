@@ -1,7 +1,9 @@
 """Malformed input to the parsers, validators, metric and boundary maps raises
-only the package's own errors."""
+only the package's own errors, read at one boundary."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +18,11 @@ from solvrigid import (
     BlockPoint,
     BlockVar,
     Const,
+    FirstBlockAffineMap,
     InputError,
     Lin,
     Osc,
+    Pwl,
     SimMap,
     SolvRigidError,
     SpectralData,
@@ -28,12 +32,16 @@ from solvrigid import (
     dilatation,
     dilate,
     distance,
+    invariant_structure,
     inverse,
     kdist,
     level_distance,
+    measure_distortion_check,
     multiply,
     pair_to_point,
     pair_to_point_bisect,
+    solve_circumcenter,
+    spectral,
 )
 from solvrigid.cli import RunConfig
 from solvrigid.fixtures import (
@@ -46,6 +54,7 @@ from solvrigid.fixtures import (
 )
 from solvrigid.funcexpr import expr_from_json
 from solvrigid.solvgroup import SolvPoint, SolvSpec, boundary_of_height_isometry
+from solvrigid.spectral import BoundaryMap
 
 numbers = st.integers() | st.floats() | st.just(-(10**400))  # an int beyond float range
 json_values = st.recursive(
@@ -144,13 +153,13 @@ def point_pairs(draw):
 @st.composite
 def dilations(draw):
     spec, p, _ = draw(point_pairs())
-    return spec, draw(st.floats()), p
+    return spec, draw(numbers), p
 
 
 @st.composite
 def levels(draw):
     spec, p, q = draw(point_pairs())
-    return spec, draw(st.floats()), p, q
+    return spec, draw(numbers), p, q
 
 
 @st.composite
@@ -279,6 +288,56 @@ def _boundary_of_height_isometry(a):
     return boundary_of_height_isometry(SolvSpec(lower=SPEC_ROT), a)
 
 
+def _certified(node_type, *child):
+    """A node of drawn parameters over ``child``, with its certificates."""
+
+    def build(*params):
+        node = node_type(*params, *child)
+        return node.sup_bound, node.lipschitz
+
+    return build
+
+
+# a quarter turn: orthogonal, so that the drawn translations are reached too
+_QUARTER = [[0.0, -1.0], [1.0, 0.0]]
+# rotations and translations per block of SPEC_ROT: orthogonal or any floats,
+# then any lists of the file's arrays, or one of them
+rotations = st.none() | st.tuples(
+    st.just(_QUARTER) | hnp.arrays(float, (2, 2), elements=coordinates),
+    st.just([[-1.0]]) | hnp.arrays(float, (1, 1), elements=coordinates),
+) | st.lists(matrices, max_size=3) | arrays
+translations = st.none() | st.tuples(
+    hnp.arrays(float, 2, elements=coordinates), hnp.arrays(float, 1, elements=coordinates),
+) | st.lists(arrays, max_size=3) | arrays
+
+
+def _sim_map(stretch, rotations, translations):
+    """A similarity of drawn parts, composed, inverted, bounded and evaluated."""
+    s = SimMap(SPEC_ROT, stretch, rotations, translations)
+    s.compose(s), s.inverse(), s.lip_bound()
+    return s.eval_blocks([np.ones(2), np.ones(1)])
+
+
+def _invariant_structure(grid):
+    return invariant_structure([constant_rotation_map()], grid, 1)
+
+
+def _measure_distortion(boxes):
+    return measure_distortion_check(constant_rotation_map(), SPEC_ROT, boxes,
+                                    np.random.default_rng(0), samples=8)
+
+
+def _circumcenter(classes, tol):
+    return solve_circumcenter(classes, tol, max_iters=50)
+
+
+# a box corner of SPEC_ROT of any floats, or any of the file's arrays
+corners = hnp.arrays(float, 3, elements=coordinates) | arrays
+grids = hnp.arrays(float, st.tuples(st.integers(0, 4), st.just(3)), elements=coordinates) | arrays
+solv_spec_json = st.fixed_dictionaries(
+    {}, optional={"lower": spec_json, "upper": spec_json}) | spec_json
+
+
 # target -> (strategy of argument tuples, callable)
 TARGETS = {
     # a node whose certificates are beyond float range: 2.0 ** 1e10
@@ -294,7 +353,7 @@ TARGETS = {
     "RunConfig.from_json": (st.tuples(config_json), RunConfig.from_json),
     "BlockPoint": (st.tuples(st.lists(arrays, max_size=3).map(tuple) | arrays), BlockPoint),
     "distance_rows": (row_pairs(), distance),
-    "dilate_rows": (st.tuples(specs(), st.floats(), arrays | hnp.arrays(
+    "dilate_rows": (st.tuples(specs(), numbers, arrays | hnp.arrays(
         float, st.tuples(st.integers(0, 3), st.integers(1, 4)))), dilate),
     "distance": (point_pairs(), _distance),
     "dilate": (dilations(), _dilate),
@@ -311,6 +370,20 @@ TARGETS = {
                                     _boundary_of_height_isometry),
     "boundary_of_height_isometry_stack": (st.tuples(
         arrays | hnp.arrays(float, st.integers(0, 4))), _boundary_of_height_isometry),
+    "Const": (st.tuples(arrays), _certified(Const)),
+    "Lin": (st.tuples(matrices), _certified(Lin, BlockVar(0, 2))),
+    "Pwl": (st.tuples(arrays, arrays), _certified(Pwl, BlockVar(1, 1))),
+    "Osc": (st.tuples(arrays, arrays, arrays), _certified(Osc, BlockVar(1, 1))),
+    "SimMap": (st.tuples(st.floats(0.1, 10.0) | numbers | arrays, rotations, translations),
+               _sim_map),
+    "invariant_structure": (st.tuples(grids), _invariant_structure),
+    "measure_distortion_check": (st.tuples(st.lists(st.tuples(corners, corners), max_size=2)),
+                                 _measure_distortion),
+    "solve_circumcenter": (st.tuples(stacks | st.lists(stacks, max_size=2), st.just(1e-9)),
+                           _circumcenter),
+    "solve_circumcenter_tol": (st.tuples(st.just([np.eye(2), np.diag([2.0, 0.5])]),
+                                         numbers | arrays), _circumcenter),
+    "SolvSpec.from_json": (st.tuples(solv_spec_json), SolvSpec.from_json),
 }
 
 
@@ -377,3 +450,74 @@ def test_nodes_inside_maps_are_not_checked_again(monkeypatch):
     assert checks == []
     a.perturbations[0]([np.zeros(2), np.ones(1)])
     assert len(checks) == 1
+
+
+SRC = Path(spectral.__file__).parent
+FLOAT_ERRORS = {"TypeError", "ValueError", "OverflowError"}
+
+
+def _owners(test):
+    """'module.function' of each node of src/solvrigid for which ``test`` holds, named
+    by the innermost function that holds it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in filter(test, ast.walk(tree)):
+            owner = min((f for f in defs if f.lineno <= node.lineno <= f.end_lineno),
+                        key=lambda f: f.end_lineno - f.lineno, default=None)
+            found.append(f"{path.stem}.{owner.name if owner else '<module>'}")
+    return found
+
+
+def _catches_float_errors(node):
+    if not isinstance(node, ast.ExceptHandler) or node.type is None:
+        return False
+    caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return FLOAT_ERRORS <= {getattr(e, "id", None) for e in caught}
+
+
+def _converts_to_float(node):
+    return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("asarray", "array")
+            and any(k.arg == "dtype" and getattr(k.value, "id", None) == "float"
+                    for k in node.keywords))
+
+
+def test_one_reader_of_outside_numbers():
+    # a second copy of the reader, or a conversion that skips it, fails here
+    assert _owners(_catches_float_errors) == ["spectral.floats"]
+    assert _owners(_converts_to_float) == ["spectral.floats"]
+
+
+@pytest.mark.parametrize("cls", [AlmostTranslation, ASimMap, BlockMap, FirstBlockAffineMap, SimMap])
+def test_maps_take_the_one_checked_entry(cls):
+    assert issubclass(cls, BoundaryMap)
+    assert cls.eval_blocks is BoundaryMap.eval_blocks
+    # a stack of similarities maps one point to B images: its call takes one similarity
+    assert cls.__call__ is BoundaryMap.__call__ or cls is SimMap
+
+
+def test_each_evaluation_checks_its_blocks_once(count_calls):
+    from solvrigid import conformal, funcexpr, mapalg, nilpotent
+
+    calls = count_calls(spectral, conformal, funcexpr, mapalg, nilpotent, name="require_blocks")
+    stack = SimMap(SPEC_ROT, [1.3, 0.7], [[[0.6, -0.8], [0.8, 0.6]], [[-1.0]]],
+                   [[[0.4, -0.2], [0.1, 0.0]], [0.3]])
+    word = _boundary_maps()[1]
+    maps = [*_boundary_maps(), compose(_boundary_maps()[3], word), stack, constant_rotation_map()]
+    for F in maps:
+        for blocks in ([np.zeros(2), np.ones(1)], [np.zeros((2, 2)), np.ones((2, 1))]):
+            calls.clear()
+            F.eval_blocks(blocks)
+            assert len(calls) == 1, type(F).__name__
+    calls.clear()
+    maps[0](BlockPoint((np.zeros(2), np.ones(1))))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [0, None, 1.5])
+def test_blocks_that_are_not_a_sequence_rejected(bad):
+    with pytest.raises(InputError):
+        BlockPoint(bad)
+    with pytest.raises(InputError):
+        spectral.finite_blocks(bad)
