@@ -290,52 +290,64 @@ def run_classify(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     ]
 
 
+def _draw_stacks(rng: np.random.Generator, count: int, spd: int, gl: int):
+    """``count`` samples of ``spd`` class draws (rng.normal(size=(3, 3)), then
+    rng.uniform(-1.2, 1.2, 3)) followed by ``gl`` action draws (two
+    rng.normal(size=(3, 3)), then rng.uniform(0.5, 2.0, 3)), as (count,
+    spd + 2 gl, 3, 3) normals and (count, spd + gl, 3) uniforms. The generator
+    writes the same stream in place, so both equal the per-call draws bit for
+    bit: numpy's normal is 0.0 + z and its uniform lo + (hi - lo) u."""
+    normals, uniforms = np.empty((count, spd + 2 * gl, 3, 3)), np.empty((count, spd + gl, 3))
+    for i in range(count):
+        for j in range(spd):
+            rng.standard_normal(out=normals[i, j])
+            rng.random(out=uniforms[i, j])
+        for j in range(spd, spd + gl):
+            rng.standard_normal(out=normals[i, 2 * j - spd:2 * j - spd + 2])
+            rng.random(out=uniforms[i, j])
+    lo, hi = np.repeat([[-1.2, 1.2], [0.5, 2.0]], [spd, gl], axis=0).T[..., None]
+    return normals + 0.0, lo + (hi - lo) * uniforms
+
+
 def run_conformal(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
-    # the generator's draws for one class and for one action matrix; stacked
-    # draws build a stack of them, equal member by member to one at a time
-    def spd_draw():
-        return rng.normal(size=(3, 3)), rng.uniform(-1.2, 1.2, 3)
-
-    def gl_draw():
-        return rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.uniform(0.5, 2.0, 3)
-
     def random_spd(normals, logs):
         # moderate log-eigenvalue spread keeps the eigensolver well inside
         # the 1e-10 invariance tolerance
         q = np.linalg.qr(normals)[0]
-        return conf_class((q * np.exp(logs)[..., None, :]) @ q.mT)
+        return conf_class(((q * np.exp(logs)[..., None, :]) @ q.mT).reshape(-1, 3, 3)).reshape(q.shape)
 
     def random_gl(u_normals, v_normals, scales):
         u, v = np.linalg.qr(u_normals)[0], np.linalg.qr(v_normals)[0]
         return (u * scales[..., None, :]) @ v
 
-    def stacked(draws):
-        return [np.stack(col) for col in zip(*draws)]
-
     # per sample, in the generator's order: classes a, b, c, then an action x
-    cols = stacked(spd_draw() + spd_draw() + spd_draw() + gl_draw() for _ in range(200))
-    a, b, c = random_spd(*cols[0:2]), random_spd(*cols[2:4]), random_spd(*cols[4:6])
-    x = random_gl(*cols[6:9])
-    ab = kdist(a, b)
+    normals, uniforms = _draw_stacks(rng, 200, 3, 1)
+    abc = random_spd(normals[:, :3], uniforms[:, :3])
+    x = random_gl(normals[:, 3], normals[:, 4], uniforms[:, 3])
+    moved = act(x.repeat(2, axis=0), abc[:, :2].reshape(-1, 3, 3)).reshape(200, 2, 3, 3)
+    # a, b, c, x.a, x.b per sample; one kdist stack of ac, ab, bc, (x.a, x.b)
+    pts = np.concatenate([abc, moved], axis=1)
+    ac, ab, bc, xab = kdist(pts[:, [0, 0, 1, 3]].reshape(-1, 3, 3),
+                            pts[:, [2, 1, 2, 4]].reshape(-1, 3, 3)).reshape(200, 4).T
     # np.max propagates NaN, so a NaN defect fails its check
-    tri_worst = float(np.max(kdist(a, c) - ab - kdist(b, c), initial=0.0))
-    inv_worst = float(np.max(np.abs(kdist(act(x, a), act(x, b)) - ab), initial=0.0))
+    tri_worst = float(np.max(ac - ab - bc, initial=0.0))
+    inv_worst = float(np.max(np.abs(xab - ab), initial=0.0))
 
     # an uncertified center (gap above tolerance) fails its check instead of
     # ending the run
-    a = random_spd(*spd_draw())
+    normals, uniforms = _draw_stacks(rng, 1, 1, 0)
+    a = random_spd(normals[0, 0], uniforms[0, 0])
     sym = solve_circumcenter([a, np.linalg.inv(a)], tol=cfg.tolerance)
     sym_defect, sym_gap = kdist(np.eye(3), sym.center), sym.gap
-    # per sample, in the generator's order: a set of 5 classes, then an
-    # action x; one batch solves each set moved by x and as drawn
-    sets, xs = [], []
-    for _ in range(5):
-        sets.append(random_spd(*stacked(spd_draw() for _ in range(5))))
-        xs.append(random_gl(*gl_draw()))
-    eq = solve_circumcenter(
-        np.stack([s for x, pts in zip(xs, sets) for s in (act(x, pts), pts)]), tol=cfg.tolerance)
+    # per set, in the generator's order: 5 classes, then an action x; one
+    # batch solves each set moved by x and as drawn
+    normals, uniforms = _draw_stacks(rng, 5, 5, 1)
+    sets = random_spd(normals[:, :5], uniforms[:, :5])
+    xs = random_gl(normals[:, 5], normals[:, 6], uniforms[:, 5])
+    moved = act(xs.repeat(5, axis=0), sets.reshape(-1, 3, 3)).reshape(sets.shape)
+    eq = solve_circumcenter(np.stack([moved, sets], axis=1).reshape(10, 5, 3, 3), tol=cfg.tolerance)
     moved, centers = eq.center[0::2], eq.center[1::2]
-    eq_worst = max([0.0] + ddist(moved, act(np.stack(xs), centers)).tolist())
+    eq_worst = max([0.0] + ddist(moved, act(xs, centers)).tolist())
     eq_gap = max(eq.gap.tolist())
     return [
         _check("kdist-triangle", tri_worst <= 1e-10, tri_worst),

@@ -63,7 +63,8 @@ class Const(FuncExpr):
     def __init__(self, value):
         self.value = floats(value, "const value").reshape(-1)
         self.dim = self.value.shape[0]
-        self._sup_bound = float(np.linalg.norm(self.value))
+        with np.errstate(over="ignore"):  # a norm beyond float range reads inf, which is sound
+            self._sup_bound = float(np.linalg.norm(self.value))
 
     def _eval(self, blocks):
         return self.value.copy()
@@ -175,7 +176,7 @@ class Sum(FuncExpr):
 
 class Scale(FuncExpr):
     def __init__(self, factor: float, child: FuncExpr):
-        self.factor = float(factor)
+        self.factor = float(_finite(factor, True, "scale factor"))
         self.child = child
         self.dim = child.dim
 
@@ -201,9 +202,9 @@ class AbsPow(FuncExpr):
     """Componentwise |u|^c for c > 0."""
 
     def __init__(self, exponent: float, child: FuncExpr):
-        if not exponent > 0:
+        self.exponent = float(_finite(exponent, True, "power exponent"))
+        if not self.exponent > 0:
             raise InputError("power exponent must be positive")
-        self.exponent = float(exponent)
         self.child = child
         self.dim = child.dim
 
@@ -277,9 +278,9 @@ class PMax(_Pointwise):
 
 class Clamp(FuncExpr):
     def __init__(self, lo: float, hi: float, child: FuncExpr):
-        if lo > hi:
+        self.lo, self.hi = (float(_finite(b, True, "clamp bound")) for b in (lo, hi))
+        if self.lo > self.hi:
             raise InputError("clamp bounds out of order")
-        self.lo, self.hi = float(lo), float(hi)
         self.child = child
         self.dim = child.dim
 
@@ -353,8 +354,9 @@ class Osc(FuncExpr):
         self.phase = float(phase)
         self.child = child
         self.dim = self.amp.shape[0]
-        self._sup_bound = float(np.linalg.norm(self.amp))
-        self._gain = self._sup_bound * float(np.linalg.norm(self.weights))
+        with np.errstate(over="ignore"):  # a norm beyond float range reads inf, which is sound
+            self._sup_bound = float(np.linalg.norm(self.amp))
+            self._gain = self._sup_bound * float(np.linalg.norm(self.weights))
 
     def _eval(self, blocks):
         # np.vecdot gives each row the bits of the one-point inner product;
@@ -419,11 +421,12 @@ class Displacement(FuncExpr):
         return self._sup_bound
 
 
-def _finite(value, scalar: bool = False) -> np.ndarray:
-    """A JSON number (``scalar``) or nested list of numbers, all finite."""
-    a = floats(value, "expression field")
+def _finite(value, scalar: bool = False, what: str = "expression field") -> np.ndarray:
+    """One number (``scalar``) or a nested list of numbers, all finite."""
+    a = floats(value, what)
     if (scalar and a.ndim) or not np.all(np.isfinite(a)):
-        raise InputError(f"expected finite {'number' if scalar else 'numbers'}, got {value!r}")
+        kind = "one finite number" if scalar else "finite numbers"
+        raise InputError(f"{what} must be {kind}, got {value!r}")
     return a
 
 
@@ -461,16 +464,15 @@ def expr_from_json(obj: dict) -> FuncExpr:
         if tag == "sum":
             return Sum(_children(obj["children"]))
         if tag == "scale":
-            return Scale(_finite(obj["factor"], scalar=True), expr_from_json(obj["child"]))
+            return Scale(obj["factor"], expr_from_json(obj["child"]))
         if tag == "abspow":
-            return AbsPow(_finite(obj["exponent"], scalar=True), expr_from_json(obj["child"]))
+            return AbsPow(obj["exponent"], expr_from_json(obj["child"]))
         if tag == "min":
             return PMin(_children(obj["children"]))
         if tag == "max":
             return PMax(_children(obj["children"]))
         if tag == "clamp":
-            lo, hi = _finite(obj["lo"], scalar=True), _finite(obj["hi"], scalar=True)
-            return Clamp(lo, hi, expr_from_json(obj["child"]))
+            return Clamp(obj["lo"], obj["hi"], expr_from_json(obj["child"]))
         if tag == "pwl":
             return Pwl(_finite(obj["xs"]), _finite(obj["ys"]), expr_from_json(obj["child"]))
         if tag == "osc":

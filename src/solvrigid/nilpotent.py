@@ -24,7 +24,7 @@ from .errors import (
     InputError,
     NotInKernel,
 )
-from .funcexpr import Const, Displacement, FuncExpr
+from .funcexpr import Const, Displacement, FuncExpr, _finite
 from .quasimetric import distance
 from .spectral import BlockPoint, BoundaryMap, SpectralData, require_blocks
 
@@ -89,7 +89,7 @@ class AlmostTranslation(BoundaryMap):
             raise InputError("last-block perturbation must be constant")
         self.spec = spec
         self.perturbations = perturbations
-        self.K = float(K)
+        self.K = float(_finite(K, True, "K"))
         self.letters = (Letter(self),)
 
     @staticmethod

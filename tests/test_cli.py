@@ -313,11 +313,43 @@ def test_stacked_conformal_defects_equal_the_per_sample_loop(seed):
 
 
 def test_conformal_suite_computes_kdist_on_stacks(count_calls):
-    # the per-sample loop made 801 calls: 4 per sample and the symmetric pair's
-    calls = count_calls(conformal, cli, name="kdist")
+    # the per-sample loop made 801 kdist calls, 4 per sample and the symmetric
+    # pair's, and 405 act calls: one stack of the 4 sample distances and one
+    # of (x.a, x.b), the symmetric pair's kdist, the 5 moved sets in one act
+    # and their centers in another
+    kdists = count_calls(conformal, cli, name="kdist")
+    acts = count_calls(cli, name="act")
     checks = cli.run_conformal(RunConfig(), np.random.default_rng(0))
     assert all(c["passed"] for c in checks)
-    assert len(calls) <= 10
+    assert len(kdists) <= 2
+    assert len(acts) <= 3
+
+
+def _per_call_draws(rng, count, spd, gl):
+    """What run_conformal's per-sample draws made, one generator call per block:
+    per sample, spd classes, then gl action matrices."""
+    normals, uniforms = [], []
+    for _ in range(count):
+        for _ in range(spd):
+            normals.append(rng.normal(size=(3, 3)))
+            uniforms.append(rng.uniform(-1.2, 1.2, 3))
+        for _ in range(gl):
+            normals += [rng.normal(size=(3, 3)), rng.normal(size=(3, 3))]
+            uniforms.append(rng.uniform(0.5, 2.0, 3))
+    return (np.reshape(normals, (count, spd + 2 * gl, 3, 3)),
+            np.reshape(uniforms, (count, spd + gl, 3)))
+
+
+@pytest.mark.parametrize("layout", [(200, 3, 1), (1, 1, 0), (5, 5, 1)])
+def test_drawn_stacks_equal_the_per_call_draws(layout):
+    # numpy's uniform computes lo + (hi - lo) * u in C; where that is
+    # contracted to a fused multiply-add the identity breaks, and so must this
+    for seed in range(60):
+        rng, per_call = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = cli._draw_stacks(rng, *layout), _per_call_draws(per_call, *layout)
+        # bit for bit, the sign of a zero included
+        assert all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(got, want))
+        assert rng.random() == per_call.random()  # the same stream was used up
 
 
 def _per_solve_circumcenter_checks(cfg, rng) -> dict:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,33 @@ def test_abspow_certificates_beyond_float_range_read_inf():
     # a map that needs a finite sup certificate rejects the node
     with pytest.raises(InputError):
         AlmostTranslation(SpectralData((1.0, 2.0), (1, 1)), [e, Const([0.0])])
+
+
+def test_norm_certificates_beyond_float_range_are_silent():
+    # np.linalg.norm warned "overflow encountered in dot" from numpy's own
+    # module, which the filter for warnings raised in solvrigid does not catch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Const([1e200, 1e200]).sup_bound == math.inf
+        osc = Osc([1e200, 1e200], [1e200, 1e200], 0.0, BlockVar(0, 2))
+        assert osc.sup_bound == osc.lipschitz == math.inf
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Scale("x", BlockVar(0, 1)),
+    lambda: Scale([1.0, 2.0], BlockVar(0, 1)),
+    lambda: Scale(math.nan, BlockVar(0, 1)),
+    lambda: AbsPow("x", BlockVar(0, 1)),
+    lambda: AbsPow(math.inf, BlockVar(0, 1)),
+    lambda: Clamp("a", "b", BlockVar(0, 1)),
+    lambda: Clamp(-math.inf, 0.0, BlockVar(0, 1)),
+    lambda: AlmostTranslation(SpectralData((1.0,), (1,)), [Const([0.0])], K="x"),
+    lambda: AlmostTranslation(SpectralData((1.0,), (1,)), [Const([0.0])], K=[1.0, 2.0]),
+])
+def test_scalar_parameters_are_one_finite_number(build):
+    # these raised builtins ValueError or TypeError, or were accepted
+    with pytest.raises(InputError):
+        build()
 
 
 @pytest.mark.parametrize("node", [Lin(np.zeros((1, 1)), BlockVar(1, 1)),

@@ -13,16 +13,19 @@ from hypothesis.extra import numpy as hnp
 
 from solvrigid import (
     ASimMap,
+    AbsPow,
     AlmostTranslation,
     BlockMap,
     BlockPoint,
     BlockVar,
+    Clamp,
     Const,
     FirstBlockAffineMap,
     InputError,
     Lin,
     Osc,
     Pwl,
+    Scale,
     SimMap,
     SolvRigidError,
     SpectralData,
@@ -298,6 +301,12 @@ def _certified(node_type, *child):
     return build
 
 
+def _almost_translation(K):
+    """An almost translation of the drawn constant ``K``, evaluated."""
+    a = AlmostTranslation(SpectralData((1.0,), (1,)), [Const([0.5])], K)
+    return a.eval_blocks([np.ones(1)])
+
+
 # a quarter turn: orthogonal, so that the drawn translations are reached too
 _QUARTER = [[0.0, -1.0], [1.0, 0.0]]
 # rotations and translations per block of SPEC_ROT: orthogonal or any floats,
@@ -374,6 +383,10 @@ TARGETS = {
     "Lin": (st.tuples(matrices), _certified(Lin, BlockVar(0, 2))),
     "Pwl": (st.tuples(arrays, arrays), _certified(Pwl, BlockVar(1, 1))),
     "Osc": (st.tuples(arrays, arrays, arrays), _certified(Osc, BlockVar(1, 1))),
+    "Scale": (st.tuples(numbers | arrays), _certified(Scale, BlockVar(0, 1))),
+    "AbsPow": (st.tuples(numbers | arrays), _certified(AbsPow, BlockVar(0, 1))),
+    "Clamp": (st.tuples(numbers | arrays, numbers | arrays), _certified(Clamp, BlockVar(0, 1))),
+    "AlmostTranslation_K": (st.tuples(numbers | arrays), _almost_translation),
     "SimMap": (st.tuples(st.floats(0.1, 10.0) | numbers | arrays, rotations, translations),
                _sim_map),
     "invariant_structure": (st.tuples(grids), _invariant_structure),
