@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConvergenceError, CoverageError, DomainError, InputError
 from .nilpotent import walk_words
-from .quasimetric import _exp, _image_rows
+from .quasimetric import _exp, _image_rows, _per_element
 from .spectral import BlockPoint, SpectralData, floats, require_blocks, split_rows
 
 
@@ -97,7 +97,10 @@ def act(X, A) -> np.ndarray:
 
 
 def _sqrt_inv(A: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(A)
+    try:
+        w, v = np.linalg.eigh(A)
+    except np.linalg.LinAlgError:  # LAPACK need not converge on entries near float range
+        raise InputError("conformal class has no eigendecomposition in float range") from None
     if not w.min() > 0:
         raise InputError("conformal class must be positive definite")
     return (v * (w ** -0.5)[..., None, :]) @ v.mT
@@ -132,10 +135,9 @@ def kdist(A, B):
     A float for two classes, an array for stacks (either side may be one class).
     """
     w = _rel_eigvals(A, B)
-    # math.log, not np.log: numpy's vectorized log may differ by an ulp
-    d = [max(math.log(hi), -math.log(lo), 0.0)
-         for lo, hi in zip(w[..., 0].ravel().tolist(), w[..., -1].ravel().tolist())]
-    return d[0] if w.ndim == 1 else np.array(d)
+    d = np.maximum(np.maximum(_per_element(math.log, w[..., -1]),
+                              -_per_element(math.log, w[..., 0])), 0.0)
+    return float(d) if w.ndim == 1 else d
 
 
 def ddist(A, B):
@@ -155,7 +157,7 @@ def dilatation(A):
     """
     A = _as_stack(A, "conformal class")
     d = kdist(np.eye(A.shape[-1]), A)
-    return _exp(d) if A.ndim == 2 else np.array([_exp(x) for x in d.tolist()])
+    return _exp(d) if A.ndim == 2 else _per_element(_exp, d)
 
 
 def _whitened_logs(Q: np.ndarray, mats: np.ndarray):

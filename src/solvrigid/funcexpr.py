@@ -26,6 +26,11 @@ from .spectral import finite_blocks, floats, require_blocks
 INF = float("inf")
 
 
+def _product(a: float, b: float) -> float:
+    """a * b of two certificate factors; a zero factor gives 0 beside inf, not NaN."""
+    return a and b and a * b
+
+
 class FuncExpr:
     dim: int
 
@@ -135,11 +140,11 @@ class Lin(FuncExpr):
 
     @property
     def lipschitz(self):
-        return self._opnorm and self._opnorm * self.child.lipschitz
+        return _product(self._opnorm, self.child.lipschitz)
 
     @property
     def sup_bound(self):
-        return self._opnorm and self._opnorm * self.child.sup_bound
+        return _product(self._opnorm, self.child.sup_bound)
 
     def to_json(self):
         return {"node": "lin", "matrix": self.matrix.tolist(), "child": self.child.to_json()}
@@ -188,11 +193,11 @@ class Scale(FuncExpr):
 
     @property
     def lipschitz(self):
-        return abs(self.factor) and abs(self.factor) * self.child.lipschitz
+        return _product(abs(self.factor), self.child.lipschitz)
 
     @property
     def sup_bound(self):
-        return abs(self.factor) and abs(self.factor) * self.child.sup_bound
+        return _product(abs(self.factor), self.child.sup_bound)
 
     def to_json(self):
         return {"node": "scale", "factor": self.factor, "child": self.child.to_json()}
@@ -327,7 +332,7 @@ class Pwl(FuncExpr):
 
     @property
     def lipschitz(self):
-        return self._max_slope * self.child.lipschitz
+        return _product(self._max_slope, self.child.lipschitz)
 
     @property
     def sup_bound(self):
@@ -356,7 +361,7 @@ class Osc(FuncExpr):
         self.dim = self.amp.shape[0]
         with np.errstate(over="ignore"):  # a norm beyond float range reads inf, which is sound
             self._sup_bound = float(np.linalg.norm(self.amp))
-            self._gain = self._sup_bound * float(np.linalg.norm(self.weights))
+            self._gain = _product(self._sup_bound, float(np.linalg.norm(self.weights)))
 
     def _eval(self, blocks):
         # np.vecdot gives each row the bits of the one-point inner product;
@@ -369,7 +374,7 @@ class Osc(FuncExpr):
 
     @property
     def lipschitz(self):
-        return self._gain * self.child.lipschitz
+        return _product(self._gain, self.child.lipschitz)
 
     @property
     def sup_bound(self):

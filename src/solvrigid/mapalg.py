@@ -11,52 +11,38 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InputError, NotInUniformSubgroup
-from .funcexpr import BlockVar, Const, FuncExpr, Lin, Sum
+from .funcexpr import FuncExpr, _product
 from .nilpotent import AlmostTranslation, Letter
-from .quasimetric import _image_rows, _qsim_logs, distance, estimate_qsim_constants
+from .quasimetric import (_image_rows, _per_element, _qsim_logs, distance,
+                          estimate_qsim_constants)
 from .spectral import (BlockPoint, BoundaryMap, SpectralData, float_parts, floats, join_blocks,
                        random_row_blocks, require_blocks, split_rows)
 
 
 class BlockMap(BoundaryMap):
-    """A map of R^n whose i-th component depends only on blocks i..r.
+    """A map of R^n whose i-th component depends only on blocks i..r; a
+    constant component gives a ``(n_i,)`` block for every row."""
 
-    With an ``inner`` map (a ``BoundaryMap`` with ``deps_of`` and
-    ``lip_bound``) the components read the inner image, which is evaluated
-    once per point; a constant component gives a ``(n_i,)`` block for every row.
-    """
-
-    def __init__(self, spec: SpectralData, components: Sequence[FuncExpr], inner=None):
+    def __init__(self, spec: SpectralData, components: Sequence[FuncExpr]):
         components = tuple(components)
         if len(components) != spec.r:
             raise InputError("one component per block required")
         self.spec = spec
         self.components = components
-        self.inner = inner
         for i, (f, n) in enumerate(zip(components, spec.multiplicities)):
             if f.dim != n:
                 raise InputError(f"component {i} has dim {f.dim}, block needs {n}")
             if any(j < i for j in self.deps_of(i)):
                 raise InputError(f"component {i} may only depend on blocks >= {i}")
 
-    @staticmethod
-    def identity(spec: SpectralData) -> "BlockMap":
-        return BlockMap(spec, [BlockVar(i, n) for i, n in enumerate(spec.multiplicities)])
-
     def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        if self.inner is not None:
-            blocks = self.inner._apply(blocks)
         return [f._eval(blocks) for f in self.components]
 
     def deps_of(self, j: int) -> frozenset[int]:
-        deps = self.components[j].deps()
-        if self.inner is None:
-            return deps
-        return frozenset().union(*(self.inner.deps_of(k) for k in deps))
+        return self.components[j].deps()
 
     def lip_bound(self) -> float:
-        lip = 1.0 if self.inner is None else self.inner.lip_bound()
-        return sum(f.lipschitz * lip for f in self.components)
+        return sum(f.lipschitz for f in self.components)
 
 
 @functools.lru_cache(maxsize=64)
@@ -163,10 +149,6 @@ class SimMap(BoundaryMap):
     def dilation(spec: SpectralData, t) -> "SimMap":
         return SimMap(spec, t)
 
-    @staticmethod
-    def identity(spec: SpectralData) -> "SimMap":
-        return SimMap(spec, 1.0)
-
     def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         """The image blocks; a stack of B maps B rows, row j by member j, or one point by each."""
         if self._lead and {b.shape[:-1] for b in blocks} - {(), self._lead}:
@@ -217,11 +199,6 @@ class SimMap(BoundaryMap):
         except FloatingPointError:
             raise DomainError("the inverse similarity is beyond float range") from None
 
-    def as_block_map(self) -> BlockMap:
-        comps = [Lin(m, Sum((BlockVar(i, n), Const(b)))) for i, (n, m, b) in enumerate(
-            zip(self.spec.multiplicities, self._one("as_block_map")._linear, self.translations))]
-        return BlockMap(self.spec, comps)
-
 
 def conjugate_almost_by_sim(s: SimMap, a: AlmostTranslation) -> AlmostTranslation:
     """s^-1 after a after s, which is again an almost translation.
@@ -232,9 +209,8 @@ def conjugate_almost_by_sim(s: SimMap, a: AlmostTranslation) -> AlmostTranslatio
     if s.spec != a.spec:
         raise InputError("spec mismatch")
     lip = s._one("conjugate_almost_by_sim").lip_bound()
-    # a zero Lipschitz bound stays 0 where lip reads inf
     certificates = [
-        (opnorm * b.sup_bound, opnorm * (b.lipschitz and b.lipschitz * lip), b.deps())
+        (_product(opnorm, b.sup_bound), _product(opnorm, _product(b.lipschitz, lip)), b.deps())
         for opnorm, b in zip(s._inverse_opnorms, a.perturbations)
     ]
     letters = []
@@ -258,10 +234,6 @@ class ASimMap(BoundaryMap):
     def stretch(self) -> float:
         return self.sim.stretch
 
-    @staticmethod
-    def identity(spec: SpectralData) -> "ASimMap":
-        return ASimMap(SimMap.identity(spec), AlmostTranslation.identity(spec))
-
     def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         return self.sim._apply(self.almost._apply(blocks))
 
@@ -280,56 +252,6 @@ class ASimMap(BoundaryMap):
     def inverse(self) -> "ASimMap":
         sim_inv = self.sim.inverse()
         return ASimMap(sim_inv, conjugate_almost_by_sim(sim_inv, self.almost.inverse()))
-
-
-def compose(F, G):
-    """F after G, staying in the tightest common normal form."""
-    if isinstance(F, SimMap) and isinstance(G, SimMap):
-        return F.compose(G)
-    if isinstance(F, AlmostTranslation) and isinstance(G, AlmostTranslation):
-        return F.compose(G)
-    fa = _as_asim(F)
-    ga = _as_asim(G)
-    if fa is not None and ga is not None:
-        return fa.compose(ga)
-    fb = _as_block_map(F)
-    gb = _as_block_map(G)
-    if fb.spec != gb.spec:
-        raise InputError("spec mismatch in composition")
-    inner = gb if fb.inner is None else compose(fb.inner, gb)
-    return BlockMap(fb.spec, fb.components, inner)
-
-
-def invert(F):
-    if isinstance(F, (SimMap, ASimMap, AlmostTranslation)):
-        return F.inverse()
-    raise InputError(f"no inversion rule for {type(F).__name__}")
-
-
-def _as_asim(F) -> Optional[ASimMap]:
-    if isinstance(F, ASimMap):
-        return F
-    if isinstance(F, SimMap):
-        return ASimMap(F, AlmostTranslation.identity(F.spec))
-    if isinstance(F, AlmostTranslation):
-        return ASimMap(SimMap.identity(F.spec), F)
-    return None
-
-
-def _as_block_map(F) -> BlockMap:
-    if isinstance(F, BlockMap):
-        return F
-    if isinstance(F, SimMap):
-        return F.as_block_map()
-    if isinstance(F, AlmostTranslation):
-        comps = [
-            Sum((BlockVar(i, n), b))
-            for i, (n, b) in enumerate(zip(F.spec.multiplicities, F.perturbations))
-        ]
-        return BlockMap(F.spec, comps)
-    if isinstance(F, ASimMap):
-        return BlockMap(F.spec, F.sim.as_block_map().components, _as_block_map(F.almost))
-    raise InputError(f"cannot view {type(F).__name__} as a block map")
 
 
 @dataclass(frozen=True)
@@ -426,7 +348,7 @@ def rotation_hom(G: ASimMap) -> tuple[np.ndarray, ...]:
 
 def height_hom(G):
     """log of the stretch (libm's, per member of a stack); additive under composition."""
-    return np.vectorize(math.log, otypes=[float])(G.stretch)[()]
+    return _per_element(math.log, G.stretch)[()]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .errors import (
     InputError,
     NotInKernel,
 )
-from .funcexpr import Const, Displacement, FuncExpr, _finite
+from .funcexpr import Const, Displacement, FuncExpr, _finite, _product
 from .quasimetric import distance
 from .spectral import BlockPoint, BoundaryMap, SpectralData, require_blocks
 
@@ -72,6 +72,8 @@ class AlmostTranslation(BoundaryMap):
     pass over it. A word's ``perturbations[i]`` is a ``Displacement`` node that
     reads block i's displacement off the word; its certificates follow the
     composition rules (sup bounds add, Lipschitz bounds follow the chain rule).
+    ``K`` is the quasisimilarity constant that ``epsilon_bound`` assumes, so
+    it must be one finite number >= 1 (InputError otherwise).
     """
 
     def __init__(self, spec: SpectralData, perturbations: Sequence[FuncExpr], K: float = 1.0):
@@ -90,6 +92,8 @@ class AlmostTranslation(BoundaryMap):
         self.spec = spec
         self.perturbations = perturbations
         self.K = float(_finite(K, True, "K"))
+        if not self.K >= 1.0:
+            raise InputError(f"K must be at least 1, got {self.K}")
         self.letters = (Letter(self),)
 
     @staticmethod
@@ -159,7 +163,7 @@ class AlmostTranslation(BoundaryMap):
         certificates = [
             (
                 bo.sup_bound + bs.sup_bound,
-                bo.lipschitz + bs.lipschitz * lip,
+                bo.lipschitz + _product(bs.lipschitz, lip),
                 bo.deps().union(*(other.deps_of(j) for j in bs.deps())),
             )
             for bs, bo in zip(self.perturbations, other.perturbations)
@@ -180,7 +184,7 @@ class AlmostTranslation(BoundaryMap):
             b = self.perturbations[i]
             later = 1.0 + sum(c[1] for c in certificates[i + 1 :])
             deps = frozenset().union(*(certificates[j][2] | {j} for j in b.deps()))
-            certificates[i] = (b.sup_bound, b.lipschitz * later, deps)
+            certificates[i] = (b.sup_bound, _product(b.lipschitz, later), deps)
         letters = [letter.inverse() for letter in reversed(self.letters)]
         return AlmostTranslation.from_letters(self.spec, letters, certificates, self.K)
 

@@ -51,6 +51,13 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _per_element(fn, x) -> np.ndarray:
+    """fn, libm's exp (``_exp``) or ``math.log``, of each element of x in x's shape: numpy's
+    vectorized exp and log may round differently, and rows keep the one-point bits."""
+    x = np.asarray(x)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def _require_points(spec: SpectralData, *points) -> list[np.ndarray]:
     """One point ``(total_dim,)`` or rows ``(N, total_dim)`` per argument, all of one shape.
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InputError
 from .mapalg import SimMap, check_triangularity
-from .quasimetric import _block_norm, _exp, _require_points, distance
+from .quasimetric import _block_norm, _exp, _per_element, _require_points, distance
 from .spectral import BlockPoint, SpectralData, floats
 
 
@@ -66,14 +66,6 @@ class SolvPoint:
     z: Optional[BlockPoint | np.ndarray] = None
 
 
-def identity_point(spec: SolvSpec) -> SolvPoint:
-    return SolvPoint(
-        height=0.0,
-        x=BlockPoint.zero(spec.lower) if spec.lower is not None else None,
-        z=BlockPoint.zero(spec.upper) if spec.upper is not None else None,
-    )
-
-
 def _require_solv_points(spec: SolvSpec, *points) -> tuple[list[np.ndarray], list]:
     """Heights and coordinates of one point or of N rows per argument, all of one shape.
 
@@ -104,13 +96,12 @@ def _require_solv_points(spec: SolvSpec, *points) -> tuple[list[np.ndarray], lis
 def _height_factors(data: SpectralData, t: np.ndarray) -> np.ndarray:
     """e^(t alpha_i) per block, repeated over the block's coordinates.
 
-    ``(total_dim,)`` for one height, ``(N, total_dim)`` for N. libm's exp, one
-    element at a time (numpy's vectorized exp may round differently), so every
-    row's factors are the one-point factors bit for bit. A factor beyond
-    float range reads inf.
+    ``(total_dim,)`` for one height, ``(N, total_dim)`` for N, through
+    ``_per_element``, so every row's factors are the one-point factors bit for
+    bit. A factor beyond float range reads inf.
     """
-    f = np.array([[_exp(s * a) for a in data.exponents] for s in t.ravel().tolist()])
-    return f.reshape(t.shape + (data.r,)).repeat(data.multiplicities, axis=-1)
+    f = _per_element(_exp, np.multiply.outer(t, data.exponents))
+    return f.repeat(data.multiplicities, axis=-1)
 
 
 def _solv_result(spec: SolvSpec, inputs, height: np.ndarray, x, z) -> SolvPoint:
@@ -164,17 +155,16 @@ def inverse(spec: SolvSpec, p: SolvPoint) -> SolvPoint:
 def _level_terms(exponents: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """e^exponent * gap per element of two arrays of one shape; 0 where the gap is 0.
 
-    The factor is libm's exp, one element at a time. Where it leaves the
-    normal float range (it overflows, or underflows below 2^-1022), the term is
+    The factor is ``_per_element``'s exp. Where it leaves the normal float
+    range (it overflows, or underflows below 2^-1022), the term is
     exp(log gap + exponent) instead, which stays in range where the product
     does; every other term keeps the bits of the plain product.
     """
-    factor = np.fromiter(map(_exp, exponents.ravel().tolist()), float, exponents.size)
+    factor = _per_element(_exp, exponents)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = factor.reshape(exponents.shape) * gaps
+        terms = factor * gaps
     far = (factor < 2.0 ** -1022) | (factor == math.inf)
     if far.any():
-        far = far.reshape(exponents.shape)
         terms[far] = [_exp(math.log(g) + e) if g else 0.0
                       for e, g in zip(exponents[far].tolist(), gaps[far].tolist())]
     return terms
@@ -309,7 +299,7 @@ def boundary_of_height_isometry(spec: SolvSpec, a) -> SimMap:
     heights = floats(a, "height")
     if not np.isfinite(heights).all():
         raise InputError(f"height must be finite, got {a}")
-    return SimMap.dilation(spec.lower, np.reshape([_exp(h) for h in heights.flat], heights.shape))
+    return SimMap.dilation(spec.lower, _per_element(_exp, heights))
 
 
 @dataclass(frozen=True)

@@ -110,21 +110,6 @@ class BlockPoint:
     def zero(spec: SpectralData) -> "BlockPoint":
         return BlockPoint(tuple(np.zeros(n) for n in spec.multiplicities))
 
-    def __add__(self, other: "BlockPoint") -> "BlockPoint":
-        return BlockPoint(tuple(a + b for a, b in zip(self.blocks, other.blocks)))
-
-    def __sub__(self, other: "BlockPoint") -> "BlockPoint":
-        return BlockPoint(tuple(a - b for a, b in zip(self.blocks, other.blocks)))
-
-    def __neg__(self) -> "BlockPoint":
-        return BlockPoint(tuple(-a for a in self.blocks))
-
-    def isclose(self, other: "BlockPoint", atol: float = 0.0) -> bool:
-        """Blockwise np.allclose with relative tolerance 1e-12."""
-        return all(
-            np.allclose(a, b, atol=atol, rtol=1e-12) for a, b in zip(self.blocks, other.blocks)
-        )
-
 
 def finite_blocks(blocks) -> list[np.ndarray]:
     """``blocks`` as float arrays; InputError on a non-numeric or non-finite block."""

@@ -18,6 +18,11 @@ def random_point(spec, rng: np.random.Generator, scale: float = 1.0) -> BlockPoi
     return BlockPoint(tuple(rng.uniform(-scale, scale, n) for n in spec.multiplicities))
 
 
+def isclose(p: BlockPoint, q: BlockPoint, atol: float = 0.0) -> bool:
+    """Blockwise np.allclose with relative tolerance 1e-12."""
+    return all(np.allclose(a, b, atol=atol, rtol=1e-12) for a, b in zip(p.blocks, q.blocks))
+
+
 def distance(spec, p: BlockPoint, q: BlockPoint) -> float:
     best = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -71,14 +76,18 @@ def _scaled(factors, p: BlockPoint) -> BlockPoint:
     return BlockPoint(tuple(f * b for f, b in zip(factors, p.blocks)))
 
 
+def _plus(p: BlockPoint, q: BlockPoint) -> BlockPoint:
+    return BlockPoint(tuple(a + b for a, b in zip(p.blocks, q.blocks)))
+
+
 def multiply(solv, p: SolvPoint, q: SolvPoint) -> SolvPoint:
     """(t, x, z) * (s, y, w) = (t + s, x + e^{tA} y, z + e^{-tB} w)."""
     t = p.height
     x = z = None
     if solv.lower is not None:
-        x = p.x + _scaled([math.exp(t * a) for a in solv.lower.exponents], q.x)
+        x = _plus(p.x, _scaled([math.exp(t * a) for a in solv.lower.exponents], q.x))
     if solv.upper is not None:
-        z = p.z + _scaled([math.exp(-t * b) for b in solv.upper.exponents], q.z)
+        z = _plus(p.z, _scaled([math.exp(-t * b) for b in solv.upper.exponents], q.z))
     return SolvPoint(p.height + q.height, x, z)
 
 
@@ -86,7 +95,7 @@ def inverse(solv, p: SolvPoint) -> SolvPoint:
     t = p.height
     x = z = None
     if solv.lower is not None:
-        x = _scaled([math.exp(-t * a) for a in solv.lower.exponents], -p.x)
+        x = _scaled([-math.exp(-t * a) for a in solv.lower.exponents], p.x)
     if solv.upper is not None:
-        z = _scaled([math.exp(t * b) for b in solv.upper.exponents], -p.z)
+        z = _scaled([-math.exp(t * b) for b in solv.upper.exponents], p.z)
     return SolvPoint(-t, x, z)

@@ -25,6 +25,7 @@ from solvrigid import (
     expr_from_json,
     probe_lipschitz,
 )
+from solvrigid.fixtures import SPEC_NIL
 
 SPEC = SpectralData((1.0, 2.0), (2, 1))
 BLOCKS = [np.array([0.5, -1.0]), np.array([2.0])]
@@ -71,6 +72,30 @@ def test_norm_certificates_beyond_float_range_are_silent():
         assert Const([1e200, 1e200]).sup_bound == math.inf
         osc = Osc([1e200, 1e200], [1e200, 1e200], 0.0, BlockVar(0, 2))
         assert osc.sup_bound == osc.lipschitz == math.inf
+
+
+def _word_certificates(word):
+    return [b.lipschitz for b in word.perturbations]
+
+
+ROOT_LIKE = Clamp(-1.0, 1.0, AbsPow(0.5, BlockVar(1, 1)))  # Lipschitz certificate inf
+
+
+# a zero factor beside an infinite one: each read nan (0 * inf)
+@pytest.mark.parametrize("certificates, want", [
+    (lambda: [Osc([1e200, 1e200], [0.0, 0.0], 0.0, BlockVar(0, 2)).lipschitz], [0.0]),
+    (lambda: [Pwl([0.0, 1.0], [1.0, 1.0], AbsPow(0.5, BlockVar(1, 1))).lipschitz], [0.0]),
+    (lambda: [Osc([0.0], [1.0], 0.0, AbsPow(0.5, BlockVar(1, 1))).lipschitz], [0.0]),
+    (lambda: _word_certificates(
+        AlmostTranslation(SPEC_NIL, [Const([0.5]), Const([1.0])]).compose(
+            AlmostTranslation(SPEC_NIL, [ROOT_LIKE, Const([1.0])]))), [math.inf, 0.0]),
+    (lambda: _word_certificates(AlmostTranslation(
+        SpectralData((1.0, 2.0, 3.0), (2, 1, 1)),
+        [Const([0.5, 0.5]), Clamp(-1.0, 1.0, AbsPow(0.5, BlockVar(2, 1))), Const([1.0])],
+    ).inverse()), [0.0, math.inf, 0.0]),
+], ids=["osc-gain", "pwl", "osc-child", "word-compose", "word-inverse"])
+def test_a_zero_factor_keeps_a_certificate_zero(certificates, want):
+    assert certificates() == want
 
 
 @pytest.mark.parametrize("build", [

@@ -38,6 +38,8 @@ from solvrigid.fixtures import (
 from solvrigid import nilpotent
 from solvrigid.nilpotent import ExactGenerator
 
+from metric_reference import isclose
+
 RNG = np.random.default_rng(23)
 
 
@@ -54,27 +56,33 @@ class TestAlmostTranslation:
             # last block must be constant
             AlmostTranslation(SPEC_NIL, [Const([0.0]), Osc([1.0], [1.0], 0.0, BlockVar(1, 1))])
 
+    @pytest.mark.parametrize("K", [-2.0, 0.0, 0.5])
+    def test_quasisimilarity_constant_below_one_rejected(self, K):
+        # epsilon_bound read -8.0 at K=-2 and 0.0 at K=0
+        with pytest.raises(InputError):
+            AlmostTranslation(SPEC_NIL, oscillating_kernel_element().perturbations, K=K)
+
     def test_compose_matches_pointwise(self):
         a = oscillating_kernel_element()
         b = a.compose(a)
         for _ in range(20):
             p = _rand_point()
-            assert b(p).isclose(a(a(p)), atol=1e-12)
+            assert isclose(b(p), a(a(p)), atol=1e-12)
 
     def test_inverse_matches_pointwise(self):
         a = oscillating_kernel_element()
         inv = a.inverse()
         for _ in range(20):
             p = _rand_point()
-            assert inv(a(p)).isclose(p, atol=1e-10)
-            assert a(inv(p)).isclose(p, atol=1e-10)
+            assert isclose(inv(a(p)), p, atol=1e-10)
+            assert isclose(a(inv(p)), p, atol=1e-10)
 
     def test_power(self):
         a = oscillating_kernel_element()
         p = _rand_point()
-        assert a.power(3)(p).isclose(a(a(a(p))), atol=1e-10)
-        assert a.power(-1)(a(p)).isclose(p, atol=1e-10)
-        assert a.power(0)(p).isclose(p)
+        assert isclose(a.power(3)(p), a(a(a(p))), atol=1e-10)
+        assert isclose(a.power(-1)(a(p)), p, atol=1e-10)
+        assert isclose(a.power(0)(p), p)
 
 
 class TestWords:
@@ -107,7 +115,7 @@ class TestWords:
         inv = word.inverse()
         for _ in range(20):
             p = _rand_point()
-            assert inv(word(p)).isclose(p, atol=1e-10)
+            assert isclose(inv(word(p)), p, atol=1e-10)
 
 
 class TestBounds:

@@ -278,7 +278,7 @@ class TestQsimConstants:
 
     def test_degenerate_sample_rejected(self):
         with pytest.raises(InputError):
-            estimate_qsim_constants(SPEC_R1, SimMap.identity(SPEC_R1), np.zeros((1, 2, 1)))
+            estimate_qsim_constants(SPEC_R1, SimMap(SPEC_R1, 1.0), np.zeros((1, 2, 1)))
 
 
 SPEC_NAN = SpectralData((1.0, 2.0), (1, 1))
