@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InputError, NotInUniformSubgroup
-from .funcexpr import FuncExpr, _product
+from .funcexpr import FuncExpr
 from .nilpotent import AlmostTranslation, Letter
 from .quasimetric import (_image_rows, _per_element, _qsim_logs, distance,
                           estimate_qsim_constants)
@@ -209,8 +209,9 @@ def conjugate_almost_by_sim(s: SimMap, a: AlmostTranslation) -> AlmostTranslatio
     if s.spec != a.spec:
         raise InputError("spec mismatch")
     lip = s._one("conjugate_almost_by_sim").lip_bound()
+    # a zero Lipschitz bound stays 0 where lip reads inf
     certificates = [
-        (_product(opnorm, b.sup_bound), _product(opnorm, _product(b.lipschitz, lip)), b.deps())
+        (opnorm * b.sup_bound, opnorm * (b.lipschitz and b.lipschitz * lip), b.deps())
         for opnorm, b in zip(s._inverse_opnorms, a.perturbations)
     ]
     letters = []

@@ -24,7 +24,7 @@ from .errors import (
     InputError,
     NotInKernel,
 )
-from .funcexpr import Const, Displacement, FuncExpr, _finite, _product
+from .funcexpr import Const, Displacement, FuncExpr, _finite
 from .quasimetric import distance
 from .spectral import BlockPoint, BoundaryMap, SpectralData, require_blocks
 
@@ -159,11 +159,11 @@ class AlmostTranslation(BoundaryMap):
         """self after other; perturbations add along the inner image."""
         if self.spec != other.spec:
             raise InputError("spec mismatch in almost-translation composition")
-        lip = other.lip_bound()
+        lip = other.lip_bound()  # >= 1, so only a zero factor on the left can meet inf
         certificates = [
             (
                 bo.sup_bound + bs.sup_bound,
-                bo.lipschitz + _product(bs.lipschitz, lip),
+                bo.lipschitz + (bs.lipschitz and bs.lipschitz * lip),
                 bo.deps().union(*(other.deps_of(j) for j in bs.deps())),
             )
             for bs, bo in zip(self.perturbations, other.perturbations)
@@ -184,7 +184,7 @@ class AlmostTranslation(BoundaryMap):
             b = self.perturbations[i]
             later = 1.0 + sum(c[1] for c in certificates[i + 1 :])
             deps = frozenset().union(*(certificates[j][2] | {j} for j in b.deps()))
-            certificates[i] = (b.sup_bound, _product(b.lipschitz, later), deps)
+            certificates[i] = (b.sup_bound, b.lipschitz and b.lipschitz * later, deps)
         letters = [letter.inverse() for letter in reversed(self.letters)]
         return AlmostTranslation.from_letters(self.spec, letters, certificates, self.K)
 
