@@ -74,22 +74,22 @@ def test_norm_certificates_beyond_float_range_are_silent():
         assert osc.sup_bound == osc.lipschitz == math.inf
 
 
-def _word_certificates(word):
+def _word_lipschitz(word):
     return [b.lipschitz for b in word.perturbations]
 
 
-ROOT_LIKE = Clamp(-1.0, 1.0, AbsPow(0.5, BlockVar(1, 1)))  # Lipschitz certificate inf
+ROOT_LIKE = Clamp(-1.0, 1.0, AbsPow(0.5, BlockVar(1, 1)))  # bounded, Lipschitz certificate inf
 
 
-# a zero factor beside an infinite one: each read nan (0 * inf)
+# a zero factor beside an infinite one, where the plain product 0 * inf is NaN
 @pytest.mark.parametrize("certificates, want", [
     (lambda: [Osc([1e200, 1e200], [0.0, 0.0], 0.0, BlockVar(0, 2)).lipschitz], [0.0]),
     (lambda: [Pwl([0.0, 1.0], [1.0, 1.0], AbsPow(0.5, BlockVar(1, 1))).lipschitz], [0.0]),
     (lambda: [Osc([0.0], [1.0], 0.0, AbsPow(0.5, BlockVar(1, 1))).lipschitz], [0.0]),
-    (lambda: _word_certificates(
+    (lambda: _word_lipschitz(
         AlmostTranslation(SPEC_NIL, [Const([0.5]), Const([1.0])]).compose(
             AlmostTranslation(SPEC_NIL, [ROOT_LIKE, Const([1.0])]))), [math.inf, 0.0]),
-    (lambda: _word_certificates(AlmostTranslation(
+    (lambda: _word_lipschitz(AlmostTranslation(
         SpectralData((1.0, 2.0, 3.0), (2, 1, 1)),
         [Const([0.5, 0.5]), Clamp(-1.0, 1.0, AbsPow(0.5, BlockVar(2, 1))), Const([1.0])],
     ).inverse()), [0.0, math.inf, 0.0]),

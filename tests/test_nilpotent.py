@@ -58,7 +58,7 @@ class TestAlmostTranslation:
 
     @pytest.mark.parametrize("K", [-2.0, 0.0, 0.5])
     def test_quasisimilarity_constant_below_one_rejected(self, K):
-        # epsilon_bound read -8.0 at K=-2 and 0.0 at K=0
+        # epsilon_bound assumes K >= 1: K=-2 would make it -8.0, K=0 make it 0.0
         with pytest.raises(InputError):
             AlmostTranslation(SPEC_NIL, oscillating_kernel_element().perturbations, K=K)
 

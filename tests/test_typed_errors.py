@@ -431,7 +431,7 @@ def test_affine_maps_reject_non_finite_points(bad):
 
 @pytest.mark.parametrize("fn", [kdist, ddist])
 def test_a_class_without_eigendecomposition_rejected(fn):
-    # LAPACK's eigh does not converge here, and numpy's LinAlgError escaped
+    # LAPACK's eigh does not converge here; numpy's LinAlgError must not escape
     a = np.full((4, 4), 2.0)
     a[0, 0], a[0, 1], a[1, 0] = 0.0, 3.54111313e227, 3.54111313e227
     with pytest.raises(InputError):
