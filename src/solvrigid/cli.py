@@ -39,7 +39,7 @@ from .solvgroup import (
     pair_to_point_bisect,
     VerticalGeodesic,
 )
-from .spectral import BlockPoint, SpectralData, join_blocks, random_row_blocks, split_rows
+from .spectral import SpectralData, join_blocks, random_row_blocks, split_rows
 from .tukia import conjugator_1d, sup_measure_1d, verify_conjugation
 
 
@@ -197,10 +197,7 @@ def run_metric(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
             d2 = distance(spec, dilate(spec, t, p[keep]), dilate(spec, t, q[keep]))
             td = t * d[keep]
             dil_worst = max(dil_worst, float(np.max(np.abs(d2 - td) / td, initial=0.0)))
-    x0 = BlockPoint.zero(spec)
-    x1 = BlockPoint(tuple(
-        (np.ones(n) if i == 0 else np.zeros(n)) for i, n in enumerate(spec.multiplicities)
-    ))
+    x0, x1 = np.zeros(spec.total_dim), np.repeat(np.eye(spec.r)[0], spec.multiplicities)
     est = chain_energy(spec, cfg.beta, x0, x1, ChainGrid(resolution=16, max_depth=12))
     return [
         _check("triangle-inequality", tri_worst <= 1e-12, tri_worst),
@@ -257,8 +254,7 @@ def run_geodesic(cfg: RunConfig, rng: np.random.Generator, out_dir: Path | None 
         _check("group-law", grp_worst <= 1e-12, grp_worst),
     ]
     if out_dir is not None:
-        anchor = BlockPoint.from_flat(cfg.spec, rng.uniform(-1, 1, cfg.spec.total_dim))
-        geo = VerticalGeodesic(anchor=(anchor, None))
+        geo = VerticalGeodesic(anchor=(rng.uniform(-1, 1, cfg.spec.total_dim), None))
         rows = geo.sample_csv_rows(np.linspace(-2.0, 2.0, 41))
         text = "\n".join(",".join(f"{v:.12g}" for v in row) for row in rows) + "\n"
         digest = hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -271,14 +267,14 @@ def run_geodesic(cfg: RunConfig, rng: np.random.Generator, out_dir: Path | None 
 def run_classify(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     spec = fixtures.SPEC_NIL
     samples = np.concatenate(list(random_row_blocks(spec, rng, 300, 2, 3.0)))
-    sim = SimMap.dilation(spec, 2.0)
+    sim = SimMap(spec, 2.0)
     c_sim = classify(spec, sim, samples)
-    asim = ASimMap(SimMap.dilation(spec, 1.5), fixtures.oscillating_kernel_element())
+    asim = ASimMap(SimMap(spec, 1.5), fixtures.oscillating_kernel_element())
     c_asim = classify(spec, asim, samples)
     # the 200 pairs in one draw, the numbers of 200 draws of 2
-    s1, s2 = (SimMap.dilation(spec, t) for t in rng.uniform(0.5, 2.0, (200, 2)).T)
+    s1, s2 = (SimMap(spec, t) for t in rng.uniform(0.5, 2.0, (200, 2)).T)
     hom_worst = float(np.max(np.abs(height_hom(s1.compose(s2)) - height_hom(s1) - height_hom(s2))))
-    v = stretch_hom([SimMap.dilation(spec, 2.0), SimMap.dilation(spec, 4.0)], [[1.0], [2.0]])
+    v = stretch_hom([SimMap(spec, 2.0), SimMap(spec, 4.0)], [[1.0], [2.0]])
     stretch_res = abs(float(v[0]) - math.log(2.0))
     return [
         _check("similarity-classified", c_sim.kind == "Sim", 0.0 if c_sim.kind == "Sim" else 1.0,

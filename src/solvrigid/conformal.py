@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConvergenceError, CoverageError, DomainError, InputError
 from .nilpotent import walk_words
 from .quasimetric import _exp, _image_rows, _per_element
-from .spectral import BlockPoint, SpectralData, floats, require_blocks, split_rows
+from .spectral import SpectralData, floats, require_blocks, split_rows
 
 
 def _as_stack(matrix, what: str) -> np.ndarray:
@@ -33,14 +33,12 @@ def conf_class(matrix) -> np.ndarray:
     """
     a = _as_stack(matrix, "conformal class")
     stack = a.reshape(-1, *a.shape[-2:])
-    scale = np.abs(stack).max(axis=(1, 2))
+    scale = _symmetric_scale(stack)
     peak = scale.max()
     if not peak < math.inf:
         raise InputError("conformal class must be finite")
     # a member whose steps leave the float range is flagged by _det_one
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if (np.abs(stack - stack.mT) > 1e-12 * np.maximum(1.0, scale)[:, None, None]).any():
-            raise InputError("conformal class must be symmetric")
         out, redo = _det_one(stack, peak)
         if redo.any():
             exps = np.frexp(scale[redo])[1][:, None, None]
@@ -48,6 +46,16 @@ def conf_class(matrix) -> np.ndarray:
             if redo.any():
                 raise InputError("conformal class is beyond float range")
     return out.reshape(a.shape)
+
+
+def _symmetric_scale(a: np.ndarray) -> np.ndarray:
+    """Each member's largest entry magnitude, for an (n, n) or (N, n, n) ``a``; InputError unless
+    each finite member is symmetric to 1e-12 max(1, that magnitude), entry by entry."""
+    scale = np.abs(a).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (np.abs(a - a.mT) > 1e-12 * np.maximum(1.0, scale)[..., None, None]).any():
+            raise InputError("conformal class must be symmetric")
+    return scale
 
 
 def _det_one(a: np.ndarray, peak: float) -> tuple[np.ndarray, np.ndarray]:
@@ -109,13 +117,14 @@ def _sqrt_inv(A: np.ndarray) -> np.ndarray:
 def _rel_eigvals(A, B) -> np.ndarray:
     """Eigenvalues of B in the frame where A is the identity (rows for stacks).
 
-    InputError unless A and B are finite, of one size and (for two stacks)
-    count, and these eigenvalues and those of A are finite and positive.
+    InputError unless A and B are finite, symmetric as in ``conf_class``, of one size and (for
+    two stacks) count, and these eigenvalues and those of A are finite and positive.
     """
     A, B = _as_stack(A, "conformal class"), _as_stack(B, "conformal class")
     if A.shape[-1] != B.shape[-1] or (A.ndim == B.ndim == 3 and len(A) != len(B)):
         raise InputError("conformal classes must match in size and count")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+    # a largest magnitude is finite (not NaN or inf) only where every entry is
+    if not (_symmetric_scale(A).max() < math.inf and _symmetric_scale(B).max() < math.inf):
         raise InputError("conformal class must be finite")
     s = _sqrt_inv(A)
     # a product beyond float range is rejected here, not warned about
@@ -133,6 +142,7 @@ def kdist(A, B):
     """max(log lam_max, log 1/lam_min) of B relative to A; GL-invariant.
 
     A float for two classes, an array for stacks (either side may be one class).
+    Raw symmetric classes are read as given, not scaled to determinant one.
     """
     w = _rel_eigvals(A, B)
     d = np.maximum(np.maximum(_per_element(math.log, w[..., -1]),
@@ -143,7 +153,7 @@ def kdist(A, B):
 def ddist(A, B):
     """Riemannian distance: l2 norm of the relative log-eigenvalues.
 
-    A float for two classes, an array for stacks (either side may be one class).
+    A float for two classes, an array for stacks, read as kdist reads them.
     """
     d = np.sqrt(np.sum(np.log(_rel_eigvals(A, B)) ** 2, axis=-1))
     return float(d) if d.ndim == 0 else d
@@ -462,8 +472,9 @@ class ConfField:
         idx = np.argmin(dist2, axis=1)
         return idx, ~(np.sqrt(dist2[np.arange(len(rows)), idx]) > self.resolution)
 
-    def value_at(self, p: BlockPoint) -> np.ndarray:
-        idx, covered = self._nearest(p.flat()[None])
+    def value_at(self, p: np.ndarray) -> np.ndarray:
+        """The class at the sample nearest to the ``(total_dim,)`` row p."""
+        idx, covered = self._nearest(floats(p, "point")[None])
         if not covered[0]:
             raise CoverageError(
                 f"point farther than grid resolution {self.resolution} from every sample"
@@ -551,11 +562,12 @@ def invariant_structure(
     return field_
 
 
-def conformality_defect(F, mu: ConfField, nu: ConfField, p: BlockPoint) -> float:
-    """exp k( mu(p), f'(p)[nu(F p)] ); equals 1 at (mu, nu)-conformal points."""
+def conformality_defect(F, mu: ConfField, nu: ConfField, p: np.ndarray) -> float:
+    """exp k( mu(p), f'(p)[nu(F p)] ) at the ``(total_dim,)`` row p; 1 where conformal."""
+    p = floats(p, "point")
     mu_p = mu.value_at(p)
-    nu_fp = nu.value_at(F(p))
-    pushed = act(F.first_block_derivative(p.blocks), nu_fp)
+    nu_fp = nu.value_at(_image_rows(F.spec, F, p))
+    pushed = act(F.first_block_derivative(split_rows(F.spec, p)), nu_fp)
     return math.exp(kdist(mu_p, pushed))
 
 

@@ -172,12 +172,12 @@ def radial_sample() -> GroupSample:
 
 
 def matched_boundary_pair() -> BoundaryPair:
-    return BoundaryPair(lower=SimMap.dilation(SPEC_R1, 2.0), upper=SimMap.dilation(SPEC_R1, 0.5))
+    return BoundaryPair(lower=SimMap(SPEC_R1, 2.0), upper=SimMap(SPEC_R1, 0.5))
 
 
 def mismatched_boundary_pair() -> BoundaryPair:
     return BoundaryPair(
-        lower=SimMap.dilation(SPEC_R1, 2.0), upper=SimMap.dilation(SPEC_R1, 1.0 / 3.0)
+        lower=SimMap(SPEC_R1, 2.0), upper=SimMap(SPEC_R1, 1.0 / 3.0)
     )
 
 

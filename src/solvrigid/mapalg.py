@@ -145,10 +145,6 @@ class SimMap(BoundaryMap):
         """The operator 2-norms of ``_inverse_linear``."""
         return tuple(float(np.linalg.norm(m, 2)) for m in self._inverse_linear)
 
-    @staticmethod
-    def dilation(spec: SpectralData, t) -> "SimMap":
-        return SimMap(spec, t)
-
     def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         """The image blocks; a stack of B maps B rows, row j by member j, or one point by each."""
         if self._lead and {b.shape[:-1] for b in blocks} - {(), self._lead}:

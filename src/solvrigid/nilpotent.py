@@ -216,8 +216,7 @@ def tau_project(gamma: AlmostTranslation, j: int) -> np.ndarray:
     for m in range(j + 1, spec.r):
         if gamma.b_max(m) > 0.0:
             raise NotInKernel(m)
-    zero = BlockPoint.zero(spec)
-    return gamma.perturbations[j](zero.blocks)
+    return gamma.perturbations[j]([np.zeros(n) for n in spec.multiplicities])
 
 
 def displacement_bound(gamma_prime: AlmostTranslation, generators: Sequence[AlmostTranslation]) -> float:
@@ -286,7 +285,6 @@ def orbit_growth(
     if not generators:
         return OrbitCount(count=1, saturated=False)
     spec = generators[0].spec
-    points = [basepoint, BlockPoint(tuple(np.full(n, 0.625) for n in spec.multiplicities))]
 
     def fingerprint(images):
         return tuple(tuple(np.round(np.concatenate(q), 9)) for q in images)
@@ -301,7 +299,8 @@ def orbit_growth(
         seen.add(fp)
         return images
 
-    start = [require_blocks(spec, q.blocks) for q in points]
+    probe = [np.full(n, 0.625) for n in spec.multiplicities]
+    start = [require_blocks(spec, q) for q in (basepoint.blocks, probe)]
     seen.add(fingerprint(start))
     alphabet = list(generators) + [g.inverse() for g in generators]
     words = list(walk_words(alphabet, word_cap, start, step))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InputError
-from .spectral import BlockPoint, SpectralData, floats, join_blocks, split_rows
+from .spectral import SpectralData, floats, join_blocks, split_rows
 
 # A sum of squares below this may have lost relative precision to underflow
 # (each subnormal square is off by up to 2^-1075); such blocks, exact zeros
@@ -59,20 +59,8 @@ def _per_element(fn, x) -> np.ndarray:
 
 
 def _require_points(spec: SpectralData, *points) -> list[np.ndarray]:
-    """One point ``(total_dim,)`` or rows ``(N, total_dim)`` per argument, all of one shape.
-
-    A BlockPoint is checked against the spec's blocks (DimensionMismatch)
-    and flattened; anything else is read as a float array.
-    """
-    out = []
-    for p in points:
-        if isinstance(p, BlockPoint):
-            # its blocks are 1-D, so their lengths are their shapes
-            if tuple(map(len, p.blocks)) != spec.multiplicities:
-                raise DimensionMismatch(f"point with block dims {list(map(len, p.blocks))} does "
-                                        f"not conform to multiplicities {spec.multiplicities}")
-            p = p.flat()
-        out.append(floats(p, "points"))
+    """One point ``(total_dim,)`` or rows ``(N, total_dim)`` per argument, all of one shape."""
+    out = [floats(p, "points") for p in points]
     for a in out:
         if a.ndim not in (1, 2) or a.shape[-1] != spec.total_dim or a.shape != out[0].shape:
             raise DimensionMismatch(
@@ -157,7 +145,7 @@ def _segment_chain_cost(gap: float, alpha: float, beta: float, k: int) -> float:
 
 
 def chain_energy(
-    spec: SpectralData, beta: float, p: BlockPoint, q: BlockPoint, grid: ChainGrid
+    spec: SpectralData, beta: float, p: np.ndarray, q: np.ndarray, grid: ChainGrid
 ) -> ChainEnergyEstimate:
     """Upper estimate of the chain functional over axis-aligned interleaved chains.
 
@@ -196,7 +184,7 @@ def chain_energy(
 
 
 def enumerate_chain_cost(
-    spec: SpectralData, beta: float, p: BlockPoint, q: BlockPoint, k: int
+    spec: SpectralData, beta: float, p: np.ndarray, q: np.ndarray, k: int
 ) -> float:
     """Brute-force chain cost: materialize the interleaved chain and sum D^beta.
 

@@ -6,14 +6,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InputError
 from .mapalg import SimMap, check_triangularity
-from .quasimetric import _block_norm, _exp, _per_element, _require_points, distance
-from .spectral import BlockPoint, SpectralData, floats
+from .quasimetric import _block_norm, _exp, _image_rows, _per_element, _require_points, distance
+from .spectral import BoundaryMap, SpectralData, floats
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,13 @@ class SolvSpec:
 class SolvPoint:
     """A point (height, x, z) of the model space, or N of them as rows.
 
-    One point: a float height, and x and z as BlockPoints or ``(total_dim,)``
-    arrays. Rows: an ``(N,)`` array of heights, and x and z as
-    ``(N, total_dim)`` arrays.
+    One point: a float height, and x and z as ``(total_dim,)`` arrays. Rows:
+    an ``(N,)`` array of heights, and x and z as ``(N, total_dim)`` arrays.
     """
 
     height: float | np.ndarray
-    x: Optional[BlockPoint | np.ndarray] = None
-    z: Optional[BlockPoint | np.ndarray] = None
+    x: Optional[np.ndarray] = None
+    z: Optional[np.ndarray] = None
 
 
 def _require_solv_points(spec: SolvSpec, *points) -> tuple[list[np.ndarray], list]:
@@ -104,42 +103,35 @@ def _height_factors(data: SpectralData, t: np.ndarray) -> np.ndarray:
     return f.repeat(data.multiplicities, axis=-1)
 
 
-def _solv_result(spec: SolvSpec, inputs, height: np.ndarray, x, z) -> SolvPoint:
-    """A SolvPoint of BlockPoints for one point, of rows for rows.
+def _solv_result(inputs, height: np.ndarray, x, z) -> SolvPoint:
+    """A SolvPoint of one point (a float height) or of rows.
 
-    Every non-finite input makes the result non-finite, so the inputs are
-    checked only then: InputError on a non-finite height or coordinate,
-    DomainError where a factor e^(t alpha_i) or a product is beyond float range.
+    Every non-finite input makes the result non-finite, so the inputs are checked only then:
+    InputError on a non-finite height or coordinate, DomainError where a factor
+    e^(t alpha_i), a group-law product or an image is beyond float range.
     """
     if not all(np.isfinite(a).all() for a in (height, x, z) if a is not None):
         heights, coords = inputs
         if not all(np.isfinite(a).all()
                    for a in heights + [x for c in coords if c is not None for x in c]):
             raise InputError("point has a non-finite height or coordinate")
-        raise DomainError("a factor e^(t alpha_i) or a product of the group law "
+        raise DomainError("a factor e^(t alpha_i), a group-law product or an image "
                           "is beyond float range")
-    if height.ndim:
-        return SolvPoint(height, x, z)
-    return SolvPoint(
-        float(height),
-        None if x is None else BlockPoint.from_flat(spec.lower, x),
-        None if z is None else BlockPoint.from_flat(spec.upper, z),
-    )
+    return SolvPoint(height if height.ndim else float(height), x, z)
 
 
 def multiply(spec: SolvSpec, p: SolvPoint, q: SolvPoint) -> SolvPoint:
     """(t, x, z) * (s, y, w) = (t + s, x + e^{tA} y, z + e^{-tB} w).
 
-    For two points a point (x and z BlockPoints); for two SolvPoints of N
-    rows a SolvPoint of N rows, each equal to the one-point product bit for
-    bit.
+    For two points a point; for two SolvPoints of N rows a SolvPoint of N
+    rows, each equal to the one-point product bit for bit.
     """
     inputs = _require_solv_points(spec, p, q)
     (t, s), (lower, upper) = inputs
     with np.errstate(over="ignore", invalid="ignore"):
         x = None if lower is None else lower[0] + _height_factors(spec.lower, t) * lower[1]
         z = None if upper is None else upper[0] + _height_factors(spec.upper, -t) * upper[1]
-        return _solv_result(spec, inputs, t + s, x, z)
+        return _solv_result(inputs, t + s, x, z)
 
 
 def inverse(spec: SolvSpec, p: SolvPoint) -> SolvPoint:
@@ -149,7 +141,7 @@ def inverse(spec: SolvSpec, p: SolvPoint) -> SolvPoint:
     with np.errstate(over="ignore", invalid="ignore"):
         x = None if lower is None else _height_factors(spec.lower, -t) * -lower[0]
         z = None if upper is None else _height_factors(spec.upper, t) * -upper[0]
-        return _solv_result(spec, inputs, -t, x, z)
+        return _solv_result(inputs, -t, x, z)
 
 
 def _level_terms(exponents: np.ndarray, gaps: np.ndarray) -> np.ndarray:
@@ -205,11 +197,11 @@ def level_distance(spec: SolvSpec, t, p, q):
 
     Lower blocks contract like e^{-t alpha_i}, upper blocks expand like
     e^{t beta_i}. ``p`` and ``q`` are SolvPoints or (x, z) pairs. A float for
-    one point each (x and z BlockPoints or ``(total_dim,)`` arrays) at a float
-    height; an ``(N,)`` array for ``(N, total_dim)`` rows at a float height or
-    at ``(N,)`` heights, each row equal to its one-point distance bit for bit.
-    A level distance beyond float range reads inf; a zero gap contributes 0 at
-    any height. A non-finite height raises InputError, heights unlike the rows
+    one point each (x and z ``(total_dim,)`` arrays) at a float height; an
+    ``(N,)`` array for ``(N, total_dim)`` rows at a float height or at ``(N,)``
+    heights, each row equal to its one-point distance bit for bit. A level
+    distance beyond float range reads inf; a zero gap contributes 0 at any
+    height. A non-finite height raises InputError, heights unlike the rows
     DimensionMismatch.
     """
     t = floats(t, "height")
@@ -223,7 +215,7 @@ def level_distance(spec: SolvSpec, t, p, q):
 class VerticalGeodesic:
     """The curve t -> (orientation * t, anchor); its class is a boundary point."""
 
-    anchor: tuple[Optional[BlockPoint], Optional[BlockPoint]]
+    anchor: tuple[Optional[np.ndarray], Optional[np.ndarray]]  # (total_dim,) arrays
     orientation: str = "downward"  # downward geodesics hit the lower boundary
 
     def __post_init__(self):
@@ -237,7 +229,7 @@ class VerticalGeodesic:
     def sample_csv_rows(self, ts) -> list[list[float]]:
         """Per parameter t the row (height, anchor coordinates)."""
         t = floats(ts, "geodesic parameters")
-        anchor = np.concatenate([np.zeros(0), *(a.flat() for a in self.anchor if a is not None)])
+        anchor = np.concatenate([np.zeros(0), *(a for a in self.anchor if a is not None)])
         heights = -t if self.orientation == "downward" else t
         return np.column_stack([heights, np.tile(anchor, (len(t), 1))]).tolist()
 
@@ -299,7 +291,7 @@ def boundary_of_height_isometry(spec: SolvSpec, a) -> SimMap:
     heights = floats(a, "height")
     if not np.isfinite(heights).all():
         raise InputError(f"height must be finite, got {a}")
-    return SimMap.dilation(spec.lower, _per_element(_exp, heights))
+    return SimMap(spec.lower, _per_element(_exp, heights))
 
 
 @dataclass(frozen=True)
@@ -307,28 +299,28 @@ class SuspendedMap:
     """Quasi-isometry of the model space acting by G on space and +a on height."""
 
     spec: SolvSpec
-    boundary: Callable[[BlockPoint], BlockPoint]
+    boundary: BoundaryMap
     shift: float
 
     def __call__(self, p: SolvPoint) -> SolvPoint:
-        """The image of one point, whose x is a BlockPoint or a ``(total_dim,)``
-        array; InputError on a non-finite height or coordinate."""
-        (t,), ((x,), _) = _require_solv_points(self.spec, p)
-        if t.ndim:
-            raise DimensionMismatch("a suspended map takes one point, not rows")
-        if not (np.isfinite(t) and np.isfinite(x).all()):
-            raise InputError("point has a non-finite height or coordinate")
-        return SolvPoint(height=float(t) + self.shift,
-                         x=self.boundary(BlockPoint.from_flat(self.spec.lower, x)), z=p.z)
+        """The image of one point or of rows, read and checked as multiply does them; x is
+        mapped in one ``eval_blocks`` call, each row as its one-point image bit for bit."""
+        inputs = _require_solv_points(self.spec, p)
+        (t,), ((x,), _) = inputs
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _solv_result(inputs, t + self.shift,
+                                _image_rows(self.spec.lower, self.boundary, x), None)
 
 
 def suspend_boundary_map(spec: SolvSpec, G, a: float) -> SuspendedMap:
     """Extend a boundary map to the model space: spatial action plus height shift.
 
-    A map without ``components`` must pass ``check_triangularity`` on 50 probes.
+    ``G`` needs ``eval_blocks``; one without ``components`` must pass ``check_triangularity``.
     """
     if not spec.pure:
         raise InputError("suspension implemented for the pure lower case")
+    if not hasattr(G, "eval_blocks"):
+        raise InputError(f"{type(G).__name__} is not a boundary map: it has no eval_blocks")
     if not hasattr(G, "components"):  # opaque maps get the probe check
         verdict = check_triangularity(G, spec.lower, probes=50)
         if not verdict.passed:

@@ -99,17 +99,6 @@ class BlockPoint:
     def flat(self) -> np.ndarray:
         return np.concatenate(self.blocks)
 
-    @staticmethod
-    def from_flat(spec: SpectralData, v: np.ndarray) -> "BlockPoint":
-        v = floats(v, "flat vector").reshape(-1)
-        if v.shape[0] != spec.total_dim:
-            raise DimensionMismatch(f"flat vector of length {v.shape[0]}, expected {spec.total_dim}")
-        return BlockPoint(tuple(v[s] for s in spec.block_slices()))
-
-    @staticmethod
-    def zero(spec: SpectralData) -> "BlockPoint":
-        return BlockPoint(tuple(np.zeros(n) for n in spec.multiplicities))
-
 
 def finite_blocks(blocks) -> list[np.ndarray]:
     """``blocks`` as float arrays; InputError on a non-numeric or non-finite block."""

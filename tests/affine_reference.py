@@ -23,6 +23,8 @@ from solvrigid import (
 )
 from solvrigid.nilpotent import walk_words
 
+from metric_reference import from_flat
+
 
 @dataclass
 class FirstBlockAffineMap:
@@ -197,13 +199,13 @@ def measure_distortion_check(F, spec, boxes, rng, samples):
         acc = 0.0
         for _ in range(samples):
             x = rng.uniform(lo, hi)
-            f0 = F(BlockPoint.from_flat(spec, x)).flat()
+            f0 = F(from_flat(spec, x)).flat()
             jac = np.empty((n, n))
             for j in range(n):
                 xp = x.copy()
                 h = 1e-5 * (1.0 + abs(x[j]))
                 xp[j] += h
-                jac[:, j] = (F(BlockPoint.from_flat(spec, xp)).flat() - f0) / h
+                jac[:, j] = (F(from_flat(spec, xp)).flat() - f0) / h
             acc += abs(float(np.linalg.det(jac)))
         ratios.append(acc / samples)
     return min(ratios), max(ratios)
@@ -246,10 +248,10 @@ def radial_conjugator(generators, escape, a_matrix):
         def F(p):
             q = G(p)
             q = BlockPoint((a_matrix @ q.blocks[0],) + tuple(q.blocks[1:]))
-            return BlockPoint.from_flat(spec, dilate(spec, t, q))
+            return from_flat(spec, dilate(spec, t, q.flat()))
 
         def F_inv(p):
-            q = BlockPoint.from_flat(spec, dilate(spec, 1.0 / t, p))
+            q = from_flat(spec, dilate(spec, 1.0 / t, p.flat()))
             q = BlockPoint((np.linalg.solve(a_matrix, q.blocks[0]),) + tuple(q.blocks[1:]))
             return G.invert_point(q)
 
@@ -283,8 +285,8 @@ def _similarity_defect(generators, F, F_inv, probes, spec):
                     shifted[bi] = shifted[bi] + delta
                     q = BlockPoint(tuple(shifted))
                     hq = F(G(F_inv(q)))
-                    d0 = distance(spec, p, q)
-                    d1 = distance(spec, hp, hq)
+                    d0 = distance(spec, p.flat(), q.flat())
+                    d1 = distance(spec, hp.flat(), hq.flat())
                     if d0 > 0 and d1 > 0:
                         ratios.append(d1 / d0)
         if ratios:
@@ -315,8 +317,8 @@ def rotation_rigidity_witness(G: FirstBlockAffineMap, K: float):
         z = scale * vt[0]
         p = BlockPoint((z - G.B_of(y),) + y)
         q = BlockPoint((z - G.B_of(yp),) + yp)
-        d_src = distance(G.spec, p, q)
-        d_img = distance(G.spec, G(p), G(q))
+        d_src = distance(G.spec, p.flat(), q.flat())
+        d_img = distance(G.spec, G(p).flat(), G(q).flat())
         if d_img > t * K * d_src:
             return y, yp, z, d_img / d_src, t * K
         scale *= 2.0

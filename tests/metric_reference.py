@@ -14,6 +14,17 @@ from solvrigid.solvgroup import SolvPoint
 from solvrigid.spectral import BlockPoint
 
 
+def from_flat(spec, v) -> BlockPoint:
+    """The BlockPoint of a flat ``(total_dim,)`` vector."""
+    v = np.asarray(v, dtype=float)
+    assert v.shape == (spec.total_dim,), v.shape
+    return BlockPoint(tuple(v[s] for s in spec.block_slices()))
+
+
+def zero(spec) -> BlockPoint:
+    return BlockPoint(tuple(np.zeros(n) for n in spec.multiplicities))
+
+
 def random_point(spec, rng: np.random.Generator, scale: float = 1.0) -> BlockPoint:
     return BlockPoint(tuple(rng.uniform(-scale, scale, n) for n in spec.multiplicities))
 

@@ -118,13 +118,13 @@ def test_metric_axioms():
 
 def test_chain_functional_oracle():
     with _Criterion("chain-oracle", 30.0):
-        p = BlockPoint.zero(SPEC_FIG1)
-        q = BlockPoint((np.array([1.0]), np.zeros(1)))
+        p = np.zeros(2)
+        q = np.array([1.0, 0.0])
         grid = ChainGrid(resolution=2 ** 16, max_depth=12)
         supercritical = chain_energy(SPEC_FIG1, 3.0, p, q, grid)
         assert supercritical.value < 1e-4
         for gap in (0.3, 1.0, 2.7):
-            qg = BlockPoint((np.array([gap]), np.zeros(1)))
+            qg = np.array([gap, 0.0])
             critical = chain_energy(SPEC_FIG1, 2.0, p, qg, ChainGrid(max_depth=12))
             assert abs(critical.value - gap) <= 1e-6
 
@@ -290,7 +290,7 @@ def test_reciprocity_and_homomorphisms():
             ):
                 assert float(np.max(np.abs(got - want))) <= 1e-9
         v = stretch_hom(
-            [SimMap.dilation(SPEC_NIL, 2.0), SimMap.dilation(SPEC_NIL, 8.0)],
+            [SimMap(SPEC_NIL, 2.0), SimMap(SPEC_NIL, 8.0)],
             [[1.0, 0.0], [3.0, 0.0]],
         )
         assert abs(v[0] - math.log(2.0)) <= 1e-9

@@ -418,13 +418,13 @@ def _per_sample_asim_check(rng) -> dict:
     """The almost-similarity check of the per-sample loop that the row pass
     of run_classify replaced: one map and distance call per sample point."""
     spec = fixtures.SPEC_NIL
-    asim = ASimMap(SimMap.dilation(spec, 1.5), fixtures.oscillating_kernel_element())
+    asim = ASimMap(SimMap(spec, 1.5), fixtures.oscillating_kernel_element())
     ratios = []
     for pair in next(random_row_blocks(spec, rng, 300, 2, 3.0)):
-        p, q = (spectral.BlockPoint.from_flat(spec, x) for x in pair)
-        d = distance(spec, p, q)
+        p, q = (reference.from_flat(spec, x) for x in pair)
+        d = distance(spec, *pair)
         if d != 0.0:
-            ratios.append(distance(spec, asim(p), asim(q)) / d)
+            ratios.append(distance(spec, asim(p).flat(), asim(q).flat()) / d)
     logs = np.log(np.asarray(ratios))
     k = max(float(np.exp(np.abs(logs - logs.mean()).max())), 1.0)
     return cli._check("almost-similarity-classified", True, 0.0, kind="ASim", K=k)
@@ -471,8 +471,7 @@ def _per_pair_bisect_check(cfg, rng) -> dict:
     for _ in random_row_blocks(cfg.spec, rng, cfg.pairs, 2, 3.0):
         pass
     worst = 0.0
-    for pair in next(random_row_blocks(cfg.spec, rng, 20, 2, 3.0)):
-        p, q = (spectral.BlockPoint.from_flat(cfg.spec, x) for x in pair)
+    for p, q in next(random_row_blocks(cfg.spec, rng, 20, 2, 3.0)):
         if distance(cfg.spec, p, q) != 0.0:
             worst = max(worst, abs(pair_to_point(spec, p, q) - _scalar_bisect(spec, p, q)))
     return cli._check("pair-to-point-bisect-oracle", worst <= 1e-9, worst)
@@ -510,8 +509,7 @@ def _bisection_rows():
 def test_bisection_rows_equal_the_per_pair_bisection():
     spec, pairs = _bisection_rows()
     got = solvgroup.pair_to_point_bisect(spec, pairs[:, 0], pairs[:, 1])
-    want = [_scalar_bisect(spec, *(spectral.BlockPoint.from_flat(spec.lower, x) for x in pair))
-            for pair in pairs]
+    want = [_scalar_bisect(spec, *pair) for pair in pairs]
     assert np.array_equal(got, want)
 
 
@@ -584,7 +582,7 @@ def _per_sample_classify_checks(cfg, rng) -> dict:
     hom_worst = 0.0
     for _ in range(200):
         t1, t2 = rng.uniform(0.5, 2.0, 2)
-        s1, s2 = SimMap.dilation(spec, float(t1)), SimMap.dilation(spec, float(t2))
+        s1, s2 = SimMap(spec, float(t1)), SimMap(spec, float(t2))
         hom_worst = max(hom_worst, abs(math.log(s1.compose(s2).stretch) - math.log(s1.stretch)
                                        - math.log(s2.stretch)))
     return {"height-hom-additive": cli._check("height-hom-additive", hom_worst <= 1e-9, hom_worst)}

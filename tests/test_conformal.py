@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from solvrigid import (
-    BlockPoint,
     ConvergenceError,
     CoverageError,
     DomainError,
@@ -33,6 +32,7 @@ from solvrigid.spectral import join_blocks, split_rows
 
 import affine_reference
 import conformal_reference
+from metric_reference import from_flat
 
 RNG = np.random.default_rng(17)
 
@@ -44,7 +44,7 @@ def _ref_invariant_structure(generators, grid, word_len, resolution):
     for _ in range(word_len):
         frontier = [w + [gi] for w in frontier for gi in range(len(generators))]
         words.extend(frontier)
-    grid = [BlockPoint.from_flat(SPEC_ROT, row) for row in grid]
+    grid = [from_flat(SPEC_ROT, row) for row in grid]
     n1 = grid[0].blocks[0].shape[0]
     points, values, skipped = [], [], []
     for idx, p in enumerate(grid):
@@ -76,7 +76,7 @@ def _ref_invariant_structure(generators, grid, word_len, resolution):
         worst = 0.0
         for g in generators:
             try:
-                mu_gp = field_.value_at(g(p))
+                mu_gp = field_.value_at(g(p).flat())
             except CoverageError:
                 continue
             worst = max(worst, kdist(mu_gp, act(g.first_block_derivative(p.blocks), mu_p)))
@@ -362,6 +362,19 @@ class TestMetrics:
         got = dilatation(np.stack([np.eye(2), far]))
         assert got[0] == 1.0 and got[1] == math.inf
 
+    @pytest.mark.parametrize("fn", [kdist, ddist])
+    @pytest.mark.parametrize("a, b", [
+        (np.eye(2), [[1.0, 7.0], [0.0, 1.0]]),
+        ([[2.0, 100.0], [0.0, 0.5]], np.eye(2)),
+    ], ids=["upper-entry-on-the-identity", "upper-entry-on-diag(2, 0.5)"])
+    def test_asymmetric_class_rejected(self, fn, a, b):
+        # only the lower triangle was read: these gave 0.0 and 0.693 in kdist,
+        # the distances of the identity and of diag(2, 0.5)
+        with pytest.raises(InputError):
+            fn(a, b)
+        with pytest.raises(InputError):  # one asymmetric member of a stack
+            fn(np.stack([np.eye(2), a]), np.stack([np.eye(2), b]))
+
 
 class TestCircumcenter:
     def test_singleton(self):
@@ -588,7 +601,7 @@ class TestInvariantStructure:
 
         rot = constant_rotation_map(0.8)
         grid = np.column_stack([np.zeros((25, 2)), np.linspace(-3.0, 3.0, 25)])
-        points = [BlockPoint.from_flat(SPEC_ROT, row) for row in grid]
+        points = [from_flat(SPEC_ROT, row) for row in grid]
         three = [FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=lambda y: t),
                  FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=_diag_y), rot]
         ref_rot = affine_reference.from_map(rot)
@@ -657,12 +670,12 @@ class TestInvariantStructure:
     def test_value_at_raises_off_grid(self):
         field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.4)
         with pytest.raises(CoverageError):
-            field.value_at(BlockPoint((np.zeros(2), np.array([9.0]))))
+            field.value_at(np.array([0.0, 0.0, 9.0]))
 
     def test_conformality_defect_of_identity_is_one(self):
         field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.51)
         ident = FirstBlockAffineMap(SPEC_ROT, 1.0, lambda y: y)
-        p = BlockPoint((np.zeros(2), np.array([1.0])))
+        p = np.array([0.0, 0.0, 1.0])
         assert conformality_defect(ident, field, field, p) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -58,7 +58,7 @@ from solvrigid.solvgroup import SolvSpec, boundary_of_height_isometry
 from solvrigid.spectral import join_blocks, split_rows
 
 import affine_reference
-from metric_reference import isclose, random_point
+from metric_reference import from_flat, isclose, random_point, zero
 
 RNG = np.random.default_rng(42)
 
@@ -104,7 +104,7 @@ class TestSimMap:
 
     def test_composed_dilations_keep_the_identity_rotations(self):
         s1 = SimMap(SPEC_ROT, 2.0, translations=[np.array([1.0, -0.5]), np.array([0.2])])
-        s2 = SimMap.dilation(SPEC_ROT, 0.7)
+        s2 = SimMap(SPEC_ROT, 0.7)
         comp = s1.compose(s2)
         assert comp.rotations is s1.rotations is s2.rotations
         # the product path: the same parts with eye @ eye passed as rotations
@@ -158,22 +158,22 @@ class TestSimMap:
 class TestASimMap:
     def test_compose_matches_pointwise(self):
         a = oscillating_kernel_element()
-        g1 = ASimMap(SimMap.dilation(SPEC_NIL, 2.0), a)
-        g2 = ASimMap(SimMap.dilation(SPEC_NIL, 0.5), a.inverse())
+        g1 = ASimMap(SimMap(SPEC_NIL, 2.0), a)
+        g2 = ASimMap(SimMap(SPEC_NIL, 0.5), a.inverse())
         comp = g1.compose(g2)
         for _ in range(20):
             p = random_point(SPEC_NIL, RNG, 3.0)
             assert isclose(comp(p), g1(g2(p)), atol=1e-10)
 
     def test_inverse_matches_pointwise(self):
-        g = ASimMap(SimMap.dilation(SPEC_NIL, 1.5), oscillating_kernel_element())
+        g = ASimMap(SimMap(SPEC_NIL, 1.5), oscillating_kernel_element())
         inv = g.inverse()
         for _ in range(20):
             p = random_point(SPEC_NIL, RNG, 3.0)
             assert isclose(inv(g(p)), p, atol=1e-10)
 
     def test_conjugation_by_similarity_is_pointwise_conjugation(self):
-        s = SimMap.dilation(SPEC_NIL, 2.0)
+        s = SimMap(SPEC_NIL, 2.0)
         a = oscillating_kernel_element()
         conj = conjugate_almost_by_sim(s, a)
         s_inv = s.inverse()
@@ -337,7 +337,7 @@ class TestCompositionReusesCheckedParts:
             self._assert_identical(got.inverse(), _checked_inverse(want), rows)
 
     def test_cached_inverse_parts(self):
-        s = _asim_letter(np.random.default_rng(5)).sim.compose(SimMap.dilation(SPEC_ROT, 1.7))
+        s = _asim_letter(np.random.default_rng(5)).sim.compose(SimMap(SPEC_ROT, 1.7))
         assert s._inverse_linear is s._inverse_linear
         for m, want, norm in zip(s._inverse_linear, _inverse_linear_parts(s), s._inverse_opnorms):
             assert np.array_equal(m, want)
@@ -570,7 +570,7 @@ class TestTriangularity:
             BlockMap(SPEC_NIL, [BlockVar(0, 1), BlockVar(0, 1)])
 
     def test_probe_check_passes_on_sim(self):
-        s = SimMap.dilation(SPEC_NIL, 3.0)
+        s = SimMap(SPEC_NIL, 3.0)
         assert check_triangularity(s, SPEC_NIL).passed
 
     def test_probe_check_flags_lower_dependence(self):
@@ -588,11 +588,11 @@ class TestClassification:
         return next(random_row_blocks(SPEC_NIL, RNG, count, 2, scale))
 
     def test_similarity(self):
-        c = classify(SPEC_NIL, SimMap.dilation(SPEC_NIL, 2.0), self._pairs(50))
+        c = classify(SPEC_NIL, SimMap(SPEC_NIL, 2.0), self._pairs(50))
         assert c.kind == "Sim" and c.stretch == pytest.approx(2.0)
 
     def test_almost_similarity(self):
-        g = ASimMap(SimMap.dilation(SPEC_NIL, 2.0), oscillating_kernel_element())
+        g = ASimMap(SimMap(SPEC_NIL, 2.0), oscillating_kernel_element())
         c = classify(SPEC_NIL, g, self._pairs(200, 5.0))
         assert c.kind == "ASim" and c.stretch == pytest.approx(2.0)
 
@@ -607,7 +607,7 @@ class TestHomomorphisms:
     def test_height_additive(self):
         for _ in range(50):
             t1, t2 = RNG.uniform(0.3, 3.0, 2)
-            s1, s2 = SimMap.dilation(SPEC_NIL, t1), SimMap.dilation(SPEC_NIL, t2)
+            s1, s2 = SimMap(SPEC_NIL, t1), SimMap(SPEC_NIL, t2)
             assert height_hom(s1.compose(s2)) == pytest.approx(
                 height_hom(s1) + height_hom(s2), abs=1e-12
             )
@@ -621,17 +621,17 @@ class TestHomomorphisms:
             assert np.allclose(got, want, atol=1e-12)
 
     def test_stretch_pairing_recovery(self):
-        els = [SimMap.dilation(SPEC_NIL, 2.0), SimMap.dilation(SPEC_NIL, 8.0)]
+        els = [SimMap(SPEC_NIL, 2.0), SimMap(SPEC_NIL, 8.0)]
         v = stretch_hom(els, [[1.0, 0.0], [3.0, 0.0]])
         assert v[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_stretch_pairing_takes_any_element_with_a_stretch(self):
         affine = FirstBlockAffineMap(SPEC_ROT, 2.0, lambda y: [2.0 * y[0]])
-        els = [affine, ASimMap(SimMap.dilation(SPEC_ROT, 8.0), AlmostTranslation.identity(SPEC_ROT))]
+        els = [affine, ASimMap(SimMap(SPEC_ROT, 8.0), AlmostTranslation.identity(SPEC_ROT))]
         assert stretch_hom(els, [[1.0], [3.0]])[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_inconsistent_stretches_rejected(self):
-        els = [SimMap.dilation(SPEC_NIL, 2.0), SimMap.dilation(SPEC_NIL, 3.0)]
+        els = [SimMap(SPEC_NIL, 2.0), SimMap(SPEC_NIL, 3.0)]
         with pytest.raises(NotInUniformSubgroup):
             stretch_hom(els, [[1.0], [1.0]])
 
@@ -698,14 +698,14 @@ class TestAffineRowsEqualClosures:
         images = join_blocks(g.eval_blocks(blocks))
         derivs = g.first_block_derivative(blocks)
         for row, image, deriv in zip(rows, images, derivs):
-            p = BlockPoint.from_flat(g.spec, row)
+            p = from_flat(g.spec, row)
             assert np.array_equal(image, ref(p).flat())
             assert np.array_equal(deriv, ref.first_block_derivative(p))
             assert np.array_equal(g.first_block_derivative(p.blocks), deriv)
         if ref.inverse_map is not None:
             pre = join_blocks(g.invert_blocks(blocks))
             for row, q in zip(rows, pre):
-                assert np.array_equal(q, ref.invert_point(BlockPoint.from_flat(g.spec, row)).flat())
+                assert np.array_equal(q, ref.invert_point(from_flat(g.spec, row)).flat())
 
     @pytest.mark.parametrize("name", ["rotation", "varying", "composite", "inverse"])
     def test_rotation_witness(self, name):
@@ -817,13 +817,13 @@ class TestSimMapStacks:
         assert _equal_parts(images, rows) and images[0].shape == (2, 2)
 
     def test_one_similarity_methods_reject_stacks(self):
-        stack = SimMap.dilation(SPEC_ROT, np.array([1.0, 2.0]))
+        stack = SimMap(SPEC_ROT, np.array([1.0, 2.0]))
         a = AlmostTranslation.identity(SPEC_ROT)
         samples = np.zeros((3, 2, SPEC_ROT.total_dim))
         for call in (lambda: ASimMap(stack, a), lambda: conjugate_almost_by_sim(stack, a),
                      lambda: classify(SPEC_ROT, stack, samples),
                      lambda: stretch_hom([stack], [[1.0]]),
-                     lambda: stack(BlockPoint.zero(SPEC_ROT))):
+                     lambda: stack(zero(SPEC_ROT))):
             with pytest.raises(DimensionMismatch):
                 call()
 

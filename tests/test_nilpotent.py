@@ -38,7 +38,7 @@ from solvrigid.fixtures import (
 from solvrigid import nilpotent
 from solvrigid.nilpotent import ExactGenerator
 
-from metric_reference import isclose
+from metric_reference import isclose, zero
 
 RNG = np.random.default_rng(23)
 
@@ -179,7 +179,7 @@ def _ref_orbit(generators, basepoint, word_cap):
     alphabet = list(generators) + [g.inverse() for g in generators]
     ident = AlmostTranslation.identity(spec)
     seen = {fingerprint(ident)}
-    found = [(0, distance(spec, ident(basepoint), basepoint))]
+    found = [(0, distance(spec, ident(basepoint).flat(), basepoint.flat()))]
     frontier = [ident]
     for depth in range(1, word_cap + 1):
         nxt = []
@@ -191,7 +191,7 @@ def _ref_orbit(generators, basepoint, word_cap):
                     continue
                 seen.add(fp)
                 nxt.append(h)
-                found.append((depth, distance(spec, h(basepoint), basepoint)))
+                found.append((depth, distance(spec, h(basepoint).flat(), basepoint.flat())))
         frontier = nxt
     return found
 
@@ -211,7 +211,7 @@ def _assert_orbit_counts_match(generators, basepoint, radii, word_cap):
 class TestOrbitGrowth:
     def test_single_translation_counts_ball(self):
         g = unit_translation_1d()
-        base = BlockPoint.zero(SPEC_R1)
+        base = zero(SPEC_R1)
         # D(g^k 0, 0) = |k|^(1/2) <= 2 iff |k| <= 4
         out = orbit_growth([g], base, 2.0, word_cap=6)
         assert out.count == 9
@@ -219,12 +219,12 @@ class TestOrbitGrowth:
 
     def test_saturation_flagged(self):
         g = unit_translation_1d()
-        base = BlockPoint.zero(SPEC_R1)
+        base = zero(SPEC_R1)
         out = orbit_growth([g], base, 10.0, word_cap=3)
         assert out.saturated
 
     def test_no_generators(self):
-        assert orbit_growth([], BlockPoint.zero(SPEC_R1), 1.0, 3).count == 1
+        assert orbit_growth([], zero(SPEC_R1), 1.0, 3).count == 1
 
     def test_translation_matches_reference(self):
         g = unit_translation_1d()

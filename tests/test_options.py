@@ -1,5 +1,5 @@
-"""Every option of the library is set by some caller, and every export is read
-outside the tests.
+"""Every option of the library is set by some caller, every export is read
+outside the tests, and the array-point layers do not name BlockPoint.
 
 An option is a parameter with a default on a module-level function, or on a
 non-dunder method of a module-level class, in ``src/solvrigid``. A call sets
@@ -114,3 +114,16 @@ def test_every_export_has_a_caller_outside_the_tests():
     # a new test-only export fails here, and so does a waiting one that found a caller
     assert sorted(unread - WAITING.keys()) == []
     assert sorted(WAITING.keys() - unread) == []
+
+
+# The metric, model-space, conformal and CLI layers take points as (total_dim,) or
+# (N, total_dim) arrays only; a BlockPoint is the boundary maps' one-point call form.
+ARRAY_POINT_MODULES = ("quasimetric", "solvgroup", "conformal", "cli")
+
+
+def test_array_point_layers_do_not_name_block_points():
+    named = [f"{module}:{n.lineno}" for module in ARRAY_POINT_MODULES
+             for n in ast.walk(ast.parse((SRC / f"{module}.py").read_text()))
+             if "BlockPoint" in (getattr(n, "id", None), getattr(n, "attr", None),
+                                 n.name if isinstance(n, ast.alias) else None)]
+    assert named == [], f"a second point form is back: {named}"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from solvrigid import (
     BlockMap,
-    BlockPoint,
     BlockVar,
     ChainGrid,
     Const,
@@ -35,11 +34,8 @@ from metric_reference import random_point
 
 
 def _point(spec, values):
-    out = []
-    it = iter(values)
-    for n in spec.multiplicities:
-        out.append(np.array([next(it) for _ in range(n)]))
-    return BlockPoint(tuple(out))
+    """The ``(total_dim,)`` point of the first total_dim values."""
+    return np.array(values[: spec.total_dim], dtype=float)
 
 
 coords = st.lists(
@@ -159,12 +155,12 @@ class TestDilate:
 
     def test_rejects_nonpositive_parameter(self):
         with pytest.raises(DomainError):
-            dilate(SPEC_R1, 0.0, BlockPoint.zero(SPEC_R1))
+            dilate(SPEC_R1, 0.0, np.zeros(1))
 
     @pytest.mark.parametrize("t", ["x", [2.0, 3.0], 10**400], ids=["text", "array", "huge-int"])
     def test_rejects_a_parameter_that_is_not_one_number(self, t):
         with pytest.raises(InputError):
-            dilate(SPEC_R1, t, BlockPoint.zero(SPEC_R1))
+            dilate(SPEC_R1, t, np.zeros(1))
 
     def test_group_property(self):
         p = _point(SPEC_R2, [1.3, -0.7])
@@ -177,7 +173,7 @@ class TestChainEnergy:
     def test_matches_brute_force_oracle_per_round(self):
         # a single-block move subdivided k times is exactly the k-step
         # interleaved chain the oracle materializes
-        p = BlockPoint.zero(SPEC_R2)
+        p = np.zeros(2)
         q = _point(SPEC_R2, [1.0, 0.0])
         for k in (1, 2, 4, 8):
             est = chain_energy(SPEC_R2, 3.0, p, q, ChainGrid(resolution=k, max_depth=1))
@@ -199,7 +195,7 @@ class TestChainEnergy:
                 for j in range(1, k + 1):
                     nxt = list(current)
                     nxt[i] = p.blocks[i] + (j / k) * (q.blocks[i] - p.blocks[i])
-                    cost += distance(spec, BlockPoint(tuple(current)), BlockPoint(tuple(nxt))) ** beta
+                    cost += distance(spec, np.concatenate(current), np.concatenate(nxt)) ** beta
                     current = nxt
             return cost
 
@@ -207,14 +203,15 @@ class TestChainEnergy:
         calls = count_calls(quasimetric, name="distance")
         for k in (0, 1, 3, 7):
             p, q = random_point(SPEC_R3, rng, 3.0), random_point(SPEC_R3, rng, 3.0)
-            assert enumerate_chain_cost(SPEC_R3, 2.5, p, q, k) == per_step(SPEC_R3, 2.5, p, q, k)
+            got = enumerate_chain_cost(SPEC_R3, 2.5, p.flat(), q.flat(), k)
+            assert got == per_step(SPEC_R3, 2.5, p, q, k)
         assert len(calls) == 4  # one per chain
 
     def test_cost_beyond_float_range_reads_inf(self):
         # (1e300)^3 raised builtins OverflowError in both, and chain_energy
         # printed numpy's vecdot overflow warning for the gap's square
         spec = SpectralData((1.0,), (1,))
-        p, q = BlockPoint((np.zeros(1),)), BlockPoint((np.array([1e300]),))
+        p, q = np.zeros(1), np.array([1e300])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert enumerate_chain_cost(spec, 3.0, p, q, 1) == math.inf
@@ -227,7 +224,7 @@ class TestChainEnergy:
             chain_energy(SPEC_R2, 2.0, rows, rows + 1.0, ChainGrid())
 
     def test_supercritical_decays_with_depth(self):
-        p = BlockPoint.zero(SPEC_R2)
+        p = np.zeros(2)
         q = _point(SPEC_R2, [1.0, 0.0])
         shallow = chain_energy(SPEC_R2, 3.0, p, q, ChainGrid(max_depth=3))
         deep = chain_energy(SPEC_R2, 3.0, p, q, ChainGrid(max_depth=10))
@@ -235,7 +232,7 @@ class TestChainEnergy:
 
     def test_critical_beta_is_flat(self):
         # beta = alpha_1 makes each first-block chain cost exactly the gap
-        p = BlockPoint.zero(SPEC_R2)
+        p = np.zeros(2)
         q = _point(SPEC_R2, [0.75, 0.0])
         est = chain_energy(SPEC_R2, 2.0, p, q, ChainGrid(max_depth=8))
         assert est.value == pytest.approx(0.75, abs=1e-12)
@@ -244,7 +241,7 @@ class TestChainEnergy:
         # with beta/alpha_2 < 1 subdividing a deeper-block chain only adds
         # cost, so the estimate is gap**(beta/alpha_2) without refinement,
         # cheaper than the first-block cost of the same gap
-        p = BlockPoint.zero(SPEC_R2)
+        p = np.zeros(2)
         q2 = _point(SPEC_R2, [0.0, 8.0])
         est = chain_energy(SPEC_R2, 2.0, p, q2, ChainGrid(max_depth=12))
         assert est.value == pytest.approx(8.0 ** (2.0 / 3.0), rel=1e-12)
@@ -254,14 +251,14 @@ class TestChainEnergy:
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(DomainError):
-            chain_energy(SPEC_R1, 0.0, BlockPoint.zero(SPEC_R1), BlockPoint.zero(SPEC_R1), ChainGrid())
+            chain_energy(SPEC_R1, 0.0, np.zeros(1), np.zeros(1), ChainGrid())
 
 
 class TestQsimConstants:
     def test_dilation_has_trivial_k(self):
         rng = np.random.default_rng(3)
         pairs = rng.uniform(-2, 2, (100, 2, SPEC_R2.total_dim))
-        n, k = estimate_qsim_constants(SPEC_R2, SimMap.dilation(SPEC_R2, 2.0), pairs)
+        n, k = estimate_qsim_constants(SPEC_R2, SimMap(SPEC_R2, 2.0), pairs)
         assert n == pytest.approx(2.0, rel=1e-12)
         assert k == pytest.approx(1.0, rel=1e-12)
 
@@ -269,9 +266,10 @@ class TestQsimConstants:
         rng = np.random.default_rng(6)
         pairs = rng.uniform(-2, 2, (50, 2, SPEC_R2.total_dim))
         collapse = BlockMap(SPEC_R2, [BlockVar(0, 1), Const([1.0])])
-        points = [[BlockPoint.from_flat(SPEC_R2, x) for x in pair] for pair in pairs]
-        logs = np.log([distance(SPEC_R2, collapse(p), collapse(q)) / distance(SPEC_R2, p, q)
-                       for p, q in points])
+        images = [[collapse(reference.from_flat(SPEC_R2, x)).flat() for x in pair]
+                  for pair in pairs]
+        logs = np.log([distance(SPEC_R2, *image) / distance(SPEC_R2, *pair)
+                       for image, pair in zip(images, pairs)])
         n, k = estimate_qsim_constants(SPEC_R2, collapse, pairs)
         assert n == float(np.exp(logs.mean()))
         assert k == max(float(np.exp(np.abs(logs - logs.mean()).max())), 1.0)
@@ -291,7 +289,7 @@ class TestNonFinite:
     def test_scalar_distance_rejects(self, bad):
         p = _point(SPEC_NAN, [bad, 1.0])
         with pytest.raises(InputError):
-            distance(SPEC_NAN, p, BlockPoint.zero(SPEC_NAN))
+            distance(SPEC_NAN, p, np.zeros(2))
         with pytest.raises(InputError):
             distance(SPEC_NAN, p, p)
 
@@ -306,7 +304,7 @@ class TestNonFinite:
         # 3^1000 leaves the float range: the scalar path raised OverflowError
         spec = SpectralData((1e-3,), (1,))
         p, q = _point(spec, [0.0]), _point(spec, [3.0])
-        rows = distance(spec, p.flat()[None], q.flat()[None])
+        rows = distance(spec, p[None], q[None])
         assert distance(spec, p, q) == rows[0] == math.inf
 
     def test_scalar_gap_beyond_float_range_rejects_without_warning(self):
@@ -318,7 +316,7 @@ class TestNonFinite:
     def test_chain_energy_rejects(self):
         p = _point(SPEC_NAN, [math.nan, 1.0])
         with pytest.raises(InputError):
-            chain_energy(SPEC_NAN, 3.0, p, BlockPoint.zero(SPEC_NAN), ChainGrid())
+            chain_energy(SPEC_NAN, 3.0, p, np.zeros(2), ChainGrid())
 
 
 class TestTinyGaps:
@@ -328,13 +326,13 @@ class TestTinyGaps:
         gap = 1.38e-162
         p = _point(SPEC_R3, [0.0, 0.0, 0.0, gap, 0.0])
         want = gap ** (1.0 / 3.5)
-        assert distance(SPEC_R3, p, BlockPoint.zero(SPEC_R3)) == pytest.approx(want, rel=1e-15)
-        rows = distance(SPEC_R3, p.flat()[None], np.zeros((1, 5)))
+        assert distance(SPEC_R3, p, np.zeros(5)) == pytest.approx(want, rel=1e-15)
+        rows = distance(SPEC_R3, p[None], np.zeros((1, 5)))
         assert rows[0] == pytest.approx(want, rel=1e-15)
 
     def test_dilation_stays_exact_near_underflow(self):
         p = _point(SPEC_R3, [0.0, 0.0, 0.0, 0.0, 1.5663668947752864e-161])
-        q = BlockPoint.zero(SPEC_R3)
+        q = np.zeros(5)
         d = distance(SPEC_R3, p, q)
         d2 = distance(SPEC_R3, dilate(SPEC_R3, 0.5, p), dilate(SPEC_R3, 0.5, q))
         assert d2 == pytest.approx(0.5 * d, rel=1e-12)
@@ -344,7 +342,7 @@ class TestRowKernels:
     @pytest.mark.parametrize("spec", ROW_SPECS)
     def test_distance_equals_the_reference(self, spec, row_pairs):
         P, Q = row_pairs(spec, np.random.default_rng(5))
-        want = [reference.distance(spec, BlockPoint.from_flat(spec, p), BlockPoint.from_flat(spec, q))
+        want = [reference.distance(spec, reference.from_flat(spec, p), reference.from_flat(spec, q))
                 for p, q in zip(P, Q)]
         got = distance(spec, P, Q)
         assert np.array_equal(got, want)
@@ -355,7 +353,7 @@ class TestRowKernels:
     def test_dilate_equals_the_reference(self, spec, row_pairs):
         P, _ = row_pairs(spec, np.random.default_rng(6))
         for t in (0.5, 3.0):
-            want = np.array([reference.dilate(spec, t, BlockPoint.from_flat(spec, p)).flat()
+            want = np.array([reference.dilate(spec, t, reference.from_flat(spec, p)).flat()
                              for p in P])
             assert np.array_equal(dilate(spec, t, P), want)
             assert np.array_equal([dilate(spec, t, p) for p in P], want)
@@ -370,14 +368,6 @@ class TestRowKernels:
     def test_misshaped_rows_rejected(self, p_shape, q_shape):
         with pytest.raises(DimensionMismatch):
             distance(SPEC_R3, np.zeros(p_shape), np.zeros(q_shape))
-
-    def test_block_point_checked_before_flattening(self):
-        # blocks of sizes (1, 2, 2) flatten to the 5 coordinates of SPEC_R3
-        p = BlockPoint((np.zeros(1), np.zeros(2), np.zeros(2)))
-        with pytest.raises(DimensionMismatch):
-            distance(SPEC_R3, p, np.zeros(5))
-        with pytest.raises(DimensionMismatch):
-            dilate(SPEC_R3, 2.0, p)
 
 
 class TestRowDraws:

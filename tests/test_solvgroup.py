@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from solvrigid import (
-    BlockPoint,
     DimensionMismatch,
     DomainError,
     InputError,
@@ -29,6 +28,7 @@ from solvrigid import (
     suspend_boundary_map,
 )
 from solvrigid.fixtures import SPEC_R1, SPEC_R2, SPEC_R3
+from solvrigid.spectral import BoundaryMap
 
 import metric_reference as reference
 from metric_reference import isclose, random_point
@@ -42,8 +42,8 @@ BATCH = SolvSpec(lower=SpectralData((1.0, 2.0, 3.5), (2, 1, 2)))  # the boundary
 def _solv_point(spec, h=None):
     return SolvPoint(
         height=float(RNG.uniform(-1.5, 1.5)) if h is None else h,
-        x=random_point(spec.lower, RNG) if spec.lower else None,
-        z=random_point(spec.upper, RNG) if spec.upper else None,
+        x=random_point(spec.lower, RNG).flat() if spec.lower else None,
+        z=random_point(spec.upper, RNG).flat() if spec.upper else None,
     )
 
 
@@ -53,14 +53,14 @@ class TestGroupLaw:
             SolvSpec(lower=None, upper=None)
 
     def test_identity_and_inverse(self):
-        e = SolvPoint(0.0, BlockPoint.zero(MIXED.lower), BlockPoint.zero(MIXED.upper))
+        e = SolvPoint(0.0, np.zeros(MIXED.lower.total_dim), np.zeros(MIXED.upper.total_dim))
         for _ in range(30):
             g = _solv_point(MIXED)
             assert multiply(MIXED, g, e).height == pytest.approx(g.height)
             left = multiply(MIXED, inverse(MIXED, g), g)
             assert left.height == pytest.approx(0.0, abs=1e-12)
-            assert np.allclose(left.x.flat(), 0.0, atol=1e-12)
-            assert np.allclose(left.z.flat(), 0.0, atol=1e-12)
+            assert np.allclose(left.x, 0.0, atol=1e-12)
+            assert np.allclose(left.z, 0.0, atol=1e-12)
 
     def test_associativity(self):
         for _ in range(30):
@@ -68,8 +68,8 @@ class TestGroupLaw:
             a = multiply(MIXED, multiply(MIXED, g, h), k)
             b = multiply(MIXED, g, multiply(MIXED, h, k))
             assert a.height == pytest.approx(b.height, abs=1e-12)
-            assert np.allclose(a.x.flat(), b.x.flat(), atol=1e-12)
-            assert np.allclose(a.z.flat(), b.z.flat(), atol=1e-12)
+            assert np.allclose(a.x, b.x, atol=1e-12)
+            assert np.allclose(a.z, b.z, atol=1e-12)
 
     def test_json_round_trip(self):
         again = SolvSpec.from_json(MIXED.to_json())
@@ -91,12 +91,16 @@ def _solv_rows(spec, rng, n):
     return SolvPoint(rng.uniform(-30, 30, n), coords(spec.lower), coords(spec.upper))
 
 
-def _row(spec, rows, i):
-    """Row i of ``rows`` as one point of BlockPoints."""
-    def block(data, x):
-        return None if data is None else BlockPoint.from_flat(data, x[i])
+def _row(rows, i):
+    """Row i of ``rows`` as one point."""
+    return SolvPoint(float(rows.height[i]),
+                     *(None if c is None else c[i] for c in (rows.x, rows.z)))
 
-    return SolvPoint(float(rows.height[i]), block(spec.lower, rows.x), block(spec.upper, rows.z))
+
+def _blocks(spec, p):
+    """The one point p with BlockPoint coordinates, as the reference takes it."""
+    return SolvPoint(p.height, *(None if d is None else reference.from_flat(d, c)
+                                 for d, c in ((spec.lower, p.x), (spec.upper, p.z))))
 
 
 def _flat(p):
@@ -110,31 +114,32 @@ class TestGroupLawRows:
         g, h = _solv_rows(spec, rng, 1000), _solv_rows(spec, rng, 1000)
         product, inv = multiply(spec, g, h), inverse(spec, g)
         for i in range(1000):
-            gi, hi = _row(spec, g, i), _row(spec, h, i)
+            gi, hi = _row(g, i), _row(h, i)
+            bg, bh = _blocks(spec, gi), _blocks(spec, hi)
             for rows, one, ref in (
-                (product, multiply(spec, gi, hi), reference.multiply(spec, gi, hi)),
-                (inv, inverse(spec, gi), reference.inverse(spec, gi)),
+                (product, multiply(spec, gi, hi), reference.multiply(spec, bg, bh)),
+                (inv, inverse(spec, gi), reference.inverse(spec, bg)),
             ):
                 assert rows.height[i] == one.height == ref.height
-                assert isinstance(one.x or one.z, BlockPoint)
-                for got, want, row in zip(_flat(one), _flat(ref), (rows.x, rows.z)):
+                assert all(c is None or c.ndim == 1 for c in (one.x, one.z))
+                for got, want, row in zip((one.x, one.z), _flat(ref), (rows.x, rows.z)):
                     assert (got is None) == (want is None) == (row is None)
                     if got is not None:
                         assert np.array_equal(got, want) and np.array_equal(row[i], want)
 
     def test_arrays_for_one_point(self):
         g = _solv_point(MIXED)
-        flat = SolvPoint(g.height, g.x.flat(), g.z.flat())
-        for got, want in ((multiply(MIXED, flat, flat), multiply(MIXED, g, g)),
-                          (inverse(MIXED, flat), inverse(MIXED, g))):
+        blocks = _blocks(MIXED, g)
+        for got, want in ((multiply(MIXED, g, g), reference.multiply(MIXED, blocks, blocks)),
+                          (inverse(MIXED, g), reference.inverse(MIXED, blocks))):
             assert got.height == want.height
-            assert all(np.array_equal(a, b) for a, b in zip(_flat(got), _flat(want)))
+            assert all(np.array_equal(a, b) for a, b in zip((got.x, got.z), _flat(want)))
 
     def test_one_point_is_not_shared_by_rows(self):
         # rows and one point are rejected, as distance rejects them
         rows = _solv_rows(PURE, np.random.default_rng(1), 4)
         with pytest.raises(DimensionMismatch):
-            multiply(PURE, rows, _row(PURE, rows, 0))
+            multiply(PURE, rows, _row(rows, 0))
         with pytest.raises(DimensionMismatch):
             multiply(PURE, SolvPoint(rows.height[:3], rows.x), SolvPoint(rows.height[:3], rows.x))
         with pytest.raises(DimensionMismatch):
@@ -146,7 +151,7 @@ class TestGroupLawRows:
 
     def test_factor_beyond_float_range(self):
         # e^(400 * 2) is beyond float range: math.exp raised OverflowError
-        p = SolvPoint(400.0, BlockPoint.zero(SPEC_R2))
+        p = SolvPoint(400.0, np.zeros(2))
         with pytest.raises(DomainError):
             multiply(PURE, p, p)
         with pytest.raises(DomainError):
@@ -158,7 +163,7 @@ class TestGroupLawRows:
             inverse(PURE, SolvPoint(-rows.height, rows.x))
 
     def test_product_beyond_float_range(self):
-        p = SolvPoint(300.0, BlockPoint((np.array([1e300]), np.zeros(1))))
+        p = SolvPoint(300.0, np.array([1e300, 0.0]))
         with pytest.raises(DomainError):
             multiply(PURE, p, p)
 
@@ -166,7 +171,7 @@ class TestGroupLawRows:
     def test_non_finite_rejected(self, bad):
         # a NaN height gave NaN coordinates
         p = _solv_point(MIXED)
-        for q in (SolvPoint(bad, p.x, p.z), SolvPoint(p.height, p.x.flat() * bad, p.z)):
+        for q in (SolvPoint(bad, p.x, p.z), SolvPoint(p.height, p.x * bad, p.z)):
             with pytest.raises(InputError):
                 multiply(MIXED, p, q)
             with pytest.raises(InputError):
@@ -178,7 +183,7 @@ class TestGroupLawRows:
 
     def test_missing_factor_rejected(self):
         with pytest.raises(InputError):
-            inverse(MIXED, SolvPoint(0.0, BlockPoint.zero(SPEC_R2)))
+            inverse(MIXED, SolvPoint(0.0, np.zeros(2)))
 
 
 class TestLevelDistance:
@@ -195,35 +200,35 @@ class TestLevelDistance:
 
     def test_non_finite_coordinate_rejected(self):
         # np.linalg.norm of a NaN gap read 0.0: the block was dropped
-        p = BlockPoint((np.array([math.nan]), np.array([1.0])))
+        p = np.array([math.nan, 1.0])
         with pytest.raises(InputError):
-            level_distance(PURE, 0.0, (p, None), (BlockPoint.zero(SPEC_R2), None))
+            level_distance(PURE, 0.0, (p, None), (np.zeros(2), None))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_height_rejected(self, t):
         # every level term was NaN at a NaN height, and max dropped them: 0.0
-        p = BlockPoint((np.array([1.0]), np.array([2.0])))
+        p = np.array([1.0, 2.0])
         with pytest.raises(InputError):
-            level_distance(PURE, t, (p, None), (BlockPoint.zero(SPEC_R2), None))
+            level_distance(PURE, t, (p, None), (np.zeros(2), None))
 
     def test_gap_whose_square_underflows(self):
         # (1e-170)^2 underflows to 0, and np.linalg.norm read the gap as 0
-        p = BlockPoint((np.array([1e-170]), np.zeros(1)))
-        q = BlockPoint.zero(SPEC_R2)
+        p = np.array([1e-170, 0.0])
+        q = np.zeros(2)
         assert level_distance(PURE, 0.0, (p, None), (q, None)) == 1e-170
         assert distance(SPEC_R2, p, q) == 1e-170 ** 0.5
 
     def test_beyond_float_range_reads_inf(self):
         # e^1000 is beyond float range: math.exp raised OverflowError
         solv = SolvSpec(lower=SpectralData((1.0,), (1,)))
-        one, zero = BlockPoint((np.ones(1),)), BlockPoint((np.zeros(1),))
+        one, zero = np.ones(1), np.zeros(1)
         assert level_distance(solv, -1000.0, (one, None), (zero, None)) == math.inf
         assert level_distance(solv, -1000.0, (one, None), (one, None)) == 0.0
 
     def test_factor_beyond_float_range_on_a_tiny_gap(self):
         # e^800 is beyond float range, e^800 * 1e-300 = 2.7e47 is not: this read inf
         solv = SolvSpec(lower=SpectralData((1.0,), (1,)))
-        gap, zero = BlockPoint((np.array([1e-300]),)), BlockPoint((np.zeros(1),))
+        gap, zero = np.array([1e-300]), np.zeros(1)
         want = float(Decimal(1e-300) * Decimal(800).exp())
         assert level_distance(solv, -800.0, (gap, None), (zero, None)) == pytest.approx(
             want, rel=1e-12, abs=0)
@@ -286,7 +291,7 @@ class TestLevelDistanceRows:
 class TestPairToPoint:
     def test_height_is_log_distance(self):
         for _ in range(50):
-            p, q = random_point(SPEC_R2, RNG, 3.0), random_point(SPEC_R2, RNG, 3.0)
+            p, q = random_point(SPEC_R2, RNG, 3.0).flat(), random_point(SPEC_R2, RNG, 3.0).flat()
             d = distance(SPEC_R2, p, q)
             if d == 0.0:
                 continue
@@ -298,17 +303,16 @@ class TestPairToPoint:
         pairs = pairs[distance(SPEC_R2, pairs[:, 0], pairs[:, 1]) != 0.0]
         heights = pair_to_point_bisect(PURE, pairs[:, 0], pairs[:, 1])
         for (p, q), bisected in zip(pairs, heights):
-            p, q = BlockPoint.from_flat(SPEC_R2, p), BlockPoint.from_flat(SPEC_R2, q)
             closed = pair_to_point(PURE, p, q)
             assert closed == pytest.approx(bisected, abs=1e-9)
 
     def test_coincident_points_rejected(self):
-        p = random_point(SPEC_R2, RNG)
+        p = random_point(SPEC_R2, RNG).flat()
         with pytest.raises(DomainError):
             pair_to_point(PURE, p, p)
 
     def test_requires_pure_case(self):
-        p, q = random_point(SPEC_R2, RNG), random_point(SPEC_R2, RNG)
+        p, q = random_point(SPEC_R2, RNG).flat(), random_point(SPEC_R2, RNG).flat()
         with pytest.raises(InputError):
             pair_to_point(MIXED, p, q)
 
@@ -319,8 +323,8 @@ class TestPairToPoint:
         keep = np.any(P != Q, axis=1)  # coincident pairs have no height
         P, Q = P[keep], Q[keep]
         # the reference takes libm's log of each pair, np.log is within one ulp of it
-        want = np.array([reference.pair_to_point(solv, BlockPoint.from_flat(spec, p),
-                                                  BlockPoint.from_flat(spec, q))
+        want = np.array([reference.pair_to_point(solv, reference.from_flat(spec, p),
+                                                  reference.from_flat(spec, q))
                          for p, q in zip(P, Q)])
         assert len(want) >= 10_000
         got = pair_to_point(solv, P, Q)
@@ -339,9 +343,9 @@ class TestPairToPoint:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_points_rejected(self, bad):
         # (nan, 1) and 0 used to give height 0.0: the NaN block was dropped
-        p = BlockPoint((np.array([bad]), np.array([1.0])))
+        p = np.array([bad, 1.0])
         with pytest.raises(InputError):
-            pair_to_point(PURE, p, BlockPoint.zero(SPEC_R2))
+            pair_to_point(PURE, p, np.zeros(2))
         P = np.zeros((4, 2))
         P[2, 0] = bad
         with pytest.raises(InputError):
@@ -366,22 +370,22 @@ class TestPairToPoint:
 class TestVerticalGeodesic:
     def test_orientation_validation(self):
         with pytest.raises(InputError):
-            VerticalGeodesic(anchor=(BlockPoint.zero(SPEC_R2), None), orientation="sideways")
+            VerticalGeodesic(anchor=(np.zeros(2), None), orientation="sideways")
 
     def test_downward_points_decrease_height(self):
-        geo = VerticalGeodesic(anchor=(BlockPoint.zero(SPEC_R2), None))
+        geo = VerticalGeodesic(anchor=(np.zeros(2), None))
         assert geo.point_at(2.0).height == -2.0
         rows = geo.sample_csv_rows([0.0, 1.0])
         assert rows[0][0] == 0.0 and rows[1][0] == -1.0
 
     def test_csv_rows_equal_the_per_parameter_loop(self):
-        x, z = random_point(SPEC_R2, RNG), random_point(SPEC_R3, RNG)
+        x, z = random_point(SPEC_R2, RNG).flat(), random_point(SPEC_R3, RNG).flat()
         ts = np.linspace(-2.0, 2.0, 41)
         for anchor in ((x, None), (None, z), (x, z)):
             for orientation in ("upward", "downward"):
                 geo = VerticalGeodesic(anchor, orientation)
                 want = [[geo.point_at(float(t)).height,
-                         *(v for a in anchor if a is not None for v in a.flat().tolist())]
+                         *(v for a in anchor if a is not None for v in a.tolist())]
                         for t in ts]
                 assert geo.sample_csv_rows(ts) == want
 
@@ -421,33 +425,65 @@ class TestBoundaryCorrespondence:
             boundary_of_height_isometry(PURE, height)
 
     def test_suspension_accepts_triangular_and_shifts_height(self):
-        sus = suspend_boundary_map(PURE, SimMap.dilation(SPEC_R2, math.e), 1.0)
-        g = SolvPoint(height=0.25, x=random_point(SPEC_R2, RNG))
+        sus = suspend_boundary_map(PURE, SimMap(SPEC_R2, math.e), 1.0)
+        g = SolvPoint(height=0.25, x=random_point(SPEC_R2, RNG).flat())
         out = sus(g)
         assert out.height == pytest.approx(1.25)
 
     def test_suspension_takes_flat_coordinates(self):
         # a (total_dim,) array raised AttributeError from SolvPoint.conforms
-        sus = suspend_boundary_map(PURE, SimMap.dilation(SPEC_R2, math.e), 1.0)
+        G = SimMap(SPEC_R2, math.e)
+        sus = suspend_boundary_map(PURE, G, 1.0)
         x = random_point(SPEC_R2, RNG)
-        flat, blocks = sus(SolvPoint(0.25, x.flat())), sus(SolvPoint(0.25, x))
-        assert flat.height == blocks.height == 1.25
-        assert np.array_equal(flat.x.flat(), blocks.x.flat())
+        out = sus(SolvPoint(0.25, x.flat()))
+        assert out.height == 1.25
+        assert np.array_equal(out.x, G(x).flat())
         with pytest.raises(DimensionMismatch):
             sus(SolvPoint(0.25, np.zeros(3)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_suspension_rejects_non_finite_points(self, bad):
         # a NaN height passed through into the image
-        sus = suspend_boundary_map(PURE, SimMap.dilation(SPEC_R2, math.e), 1.0)
+        sus = suspend_boundary_map(PURE, SimMap(SPEC_R2, math.e), 1.0)
         with pytest.raises(InputError):
-            sus(SolvPoint(bad, BlockPoint.zero(SPEC_R2)))
+            sus(SolvPoint(bad, np.zeros(2)))
         with pytest.raises(InputError):
             sus(SolvPoint(0.0, np.array([0.0, bad])))
 
     def test_suspension_rejects_nontriangular_map(self):
-        def bad(p):
-            return BlockPoint((p.blocks[0], p.blocks[1] + p.blocks[0]))
+        class Shear(BoundaryMap):
+            spec = SPEC_R2
 
-        with pytest.raises(InputError):
-            suspend_boundary_map(PURE, bad, 0.0)
+            def _apply(self, blocks):
+                return [blocks[0], blocks[1] + blocks[0]]
+
+        with pytest.raises(InputError, match="triangularity"):
+            suspend_boundary_map(PURE, Shear(), 0.0)
+
+    def test_suspension_rejects_a_map_without_eval_blocks(self):
+        # an opaque callable passed the probe check, and its suspension read
+        # points one at a time through BlockPoints
+        with pytest.raises(InputError, match="eval_blocks"):
+            suspend_boundary_map(PURE, lambda p: p, 0.0)
+
+    def test_suspension_rows_equal_the_per_point_images(self):
+        # the suspension took one point only (DimensionMismatch on rows)
+        G = SimMap(SPEC_R2, 1.7, translations=[np.array([0.4]), np.array([-1.1])])
+        sus = suspend_boundary_map(PURE, G, 0.3)
+        rows = _solv_rows(PURE, np.random.default_rng(14), 200)
+        got = sus(rows)
+        assert got.height.shape == (200,) and got.x.shape == (200, 2)
+        for i in range(200):
+            one = sus(_row(rows, i))
+            assert got.height[i] == one.height == rows.height[i] + 0.3
+            assert np.array_equal(got.x[i], one.x)
+            assert np.array_equal(one.x, G(reference.from_flat(SPEC_R2, rows.x[i])).flat())
+
+    def test_suspended_image_beyond_float_range(self):
+        # the image read inf, where multiply raises DomainError
+        sus = suspend_boundary_map(PURE, SimMap(SPEC_R2, 10.0), 0.0)
+        x = np.array([1e308, 0.0])
+        with pytest.raises(DomainError):
+            sus(SolvPoint(0.0, x))
+        with pytest.raises(DomainError):
+            sus(SolvPoint(np.zeros(3), np.stack([np.zeros(2), x, np.ones(2)])))

@@ -18,6 +18,7 @@ from solvrigid import (
     BlockMap,
     BlockPoint,
     BlockVar,
+    ChainGrid,
     Clamp,
     Const,
     FirstBlockAffineMap,
@@ -29,6 +30,7 @@ from solvrigid import (
     SimMap,
     SolvRigidError,
     SpectralData,
+    chain_energy,
     conf_class,
     ddist,
     dilatation,
@@ -55,7 +57,8 @@ from solvrigid.fixtures import (
     varying_rotation_map,
 )
 from solvrigid.funcexpr import expr_from_json
-from solvrigid.solvgroup import SolvPoint, SolvSpec, boundary_of_height_isometry
+from solvrigid.solvgroup import (SolvPoint, SolvSpec, boundary_of_height_isometry,
+                                 suspend_boundary_map)
 from solvrigid.spectral import BoundaryMap
 
 numbers = st.integers() | st.floats() | st.just(-(10**400))  # an int beyond float range
@@ -176,6 +179,28 @@ def _point(x):
     return BlockPoint(x) if isinstance(x, tuple) else x
 
 
+def _reads_points(fn, *points):
+    """fn(*points) for points that point_pairs draws. A BlockPoint is not a point of the
+    metric: it is read before anything else can be rejected, so it ends in InputError."""
+    points = [_point(x) for x in points]
+    if not any(isinstance(x, BlockPoint) for x in points):
+        return fn(*points)
+    with pytest.raises(InputError):
+        fn(*points)
+
+
+def _reads_solv_points(fn):
+    """fn(spec, *points) for solv_points draws: a BlockPoint among the x coordinates, the
+    first read, ends in InputError."""
+    def call(spec, *points):
+        if not any(isinstance(p.x, BlockPoint) for p in points):
+            return fn(spec, *points)
+        with pytest.raises(InputError):
+            fn(spec, *points)
+
+    return call
+
+
 def _boundary_maps():
     """A rotation similarity, an almost-translation word, their composite and a block map."""
     s = SimMap(SPEC_ROT, 1.3, [[[0.6, -0.8], [0.8, 0.6]], [[-1.0]]], [[0.4, -0.2], [0.3]])
@@ -251,23 +276,36 @@ def _eval_blocks(F, blocks):
 
 
 def _distance(spec, p, q):
-    return distance(spec, _point(p), _point(q))
+    return _reads_points(lambda p, q: distance(spec, p, q), p, q)
 
 
 def _dilate(spec, t, p):
-    return dilate(spec, t, _point(p))
+    dilate(spec, t, np.zeros(spec.total_dim))  # the parameter is read first
+    return _reads_points(lambda p: dilate(spec, t, p), p)
 
 
 def _pair_to_point(spec, p, q):
-    return pair_to_point(SolvSpec(lower=spec), _point(p), _point(q))
+    return _reads_points(lambda p, q: pair_to_point(SolvSpec(lower=spec), p, q), p, q)
 
 
 def _pair_to_point_bisect(spec, p, q):
-    return pair_to_point_bisect(SolvSpec(lower=spec), _point(p), _point(q))
+    return _reads_points(lambda p, q: pair_to_point_bisect(SolvSpec(lower=spec), p, q), p, q)
 
 
 def _level_distance(spec, t, p, q):
-    return level_distance(SolvSpec(lower=spec), t, (_point(p), None), (_point(q), None))
+    return _reads_points(
+        lambda p, q: level_distance(SolvSpec(lower=spec), t, (p, None), (q, None)), p, q)
+
+
+def _suspended(spec, p):
+    """p, one point or rows, through the suspension of a similarity of the lower data; a
+    spec without lower data is rejected before the map is read. An image is finite (one
+    beyond float range is rejected), and it has the rows of p."""
+    G = spec.lower and SimMap(spec.lower, 1.5,
+                              translations=[np.full(n, 0.25) for n in spec.lower.multiplicities])
+    image = suspend_boundary_map(spec, G, 0.5)(p)
+    assert np.isfinite(image.height).all() and np.isfinite(image.x).all()
+    assert np.shape(image.height) == np.shape(p.height) and np.shape(image.x) == np.shape(p.x)
 
 
 @st.composite
@@ -369,8 +407,9 @@ TARGETS = {
     "pair_to_point_bisect": (point_pairs(), _pair_to_point_bisect),
     "level_distance": (levels(), _level_distance),
     "level_distance_rows": (level_rows(), _level_distance),
-    "multiply": (solv_points(2), multiply),
-    "inverse": (solv_points(1), inverse),
+    "multiply": (solv_points(2), _reads_solv_points(multiply)),
+    "inverse": (solv_points(1), _reads_solv_points(inverse)),
+    "SuspendedMap": (solv_points(1), _reads_solv_points(_suspended)),
     "eval_blocks": (map_blocks, _eval_blocks),
     "FirstBlockAffineMap.eval_blocks": (affine_blocks, _eval_blocks),
     "SimMap_stack": (stretch_stacks() | st.tuples(arrays), _stack_maps),
@@ -409,6 +448,18 @@ def test_only_package_errors_escape(target, data):
         fn(*args)
     except SolvRigidError:
         pass
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: distance(SPEC_ROT, p, np.zeros(3)),
+    lambda p: multiply(SolvSpec(lower=SPEC_ROT), SolvPoint(0.0, p), SolvPoint(0.0, np.zeros(3))),
+    lambda p: level_distance(SolvSpec(lower=SPEC_ROT), 0.0, (p, None), (np.zeros(3), None)),
+    lambda p: chain_energy(SPEC_ROT, 2.0, p, np.zeros(3), ChainGrid()),
+], ids=["distance", "multiply", "level_distance", "chain_energy"])
+def test_a_block_point_is_not_a_point_of_the_metric(call):
+    # these flattened a BlockPoint: points are arrays below the boundary maps' one-point call
+    with pytest.raises(InputError):
+        call(BlockPoint((np.zeros(2), np.zeros(1))))
 
 
 def test_non_numeric_points_and_rows():
