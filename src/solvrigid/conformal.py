@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, CoverageError, DomainError, InputError
+from .errors import ConvergenceError, CoverageError, DimensionMismatch, DomainError, InputError
 from .nilpotent import walk_words
 from .quasimetric import _exp, _image_rows, _per_element
 from .spectral import SpectralData, floats, require_blocks, split_rows
@@ -473,8 +473,16 @@ class ConfField:
         return idx, ~(np.sqrt(dist2[np.arange(len(rows)), idx]) > self.resolution)
 
     def value_at(self, p: np.ndarray) -> np.ndarray:
-        """The class at the sample nearest to the ``(total_dim,)`` row p."""
-        idx, covered = self._nearest(floats(p, "point")[None])
+        """The class at the sample nearest to the ``(total_dim,)`` row p.
+
+        DimensionMismatch on a row of another length than the samples', InputError on a
+        non-finite one."""
+        p = floats(p, "point")
+        if p.shape != self.points.shape[1:]:
+            raise DimensionMismatch(f"point of shape {p.shape}, expected {self.points.shape[1:]}")
+        if not np.isfinite(p).all():
+            raise InputError("point has a non-finite coordinate")
+        idx, covered = self._nearest(p[None])
         if not covered[0]:
             raise CoverageError(
                 f"point farther than grid resolution {self.resolution} from every sample"

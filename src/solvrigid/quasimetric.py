@@ -22,15 +22,18 @@ def _block_norm(diff: np.ndarray):
 
     The one per-block formula of the metric, for one point and for rows: the
     square root of the dot product, rescaled where the sum of squares is
-    below ``_SQ_MIN`` or not finite. Raises InputError on a
-    non-finite entry, so a NaN or infinite coordinate is never dropped.
+    below ``_SQ_MIN`` or not finite. A one-entry block is squared instead:
+    its dot product is 0 + x*x, which is x*x exactly. Raises InputError on a
+    non-finite entry, so a NaN or infinite coordinate is never dropped. Callers
+    ignore overflow, since a square beyond float range is rescaled.
     """
-    sq = np.vecdot(diff, diff)
+    sq = np.square(diff[..., 0]) if diff.shape[-1] == 1 else np.vecdot(diff, diff)
     if sq.ndim == 0:
         return math.sqrt(sq) if _SQ_MIN <= sq < math.inf else float(_rescaled_norm(diff))
     out = np.sqrt(sq)
-    redo = ~((sq >= _SQ_MIN) & (sq < math.inf))
-    if redo.any():
+    # min and max carry a NaN through, so a NaN square is redone and rejected
+    if not (sq.min(initial=math.inf) >= _SQ_MIN and sq.max(initial=0.0) < math.inf):
+        redo = ~((sq >= _SQ_MIN) & (sq < math.inf))
         out[redo] = _rescaled_norm(diff[redo])
     return out
 
@@ -53,7 +56,16 @@ def _exp(x: float) -> float:
 
 def _per_element(fn, x) -> np.ndarray:
     """fn, libm's exp (``_exp``) or ``math.log``, of each element of x in x's shape: numpy's
-    vectorized exp and log may round differently, and rows keep the one-point bits."""
+    vectorized exp and log may round differently, and rows keep the one-point bits.
+
+    This is the one home of that rule, and it has three exceptions, none of which
+    changes a returned bit. ``distance`` skips ``pow`` on a block of exponent 1, since
+    pow(x, 1) is x for every x >= 0, 0 and inf included. ``_block_norm`` squares a
+    one-entry block, since a dot product of length 1 is 0 + x*x, which is x*x. And
+    ``pair_to_point_bisect`` settles a sign from numpy's ``exp`` only where the largest
+    term is more than 1e-12 away from 1, a thousand times the few ulps by which the two
+    exps differ; every other row gets its sign from libm's exp here.
+    """
     x = np.asarray(x)
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
@@ -82,12 +94,11 @@ def distance(spec: SpectralData, P, Q):
     with np.errstate(over="ignore", invalid="ignore"):
         diff = P - Q
         # np.float_power evaluates pow element by element as ``**`` on a float
-        # does; the SIMD loop of np.power may round differently
+        # does; the SIMD loop of np.power may round differently. pow(x, 1) is x.
+        norms = [_block_norm(diff[..., s]) for s in spec.block_slices()]
         best = functools.reduce(np.maximum, [
-            np.float_power(_block_norm(diff[..., s]), 1.0 / a)
-            for a, s in zip(spec.exponents, spec.block_slices())
-        ])
-    return float(best) if best.ndim == 0 else best
+            n if a == 1.0 else np.float_power(n, 1.0 / a) for a, n in zip(spec.exponents, norms)])
+    return float(best) if np.ndim(best) == 0 else best
 
 
 def dilate(spec: SpectralData, t: float, P) -> np.ndarray:

@@ -184,8 +184,7 @@ def _level_gaps(spec: SolvSpec, t: np.ndarray, p, q) -> tuple[np.ndarray, np.nda
 
 
 def _level_distance(t: np.ndarray, signed: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """level_distance from _level_gaps at heights t, which may be infinite where
-    pair_to_point_bisect brackets a row whose height is beyond float range."""
+    """level_distance from _level_gaps at heights t."""
     with np.errstate(over="ignore", invalid="ignore"):
         # one row of terms per block; (sign alpha_i) t is sign (t alpha_i) exactly
         exponents = np.multiply.outer(signed, np.broadcast_to(t, gaps.shape[1:]))
@@ -250,38 +249,57 @@ def pair_to_point(spec: SolvSpec, P, Q):
     return float(t) if t.ndim == 0 else t
 
 
+def _above_unit(t: np.ndarray, signed: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Whether the level distance at heights t exceeds 1, per row of the ``(r, N)`` gaps.
+
+    numpy's exp settles a row whose largest term is more than 1e-12 away from 1: its
+    factors differ from libm's by a few ulps, so the term is on the same side of 1. A
+    row whose factors leave [2^-1021, 2^1023), where ``_level_terms`` may switch to the
+    far-range formula, and every unsettled row get their sign from ``_level_distance``.
+    """
+    factor = np.exp(np.multiply.outer(signed, t))
+    big = (factor * gaps).max(axis=0)
+    above = big > 1.0
+    rest = ~(np.abs(big - 1.0) > 1e-12) | (
+        (factor < 2.0 ** -1021) | (factor >= 2.0 ** 1023)).any(axis=0)
+    if rest.any():
+        above[rest] = _level_distance(t[rest], signed, gaps[:, rest]) > 1.0
+    return above
+
+
 def pair_to_point_bisect(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Root-finding oracle for the divergence heights: solve d_t(p, q) = 1 per row.
 
     ``P`` and ``Q`` are ``(N, total_dim)`` arrays of boundary points. Every
     row bisects its own bracket log D(p, q) +- 1 (from :func:`pair_to_point`)
-    until that bracket is narrower than 1e-13, for at most 200 halvings. The
-    level distances are level_distance's on rows at per-row heights.
+    until that bracket is narrower than 1e-13, for at most 200 halvings. Only
+    the side of 1 on which the level distance lies steers a halving, and it is
+    level_distance's side on rows at per-row heights (see ``_above_unit``).
     """
     logd = pair_to_point(spec, P, Q)
     if np.ndim(logd) != 1:
         raise DimensionMismatch(f"points of shape {np.shape(P)}, expected (N, total_dim) rows")
-    levels = _level_gaps(spec, logd, (P, None), (Q, None))  # the block gaps, once
-
-    def excess(t):
-        """Level distance at heights t, minus 1."""
-        return _level_distance(t, *levels) - 1.0
-
+    signed, gaps = _level_gaps(spec, logd, (P, None), (Q, None))  # the block gaps, once
     lo, hi = logd - 1.0, logd + 1.0
-    # a level distance beyond float range reads inf; a row whose height does
-    # has a NaN bracket width (inf - inf), so it is never live and reads inf
+    # a row whose height is beyond float range has a NaN bracket width (inf -
+    # inf), so it is never live and reads inf; the live rows' brackets are
+    # worked on as their own arrays, and a row leaves them once narrow enough
     with np.errstate(over="ignore", invalid="ignore"):
-        flo = excess(lo)
+        live = np.flatnonzero(np.abs(hi - lo) >= 1e-13)
+        a, b, g = lo[live], hi[live], gaps[:, live]
+        above = _above_unit(a, signed, g)
         for _ in range(200):
-            live = np.abs(hi - lo) >= 1e-13
-            if not live.any():
+            if not live.size:
                 break
-            mid = 0.5 * (lo + hi)
-            fmid = excess(mid)
-            up = live & ((flo > 0) == (fmid > 0))
-            lo, flo = np.where(up, mid, lo), np.where(up, fmid, flo)
-            hi = np.where(live & ~up, mid, hi)
-        return 0.5 * (lo + hi)
+            mid = 0.5 * (a + b)
+            up = above == _above_unit(mid, signed, g)
+            a, b = np.where(up, mid, a), np.where(up, b, mid)
+            done = np.abs(b - a) < 1e-13
+            if done.any():
+                lo[live], hi[live] = a, b
+                live, a, b, g, above = (x[..., ~done] for x in (live, a, b, g, above))
+        lo[live], hi[live] = a, b
+    return 0.5 * (lo + hi)
 
 
 def boundary_of_height_isometry(spec: SolvSpec, a) -> SimMap:
@@ -316,9 +334,15 @@ def suspend_boundary_map(spec: SolvSpec, G, a: float) -> SuspendedMap:
     """Extend a boundary map to the model space: spatial action plus height shift.
 
     ``G`` needs ``eval_blocks``; one without ``components`` must pass ``check_triangularity``.
+    The shift ``a`` is one finite number: InputError otherwise, DimensionMismatch on an array.
     """
     if not spec.pure:
         raise InputError("suspension implemented for the pure lower case")
+    shift = floats(a, "height shift")
+    if shift.ndim:
+        raise DimensionMismatch(f"height shift must be one number, not of shape {shift.shape}")
+    if not math.isfinite(shift):
+        raise InputError(f"height shift must be finite, got {a!r}")
     if not hasattr(G, "eval_blocks"):
         raise InputError(f"{type(G).__name__} is not a boundary map: it has no eval_blocks")
     if not hasattr(G, "components"):  # opaque maps get the probe check
@@ -328,4 +352,4 @@ def suspend_boundary_map(spec: SolvSpec, G, a: float) -> SuspendedMap:
                 f"boundary map failed the triangularity check at {verdict.worst_pair} "
                 f"(response {verdict.worst_response:.3e})"
             )
-    return SuspendedMap(spec=spec, boundary=G, shift=a)
+    return SuspendedMap(spec=spec, boundary=G, shift=float(shift))

@@ -161,9 +161,32 @@ def test_report_digests_are_pinned(seed, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == PINNED_FILES[seed]
 
 
+# The files the `metric` and `geodesic` suites write on a spec whose first
+# exponent is 1 (the default spec, (2, 3), has none), at the default counts.
+UNIT_EXPONENT_SPEC = {"alphas": [1.0, 2.0, 3.5], "mults": [2, 1, 2]}
+PINNED_UNIT_EXPONENT_FILES = {
+    (0, "metric"): ["metric-b7798888fab7eaa9.json"],
+    (0, "geodesic"): ["geodesic-ff10375c5ccb575f.json", "geodesic-samples-c40b4e2c16f78ffd.csv"],
+    (5, "metric"): ["metric-d1a1b06cade02e83.json"],
+    (5, "geodesic"): ["geodesic-6f78b098c4560e6d.json", "geodesic-samples-180b3b935ad4d6ee.csv"],
+    (11, "metric"): ["metric-6cfb1975e536d833.json"],
+    (11, "geodesic"): ["geodesic-c1e7dd13e23732f9.json", "geodesic-samples-20e3f98eda7c3154.csv"],
+}
+
+
+@pytest.mark.parametrize("seed, suite", sorted(PINNED_UNIT_EXPONENT_FILES))
+def test_unit_exponent_digests_are_pinned(seed, suite, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": UNIT_EXPONENT_SPEC}))
+    out = tmp_path / "out"
+    assert main([suite, "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == PINNED_UNIT_EXPONENT_FILES[seed, suite]
+
+
 def test_pinned_digests_are_quoted_in_the_report_schema():
     schema = (Path(__file__).parents[1] / "docs" / "report-schema.md").read_text()
-    names = [name for files in PINNED_FILES.values() for name in files]
+    names = [name for pins in (PINNED_FILES, PINNED_UNIT_EXPONENT_FILES)
+             for files in pins.values() for name in files]
     assert names and [name for name in names if name not in schema] == []
 
 
@@ -465,13 +488,18 @@ def _scalar_bisect(spec, p, q) -> float:
     return 0.5 * (lo + hi)
 
 
+def _bisected_rows(cfg, rng):
+    """The 20 pairs the geodesic suite draws for its bisection oracle, after its pair draws."""
+    for _ in random_row_blocks(cfg.spec, rng, cfg.pairs, 2, 3.0):
+        pass
+    return next(random_row_blocks(cfg.spec, rng, 20, 2, 3.0))
+
+
 def _per_pair_bisect_check(cfg, rng) -> dict:
     """The bisection-oracle check of the per-pair loop, after the suite's row draws."""
     spec = SolvSpec(lower=cfg.spec)
-    for _ in random_row_blocks(cfg.spec, rng, cfg.pairs, 2, 3.0):
-        pass
     worst = 0.0
-    for p, q in next(random_row_blocks(cfg.spec, rng, 20, 2, 3.0)):
+    for p, q in _bisected_rows(cfg, rng):
         if distance(cfg.spec, p, q) != 0.0:
             worst = max(worst, abs(pair_to_point(spec, p, q) - _scalar_bisect(spec, p, q)))
     return cli._check("pair-to-point-bisect-oracle", worst <= 1e-9, worst)
@@ -506,11 +534,67 @@ def _bisection_rows():
     return spec, pairs
 
 
+def _far_bisection_rows():
+    """Rows of _bisection_rows' spec with one or two blocks apart, the others coincident:
+    gaps of 1e+-150, gaps near underflow, and brackets where a factor e^(-t alpha_i) of
+    the largest term leaves the normal float range (overflows, or nears 2^-1022). A
+    coincident block whose factor overflows makes a NaN term; in the last two rows only
+    the largest term's factor overflows, so numpy's product reads inf there."""
+    spec, _ = _bisection_rows()
+    gaps = [([1e150, 0.0], 0.0, 0.0), ([1e-150, 0.0], 0.0, 0.0), (0.0, 1e150, 0.0),
+            (0.0, 1e-150, 0.0), (0.0, 1e-320, 0.0), (0.0, 5e-324, 0.0), ([1e-160, 1e-161], 0.0, 0.0),
+            (0.0, 1e308, 0.0), (0.0, 1.7e308, 0.0), (0.0, 0.0, [1e300, 1.0]),
+            (0.0, 0.0, [1e-300, 0.0]), ([1e150, 0.0], 0.0, [3.0, 1.0]), (0.0, 1e-320, [1e-300, 0.0]),
+            (0.0, 0.0, [1e-315, 0.0]), (0.0, 0.0, [5e-324, 0.0])]
+    P = np.array([np.concatenate([np.broadcast_to(g, n) for g, n in zip(row, (2, 1, 2))])
+                  for row in gaps])
+    return spec, np.stack([P, np.zeros_like(P)], axis=1)
+
+
 def test_bisection_rows_equal_the_per_pair_bisection():
     spec, pairs = _bisection_rows()
     got = solvgroup.pair_to_point_bisect(spec, pairs[:, 0], pairs[:, 1])
     want = [_scalar_bisect(spec, *pair) for pair in pairs]
     assert np.array_equal(got, want)
+
+
+def test_far_range_bisection_rows_equal_the_per_pair_bisection():
+    spec, pairs = _far_bisection_rows()
+    got = solvgroup.pair_to_point_bisect(spec, pairs[:, 0], pairs[:, 1])
+    want = [_scalar_bisect(spec, *pair) for pair in pairs]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_bisection_takes_libm_signs_only_near_the_root(seed, monkeypatch):
+    # numpy's exp settles a sign only away from 1: the first midpoint is log D
+    # itself, where the level distance is 1 up to rounding, and the last
+    # halvings close in on the root; every other row-halving is settled
+    cfg = RunConfig()
+    spec, rows = SolvSpec(lower=cfg.spec), _bisected_rows(cfg, np.random.default_rng(seed))
+    rows = rows[distance(cfg.spec, rows[:, 0], rows[:, 1]) != 0.0]
+    want = [_scalar_bisect(spec, *pair) for pair in rows]
+    evaluations, fallbacks = [], []
+    above, level = solvgroup._above_unit, solvgroup._level_distance
+
+    def counted_above(t, *args):
+        evaluations.append(len(t))
+        return above(t, *args)
+
+    def counted_level(t, *args):
+        fallbacks.append((len(evaluations) - 1, len(t)))
+        return level(t, *args)
+
+    monkeypatch.setattr(solvgroup, "_above_unit", counted_above)
+    monkeypatch.setattr(solvgroup, "_level_distance", counted_level)
+    got = solvgroup.pair_to_point_bisect(spec, rows[:, 0], rows[:, 1])
+    assert np.array_equal(got, want)
+    # evaluation 0 is the bracket's lower end, evaluation i the i-th halving
+    assert len(rows) == 20 and len(evaluations) == 46
+    fell = sum(n for _, n in fallbacks)
+    assert 1 <= fell <= 0.15 * sum(evaluations)
+    assert {i for i, _ in fallbacks} - {1} <= set(range(len(evaluations) - 8, len(evaluations)))
+    assert sum(n for i, n in fallbacks if i > 1) >= len(rows)
 
 
 def test_bisection_computes_the_block_gaps_once(count_calls):
@@ -530,9 +614,7 @@ def _per_triple_geodesic_checks(cfg, rng) -> dict:
     one random_point draw per sample, and one-point products of the group
     law's per-point reference copy."""
     spec = SolvSpec(lower=cfg.spec)
-    for _ in random_row_blocks(cfg.spec, rng, cfg.pairs, 2, 3.0):
-        pass
-    next(random_row_blocks(cfg.spec, rng, 20, 2, 3.0))
+    _bisected_rows(cfg, rng)
     comp_worst = 0.0
     for _ in range(50):
         a, b = rng.uniform(-1.5, 1.5, 2)

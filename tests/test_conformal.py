@@ -9,6 +9,7 @@ import pytest
 from solvrigid import (
     ConvergenceError,
     CoverageError,
+    DimensionMismatch,
     DomainError,
     FirstBlockAffineMap,
     InputError,
@@ -671,6 +672,21 @@ class TestInvariantStructure:
         field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.4)
         with pytest.raises(CoverageError):
             field.value_at(np.array([0.0, 0.0, 9.0]))
+
+    @pytest.mark.parametrize("p, error", [
+        (np.zeros(2), DimensionMismatch), (np.zeros(4), DimensionMismatch),
+        (np.zeros((1, 3)), DimensionMismatch), (0.0, DimensionMismatch),
+        (np.array([0.0, math.nan, 0.0]), InputError),
+    ])
+    def test_value_at_reads_one_row_of_the_grid_length(self, p, error):
+        # a row of another length raised numpy's broadcasting ValueError, and a
+        # NaN row read as covered by the first sample
+        field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.51)
+        with pytest.raises(error):
+            field.value_at(p)
+        ident = FirstBlockAffineMap(SPEC_ROT, 1.0, lambda y: y)
+        with pytest.raises(error):
+            conformality_defect(ident, field, field, p)
 
     def test_conformality_defect_of_identity_is_one(self):
         field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.51)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from solvrigid import (
     BlockMap,
@@ -368,6 +369,57 @@ class TestRowKernels:
     def test_misshaped_rows_rejected(self, p_shape, q_shape):
         with pytest.raises(DimensionMismatch):
             distance(SPEC_R3, np.zeros(p_shape), np.zeros(q_shape))
+
+
+# block entries: zeros, subnormals, 1e+-300, and magnitudes whose squares or
+# differences are beyond float range
+gap_entries = st.builds(
+    lambda m, sign: sign * m,
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-160, 1.0, 1e154, 1e300, 1.7e308])
+    | st.floats(0.0, 10.0),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@st.composite
+def unit_specs(draw):
+    """A spec with a block of exponent 1, and blocks of one to three entries."""
+    exps = sorted({1.0, *draw(st.lists(st.sampled_from([0.5, 2.0, 3.5]) | st.floats(0.25, 4.0),
+                                       max_size=2))})
+    return SpectralData(tuple(exps), tuple(draw(st.integers(1, 3)) for _ in exps))
+
+
+def _outcome(fn):
+    """The bits of fn()'s float or floats, or the InputError it raises."""
+    try:
+        return np.asarray(fn(), float).tobytes()
+    except InputError:
+        return "InputError"
+
+
+class TestMetricShortcuts:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_block_norm_and_distance_equal_the_general_formula(self, data):
+        # a one-entry block is squared, not dotted, and a block of exponent 1
+        # skips pow: both must keep every bit, one point and rows alike
+        spec = data.draw(unit_specs())
+        shape = (data.draw(st.integers(0, 4)), spec.total_dim)
+        P, Q = (data.draw(hnp.arrays(float, shape, elements=gap_entries)) for _ in range(2))
+        # as the metric's callers of _block_norm do: a square beyond float range is rescaled
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = P - Q
+            for s in spec.block_slices():
+                assert _outcome(lambda: quasimetric._block_norm(diff[:, s])) == _outcome(
+                    lambda: reference.block_norm(diff[:, s]))
+                for d in diff[:, s]:
+                    assert _outcome(lambda: quasimetric._block_norm(d)) == _outcome(
+                        lambda: reference.block_norm(d[None]))
+        assert _outcome(lambda: distance(spec, P, Q)) == _outcome(
+            lambda: reference.row_distance(spec, P, Q))
+        for p, q in zip(P, Q):
+            assert _outcome(lambda: distance(spec, p, q)) == _outcome(
+                lambda: reference.row_distance(spec, p[None], q[None]))
 
 
 class TestRowDraws:

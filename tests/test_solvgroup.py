@@ -460,6 +460,16 @@ class TestBoundaryCorrespondence:
         with pytest.raises(InputError, match="triangularity"):
             suspend_boundary_map(PURE, Shear(), 0.0)
 
+    @pytest.mark.parametrize("shift, error", [
+        ("x", InputError), (math.nan, InputError), (math.inf, InputError),
+        ([1.0, 2.0], DimensionMismatch), ([[0.5]], DimensionMismatch),
+    ])
+    def test_suspension_reads_its_shift_as_one_finite_number(self, shift, error):
+        # "x" raised numpy's UFuncTypeError at call time, and [1.0, 2.0] gave
+        # one point two heights
+        with pytest.raises(error):
+            suspend_boundary_map(PURE, SimMap(SPEC_R2, math.e), shift)
+
     def test_suspension_rejects_a_map_without_eval_blocks(self):
         # an opaque callable passed the probe check, and its suspension read
         # points one at a time through BlockPoints

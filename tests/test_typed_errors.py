@@ -20,6 +20,7 @@ from solvrigid import (
     BlockVar,
     ChainGrid,
     Clamp,
+    ConfField,
     Const,
     FirstBlockAffineMap,
     InputError,
@@ -308,6 +309,19 @@ def _suspended(spec, p):
     assert np.shape(image.height) == np.shape(p.height) and np.shape(image.x) == np.shape(p.x)
 
 
+def _suspension_shift(a):
+    """One point through the suspension of a similarity by the drawn shift ``a``: one
+    point has one height."""
+    spec = SolvSpec(lower=SPEC_ROT)
+    image = suspend_boundary_map(spec, SimMap(SPEC_ROT, 1.5), a)(SolvPoint(0.25, np.ones(3)))
+    assert isinstance(image.height, float)
+
+
+def _value_at(p):
+    """The class of a field sampled at three rows of length 3, at the drawn row ``p``."""
+    ConfField(points=np.zeros((3, 3)), values=[np.eye(2)] * 3, resolution=1.0).value_at(p)
+
+
 @st.composite
 def stretch_stacks(draw):
     """(B,) stretches in range with one member drawn from any float, B >= 1."""
@@ -410,6 +424,9 @@ TARGETS = {
     "multiply": (solv_points(2), _reads_solv_points(multiply)),
     "inverse": (solv_points(1), _reads_solv_points(inverse)),
     "SuspendedMap": (solv_points(1), _reads_solv_points(_suspended)),
+    "suspend_boundary_map_shift": (st.tuples(numbers | arrays), _suspension_shift),
+    "ConfField.value_at": (st.tuples(arrays | hnp.arrays(float, hnp.array_shapes(
+        min_dims=0, max_dims=2, max_side=4), elements=coordinates)), _value_at),
     "eval_blocks": (map_blocks, _eval_blocks),
     "FirstBlockAffineMap.eval_blocks": (affine_blocks, _eval_blocks),
     "SimMap_stack": (stretch_stacks() | st.tuples(arrays), _stack_maps),
