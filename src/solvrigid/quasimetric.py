@@ -22,18 +22,15 @@ def _block_norm(diff: np.ndarray):
 
     The one per-block formula of the metric, for one point and for rows: the
     square root of the dot product, rescaled where the sum of squares is
-    below ``_SQ_MIN`` or not finite. A one-entry block is squared instead:
-    its dot product is 0 + x*x, which is x*x exactly. Raises InputError on a
-    non-finite entry, so a NaN or infinite coordinate is never dropped. Callers
-    ignore overflow, since a square beyond float range is rescaled.
+    below ``_SQ_MIN`` or not finite. Raises InputError on a
+    non-finite entry, so a NaN or infinite coordinate is never dropped.
     """
-    sq = np.square(diff[..., 0]) if diff.shape[-1] == 1 else np.vecdot(diff, diff)
+    sq = np.vecdot(diff, diff)
     if sq.ndim == 0:
         return math.sqrt(sq) if _SQ_MIN <= sq < math.inf else float(_rescaled_norm(diff))
     out = np.sqrt(sq)
-    # min and max carry a NaN through, so a NaN square is redone and rejected
-    if not (sq.min(initial=math.inf) >= _SQ_MIN and sq.max(initial=0.0) < math.inf):
-        redo = ~((sq >= _SQ_MIN) & (sq < math.inf))
+    redo = ~((sq >= _SQ_MIN) & (sq < math.inf))
+    if redo.any():
         out[redo] = _rescaled_norm(diff[redo])
     return out
 
@@ -58,13 +55,12 @@ def _per_element(fn, x) -> np.ndarray:
     """fn, libm's exp (``_exp``) or ``math.log``, of each element of x in x's shape: numpy's
     vectorized exp and log may round differently, and rows keep the one-point bits.
 
-    This is the one home of that rule, and it has three exceptions, none of which
+    This is the one home of that rule, and it has two exceptions, neither of which
     changes a returned bit. ``distance`` skips ``pow`` on a block of exponent 1, since
-    pow(x, 1) is x for every x >= 0, 0 and inf included. ``_block_norm`` squares a
-    one-entry block, since a dot product of length 1 is 0 + x*x, which is x*x. And
-    ``pair_to_point_bisect`` settles a sign from numpy's ``exp`` only where the largest
-    term is more than 1e-12 away from 1, a thousand times the few ulps by which the two
-    exps differ; every other row gets its sign from libm's exp here.
+    pow(x, 1) is x for every x >= 0, 0 and inf included. ``pair_to_point_bisect``
+    settles a sign from numpy's ``exp`` only where the largest term is more than 1e-12
+    away from 1, a thousand times the few ulps by which the two exps differ; every
+    other row gets its sign from libm's exp here.
     """
     x = np.asarray(x)
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)

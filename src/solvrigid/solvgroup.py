@@ -184,7 +184,8 @@ def _level_gaps(spec: SolvSpec, t: np.ndarray, p, q) -> tuple[np.ndarray, np.nda
 
 
 def _level_distance(t: np.ndarray, signed: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """level_distance from _level_gaps at heights t."""
+    """level_distance from _level_gaps at heights t, which may be infinite where
+    pair_to_point_bisect brackets a row whose height is beyond float range."""
     with np.errstate(over="ignore", invalid="ignore"):
         # one row of terms per block; (sign alpha_i) t is sign (t alpha_i) exactly
         exponents = np.multiply.outer(signed, np.broadcast_to(t, gaps.shape[1:]))
@@ -282,24 +283,18 @@ def pair_to_point_bisect(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.nda
     signed, gaps = _level_gaps(spec, logd, (P, None), (Q, None))  # the block gaps, once
     lo, hi = logd - 1.0, logd + 1.0
     # a row whose height is beyond float range has a NaN bracket width (inf -
-    # inf), so it is never live and reads inf; the live rows' brackets are
-    # worked on as their own arrays, and a row leaves them once narrow enough
+    # inf), so it is never live and reads inf; the sign at lo never changes
     with np.errstate(over="ignore", invalid="ignore"):
-        live = np.flatnonzero(np.abs(hi - lo) >= 1e-13)
-        a, b, g = lo[live], hi[live], gaps[:, live]
-        above = _above_unit(a, signed, g)
+        above = _above_unit(lo, signed, gaps)
         for _ in range(200):
-            if not live.size:
+            live = np.abs(hi - lo) >= 1e-13
+            if not live.any():
                 break
-            mid = 0.5 * (a + b)
-            up = above == _above_unit(mid, signed, g)
-            a, b = np.where(up, mid, a), np.where(up, b, mid)
-            done = np.abs(b - a) < 1e-13
-            if done.any():
-                lo[live], hi[live] = a, b
-                live, a, b, g, above = (x[..., ~done] for x in (live, a, b, g, above))
-        lo[live], hi[live] = a, b
-    return 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)
+            up = live & (above == _above_unit(mid, signed, gaps))
+            lo = np.where(up, mid, lo)
+            hi = np.where(live & ~up, mid, hi)
+        return 0.5 * (lo + hi)
 
 
 def boundary_of_height_isometry(spec: SolvSpec, a) -> SimMap:

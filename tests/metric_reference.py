@@ -2,16 +2,16 @@
 dilations, the divergence height and the solvable group law: a loop over the
 blocks of BlockPoints, Python's ``**`` per block and libm's log and exp. The
 library serves one point and rows through one body; the tests compare both
-with these. ``block_norm`` and ``row_distance`` take rows by the metric's general
-formula, without its shortcuts for one-entry blocks and exponent 1. ``random_point`` draws one point at a time, in the order that the
-library's row draws keep."""
+with these. ``row_distance`` takes rows by the metric's general formula, without
+its shortcut for exponent 1. ``random_point`` draws one point at a time, in the
+order that the library's row draws keep."""
 
 import functools
 import math
 
 import numpy as np
 
-from solvrigid.quasimetric import _SQ_MIN, _block_norm, _rescaled_norm
+from solvrigid.quasimetric import _block_norm
 from solvrigid.solvgroup import SolvPoint
 from solvrigid.spectral import BlockPoint
 
@@ -49,25 +49,13 @@ def distance(spec, p: BlockPoint, q: BlockPoint) -> float:
     return best
 
 
-def block_norm(diff: np.ndarray) -> np.ndarray:
-    """The norms of ``(N, n)`` rows of one block's differences as _block_norm takes them,
-    by the general formula: np.vecdot on every block, one-entry ones included, and the
-    rescale test element by element."""
-    sq = np.vecdot(diff, diff)
-    out = np.sqrt(sq)
-    redo = ~((sq >= _SQ_MIN) & (sq < math.inf))
-    if redo.any():
-        out[redo] = _rescaled_norm(diff[redo])
-    return out
-
-
 def row_distance(spec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """The distances of ``(N, total_dim)`` rows by the general formula: np.float_power on
     every block, exponent 1 included."""
     with np.errstate(over="ignore", invalid="ignore"):
         diff = P - Q
         return functools.reduce(np.maximum, [
-            np.float_power(block_norm(diff[..., s]), 1.0 / a)
+            np.float_power(_block_norm(diff[..., s]), 1.0 / a)
             for a, s in zip(spec.exponents, spec.block_slices())])
 
 
