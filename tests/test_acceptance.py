@@ -13,33 +13,23 @@ from solvrigid import (
     ChainGrid,
     SimMap,
     SolvSpec,
-    act,
     approx_lth_root,
     boundary_of_height_isometry,
     chain_energy,
     check_reciprocity,
-    circumcenter,
-    conf_class,
-    ddist,
     default_probes,
-    dilate,
     displacement_bound,
-    distance,
     epsilon_bound,
     height_hom,
     kdist,
     normalize_stretch,
-    pair_to_point,
     random_row_blocks,
-    root_power_word,
     rotation_hom,
     rotation_rigidity_witness,
+    solve_circumcenter,
     stretch_hom,
-    sup_measure_1d,
-    conjugator_1d,
-    verify_conjugation,
 )
-from solvrigid.cli import main as cli_main
+from solvrigid import cli
 from solvrigid.fixtures import (
     SPEC_FIG1,
     SPEC_NIL,
@@ -53,7 +43,6 @@ from solvrigid.fixtures import (
     mismatched_boundary_pair,
     normalized_dilation_sample,
     oscillating_kernel_element,
-    piecewise_1d_sample,
     stretch_bump_sample,
     unit_translation_1d,
     varying_rotation_map,
@@ -81,6 +70,10 @@ class _Criterion:
         return False
 
 
+def _assert_passed(*checks):
+    assert all(c["passed"] for c in checks), checks
+
+
 def _per_point_state(seed, draws):
     """The generator state after ``count`` one-point draws at scale 5 per (spec, count)."""
     rng = np.random.default_rng(seed)
@@ -95,22 +88,9 @@ def test_metric_axioms():
     with _Criterion("metric-axioms", 5.0):
         rng = np.random.default_rng(0)
         for spec in specs:
-            a1 = spec.exponents[0]
-            for block in random_row_blocks(spec, rng, 10_000, 3, 5.0):
-                p, q, s = block[:, 0], block[:, 1], block[:, 2]
-                # np.float_power is pow per element, as ``**`` on a float
-                lhs = np.float_power(distance(spec, p, s), a1)
-                rhs = (np.float_power(distance(spec, p, q), a1)
-                       + np.float_power(distance(spec, q, s), a1))
-                assert np.all(lhs <= rhs + 1e-12 * np.maximum(lhs, 1.0))
-            for t in (0.5, 2.0):
-                for block in random_row_blocks(spec, rng, 200, 2, 5.0):
-                    p, q = block[:, 0], block[:, 1]
-                    d = distance(spec, p, q)
-                    keep = d != 0.0
-                    d2 = distance(spec, dilate(spec, t, p[keep]), dilate(spec, t, q[keep]))
-                    d = d[keep]
-                    assert np.all(np.abs(d2 - t * d) <= 1e-12 * t * d)
+            _assert_passed(*cli._metric_checks(spec, random_row_blocks(spec, rng, 10_000, 3, 5.0),
+                                               ((t, b) for t in (0.5, 2.0)
+                                                for b in random_row_blocks(spec, rng, 200, 2, 5.0))))
     # the draws of one point at a time: 3 per triple, 2 per pair
     assert rng.bit_generator.state == _per_point_state(0, [(spec, 3 * 10_000 + 2 * 2 * 200)
                                                            for spec in specs])
@@ -133,27 +113,15 @@ def test_boundary_correspondence():
     with _Criterion("boundary-correspondence", 5.0):
         rng = np.random.default_rng(1)
         spec = SolvSpec(lower=SPEC_R2)
-        for block in random_row_blocks(SPEC_R2, rng, 10_000, 2, 5.0):
-            p, q = block[:, 0], block[:, 1]
-            d = distance(SPEC_R2, p, q)
-            keep = d != 0.0
-            t, d = pair_to_point(spec, p[keep], q[keep]), d[keep]
-            assert np.all(np.abs(np.exp(t) - d) <= 1e-12 * d)
+        _assert_passed(cli._pair_to_point_check(spec, random_row_blocks(SPEC_R2, rng, 10_000, 2, 5.0)))
         after_pairs = rng.bit_generator.state
         for a in (-1.5, 0.0, 0.8):
             bd = boundary_of_height_isometry(spec, a)
             assert bd.stretch == math.exp(a)
             assert all(np.array_equal(r, np.eye(r.shape[0])) for r in bd.rotations)
             assert all(np.array_equal(b, np.zeros(b.shape)) for b in bd.translations)
-        for _ in range(200):
-            a, b = rng.uniform(-1.5, 1.5, 2)
-            lhs = boundary_of_height_isometry(spec, a).compose(
-                boundary_of_height_isometry(spec, b)
-            )
-            rhs = boundary_of_height_isometry(spec, a + b)
-            x = reference.random_point(SPEC_R2, rng, 2.0)
-            scale = max(1.0, float(np.max(np.abs(rhs(x).flat()))))
-            assert float(np.max(np.abs(lhs(x).flat() - rhs(x).flat()))) <= 1e-12 * scale
+        bound = np.repeat([1.5, 2.0], [2, SPEC_R2.total_dim])
+        _assert_passed(cli._composition_check(spec, rng.uniform(-bound, bound, (200, len(bound)))))
     # the pairs are the draws of one point at a time
     assert after_pairs == _per_point_state(1, [(SPEC_R2, 2 * 10_000)])
 
@@ -161,47 +129,22 @@ def test_boundary_correspondence():
 def test_symmetric_space_suite():
     with _Criterion("symmetric-space", 60.0):
         rng = np.random.default_rng(2)
-
-        def random_spd(n=3):
-            qmat = np.linalg.qr(rng.normal(size=(n, n)))[0]
-            return conf_class(qmat @ np.diag(np.exp(rng.uniform(-1.2, 1.2, n))) @ qmat.T)
-
-        def random_gl(n=3):
-            u, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            v, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            return u @ np.diag(rng.uniform(0.5, 2.0, n)) @ v
-
-        for _ in range(1000):
-            a, b, c = random_spd(), random_spd(), random_spd()
-            assert kdist(a, a) <= 1e-10
-            assert abs(kdist(a, b) - kdist(b, a)) <= 1e-10
-            assert kdist(a, c) <= kdist(a, b) + kdist(b, c) + 1e-10
-            x = random_gl()
-            assert abs(kdist(act(x, a), act(x, b)) - kdist(a, b)) <= 1e-10
-        for _ in range(100):
-            pts = [random_spd() for _ in range(5)]
-            x = random_gl()
-            moved = circumcenter([act(x, p) for p in pts], max_iters=600)
-            assert ddist(moved, act(x, circumcenter(pts, max_iters=600))) <= 1e-6
-        for _ in range(20):
-            a = random_spd()
-            assert kdist(np.eye(3), circumcenter([a, np.linalg.inv(a)])) <= 1e-9
+        abc, x = cli._draw_classes(rng, 1000, 3, 1)
+        a, b = abc[:, 0], abc[:, 1]
+        assert np.all(kdist(a, a) <= 1e-10)
+        assert np.all(np.abs(kdist(a, b) - kdist(b, a)) <= 1e-10)
+        _assert_passed(*cli._kdist_checks(abc, x[:, 0]))
+        sets, xs = cli._draw_classes(rng, 100, 5, 1)
+        eq = solve_circumcenter(cli._moved_and_drawn(sets, xs[:, 0]), tol=1e-9, max_iters=600)
+        a = cli._draw_classes(rng, 20, 1, 0)[0][:, 0]
+        sym = solve_circumcenter(np.stack([a, np.linalg.inv(a)], axis=1), tol=1e-9)
+        _assert_passed(*cli._circumcenter_checks(sym, eq, xs[:, 0], 1e-9))
 
 
 def test_one_dimensional_conjugation():
     with _Criterion("1d-conjugation", 120.0):
-        sample = piecewise_1d_sample(word_len=12)
-        h = 1e-3
-        lo, hi = -3.0, 3.0
-        pad = sample.word_len + 2
-        xs = np.arange(lo - pad + 0.5 * h, hi + pad, h)
-        sup_len = int(max(abs(lo - pad), abs(hi + pad))) + 2
-        mu = sup_measure_1d(sample, xs, word_len=sup_len)
-        conj = conjugator_1d(mu)
-        report = verify_conjugation(
-            sample, conj, np.linspace(lo, hi - 1.0, 7), probe_step=1.0, tol=1e-3
-        )
-        assert report.passed, f"max conjugation defect {report.max_defect}"
+        cfg = cli.RunConfig(word_len=12, grid_resolution=1e-3)
+        _assert_passed(*cli.run_conjugate(cfg, np.random.default_rng(0)))
 
 
 def test_stretch_and_rotation_normalization():
@@ -221,12 +164,10 @@ def test_stretch_and_rotation_normalization():
 
 def test_nilpotent_algorithms():
     with _Criterion("nilpotent", 30.0):
-        for fixture in (exact_r1_fixture, exact_r2_fixture):
+        for name, fixture in (("r1", exact_r1_fixture), ("r2", exact_r2_fixture)):
             gens, gamma_p, levels = fixture()
-            probes = default_probes(gens[0].dims)
             cert = approx_lth_root(gamma_p, range(len(gens)), levels, 2)
-            assert (cert.gamma_prime * cert.eta).equals(gamma_p, probes)
-            assert (cert.gamma_prime ** 2).equals(root_power_word(cert, gens), probes)
+            _assert_passed(*cli._root_checks(name, gens, gamma_p, cert, 2))
             assert all(0 <= c < 2 for c in cert.coefficients.values())
             top = len(gens[0].dims) - 1
             zero = gamma_p.zero_point()
@@ -299,8 +240,8 @@ def test_reciprocity_and_homomorphisms():
 def test_cli_determinism(tmp_path):
     with _Criterion("cli-determinism", 120.0):
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        assert cli_main(["all", "--seed", "11", "--out", str(d1)]) == 0
-        assert cli_main(["all", "--seed", "11", "--out", str(d2)]) == 0
+        assert cli.main(["all", "--seed", "11", "--out", str(d1)]) == 0
+        assert cli.main(["all", "--seed", "11", "--out", str(d2)]) == 0
         (r1,) = sorted(d1.glob("*.json"))
         (r2,) = sorted(d2.glob("*.json"))
         assert r1.name == r2.name

@@ -1,0 +1,114 @@
+"""Every check of the CLI suites can fail: one injected fault per check makes
+it fail, and a check with no fault is listed with the reason it cannot fail."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from solvrigid import cli
+from solvrigid.cli import RunConfig
+from solvrigid.conformal import conf_class
+from solvrigid.mapalg import SimMap
+from solvrigid.nilpotent import ExactWord
+
+
+def _wrap(monkeypatch, name, change):
+    """Replace cli's ``name`` by ``change(original, *args)``."""
+    original = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: change(original(*args, **kwargs), *args))
+
+
+def _skewed_compose(monkeypatch):
+    # a product of a stack of similarities off by 1e-8 in its stretch
+    compose = SimMap.compose
+
+    def skewed(self, other):
+        out = compose(self, other)
+        if np.ndim(out.stretch) == 0:
+            return out
+        return SimMap(out.spec, out.stretch * (1 + 1e-8), out.rotations, out.translations)
+
+    monkeypatch.setattr(SimMap, "compose", skewed)
+
+
+def _moved_centers(monkeypatch):
+    # every center moved by 1e-5 along a traceless direction
+    _wrap(monkeypatch, "solve_circumcenter", lambda res, *_: dataclasses.replace(
+        res, center=conf_class(res.center + 1e-5 * np.diag([1.0, 0.0, -1.0]))))
+
+
+def _flat_conjugator(monkeypatch):
+    # one grid step of the conjugator made flat
+    def flat(conj, *_):
+        values = conj.values.copy()
+        values[len(values) // 2] = values[len(values) // 2 - 1]
+        return dataclasses.replace(conj, values=values)
+
+    _wrap(monkeypatch, "conjugator_1d", flat)
+
+
+# (suite, check) -> a fault that must make the check fail
+FAULTS = {
+    # the squared distance breaks the a1-triangle inequality on near-collinear triples
+    ("metric", "triangle-inequality"): lambda mp: _wrap(mp, "distance", lambda d, *_: d * d),
+    ("metric", "dilation-similarity"): lambda mp: mp.setattr(
+        cli, "dilate", lambda spec, t, p, dilate=cli.dilate: dilate(spec, t * (1 + 1e-9), p)),
+    ("geodesic", "pair-to-point-exp-height"): lambda mp: _wrap(
+        mp, "pair_to_point", lambda t, *_: t + 1e-9),
+    ("geodesic", "pair-to-point-bisect-oracle"): lambda mp: _wrap(
+        mp, "pair_to_point_bisect", lambda t, *_: t + 1e-8),
+    ("geodesic", "boundary-composition-law"): _skewed_compose,
+    ("geodesic", "group-law"): lambda mp: _wrap(
+        mp, "inverse", lambda g, *_: dataclasses.replace(g, height=g.height + 1e-9)),
+    ("classify", "height-hom-additive"): lambda mp: _wrap(mp, "height_hom", lambda h, *_: h + 1e-8),
+    ("classify", "stretch-hom-pairing"): lambda mp: _wrap(mp, "stretch_hom", lambda v, *_: v + 1e-8),
+    # the squared distance breaks the triangle inequality where the angle at b is obtuse
+    ("conformal", "kdist-triangle"): lambda mp: _wrap(mp, "kdist", lambda d, *_: d * d),
+    # a distance that reads the first class's (0, 0) entry is not GL-invariant
+    ("conformal", "kdist-gl-invariance"): lambda mp: _wrap(
+        mp, "kdist", lambda d, a, b: d + 1e-9 * np.asarray(a)[..., 0, 0]),
+    ("conformal", "circumcenter-symmetric-pair"): _moved_centers,
+    ("conformal", "circumcenter-equivariance"): _moved_centers,
+    ("conjugate", "conjugator-strictly-increasing"): _flat_conjugator,
+    # a smooth change of coordinate that is not affine
+    ("conjugate", "conjugated-words-similar"): lambda mp: _wrap(
+        mp, "conjugator_1d", lambda conj, *_: dataclasses.replace(
+            conj, values=conj.values + 0.1 * np.sin(conj.values))),
+    **{("roots", f"root-{name}-power-exact"): lambda mp: _wrap(
+        mp, "root_power_word", lambda word, cert, gens: word * ExactWord(gens, [(0, 1)]))
+       for name in ("r1", "r2")},
+    **{("roots", f"root-{name}-factorization-exact"): lambda mp: _wrap(
+        mp, "approx_lth_root", lambda cert, *_: dataclasses.replace(
+            cert, eta=cert.eta * ExactWord(cert.eta.gens, [(0, 1)])))
+       for name in ("r1", "r2")},
+    ("roots", "epsilon-bound-dominates"): lambda mp: mp.setattr(
+        cli, "epsilon_bound", lambda gamma, i: 1.99),
+}
+
+# checks that pass by construction, to be replaced by checks that can fail
+BY_CONSTRUCTION = {
+    # d(q, p) is computed from q - p = -(p - q), exactly: every block norm is the same
+    ("metric", "symmetry"): "ROADMAP item 2",
+    # compares a running minimum with itself
+    ("metric", "chain-energy-decreasing"): "ROADMAP item 2",
+    # classify decides the kind by isinstance
+    ("classify", "similarity-classified"): "ROADMAP item 2",
+    ("classify", "almost-similarity-classified"): "ROADMAP item 2",
+}
+
+
+@pytest.mark.parametrize("suite, name", sorted(FAULTS))
+def test_each_fault_fails_its_check(suite, name, monkeypatch):
+    FAULTS[suite, name](monkeypatch)
+    checks = {c["name"]: c for c in cli._SUITES[suite](RunConfig(), np.random.default_rng(0))}
+    assert not checks[name]["passed"], checks[name]
+
+
+def test_every_check_has_a_fault_or_a_reason(tmp_path):
+    assert cli.main(["all", "--out", str(tmp_path)]) == 0
+    (report,) = tmp_path.glob("all-*.json")
+    names = {(c["suite"], c["name"]) for c in json.loads(report.read_text())["checks"]}
+    assert sorted(names - FAULTS.keys() - BY_CONSTRUCTION.keys()) == []
+    assert sorted((FAULTS.keys() | BY_CONSTRUCTION.keys()) - names) == []

@@ -190,6 +190,16 @@ def test_pinned_digests_are_quoted_in_the_report_schema():
     assert names and [name for name in names if name not in schema] == []
 
 
+def test_check_table_lists_the_checks_of_a_default_report(tmp_path):
+    text = (Path(__file__).parents[1] / "docs" / "report-schema.md").read_text()
+    lines = text.split("## Check objects")[1].split("\n## ")[0].splitlines()
+    rows = [[c.strip().strip("`") for c in line.split("|")[1:3]]
+            for line in lines if line.startswith("| ") and not line.startswith("| suite")]
+    assert main(["all", "--out", str(tmp_path)]) == 0
+    checks = json.loads(_reports(tmp_path)[0].read_text())["checks"]
+    assert rows == [[c["suite"], c["name"]] for c in checks]
+
+
 def test_config_file_and_seed_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"triples": 50, "pairs": 50, "seed": 1}))
@@ -239,6 +249,36 @@ def test_uncertified_circumcenter_fails_its_check(tmp_path):
     checks = {c["name"]: c for c in json.loads(_reports(out)[0].read_text())["checks"]}
     eq = checks["circumcenter-equivariance"]
     assert not eq["passed"] and eq["certified_gap"] > 1e-300
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_defects_fail_and_read_null(tmp_path):
+    # every distance drawn on this spec is 0 or inf, so these defects are NaN:
+    # each such check must fail and read null, the report must stay strict
+    # JSON, and the run must not warn (pyproject makes a warning an error)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": {"alphas": [1e-300, 1.0], "mults": [1, 1]},
+                               "triples": 200, "pairs": 200}))
+    failed = {}
+    for suite in ("metric", "geodesic"):
+        out = tmp_path / suite
+        assert main([suite, "--config", str(cfg), "--out", str(out)]) == 1
+        checks = _strict_json(_reports(out)[0].read_text())["checks"]
+        failed.update({c["name"]: c["defect"] for c in checks if not c["passed"]})
+    assert failed == dict.fromkeys(["triangle-inequality", "symmetry", "dilation-similarity",
+                                    "pair-to-point-exp-height", "pair-to-point-bisect-oracle"])
+
+
+def test_a_non_finite_number_in_a_check_reads_null_and_fails():
+    check = cli._check("chain", True, 0.0, value=math.inf, rounds=3)
+    assert check == {"name": "chain", "defect": 0.0, "value": None, "rounds": 3, "passed": False}
+    assert cli._check("nan", True, math.nan) == {"name": "nan", "defect": None, "passed": False}
 
 
 def test_geodesic_emits_csv(tmp_path):

@@ -69,6 +69,7 @@ WAITING = {
     "dilatation": "ROADMAP item 5",
     "displacement_bound": "ROADMAP item 9",
     "enumerate_chain_cost": "ROADMAP item 2",
+    "expr_from_json": "ROADMAP item 9",
     "invariant_structure": "ROADMAP item 5",
     "level_distance": "ROADMAP item 7",
     "measure_distortion_check": "ROADMAP item 2",
@@ -97,6 +98,14 @@ def _names_read(tree, outside: bool):
             yield from (m[2] for m in re.finditer(r"(\w+)\.(\w+)", n.value) if m[1] in MODULES)
 
 
+def _has_reader(name, readers, seen) -> bool:
+    """Whether a definition other than ``name`` reads it; a ``_``-prefixed reader counts
+    only through readers of its own, so a private helper that only ``name`` calls does not."""
+    seen = seen | {name}
+    return any(r not in seen and (not (r or "").startswith("_") or _has_reader(r, readers, seen))
+               for r in readers[name])
+
+
 def test_every_export_has_a_caller_outside_the_tests():
     init = ast.parse((SRC / "__init__.py").read_text())
     exports = {a.name for n in init.body if isinstance(n, ast.ImportFrom) and n.level
@@ -110,7 +119,7 @@ def test_every_export_has_a_caller_outside_the_tests():
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         for name in _names_read(ast.parse(path.read_text()), True):
             readers[name].add("perfbench")
-    unread = {name for name in exports if not readers[name] - {name}}
+    unread = {name for name in exports if not _has_reader(name, readers, set())}
     # a new test-only export fails here, and so does a waiting one that found a caller
     assert sorted(unread - WAITING.keys()) == []
     assert sorted(WAITING.keys() - unread) == []
