@@ -93,7 +93,7 @@ class RunConfig:
     beta: float = _key("beta", _NUMBER, 3.0, least=0, strict=True)
     grid_lo: float = _key("grid/lo", _NUMBER, -3.0)
     grid_hi: float = _key("grid/hi", _NUMBER, 3.0)
-    grid_resolution: float = _key("grid/resolution", _NUMBER, 0.01)
+    grid_resolution: float = _key("grid/resolution", _NUMBER, 0.01, least=0, strict=True)
     word_len: int = _key("word_len", int, 6, least=1)
     tolerance: float = _key("tolerance", _NUMBER, 1e-9, least=0, strict=True)
     conjugation_tol: float = _key("conjugation_tol", _NUMBER, 1e-3, least=0, strict=True)
@@ -104,38 +104,36 @@ class RunConfig:
     def from_json(obj: dict) -> "RunConfig":
         if not isinstance(obj, dict):
             raise ConfigError("/: config must be a JSON object")
+        # each key's path and value; a key with members, as grid, gives its members' paths
+        given = {}
         for key, val in obj.items():
-            if key not in _SCHEMA:
-                raise ConfigError(f"/{key}: unknown config key")
-            types, least, strict = _SCHEMA[key]
-            if not isinstance(val, types) or isinstance(val, bool):
-                raise ConfigError(f"/{key}: expected {types}, got {type(val).__name__}")
-            if not isinstance(val, dict) and not math.isfinite(_as_float(val)):
-                raise ConfigError(f"/{key}: must be finite, got {_as_float(val)}")
-            if least is not None and (val <= least if strict else val < least):
-                bound = "greater than" if strict else "at least"
-                raise ConfigError(f"/{key}: must be {bound} {least}, got {val}")
+            if not any(len(path) > 1 and path[0] == key for path in _FIELDS):
+                given[(key,)] = val
+            elif isinstance(val, dict):
+                given.update(((key, member), v) for member, v in val.items())
+            else:
+                raise ConfigError(f"/{key}: expected an object, got {type(val).__name__}")
         cfg = RunConfig()
-        if "spec" in obj:
-            try:
-                cfg.spec = SpectralData.from_json(obj["spec"])
-            except InputError as exc:
-                raise ConfigError(f"/spec: {exc}") from exc
-        if "grid" in obj:
-            for key, val in obj["grid"].items():
-                member = _FIELDS.get(f"grid/{key}")
-                if member is None:
-                    raise ConfigError(f"/grid/{key}: unknown grid key")
-                if not isinstance(val, member.metadata["schema"][0]) or isinstance(val, bool):
-                    raise ConfigError(f"/grid/{key}: expected a number")
-                setattr(cfg, member.name, _as_float(val))
-            if not (math.isfinite(cfg.grid_lo) and math.isfinite(cfg.grid_hi)
-                    and math.isfinite(cfg.grid_resolution)
-                    and cfg.grid_lo < cfg.grid_hi and cfg.grid_resolution > 0):
-                raise ConfigError("/grid: requires finite lo < hi and finite resolution > 0")
-        for key in obj.keys() - {"spec", "grid"}:
-            val = obj[key]
-            setattr(cfg, _FIELDS[key].name, val if _SCHEMA[key][0] is int else float(val))
+        for path, val in given.items():
+            pointer = "/".join(map(str, path))
+            if path not in _FIELDS:
+                raise ConfigError(f"/{pointer}: unknown config key")
+            types, least, strict = _FIELDS[path].metadata["schema"]
+            if not isinstance(val, types) or isinstance(val, bool):
+                raise ConfigError(f"/{pointer}: expected {types}, got {type(val).__name__}")
+            if types is dict:
+                try:
+                    val = SpectralData.from_json(val)
+                except InputError as exc:
+                    raise ConfigError(f"/{pointer}: {exc}") from exc
+            elif not math.isfinite(_as_float(val)):
+                raise ConfigError(f"/{pointer}: must be finite, got {_as_float(val)}")
+            elif least is not None and (val <= least if strict else val < least):
+                bound = "greater than" if strict else "at least"
+                raise ConfigError(f"/{pointer}: must be {bound} {least}, got {val}")
+            setattr(cfg, _FIELDS[path].name, float(val) if types is _NUMBER else val)
+        if not cfg.grid_lo < cfg.grid_hi:
+            raise ConfigError(f"/grid: requires lo < hi, got {cfg.grid_lo} and {cfg.grid_hi}")
         lo, hi = _conjugate_grid_range(cfg.grid_lo, cfg.grid_hi, cfg.word_len)
         try:
             points = (hi - lo) / cfg.grid_resolution
@@ -150,21 +148,16 @@ class RunConfig:
 
     def to_json(self) -> dict:
         out: dict = {}
-        for pointer, f in _FIELDS.items():
+        for path, f in _FIELDS.items():
             val = getattr(self, f.name)
-            *outer, key = pointer.split("/")
+            *outer, key = path
             target = out.setdefault(outer[0], {}) if outer else out
             target[key] = val.to_json() if isinstance(val, SpectralData) else val
         return out
 
 
-_FIELDS = {f.metadata["pointer"]: f for f in fields(RunConfig)}
-# top-level JSON key: (accepted JSON types, least allowed value or None, whether
-# that value itself is excluded); a key with members, as grid/lo, is an object
-_SCHEMA = {
-    p.split("/")[0]: (dict, None, False) if "/" in p else f.metadata["schema"]
-    for p, f in _FIELDS.items()
-}
+# each field by its path of JSON keys, as ("grid", "lo")
+_FIELDS = {tuple(f.metadata["pointer"].split("/")): f for f in fields(RunConfig)}
 
 
 def _check(name: str, passed: bool, defect: float, **extra) -> dict:

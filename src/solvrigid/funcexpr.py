@@ -32,6 +32,10 @@ def _product(a: float, b: float) -> float:
 
 
 class FuncExpr:
+    """A node of an expression tree. The serializable node classes are those of ``_NODES``,
+    where the base ``to_json`` and ``deps`` and ``expr_from_json`` read their layouts; any
+    other class, as the runtime-only ``Displacement``, defines its own ``deps``."""
+
     dim: int
 
     def __call__(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -44,7 +48,13 @@ class FuncExpr:
         raise NotImplementedError
 
     def deps(self) -> frozenset[int]:
-        raise NotImplementedError
+        """The indices of the blocks the node reads: those its child or children read."""
+        name, kind = _LAYOUT[type(self)][2]
+        if kind is None:
+            return frozenset()
+        if kind == "child":
+            return getattr(self, name).deps()
+        return frozenset().union(*(c.deps() for c in getattr(self, name)))
 
     @property
     def lipschitz(self) -> float:
@@ -61,7 +71,11 @@ class FuncExpr:
         return Scale(-1.0, self)
 
     def to_json(self) -> dict:
-        raise NotImplementedError(f"{type(self).__name__} has no JSON encoding")
+        """The node as a JSON object: its tag, then its fields in table order."""
+        if type(self) not in _LAYOUT:
+            raise NotImplementedError(f"{type(self).__name__} has no JSON encoding")
+        tag, fields, _ = _LAYOUT[type(self)]
+        return {"node": tag, **{name: _WRITE[kind](getattr(self, name)) for name, kind in fields}}
 
 
 class Const(FuncExpr):
@@ -74,9 +88,6 @@ class Const(FuncExpr):
     def _eval(self, blocks):
         return self.value.copy()
 
-    def deps(self):
-        return frozenset()
-
     @property
     def lipschitz(self):
         return 0.0
@@ -84,9 +95,6 @@ class Const(FuncExpr):
     @property
     def sup_bound(self):
         return self._sup_bound
-
-    def to_json(self):
-        return {"node": "const", "value": self.value.tolist()}
 
 
 class BlockVar(FuncExpr):
@@ -116,9 +124,6 @@ class BlockVar(FuncExpr):
     def sup_bound(self):
         return INF
 
-    def to_json(self):
-        return {"node": "block", "index": self.index, "dim": self.dim}
-
 
 class Lin(FuncExpr):
     def __init__(self, matrix, child: FuncExpr):
@@ -135,9 +140,6 @@ class Lin(FuncExpr):
         # np.matvec gives each row of a stack the bits of the one-vector product
         return np.matvec(self.matrix, self.child._eval(blocks))
 
-    def deps(self):
-        return self.child.deps()
-
     @property
     def lipschitz(self):
         return _product(self._opnorm, self.child.lipschitz)
@@ -145,38 +147,6 @@ class Lin(FuncExpr):
     @property
     def sup_bound(self):
         return _product(self._opnorm, self.child.sup_bound)
-
-    def to_json(self):
-        return {"node": "lin", "matrix": self.matrix.tolist(), "child": self.child.to_json()}
-
-
-class Sum(FuncExpr):
-    def __init__(self, children: Sequence[FuncExpr]):
-        children = tuple(children)
-        if not children or len({c.dim for c in children}) != 1:
-            raise InputError("sum children must be nonempty with equal dims")
-        self.children = children
-        self.dim = children[0].dim
-
-    def _eval(self, blocks):
-        out = self.children[0]._eval(blocks)
-        for c in self.children[1:]:
-            out = out + c._eval(blocks)
-        return out
-
-    def deps(self):
-        return frozenset().union(*(c.deps() for c in self.children))
-
-    @property
-    def lipschitz(self):
-        return sum(c.lipschitz for c in self.children)
-
-    @property
-    def sup_bound(self):
-        return sum(c.sup_bound for c in self.children)
-
-    def to_json(self):
-        return {"node": "sum", "children": [c.to_json() for c in self.children]}
 
 
 class Scale(FuncExpr):
@@ -188,9 +158,6 @@ class Scale(FuncExpr):
     def _eval(self, blocks):
         return self.factor * self.child._eval(blocks)
 
-    def deps(self):
-        return self.child.deps()
-
     @property
     def lipschitz(self):
         return _product(abs(self.factor), self.child.lipschitz)
@@ -198,9 +165,6 @@ class Scale(FuncExpr):
     @property
     def sup_bound(self):
         return _product(abs(self.factor), self.child.sup_bound)
-
-    def to_json(self):
-        return {"node": "scale", "factor": self.factor, "child": self.child.to_json()}
 
 
 class AbsPow(FuncExpr):
@@ -216,9 +180,6 @@ class AbsPow(FuncExpr):
     def _eval(self, blocks):
         return np.abs(self.child._eval(blocks)) ** self.exponent
 
-    def deps(self):
-        return self.child.deps()
-
     @property
     def lipschitz(self):
         c = self.exponent
@@ -231,24 +192,27 @@ class AbsPow(FuncExpr):
 
     @property
     def sup_bound(self):
-        s = self.child.sup_bound
+        s, c = self.child.sup_bound, self.exponent
         if math.isfinite(s):
             with contextlib.suppress(OverflowError):  # a power beyond float range reads inf
-                return s**self.exponent
+                # the sum of |u_k|^2c over dim entries is at most S^2c for c >= 1, and at most
+                # dim^(1 - c) S^2c for c < 1 (concavity of t^c)
+                return s**c * (self.dim ** ((1.0 - c) / 2) if c < 1.0 else 1.0)
         return INF
 
-    def to_json(self):
-        return {"node": "abspow", "exponent": self.exponent, "child": self.child.to_json()}
 
+class _Fold(FuncExpr):
+    """Componentwise fold of children of one dim by ``op``, with the children's certificates
+    combined by ``_combined``. Each entry of a minimum or maximum is at most its children's
+    largest in modulus, and so is each entry's move: theirs are the children's largest for
+    dim 1 and their root sum of squares beyond."""
 
-class _Pointwise(FuncExpr):
     op = None
-    tag = ""
 
     def __init__(self, children: Sequence[FuncExpr]):
         children = tuple(children)
         if not children or len({c.dim for c in children}) != 1:
-            raise InputError("pointwise children must be nonempty with equal dims")
+            raise InputError("sum, min and max children must be nonempty with equal dims")
         self.children = children
         self.dim = children[0].dim
 
@@ -256,29 +220,31 @@ class _Pointwise(FuncExpr):
         # pairwise, so that a const child broadcasts over the rows
         return functools.reduce(type(self).op, (c._eval(blocks) for c in self.children))
 
-    def deps(self):
-        return frozenset().union(*(c.deps() for c in self.children))
+    def _combined(self, bounds: list[float]) -> float:
+        return max(bounds) if self.dim == 1 else math.hypot(*bounds)
 
     @property
     def lipschitz(self):
-        return max(c.lipschitz for c in self.children)
+        return self._combined([c.lipschitz for c in self.children])
 
     @property
     def sup_bound(self):
-        return max(c.sup_bound for c in self.children)
-
-    def to_json(self):
-        return {"node": self.tag, "children": [c.to_json() for c in self.children]}
+        return self._combined([c.sup_bound for c in self.children])
 
 
-class PMin(_Pointwise):
+class Sum(_Fold):
+    op = np.add
+
+    def _combined(self, bounds: list[float]) -> float:
+        return sum(bounds)
+
+
+class PMin(_Fold):
     op = np.minimum
-    tag = "min"
 
 
-class PMax(_Pointwise):
+class PMax(_Fold):
     op = np.maximum
-    tag = "max"
 
 
 class Clamp(FuncExpr):
@@ -292,9 +258,6 @@ class Clamp(FuncExpr):
     def _eval(self, blocks):
         return np.clip(self.child._eval(blocks), self.lo, self.hi)
 
-    def deps(self):
-        return self.child.deps()
-
     @property
     def lipschitz(self):
         return self.child.lipschitz
@@ -303,9 +266,6 @@ class Clamp(FuncExpr):
     def sup_bound(self):
         bound = max(abs(self.lo), abs(self.hi)) * math.sqrt(self.dim)
         return min(bound, self.child.sup_bound)
-
-    def to_json(self):
-        return {"node": "clamp", "lo": self.lo, "hi": self.hi, "child": self.child.to_json()}
 
 
 class Pwl(FuncExpr):
@@ -327,9 +287,6 @@ class Pwl(FuncExpr):
         u = self.child._eval(blocks)
         return np.interp(u, self.xs, self.ys)
 
-    def deps(self):
-        return self.child.deps()
-
     @property
     def lipschitz(self):
         return _product(self._max_slope, self.child.lipschitz)
@@ -337,14 +294,6 @@ class Pwl(FuncExpr):
     @property
     def sup_bound(self):
         return float(np.abs(self.ys).max())
-
-    def to_json(self):
-        return {
-            "node": "pwl",
-            "xs": self.xs.tolist(),
-            "ys": self.ys.tolist(),
-            "child": self.child.to_json(),
-        }
 
 
 class Osc(FuncExpr):
@@ -369,9 +318,6 @@ class Osc(FuncExpr):
         phase = np.vecdot(self.child._eval(blocks), self.weights) + self.phase
         return self.amp * np.sin(phase)[..., None]
 
-    def deps(self):
-        return self.child.deps()
-
     @property
     def lipschitz(self):
         return _product(self._gain, self.child.lipschitz)
@@ -379,15 +325,6 @@ class Osc(FuncExpr):
     @property
     def sup_bound(self):
         return self._sup_bound
-
-    def to_json(self):
-        return {
-            "node": "osc",
-            "amp": self.amp.tolist(),
-            "weights": self.weights.tolist(),
-            "phase": self.phase,
-            "child": self.child.to_json(),
-        }
 
 
 class Displacement(FuncExpr):
@@ -426,7 +363,7 @@ class Displacement(FuncExpr):
         return self._sup_bound
 
 
-def _finite(value, scalar: bool = False, what: str = "expression field") -> np.ndarray:
+def _finite(value, scalar: bool, what: str) -> np.ndarray:
     """One number (``scalar``) or a nested list of numbers, all finite."""
     a = floats(value, what)
     if (scalar and a.ndim) or not np.all(np.isfinite(a)):
@@ -435,57 +372,75 @@ def _finite(value, scalar: bool = False, what: str = "expression field") -> np.n
     return a
 
 
-def _count(value) -> int:
-    """A JSON non-negative integer."""
-    v = float(_finite(value, scalar=True))
-    if v < 0 or v != int(v):
-        raise InputError(f"expected a non-negative integer, got {value!r}")
-    return int(v)
+# The JSON layout of every serializable node, its one declaration: tag -> (class, fields in
+# JSON order). Each field is also the node's attribute and its constructor argument, in this
+# order. Kinds: "array" (a number or nested lists of numbers), "scalar" (one number), "count"
+# (a non-negative integer), "child" (a node) and "children" (a list of nodes).
+_NODES = {
+    "const": (Const, (("value", "array"),)),
+    "block": (BlockVar, (("index", "count"), ("dim", "count"))),
+    "lin": (Lin, (("matrix", "array"), ("child", "child"))),
+    "sum": (Sum, (("children", "children"),)),
+    "scale": (Scale, (("factor", "scalar"), ("child", "child"))),
+    "abspow": (AbsPow, (("exponent", "scalar"), ("child", "child"))),
+    "min": (PMin, (("children", "children"),)),
+    "max": (PMax, (("children", "children"),)),
+    "clamp": (Clamp, (("lo", "scalar"), ("hi", "scalar"), ("child", "child"))),
+    "pwl": (Pwl, (("xs", "array"), ("ys", "array"), ("child", "child"))),
+    "osc": (Osc, (("amp", "array"), ("weights", "array"), ("phase", "scalar"), ("child", "child"))),
+}
+# per class: its tag, its fields, and its child or children field ((None, None) for a
+# leaf), resolved once since deps reads it on every call
+_LAYOUT = {
+    cls: (tag, fields, next((f for f in fields if f[1] in ("child", "children")), (None, None)))
+    for tag, (cls, fields) in _NODES.items()
+}
+_WRITE = {"array": np.ndarray.tolist, "scalar": float, "count": int,
+          "child": FuncExpr.to_json, "children": lambda nodes: [n.to_json() for n in nodes]}
 
 
-def _children(value) -> list[FuncExpr]:
-    if not isinstance(value, list):
-        raise InputError(f"expected a list of nodes, got {value!r}")
-    return [expr_from_json(c) for c in value]
+def _json_numbers(value, nested: bool) -> bool:
+    """Whether ``value`` is a JSON number (an int or float, not a bool), or, ``nested``,
+    nested lists of them."""
+    if nested and isinstance(value, list):
+        return all(_json_numbers(v, True) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _field(name: str, kind: str, value):
+    """The JSON field ``name`` of a node, read as its kind; InputError names the field."""
+    if kind == "child":
+        return expr_from_json(value)
+    if kind == "children":
+        if not isinstance(value, list):
+            raise InputError(f"field {name!r} must be a list of nodes, got {value!r}")
+        return [expr_from_json(c) for c in value]
+    if not _json_numbers(value, kind == "array"):
+        raise InputError(f"field {name!r} must hold JSON numbers only, got {value!r}")
+    a = _finite(value, kind != "array", f"field {name!r}")
+    if kind == "count" and (a < 0 or a != int(a)):
+        raise InputError(f"field {name!r} must be a non-negative integer, got {value!r}")
+    return int(a) if kind == "count" else a
 
 
 def expr_from_json(obj: dict) -> FuncExpr:
     """The expression a JSON node encodes.
 
-    A node that is not an object, lacks a field, or holds a non-numeric or
-    non-finite number, or a block index or dim that is not a non-negative
-    integer, raises InputError.
+    A node that is not an object, has an unknown tag or lacks a field, or a field that
+    holds anything but finite JSON numbers where numbers are due (strings and booleans
+    included), or a block index or dim that is not a non-negative integer, raises
+    InputError.
     """
     if not isinstance(obj, dict):
         raise InputError(f"expression node must be an object, got {obj!r}")
     tag = obj.get("node")
+    if not isinstance(tag, str) or tag not in _NODES:
+        raise InputError(f"unknown expression node tag: {tag!r}")
+    cls, fields = _NODES[tag]
     try:
-        if tag == "const":
-            return Const(_finite(obj["value"]))
-        if tag == "block":
-            return BlockVar(_count(obj["index"]), _count(obj["dim"]))
-        if tag == "lin":
-            return Lin(_finite(obj["matrix"]), expr_from_json(obj["child"]))
-        if tag == "sum":
-            return Sum(_children(obj["children"]))
-        if tag == "scale":
-            return Scale(obj["factor"], expr_from_json(obj["child"]))
-        if tag == "abspow":
-            return AbsPow(obj["exponent"], expr_from_json(obj["child"]))
-        if tag == "min":
-            return PMin(_children(obj["children"]))
-        if tag == "max":
-            return PMax(_children(obj["children"]))
-        if tag == "clamp":
-            return Clamp(obj["lo"], obj["hi"], expr_from_json(obj["child"]))
-        if tag == "pwl":
-            return Pwl(_finite(obj["xs"]), _finite(obj["ys"]), expr_from_json(obj["child"]))
-        if tag == "osc":
-            return Osc(_finite(obj["amp"]), _finite(obj["weights"]),
-                       _finite(obj["phase"], scalar=True), expr_from_json(obj["child"]))
+        return cls(*(_field(name, kind, obj[name]) for name, kind in fields))
     except KeyError as exc:
         raise InputError(f"{tag!r} node lacks the field {exc}") from None
-    raise InputError(f"unknown expression node tag: {tag!r}")
 
 
 def probe_lipschitz(expr: FuncExpr, spec, rng, probes: int = 1000) -> float:

@@ -10,27 +10,15 @@ import pytest
 from solvrigid import cli
 from solvrigid.cli import RunConfig
 from solvrigid.conformal import conf_class
-from solvrigid.mapalg import SimMap
 from solvrigid.nilpotent import ExactWord
+
+from injected_faults import low_epsilon_bound, skewed_compose
 
 
 def _wrap(monkeypatch, name, change):
     """Replace cli's ``name`` by ``change(original, *args)``."""
     original = getattr(cli, name)
     monkeypatch.setattr(cli, name, lambda *args, **kwargs: change(original(*args, **kwargs), *args))
-
-
-def _skewed_compose(monkeypatch):
-    # a product of a stack of similarities off by 1e-8 in its stretch
-    compose = SimMap.compose
-
-    def skewed(self, other):
-        out = compose(self, other)
-        if np.ndim(out.stretch) == 0:
-            return out
-        return SimMap(out.spec, out.stretch * (1 + 1e-8), out.rotations, out.translations)
-
-    monkeypatch.setattr(SimMap, "compose", skewed)
 
 
 def _moved_centers(monkeypatch):
@@ -59,7 +47,7 @@ FAULTS = {
         mp, "pair_to_point", lambda t, *_: t + 1e-9),
     ("geodesic", "pair-to-point-bisect-oracle"): lambda mp: _wrap(
         mp, "pair_to_point_bisect", lambda t, *_: t + 1e-8),
-    ("geodesic", "boundary-composition-law"): _skewed_compose,
+    ("geodesic", "boundary-composition-law"): skewed_compose,
     ("geodesic", "group-law"): lambda mp: _wrap(
         mp, "inverse", lambda g, *_: dataclasses.replace(g, height=g.height + 1e-9)),
     ("classify", "height-hom-additive"): lambda mp: _wrap(mp, "height_hom", lambda h, *_: h + 1e-8),
@@ -83,8 +71,7 @@ FAULTS = {
         mp, "approx_lth_root", lambda cert, *_: dataclasses.replace(
             cert, eta=cert.eta * ExactWord(cert.eta.gens, [(0, 1)])))
        for name in ("r1", "r2")},
-    ("roots", "epsilon-bound-dominates"): lambda mp: mp.setattr(
-        cli, "epsilon_bound", lambda gamma, i: 1.99),
+    ("roots", "epsilon-bound-dominates"): low_epsilon_bound,
 }
 
 # checks that pass by construction, to be replaced by checks that can fail

@@ -24,6 +24,7 @@ from solvrigid.solvgroup import (
 from solvrigid.spectral import ROW_BLOCK, SpectralData, random_row_blocks
 
 import metric_reference as reference
+from injected_faults import low_epsilon_bound, skewed_compose
 from metric_reference import random_point
 
 
@@ -68,8 +69,8 @@ class TestConfigSchema:
             ({"spec": {"alphas": [2.0], "mults": [1.5]}}, [], "/spec"),
             ({"grid": {"resolution": 1e-9}}, [], "/grid/resolution"),
             ({"word_len": 10**9}, [], "/grid/resolution"),
-            ({"grid": {"lo": float("-inf")}}, [], "/grid"),
-            ({"grid": {"resolution": float("inf")}}, [], "/grid"),
+            ({"grid": {"lo": float("-inf")}}, [], "/grid/lo"),
+            ({"grid": {"resolution": float("inf")}}, [], "/grid/resolution"),
             ({"beta": -1.0}, [], "/beta"),
             ({"beta": 0}, [], "/beta"),
             ({"beta": float("nan")}, [], "/beta"),
@@ -95,10 +96,27 @@ class TestConfigSchema:
                 for line in lines if line.startswith("| `")]
         kinds = {int: "integer", cli._NUMBER: "number", dict: "object"}
         defaults = RunConfig().to_json()
-        assert [row[0] for row in rows] == list(cli._SCHEMA)
+        # each top-level key's JSON type; a key with members, as grid, is an object
+        top = {path[0]: dict if len(path) > 1 else f.metadata["schema"][0]
+               for path, f in cli._FIELDS.items()}
+        assert [row[0] for row in rows] == list(top)
         for key, kind, _, default in rows:
-            assert kind.split(":")[0] == kinds[cli._SCHEMA[key][0]], key
+            assert kind.split(":")[0] == kinds[top[key]], key
             assert json.loads(default) == defaults[key], key
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"grid": {"resolution": 0}}, "/grid/resolution: must be greater than 0"),
+        ({"grid": {"hi": True}}, "/grid/hi: expected"),
+        ({"grid": {"lo": "1"}}, "/grid/lo: expected"),
+        ({"grid": {"step": 0.1}}, "/grid/step: unknown config key"),
+        ({"grid": [0.1]}, "/grid: expected an object"),
+        ({"grid/lo": 1.0}, "/grid/lo: unknown config key"),
+        ({"grid": {"lo": 2, "hi": 2}}, "/grid: requires lo < hi"),
+    ], ids=lambda v: json.dumps(v)[:40] if isinstance(v, dict) else None)
+    def test_grid_members_are_read_with_the_other_keys(self, obj, message):
+        # each member is checked against its own field, with its own pointer
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_json(obj)
 
     def test_grid_point_cap_is_inclusive(self):
         # default lo, hi and word_len: the grid spans [-3 - 8, 3 + 8], 22 units
@@ -335,9 +353,7 @@ def test_metric_and_geodesic_use_the_row_kernels(count_calls):
 
 
 def test_epsilon_check_compares_every_probe(monkeypatch):
-    # at seed 0 the first 50 of the 500 draws of sin span 1.9797 and all of
-    # them 2.0000: a bound between the two fails only when every draw counts
-    monkeypatch.setattr(cli, "epsilon_bound", lambda gamma, i: 1.99)
+    low_epsilon_bound(monkeypatch)
     checks = {c["name"]: c for c in cli.run_roots(RunConfig(), np.random.default_rng(0))}
     eps = checks["epsilon-bound-dominates"]
     assert not eps["passed"] and eps["defect"] > 0
@@ -749,15 +765,7 @@ def test_suites_build_no_similarity_per_sample(suite, monkeypatch):
 def test_composition_checks_fail_on_a_wrong_stacked_product(monkeypatch):
     # every check must be able to fail: a product stretch off by 1e-8 relative
     # clears both tolerances with margin, not by the logs' rounding
-    compose = SimMap.compose
-
-    def skewed(self, other):
-        out = compose(self, other)
-        if np.ndim(out.stretch) == 0:
-            return out
-        return SimMap(out.spec, out.stretch * (1 + 1e-8), out.rotations, out.translations)
-
-    monkeypatch.setattr(SimMap, "compose", skewed)
+    skewed_compose(monkeypatch)
     tolerances = {"boundary-composition-law": 1e-12, "height-hom-additive": 1e-9}
     for seed in (0, 5, 11):
         checks = {c["name"]: c for run in (cli.run_geodesic, cli.run_classify)

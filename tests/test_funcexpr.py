@@ -2,13 +2,16 @@
 
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from solvrigid import (
     AbsPow,
+    FuncExpr,
     AlmostTranslation,
     BlockVar,
     Clamp,
@@ -25,6 +28,7 @@ from solvrigid import (
     expr_from_json,
     probe_lipschitz,
 )
+from solvrigid import funcexpr
 from solvrigid.fixtures import SPEC_NIL
 
 SPEC = SpectralData((1.0, 2.0), (2, 1))
@@ -200,6 +204,13 @@ X1 = {"node": "block", "index": 1, "dim": 1}
     {"node": "block", "index": 1.5, "dim": 1},
     {"node": "sum", "children": 5},
     {"node": "block", "index": 5, "dim": 1},  # past the blocks: caught at evaluation
+    {"node": "const", "value": ["2.5"]},  # strings and booleans are not JSON numbers
+    {"node": "scale", "factor": True, "child": {"node": "block", "index": "1", "dim": True}},
+    {"node": "scale", "factor": 2.0, "child": {"node": "block", "index": "1", "dim": 1}},
+    {"node": "block", "index": 1, "dim": True},
+    {"node": "clamp", "lo": "-1", "hi": 0.0, "child": X1},
+    {"node": "lin", "matrix": [[1.0], [False]], "child": X1},
+    {"node": "osc", "amp": [1.0], "weights": [1.0], "phase": "0", "child": X1},
 ], ids=lambda p: json.dumps(p)[:60])
 def test_json_rejects_malformed_nodes(payload):
     with pytest.raises(InputError):
@@ -246,3 +257,76 @@ def test_rows_equal_the_per_point_loop(name):
 def test_misshaped_row_block_rejected(block):
     with pytest.raises(InputError):
         BlockVar(0, 2)([block, np.zeros(1)])
+
+
+def _node_rows():
+    rows = np.random.default_rng(5).uniform(-3, 3, (40, SPEC.total_dim))
+    return [rows[:, s] for s in SPEC.block_slices()]
+
+
+@pytest.mark.parametrize("name", [n for n in NODES if n != "displacement"])
+def test_json_round_trip_of_every_node_kind(name):
+    e = NODES[name]
+    payload = json.loads(json.dumps(e.to_json()))
+    again = expr_from_json(payload)
+    assert payload["node"] == name and type(again) is type(e)
+    assert again.to_json() == payload
+    blocks = _node_rows()
+    assert np.array_equal(again(blocks), e(blocks))
+    assert np.array_equal(again(BLOCKS), e(BLOCKS))
+    assert (again.sup_bound, again.lipschitz, again.deps()) == (e.sup_bound, e.lipschitz, e.deps())
+
+
+def test_displacement_has_no_json_encoding():
+    with pytest.raises(NotImplementedError):
+        NODES["displacement"].to_json()
+
+
+def test_doc_node_table_matches_the_layout_table():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "funcexpr-schema.md").read_text()
+    lines = text.split("## Node types")[1].split("\n## ")[0].splitlines()
+    kinds = {"[float]": "array", "[[float]]": "array", "float": "scalar", "float > 0": "scalar",
+             "int >= 0": "count", "": "child", "[node]": "children"}
+    rows = []
+    for line in (line for line in lines if line.startswith("| `")):
+        tag, fields = line.split("|")[1:3]
+        rows.append((tag.strip().strip("`"), tuple(
+            (name, kinds[kind]) for name, kind in re.findall(r"`(\w+)(?::\s*([^`]*))?`", fields))))
+    assert rows == [(tag, fields) for tag, (_, fields) in funcexpr._NODES.items()]
+
+
+def test_every_node_class_has_a_layout():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    classes = {cls for cls in subclasses(FuncExpr)
+               if cls.__module__ == funcexpr.__name__ and not cls.__name__.startswith("_")}
+    laid_out = {cls for cls, _ in funcexpr._NODES.values()}
+    assert sorted(c.__name__ for c in classes - laid_out - {funcexpr.Displacement}) == []
+
+
+X01 = BlockVar(0, 1)
+
+
+@pytest.mark.parametrize("e, points", [
+    (PMax((Const([1.0, 0.0]), Const([0.0, 1.0]))), [[0.0]]),
+    (PMin((Const([-1.0, 0.0]), Const([0.0, -1.0]))), [[0.0]]),
+    (PMax((Lin([[1.0], [0.0]], X01), Lin([[0.0], [1.0]], X01))), [[0.0], [1.0]]),
+    (PMin((Lin([[-1.0], [0.0]], X01), Lin([[0.0], [-1.0]], X01))), [[0.0], [1.0]]),
+    (AbsPow(0.5, Const([2**-0.5, 2**-0.5])), [[0.0]]),
+], ids=["max-sup", "min-sup", "max-lipschitz", "min-lipschitz", "abspow-sup"])
+def test_vector_certificates_dominate_the_values(e, points):
+    # each read 1.0 where the value's norm, or its move between x = 0 and x = 1, is sqrt(2)
+    # (1.189 for abspow)
+    values = [e([np.array(p)]) for p in points]
+    if len(values) == 1:
+        assert e.sup_bound >= np.linalg.norm(values[0]) * (1 - 1e-15) > 1.1
+    else:
+        assert e.lipschitz >= np.linalg.norm(values[1] - values[0]) * (1 - 1e-15) > 1.1
+
+
+def test_scalar_min_max_certificates_stay_the_largest_child_bound():
+    e = PMax((Const([1.0]), Scale(-3.0, Clamp(-1.0, 1.0, X01))))
+    assert (e.sup_bound, e.lipschitz) == (3.0, 3.0)
