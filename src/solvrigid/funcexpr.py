@@ -301,11 +301,10 @@ class Osc(FuncExpr):
 
     def __init__(self, amp, weights, phase: float, child: FuncExpr):
         self.amp = floats(amp, "oscillation amplitudes").reshape(-1)
-        self.weights = floats(weights, "oscillation weights").reshape(-1)
-        phase = floats(phase, "oscillation phase")
-        if self.weights.shape[0] != child.dim or phase.ndim:
-            raise InputError("oscillation weights must match the child, and phase be a number")
-        self.phase = float(phase)
+        self.weights = _finite(weights, False, "oscillation weights").reshape(-1)
+        self.phase = float(_finite(phase, True, "oscillation phase"))
+        if self.weights.shape[0] != child.dim:
+            raise InputError("oscillation weights must match the child")
         self.child = child
         self.dim = self.amp.shape[0]
         with np.errstate(over="ignore"):  # a norm beyond float range reads inf, which is sound

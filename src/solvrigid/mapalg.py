@@ -305,7 +305,7 @@ def classify(spec: SpectralData, F, samples) -> Classification:
     ``(N, 2, total_dim)`` array of point pairs.
     """
     if isinstance(F, SimMap):
-        return Classification("Sim", F._one("classify").stretch, F.stretch, 1.0)
+        F._one("classify")  # a stack would map the samples member by member
     if isinstance(F, ASimMap):
         n, k = estimate_qsim_constants(spec, F, samples)
         return Classification("ASim", F.stretch, F.stretch, k)

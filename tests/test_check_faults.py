@@ -10,6 +10,7 @@ import pytest
 from solvrigid import cli
 from solvrigid.cli import RunConfig
 from solvrigid.conformal import conf_class
+from solvrigid.mapalg import SimMap
 from solvrigid.nilpotent import ExactWord
 
 from injected_faults import low_epsilon_bound, skewed_compose
@@ -25,6 +26,14 @@ def _moved_centers(monkeypatch):
     # every center moved by 1e-5 along a traceless direction
     _wrap(monkeypatch, "solve_circumcenter", lambda res, *_: dataclasses.replace(
         res, center=conf_class(res.center + 1e-5 * np.diag([1.0, 0.0, -1.0]))))
+
+
+def _squeezed_similarities(monkeypatch):
+    # every similarity's first image block squeezed by 0.9: the distance ratio then depends on
+    # which block dominates a pair, so the map is no similarity
+    apply = SimMap._apply
+    monkeypatch.setattr(SimMap, "_apply", lambda self, blocks: [
+        0.9 * b if i == 0 else b for i, b in enumerate(apply(self, blocks))])
 
 
 def _flat_conjugator(monkeypatch):
@@ -43,6 +52,8 @@ FAULTS = {
     ("metric", "triangle-inequality"): lambda mp: _wrap(mp, "distance", lambda d, *_: d * d),
     ("metric", "dilation-similarity"): lambda mp: mp.setattr(
         cli, "dilate", lambda spec, t, p, dilate=cli.dilate: dilate(spec, t * (1 + 1e-9), p)),
+    ("metric", "chain-energy-oracle"): lambda mp: _wrap(
+        mp, "chain_energy", lambda est, *_: dataclasses.replace(est, value=est.value * (1 + 1e-9))),
     ("geodesic", "pair-to-point-exp-height"): lambda mp: _wrap(
         mp, "pair_to_point", lambda t, *_: t + 1e-9),
     ("geodesic", "pair-to-point-bisect-oracle"): lambda mp: _wrap(
@@ -50,6 +61,7 @@ FAULTS = {
     ("geodesic", "boundary-composition-law"): skewed_compose,
     ("geodesic", "group-law"): lambda mp: _wrap(
         mp, "inverse", lambda g, *_: dataclasses.replace(g, height=g.height + 1e-9)),
+    ("classify", "similarity-classified"): _squeezed_similarities,
     ("classify", "height-hom-additive"): lambda mp: _wrap(mp, "height_hom", lambda h, *_: h + 1e-8),
     ("classify", "stretch-hom-pairing"): lambda mp: _wrap(mp, "stretch_hom", lambda v, *_: v + 1e-8),
     # the squared distance breaks the triangle inequality where the angle at b is obtuse
@@ -59,6 +71,10 @@ FAULTS = {
         mp, "kdist", lambda d, a, b: d + 1e-9 * np.asarray(a)[..., 0, 0]),
     ("conformal", "circumcenter-symmetric-pair"): _moved_centers,
     ("conformal", "circumcenter-equivariance"): _moved_centers,
+    # every proven lower bound on the radius dropped to 0: the gap is the whole radius
+    ("conformal", "circumcenter-certified"): lambda mp: _wrap(
+        mp, "solve_circumcenter", lambda res, *_: dataclasses.replace(
+            res, lower=np.zeros_like(res.lower))),
     ("conjugate", "conjugator-strictly-increasing"): _flat_conjugator,
     # a smooth change of coordinate that is not affine
     ("conjugate", "conjugated-words-similar"): lambda mp: _wrap(
@@ -76,12 +92,7 @@ FAULTS = {
 
 # checks that pass by construction, to be replaced by checks that can fail
 BY_CONSTRUCTION = {
-    # d(q, p) is computed from q - p = -(p - q), exactly: every block norm is the same
-    ("metric", "symmetry"): "ROADMAP item 2",
-    # compares a running minimum with itself
-    ("metric", "chain-energy-decreasing"): "ROADMAP item 2",
-    # classify decides the kind by isinstance
-    ("classify", "similarity-classified"): "ROADMAP item 2",
+    # classify reads every ASimMap as ASim, by isinstance
     ("classify", "almost-similarity-classified"): "ROADMAP item 2",
 }
 

@@ -110,7 +110,9 @@ class TestConfigSchema:
         ({"grid": {"lo": "1"}}, "/grid/lo: expected"),
         ({"grid": {"step": 0.1}}, "/grid/step: unknown config key"),
         ({"grid": [0.1]}, "/grid: expected an object"),
-        ({"grid/lo": 1.0}, "/grid/lo: unknown config key"),
+        # RFC 6901: a key's / reads ~1 and its ~ reads ~0
+        ({"grid/lo": 1.0}, "/grid~1lo: unknown config key"),
+        ({"a~/b": 1.0}, "/a~0~1b: unknown config key"),
         ({"grid": {"lo": 2, "hi": 2}}, "/grid: requires lo < hi"),
     ], ids=lambda v: json.dumps(v)[:40] if isinstance(v, dict) else None)
     def test_grid_members_are_read_with_the_other_keys(self, obj, message):
@@ -167,9 +169,9 @@ def test_determinism_byte_identical(tmp_path):
 # samples, each named by its content hash. A change that changes a digest
 # updates this pin and records the old and new names.
 PINNED_FILES = {
-    0: ["all-aaf8502cd5b0ea57.json", "geodesic-samples-baa50f3bb6bab6b4.csv"],
-    5: ["all-76231fd6ca9c285d.json", "geodesic-samples-f9bbccf18b892fde.csv"],
-    11: ["all-23b377809807d91e.json", "geodesic-samples-07bc8fb764b6ee5c.csv"],
+    0: ["all-ff49a4a289050433.json", "geodesic-samples-baa50f3bb6bab6b4.csv"],
+    5: ["all-adadb9c55b984bff.json", "geodesic-samples-f9bbccf18b892fde.csv"],
+    11: ["all-65e58d6df14312f1.json", "geodesic-samples-07bc8fb764b6ee5c.csv"],
 }
 
 
@@ -183,12 +185,12 @@ def test_report_digests_are_pinned(seed, tmp_path):
 # exponent is 1 (the default spec, (2, 3), has none), at the default counts.
 UNIT_EXPONENT_SPEC = {"alphas": [1.0, 2.0, 3.5], "mults": [2, 1, 2]}
 PINNED_UNIT_EXPONENT_FILES = {
-    (0, "metric"): ["metric-b7798888fab7eaa9.json"],
-    (0, "geodesic"): ["geodesic-ff10375c5ccb575f.json", "geodesic-samples-c40b4e2c16f78ffd.csv"],
-    (5, "metric"): ["metric-d1a1b06cade02e83.json"],
-    (5, "geodesic"): ["geodesic-6f78b098c4560e6d.json", "geodesic-samples-180b3b935ad4d6ee.csv"],
-    (11, "metric"): ["metric-6cfb1975e536d833.json"],
-    (11, "geodesic"): ["geodesic-c1e7dd13e23732f9.json", "geodesic-samples-20e3f98eda7c3154.csv"],
+    (0, "metric"): ["metric-a3d4976c860e80c9.json"],
+    (0, "geodesic"): ["geodesic-ba2ac8b331801a4d.json", "geodesic-samples-c40b4e2c16f78ffd.csv"],
+    (5, "metric"): ["metric-bee4b7fe67951bdd.json"],
+    (5, "geodesic"): ["geodesic-3c5a6e821133c47d.json", "geodesic-samples-180b3b935ad4d6ee.csv"],
+    (11, "metric"): ["metric-a597eca5da693998.json"],
+    (11, "geodesic"): ["geodesic-1c2e45be263dbd1f.json", "geodesic-samples-20e3f98eda7c3154.csv"],
 }
 
 
@@ -211,11 +213,13 @@ def test_pinned_digests_are_quoted_in_the_report_schema():
 def test_check_table_lists_the_checks_of_a_default_report(tmp_path):
     text = (Path(__file__).parents[1] / "docs" / "report-schema.md").read_text()
     lines = text.split("## Check objects")[1].split("\n## ")[0].splitlines()
-    rows = [[c.strip().strip("`") for c in line.split("|")[1:3]]
+    rows = [[c.strip().strip("`") for c in line.split("|")[1:4]]
             for line in lines if line.startswith("| ") and not line.startswith("| suite")]
     assert main(["all", "--out", str(tmp_path)]) == 0
     checks = json.loads(_reports(tmp_path)[0].read_text())["checks"]
-    assert rows == [[c["suite"], c["name"]] for c in checks]
+    # the tolerance column opens with the number a default report records
+    assert [[suite, name, float(tol.split()[0])] for suite, name, tol in rows] == [
+        [c["suite"], c["name"], c["tolerance"]] for c in checks]
 
 
 def test_config_file_and_seed_override(tmp_path):
@@ -265,8 +269,8 @@ def test_uncertified_circumcenter_fails_its_check(tmp_path):
     out = tmp_path / "r"
     assert main(["conformal", "--config", str(cfg), "--out", str(out)]) == 1
     checks = {c["name"]: c for c in json.loads(_reports(out)[0].read_text())["checks"]}
-    eq = checks["circumcenter-equivariance"]
-    assert not eq["passed"] and eq["certified_gap"] > 1e-300
+    cert = checks["circumcenter-certified"]
+    assert not cert["passed"] and cert["defect"] > cert["tolerance"] == 1e-300
 
 
 def _strict_json(text):
@@ -289,14 +293,35 @@ def test_non_finite_defects_fail_and_read_null(tmp_path):
         assert main([suite, "--config", str(cfg), "--out", str(out)]) == 1
         checks = _strict_json(_reports(out)[0].read_text())["checks"]
         failed.update({c["name"]: c["defect"] for c in checks if not c["passed"]})
-    assert failed == dict.fromkeys(["triangle-inequality", "symmetry", "dilation-similarity",
+    assert failed == dict.fromkeys(["triangle-inequality", "dilation-similarity",
                                     "pair-to-point-exp-height", "pair-to-point-bisect-oracle"])
 
 
 def test_a_non_finite_number_in_a_check_reads_null_and_fails():
-    check = cli._check("chain", True, 0.0, value=math.inf, rounds=3)
-    assert check == {"name": "chain", "defect": 0.0, "value": None, "rounds": 3, "passed": False}
-    assert cli._check("nan", True, math.nan) == {"name": "nan", "defect": None, "passed": False}
+    check = cli._check("chain", 0.0, 1e-12, value=math.inf, rounds=3)
+    assert check == {"name": "chain", "defect": 0.0, "tolerance": 1e-12, "value": None,
+                     "rounds": 3, "passed": False}
+    assert cli._check("nan", math.nan, 1.0) == {"name": "nan", "defect": None, "tolerance": 1.0,
+                                                "passed": False}
+
+
+def test_a_check_passes_when_its_defect_is_at_most_its_tolerance():
+    assert cli._check("at", 1e-12, 1e-12)["passed"]
+    assert not cli._check("above", 2e-12, 1e-12)["passed"]
+    zero = cli._check("zero", -0.0, 0.0)
+    assert zero["passed"] and math.copysign(1.0, zero["defect"]) == 1.0
+    # a pass flag in the defect's place is not a number
+    for flag in (True, False, np.True_):
+        assert cli._check("flag", flag, 1.0) == {"name": "flag", "defect": None, "tolerance": 1.0,
+                                                 "passed": False}
+
+
+def test_every_record_of_a_default_report_obeys_the_one_pass_rule(tmp_path):
+    assert main(["all", "--out", str(tmp_path)]) == 0
+    checks = json.loads(_reports(tmp_path)[0].read_text())["checks"]
+    for c in checks:
+        assert c["passed"] == (c["defect"] is not None and c["defect"] <= c["tolerance"]), c
+        assert math.copysign(1.0, c["defect"]) == 1.0, c  # no -0.0
 
 
 def test_geodesic_emits_csv(tmp_path):
@@ -356,7 +381,7 @@ def test_epsilon_check_compares_every_probe(monkeypatch):
     low_epsilon_bound(monkeypatch)
     checks = {c["name"]: c for c in cli.run_roots(RunConfig(), np.random.default_rng(0))}
     eps = checks["epsilon-bound-dominates"]
-    assert not eps["passed"] and eps["defect"] > 0
+    assert not eps["passed"] and eps["defect"] > eps["tolerance"] == 1.0
 
 
 def _per_sample_conformal(rng) -> tuple[float, float]:
@@ -431,7 +456,7 @@ def test_drawn_stacks_equal_the_per_call_draws(layout):
 
 
 def _per_solve_circumcenter_checks(cfg, rng) -> dict:
-    """The two circumcenter checks of run_conformal as the loop that solved
+    """The three circumcenter checks of run_conformal as the loop that solved
     one class set per call (11 calls) computed them, after the same draws."""
 
     def spd_draw():
@@ -466,12 +491,10 @@ def _per_solve_circumcenter_checks(cfg, rng) -> dict:
         eq_worst = max(eq_worst, conformal.ddist(moved, act(x, center_of(pts, eq_gaps))))
     sym_gap, eq_gap = max(sym_gaps), max(eq_gaps)
     return {
-        "circumcenter-symmetric-pair": cli._check(
-            "circumcenter-symmetric-pair", sym_defect <= 1e-9 and sym_gap <= cfg.tolerance,
-            sym_defect, certified_gap=sym_gap),
-        "circumcenter-equivariance": cli._check(
-            "circumcenter-equivariance", eq_worst <= 1e-6 and eq_gap <= cfg.tolerance,
-            eq_worst, certified_gap=eq_gap),
+        "circumcenter-symmetric-pair": cli._check("circumcenter-symmetric-pair", sym_defect, 1e-9),
+        "circumcenter-equivariance": cli._check("circumcenter-equivariance", eq_worst, 1e-6),
+        "circumcenter-certified": cli._check("circumcenter-certified", max(sym_gap, eq_gap),
+                                             cfg.tolerance),
     }
 
 
@@ -506,7 +529,7 @@ def _per_sample_asim_check(rng) -> dict:
             ratios.append(distance(spec, asim(p).flat(), asim(q).flat()) / d)
     logs = np.log(np.asarray(ratios))
     k = max(float(np.exp(np.abs(logs - logs.mean()).max())), 1.0)
-    return cli._check("almost-similarity-classified", True, 0.0, kind="ASim", K=k)
+    return cli._check("almost-similarity-classified", 0.0, 0.0, kind="ASim", K=k)
 
 
 def _per_probe_epsilon_check(cfg, rng, bound_of) -> dict:
@@ -523,7 +546,7 @@ def _per_probe_epsilon_check(cfg, rng, bound_of) -> dict:
                          for _ in range(cfg.probe_count)])
         osc = float(np.linalg.norm(vals[:, None] - vals[None], axis=-1).max())
         worst_ratio = max(worst_ratio, osc / bound)
-    return cli._check("epsilon-bound-dominates", worst_ratio <= 1.0, max(worst_ratio - 1.0, 0.0))
+    return cli._check("epsilon-bound-dominates", worst_ratio, 1.0)
 
 
 def _scalar_bisect(spec, p, q) -> float:
@@ -558,7 +581,7 @@ def _per_pair_bisect_check(cfg, rng) -> dict:
     for p, q in _bisected_rows(cfg, rng):
         if distance(cfg.spec, p, q) != 0.0:
             worst = max(worst, abs(pair_to_point(spec, p, q) - _scalar_bisect(spec, p, q)))
-    return cli._check("pair-to-point-bisect-oracle", worst <= 1e-9, worst)
+    return cli._check("pair-to-point-bisect-oracle", worst, 1e-9)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])
@@ -572,8 +595,8 @@ def test_row_passes_equal_the_per_sample_loops(seed, monkeypatch):
         np.random.default_rng(seed))
     assert checks(cli.run_geodesic)["pair-to-point-bisect-oracle"] == _per_pair_bisect_check(
         cfg, np.random.default_rng(seed))
-    # at the true bound the defect reads 0; below the sampled oscillation it
-    # carries the oscillation's bits
+    # at the true bound and below the sampled oscillation, the defect is the
+    # largest ratio of oscillation to bound, bit for bit
     for bound_of in (epsilon_bound, lambda gamma, i: 1.5):
         monkeypatch.setattr(cli, "epsilon_bound", bound_of)
         assert checks(cli.run_roots)["epsilon-bound-dominates"] == _per_probe_epsilon_check(
@@ -692,9 +715,8 @@ def _per_triple_geodesic_checks(cfg, rng) -> dict:
         grp_worst = max(grp_worst, abs(inv.height))
         grp_worst = max(grp_worst, float(np.max(np.abs(inv.x.flat()))))
     return {
-        "boundary-composition-law": cli._check("boundary-composition-law", comp_worst <= 1e-12,
-                                               comp_worst),
-        "group-law": cli._check("group-law", grp_worst <= 1e-12, grp_worst),
+        "boundary-composition-law": cli._check("boundary-composition-law", comp_worst, 1e-12),
+        "group-law": cli._check("group-law", grp_worst, 1e-12),
     }
 
 
@@ -723,7 +745,7 @@ def _per_sample_classify_checks(cfg, rng) -> dict:
         s1, s2 = SimMap(spec, float(t1)), SimMap(spec, float(t2))
         hom_worst = max(hom_worst, abs(math.log(s1.compose(s2).stretch) - math.log(s1.stretch)
                                        - math.log(s2.stretch)))
-    return {"height-hom-additive": cli._check("height-hom-additive", hom_worst <= 1e-9, hom_worst)}
+    return {"height-hom-additive": cli._check("height-hom-additive", hom_worst, 1e-9)}
 
 
 @pytest.mark.parametrize("config, seed", [({}, 0), ({}, 5), ({}, 11), (_BOUNDARY_BATCH, 1)])

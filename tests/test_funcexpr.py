@@ -217,6 +217,15 @@ def test_json_rejects_malformed_nodes(payload):
         expr_from_json(payload)(BLOCKS)
 
 
+@pytest.mark.parametrize("weights, phase", [([1.0], math.nan), ([math.nan], 0.0),
+                                           ([math.inf], 0.0), ([1.0], -math.inf)])
+def test_a_python_built_oscillation_takes_only_finite_weights_and_phase(weights, phase):
+    # a NaN phase built an almost translation with b_max(0) 1.0 that maps (1, 2) to (nan, 2)
+    with pytest.raises(InputError, match="oscillation"):
+        AlmostTranslation(SpectralData((1.0, 2.0), (1, 1)),
+                          [Osc([1.0], weights, phase, BlockVar(1, 1)), Const([0.0])])
+
+
 def _displacement():
     """Block 0's Displacement node of a three-letter word."""
     a = AlmostTranslation(SPEC, [Osc([0.3, -0.2], [1.0], 0.1, BlockVar(1, 1)), Const([1.5])])

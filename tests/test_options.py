@@ -68,7 +68,6 @@ WAITING = {
     "conformality_defect": "ROADMAP item 10",
     "dilatation": "ROADMAP item 5",
     "displacement_bound": "ROADMAP item 9",
-    "enumerate_chain_cost": "ROADMAP item 2",
     "expr_from_json": "ROADMAP item 9",
     "invariant_structure": "ROADMAP item 5",
     "level_distance": "ROADMAP item 7",
