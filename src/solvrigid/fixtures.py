@@ -210,15 +210,18 @@ def exact_r1_fixture():
     return gens, gamma_p, levels
 
 
+_U = {1: Fraction(3, 4), -1: Fraction(1, 4)}
+
+
 def _chi(x: Fraction) -> int:
-    # alternating sign with period 1: +1 on [0, 1/2), -1 on [1/2, 1)
-    frac = x - math.floor(x)
-    return 1 if frac < Fraction(1, 2) else -1
+    # alternating sign with period 1: +1 on [0, 1/2), -1 on [1/2, 1); the fractional part
+    # of x is (numerator mod denominator) / denominator
+    return 1 if 2 * (x.numerator % x.denominator) < x.denominator else -1
 
 
 def _u(x: Fraction) -> Fraction:
-    # u(x) + u(x + 1/2) = 1 for every x
-    return Fraction(1, 2) + Fraction(1, 4) * _chi(Fraction(x))
+    # u(x) = 1/2 + chi(x)/4, so u(x) + u(x + 1/2) = 1 for every x
+    return _U[_chi(x)]
 
 
 def exact_r2_fixture():

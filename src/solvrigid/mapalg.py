@@ -141,9 +141,11 @@ class SimMap(BoundaryMap):
         return mats
 
     @functools.cached_property
-    def _inverse_opnorms(self) -> tuple[float, ...]:
-        """The operator 2-norms of ``_inverse_linear``."""
-        return tuple(float(np.linalg.norm(m, 2)) for m in self._inverse_linear)
+    def _inverse_opnorms(self) -> tuple:
+        """The operator 2-norms of ``_inverse_linear``, floats or ``(B,)`` arrays for a stack:
+        the largest singular value, the first that LAPACK returns, as np.linalg.norm(m, 2)."""
+        norms = [np.linalg.svd(m, compute_uv=False)[..., 0] for m in self._inverse_linear]
+        return tuple(norms if self._lead else map(float, norms))
 
     def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         """The image blocks; a stack of B maps B rows, row j by member j, or one point by each."""
@@ -157,11 +159,20 @@ class SimMap(BoundaryMap):
     def deps_of(self, j: int) -> frozenset[int]:
         return frozenset({j})
 
+    @functools.cached_property
+    def _lip(self):
+        """``lip_bound``, read-only for a stack: a left fold conjugates by an alphabet
+        letter's similarity at each of its occurrences."""
+        with np.errstate(over="ignore"):
+            lip = functools.reduce(np.maximum, [np.float_power(self.stretch, a) for a in
+                                                self.spec.exponents])
+        if self._lead:
+            lip.flags.writeable = False
+        return lip
+
     def lip_bound(self):
         """max_i t^alpha_i, a ``(B,)`` array for a stack; a power beyond float range reads inf."""
-        with np.errstate(over="ignore"):
-            return functools.reduce(np.maximum, [np.float_power(self.stretch, a) for a in
-                                                 self.spec.exponents])
+        return self._lip
 
     def compose(self, other: "SimMap") -> "SimMap":
         """self after other, renormalized to Sim form.

@@ -119,8 +119,9 @@ class AlmostTranslation(BoundaryMap):
         return word
 
     @staticmethod
-    def identity(spec: SpectralData, K: float = 1.0) -> "AlmostTranslation":
-        return AlmostTranslation(spec, [Const(np.zeros(n)) for n in spec.multiplicities], K)
+    def identity(spec: SpectralData) -> "AlmostTranslation":
+        """The one-letter word of zero displacements, with K = 1 (gamma^0)."""
+        return AlmostTranslation(spec, [Const(np.zeros(n)) for n in spec.multiplicities])
 
     def b_max(self, i: int) -> float:
         return self.perturbations[i].sup_bound
@@ -189,9 +190,12 @@ class AlmostTranslation(BoundaryMap):
         return AlmostTranslation.from_letters(self.spec, letters, certificates, self.K)
 
     def power(self, n: int) -> "AlmostTranslation":
-        base = self if n >= 0 else self.inverse()
-        out = AlmostTranslation.identity(self.spec, self.K)
-        for _ in range(abs(n)):
+        """gamma^n: |n| letters of gamma (of its inverse for n < 0) with K^|n|, the identity
+        for n = 0."""
+        if n == 0:
+            return AlmostTranslation.identity(self.spec)
+        out = base = self if n > 0 else self.inverse()
+        for _ in range(abs(n) - 1):
             out = base.compose(out)
         return out
 
@@ -275,9 +279,10 @@ def orbit_growth(
 
     Walks the words up to word_cap over the generators and their inverses;
     a word's state is its images of the basepoint and of the probe point
-    whose coordinates are all 0.625, one letter step from its parent's. An
-    element is identified by these two images rounded to 9 decimals: a word
-    whose element was already seen is pruned with every word extending it.
+    whose coordinates are all 0.625, two rows that one letter call steps
+    from its parent's. An element is identified by these two images rounded
+    to 9 decimals: a word whose element was already seen is pruned with
+    every word extending it.
     ``saturated`` is set when elements within radius k were still appearing
     in the final layer, i.e. the word cap (rather than the radius) may have
     stopped the count.
@@ -287,25 +292,26 @@ def orbit_growth(
     spec = generators[0].spec
 
     def fingerprint(images):
-        return tuple(tuple(np.round(np.concatenate(q), 9)) for q in images)
+        return tuple(np.round(np.concatenate(images, axis=1), 9).flat)
 
     seen = set()
 
     def step(a: AlmostTranslation, images):
-        images = [a._apply(q) for q in images]
+        images = a._apply(images)
         fp = fingerprint(images)
         if fp in seen:
             return None
         seen.add(fp)
         return images
 
-    probe = [np.full(n, 0.625) for n in spec.multiplicities]
-    start = [require_blocks(spec, q) for q in (basepoint.blocks, probe)]
+    # row 0 the basepoint, row 1 the probe
+    start = [np.stack([b, np.full(n, 0.625)])
+             for b, n in zip(require_blocks(spec, basepoint.blocks), spec.multiplicities)]
     seen.add(fingerprint(start))
     alphabet = list(generators) + [g.inverse() for g in generators]
     words = list(walk_words(alphabet, word_cap, start, step))
-    moved = np.array([np.concatenate(images[0]) for _, images in words])
-    near = distance(spec, moved, np.broadcast_to(np.concatenate(start[0]), moved.shape)) <= k
+    moved = np.array([np.concatenate([b[0] for b in images]) for _, images in words])
+    near = distance(spec, moved, np.broadcast_to(moved[0], moved.shape)) <= k
     last = np.array([len(word) == word_cap > 0 for word, _ in words])
     return OrbitCount(count=int(near.sum()), saturated=bool((near & last).any()))
 
@@ -317,7 +323,7 @@ FracVec = tuple[Fraction, ...]
 
 
 def _fracvec(values) -> FracVec:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
 class ExactGenerator:
@@ -325,8 +331,7 @@ class ExactGenerator:
 
     ``perturbations[i]`` is a callable taking the tuple of later blocks
     (each a tuple of Fractions) to a block-i Fraction tuple; the last entry
-    must be a constant tuple. ``level`` is the largest block index with a
-    nonzero perturbation, or -1 for the identity.
+    must be a constant tuple. A step keeps an entry whose displacement is 0.
     """
 
     def __init__(self, dims: Sequence[int], perturbations: Sequence, name: str = ""):
@@ -351,14 +356,14 @@ class ExactGenerator:
         out = list(point)
         for i in range(self.r):
             b = self._b(i, tuple(out[i + 1 :]))
-            out[i] = tuple(x + d for x, d in zip(point[i], b))
+            out[i] = tuple(x + d if d else x for x, d in zip(point[i], b))
         return tuple(out)
 
     def apply_inverse(self, point: tuple[FracVec, ...]) -> tuple[FracVec, ...]:
         out = list(point)
         for i in range(self.r - 1, -1, -1):
             b = self._b(i, tuple(out[i + 1 :]))
-            out[i] = tuple(x - d for x, d in zip(point[i], b))
+            out[i] = tuple(x - d if d else x for x, d in zip(point[i], b))
         return tuple(out)
 
     def top_displacement(self, j: int) -> FracVec:

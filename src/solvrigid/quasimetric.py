@@ -139,6 +139,7 @@ class ChainEnergyEstimate:
     value: float
     last_decrement: float
     rounds: int
+    exit: str  # "converged" (a round lowered it by less than STOP_DECREMENT) or "max_depth"
 
     def __float__(self) -> float:
         return self.value
@@ -159,7 +160,7 @@ def chain_energy(
     The chain changes one block at a time, each block move split into equal
     steps; the per-block subdivision count doubles each round and the
     running minimum over rounds is reported, together with the last-round
-    decrement so callers can judge convergence.
+    decrement and the exit: "converged" or "max_depth".
     """
     if not beta > 0:
         raise DomainError(f"beta must be positive, got {beta}")
@@ -171,7 +172,7 @@ def chain_energy(
     best_per_block = [float("inf")] * spec.r
     prev_total = float("inf")
     last_dec = float("inf")
-    rounds = 0
+    rounds, reason = 0, "max_depth"
     k = grid.resolution
     for depth in range(grid.max_depth):
         for i, (a, g) in enumerate(zip(spec.exponents, gaps)):
@@ -181,13 +182,14 @@ def chain_energy(
         if np.isfinite(prev_total):
             last_dec = prev_total - total
             if last_dec < STOP_DECREMENT:
-                prev_total = total
+                prev_total, reason = total, "converged"
                 break
         prev_total = total
         k *= 2
     if not np.isfinite(last_dec):
         last_dec = 0.0
-    return ChainEnergyEstimate(value=prev_total, last_decrement=last_dec, rounds=rounds)
+    return ChainEnergyEstimate(value=prev_total, last_decrement=last_dec, rounds=rounds,
+                               exit=reason)
 
 
 def enumerate_chain_cost(

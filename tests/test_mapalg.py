@@ -357,17 +357,53 @@ class TestCompositionReusesCheckedParts:
         parts = [(k, i, m) for k, a in enumerate(alphabet)
                  for i, m in enumerate(_inverse_linear_parts(a.sim))]
         counts = {(k, i): 0 for k, i, _ in parts}
-        norm = np.linalg.norm
+        svd = np.linalg.svd
 
         def counted(x, *args, **kwargs):
             for k, i, m in parts:
                 if np.shape(x) == m.shape and np.array_equal(x, m):
                     counts[k, i] += 1
-            return norm(x, *args, **kwargs)
+            return svd(x, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "norm", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
         functools.reduce(lambda acc, a: acc.compose(a), letters)
         assert counts == dict.fromkeys(counts, 1)
+
+    def test_fold_computes_each_alphabet_lip_bound_once(self, monkeypatch):
+        alphabet, _ = self._alphabet(9)
+        letters = [alphabet[i % self.ALPHABET] for i in range(self.LETTERS)]
+        counts = {(k, a): 0 for k in range(self.ALPHABET) for a in SPEC_ROT.exponents}
+        power = np.float_power
+
+        def counted(x, y, *args, **kwargs):
+            # the lip bound raises the float stretch; the linear parts raise arrays
+            for k, letter in enumerate(alphabet):
+                if type(x) is float and x == letter.sim.stretch:
+                    counts[k, y] += 1
+            return power(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(np, "float_power", counted)
+        functools.reduce(lambda acc, a: acc.compose(a), letters)
+        assert counts == dict.fromkeys(counts, 1)
+
+    def test_cached_lip_bound_of_a_stack_is_read_only(self):
+        stack = SimMap(SPEC_ROT, np.array([0.5, 3.0]))
+        lips = stack.lip_bound()
+        assert stack.lip_bound() is lips and lips.tolist() == [0.5, 9.0]
+        with pytest.raises(ValueError):
+            lips[0] = 1.0
+
+    @given(st.lists(st.floats(-150, 150), min_size=1, max_size=5), st.floats(-math.pi, math.pi))
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_opnorms_equal_the_matrix_norm(self, logs, theta):
+        stretches = 10.0 ** np.array(logs)
+        stack = SimMap(SPEC_ROT, stretches, [_rot(theta), -np.eye(1)])
+        for i, (m, norms) in enumerate(zip(stack._inverse_linear, stack._inverse_opnorms)):
+            for j, t in enumerate(stretches.tolist()):
+                one = SimMap(SPEC_ROT, t, stack.rotations)
+                want = float(np.linalg.norm(m[j], 2))
+                assert norms[j] == one._inverse_opnorms[i] == want
+                assert type(one._inverse_opnorms[i]) is float
 
 
 def _unshift(y):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvrigid import (
     AlmostTranslation,
@@ -35,12 +37,16 @@ from solvrigid.fixtures import (
     oscillating_kernel_element,
     unit_translation_1d,
 )
-from solvrigid import nilpotent
+from solvrigid import fixtures, nilpotent
 from solvrigid.nilpotent import ExactGenerator
 
 from metric_reference import isclose, zero
 
 RNG = np.random.default_rng(23)
+
+# negative, zero and non-dyadic rationals
+_rationals = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=50),
+                       st.fractions(-10**6, 10**6))
 
 
 def _rand_point():
@@ -83,6 +89,13 @@ class TestAlmostTranslation:
         assert isclose(a.power(3)(p), a(a(a(p))), atol=1e-10)
         assert isclose(a.power(-1)(a(p)), p, atol=1e-10)
         assert isclose(a.power(0)(p), p)
+
+    def test_power_has_n_letters_and_k_to_the_n(self):
+        # gamma^n holds |n| letters and K^|n|; gamma^0 is the identity, K = 1
+        a = oscillating_kernel_element()  # K = 2
+        assert (a.power(0).K, a.power(1).K, a.power(-3).K) == (1.0, 2.0, 8.0)
+        assert len(a.power(9).letters) == 9 and len(a.power(-9).letters) == 9
+        assert a.power(1) is a
 
 
 class TestWords:
@@ -263,6 +276,31 @@ class TestOrbitGrowth:
         stepped = 2 + 4 * 6
         assert len(calls) <= 3 * stepped
 
+    @pytest.mark.parametrize("case", ["translation", "kernel", "two-generators"])
+    def test_each_step_is_one_apply_call_on_two_rows(self, case, count_calls, monkeypatch):
+        generators, base = {
+            "translation": ([unit_translation_1d()], BlockPoint((np.array([0.3]),))),
+            "kernel": ([oscillating_kernel_element(c=4.0)],
+                       BlockPoint((np.array([0.3]), np.array([-0.2])))),
+            "two-generators": ([oscillating_kernel_element(c=4.0), AlmostTranslation(
+                SPEC_NIL, [Osc([0.3], [2.0], 0.5, BlockVar(1, 1)), Const([1.5])])],
+                BlockPoint((np.array([0.3]), np.array([-0.2])))),
+        }[case]
+        found = _ref_orbit(generators, base, 4)
+        steps, walk = [], nilpotent.walk_words
+
+        def counted_walk(letters, depth, start, step):
+            return walk(letters, depth, start, lambda a, state: steps.append(a) or step(a, state))
+
+        monkeypatch.setattr(nilpotent, "walk_words", counted_walk)
+        calls = count_calls(AlmostTranslation, name="_apply")
+        for k in (0.5, 1.0, 2.0, 4.0):
+            steps.clear()
+            calls.clear()
+            assert orbit_growth(generators, base, k, 4) == _ref_count(found, k, 4)
+            assert len(calls) == len(steps) > 0
+            assert all(b.shape[0] == 2 for _, blocks in calls for b in blocks)
+
     def test_orbit_is_measured_in_one_distance_call(self, count_calls):
         # the walk measured each word in a one-point distance call of its own
         calls = count_calls(nilpotent, name="distance")
@@ -427,6 +465,35 @@ class TestRootCost:
         assert calls == []
         gens[2].apply(point)  # its first-block perturbation is a callable
         assert len(calls) == 1
+
+    @given(st.lists(_rationals, min_size=4, max_size=4), st.lists(_rationals, min_size=3,
+                                                                     max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_steps_add_the_displacements_exactly(self, entries, constants):
+        # blocks of dims (2, 1, 1); block 1's displacement reads block 2, block 0's is constant
+        point = (tuple(entries[:2]), (entries[2],), (entries[3],))
+        b0, b2 = (constants[0], Fraction(0)), (constants[2],)
+
+        def b1(later):
+            return (later[0][0] * constants[1],)
+
+        gen = ExactGenerator((2, 1, 1), [b0, b1, b2])
+        x0, x1, x2 = point
+        forward = (tuple(x + d for x, d in zip(x0, b0)), (x1[0] + b1((x2,))[0],),
+                   (x2[0] + b2[0],))
+        assert gen.apply(point) == forward
+        y2 = (x2[0] - b2[0],)
+        y1 = (x1[0] - b1((y2,))[0],)
+        assert gen.apply_inverse(point) == (tuple(x - d for x, d in zip(x0, b0)), y1, y2)
+        for image in (gen.apply(point), gen.apply_inverse(point)):
+            assert all(type(x) is Fraction for block in image for x in block)
+
+    @given(_rationals)
+    @settings(max_examples=300, deadline=None)
+    def test_chi_and_u_match_the_floor_form(self, x):
+        chi = 1 if x - math.floor(x) < Fraction(1, 2) else -1
+        assert fixtures._chi(x) == chi
+        assert fixtures._u(x) == Fraction(1, 2) + Fraction(1, 4) * chi
 
     def test_callable_top_perturbation_rejected(self):
         with pytest.raises(InputError):

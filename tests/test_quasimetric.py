@@ -254,6 +254,17 @@ class TestChainEnergy:
         with pytest.raises(DomainError):
             chain_energy(SPEC_R1, 0.0, np.zeros(1), np.zeros(1), ChainGrid())
 
+    def test_exit_says_whether_it_converged(self):
+        p = np.zeros(2)
+        # beta = alpha_1: the second round lowers nothing
+        flat = chain_energy(SPEC_R2, 2.0, p, _point(SPEC_R2, [0.75, 0.0]), ChainGrid(max_depth=8))
+        assert (flat.exit, flat.rounds, flat.last_decrement) == ("converged", 2, 0.0)
+        # the metric suite's estimate at the default config: still falling after 12 rounds
+        est = chain_energy(SPEC_R2, 3.0, p, _point(SPEC_R2, [1.0, 0.0]),
+                           ChainGrid(resolution=16, max_depth=12))
+        assert (est.exit, est.rounds) == ("max_depth", 12)
+        assert est.last_decrement == pytest.approx(2.29e-3, rel=1e-2)
+
 
 class TestQsimConstants:
     def test_dilation_has_trivial_k(self):
