@@ -55,20 +55,17 @@ from .nilpotent import (
 )
 from .mapalg import (
     ASimMap,
-    BlockMap,
     BoundaryPair,
     Classification,
     FirstBlockAffineMap,
     ReciprocityVerdict,
     RotationWitness,
     SimMap,
-    affine_inverse,
     check_reciprocity,
     check_triangularity,
     classify,
     conjugate_almost_by_sim,
     height_hom,
-    rotation_hom,
     rotation_rigidity_witness,
     stretch_hom,
 )
@@ -91,12 +88,10 @@ from .conformal import (
     act,
     circumcenter,
     conf_class,
-    conformality_defect,
     ddist,
     dilatation,
     invariant_structure,
     kdist,
-    measure_distortion_check,
     solve_circumcenter,
 )
 from .tukia import (

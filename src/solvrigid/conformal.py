@@ -1,18 +1,17 @@
 """The determinant-one SPD symmetric space: GL action, metrics, dilatation,
-circumcenters, invariant foliated conformal structures, and measure checks."""
+circumcenters, and invariant foliated conformal structures."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, CoverageError, DimensionMismatch, DomainError, InputError
 from .nilpotent import walk_words
 from .quasimetric import _exp, _image_rows, _per_element
-from .spectral import SpectralData, floats, require_blocks, split_rows
+from .spectral import floats, require_blocks, split_rows
 
 
 def _as_stack(matrix, what: str) -> np.ndarray:
@@ -568,51 +567,3 @@ def invariant_structure(
                 defects[covered] = np.maximum(defects[covered], kdist(mus[idx[covered]], pushed))
     field_.defects = defects.tolist()
     return field_
-
-
-def conformality_defect(F, mu: ConfField, nu: ConfField, p: np.ndarray) -> float:
-    """exp k( mu(p), f'(p)[nu(F p)] ) at the ``(total_dim,)`` row p; 1 where conformal."""
-    p = floats(p, "point")
-    mu_p = mu.value_at(p)
-    nu_fp = nu.value_at(_image_rows(F.spec, F, p))
-    pushed = act(F.first_block_derivative(split_rows(F.spec, p)), nu_fp)
-    return math.exp(kdist(mu_p, pushed))
-
-
-def measure_distortion_check(
-    F,
-    spec: SpectralData,
-    boxes: Sequence[tuple[np.ndarray, np.ndarray]],
-    rng: np.random.Generator,
-    samples: int = 2000,
-) -> tuple[float, float]:
-    """Monte-Carlo volume-distortion band of a boundary map F over axis boxes.
-
-    Each box contributes the average |det DF| over uniform samples (the
-    change-of-variables density), DF taken by forward differences of step
-    1e-5 (1 + |x_j|); returns the (min, max) over boxes. F maps every
-    sample of a box and its n moved copies in one ``eval_blocks`` call.
-    Degenerate boxes are skipped; a box with a non-finite width raises InputError.
-    """
-    n = spec.total_dim
-    ratios = []
-    for lo, hi in boxes:
-        lo = floats(lo, "box corner").reshape(-1)
-        hi = floats(hi, "box corner").reshape(-1)
-        if lo.shape != (n,) or hi.shape != (n,) or np.any(hi <= lo):
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):  # rng.uniform raises OverflowError
-            if not np.isfinite(hi - lo).all():
-                raise InputError("box corners must be finite and less than float range apart")
-        x = rng.uniform(lo, hi, (samples, n))
-        h = 1e-5 * (1.0 + np.abs(x))
-        # per sample: the sample, then the sample with coordinate j moved by h_j
-        moved = np.repeat(x[:, None], n + 1, axis=1)
-        moved[:, np.arange(1, n + 1), np.arange(n)] += h
-        images = _image_rows(spec, F, moved.reshape(-1, n)).reshape(samples, n + 1, n)
-        jacs = ((images[:, 1:] - images[:, :1]) / h[..., None]).mT
-        # np.cumsum adds in sample order, as a loop does; np.sum adds pairwise
-        ratios.append(np.cumsum(np.abs(np.linalg.det(jacs)))[-1] / samples)
-    if not ratios:
-        raise InputError("all boxes degenerate")
-    return float(min(ratios)), float(max(ratios))

@@ -1,4 +1,4 @@
-"""Expression trees for block-map components, with Lipschitz/sup certificates.
+"""Expression trees for almost-translation perturbations, with Lipschitz/sup certificates.
 
 Every node evaluates a tuple of blocks to a vector and carries two
 certificates. The blocks are those of one point, shapes ``(n_i,)``, or of N
@@ -272,8 +272,8 @@ class Pwl(FuncExpr):
     """Scalar piecewise-linear table with constant extension beyond the ends."""
 
     def __init__(self, xs, ys, child: FuncExpr):
-        self.xs = floats(xs, "piecewise-linear knots")
-        self.ys = floats(ys, "piecewise-linear values")
+        self.xs = _finite(xs, False, "piecewise-linear knots")
+        self.ys = _finite(ys, False, "piecewise-linear values")
         if child.dim != 1 or self.xs.ndim != 1 or not self.xs.shape == self.ys.shape != (0,):
             raise InputError("pwl table needs a scalar child and nonempty knots, one value each")
         if np.any(np.diff(self.xs) <= 0):

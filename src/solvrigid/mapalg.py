@@ -11,38 +11,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InputError, NotInUniformSubgroup
-from .funcexpr import FuncExpr
 from .nilpotent import AlmostTranslation, Letter
 from .quasimetric import (_image_rows, _per_element, _qsim_logs, distance,
                           estimate_qsim_constants)
 from .spectral import (BlockPoint, BoundaryMap, SpectralData, float_parts, floats, join_blocks,
                        random_row_blocks, require_blocks, split_rows)
-
-
-class BlockMap(BoundaryMap):
-    """A map of R^n whose i-th component depends only on blocks i..r; a
-    constant component gives a ``(n_i,)`` block for every row."""
-
-    def __init__(self, spec: SpectralData, components: Sequence[FuncExpr]):
-        components = tuple(components)
-        if len(components) != spec.r:
-            raise InputError("one component per block required")
-        self.spec = spec
-        self.components = components
-        for i, (f, n) in enumerate(zip(components, spec.multiplicities)):
-            if f.dim != n:
-                raise InputError(f"component {i} has dim {f.dim}, block needs {n}")
-            if any(j < i for j in self.deps_of(i)):
-                raise InputError(f"component {i} may only depend on blocks >= {i}")
-
-    def _apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        return [f._eval(blocks) for f in self.components]
-
-    def deps_of(self, j: int) -> frozenset[int]:
-        return self.components[j].deps()
-
-    def lip_bound(self) -> float:
-        return sum(f.lipschitz for f in self.components)
 
 
 @functools.lru_cache(maxsize=64)
@@ -279,7 +252,10 @@ def check_triangularity(
     Each probe point is drawn uniformly from [-2, 2] in every coordinate
     (seed 0), and each earlier block is bumped by a normal vector of scale
     1e-3. The map passes when no later block moves by more than 1e-7.
+    ``probes`` is a whole number >= 1: InputError otherwise.
     """
+    if not isinstance(probes, (int, np.integer)) or probes < 1:
+        raise InputError(f"probes must be a whole number >= 1, got {probes!r}")
     rng = np.random.default_rng(0)
     worst = 0.0
     worst_pair = None
@@ -333,25 +309,23 @@ def stretch_hom(elements: Sequence, spanning: Sequence[np.ndarray]) -> np.ndarra
     """Recover the common pairing vector v with <v_i, v> = log t_i.
 
     ``elements`` holds one Sim/ASim map per factor, ``spanning`` the pairing
-    vectors v_i. Raises NotInUniformSubgroup if no single v fits to 1e-9.
+    vectors v_i. Raises InputError on a non-finite spanning vector, and
+    NotInUniformSubgroup if no single v fits to 1e-9.
     """
     if len(elements) != len(spanning):
         raise InputError("one spanning vector per factor required")
     vs = floats([floats(v, "spanning vector").reshape(-1) for v in spanning], "spanning vectors")
+    if not np.isfinite(vs).all():
+        raise InputError("spanning vectors must be finite")
     logs = np.asarray([height_hom(e._one("stretch_hom") if isinstance(e, SimMap) else e)
                        for e in elements])
     v, *_ = np.linalg.lstsq(vs, logs, rcond=None)
     residual = float(np.linalg.norm(vs @ v - logs))
-    if residual > 1e-9:
+    if not residual <= 1e-9:  # so that a NaN residual fails
         raise NotInUniformSubgroup(
             f"log-stretches are inconsistent with a single pairing vector (residual {residual:.3e})"
         )
     return v
-
-
-def rotation_hom(G: ASimMap) -> tuple[np.ndarray, ...]:
-    """The tuple of orthogonal parts; multiplicative under composition."""
-    return tuple(a.copy() for a in G.sim.rotations)
 
 
 def height_hom(G):
@@ -398,9 +372,11 @@ class FirstBlockAffineMap(BoundaryMap):
 
     ``spec`` covers all blocks; block 0 carries the affine action and the
     remaining blocks y form the quotient, on which ``quotient`` acts as a
-    similarity with constant ``stretch`` for the quotient metric. The
-    callables take the quotient blocks of one point, ``(n_i,)``, or of N
-    points, ``(N, n_i)``: ``quotient`` gives the image blocks, ``lam_of`` a
+    similarity with constant ``stretch`` for the quotient metric, one
+    positive finite number as a ``SimMap``'s (DomainError otherwise,
+    DimensionMismatch on an array). The callables take the quotient blocks
+    of one point, ``(n_i,)``, or of N points, ``(N, n_i)``: ``quotient``
+    gives the image blocks, ``lam_of`` a
     scalar or ``(N,)``, ``A_of`` an ``(n1, n1)`` matrix or ``(N, n1, n1)``,
     and ``B_of`` an ``(n1,)`` vector or ``(N, n1)``. A part that does not
     vary may give its one-point value for rows, which broadcasts, as
@@ -416,6 +392,9 @@ class FirstBlockAffineMap(BoundaryMap):
     inverse_map: Optional[Callable[[list], list]] = None
 
     def __post_init__(self):
+        self.stretch, lead = _checked_stretch(self.stretch)
+        if lead:
+            raise DimensionMismatch(f"an affine map takes one stretch, not a stack of {lead[0]}")
         n1, lam = self.spec.multiplicities[0], self.stretch ** self.spec.exponents[0]
         self.lam_of = self.lam_of or (lambda y: lam)
         self.A_of = self.A_of or (lambda y: np.eye(n1))
@@ -466,25 +445,6 @@ class FirstBlockAffineMap(BoundaryMap):
 
         return FirstBlockAffineMap(self.spec, f.stretch * g.stretch,
                                    lambda y: f.quotient(g.quotient(y)), lam, a_of, b_of)
-
-
-def affine_inverse(
-    g: FirstBlockAffineMap, quotient_inverse: Callable[[list], list]
-) -> FirstBlockAffineMap:
-    """Inverse of a first-block affine map, given the quotient's inverse."""
-
-    def lam(yp):
-        return 1.0 / np.asarray(g.lam_of(quotient_inverse(yp)))
-
-    def a_of(yp):
-        return np.linalg.inv(g.A_of(quotient_inverse(yp)))
-
-    def b_of(yp):
-        y = quotient_inverse(yp)
-        return np.matvec(_times(-np.asarray(g.lam_of(y)), g.A_of(y)), g.B_of(y))
-
-    return FirstBlockAffineMap(g.spec, 1.0 / g.stretch, quotient_inverse, lam, a_of, b_of,
-                               inverse_map=g._apply)
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,8 @@ def _image_rows(spec: SpectralData, F, P: np.ndarray) -> np.ndarray:
 
 
 def _qsim_logs(spec: SpectralData, F, samples) -> tuple[float, float, np.ndarray]:
-    """(N, K, log ratios) on the sample pairs, pairs at distance 0 skipped."""
+    """(N, K, log ratios) on the sample pairs, pairs at distance 0 skipped; DomainError
+    where an image/preimage distance ratio is 0 or not finite."""
     if not hasattr(F, "eval_blocks"):
         raise InputError(f"{type(F).__name__} is not a boundary map: it has no eval_blocks")
     samples = floats(samples, "samples")
@@ -232,7 +233,13 @@ def _qsim_logs(spec: SpectralData, F, samples) -> tuple[float, float, np.ndarray
     if not keep.any():
         raise InputError("no non-degenerate sample pairs")
     P, Q = P[keep], Q[keep]
-    logs = np.log(distance(spec, _image_rows(spec, F, P), _image_rows(spec, F, Q)) / d[keep])
+    with np.errstate(over="ignore"):  # a ratio beyond float range reads inf
+        ratios = distance(spec, _image_rows(spec, F, P), _image_rows(spec, F, Q)) / d[keep]
+    bad = np.count_nonzero(~((0.0 < ratios) & (ratios < math.inf)))
+    if bad:
+        raise DomainError(f"{bad} of {len(ratios)} sample pairs have an image/preimage "
+                          "distance ratio that is 0 or not finite")
+    logs = np.log(ratios)
     n = float(np.exp(logs.mean()))
     k = float(np.exp(np.abs(logs - logs.mean()).max()))
     return n, max(k, 1.0), logs

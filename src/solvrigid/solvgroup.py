@@ -328,7 +328,7 @@ class SuspendedMap:
 def suspend_boundary_map(spec: SolvSpec, G, a: float) -> SuspendedMap:
     """Extend a boundary map to the model space: spatial action plus height shift.
 
-    ``G`` needs ``eval_blocks``; one without ``components`` must pass ``check_triangularity``.
+    ``G`` needs ``eval_blocks``, and every map must pass ``check_triangularity`` at 50 probes.
     The shift ``a`` is one finite number: InputError otherwise, DimensionMismatch on an array.
     """
     if not spec.pure:
@@ -340,11 +340,10 @@ def suspend_boundary_map(spec: SolvSpec, G, a: float) -> SuspendedMap:
         raise InputError(f"height shift must be finite, got {a!r}")
     if not hasattr(G, "eval_blocks"):
         raise InputError(f"{type(G).__name__} is not a boundary map: it has no eval_blocks")
-    if not hasattr(G, "components"):  # opaque maps get the probe check
-        verdict = check_triangularity(G, spec.lower, probes=50)
-        if not verdict.passed:
-            raise InputError(
-                f"boundary map failed the triangularity check at {verdict.worst_pair} "
-                f"(response {verdict.worst_response:.3e})"
-            )
+    verdict = check_triangularity(G, spec.lower, probes=50)
+    if not verdict.passed:
+        raise InputError(
+            f"boundary map failed the triangularity check at {verdict.worst_pair} "
+            f"(response {verdict.worst_response:.3e})"
+        )
     return SuspendedMap(spec=spec, boundary=G, shift=float(shift))

@@ -2,7 +2,9 @@
 consumers: each map is a set of closures over one point's tuple of quotient
 blocks, and each consumer loops over grid points, probes, leaves and samples
 one ``BlockPoint`` at a time. The library evaluates rows through
-``eval_blocks``; the tests compare both, built from the same callables."""
+``eval_blocks``; the tests compare both, built from the same callables.
+``library_inverse`` builds the inverse of a library map, a fixture for
+the tests of the maps' consumers."""
 
 import math
 from dataclasses import dataclass
@@ -10,6 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+import solvrigid
 from solvrigid import (
     BlockPoint,
     CoverageError,
@@ -93,18 +96,22 @@ def from_map(g) -> FirstBlockAffineMap:
     return FirstBlockAffineMap(g.spec, g.stretch, g.quotient, g.lam_of, g.A_of, g.B_of, inv)
 
 
-def affine_inverse(g: FirstBlockAffineMap, quotient_inverse) -> FirstBlockAffineMap:
+def library_inverse(g, quotient_inverse):
+    """The library map inverting the library map g, given its quotient's inverse:
+    lam 1/lam, A A^-1 and B -lam A B, each read at the preimage leaf."""
+
     def lam(yp):
-        return 1.0 / g.lam_of(tuple(quotient_inverse(yp)))
+        return 1.0 / np.asarray(g.lam_of(quotient_inverse(yp)))
 
     def a_of(yp):
-        return np.linalg.inv(g.A_of(tuple(quotient_inverse(yp))))
+        return np.linalg.inv(g.A_of(quotient_inverse(yp)))
 
     def b_of(yp):
-        y = tuple(quotient_inverse(yp))
-        return -g.lam_of(y) * g.A_of(y) @ g.B_of(y)
+        y = quotient_inverse(yp)
+        return np.matvec(-np.asarray(g.lam_of(y))[..., None, None] * g.A_of(y), g.B_of(y))
 
-    return FirstBlockAffineMap(g.spec, 1.0 / g.stretch, quotient_inverse, lam, a_of, b_of, g)
+    return solvrigid.FirstBlockAffineMap(g.spec, 1.0 / g.stretch, quotient_inverse, lam, a_of,
+                                         b_of, inverse_map=g._apply)
 
 
 def radial_escape_words(g: FirstBlockAffineMap, count: int) -> list[FirstBlockAffineMap]:
@@ -186,29 +193,6 @@ def invariant_structure(generators, grid, word_len, resolution):
             for i, d in zip(at, dists.tolist()):
                 defects[i] = max(defects[i], d)
     return points, values, defects, skipped
-
-
-def measure_distortion_check(F, spec, boxes, rng, samples):
-    n = spec.total_dim
-    ratios = []
-    for lo, hi in boxes:
-        lo = np.asarray(lo, dtype=float).reshape(-1)
-        hi = np.asarray(hi, dtype=float).reshape(-1)
-        if lo.shape != (n,) or hi.shape != (n,) or np.any(hi <= lo):
-            continue
-        acc = 0.0
-        for _ in range(samples):
-            x = rng.uniform(lo, hi)
-            f0 = F(from_flat(spec, x)).flat()
-            jac = np.empty((n, n))
-            for j in range(n):
-                xp = x.copy()
-                h = 1e-5 * (1.0 + abs(x[j]))
-                xp[j] += h
-                jac[:, j] = (F(from_flat(spec, xp)).flat() - f0) / h
-            acc += abs(float(np.linalg.det(jac)))
-        ratios.append(acc / samples)
-    return min(ratios), max(ratios)
 
 
 # -- stretch normalization, radial conjugator, rotation witness ---------------

@@ -24,7 +24,6 @@ from solvrigid import (
     kdist,
     normalize_stretch,
     random_row_blocks,
-    rotation_hom,
     rotation_rigidity_witness,
     solve_circumcenter,
     stretch_hom,
@@ -226,8 +225,8 @@ def test_reciprocity_and_homomorphisms():
             comp = g1.compose(g2)
             assert abs(height_hom(comp) - height_hom(g1) - height_hom(g2)) <= 1e-9
             for got, want in zip(
-                rotation_hom(comp),
-                [a @ b for a, b in zip(rotation_hom(g1), rotation_hom(g2))],
+                comp.sim.rotations,
+                [a @ b for a, b in zip(g1.sim.rotations, g2.sim.rotations)],
             ):
                 assert float(np.max(np.abs(got - want))) <= 1e-9
         v = stretch_hom(

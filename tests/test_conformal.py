@@ -14,22 +14,18 @@ from solvrigid import (
     FirstBlockAffineMap,
     InputError,
     act,
-    affine_inverse,
     circumcenter,
     conf_class,
     conformal,
-    conformality_defect,
     ddist,
     dilatation,
-    dilate,
     invariant_structure,
     kdist,
-    measure_distortion_check,
     solve_circumcenter,
 )
 from solvrigid.conformal import ConfField, _orbit_classes
-from solvrigid.fixtures import SPEC_R2, SPEC_ROT, constant_rotation_map, varying_rotation_map
-from solvrigid.spectral import join_blocks, split_rows
+from solvrigid.fixtures import SPEC_ROT, constant_rotation_map
+from solvrigid.spectral import split_rows
 
 import affine_reference
 import conformal_reference
@@ -83,6 +79,11 @@ def _ref_invariant_structure(generators, grid, word_len, resolution):
             worst = max(worst, kdist(mu_gp, act(g.first_block_derivative(p.blocks), mu_p)))
         field_.defects.append(worst)
     return field_
+
+
+def _unshift(y):
+    """The inverse of the fixtures' quotient y + 1."""
+    return [y[0] - 1.0]
 
 
 def _diag_y(y):
@@ -551,7 +552,7 @@ class TestInvariantStructure:
 
     def test_rotation_generator_gives_identity_field_with_zero_defect(self):
         g = constant_rotation_map(0.8)
-        g_inv = affine_inverse(g, lambda y: (y[0] - 1.0,))
+        g_inv = affine_reference.library_inverse(g, _unshift)
         field = invariant_structure([g, g_inv], self._grid(), word_len=3, resolution=0.51)
         for val in field.values:
             assert np.allclose(val, np.eye(2), atol=1e-9)
@@ -564,7 +565,7 @@ class TestInvariantStructure:
             return (y[0] + 1.0,)
 
         g = FirstBlockAffineMap(SPEC_ROT, 1.0, quot, lam_of=lambda y: 1.0, A_of=lambda y: t)
-        g_inv = affine_inverse(g, lambda y: (y[0] - 1.0,))
+        g_inv = affine_reference.library_inverse(g, _unshift)
         field = invariant_structure([g, g_inv], self._grid(), word_len=3, resolution=0.51)
         orbit = [act(np.linalg.matrix_power(t, k), np.eye(2)) for k in range(-3, 4)]
         expect = circumcenter(orbit)
@@ -583,7 +584,7 @@ class TestInvariantStructure:
             SPEC_ROT, 1.0, quot, A_of=_diag_y
         )
         rot = constant_rotation_map(0.8)
-        for gens in ([rot, affine_inverse(rot, lambda y: (y[0] - 1.0,))], [diag, fold]):
+        for gens in ([rot, affine_reference.library_inverse(rot, _unshift)], [diag, fold]):
             field = invariant_structure(gens, self._grid(), word_len=3, resolution=0.51)
             ref = _ref_invariant_structure(gens, self._grid(), 3, 0.51)
             assert len(field.values) == len(ref.values)
@@ -606,10 +607,10 @@ class TestInvariantStructure:
         three = [FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=lambda y: t),
                  FirstBlockAffineMap(SPEC_ROT, 1.0, quot, A_of=_diag_y), rot]
         ref_rot = affine_reference.from_map(rot)
+        rot_inv = affine_reference.library_inverse(rot, _unshift)
         for gens, refs in (
             (three, [affine_reference.from_map(g) for g in three]),
-            ([rot, affine_inverse(rot, lambda y: (y[0] - 1.0,))],
-             [ref_rot, affine_reference.affine_inverse(ref_rot, lambda y: (y[0] - 1.0,))]),
+            ([rot, rot_inv], [ref_rot, affine_reference.from_map(rot_inv)]),
         ):
             field = invariant_structure(gens, grid, word_len=3, resolution=0.51)
             ref_points, values, defects, skipped = affine_reference.invariant_structure(
@@ -649,7 +650,7 @@ class TestInvariantStructure:
         # kdist per generator for the defects; one per word and per covered
         # pair would be 105 + 4 acts and 4 kdists
         g = constant_rotation_map(0.8)
-        gens = [g, affine_inverse(g, lambda y: (y[0] - 1.0,))]
+        gens = [g, affine_reference.library_inverse(g, _unshift)]
         acts = count_calls(conformal, name="act")
         kdists = count_calls(conformal, name="kdist")
         field = invariant_structure(gens, self._grid(), word_len=3, resolution=0.51)
@@ -684,43 +685,3 @@ class TestInvariantStructure:
         field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.51)
         with pytest.raises(error):
             field.value_at(p)
-        ident = FirstBlockAffineMap(SPEC_ROT, 1.0, lambda y: y)
-        with pytest.raises(error):
-            conformality_defect(ident, field, field, p)
-
-    def test_conformality_defect_of_identity_is_one(self):
-        field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.51)
-        ident = FirstBlockAffineMap(SPEC_ROT, 1.0, lambda y: y)
-        p = np.array([0.0, 0.0, 1.0])
-        assert conformality_defect(ident, field, field, p) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestMeasureDistortion:
-    def test_dilation_band_is_exact_jacobian(self):
-        t = 1.5
-        expected = t ** sum(SPEC_R2.exponents)
-
-        class Dil:
-            def eval_blocks(self, blocks):
-                return split_rows(SPEC_R2, dilate(SPEC_R2, t, join_blocks(blocks)))
-
-        boxes = [(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
-                 (np.array([0.0, 0.0]), np.array([2.0, 2.0]))]
-        lo, hi = measure_distortion_check(Dil(), SPEC_R2, boxes, np.random.default_rng(1), samples=50)
-        assert lo == pytest.approx(expected, rel=1e-3)
-        assert hi == pytest.approx(expected, rel=1e-3)
-
-    def test_rows_equal_the_per_sample_reference(self):
-        g = varying_rotation_map()
-        boxes = [(np.array([-1.0, -1.0, -2.0]), np.array([1.0, 0.5, 2.0])),
-                 (np.zeros(3), np.ones(3))]
-        got = measure_distortion_check(g, SPEC_ROT, boxes, np.random.default_rng(2), samples=300)
-        want = affine_reference.measure_distortion_check(
-            affine_reference.from_map(g), SPEC_ROT, boxes, np.random.default_rng(2), 300)
-        assert got == want
-
-    def test_degenerate_boxes_rejected(self):
-        with pytest.raises(InputError):
-            measure_distortion_check(
-                lambda p: p, SPEC_R2, [(np.ones(2), np.ones(2))], np.random.default_rng(0)
-            )

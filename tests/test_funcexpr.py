@@ -226,6 +226,14 @@ def test_a_python_built_oscillation_takes_only_finite_weights_and_phase(weights,
                           [Osc([1.0], weights, phase, BlockVar(1, 1)), Const([0.0])])
 
 
+@pytest.mark.parametrize("xs, ys", [([0.0, math.inf], [0.0, math.inf]),
+                                    ([0.0, 1.0], [0.0, math.nan]), ([-math.inf, 0.0], [1.0, 0.0])])
+def test_a_python_built_table_takes_only_finite_knots_and_values(xs, ys):
+    # knots and values of inf gave an inf / inf slope, and numpy's RuntimeWarning
+    with pytest.raises(InputError, match="piecewise-linear"):
+        Pwl(xs, ys, BlockVar(1, 1))
+
+
 def _displacement():
     """Block 0's Displacement node of a three-letter word."""
     a = AlmostTranslation(SPEC, [Osc([0.3, -0.2], [1.0], 0.1, BlockVar(1, 1)), Const([1.5])])

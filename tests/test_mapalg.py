@@ -3,6 +3,7 @@ rotation-rigidity witness search."""
 
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 from solvrigid import (
     ASimMap,
     AlmostTranslation,
-    BlockMap,
     BlockPoint,
     BlockVar,
     BoundaryPair,
@@ -30,14 +30,13 @@ from solvrigid import (
     SimMap,
     SpectralData,
     Sum,
-    affine_inverse,
     check_reciprocity,
     check_triangularity,
     classify,
     conjugate_almost_by_sim,
+    estimate_qsim_constants,
     height_hom,
     random_row_blocks,
-    rotation_hom,
     rotation_rigidity_witness,
     stretch_hom,
 )
@@ -411,15 +410,15 @@ def _unshift(y):
 
 
 def _row_maps():
-    """Boundary maps on SPEC_ROT: a similarity with rotations, words, and block maps."""
+    """Boundary maps on SPEC_ROT: a similarity with rotations, words, and first-block affine
+    maps, one of them with a constant block."""
     s = SimMap(SPEC_ROT, 1.3, [_rot(0.7), -np.eye(1)], [np.array([0.4, -0.2]), np.array([0.3])])
     a = AlmostTranslation(SPEC_ROT, [Osc([0.3, -0.2], [1.0], 0.1, BlockVar(1, 1)), Const([0.7])])
     word = a.compose(a.inverse()).compose(a)
     asim = ASimMap(s, word)
-    generic = BlockMap(SPEC_ROT, [
-        Sum((BlockVar(0, 2), Osc([0.5, 0.1], [1.0], 0.0, BlockVar(1, 1)))),
-        Const([1.0]),
-    ])
+    # block 0 moved by a function of block 1, block 1 sent to a constant block
+    generic = FirstBlockAffineMap(SPEC_ROT, 1.0, lambda y: [np.ones(1)],
+                                  B_of=lambda y: np.sin(y[0]) * [0.5, 0.1])
     return {
         "sim": s,
         "word": word,
@@ -429,7 +428,7 @@ def _row_maps():
         "asim-word": asim.compose(_asim_letter(np.random.default_rng(3))),
         "block-map": generic,
         "affine": varying_rotation_map().compose(constant_rotation_map(0.5)),
-        "affine-inverse": affine_inverse(constant_rotation_map(0.9), _unshift),
+        "affine-inverse": affine_reference.library_inverse(constant_rotation_map(0.9), _unshift),
     }
 
 
@@ -599,12 +598,6 @@ class TestWordCertificates:
 
 
 class TestTriangularity:
-    def test_block_map_constructor_enforces_structure(self):
-        from solvrigid import BlockVar
-
-        with pytest.raises(InputError):
-            BlockMap(SPEC_NIL, [BlockVar(0, 1), BlockVar(0, 1)])
-
     def test_probe_check_passes_on_sim(self):
         s = SimMap(SPEC_NIL, 3.0)
         assert check_triangularity(s, SPEC_NIL).passed
@@ -616,6 +609,12 @@ class TestTriangularity:
         verdict = check_triangularity(bad, SPEC_NIL)
         assert not verdict.passed
         assert verdict.worst_pair == (1, 0)
+
+    @pytest.mark.parametrize("probes", [0, -1, 2.5, "x"])
+    def test_probes_below_one_rejected(self, probes):
+        # no probe found no response, so probes=0 passed by construction
+        with pytest.raises(InputError):
+            check_triangularity(SimMap(SPEC_NIL, 3.0), SPEC_NIL, probes=probes)
 
 
 class TestClassification:
@@ -633,10 +632,26 @@ class TestClassification:
         assert c.kind == "ASim" and c.stretch == pytest.approx(2.0)
 
     def test_bilip_map(self):
-        squeeze = BlockMap(SPEC_NIL, [Lin([[1.5]], BlockVar(0, 1)), BlockVar(1, 1)])
+        squeeze = FirstBlockAffineMap(SPEC_NIL, 1.0, lambda y: y, lam_of=lambda y: 1.5)
         c = classify(SPEC_NIL, squeeze, self._pairs(300, 5.0))
         assert c.kind in ("Bilip", "QSim")
         assert c.K > 1.0
+
+    @pytest.mark.parametrize("F, gap", [
+        (FirstBlockAffineMap(SPEC_NIL, 1.0, lambda y: [np.ones(1)], lam_of=lambda y: 0.0), 1.0),
+        (FirstBlockAffineMap(SPEC_NIL, 1.0, lambda y: y, B_of=lambda y: 1e300 * (y[0] > 0)),
+         1e-20),
+    ], ids=["ratio-0", "ratio-inf"])
+    def test_pairs_with_a_ratio_of_0_or_inf_rejected(self, F, gap):
+        # lam 0 and a constant quotient send both points of a pair to one image (ratio 0); a
+        # jump of 1e300 across y = 0 moves points 1e-10 apart by 1e300 (ratio inf). np.log
+        # warned, and the map read as QSim with K NaN
+        pairs = np.zeros((20, 2, SPEC_NIL.total_dim))
+        pairs[:, :, 0] = np.linspace(-1.0, 1.0, 20)[:, None]
+        pairs[:, 1, 1] = gap
+        for measure in (classify, estimate_qsim_constants):
+            with pytest.raises(DomainError, match="20 of 20"):
+                measure(SPEC_NIL, F, pairs)
 
 
 class TestHomomorphisms:
@@ -651,8 +666,8 @@ class TestHomomorphisms:
     def test_rotation_multiplicative(self):
         s1 = ASimMap(SimMap(SPEC_ROT, 1.0, [_rot(0.4), np.eye(1)]), AlmostTranslation.identity(SPEC_ROT))
         s2 = ASimMap(SimMap(SPEC_ROT, 2.0, [_rot(1.1), np.eye(1)]), AlmostTranslation.identity(SPEC_ROT))
-        r12 = rotation_hom(s1.compose(s2))
-        expect = [a @ b for a, b in zip(rotation_hom(s1), rotation_hom(s2))]
+        r12 = s1.compose(s2).sim.rotations
+        expect = [a @ b for a, b in zip(s1.sim.rotations, s2.sim.rotations)]
         for got, want in zip(r12, expect):
             assert np.allclose(got, want, atol=1e-12)
 
@@ -670,6 +685,17 @@ class TestHomomorphisms:
         els = [SimMap(SPEC_NIL, 2.0), SimMap(SPEC_NIL, 3.0)]
         with pytest.raises(NotInUniformSubgroup):
             stretch_hom(els, [[1.0], [1.0]])
+
+    @pytest.mark.parametrize("stretch, v, error", [
+        (math.inf, 1.0, NotInUniformSubgroup), (math.nan, 1.0, NotInUniformSubgroup),
+        (2.0, math.inf, InputError), (2.0, math.nan, InputError),
+    ])
+    def test_non_finite_stretches_and_spanning_vectors_rejected(self, stretch, v, error):
+        # a NaN residual passed (v read [nan]), and a non-finite spanning vector
+        # reached LAPACK, which raised numpy's LinAlgError
+        els = [SimpleNamespace(stretch=stretch), SimMap(SPEC_NIL, 2.0)]
+        with pytest.raises(error):
+            stretch_hom(els, [[v], [1.0]])
 
 
 class TestReciprocity:
@@ -695,13 +721,14 @@ class TestFirstBlockAffine:
             p = random_point(SPEC_ROT, RNG, 3.0)
             assert isclose(comp(p), f(g(p)), atol=1e-12)
 
-    def test_affine_inverse(self):
-        g = constant_rotation_map(0.9)
-        g_inv = affine_inverse(g, lambda y: (y[0] - 1.0,))
-        for _ in range(20):
-            p = random_point(SPEC_ROT, RNG, 3.0)
-            assert isclose(g_inv(g(p)), p, atol=1e-12)
-            assert isclose(BlockPoint(tuple(g_inv.invert_blocks(g_inv(p).blocks))), p, atol=1e-12)
+    @pytest.mark.parametrize("stretch, error", [
+        (0.0, DomainError), (-1.0, DomainError), (math.inf, DomainError), (math.nan, DomainError),
+        ([1.0, 2.0], DimensionMismatch),
+    ])
+    def test_stretch_is_one_positive_finite_number(self, stretch, error):
+        # height_hom raised a bare ValueError on these, or read a stack
+        with pytest.raises(error):
+            FirstBlockAffineMap(SPEC_ROT, stretch, lambda y: y)
 
     def test_missing_inverse_raises(self):
         g = constant_rotation_map()
@@ -713,12 +740,12 @@ def _affine_pairs():
     """Library maps and their per-point closure copies, built from the same callables."""
     rot, vary = constant_rotation_map(0.9), varying_rotation_map()
     ref_rot, ref_vary = affine_reference.from_map(rot), affine_reference.from_map(vary)
+    inverse = affine_reference.library_inverse(vary, _unshift)
     return {
         "rotation": (rot, ref_rot),
         "varying": (vary, ref_vary),
         "composite": (vary.compose(rot), ref_vary.compose(ref_rot)),
-        "inverse": (affine_inverse(vary, _unshift),
-                    affine_reference.affine_inverse(ref_vary, _unshift)),
+        "inverse": (inverse, affine_reference.from_map(inverse)),
         "radial-word": (radial_escape_words(3)[-1],
                         affine_reference.radial_escape_words(
                             affine_reference.from_map(radial_generator()), 3)[-1]),

@@ -62,20 +62,15 @@ def test_every_option_is_set_by_some_caller():
 # Exports that only tests call, each waiting for the roadmap item that gives it a
 # caller or deletes it.
 WAITING = {
-    "BlockMap": "ROADMAP item 10",
-    "affine_inverse": "ROADMAP item 10",
     "check_reciprocity": "ROADMAP item 2",
-    "conformality_defect": "ROADMAP item 10",
     "dilatation": "ROADMAP item 5",
     "displacement_bound": "ROADMAP item 9",
     "expr_from_json": "ROADMAP item 9",
     "invariant_structure": "ROADMAP item 5",
     "level_distance": "ROADMAP item 7",
-    "measure_distortion_check": "ROADMAP item 2",
     "normalize_stretch": "ROADMAP item 5",
     "probe_lipschitz": "ROADMAP item 9",
     "radial_conjugator": "ROADMAP item 5",
-    "rotation_hom": "ROADMAP item 10",
     "rotation_rigidity_witness": "ROADMAP item 5",
     "suspend_boundary_map": "ROADMAP item 6",
     "tau_project": "ROADMAP item 9",

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from solvrigid import (
-    BlockMap,
-    BlockVar,
     ChainGrid,
-    Const,
     DimensionMismatch,
     DomainError,
+    FirstBlockAffineMap,
     InputError,
     SimMap,
     SpectralData,
@@ -277,7 +275,7 @@ class TestQsimConstants:
     def test_constant_component_is_shared_by_the_rows(self):
         rng = np.random.default_rng(6)
         pairs = rng.uniform(-2, 2, (50, 2, SPEC_R2.total_dim))
-        collapse = BlockMap(SPEC_R2, [BlockVar(0, 1), Const([1.0])])
+        collapse = FirstBlockAffineMap(SPEC_R2, 1.0, lambda y: [np.ones(1)])
         images = [[collapse(reference.from_flat(SPEC_R2, x)).flat() for x in pair]
                   for pair in pairs]
         logs = np.log([distance(SPEC_R2, *image) / distance(SPEC_R2, *pair)

@@ -460,6 +460,18 @@ class TestBoundaryCorrespondence:
         with pytest.raises(InputError, match="triangularity"):
             suspend_boundary_map(PURE, Shear(), 0.0)
 
+    def test_suspension_probes_every_map_whatever_its_attributes(self):
+        # a map with a ``components`` attribute skipped the probe check
+        class Shear(BoundaryMap):
+            spec = SPEC_R2
+            components = ()
+
+            def _apply(self, blocks):
+                return [blocks[0], blocks[1] + blocks[0]]
+
+        with pytest.raises(InputError, match=r"triangularity check at \(1, 0\)"):
+            suspend_boundary_map(PURE, Shear(), 0.0)
+
     @pytest.mark.parametrize("shift, error", [
         ("x", InputError), (math.nan, InputError), (math.inf, InputError),
         ([1.0, 2.0], DimensionMismatch), ([[0.5]], DimensionMismatch),

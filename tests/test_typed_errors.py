@@ -15,7 +15,6 @@ from solvrigid import (
     ASimMap,
     AbsPow,
     AlmostTranslation,
-    BlockMap,
     BlockPoint,
     BlockVar,
     ChainGrid,
@@ -41,7 +40,6 @@ from solvrigid import (
     inverse,
     kdist,
     level_distance,
-    measure_distortion_check,
     multiply,
     pair_to_point,
     pair_to_point_bisect,
@@ -203,12 +201,14 @@ def _reads_solv_points(fn):
 
 
 def _boundary_maps():
-    """A rotation similarity, an almost-translation word, their composite and a block map."""
+    """A rotation similarity, an almost-translation word, their composite and a shear of
+    block 0 that sends block 1 to a constant block."""
     s = SimMap(SPEC_ROT, 1.3, [[[0.6, -0.8], [0.8, 0.6]], [[-1.0]]], [[0.4, -0.2], [0.3]])
     a = AlmostTranslation(SPEC_ROT, [Osc([0.3, -0.2], [1.0], 0.1, BlockVar(1, 1)), Const([0.7])])
     word = a.compose(a.inverse())
-    return [s, word, ASimMap(s, word),
-            BlockMap(SPEC_ROT, [Lin([[1.0, 2.0], [0.0, 1.0]], BlockVar(0, 2)), Const([1.0])])]
+    shear = FirstBlockAffineMap(SPEC_ROT, 1.0, lambda y: [np.ones(1)],
+                                A_of=lambda y: np.array([[1.0, 2.0], [0.0, 1.0]]))
+    return [s, word, ASimMap(s, word), shear]
 
 
 # any finite coordinate, and non-finite ones: an image beyond float range reads inf
@@ -382,17 +382,10 @@ def _invariant_structure(grid):
     return invariant_structure([constant_rotation_map()], grid, 1)
 
 
-def _measure_distortion(boxes):
-    return measure_distortion_check(constant_rotation_map(), SPEC_ROT, boxes,
-                                    np.random.default_rng(0), samples=8)
-
-
 def _circumcenter(classes, tol):
     return solve_circumcenter(classes, tol, max_iters=50)
 
 
-# a box corner of SPEC_ROT of any floats, or any of the file's arrays
-corners = hnp.arrays(float, 3, elements=coordinates) | arrays
 grids = hnp.arrays(float, st.tuples(st.integers(0, 4), st.just(3)), elements=coordinates) | arrays
 solv_spec_json = st.fixed_dictionaries(
     {}, optional={"lower": spec_json, "upper": spec_json}) | spec_json
@@ -445,8 +438,6 @@ TARGETS = {
     "SimMap": (st.tuples(st.floats(0.1, 10.0) | numbers | arrays, rotations, translations),
                _sim_map),
     "invariant_structure": (st.tuples(grids), _invariant_structure),
-    "measure_distortion_check": (st.tuples(st.lists(st.tuples(corners, corners), max_size=2)),
-                                 _measure_distortion),
     "solve_circumcenter": (st.tuples(stacks | st.lists(stacks, max_size=2), st.just(1e-9)),
                            _circumcenter),
     "solve_circumcenter_tol": (st.tuples(st.just([np.eye(2), np.diag([2.0, 0.5])]),
@@ -509,8 +500,8 @@ def test_a_class_without_eigendecomposition_rejected(fn):
 def test_images_beyond_float_range_read_inf():
     big = [np.full((2, 2), 1e308), np.full((2, 1), 1e308)]
     s = SimMap(SPEC_ROT, 2.0)
-    block_map = BlockMap(SPEC_ROT, [Lin([[2.0, 0.0], [0.0, 2.0]], BlockVar(0, 2)), Const([1.0])])
-    for F in (s, ASimMap(s, AlmostTranslation.identity(SPEC_ROT)), block_map):
+    affine = FirstBlockAffineMap(SPEC_ROT, 2.0, lambda y: [np.ones(1)])
+    for F in (s, ASimMap(s, AlmostTranslation.identity(SPEC_ROT)), affine):
         image = F.eval_blocks(big)
         assert np.isinf(image[0]).all()
 
@@ -533,8 +524,7 @@ def test_nodes_inside_maps_are_not_checked_again(monkeypatch):
     monkeypatch.setattr(funcexpr, "require_blocks", lambda spec, b: checks.append(b) or b)
     a = AlmostTranslation(SPEC_ROT, [Osc([0.3, -0.2], [1.0], 0.1, BlockVar(1, 1)), Const([0.7])])
     word = a.compose(a.inverse())
-    block_map = BlockMap(SPEC_ROT, [Lin([[1.0, 2.0], [0.0, 1.0]], BlockVar(0, 2)), Const([1.0])])
-    for F in (word, ASimMap(SimMap(SPEC_ROT, 1.3), word), block_map):
+    for F in (word, ASimMap(SimMap(SPEC_ROT, 1.3), word)):
         F.eval_blocks([np.zeros((3, 2)), np.ones((3, 1))])
     assert checks == []
     a.perturbations[0]([np.zeros(2), np.ones(1)])
@@ -578,7 +568,7 @@ def test_one_reader_of_outside_numbers():
     assert _owners(_converts_to_float) == ["spectral.floats"]
 
 
-@pytest.mark.parametrize("cls", [AlmostTranslation, ASimMap, BlockMap, FirstBlockAffineMap, SimMap])
+@pytest.mark.parametrize("cls", [AlmostTranslation, ASimMap, FirstBlockAffineMap, SimMap])
 def test_maps_take_the_one_checked_entry(cls):
     assert issubclass(cls, BoundaryMap)
     assert cls.eval_blocks is BoundaryMap.eval_blocks
