@@ -50,6 +50,7 @@ from .nilpotent import (
     displacement_bound,
     epsilon_bound,
     orbit_growth,
+    oscillation,
     root_power_word,
     tau_project,
 )

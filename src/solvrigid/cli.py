@@ -26,6 +26,7 @@ from .nilpotent import (
     approx_lth_root,
     default_probes,
     epsilon_bound,
+    oscillation,
     root_power_word,
 )
 from .quasimetric import ChainGrid, chain_energy, dilate, distance, enumerate_chain_cost
@@ -434,11 +435,7 @@ def run_roots(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
         probes = np.concatenate(list(random_row_blocks(spec, rng, cfg.probe_count, 1, 4.0)))[:, 0]
         vals = gamma.perturbations[i](split_rows(spec, probes))
         vals = np.broadcast_to(vals, (len(probes), spec.multiplicities[i]))
-        # pairwise distances in blocks of 2**13 elements: memory stays flat (2**14 raised peak RSS)
-        rows = max(1, 2**13 // len(vals))
-        osc = _worst([np.linalg.norm(vals[j:j + rows, None] - vals[None], axis=-1).max()
-                      for j in range(0, len(vals), rows)])
-        ratios.append(osc / bound)
+        ratios.append(oscillation(vals) / bound)
     checks.append(_check("epsilon-bound-dominates", _worst(ratios), 1.0))
     return checks
 

@@ -27,20 +27,24 @@ _BREAK = 0.4  # slope 1.5 on [0, 0.4), slope 2/3 on [0.4, 1), shift by 1 elsewhe
 
 
 def _pw_fn(x):
-    return np.where(x < 0.0, x + 1.0,
-                    np.where(x < _BREAK, 1.0 + 1.5 * x,
-                             np.where(x < 1.0, 1.6 + (2.0 / 3.0) * (x - _BREAK), x + 1.0)))
+    out, x = np.asarray(x + 1.0), np.asarray(x)  # out: a 0-d array for a scalar
+    bump = (0.0 <= x) & (x < 1.0)
+    xb = x[bump]
+    out[bump] = np.where(xb < _BREAK, 1.0 + 1.5 * xb, 1.6 + (2.0 / 3.0) * (xb - _BREAK))
+    return out
 
 
 def _pw_dfn(x):
-    return np.where((0.0 <= x) & (x < _BREAK), 1.5,
-                    np.where((_BREAK <= x) & (x < 1.0), 2.0 / 3.0, 1.0))
+    x = np.asarray(x)
+    return np.where((0.0 <= x) & (x < 1.0), np.where(x < _BREAK, 1.5, 2.0 / 3.0), 1.0)
 
 
 def _pw_inv(u):
-    return np.where(u < 1.0, u - 1.0,
-                    np.where(u < 1.6, (u - 1.0) / 1.5,
-                             np.where(u < 2.0, _BREAK + 1.5 * (u - 1.6), u - 1.0)))
+    out, u = np.asarray(u - 1.0), np.asarray(u)
+    bump = (1.0 <= u) & (u < 2.0)
+    ub = u[bump]
+    out[bump] = np.where(ub < 1.6, (ub - 1.0) / 1.5, _BREAK + 1.5 * (ub - 1.6))
+    return out
 
 
 def piecewise_1d_sample(word_len: int = 12) -> GroupSample:

@@ -12,6 +12,7 @@ conformal word orbits all walk it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -210,6 +211,20 @@ def epsilon_bound(gamma: AlmostTranslation, i: int) -> float:
         for j in range(i + 1, spec.r)
     ]
     return max(vals, default=0.0)
+
+
+def oscillation(vals: np.ndarray) -> float:
+    """The largest Euclidean gap between two of the ``(N, n)`` rows of values, NaN if one is
+    NaN: the sampled oscillation that ``epsilon_bound`` must dominate. On a block of width one
+    it is max - min in one pass, bit for bit the pairwise maximum where the gaps' squares are
+    normal (sqrt(RN(d*d)) = |d|, and a rounded difference is monotone) and exact where they are
+    not. Wider blocks take the pairwise maximum in chunks of 2**13 gaps: memory stays flat."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a square beyond float range reads inf
+        if vals.shape[1] == 1:
+            return abs(float(np.max(vals) - np.min(vals)))  # abs: -0.0 - 0.0 reads -0.0
+        rows = max(1, 2**13 // len(vals))
+        return float(np.max([np.linalg.norm(vals[j:j + rows, None] - vals[None], axis=-1).max()
+                             for j in range(0, len(vals), rows)]))
 
 
 def tau_project(gamma: AlmostTranslation, j: int) -> np.ndarray:
@@ -424,15 +439,13 @@ class ExactWord:
         return all(self.apply(p) == p for p in probes)
 
 
-def default_probes(dims: Sequence[int]) -> list[tuple[FracVec, ...]]:
-    """Rational probe points used for word-equality and kernel checks."""
+@functools.cache
+def default_probes(dims: tuple[int, ...]) -> tuple[tuple[FracVec, ...], ...]:
+    """Rational probe points used for word-equality and kernel checks: one cached
+    tuple per block structure, built on its first call."""
     vals = [Fraction(0), Fraction(1, 3), Fraction(-7, 5), Fraction(13, 4), Fraction(-11, 7)]
-    probes = []
-    for k, v in enumerate(vals):
-        probes.append(
-            tuple(tuple(v + Fraction(j + k, 11) for j in range(n)) for n in dims)
-        )
-    return probes
+    return tuple(tuple(tuple(v + Fraction(j + k, 11) for j in range(n)) for n in dims)
+                 for k, v in enumerate(vals))
 
 
 def _exact_solve(columns: list[FracVec], target: FracVec) -> list[Fraction]:

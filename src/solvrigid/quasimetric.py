@@ -219,7 +219,7 @@ def _image_rows(spec: SpectralData, F, P: np.ndarray) -> np.ndarray:
 
 def _qsim_logs(spec: SpectralData, F, samples) -> tuple[float, float, np.ndarray]:
     """(N, K, log ratios) on the sample pairs, pairs at distance 0 skipped; DomainError
-    where an image/preimage distance ratio is 0 or not finite."""
+    where an image gap is not finite or an image/preimage distance ratio is 0 or not finite."""
     if not hasattr(F, "eval_blocks"):
         raise InputError(f"{type(F).__name__} is not a boundary map: it has no eval_blocks")
     samples = floats(samples, "samples")
@@ -232,9 +232,12 @@ def _qsim_logs(spec: SpectralData, F, samples) -> tuple[float, float, np.ndarray
     keep = d != 0.0
     if not keep.any():
         raise InputError("no non-degenerate sample pairs")
-    P, Q = P[keep], Q[keep]
-    with np.errstate(over="ignore"):  # a ratio beyond float range reads inf
-        ratios = distance(spec, _image_rows(spec, F, P), _image_rows(spec, F, Q)) / d[keep]
+    FP, FQ = _image_rows(spec, F, P[keep]), _image_rows(spec, F, Q[keep])
+    with np.errstate(over="ignore", invalid="ignore"):  # beyond float range reads inf
+        gaps = np.count_nonzero(~np.isfinite(FP - FQ).all(axis=1))
+        if gaps:
+            raise DomainError(f"{gaps} of {len(FP)} sample pairs have a non-finite image gap")
+        ratios = distance(spec, FP, FQ) / d[keep]
     bad = np.count_nonzero(~((0.0 < ratios) & (ratios < math.inf)))
     if bad:
         raise DomainError(f"{bad} of {len(ratios)} sample pairs have an image/preimage "

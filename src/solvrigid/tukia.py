@@ -96,8 +96,9 @@ def sup_measure_1d(
         x, deriv, stretch, alive = state
         x, deriv, stretch = _chain_1d(gens, letter, (x, deriv, stretch))
         ok = (deriv != 0.0) & np.isfinite(deriv) & np.isfinite(x)
-        bad[alive & ~ok] = True
-        alive = alive & ok
+        if not ok.all():
+            bad[alive & ~ok] = True
+            alive = alive & ok
         return (x, deriv, stretch, alive) if alive.any() else None
 
     values = np.zeros_like(xs)

@@ -23,6 +23,7 @@ from solvrigid import (
     height_hom,
     kdist,
     normalize_stretch,
+    oscillation,
     random_row_blocks,
     rotation_rigidity_witness,
     solve_circumcenter,
@@ -195,8 +196,7 @@ def test_nilpotent_algorithms():
             ]
             for i in range(spec.r):
                 vals = np.asarray([gamma.perturbations[i](p.blocks) for p in pts])
-                osc = float(np.max(vals) - np.min(vals))
-                assert osc <= epsilon_bound(gamma, i) + 1e-12
+                assert oscillation(vals) <= epsilon_bound(gamma, i) + 1e-12
             bound = displacement_bound(gamma, [gamma])
             worst = max(float(np.linalg.norm(gamma(p).flat() - p.flat())) for p in pts[:1000])
             assert worst <= bound + 1e-12

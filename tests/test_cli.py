@@ -3,6 +3,8 @@ emission, and determinism."""
 
 import json
 import math
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,9 @@ import pytest
 from solvrigid import cli, conformal, fixtures, mapalg, nilpotent, quasimetric, solvgroup, spectral
 from solvrigid.conformal import act, conf_class, kdist
 from solvrigid.cli import MAX_GRID_POINTS, ConfigError, RunConfig, main
+from solvrigid.funcexpr import BlockVar, Const, Osc
 from solvrigid.mapalg import ASimMap, SimMap
-from solvrigid.nilpotent import epsilon_bound
+from solvrigid.nilpotent import AlmostTranslation, epsilon_bound
 from solvrigid.quasimetric import distance
 from solvrigid.solvgroup import (
     SolvPoint,
@@ -382,6 +385,30 @@ def test_epsilon_check_compares_every_probe(monkeypatch):
     checks = {c["name"]: c for c in cli.run_roots(RunConfig(), np.random.default_rng(0))}
     eps = checks["epsilon-bound-dominates"]
     assert not eps["passed"] and eps["defect"] > eps["tolerance"] == 1.0
+
+
+def test_epsilon_check_reads_a_gap_whose_square_overflows(monkeypatch):
+    # B_1 = 1e154 sin(x_2): the squares of its sampled gaps, near 2e154, leave float range,
+    # so the pairwise maximum read inf (a null defect) and warned once per chunk
+    wide = Osc(amp=[1e154], weights=[1.0], phase=0.0, child=BlockVar(1, 1))
+    gamma = AlmostTranslation(fixtures.SPEC_NIL, [wide, Const([4.0])], K=2.0)
+    monkeypatch.setattr(cli.fixtures, "oscillating_kernel_element", lambda: gamma)
+    monkeypatch.setattr(cli, "epsilon_bound", lambda gamma, i: 1e155)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checks = {c["name"]: c for c in cli.run_roots(RunConfig(), np.random.default_rng(0))}
+    eps = checks["epsilon-bound-dominates"]
+    assert eps["passed"] and 0.19 < eps["defect"] < 0.2
+
+
+@pytest.mark.parametrize("probes, report", [(1000, "roots-d845b4c4ec7de247.json"),
+                                            (20_000, "roots-095c053cf6dc4ff7.json")])
+def test_roots_reports_pinned_and_linear_in_probe_count(probes, report, tmp_path):
+    start = time.perf_counter()
+    assert cli.run("roots", RunConfig(probe_count=probes), tmp_path) == 0
+    # at 20 000 probes the pairwise maximum over 4e8 gaps took 2.6-3.7 s
+    assert time.perf_counter() - start < 1.0
+    assert [p.name for p in _reports(tmp_path)] == [report]
 
 
 def _per_sample_conformal(rng) -> tuple[float, float]:

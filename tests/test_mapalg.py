@@ -43,6 +43,7 @@ from solvrigid import (
 from solvrigid.fixtures import (
     SPEC_NIL,
     SPEC_ROT,
+    SPEC_STRETCH,
     constant_rotation_map,
     matched_boundary_pair,
     mismatched_boundary_pair,
@@ -652,6 +653,20 @@ class TestClassification:
         for measure in (classify, estimate_qsim_constants):
             with pytest.raises(DomainError, match="20 of 20"):
                 measure(SPEC_NIL, F, pairs)
+
+
+    def test_an_image_gap_beyond_float_range_is_the_maps_fault(self):
+        # finite samples that the map sends 3e308 apart: the distance of the images raised
+        # InputError, blaming the caller's points
+        F = FirstBlockAffineMap(spec=SPEC_STRETCH, stretch=1e308, quotient=lambda y: [y[0]])
+        pairs = np.array([[(1.5, 0.3), (-1.5, 0.3)], [(0.2, 0.1), (0.4, 0.7)]])
+        for measure in (classify, estimate_qsim_constants):
+            with pytest.raises(DomainError, match="1 of 2 sample pairs have a non-finite image gap"):
+                measure(SPEC_STRETCH, F, pairs)
+            pairs[0, 0, 0] = math.inf  # a non-finite sample is still the caller's
+            with pytest.raises(InputError):
+                measure(SPEC_STRETCH, F, pairs)
+            pairs[0, 0, 0] = 1.5
 
 
 class TestHomomorphisms:

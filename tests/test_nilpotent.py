@@ -25,6 +25,7 @@ from solvrigid import (
     distance,
     epsilon_bound,
     orbit_growth,
+    oscillation,
     root_power_word,
     tau_project,
 )
@@ -47,6 +48,15 @@ RNG = np.random.default_rng(23)
 # negative, zero and non-dyadic rationals
 _rationals = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=50),
                        st.fractions(-10**6, 10**6))
+
+
+# magnitudes far enough from 0 and inf that the squares of their gaps stay normal
+_MAGNITUDES = st.floats(2.0 ** -100, 2.0 ** 100)
+
+
+def _pairwise_max(vals) -> float:
+    """The largest norm of all N^2 row differences, in one array."""
+    return float(np.linalg.norm(vals[:, None] - vals[None], axis=-1).max())
 
 
 def _rand_point():
@@ -147,6 +157,30 @@ class TestBounds:
     def test_epsilon_bound_zero_for_top_block(self):
         gamma = oscillating_kernel_element()
         assert epsilon_bound(gamma, SPEC_NIL.r - 1) == 0.0
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), _MAGNITUDES, _MAGNITUDES.map(lambda m: -m)),
+                    min_size=1, max_size=40), st.integers(-359, 410))
+    @settings(max_examples=200, deadline=None)
+    def test_width_one_oscillation_is_the_pairwise_maximum(self, values, e):
+        # nonzero values have magnitudes in 2^e [2^-100, 2^100], so every nonzero gap lies in
+        # 2^e [2^-152, 2^101], inside [2^-511, 2^511]: all squares are normal
+        vals = np.array(values)[:, None] * 2.0 ** e
+        assert oscillation(vals).hex() == _pairwise_max(vals).hex()
+
+    def test_width_one_oscillation_is_exact_where_squares_leave_normal_range(self):
+        # the only values where max - min and the pairwise maximum differ: the squares of
+        # these gaps underflow to 0 or overflow to inf
+        for vals, gap in (([2.0 ** -540, 0.0], 2.0 ** -540), ([1e154, -1e154], 2e154)):
+            vals = np.array(vals)[:, None]
+            assert oscillation(vals) == gap
+            with np.errstate(under="ignore", over="ignore"):
+                assert _pairwise_max(vals) in (0.0, math.inf)
+
+    def test_wider_blocks_take_the_pairwise_maximum(self):
+        vals = RNG.uniform(-3.0, 3.0, (300, 2))  # 300**2 gaps: 11 chunks
+        assert oscillation(vals) == _pairwise_max(vals)
+        vals[7, 1] = math.nan
+        assert math.isnan(oscillation(vals))
 
     def test_displacement_bound_dominates(self):
         from solvrigid import distance
@@ -455,6 +489,12 @@ class TestRootCost:
         probes, r = len(default_probes(gens[0].dims)), len(gens[0].dims)
         # per level every probe and the zero point, then the final identity check
         assert len(calls) == r * (probes + 1) + probes
+
+    def test_default_probes_built_once_per_block_structure(self):
+        probes = default_probes((1, 1))
+        assert probes is default_probes((1, 1)) and probes is not default_probes((1,))
+        # immutable all the way down, so no caller can change another's probes
+        assert isinstance(probes, tuple) and all(isinstance(p, tuple) for p in probes)
 
     def test_constant_perturbations_converted_once(self, count_calls):
         gens, _, _ = exact_r2_fixture()
