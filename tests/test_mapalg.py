@@ -654,7 +654,6 @@ class TestClassification:
             with pytest.raises(DomainError, match="20 of 20"):
                 measure(SPEC_NIL, F, pairs)
 
-
     def test_an_image_gap_beyond_float_range_is_the_maps_fault(self):
         # finite samples that the map sends 3e308 apart: the distance of the images raised
         # InputError, blaming the caller's points

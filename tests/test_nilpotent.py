@@ -158,8 +158,9 @@ class TestBounds:
         gamma = oscillating_kernel_element()
         assert epsilon_bound(gamma, SPEC_NIL.r - 1) == 0.0
 
-    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), _MAGNITUDES, _MAGNITUDES.map(lambda m: -m)),
-                    min_size=1, max_size=40), st.integers(-359, 410))
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), _MAGNITUDES,
+                              _MAGNITUDES.map(lambda m: -m)), min_size=1, max_size=40),
+           st.integers(-359, 410))
     @settings(max_examples=200, deadline=None)
     def test_width_one_oscillation_is_the_pairwise_maximum(self, values, e):
         # nonzero values have magnitudes in 2^e [2^-100, 2^100], so every nonzero gap lies in
@@ -177,7 +178,7 @@ class TestBounds:
                 assert _pairwise_max(vals) in (0.0, math.inf)
 
     def test_wider_blocks_take_the_pairwise_maximum(self):
-        vals = RNG.uniform(-3.0, 3.0, (300, 2))  # 300**2 gaps: 11 chunks
+        vals = RNG.uniform(-3.0, 3.0, (300, 2))  # 300**2 gaps: 12 chunks
         assert oscillation(vals) == _pairwise_max(vals)
         vals[7, 1] = math.nan
         assert math.isnan(oscillation(vals))
