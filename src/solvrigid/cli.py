@@ -254,11 +254,16 @@ def _circumcenter_checks(sym: CircumcenterResult, eq: CircumcenterResult, xs, to
     """circumcenter-symmetric-pair: kdist(I, center) <= 1e-9 over the batch sym of sets {a, a^-1},
     whose center is I; circumcenter-equivariance: ddist(center of x.S, x.(center of S)) <= 1e-6
     over the batch eq of _moved_and_drawn(S, xs); circumcenter-certified: every certified gap of
-    both batches <= tol."""
+    both batches <= tol, recording the worst center_bound, the most iterations and the count of
+    each exit over both."""
+    exits = np.append(sym.exit, eq.exit).tolist()
     return [_check("circumcenter-symmetric-pair", _worst(kdist(np.eye(3), sym.center)), 1e-9),
             _check("circumcenter-equivariance",
                    _worst(ddist(eq.center[0::2], act(xs, eq.center[1::2]))), 1e-6),
-            _check("circumcenter-certified", _worst(np.append(sym.gap, eq.gap)), tol)]
+            _check("circumcenter-certified", _worst(np.append(sym.gap, eq.gap)), tol,
+                   center_bound=_worst(np.append(sym.center_bound, eq.center_bound)),
+                   iterations=int(max(sym.iterations.max(), eq.iterations.max())),
+                   exits={e: exits.count(e) for e in sorted(set(exits))})]
 
 
 def _root_checks(name: str, gens, gamma_p, cert, order: int) -> list[dict]:
@@ -294,7 +299,7 @@ def run_metric(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
         excess = np.array([abs(est.value - closed), est.value - enumerated])
         oracle = _worst(np.divide(excess, [closed, enumerated], out=np.zeros(2), where=excess != 0))
     return checks + [_check("chain-energy-oracle", oracle, 1e-12, value=est.value,
-                            rounds=est.rounds, last_decrement=est.last_decrement)]
+                            rounds=est.rounds, last_decrement=est.last_decrement, exit=est.exit)]
 
 
 def run_geodesic(cfg: RunConfig, rng: np.random.Generator, out_dir: Path | None = None) -> list[dict]:

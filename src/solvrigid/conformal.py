@@ -169,54 +169,84 @@ def dilatation(A):
     return _exp(d) if A.ndim == 2 else _per_element(_exp, d)
 
 
-def _whitened_logs(Q: np.ndarray, mats: np.ndarray):
-    """Q^(+-1/2), the logs L_i = log(Q^(-1/2) A_i Q^(-1/2)) and their norms,
-    for a (P, n, n) stack of centers Q and the (P, k, n, n) class sets.
+def _whitened_logs(inv: np.ndarray, mats: np.ndarray):
+    """The logs L_i = log(F^-1 A_i F^-T), their norms, and the log-eigenvalues
+    mu and eigenvectors U of each (L_i = U diag(mu) U^T), for a (P, n, n)
+    stack ``inv`` of the inverses of factors F of centers Q = F F^T and the
+    (P, k, n, n) class sets.
 
-    The norm of L_i is ddist(Q, A_i); one stacked eigh serves every class.
-    A class singular to float precision can have an eigenvalue <= 0 here: InputError.
+    Whatever the factor, the norm of L_i is ddist(Q, A_i) and the L_i of two
+    factors differ by one orthogonal conjugation; one stacked eigh serves
+    every class. A class singular to float precision can have an eigenvalue
+    <= 0 here: InputError.
     """
-    w, v = np.linalg.eigh(Q)
-    if not w.min() > 0:
-        raise InputError("conformal class must be positive definite")
-    qh = (v * (w**0.5)[:, None]) @ v.mT
-    qmh = (v * (w**-0.5)[:, None]) @ v.mT
-    rel = qmh[:, None] @ mats @ qmh[:, None]
+    rel = inv[:, None] @ mats @ inv.mT[:, None]
     mw, mv = np.linalg.eigh(0.5 * (rel + rel.mT))
     if not mw.min() > 0:
         raise InputError("conformal class must be positive definite")
     lw = np.log(mw)
     logs = (mv * lw[..., None, :]) @ mv.mT
-    return qh, logs, np.sqrt(np.sum(lw**2, axis=-1))
+    return logs, np.sqrt(np.sum(lw**2, axis=-1)), lw, mv
 
 
-def _support_gram(G: np.ndarray, rows: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """G_SS of the problems ``rows`` on their (P, m) supports S, in S order."""
-    return G[rows[:, None, None], S[:, :, None], S[:, None, :]]
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve on stacks, with NaN rows for the members whose system is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, math.nan)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
-def _affine_fits(GSS: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve [[G_SS, 1], [1^T, 0]] [x; t] = [rhs; 1] for the weights x, one
-    system per member of the (P, m, m) stack GSS and row of the (P, m) rhs."""
-    P, m = rhs.shape
-    kkt = np.ones((P, m + 1, m + 1))
-    kkt[:, :m, :m] = GSS
-    kkt[:, m, m] = 0.0
-    b = np.ones((P, m + 1, 1))
-    b[:, :m, 0] = rhs
-    return np.linalg.solve(kkt, b)[:, :m, 0]
-
-
-def _by_size(size: np.ndarray):
-    """(m, rows) for each support size m, the rows of the problems with it."""
-    return [(m, np.flatnonzero(size == m)) for m in sorted(set(size.tolist()))]
+def _affine_fits(G: np.ndarray, on: np.ndarray, rhs: np.ndarray,
+                 solve=np.linalg.solve) -> np.ndarray:
+    """Solve [[G_SS, 1], [1^T, 0]] [x; t] = [rhs_S; 1] for the weights x, one
+    system per member of the (P, k, k) stack G, on the support S given by
+    the row of the (P, k) mask ``on`` and the row of the (P, k) rhs. Each
+    system is solved at full size: the rows and columns of the points off S
+    are the identity's, with right-hand side 0, so x is 0 there."""
+    P, k = on.shape
+    kkt = np.zeros((P, k + 1, k + 1))
+    kkt[:, :k, :k] = G * (on[:, :, None] & on[:, None, :])
+    kkt.reshape(P, -1)[:, :k * (k + 2):k + 2] += ~on  # the first k diagonal entries
+    kkt[:, :k, k] = kkt[:, k, :k] = on
+    b = np.ones((P, k + 1, 1))
+    b[:, :k, 0] = rhs * on
+    return solve(kkt, b)[:, :k, 0]
 
 
 def _dual_value(lam: np.ndarray, d: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.vecdot(lam, d) - np.vecdot(np.vecmat(lam, G), lam)
 
 
-def _meb_weights(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fit_supports(G, d, new, inS, pending) -> None:
+    """Move the weights ``new`` of the problems ``pending`` to the maximizer
+    of the dual value on the affine hull of each support ``inS``, in place:
+    where that maximizer has a weight <= 0, step toward it until the first
+    weight reaches zero, drop that point from the support and fit again."""
+    while len(pending):
+        on = inS[pending]
+        mu = _affine_fits(G[pending], on, 0.5 * d[pending])
+        fits = ~(mu <= 0.0).any(axis=1, where=on)
+        new[pending[fits]] = mu[fits]
+        if fits.all():
+            return
+        pending, on, mu = pending[~fits], on[~fits], mu[~fits]
+        cur = new[pending]
+        neg = on & (mu <= 0.0)
+        ratios = np.where(neg, cur / np.where(neg & (cur > mu), cur - mu, 1.0), np.inf)
+        drop = np.argmin(ratios, axis=1)
+        new[pending] = cur + ratios[np.arange(len(pending)), drop][:, None] * (mu - cur)
+        new[pending, drop] = 0.0
+        inS[pending, drop] = False
+
+
+def _meb_weights(G: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights lam on the simplex maximizing lam.diag(G) - lam^T G lam, and
     that value, for each Gram matrix of the (P, k, k) stack G.
 
@@ -232,10 +262,15 @@ def _meb_weights(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so its dual value is a lower bound on the radius even where rounding
     stops the method early.
 
+    A problem starts warm from its row of the (P, k) ``start``: feasible
+    weights whose support is S, fitted first. A zero row starts cold, from
+    the first farthest point and the first point farthest from it, the two
+    at weight 1/2 (the ball of two points is centered at their midpoint),
+    or from the first alone where the two coincide.
+
     The problems run in lock step and never mix: each stops at its own step,
-    and the KKT systems are solved stacked, one call per support size, so
-    every problem gets what it gets alone. S is kept as the first ``size``
-    entries of a row, in join order.
+    and the KKT systems are solved stacked, so every problem gets what it
+    gets alone.
     """
     P, k = G.shape[:2]
     lam_out, best_out = np.zeros((P, k)), np.zeros(P)
@@ -244,77 +279,56 @@ def _meb_weights(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     peak = d.max(axis=1)
     scale = np.where(1e-300 > peak, 1e-300, peak)
     live = np.arange(P)
-    first = np.argmax(d, axis=1)
-    lam = np.zeros((P, k))
-    lam[live, first] = 1.0
-    S = np.zeros((P, k), dtype=np.intp)
-    S[:, 0] = first
-    size = np.ones(P, dtype=np.intp)
+    lam = start.copy()
     inS = lam > 0.0
+    cold = ~inS.any(axis=1)
+    _fit_supports(G, d, lam, inS, np.flatnonzero(~cold))
+    cold = np.flatnonzero(cold)
+    first = np.argmax(d[cold], axis=1)
+    far = d[cold] + d[cold, first][:, None] - 2.0 * G[cold, first]
+    second = np.argmax(far, axis=1)
+    pair = far[np.arange(len(cold)), second] > 2e-12 * scale[cold]
+    lam[cold, first] = np.where(pair, 0.5, 1.0)
+    lam[cold[pair], second[pair]] = 0.5
+    inS[cold, first] = True
+    inS[cold[pair], second[pair]] = True
+    np.maximum(lam, 0.0, out=lam)
+    lam /= np.sum(lam, axis=1)[:, None]
     best = _dual_value(lam, d, G)
+    rows = np.arange(P)
     for _ in range(4 * k + 16):
         g = d - 2.0 * np.matvec(G, lam)  # |L_i - c|^2 - |c|^2
         out = np.where(inS, -np.inf, g)
         j = np.argmax(out, axis=1)
-        go = out.max(axis=1) > np.where(inS, g, -np.inf).max(axis=1) + 1e-13 * scale
+        go = out[rows, j] > np.max(g, axis=1, where=inS, initial=-np.inf) + 1e-13 * scale
         if not go.all():
             if not go.any():
                 break
             lam_out[live[~go]], best_out[live[~go]] = lam[~go], best[~go]
-            G, d, scale, live, lam, S, size, inS, best, j = (
-                x[go] for x in (G, d, scale, live, lam, S, size, inS, best, j))
+            G, d, scale, live, lam, inS, best, j = (
+                x[go] for x in (G, d, scale, live, lam, inS, best, j))
+            rows = np.arange(len(live))
         new = lam.copy()
-        for m, rows in _by_size(size):
-            Sr, jr = S[rows, :m], j[rows]
-            GSS, GSj = _support_gram(G, rows, Sr), G[rows[:, None], Sr, jr[:, None]]
-            a = _affine_fits(GSS, GSj)
-            near = (G[rows, jr, jr] - np.vecdot(2.0 * a, GSj) + np.vecdot(np.vecmat(a, GSS), a)
-                    <= 1e-12 * scale[rows] * (1.0 + np.vecdot(a, a)))
-            # L_j = sum a_i L_i up to rounding: trade weight from S to j along
-            # the direction that keeps the center; S stays affinely independent
-            if near.any():
-                rr, Sn, an, jn = rows[near], Sr[near], a[near], jr[near]
-                cur = new[rr[:, None], Sn]
-                pos = an > 0.0
-                ratios = np.where(pos, cur / np.where(pos, an, 1.0), np.inf)
-                drop = np.argmin(ratios, axis=1)
-                step = ratios[np.arange(len(rr)), drop]
-                new[rr[:, None], Sn] = cur - step[:, None] * an
-                new[rr, jn] = step
-                gone = Sn[np.arange(len(rr)), drop]
-                new[rr, gone] = 0.0
-                inS[rr, gone] = False
-                S[rr, drop] = jn
-            # otherwise j joins S
-            ra = rows[~near]
-            S[ra, m] = jr[~near]
-            size[ra] = m + 1
-            inS[rows, jr] = True
-        pending = np.arange(len(live))
-        while len(pending):
-            stuck = []
-            for m, at in _by_size(size[pending]):
-                rows = pending[at]
-                Sr = S[rows, :m]
-                mu = _affine_fits(_support_gram(G, rows, Sr), 0.5 * d[rows[:, None], Sr])
-                fits = (mu > 0.0).all(axis=1)
-                new[rows[fits][:, None], Sr[fits]] = mu[fits]
-                if fits.all():
-                    continue
-                # step toward mu until the first weight reaches zero, and drop it
-                rb, Sb, mb = rows[~fits], Sr[~fits], mu[~fits]
-                cur = new[rb[:, None], Sb]
-                neg = mb <= 0.0
-                ratios = np.where(neg, cur / np.where(neg & (cur > mb), cur - mb, 1.0), np.inf)
-                drop = np.argmin(ratios, axis=1)
-                new[rb[:, None], Sb] = cur + ratios[np.arange(len(rb)), drop][:, None] * (mb - cur)
-                gone = Sb[np.arange(len(rb)), drop]
-                new[rb, gone] = 0.0
-                inS[rb, gone] = False
-                S[rb, :m - 1] = Sb[np.arange(m) != drop[:, None]].reshape(len(rb), m - 1)
-                size[rb] = m - 1
-                stuck.append(rb)
-            pending = np.concatenate(stuck) if stuck else []
+        Gj = G[rows, :, j]
+        a = _affine_fits(G, inS, Gj)
+        near = (G[rows, j, j] - np.vecdot(2.0 * a, Gj) + np.vecdot(np.vecmat(a, G), a)
+                <= 1e-12 * scale * (1.0 + np.vecdot(a, a)))
+        # L_j = sum a_i L_i up to rounding: trade weight from S to j along
+        # the direction that keeps the center; S stays affinely independent
+        if near.any():
+            rr, an, jn = rows[near], a[near], j[near]
+            cur = new[rr]
+            pos = an > 0.0
+            ratios = np.where(pos, cur / np.where(pos, an, 1.0), np.inf)
+            drop = np.argmin(ratios, axis=1)
+            step = ratios[np.arange(len(rr)), drop]
+            new[rr] = cur - step[:, None] * an
+            new[rr, jn] = step
+            new[rr, drop] = 0.0
+            inS[rr, drop] = False
+        # otherwise j joins S
+        inS[rows, j] = True
+        _fit_supports(G, d, new, inS, rows)
         np.maximum(new, 0.0, out=new)
         new /= np.sum(new, axis=1)[:, None]
         # each exact step raises the dual value; rounding that stops it ends the method
@@ -324,11 +338,53 @@ def _meb_weights(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if not up.any():
                 break
             lam_out[live[~up]], best_out[live[~up]] = lam[~up], best[~up]
-            G, d, scale, live, new, S, size, inS, val = (
-                x[up] for x in (G, d, scale, live, new, S, size, inS, val))
+            G, d, scale, live, new, inS, val = (x[up] for x in (G, d, scale, live, new, inS, val))
+            rows = np.arange(len(live))
         lam, best = new, val
     lam_out[live], best_out[live] = lam, best
     return lam_out, best_out
+
+
+def _newton_moves(logs, lw, mv, d, lam) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton step on the circumcenter's KKT system from each center, on
+    the support S of its weights lam (the (P, k) rows): the new weights lam+
+    (zero off S) and the move V, a symmetric matrix in the frame where the
+    center is I. A member whose S is a single point, or whose system is
+    singular, gets NaN weights.
+
+    ``logs``, ``lw`` and ``mv`` are the tangent vectors L_i = U diag(mu) U^T
+    of ``_whitened_logs``, and ``d`` holds |L_i|^2. The equations are
+    sum_S lam_i L_i = 0, |L_i|^2 = rho on S and sum_S lam_i = 1. Moving the
+    center to exp(V), L_i changes by -H_i V to first order, where the Hessian
+    H_i of d(., A_i)^2 / 2 acts as U((U^T V U) o Phi_i)U^T, Phi_i,jk =
+    phi(mu_j - mu_k) with phi(x) = (x/2) coth(x/2), and |L_i|^2 by
+    -2 <L_i, V>. With H = sum lam_i H_i (H >= I, since phi >= 1) the
+    linearized system gives V = H^-1 sum lam+_i L_i, and lam+ with rho / 2
+    solve the affine fit of S in the metric H^-1: [[M, 1], [1^T, 0]]
+    [lam+; rho/2] = [d_S / 2; 1], M_ij = <L_i, H^-1 L_j>. H acts on all n x n
+    matrices, in the coordinates of their n^2 entries, as the sum of
+    K_i diag(Phi_i) K_i^T with K_i = U (x) U.
+    """
+    P, k, n = lw.shape
+    kron = np.einsum("...ac,...bd->...abcd", mv, mv).reshape(P, k, n * n, n * n)
+    half = 0.5 * (lw[..., :, None] - lw[..., None, :])
+    phi = np.divide(half, np.tanh(half), out=np.ones_like(half), where=half != 0.0)
+    hess = np.einsum("pi,piab->pab", lam, (kron * phi.reshape(P, k, 1, n * n)) @ kron.mT)
+    vecs = logs.reshape(P, k, n * n)
+    y = np.linalg.solve(hess, vecs.mT)
+    on = lam > 0.0
+    plus = _affine_fits(vecs @ y, on, 0.5 * d, solve=_solve_each)
+    plus[np.sum(on, axis=1) < 2] = math.nan
+    return plus, np.matvec(y, plus).reshape(P, n, n)
+
+
+def _exp_factors(F: np.ndarray, inv: np.ndarray, w: np.ndarray, v: np.ndarray):
+    """A factor of exp_Q(V) for each center Q = F F^T and tangent vector V =
+    v diag(w) v^T in the frame F, and its inverse: F v e^h and e^-h v^T F^-1
+    with h = (w - mean w) / 2. V is traceless up to rounding, and the mean
+    keeps the determinant of F."""
+    h = 0.5 * (w - np.mean(w, axis=1)[:, None])
+    return F @ (v * np.exp(h)[:, None]), (v * np.exp(-h)[:, None]).mT @ inv
 
 
 @dataclass(frozen=True)
@@ -338,7 +394,8 @@ class CircumcenterResult:
 
     ``radius`` is max_i ddist(center, A_i); ``lower`` is a proven lower bound
     on the smallest such radius over all centers, so ``gap`` bounds how far
-    ``radius`` is from optimal. ``exit`` is "certified" (gap <= tol),
+    ``radius`` is from optimal and ``center_bound`` how far ``center`` is
+    from the optimal center. ``exit`` is "certified" (gap <= tol),
     "max_iters", or "no_descent" (no step shortens the radius in floating
     point).
     """
@@ -355,6 +412,14 @@ class CircumcenterResult:
         gap = self.radius - self.lower
         return np.where(0.0 > gap, 0.0, gap) if isinstance(gap, np.ndarray) else max(gap, 0.0)
 
+    @property
+    def center_bound(self) -> float | np.ndarray:
+        """sqrt(radius^2 - lower^2), a bound on ddist(center, optimal center):
+        in a CAT(0) space radius^2 >= R*^2 + d(center, c*)^2 (Bridson and
+        Haefliger II.2.7)."""
+        bound = np.sqrt(self.gap * (self.radius + self.lower))
+        return bound if isinstance(bound, np.ndarray) else float(bound)
+
 
 def solve_circumcenter(classes, tol: float = 1e-9, max_iters: int = 4000) -> CircumcenterResult:
     """Center of the smallest enclosing ball for the Riemannian metric, certified.
@@ -366,15 +431,44 @@ def solve_circumcenter(classes, tol: float = 1e-9, max_iters: int = 4000) -> Cir
 
     In a Hadamard space log_Q is 1-Lipschitz for every Q (CAT(0)
     comparison), so the Euclidean minimum enclosing ball of the tangent
-    vectors L_i = log_Q(A_i) has radius at most the circumradius: a lower
-    bound, while max_i |L_i| = max_i ddist(Q, A_i) is an upper one. Each
-    iteration solves that ball exactly and moves Q to exp_Q(s c) toward its
-    center c, halving s until the radius strictly decreases, and stops once
-    upper - best lower <= tol. Every decision reads GL-invariant numbers
-    (the Gram matrix of the L_i and the distances) and breaks ties at the
-    first index, and the move exp_Q is GL-equivariant, so the solver
-    commutes with the GL action applied to the whole input set. The sets of
-    a batch take their iterations in lock step, each until its own exit.
+    vectors L_i = log_Q(A_i) has radius at most the circumradius, and the
+    square root of the dual value of any weights on the simplex is at most
+    that radius: lower bounds, while max_i |L_i| = max_i ddist(Q, A_i) is an
+    upper one. Each iteration first reads the bound of the weights carried
+    from the last step, and stops once upper - best lower <= tol. Otherwise
+    it solves the ball (``_meb_weights``, warm from the carried weights)
+    unless a Newton step made the last move and its weights' support still
+    holds the farthest class, and moves Q.
+
+    The move is one Newton step on the circumcenter's KKT system on the
+    support S of the weights (``_newton_moves``), which converges
+    quadratically. It is taken only where S has two or more points, the
+    system is not singular, the new weights are positive and finite, the
+    move is longer than 2^-46 radius (a shorter one is rounding) and no
+    longer than twice the radius (the optimum is that close), and the radius
+    over all classes strictly decreases; its weights are carried. Otherwise a
+    set with a freshly solved ball takes the global step: exp_Q(s c) toward
+    the ball's center c, halving s from 1 until the radius strictly
+    decreases ("no_descent" if none does), and a set whose step came from
+    carried weights solves the ball next iteration. No other set is
+    affected.
+
+    A set certified after a Newton step longer than sqrt(tol) takes one more
+    (the finish) and stops. Newton's error after a step is of the order of
+    the step squared, so the center is then far closer to the optimum than
+    the radius certificate can show: ``center_bound`` is only what the
+    certificate proves.
+
+    Q is kept as a factor F, Q = F F^T, and the L_i are read in its frame: a
+    tangent vector V in the frame moves Q to F exp(V) F^T = exp_Q(F V F^T).
+    Every decision reads GL-invariant numbers (the Gram matrix of the L_i,
+    the distances, and weights that solve systems of their inner products)
+    and breaks ties at the first index. The moves are GL-equivariant: acting
+    by X on the input changes F to a multiple of X^T F O for an orthogonal
+    O, which conjugates every L_i, every Hessian and so the Newton move V by
+    O, an isometry of the symmetric matrices. So the solver commutes with
+    the GL action applied to the whole input set. The sets of a batch take
+    their iterations in lock step, each until its own exit.
     """
     tol = floats(tol, "tolerance")
     if tol.ndim or not 0 < tol < math.inf:
@@ -388,43 +482,102 @@ def solve_circumcenter(classes, tol: float = 1e-9, max_iters: int = 4000) -> Cir
     if one:
         mats = mats[None]
     B, k = mats.shape[:2]
-    Q = mats[:, 0].copy()
-    qh, logs, radii = _whitened_logs(Q, mats)
+    # each center Q = F F^T is kept as a factor F and its inverse
+    w, v = np.linalg.eigh(mats[:, 0])
+    if not w.min() > 0:
+        raise InputError("conformal class must be positive definite")
+    F, inv = v * np.sqrt(w)[:, None], (v / np.sqrt(w)[:, None]).mT
+    logs, radii, lw, mv = _whitened_logs(inv, mats)
     # a one-class set is its own center; the others start at their first class
     live = np.arange(B if k > 1 else 0)
     rad, low = radii.max(axis=1) if k > 1 else np.zeros(B), np.zeros(B)
+    carry, reach = np.zeros((B, k)), np.zeros(B)
+    newton, moved = np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=int)
     exits = np.full(B, "max_iters" if k > 1 else "certified", dtype=object)
+
+    def certified(rows, value):
+        """Raise the lower bounds of the sets ``rows`` to the roots of the
+        dual values; the mask of the sets that this certifies."""
+        root = np.sqrt(np.where(0.0 > value, 0.0, value))
+        low[rows] = np.where(root > low[rows], root, low[rows])
+        done = rad[rows] - low[rows] <= tol
+        exits[rows[done]] = "certified"
+        return done
+
+    def descend(at, t_F, t_inv):
+        """Move the sets ``at`` to their trial centers t_F t_F^T where that
+        strictly lowers the radius; the mask of those."""
+        t_logs, t_radii, t_lw, t_mv = _whitened_logs(t_inv, mats[at])
+        t_rad = t_radii.max(axis=1)
+        down = t_rad < rad[at]
+        to = at[down]
+        F[to], inv[to], logs[to], rad[to] = t_F[down], t_inv[down], t_logs[down], t_rad[down]
+        lw[to], mv[to], moved[to] = t_lw[down], t_mv[down], True
+        return down
+
     it = 0
     while it < max_iters and len(live):
         it += 1
         iterations[live] = it
-        lam, value = _meb_weights(np.einsum("piab,pjab->pij", logs[live], logs[live]))
-        root = np.sqrt(np.where(0.0 > value, 0.0, value))
-        low[live] = np.where(root > low[live], root, low[live])
-        done = rad[live] - low[live] <= tol
-        exits[live[done]] = "certified"
-        live, lam = live[~done], lam[~done]
-        if not len(live):
-            break
-        w, v = np.linalg.eigh(np.einsum("pi,piab->pab", lam, logs[live]))
-        # every set backtracks from s = 1 until its radius decreases
-        s = 1.0
-        pending = np.arange(len(live))
-        while s > 1e-12 and len(pending):
-            at, vp = live[pending], v[pending]
-            step = qh[at] @ (vp * np.exp(s * w[pending])[:, None]) @ vp.mT @ qh[at]
-            trial = conf_class(0.5 * (step + step.mT))
-            t_qh, t_logs, t_radii = _whitened_logs(trial, mats[at])
-            t_rad = t_radii.max(axis=1)
-            down = t_rad < rad[at]
-            moved = at[down]
-            Q[moved], qh[moved] = trial[down], t_qh[down]
-            logs[moved], rad[moved] = t_logs[down], t_rad[down]
-            pending = pending[~down]
-            s *= 0.5
-        exits[live[pending]] = "no_descent"
-        live = np.delete(live, pending)
+        lv = logs[live]
+        G = np.einsum("piab,pjab->pij", lv, lv)
+        d = np.diagonal(G, axis1=1, axis2=2).copy()
+        done = certified(live, _dual_value(carry[live], d, G))
+        # the carried weights are stale where the farthest class is off their support
+        stale = carry[live, np.argmax(d, axis=1)] <= 0.0
+        # the sets that stop after this iteration: those certified after a
+        # Newton step longer than sqrt(tol) take one more first (the finish)
+        stop = done & newton[live] & ~stale & (reach[live] > math.sqrt(tol))
+        if done.any():
+            keep = ~done | stop
+            live, G, d, stale, stop = live[keep], G[keep], d[keep], stale[keep], stop[keep]
+            if not len(live):
+                break
+        # the ball is solved again unless a Newton step made the last move
+        # and its support still holds the farthest class
+        fresh = ~newton[live] | stale
+        if fresh.any():
+            lam, value = _meb_weights(G[fresh], carry[live[fresh]])
+            carry[live[fresh]] = lam
+            done = np.zeros(len(live), dtype=bool)
+            done[fresh] = certified(live[fresh], value)
+            if done.any():
+                live, d, fresh, stop = live[~done], d[~done], fresh[~done], stop[~done]
+                if not len(live):
+                    break
+        lam = carry[live]
+        plus, move = _newton_moves(logs[live], lw[live], mv[live], d, lam)
+        size = np.sqrt(np.sum(move**2, axis=(1, 2)))
+        newton[live] = False
+        r = rad[live]
+        tried = np.flatnonzero((plus > 0.0).all(axis=1, where=lam > 0.0)
+                               & (2.0**-46 * r < size) & (size <= 2.0 * r))
+        if len(tried):
+            at = live[tried]
+            tried = tried[descend(at, *_exp_factors(F[at], inv[at], *np.linalg.eigh(move[tried])))]
+            to = live[tried]
+            newton[to], carry[to], reach[to] = True, plus[tried], size[tried]
+        # the global step where the Newton step is not taken and the ball is
+        # fresh: each set backtracks from s = 1 until its radius decreases; a
+        # set with a stale ball solves it again next iteration
+        fresh[tried] = False
+        rest = np.flatnonzero(fresh)
+        if len(rest):
+            w, v = np.linalg.eigh(np.einsum("pi,piab->pab", lam[rest], logs[live[rest]]))
+            s = 1.0
+            while s > 1e-12 and len(rest):
+                at = live[rest]
+                down = descend(at, *_exp_factors(F[at], inv[at], s * w, v))
+                rest, w, v = rest[~down], w[~down], v[~down]
+                s *= 0.5
+            exits[live[rest]] = "no_descent"
+            stop[rest] = True
+        live = live[~stop]
+    Q = mats[:, 0].copy()
+    if moved.any():
+        Q[moved] = F[moved] @ F[moved].mT
+        Q[moved] = 0.5 * (Q[moved] + Q[moved].mT)
     if one:
         return CircumcenterResult(Q[0], float(rad[0]), float(low[0]), int(iterations[0]), exits[0])
     return CircumcenterResult(Q, rad, low, iterations, exits.astype(str))

@@ -172,9 +172,9 @@ def test_determinism_byte_identical(tmp_path):
 # samples, each named by its content hash. A change that changes a digest
 # updates this pin and records the old and new names.
 PINNED_FILES = {
-    0: ["all-ff49a4a289050433.json", "geodesic-samples-baa50f3bb6bab6b4.csv"],
-    5: ["all-adadb9c55b984bff.json", "geodesic-samples-f9bbccf18b892fde.csv"],
-    11: ["all-65e58d6df14312f1.json", "geodesic-samples-07bc8fb764b6ee5c.csv"],
+    0: ["all-2ad66313c115551d.json", "geodesic-samples-baa50f3bb6bab6b4.csv"],
+    5: ["all-7e57510892ca3337.json", "geodesic-samples-f9bbccf18b892fde.csv"],
+    11: ["all-b5fe9d020a0e24a3.json", "geodesic-samples-07bc8fb764b6ee5c.csv"],
 }
 
 
@@ -188,11 +188,11 @@ def test_report_digests_are_pinned(seed, tmp_path):
 # exponent is 1 (the default spec, (2, 3), has none), at the default counts.
 UNIT_EXPONENT_SPEC = {"alphas": [1.0, 2.0, 3.5], "mults": [2, 1, 2]}
 PINNED_UNIT_EXPONENT_FILES = {
-    (0, "metric"): ["metric-a3d4976c860e80c9.json"],
+    (0, "metric"): ["metric-31fce3eb42bfc9a4.json"],
     (0, "geodesic"): ["geodesic-ba2ac8b331801a4d.json", "geodesic-samples-c40b4e2c16f78ffd.csv"],
-    (5, "metric"): ["metric-bee4b7fe67951bdd.json"],
+    (5, "metric"): ["metric-52a4541cea97ad64.json"],
     (5, "geodesic"): ["geodesic-3c5a6e821133c47d.json", "geodesic-samples-180b3b935ad4d6ee.csv"],
-    (11, "metric"): ["metric-a597eca5da693998.json"],
+    (11, "metric"): ["metric-5a63900bea605615.json"],
     (11, "geodesic"): ["geodesic-1c2e45be263dbd1f.json", "geodesic-samples-20e3f98eda7c3154.csv"],
 }
 
@@ -501,27 +501,30 @@ def _per_solve_circumcenter_checks(cfg, rng) -> dict:
         spd_draw(), spd_draw(), spd_draw()
         rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.uniform(0.5, 2.0, 3)
 
-    def center_of(classes, gaps):
+    def center_of(classes, solved):
         res = conformal.solve_circumcenter(classes, tol=cfg.tolerance)
-        gaps.append(res.gap)
+        solved.append(res)
         return res.center
 
-    sym_gaps, eq_gaps = [], []
+    solved = []
     a = random_spd(*spd_draw())
-    sym_defect = kdist(np.eye(3), center_of([a, np.linalg.inv(a)], sym_gaps))
+    sym_defect = kdist(np.eye(3), center_of([a, np.linalg.inv(a)], solved))
     eq_worst = 0.0
     for _ in range(5):
         draws = [spd_draw() for _ in range(5)]
         pts = random_spd(*[np.stack(col) for col in zip(*draws)])
         x = random_gl(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.uniform(0.5, 2.0, 3))
-        moved = center_of(act(x, pts), eq_gaps)
-        eq_worst = max(eq_worst, conformal.ddist(moved, act(x, center_of(pts, eq_gaps))))
-    sym_gap, eq_gap = max(sym_gaps), max(eq_gaps)
+        moved = center_of(act(x, pts), solved)
+        eq_worst = max(eq_worst, conformal.ddist(moved, act(x, center_of(pts, solved))))
+    exits = [res.exit for res in solved]
     return {
         "circumcenter-symmetric-pair": cli._check("circumcenter-symmetric-pair", sym_defect, 1e-9),
         "circumcenter-equivariance": cli._check("circumcenter-equivariance", eq_worst, 1e-6),
-        "circumcenter-certified": cli._check("circumcenter-certified", max(sym_gap, eq_gap),
-                                             cfg.tolerance),
+        "circumcenter-certified": cli._check(
+            "circumcenter-certified", max(res.gap for res in solved), cfg.tolerance,
+            center_bound=max(res.center_bound for res in solved),
+            iterations=max(res.iterations for res in solved),
+            exits={e: exits.count(e) for e in sorted(set(exits))}),
     }
 
 
@@ -541,6 +544,41 @@ def test_conformal_suite_solves_its_sets_in_one_batch(count_calls):
     assert all(c["passed"] for c in checks)
     assert len(calls) <= 2
     assert max(np.ndim(args[0]) for args in calls) == 4
+
+
+def test_default_conformal_pass_solves_few_tangent_balls(count_calls, monkeypatch):
+    # a call count, not a time: the MEB step alone solved the tangent ball 7
+    # times (1 + 1 for {a, a^-1}, 5 for the equivariance batch) and took 2
+    # and [5 5 4 4 4 4 5 5 4 4] iterations; the Newton finish solves it only
+    # where the carried weights go stale
+    balls = count_calls(conformal, name="_meb_weights")
+    solved = []
+    solve = cli.solve_circumcenter
+
+    def recorded(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "solve_circumcenter", recorded)
+    assert all(c["passed"] for c in cli.run_conformal(RunConfig(), np.random.default_rng(0)))
+    sym, eq = solved
+    assert len(balls) <= 3
+    assert sym.iterations.max() <= 2 and eq.iterations.max() <= 4
+    assert set(np.append(sym.exit, eq.exit).tolist()) == {"certified"}
+
+
+def test_circumcenter_certified_record_carries_the_solver_diagnostics():
+    checks = {c["name"]: c for c in cli.run_conformal(RunConfig(), np.random.default_rng(0))}
+    cert = checks["circumcenter-certified"]
+    assert cert["exits"] == {"certified": 11}
+    assert 0 < cert["iterations"] <= 4
+    # the center bound sqrt(radius^2 - lower^2) is far above the gap it comes from
+    assert cert["defect"] <= cert["center_bound"] <= 1e-6
+
+
+def test_chain_energy_record_carries_its_exit():
+    checks = {c["name"]: c for c in cli.run_metric(RunConfig(), np.random.default_rng(0))}
+    assert checks["chain-energy-oracle"]["exit"] == "max_depth"
 
 
 def _per_sample_asim_check(rng) -> dict:

@@ -437,6 +437,15 @@ class TestCircumcenter:
             assert radius <= res.lower + tol + 1e-12
             assert radius <= _harmonic_descent_radius(pts) + 1e-12
 
+    def test_center_bound_is_the_cat0_bound_of_the_gap(self):
+        # sqrt(radius^2 - lower^2), 0 where rounding puts lower above radius
+        one = conformal.CircumcenterResult(np.eye(2), 1.25, 0.75, 3, "certified")
+        assert one.center_bound == 1.0 and isinstance(one.center_bound, float)
+        batch = conformal.CircumcenterResult(
+            np.stack([np.eye(2)] * 3), np.array([1.25, 2.0, 1.0]), np.array([0.75, 2.0, 1.0 + 2e-16]),
+            np.array([3, 1, 1]), np.array(["certified"] * 3))
+        assert batch.center_bound.tolist() == [1.0, 0.0, 0.0]
+
     def test_uncertified_center_raises_with_gap(self):
         pts = [random_spd() for _ in range(5)]
         res = solve_circumcenter(pts, max_iters=1)
@@ -546,6 +555,80 @@ class TestBatchedCircumcenter:
         assert info.value.last_value == res.gap[first]
 
 
+def _random_2x2_sets(count=300, seed=30):
+    """``count`` sets of 2 to 8 determinant-one 2 x 2 classes, log-eigenvalues in [-1.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for k in rng.integers(2, 9, count):
+        q = np.linalg.qr(rng.normal(size=(k, 2, 2)))[0]
+        sets.append(conf_class((q * np.exp(rng.uniform(-1.5, 1.5, (k, 2)))[..., None, :]) @ q.mT))
+    return sets
+
+
+def _solved_by_size(sets):
+    """The results of each set, solved in one batch per class count."""
+    out = [None] * len(sets)
+    for k in sorted({len(s) for s in sets}):
+        at = [i for i, s in enumerate(sets) if len(s) == k]
+        res = solve_circumcenter(np.stack([sets[i] for i in at]))
+        for j, i in enumerate(at):
+            out[i] = _member(res, j)
+    return out
+
+
+class TestExactCircumcenterOf2x2Classes:
+    """The solver against the exact circumcenter of 2 x 2 classes in
+    tests/conformal_reference.py: the hyperbolic plane's smallest ball
+    through two or three of the classes."""
+
+    def test_the_hyperboloid_reads_ddist(self):
+        a, b = _random_2x2_sets(1, seed=3)[0][:2], _random_2x2_sets(1, seed=4)[0][:2]
+        x, y = conformal_reference.hyperboloid(a), conformal_reference.hyperboloid(b)
+        assert np.allclose(x[:, 0] ** 2 - x[:, 1] ** 2 - x[:, 2] ** 2, 1.0, rtol=0, atol=1e-12)
+        inner = x[:, 0] * y[:, 0] - x[:, 1] * y[:, 1] - x[:, 2] * y[:, 2]
+        assert np.allclose(math.sqrt(2.0) * np.arccosh(inner), ddist(a, b), rtol=1e-12)
+
+    def test_the_oracle_is_the_smallest_enclosing_ball(self):
+        # its radius is the reach of its center, no class reaches every class
+        # from nearer, and no certified lower bound exceeds it
+        for classes in _random_2x2_sets(40, seed=8):
+            center, radius = conformal_reference.exact_circumcenter_2x2(classes)
+            assert abs(ddist(center, classes).max() - radius) <= 1e-12
+            i, j = np.divmod(np.arange(len(classes) ** 2), len(classes))
+            reach = ddist(classes[i], classes[j]).reshape(len(classes), -1).max(axis=1)
+            assert reach.min() >= radius - 1e-12
+            assert solve_circumcenter(classes).lower <= radius + 1e-12
+
+    def _worst_oracle_distance(self, sets):
+        return max(ddist(res.center, conformal_reference.exact_circumcenter_2x2(classes)[0])
+                   for classes, res in zip(sets, _solved_by_size(sets)))
+
+    def test_random_sets_are_centered_to_1e_10(self):
+        # the certificate bounds the radius to 1e-9; the Newton finish puts
+        # the center itself within 1e-10 of the exact one (3.8e-11 at worst)
+        sets = _random_2x2_sets()
+        assert self._worst_oracle_distance(sets) <= 1e-10
+        for classes, res in zip(sets, _solved_by_size(sets)):
+            assert res.exit == "certified"
+            exact = conformal_reference.exact_circumcenter_2x2(classes)[0]
+            assert ddist(res.center, exact) <= res.center_bound + 1e-12
+
+    def test_field_values_are_centered_to_1e_10(self):
+        gens, grid, orbits = _three_generator_orbits(31)
+        field = invariant_structure(gens, grid, word_len=3, resolution=0.51)
+        assert len(field.values) == len(orbits) == 28
+        worst = max(ddist(value, conformal_reference.exact_circumcenter_2x2(classes)[0])
+                    for value, classes in zip(field.values, orbits))
+        assert worst <= 1e-10
+
+    def test_skipping_the_newton_finish_fails(self, monkeypatch):
+        # with every Newton step unusable the solver takes the backtracking
+        # step alone; its certified centers are 1e-5 off, not 1e-10
+        monkeypatch.setattr(conformal, "_newton_moves", lambda logs, lw, mv, d, lam: (
+            np.full(lam.shape, math.nan), np.zeros(logs.shape[:1] + logs.shape[2:])))
+        assert self._worst_oracle_distance(_random_2x2_sets(60)) > 1e-8
+
+
 class TestInvariantStructure:
     def _grid(self):
         return np.array([[0.0, 0.0, float(y)] for y in range(-3, 4)])
@@ -622,8 +705,9 @@ class TestInvariantStructure:
             assert field.skipped == skipped
 
     def test_three_generator_orbits_certify(self):
-        # 18-22 classes per point; each solve takes 23-29 iterations, where
-        # a full step without backtracking cycles between two radii
+        # 18-22 classes per point; the backtracking step alone took 23-29
+        # iterations a solve (a full step without backtracking cycles between
+        # two radii); with the Newton finish each takes 6
         t = np.diag([2.0, 0.5])
 
         def quot(y):
