@@ -605,7 +605,7 @@ class TestExactCircumcenterOf2x2Classes:
 
     def test_random_sets_are_centered_to_1e_10(self):
         # the certificate bounds the radius to 1e-9; the Newton finish puts
-        # the center itself within 1e-10 of the exact one (3.8e-11 at worst)
+        # the center itself within 1e-10 of the exact one (6.7e-11 at worst)
         sets = _random_2x2_sets()
         assert self._worst_oracle_distance(sets) <= 1e-10
         for classes, res in zip(sets, _solved_by_size(sets)):
