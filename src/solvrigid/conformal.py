@@ -560,7 +560,7 @@ def solve_circumcenter(classes, tol: float = 1e-9, max_iters: int = 4000) -> Cir
             newton[to], carry[to], reach[to] = True, plus[tried], size[tried]
         # the global step where the Newton step is not taken and the ball is
         # fresh: each set backtracks from s = 1 until its radius decreases; a
-        # set with a stale ball solves it again next iteration
+        # set whose step came from carried weights solves the ball next iteration
         fresh[tried] = False
         rest = np.flatnonzero(fresh)
         if len(rest):

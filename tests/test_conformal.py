@@ -442,8 +442,8 @@ class TestCircumcenter:
         one = conformal.CircumcenterResult(np.eye(2), 1.25, 0.75, 3, "certified")
         assert one.center_bound == 1.0 and isinstance(one.center_bound, float)
         batch = conformal.CircumcenterResult(
-            np.stack([np.eye(2)] * 3), np.array([1.25, 2.0, 1.0]), np.array([0.75, 2.0, 1.0 + 2e-16]),
-            np.array([3, 1, 1]), np.array(["certified"] * 3))
+            np.stack([np.eye(2)] * 3), np.array([1.25, 2.0, 1.0]),
+            np.array([0.75, 2.0, 1.0 + 2e-16]), np.array([3, 1, 1]), np.array(["certified"] * 3))
         assert batch.center_bound.tolist() == [1.0, 0.0, 0.0]
 
     def test_uncertified_center_raises_with_gap(self):
