@@ -4,7 +4,6 @@ almost-translation kernel algorithms."""
 
 from .errors import (
     ConvergenceError,
-    CoverageError,
     DimensionMismatch,
     DomainError,
     InfiniteIndexSuspected,
@@ -36,8 +35,6 @@ from .funcexpr import (
     Pwl,
     Scale,
     Sum,
-    expr_from_json,
-    probe_lipschitz,
 )
 from .nilpotent import (
     AlmostTranslation,
@@ -47,23 +44,17 @@ from .nilpotent import (
     RootCertificate,
     approx_lth_root,
     default_probes,
-    displacement_bound,
     epsilon_bound,
     orbit_growth,
     oscillation,
     root_power_word,
-    tau_project,
 )
 from .mapalg import (
     ASimMap,
-    BoundaryPair,
     Classification,
     FirstBlockAffineMap,
-    ReciprocityVerdict,
     RotationWitness,
     SimMap,
-    check_reciprocity,
-    check_triangularity,
     classify,
     conjugate_almost_by_sim,
     height_hom,
@@ -73,15 +64,12 @@ from .mapalg import (
 from .solvgroup import (
     SolvPoint,
     SolvSpec,
-    SuspendedMap,
     VerticalGeodesic,
     boundary_of_height_isometry,
     inverse,
-    level_distance,
     multiply,
     pair_to_point,
     pair_to_point_bisect,
-    suspend_boundary_map,
 )
 from .conformal import (
     CircumcenterResult,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, CoverageError, DimensionMismatch, DomainError, InputError
+from .errors import ConvergenceError, DomainError, InputError
 from .nilpotent import walk_words
 from .quasimetric import _exp, _image_rows, _per_element
 from .spectral import floats, require_blocks, split_rows
@@ -178,9 +178,14 @@ def _whitened_logs(inv: np.ndarray, mats: np.ndarray):
     Whatever the factor, the norm of L_i is ddist(Q, A_i) and the L_i of two
     factors differ by one orthogonal conjugation; one stacked eigh serves
     every class. A class singular to float precision can have an eigenvalue
-    <= 0 here: InputError.
+    <= 0 here: InputError. A class so far from the center that its whitened
+    entries are beyond float range: DomainError.
     """
-    rel = inv[:, None] @ mats @ inv.mT[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = inv[:, None] @ mats @ inv.mT[:, None]
+    if not np.isfinite(rel).all():
+        raise DomainError("a class whitened by the center's factor is beyond float range "
+                          "(a ratio of their eigenvalues overflows)")
     mw, mv = np.linalg.eigh(0.5 * (rel + rel.mT))
     if not mw.min() > 0:
         raise InputError("conformal class must be positive definite")
@@ -623,23 +628,6 @@ class ConfField:
             dist2 = np.sum((self.points - rows[:, None]) ** 2, axis=-1)
         idx = np.argmin(dist2, axis=1)
         return idx, ~(np.sqrt(dist2[np.arange(len(rows)), idx]) > self.resolution)
-
-    def value_at(self, p: np.ndarray) -> np.ndarray:
-        """The class at the sample nearest to the ``(total_dim,)`` row p.
-
-        DimensionMismatch on a row of another length than the samples', InputError on a
-        non-finite one."""
-        p = floats(p, "point")
-        if p.shape != self.points.shape[1:]:
-            raise DimensionMismatch(f"point of shape {p.shape}, expected {self.points.shape[1:]}")
-        if not np.isfinite(p).all():
-            raise InputError("point has a non-finite coordinate")
-        idx, covered = self._nearest(p[None])
-        if not covered[0]:
-            raise CoverageError(
-                f"point farther than grid resolution {self.resolution} from every sample"
-            )
-        return self.values[idx[0]]
 
 
 def _orbit_classes(generators, blocks: list[np.ndarray], word_len: int):

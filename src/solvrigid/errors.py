@@ -33,10 +33,6 @@ class InfiniteIndexSuspected(SolvRigidError):
     """Top-level coefficient solve failed; the target lies outside the span."""
 
 
-class CoverageError(SolvRigidError):
-    """A required sample point is too far from every grid node."""
-
-
 class ConvergenceError(SolvRigidError):
     """Iteration failed to converge; carries the last diagnostic value."""
 

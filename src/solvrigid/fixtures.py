@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from .funcexpr import BlockVar, Const, Osc
-from .mapalg import BoundaryPair, FirstBlockAffineMap, SimMap
+from .mapalg import FirstBlockAffineMap
 from .nilpotent import AlmostTranslation, ExactGenerator, ExactWord
 from .spectral import SpectralData
 from .tukia import GroupSample, OneDGenerator
@@ -55,17 +55,6 @@ def piecewise_1d_sample(word_len: int = 12) -> GroupSample:
     the generator is unit-stretch.
     """
     gen = OneDGenerator(fn=_pw_fn, dfn=_pw_dfn, inv=_pw_inv, stretch=1.0)
-    return GroupSample(generators=[gen], word_len=word_len, alpha1=1.0)
-
-
-def similarity_1d_sample(word_len: int = 6) -> GroupSample:
-    """Pure similarities of the line: scaling by 2 about the origin."""
-    gen = OneDGenerator(
-        fn=lambda x: 2.0 * x,
-        dfn=lambda x: 2.0,
-        inv=lambda x: 0.5 * x,
-        stretch=2.0,
-    )
     return GroupSample(generators=[gen], word_len=word_len, alpha1=1.0)
 
 
@@ -172,19 +161,6 @@ def radial_sample() -> GroupSample:
     return GroupSample(generators=[radial_generator()], word_len=4, alpha1=1.0)
 
 
-# -- reciprocity fixtures ---------------------------------------------------
-
-
-def matched_boundary_pair() -> BoundaryPair:
-    return BoundaryPair(lower=SimMap(SPEC_R1, 2.0), upper=SimMap(SPEC_R1, 0.5))
-
-
-def mismatched_boundary_pair() -> BoundaryPair:
-    return BoundaryPair(
-        lower=SimMap(SPEC_R1, 2.0), upper=SimMap(SPEC_R1, 1.0 / 3.0)
-    )
-
-
 # -- almost-translation fixtures (floating point) ---------------------------
 
 SPEC_NIL = SpectralData((1.0, 2.0), (1, 1))
@@ -194,10 +170,6 @@ def oscillating_kernel_element(c: float = 4.0) -> AlmostTranslation:
     """B_1(x_2) = sin(x_2), B_2 = c, K = 2; certificates sized for the bound checks."""
     b1 = Osc(amp=[1.0], weights=[1.0], phase=0.0, child=BlockVar(1, 1))
     return AlmostTranslation(SPEC_NIL, [b1, Const([c])], K=2.0)
-
-
-def unit_translation_1d() -> AlmostTranslation:
-    return AlmostTranslation(SPEC_R1, [Const([1.0])], K=1.0)
 
 
 # -- exact-rational root fixtures ------------------------------------------

@@ -32,9 +32,9 @@ def _product(a: float, b: float) -> float:
 
 
 class FuncExpr:
-    """A node of an expression tree. The serializable node classes are those of ``_NODES``,
-    where the base ``to_json`` and ``deps`` and ``expr_from_json`` read their layouts; any
-    other class, as the runtime-only ``Displacement``, defines its own ``deps``."""
+    """A node of an expression tree. The base ``deps`` reads the child or children that
+    ``_CHILDREN`` names for the node's class; any other class, as ``BlockVar`` or the
+    runtime-only ``Displacement``, defines its own ``deps``."""
 
     dim: int
 
@@ -49,12 +49,12 @@ class FuncExpr:
 
     def deps(self) -> frozenset[int]:
         """The indices of the blocks the node reads: those its child or children read."""
-        name, kind = _LAYOUT[type(self)][2]
+        kind = _CHILDREN[type(self)]
         if kind is None:
             return frozenset()
         if kind == "child":
-            return getattr(self, name).deps()
-        return frozenset().union(*(c.deps() for c in getattr(self, name)))
+            return self.child.deps()
+        return frozenset().union(*(c.deps() for c in self.children))
 
     @property
     def lipschitz(self) -> float:
@@ -69,13 +69,6 @@ class FuncExpr:
 
     def __neg__(self) -> "FuncExpr":
         return Scale(-1.0, self)
-
-    def to_json(self) -> dict:
-        """The node as a JSON object: its tag, then its fields in table order."""
-        if type(self) not in _LAYOUT:
-            raise NotImplementedError(f"{type(self).__name__} has no JSON encoding")
-        tag, fields, _ = _LAYOUT[type(self)]
-        return {"node": tag, **{name: _WRITE[kind](getattr(self, name)) for name, kind in fields}}
 
 
 class Const(FuncExpr):
@@ -332,7 +325,6 @@ class Displacement(FuncExpr):
     The word is an ``AlmostTranslation``; a direct call checks the blocks
     against its spec, as the word's ``eval_blocks`` does. The certificates
     are the word's: its composition rules derive them and pass them in.
-    Runtime-only node: it has no JSON encoding.
     """
 
     def __init__(self, word, index: int, dim: int, sup_bound: float, lipschitz: float,
@@ -371,92 +363,7 @@ def _finite(value, scalar: bool, what: str) -> np.ndarray:
     return a
 
 
-# The JSON layout of every serializable node, its one declaration: tag -> (class, fields in
-# JSON order). Each field is also the node's attribute and its constructor argument, in this
-# order. Kinds: "array" (a number or nested lists of numbers), "scalar" (one number), "count"
-# (a non-negative integer), "child" (a node) and "children" (a list of nodes).
-_NODES = {
-    "const": (Const, (("value", "array"),)),
-    "block": (BlockVar, (("index", "count"), ("dim", "count"))),
-    "lin": (Lin, (("matrix", "array"), ("child", "child"))),
-    "sum": (Sum, (("children", "children"),)),
-    "scale": (Scale, (("factor", "scalar"), ("child", "child"))),
-    "abspow": (AbsPow, (("exponent", "scalar"), ("child", "child"))),
-    "min": (PMin, (("children", "children"),)),
-    "max": (PMax, (("children", "children"),)),
-    "clamp": (Clamp, (("lo", "scalar"), ("hi", "scalar"), ("child", "child"))),
-    "pwl": (Pwl, (("xs", "array"), ("ys", "array"), ("child", "child"))),
-    "osc": (Osc, (("amp", "array"), ("weights", "array"), ("phase", "scalar"), ("child", "child"))),
-}
-# per class: its tag, its fields, and its child or children field ((None, None) for a
-# leaf), resolved once since deps reads it on every call
-_LAYOUT = {
-    cls: (tag, fields, next((f for f in fields if f[1] in ("child", "children")), (None, None)))
-    for tag, (cls, fields) in _NODES.items()
-}
-_WRITE = {"array": np.ndarray.tolist, "scalar": float, "count": int,
-          "child": FuncExpr.to_json, "children": lambda nodes: [n.to_json() for n in nodes]}
-
-
-def _json_numbers(value, nested: bool) -> bool:
-    """Whether ``value`` is a JSON number (an int or float, not a bool), or, ``nested``,
-    nested lists of them."""
-    if nested and isinstance(value, list):
-        return all(_json_numbers(v, True) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _field(name: str, kind: str, value):
-    """The JSON field ``name`` of a node, read as its kind; InputError names the field."""
-    if kind == "child":
-        return expr_from_json(value)
-    if kind == "children":
-        if not isinstance(value, list):
-            raise InputError(f"field {name!r} must be a list of nodes, got {value!r}")
-        return [expr_from_json(c) for c in value]
-    if not _json_numbers(value, kind == "array"):
-        raise InputError(f"field {name!r} must hold JSON numbers only, got {value!r}")
-    a = _finite(value, kind != "array", f"field {name!r}")
-    if kind == "count" and (a < 0 or a != int(a)):
-        raise InputError(f"field {name!r} must be a non-negative integer, got {value!r}")
-    return int(a) if kind == "count" else a
-
-
-def expr_from_json(obj: dict) -> FuncExpr:
-    """The expression a JSON node encodes.
-
-    A node that is not an object, has an unknown tag or lacks a field, or a field that
-    holds anything but finite JSON numbers where numbers are due (strings and booleans
-    included), or a block index or dim that is not a non-negative integer, raises
-    InputError.
-    """
-    if not isinstance(obj, dict):
-        raise InputError(f"expression node must be an object, got {obj!r}")
-    tag = obj.get("node")
-    if not isinstance(tag, str) or tag not in _NODES:
-        raise InputError(f"unknown expression node tag: {tag!r}")
-    cls, fields = _NODES[tag]
-    try:
-        return cls(*(_field(name, kind, obj[name]) for name, kind in fields))
-    except KeyError as exc:
-        raise InputError(f"{tag!r} node lacks the field {exc}") from None
-
-
-def probe_lipschitz(expr: FuncExpr, spec, rng, probes: int = 1000) -> float:
-    """Max finite-difference slope of an expression on random probe pairs,
-    drawn uniformly from [-5, 5] in every coordinate."""
-    worst = 0.0
-    for _ in range(probes):
-        a = [rng.uniform(-5.0, 5.0, n) for n in spec.multiplicities]
-        b = [x.copy() for x in a]
-        js = sorted(expr.deps())
-        if not js:
-            return 0.0
-        j = js[rng.integers(len(js))]
-        step = rng.normal(size=spec.multiplicities[j]) * 1e-4
-        b[j] = b[j] + step
-        num = float(np.linalg.norm(expr(a) - expr(b)))
-        den = float(np.linalg.norm(step))
-        if den > 0:
-            worst = max(worst, num / den)
-    return worst
+# per node class, the attribute that holds its child node ("child") or its nodes
+# ("children"), which the base deps reads; None for a leaf
+_CHILDREN = {Const: None, Lin: "child", Sum: "children", Scale: "child", AbsPow: "child",
+             PMin: "children", PMax: "children", Clamp: "child", Pwl: "child", Osc: "child"}

@@ -236,48 +236,6 @@ class ASimMap(BoundaryMap):
 
 
 @dataclass(frozen=True)
-class TriangularityVerdict:
-    passed: bool
-    worst_pair: Optional[tuple[int, int]]
-    worst_response: float
-
-
-def check_triangularity(
-    F: Callable[[BlockPoint], BlockPoint],
-    spec: SpectralData,
-    probes: int = 100,
-) -> TriangularityVerdict:
-    """Probe whether component i ignores perturbations of earlier blocks.
-
-    Each probe point is drawn uniformly from [-2, 2] in every coordinate
-    (seed 0), and each earlier block is bumped by a normal vector of scale
-    1e-3. The map passes when no later block moves by more than 1e-7.
-    ``probes`` is a whole number >= 1: InputError otherwise.
-    """
-    if not isinstance(probes, (int, np.integer)) or probes < 1:
-        raise InputError(f"probes must be a whole number >= 1, got {probes!r}")
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    worst_pair = None
-    for _ in range(probes):
-        base = BlockPoint(tuple(rng.uniform(-2, 2, n) for n in spec.multiplicities))
-        try:
-            image = F(base)
-        except Exception as exc:
-            raise InputError(f"map not evaluable at probe point: {exc}") from exc
-        for j in range(spec.r - 1):
-            bumped = [b.copy() for b in base.blocks]
-            bumped[j] = bumped[j] + 1e-3 * rng.normal(size=spec.multiplicities[j])
-            image2 = F(BlockPoint(tuple(bumped)))
-            for i in range(j + 1, spec.r):
-                resp = float(np.linalg.norm(image2.blocks[i] - image.blocks[i]))
-                if resp > worst:
-                    worst = resp
-                    worst_pair = (i, j)
-    return TriangularityVerdict(passed=worst <= 1e-7, worst_pair=worst_pair, worst_response=worst)
-
-
-@dataclass(frozen=True)
 class Classification:
     kind: str  # "Sim" | "ASim" | "Bilip" | "QSim"
     stretch: Optional[float]
@@ -331,34 +289,6 @@ def stretch_hom(elements: Sequence, spanning: Sequence[np.ndarray]) -> np.ndarra
 def height_hom(G):
     """log of the stretch (libm's, per member of a stack); additive under composition."""
     return _per_element(math.log, G.stretch)[()]
-
-
-@dataclass(frozen=True)
-class ReciprocityVerdict:
-    passed: bool
-    log_defect: float
-    drift: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
-class BoundaryPair:
-    """Lower/upper boundary maps of a height-respecting quasi-isometry."""
-
-    lower: object
-    upper: object
-
-
-def check_reciprocity(pair: BoundaryPair) -> ReciprocityVerdict:
-    """Whether the lower and upper stretches are reciprocal: |log t_l + log t_u| <= 1e-9.
-
-    A failing pair carries the drift (t_l t_u)^k of its first 10 powers.
-    """
-    tl, tu = pair.lower.stretch, pair.upper.stretch
-    defect = abs(math.log(tl) + math.log(tu))
-    if defect <= 1e-9:
-        return ReciprocityVerdict(passed=True, log_defect=defect)
-    drift = tuple((tl * tu) ** k for k in range(1, 11))
-    return ReciprocityVerdict(passed=False, log_defect=defect, drift=drift)
 
 
 def _times(lam, matrices):

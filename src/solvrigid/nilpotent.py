@@ -227,31 +227,6 @@ def oscillation(vals: np.ndarray) -> float:
                              for j in range(0, len(vals), rows)]))
 
 
-def tau_project(gamma: AlmostTranslation, j: int) -> np.ndarray:
-    """Read off the constant B_j; requires B_m = 0 for all m > j."""
-    spec = gamma.spec
-    if not 0 <= j < spec.r:
-        raise InputError(f"block index {j} out of range")
-    for m in range(j + 1, spec.r):
-        if gamma.b_max(m) > 0.0:
-            raise NotInKernel(m)
-    return gamma.perturbations[j]([np.zeros(n) for n in spec.multiplicities])
-
-
-def displacement_bound(gamma_prime: AlmostTranslation, generators: Sequence[AlmostTranslation]) -> float:
-    """Uniform bound on how far the root approximation moves any point.
-
-    Sums, per block, the generators' certified sups plus the oscillation
-    bound recomputed from the root's own certificates.
-    """
-    if not generators:
-        raise InputError("at least one generator required")
-    total = 0.0
-    for i in range(gamma_prime.spec.r):
-        total += sum(g.b_max(i) for g in generators) + epsilon_bound(gamma_prime, i)
-    return total
-
-
 @dataclass(frozen=True)
 class OrbitCount:
     count: int

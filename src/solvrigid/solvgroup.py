@@ -11,9 +11,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InputError
-from .mapalg import SimMap, check_triangularity
-from .quasimetric import _block_norm, _exp, _image_rows, _per_element, _require_points, distance
-from .spectral import BoundaryMap, SpectralData, floats
+from .mapalg import SimMap
+from .quasimetric import _block_norm, _exp, _per_element, _require_points, distance
+from .spectral import SpectralData, floats
 
 
 @dataclass(frozen=True)
@@ -184,31 +184,19 @@ def _level_gaps(spec: SolvSpec, t: np.ndarray, p, q) -> tuple[np.ndarray, np.nda
 
 
 def _level_distance(t: np.ndarray, signed: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """level_distance from _level_gaps at heights t, which may be infinite where
-    pair_to_point_bisect brackets a row whose height is beyond float range."""
+    """Distance within the height-t level sets, in max-of-blocks form, from _level_gaps.
+
+    Lower blocks contract like e^{-t alpha_i}, upper blocks expand like
+    e^{t beta_i}. A 0-d array for one point, an ``(N,)`` array for rows, each row
+    equal to its one-point distance bit for bit. A distance beyond float range
+    reads inf; a zero gap contributes 0 at any height. The heights t may be
+    infinite where pair_to_point_bisect brackets a row whose height is beyond
+    float range.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         # one row of terms per block; (sign alpha_i) t is sign (t alpha_i) exactly
         exponents = np.multiply.outer(signed, np.broadcast_to(t, gaps.shape[1:]))
     return np.maximum(_level_terms(exponents, gaps).max(axis=0), 0.0)
-
-
-def level_distance(spec: SolvSpec, t, p, q):
-    """Distance within the height-t level set, in max-of-blocks form.
-
-    Lower blocks contract like e^{-t alpha_i}, upper blocks expand like
-    e^{t beta_i}. ``p`` and ``q`` are SolvPoints or (x, z) pairs. A float for
-    one point each (x and z ``(total_dim,)`` arrays) at a float height; an
-    ``(N,)`` array for ``(N, total_dim)`` rows at a float height or at ``(N,)``
-    heights, each row equal to its one-point distance bit for bit. A level
-    distance beyond float range reads inf; a zero gap contributes 0 at any
-    height. A non-finite height raises InputError, heights unlike the rows
-    DimensionMismatch.
-    """
-    t = floats(t, "height")
-    if not np.isfinite(t).all():
-        raise InputError("height must be finite")
-    d = _level_distance(t, *_level_gaps(spec, t, p, q))
-    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)
@@ -221,10 +209,6 @@ class VerticalGeodesic:
     def __post_init__(self):
         if self.orientation not in ("upward", "downward"):
             raise InputError("orientation must be 'upward' or 'downward'")
-
-    def point_at(self, t: float) -> SolvPoint:
-        h = -t if self.orientation == "downward" else t
-        return SolvPoint(height=h, x=self.anchor[0], z=self.anchor[1])
 
     def sample_csv_rows(self, ts) -> list[list[float]]:
         """Per parameter t the row (height, anchor coordinates)."""
@@ -275,7 +259,7 @@ def pair_to_point_bisect(spec: SolvSpec, P: np.ndarray, Q: np.ndarray) -> np.nda
     row bisects its own bracket log D(p, q) +- 1 (from :func:`pair_to_point`)
     until that bracket is narrower than 1e-13, for at most 200 halvings. Only
     the side of 1 on which the level distance lies steers a halving, and it is
-    level_distance's side on rows at per-row heights (see ``_above_unit``).
+    ``_level_distance``'s side on rows at per-row heights (see ``_above_unit``).
     """
     logd = pair_to_point(spec, P, Q)
     if np.ndim(logd) != 1:
@@ -306,44 +290,3 @@ def boundary_of_height_isometry(spec: SolvSpec, a) -> SimMap:
         raise InputError(f"height must be finite, got {a}")
     return SimMap(spec.lower, _per_element(_exp, heights))
 
-
-@dataclass(frozen=True)
-class SuspendedMap:
-    """Quasi-isometry of the model space acting by G on space and +a on height."""
-
-    spec: SolvSpec
-    boundary: BoundaryMap
-    shift: float
-
-    def __call__(self, p: SolvPoint) -> SolvPoint:
-        """The image of one point or of rows, read and checked as multiply does them; x is
-        mapped in one ``eval_blocks`` call, each row as its one-point image bit for bit."""
-        inputs = _require_solv_points(self.spec, p)
-        (t,), ((x,), _) = inputs
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _solv_result(inputs, t + self.shift,
-                                _image_rows(self.spec.lower, self.boundary, x), None)
-
-
-def suspend_boundary_map(spec: SolvSpec, G, a: float) -> SuspendedMap:
-    """Extend a boundary map to the model space: spatial action plus height shift.
-
-    ``G`` needs ``eval_blocks``, and every map must pass ``check_triangularity`` at 50 probes.
-    The shift ``a`` is one finite number: InputError otherwise, DimensionMismatch on an array.
-    """
-    if not spec.pure:
-        raise InputError("suspension implemented for the pure lower case")
-    shift = floats(a, "height shift")
-    if shift.ndim:
-        raise DimensionMismatch(f"height shift must be one number, not of shape {shift.shape}")
-    if not math.isfinite(shift):
-        raise InputError(f"height shift must be finite, got {a!r}")
-    if not hasattr(G, "eval_blocks"):
-        raise InputError(f"{type(G).__name__} is not a boundary map: it has no eval_blocks")
-    verdict = check_triangularity(G, spec.lower, probes=50)
-    if not verdict.passed:
-        raise InputError(
-            f"boundary map failed the triangularity check at {verdict.worst_pair} "
-            f"(response {verdict.worst_response:.3e})"
-        )
-    return SuspendedMap(spec=spec, boundary=G, shift=float(shift))

@@ -15,7 +15,6 @@ import numpy as np
 import solvrigid
 from solvrigid import (
     BlockPoint,
-    CoverageError,
     DomainError,
     SpectralData,
     act,
@@ -135,12 +134,11 @@ def radial_escape_words(g: FirstBlockAffineMap, count: int) -> list[FirstBlockAf
 
 
 def _nearest_index(points, p, resolution):
+    """The index of the sample nearest to p, or None where it is farther than resolution."""
     flats = np.asarray([q.flat() for q in points])
     dist2 = np.sum((flats - p.flat()) ** 2, axis=1)
     idx = int(np.argmin(dist2))
-    if math.sqrt(float(dist2[idx])) > resolution:
-        raise CoverageError("off the grid")
-    return idx
+    return None if math.sqrt(float(dist2[idx])) > resolution else idx
 
 
 def orbit_classes(generators, p: BlockPoint, word_len: int) -> np.ndarray:
@@ -180,10 +178,10 @@ def invariant_structure(generators, grid, word_len, resolution):
     for g in generators:
         at, derivs, mus, images = [], [], [], []
         for i, (p, mu_p) in enumerate(zip(points, values)):
-            try:
-                mu_gp = values[_nearest_index(points, g(p), resolution)]
-            except CoverageError:
+            j = _nearest_index(points, g(p), resolution)
+            if j is None:
                 continue
+            mu_gp = values[j]
             at.append(i)
             derivs.append(g.first_block_derivative(p))
             mus.append(mu_p)

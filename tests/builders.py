@@ -1,0 +1,21 @@
+"""Sample builders that only the tests use: a similarity group of the line for
+the 1-D conjugation tests, and a unit translation for the kernel tests."""
+
+from solvrigid import AlmostTranslation, Const
+from solvrigid.fixtures import SPEC_R1
+from solvrigid.tukia import GroupSample, OneDGenerator
+
+
+def similarity_1d_sample(word_len: int = 6) -> GroupSample:
+    """Pure similarities of the line: scaling by 2 about the origin."""
+    gen = OneDGenerator(
+        fn=lambda x: 2.0 * x,
+        dfn=lambda x: 2.0,
+        inv=lambda x: 0.5 * x,
+        stretch=2.0,
+    )
+    return GroupSample(generators=[gen], word_len=word_len, alpha1=1.0)
+
+
+def unit_translation_1d() -> AlmostTranslation:
+    return AlmostTranslation(SPEC_R1, [Const([1.0])], K=1.0)

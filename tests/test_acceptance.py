@@ -16,9 +16,7 @@ from solvrigid import (
     approx_lth_root,
     boundary_of_height_isometry,
     chain_energy,
-    check_reciprocity,
     default_probes,
-    displacement_bound,
     epsilon_bound,
     height_hom,
     kdist,
@@ -39,16 +37,14 @@ from solvrigid.fixtures import (
     constant_rotation_map,
     exact_r1_fixture,
     exact_r2_fixture,
-    matched_boundary_pair,
-    mismatched_boundary_pair,
     normalized_dilation_sample,
     oscillating_kernel_element,
     stretch_bump_sample,
-    unit_translation_1d,
     varying_rotation_map,
 )
 from solvrigid.nilpotent import ExactWord
 
+from builders import unit_translation_1d
 import metric_reference as reference
 
 
@@ -186,7 +182,7 @@ def test_nilpotent_algorithms():
             assert (gamma_p * kappa).block_displacement(p, 0) == (
                 kappa * gamma_p
             ).block_displacement(p, 0)
-        # oscillation and displacement bounds on the bundled kernel elements
+        # oscillation bounds on the bundled kernel elements
         rng = np.random.default_rng(4)
         for gamma in (oscillating_kernel_element(), unit_translation_1d()):
             spec = gamma.spec
@@ -197,20 +193,10 @@ def test_nilpotent_algorithms():
             for i in range(spec.r):
                 vals = np.asarray([gamma.perturbations[i](p.blocks) for p in pts])
                 assert oscillation(vals) <= epsilon_bound(gamma, i) + 1e-12
-            bound = displacement_bound(gamma, [gamma])
-            worst = max(float(np.linalg.norm(gamma(p).flat() - p.flat())) for p in pts[:1000])
-            assert worst <= bound + 1e-12
 
 
 def test_reciprocity_and_homomorphisms():
     with _Criterion("reciprocity-homs", 10.0):
-        assert check_reciprocity(matched_boundary_pair()).passed
-        verdict = check_reciprocity(mismatched_boundary_pair())
-        assert not verdict.passed
-        drift = np.asarray(verdict.drift)
-        assert len(drift) > 0
-        assert np.allclose(np.diff(np.log(drift)), math.log(2.0 / 3.0))
-
         rng = np.random.default_rng(5)
         from solvrigid import AlmostTranslation
         from solvrigid.fixtures import SPEC_ROT

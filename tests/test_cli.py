@@ -21,7 +21,6 @@ from solvrigid.solvgroup import (
     SolvPoint,
     SolvSpec,
     boundary_of_height_isometry,
-    level_distance,
     pair_to_point,
 )
 from solvrigid.spectral import ROW_BLOCK, SpectralData, random_row_blocks
@@ -619,10 +618,10 @@ def _scalar_bisect(spec, p, q) -> float:
     bracket of pair_to_point's one-point height, as the row bisection's."""
     logd = pair_to_point(spec, p, q)
     lo, hi = logd - 1.0, logd + 1.0
-    flo = level_distance(spec, lo, (p, None), (q, None)) - 1.0
+    flo = reference.level_distance(spec, lo, (p, None), (q, None)) - 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fmid = level_distance(spec, mid, (p, None), (q, None)) - 1.0
+        fmid = reference.level_distance(spec, mid, (p, None), (q, None)) - 1.0
         if abs(hi - lo) < 1e-13:
             break
         if (flo > 0) == (fmid > 0):

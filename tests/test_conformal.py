@@ -8,8 +8,6 @@ import pytest
 
 from solvrigid import (
     ConvergenceError,
-    CoverageError,
-    DimensionMismatch,
     DomainError,
     FirstBlockAffineMap,
     InputError,
@@ -72,11 +70,10 @@ def _ref_invariant_structure(generators, grid, word_len, resolution):
     for p, mu_p in zip(points, values):
         worst = 0.0
         for g in generators:
-            try:
-                mu_gp = field_.value_at(g(p).flat())
-            except CoverageError:
+            (j,), (covered,) = field_._nearest(g(p).flat()[None])
+            if not covered:
                 continue
-            worst = max(worst, kdist(mu_gp, act(g.first_block_derivative(p.blocks), mu_p)))
+            worst = max(worst, kdist(field_.values[j], act(g.first_block_derivative(p.blocks), mu_p)))
         field_.defects.append(worst)
     return field_
 
@@ -543,6 +540,15 @@ class TestBatchedCircumcenter:
         with pytest.raises(InputError):
             solve_circumcenter([np.eye(2), np.diag([2.0, 0.5])], tol=tol)
 
+    def test_classes_whose_whitened_entries_overflow_raise_domain_error(self):
+        # whitening diag(e^-400, e^400) by the first class's factor reads e^800:
+        # numpy's RuntimeWarning "overflow encountered in matmul" came instead
+        a = np.diag([math.exp(400.0), math.exp(-400.0)])
+        pair = np.stack([a, np.diag([math.exp(-400.0), math.exp(400.0)])])
+        for classes in (pair, np.stack([np.stack([np.eye(2), np.eye(2)]), pair])):
+            with pytest.raises(DomainError, match="beyond float range"):
+                solve_circumcenter(classes)
+
     def test_uncertified_batch_member_named_with_its_gap(self):
         rng = np.random.default_rng(3)
         pair = conf_class(_random_stack(rng, 2))
@@ -752,20 +758,3 @@ class TestInvariantStructure:
         assert sum(len(args[0]) for args in calls) == len(field.values) == len(orbits)
         for classes, value in zip(orbits, field.values):
             assert np.array_equal(value, conformal_reference.solve_circumcenter(classes).center)
-
-    def test_value_at_raises_off_grid(self):
-        field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.4)
-        with pytest.raises(CoverageError):
-            field.value_at(np.array([0.0, 0.0, 9.0]))
-
-    @pytest.mark.parametrize("p, error", [
-        (np.zeros(2), DimensionMismatch), (np.zeros(4), DimensionMismatch),
-        (np.zeros((1, 3)), DimensionMismatch), (0.0, DimensionMismatch),
-        (np.array([0.0, math.nan, 0.0]), InputError),
-    ])
-    def test_value_at_reads_one_row_of_the_grid_length(self, p, error):
-        # a row of another length raised numpy's broadcasting ValueError, and a
-        # NaN row read as covered by the first sample
-        field = ConfField(points=self._grid(), values=[np.eye(2)] * 7, resolution=0.51)
-        with pytest.raises(error):
-            field.value_at(p)

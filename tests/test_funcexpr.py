@@ -1,10 +1,7 @@
-"""Expression-tree nodes: evaluation, certificates, and JSON round trips."""
+"""Expression-tree nodes: evaluation, certificates, and dependencies."""
 
-import json
 import math
-import re
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +22,6 @@ from solvrigid import (
     Scale,
     SpectralData,
     Sum,
-    expr_from_json,
-    probe_lipschitz,
 )
 from solvrigid import funcexpr
 from solvrigid.fixtures import SPEC_NIL
@@ -62,7 +57,6 @@ def test_abspow_certificates_beyond_float_range_read_inf():
     # 2.0 ** 1e10 raised builtins OverflowError from both certificates
     e = AbsPow(1e10, Const([2.0]))
     assert e.sup_bound == e.lipschitz == math.inf
-    assert expr_from_json(e.to_json()).sup_bound == math.inf
     # a map that needs a finite sup certificate rejects the node
     with pytest.raises(InputError):
         AlmostTranslation(SpectralData((1.0, 2.0), (1, 1)), [e, Const([0.0])])
@@ -152,6 +146,20 @@ def test_osc_certificates():
     assert np.allclose(e(BLOCKS), [2.0 * math.sin(6.1)])
 
 
+def _probed_slope(e, rng, probes):
+    """The largest finite-difference slope of e over random pairs 1e-4 apart in one
+    block it reads, at points drawn uniformly from [-5, 5] in every coordinate."""
+    js = sorted(e.deps())
+    worst = 0.0
+    for _ in range(probes):
+        a = [rng.uniform(-5.0, 5.0, n) for n in SPEC.multiplicities]
+        j = js[rng.integers(len(js))]
+        step = rng.normal(size=SPEC.multiplicities[j]) * 1e-4
+        b = [x + step if i == j else x for i, x in enumerate(a)]
+        worst = max(worst, float(np.linalg.norm(e(a) - e(b)) / np.linalg.norm(step)))
+    return worst
+
+
 def test_certificates_dominate_probed_slopes():
     rng = np.random.default_rng(0)
     exprs = [
@@ -160,61 +168,8 @@ def test_certificates_dominate_probed_slopes():
         Pwl([-1.0, 1.0], [0.0, 3.0], BlockVar(1, 1)),
     ]
     for e in exprs:
-        probed = probe_lipschitz(e, SPEC, rng, probes=300)
+        probed = _probed_slope(e, rng, probes=300)
         assert probed <= e.lipschitz * (1.0 + 1e-6)
-
-
-def test_json_round_trip():
-    e = Sum((
-        Lin([[2.0]], AbsPow(1.5, Clamp(-1.0, 1.0, BlockVar(1, 1)))),
-        Osc([0.5], [1.0], 0.25, BlockVar(1, 1)),
-        Scale(-1.0, Const([4.0])),
-    ))
-    payload = json.loads(json.dumps(e.to_json()))
-    again = expr_from_json(payload)
-    for v in (-2.0, 0.0, 0.7, 5.0):
-        blocks = [np.zeros(2), np.array([v])]
-        assert np.allclose(e(blocks), again(blocks))
-
-
-def test_json_rejects_unknown_tag():
-    with pytest.raises(InputError):
-        expr_from_json({"node": "spline"})
-
-
-NAN, INF = float("nan"), float("inf")
-X1 = {"node": "block", "index": 1, "dim": 1}
-
-
-@pytest.mark.parametrize("payload", [
-    [X1],  # not an object
-    "const",
-    {"node": "lin", "child": X1},  # a missing field
-    {"node": "osc", "amp": [1.0], "weights": [1.0], "child": X1},
-    {"node": "const", "value": "abc"},  # not numeric
-    {"node": "const", "value": [1.0, "x"]},
-    {"node": "scale", "factor": [2.0], "child": X1},
-    {"node": "const", "value": [NAN]},  # not finite
-    {"node": "scale", "factor": NAN, "child": X1},
-    {"node": "osc", "amp": [1.0], "weights": [INF], "phase": 0.0, "child": X1},
-    {"node": "lin", "matrix": [[NAN]], "child": X1},
-    {"node": "pwl", "xs": [0.0, 1.0], "ys": [0.0, INF], "child": X1},
-    {"node": "clamp", "lo": -INF, "hi": 0.0, "child": X1},
-    {"node": "block", "index": -1, "dim": 1},  # negative or fractional index
-    {"node": "block", "index": 1.5, "dim": 1},
-    {"node": "sum", "children": 5},
-    {"node": "block", "index": 5, "dim": 1},  # past the blocks: caught at evaluation
-    {"node": "const", "value": ["2.5"]},  # strings and booleans are not JSON numbers
-    {"node": "scale", "factor": True, "child": {"node": "block", "index": "1", "dim": True}},
-    {"node": "scale", "factor": 2.0, "child": {"node": "block", "index": "1", "dim": 1}},
-    {"node": "block", "index": 1, "dim": True},
-    {"node": "clamp", "lo": "-1", "hi": 0.0, "child": X1},
-    {"node": "lin", "matrix": [[1.0], [False]], "child": X1},
-    {"node": "osc", "amp": [1.0], "weights": [1.0], "phase": "0", "child": X1},
-], ids=lambda p: json.dumps(p)[:60])
-def test_json_rejects_malformed_nodes(payload):
-    with pytest.raises(InputError):
-        expr_from_json(payload)(BLOCKS)
 
 
 @pytest.mark.parametrize("weights, phase", [([1.0], math.nan), ([math.nan], 0.0),
@@ -232,6 +187,17 @@ def test_a_python_built_table_takes_only_finite_knots_and_values(xs, ys):
     # knots and values of inf gave an inf / inf slope, and numpy's RuntimeWarning
     with pytest.raises(InputError, match="piecewise-linear"):
         Pwl(xs, ys, BlockVar(1, 1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Const(["abc"]), lambda: Const([1.0, "x"]), lambda: Scale([2.0], BlockVar(1, 1)),
+    lambda: Scale(math.nan, BlockVar(1, 1)), lambda: Lin([[math.nan]], BlockVar(1, 1)),
+    lambda: Clamp(-math.inf, 0.0, BlockVar(1, 1)), lambda: BlockVar(5, 1)(BLOCKS),
+], ids=["const-text", "const-mixed", "scale-list", "scale-nan", "lin-nan", "clamp-inf",
+        "block-past-the-blocks"])
+def test_a_python_built_node_rejects_parameters_it_cannot_use(build):
+    with pytest.raises(InputError):
+        build()
 
 
 def _displacement():
@@ -281,38 +247,7 @@ def _node_rows():
     return [rows[:, s] for s in SPEC.block_slices()]
 
 
-@pytest.mark.parametrize("name", [n for n in NODES if n != "displacement"])
-def test_json_round_trip_of_every_node_kind(name):
-    e = NODES[name]
-    payload = json.loads(json.dumps(e.to_json()))
-    again = expr_from_json(payload)
-    assert payload["node"] == name and type(again) is type(e)
-    assert again.to_json() == payload
-    blocks = _node_rows()
-    assert np.array_equal(again(blocks), e(blocks))
-    assert np.array_equal(again(BLOCKS), e(BLOCKS))
-    assert (again.sup_bound, again.lipschitz, again.deps()) == (e.sup_bound, e.lipschitz, e.deps())
-
-
-def test_displacement_has_no_json_encoding():
-    with pytest.raises(NotImplementedError):
-        NODES["displacement"].to_json()
-
-
-def test_doc_node_table_matches_the_layout_table():
-    text = (Path(__file__).resolve().parents[1] / "docs" / "funcexpr-schema.md").read_text()
-    lines = text.split("## Node types")[1].split("\n## ")[0].splitlines()
-    kinds = {"[float]": "array", "[[float]]": "array", "float": "scalar", "float > 0": "scalar",
-             "int >= 0": "count", "": "child", "[node]": "children"}
-    rows = []
-    for line in (line for line in lines if line.startswith("| `")):
-        tag, fields = line.split("|")[1:3]
-        rows.append((tag.strip().strip("`"), tuple(
-            (name, kinds[kind]) for name, kind in re.findall(r"`(\w+)(?::\s*([^`]*))?`", fields))))
-    assert rows == [(tag, fields) for tag, (_, fields) in funcexpr._NODES.items()]
-
-
-def test_every_node_class_has_a_layout():
+def test_every_node_class_names_its_children_or_reads_its_own_deps():
     def subclasses(cls):
         for sub in cls.__subclasses__():
             yield sub
@@ -320,8 +255,25 @@ def test_every_node_class_has_a_layout():
 
     classes = {cls for cls in subclasses(FuncExpr)
                if cls.__module__ == funcexpr.__name__ and not cls.__name__.startswith("_")}
-    laid_out = {cls for cls, _ in funcexpr._NODES.values()}
-    assert sorted(c.__name__ for c in classes - laid_out - {funcexpr.Displacement}) == []
+    own = {cls for cls in classes if cls.deps is not FuncExpr.deps}
+    assert own == {BlockVar, funcexpr.Displacement}
+    assert sorted(c.__name__ for c in classes - funcexpr._CHILDREN.keys() - own) == []
+    assert {type(e) for e in NODES.values()} == classes
+
+
+DEPS = {"const": set(), "block": {0}, "lin": {0}, "sum": {1}, "scale": {0}, "abspow": {0},
+        "min": {0, 1}, "max": {0, 1}, "clamp": {0}, "pwl": {1}, "osc": {0}, "displacement": {1}}
+
+
+@pytest.mark.parametrize("name", list(NODES))
+def test_deps_are_the_blocks_a_node_reads(name):
+    # moving the blocks outside deps leaves the value as it is, up to the rounding of
+    # a displacement's x + d - x
+    e = NODES[name]
+    assert e.deps() == DEPS[name]
+    rows = _node_rows()
+    moved = [b if i in DEPS[name] else b + 1.5 for i, b in enumerate(rows)]
+    assert np.allclose(e(moved), e(rows), rtol=0, atol=1e-12)
 
 
 X01 = BlockVar(0, 1)

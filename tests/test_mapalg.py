@@ -14,9 +14,7 @@ from hypothesis.extra import numpy as hnp
 from solvrigid import (
     ASimMap,
     AlmostTranslation,
-    BlockPoint,
     BlockVar,
-    BoundaryPair,
     Const,
     DimensionMismatch,
     DomainError,
@@ -30,8 +28,6 @@ from solvrigid import (
     SimMap,
     SpectralData,
     Sum,
-    check_reciprocity,
-    check_triangularity,
     classify,
     conjugate_almost_by_sim,
     estimate_qsim_constants,
@@ -45,8 +41,6 @@ from solvrigid.fixtures import (
     SPEC_ROT,
     SPEC_STRETCH,
     constant_rotation_map,
-    matched_boundary_pair,
-    mismatched_boundary_pair,
     oscillating_kernel_element,
     radial_escape_words,
     radial_generator,
@@ -598,26 +592,6 @@ class TestWordCertificates:
         )
 
 
-class TestTriangularity:
-    def test_probe_check_passes_on_sim(self):
-        s = SimMap(SPEC_NIL, 3.0)
-        assert check_triangularity(s, SPEC_NIL).passed
-
-    def test_probe_check_flags_lower_dependence(self):
-        def bad(p):
-            return BlockPoint((p.blocks[0], p.blocks[1] + p.blocks[0]))
-
-        verdict = check_triangularity(bad, SPEC_NIL)
-        assert not verdict.passed
-        assert verdict.worst_pair == (1, 0)
-
-    @pytest.mark.parametrize("probes", [0, -1, 2.5, "x"])
-    def test_probes_below_one_rejected(self, probes):
-        # no probe found no response, so probes=0 passed by construction
-        with pytest.raises(InputError):
-            check_triangularity(SimMap(SPEC_NIL, 3.0), SPEC_NIL, probes=probes)
-
-
 class TestClassification:
     @staticmethod
     def _pairs(count, scale=1.0):
@@ -710,20 +684,6 @@ class TestHomomorphisms:
         els = [SimpleNamespace(stretch=stretch), SimMap(SPEC_NIL, 2.0)]
         with pytest.raises(error):
             stretch_hom(els, [[v], [1.0]])
-
-
-class TestReciprocity:
-    def test_matched_pair_passes(self):
-        assert check_reciprocity(matched_boundary_pair()).passed
-
-    def test_mismatch_fails_with_geometric_drift(self):
-        verdict = check_reciprocity(mismatched_boundary_pair())
-        assert not verdict.passed
-        assert verdict.log_defect == pytest.approx(abs(math.log(2.0 / 3.0)), rel=1e-12)
-        drift = np.asarray(verdict.drift)
-        assert len(drift) == 10
-        # drift of (t_l t_u)^k decays geometrically for t_l t_u = 2/3
-        assert np.allclose(np.diff(np.log(drift)), math.log(2.0 / 3.0))
 
 
 class TestFirstBlockAffine:

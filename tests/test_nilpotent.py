@@ -1,5 +1,5 @@
-"""Almost translations, kernel projections, oscillation bounds, orbit
-counting, and the exact approximate-root algorithm."""
+"""Almost translations, oscillation bounds, orbit counting, and the exact
+approximate-root algorithm."""
 
 import math
 from fractions import Fraction
@@ -16,18 +16,15 @@ from solvrigid import (
     ExactWord,
     InfiniteIndexSuspected,
     InputError,
-    NotInKernel,
     OrbitCount,
     Osc,
     approx_lth_root,
     default_probes,
-    displacement_bound,
     distance,
     epsilon_bound,
     orbit_growth,
     oscillation,
     root_power_word,
-    tau_project,
 )
 from solvrigid.funcexpr import BlockVar
 from solvrigid.fixtures import (
@@ -36,11 +33,11 @@ from solvrigid.fixtures import (
     exact_r1_fixture,
     exact_r2_fixture,
     oscillating_kernel_element,
-    unit_translation_1d,
 )
 from solvrigid import fixtures, nilpotent
 from solvrigid.nilpotent import ExactGenerator
 
+from builders import unit_translation_1d
 from metric_reference import isclose, zero
 
 RNG = np.random.default_rng(23)
@@ -182,33 +179,6 @@ class TestBounds:
         assert oscillation(vals) == _pairwise_max(vals)
         vals[7, 1] = math.nan
         assert math.isnan(oscillation(vals))
-
-    def test_displacement_bound_dominates(self):
-        from solvrigid import distance
-
-        gamma = oscillating_kernel_element()
-        bound = displacement_bound(gamma, [gamma])
-        for _ in range(100):
-            p = _rand_point()
-            moved = float(np.linalg.norm(gamma(p).flat() - p.flat()))
-            assert moved <= bound + 1e-12
-
-
-class TestTauProject:
-    def test_reads_constant_top_block(self):
-        gamma = oscillating_kernel_element(c=4.0)
-        assert np.allclose(tau_project(gamma, 1), [4.0])
-
-    def test_kernel_requirement(self):
-        gamma = oscillating_kernel_element()
-        with pytest.raises(NotInKernel) as err:
-            tau_project(gamma, 0)
-        assert err.value.block == 1
-
-    def test_first_level_after_quotient(self):
-        b1 = Const([2.5])
-        gamma = AlmostTranslation(SPEC_NIL, [b1, Const([0.0])])
-        assert np.allclose(tau_project(gamma, 0), [2.5])
 
 
 def _ref_orbit(generators, basepoint, word_cap):

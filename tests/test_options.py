@@ -1,5 +1,6 @@
-"""Every option of the library is set by some caller, every export is read
-outside the tests, and the array-point layers do not name BlockPoint.
+"""Every option of the library is set by some caller, every export and every
+public method of an exported class is read outside the tests, and the
+array-point layers do not name BlockPoint.
 
 An option is a parameter with a default on a module-level function, or on a
 non-dunder method of a module-level class, in ``src/solvrigid``. A call sets
@@ -62,18 +63,11 @@ def test_every_option_is_set_by_some_caller():
 # Exports that only tests call, each waiting for the roadmap item that gives it a
 # caller or deletes it.
 WAITING = {
-    "check_reciprocity": "ROADMAP item 2",
     "dilatation": "ROADMAP item 5",
-    "displacement_bound": "ROADMAP item 9",
-    "expr_from_json": "ROADMAP item 9",
     "invariant_structure": "ROADMAP item 5",
-    "level_distance": "ROADMAP item 7",
     "normalize_stretch": "ROADMAP item 5",
-    "probe_lipschitz": "ROADMAP item 9",
     "radial_conjugator": "ROADMAP item 5",
     "rotation_rigidity_witness": "ROADMAP item 5",
-    "suspend_boundary_map": "ROADMAP item 6",
-    "tau_project": "ROADMAP item 9",
 }
 MODULES = {"solvrigid"} | {p.stem for p in SRC.glob("*.py")}
 
@@ -100,10 +94,14 @@ def _has_reader(name, readers, seen) -> bool:
                for r in readers[name])
 
 
-def test_every_export_has_a_caller_outside_the_tests():
+def _exports() -> set[str]:
     init = ast.parse((SRC / "__init__.py").read_text())
-    exports = {a.name for n in init.body if isinstance(n, ast.ImportFrom) and n.level
-               for a in n.names}
+    return {a.name for n in init.body if isinstance(n, ast.ImportFrom) and n.level
+            for a in n.names}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    exports = _exports()
     readers = defaultdict(set)  # per name, the top-level definitions that read it
     for path in sorted(SRC.glob("*.py")):
         if path.name != "__init__.py":
@@ -117,6 +115,46 @@ def test_every_export_has_a_caller_outside_the_tests():
     # a new test-only export fails here, and so does a waiting one that found a caller
     assert sorted(unread - WAITING.keys()) == []
     assert sorted(WAITING.keys() - unread) == []
+
+
+def _sources(directory: Path) -> dict[str, str]:
+    return {p.name: p.read_text() for p in sorted(directory.glob("*.py"))}
+
+
+def _attributes_read(text: str):
+    """The attribute names a module reads, and the words of its strings other than
+    docstrings (a path such as ``"mapalg.SimMap.compose"`` or a ``getattr`` name)."""
+    tree = ast.parse(text)
+    docs = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docs:
+            yield from re.findall(r"\w+", n.value)
+
+
+def _unread_methods(src: dict[str, str], perfbench: dict[str, str]) -> list[str]:
+    """``Class.method`` for each public method of an exported class whose name no
+    module of ``src`` or ``perfbench`` reads as an attribute."""
+    exports = _exports()
+    read = {a for text in [*src.values(), *perfbench.values()] for a in _attributes_read(text)}
+    return sorted(f"{c.name}.{f.name}" for text in src.values() for c in ast.parse(text).body
+                  if isinstance(c, ast.ClassDef) and c.name in exports
+                  for f in c.body if isinstance(f, ast.FunctionDef)
+                  and not f.name.startswith("_") and f.name not in read)
+
+
+def test_every_public_method_of_an_export_has_a_reader_outside_the_tests():
+    assert _unread_methods(_sources(SRC), _sources(ROOT / "perfbench")) == []
+
+
+def test_the_method_guard_finds_a_planted_method_without_a_reader():
+    src = _sources(SRC)
+    anchor = "    def _nearest(self"
+    assert anchor in src["conformal.py"]
+    src["conformal.py"] = src["conformal.py"].replace(
+        anchor, "    def planted_probe(self):\n        return 0\n\n" + anchor, 1)
+    assert _unread_methods(src, _sources(ROOT / "perfbench")) == ["ConfField.planted_probe"]
 
 
 # The metric, model-space, conformal and CLI layers take points as (total_dim,) or

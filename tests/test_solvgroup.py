@@ -20,20 +20,26 @@ from solvrigid import (
     boundary_of_height_isometry,
     distance,
     inverse,
-    level_distance,
     multiply,
     pair_to_point,
     pair_to_point_bisect,
     random_row_blocks,
-    suspend_boundary_map,
 )
+from solvrigid import solvgroup
 from solvrigid.fixtures import SPEC_R1, SPEC_R2, SPEC_R3
-from solvrigid.spectral import BoundaryMap
 
 import metric_reference as reference
 from metric_reference import isclose, random_point
 
 RNG = np.random.default_rng(9)
+
+
+def level_distance(spec, t, p, q):
+    """The level distance that pair_to_point_bisect steers by: ``_level_distance`` on
+    ``_level_gaps``, a float for one point each and an ``(N,)`` array for rows."""
+    t = np.asarray(t, dtype=float)
+    d = solvgroup._level_distance(t, *solvgroup._level_gaps(spec, t, p, q))
+    return float(d) if d.ndim == 0 else d
 PURE = SolvSpec(lower=SPEC_R2)
 MIXED = SolvSpec(lower=SPEC_R2, upper=SPEC_R2)
 BATCH = SolvSpec(lower=SpectralData((1.0, 2.0, 3.5), (2, 1, 2)))  # the boundary_batch spec
@@ -204,13 +210,6 @@ class TestLevelDistance:
         with pytest.raises(InputError):
             level_distance(PURE, 0.0, (p, None), (np.zeros(2), None))
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_non_finite_height_rejected(self, t):
-        # every level term was NaN at a NaN height, and max dropped them: 0.0
-        p = np.array([1.0, 2.0])
-        with pytest.raises(InputError):
-            level_distance(PURE, t, (p, None), (np.zeros(2), None))
-
     def test_gap_whose_square_underflows(self):
         # (1e-170)^2 underflows to 0, and np.linalg.norm read the gap as 0
         p = np.array([1e-170, 0.0])
@@ -284,8 +283,6 @@ class TestLevelDistanceRows:
             level_distance(PURE, np.zeros(3), (x[0], None), (y[0], None))
         with pytest.raises(DimensionMismatch):  # lower rows with an upper point
             level_distance(MIXED, 0.0, (x, x[0]), (y, y[0]))
-        with pytest.raises(InputError):
-            level_distance(PURE, np.array([0.0, math.nan, 1.0]), (x, None), (y, None))
 
 
 class TestPairToPoint:
@@ -374,20 +371,18 @@ class TestVerticalGeodesic:
 
     def test_downward_points_decrease_height(self):
         geo = VerticalGeodesic(anchor=(np.zeros(2), None))
-        assert geo.point_at(2.0).height == -2.0
-        rows = geo.sample_csv_rows([0.0, 1.0])
-        assert rows[0][0] == 0.0 and rows[1][0] == -1.0
+        rows = geo.sample_csv_rows([0.0, 1.0, 2.0])
+        assert [r[0] for r in rows] == [0.0, -1.0, -2.0]
 
     def test_csv_rows_equal_the_per_parameter_loop(self):
+        # the row at t is (t, anchor) upward and (-t, anchor) downward
         x, z = random_point(SPEC_R2, RNG).flat(), random_point(SPEC_R3, RNG).flat()
         ts = np.linspace(-2.0, 2.0, 41)
         for anchor in ((x, None), (None, z), (x, z)):
-            for orientation in ("upward", "downward"):
+            coords = [v for a in anchor if a is not None for v in a.tolist()]
+            for orientation, sign in (("upward", 1.0), ("downward", -1.0)):
                 geo = VerticalGeodesic(anchor, orientation)
-                want = [[geo.point_at(float(t)).height,
-                         *(v for a in anchor if a is not None for v in a.tolist())]
-                        for t in ts]
-                assert geo.sample_csv_rows(ts) == want
+                assert geo.sample_csv_rows(ts) == [[sign * t, *coords] for t in ts.tolist()]
 
 
 class TestBoundaryCorrespondence:
@@ -423,89 +418,3 @@ class TestBoundaryCorrespondence:
         # e^1000 raised builtins OverflowError, and a NaN height DomainError
         with pytest.raises(error):
             boundary_of_height_isometry(PURE, height)
-
-    def test_suspension_accepts_triangular_and_shifts_height(self):
-        sus = suspend_boundary_map(PURE, SimMap(SPEC_R2, math.e), 1.0)
-        g = SolvPoint(height=0.25, x=random_point(SPEC_R2, RNG).flat())
-        out = sus(g)
-        assert out.height == pytest.approx(1.25)
-
-    def test_suspension_takes_flat_coordinates(self):
-        # a (total_dim,) array raised AttributeError from SolvPoint.conforms
-        G = SimMap(SPEC_R2, math.e)
-        sus = suspend_boundary_map(PURE, G, 1.0)
-        x = random_point(SPEC_R2, RNG)
-        out = sus(SolvPoint(0.25, x.flat()))
-        assert out.height == 1.25
-        assert np.array_equal(out.x, G(x).flat())
-        with pytest.raises(DimensionMismatch):
-            sus(SolvPoint(0.25, np.zeros(3)))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_suspension_rejects_non_finite_points(self, bad):
-        # a NaN height passed through into the image
-        sus = suspend_boundary_map(PURE, SimMap(SPEC_R2, math.e), 1.0)
-        with pytest.raises(InputError):
-            sus(SolvPoint(bad, np.zeros(2)))
-        with pytest.raises(InputError):
-            sus(SolvPoint(0.0, np.array([0.0, bad])))
-
-    def test_suspension_rejects_nontriangular_map(self):
-        class Shear(BoundaryMap):
-            spec = SPEC_R2
-
-            def _apply(self, blocks):
-                return [blocks[0], blocks[1] + blocks[0]]
-
-        with pytest.raises(InputError, match="triangularity"):
-            suspend_boundary_map(PURE, Shear(), 0.0)
-
-    def test_suspension_probes_every_map_whatever_its_attributes(self):
-        # a map with a ``components`` attribute skipped the probe check
-        class Shear(BoundaryMap):
-            spec = SPEC_R2
-            components = ()
-
-            def _apply(self, blocks):
-                return [blocks[0], blocks[1] + blocks[0]]
-
-        with pytest.raises(InputError, match=r"triangularity check at \(1, 0\)"):
-            suspend_boundary_map(PURE, Shear(), 0.0)
-
-    @pytest.mark.parametrize("shift, error", [
-        ("x", InputError), (math.nan, InputError), (math.inf, InputError),
-        ([1.0, 2.0], DimensionMismatch), ([[0.5]], DimensionMismatch),
-    ])
-    def test_suspension_reads_its_shift_as_one_finite_number(self, shift, error):
-        # "x" raised numpy's UFuncTypeError at call time, and [1.0, 2.0] gave
-        # one point two heights
-        with pytest.raises(error):
-            suspend_boundary_map(PURE, SimMap(SPEC_R2, math.e), shift)
-
-    def test_suspension_rejects_a_map_without_eval_blocks(self):
-        # an opaque callable passed the probe check, and its suspension read
-        # points one at a time through BlockPoints
-        with pytest.raises(InputError, match="eval_blocks"):
-            suspend_boundary_map(PURE, lambda p: p, 0.0)
-
-    def test_suspension_rows_equal_the_per_point_images(self):
-        # the suspension took one point only (DimensionMismatch on rows)
-        G = SimMap(SPEC_R2, 1.7, translations=[np.array([0.4]), np.array([-1.1])])
-        sus = suspend_boundary_map(PURE, G, 0.3)
-        rows = _solv_rows(PURE, np.random.default_rng(14), 200)
-        got = sus(rows)
-        assert got.height.shape == (200,) and got.x.shape == (200, 2)
-        for i in range(200):
-            one = sus(_row(rows, i))
-            assert got.height[i] == one.height == rows.height[i] + 0.3
-            assert np.array_equal(got.x[i], one.x)
-            assert np.array_equal(one.x, G(reference.from_flat(SPEC_R2, rows.x[i])).flat())
-
-    def test_suspended_image_beyond_float_range(self):
-        # the image read inf, where multiply raises DomainError
-        sus = suspend_boundary_map(PURE, SimMap(SPEC_R2, 10.0), 0.0)
-        x = np.array([1e308, 0.0])
-        with pytest.raises(DomainError):
-            sus(SolvPoint(0.0, x))
-        with pytest.raises(DomainError):
-            sus(SolvPoint(np.zeros(3), np.stack([np.zeros(2), x, np.ones(2)])))

@@ -32,7 +32,6 @@ from solvrigid.fixtures import (
     radial_escape_words,
     radial_generator,
     radial_sample,
-    similarity_1d_sample,
     stretch_bump_sample,
 )
 from solvrigid.nilpotent import walk_words
@@ -40,6 +39,7 @@ from solvrigid.spectral import join_blocks, split_rows
 from solvrigid.tukia import WordVerdict, _chain_1d
 
 import affine_reference
+from builders import similarity_1d_sample
 from metric_reference import isclose
 
 

@@ -19,7 +19,6 @@ from solvrigid import (
     BlockVar,
     ChainGrid,
     Clamp,
-    ConfField,
     Const,
     FirstBlockAffineMap,
     InputError,
@@ -39,7 +38,6 @@ from solvrigid import (
     invariant_structure,
     inverse,
     kdist,
-    level_distance,
     multiply,
     pair_to_point,
     pair_to_point_bisect,
@@ -55,9 +53,7 @@ from solvrigid.fixtures import (
     radial_generator,
     varying_rotation_map,
 )
-from solvrigid.funcexpr import expr_from_json
-from solvrigid.solvgroup import (SolvPoint, SolvSpec, boundary_of_height_isometry,
-                                 suspend_boundary_map)
+from solvrigid.solvgroup import SolvPoint, SolvSpec, _level_gaps, boundary_of_height_isometry
 from solvrigid.spectral import BoundaryMap
 
 numbers = st.integers() | st.floats() | st.just(-(10**400))  # an int beyond float range
@@ -69,18 +65,6 @@ json_values = st.recursive(
 # numbers, flat or nested lists of them (ragged ones too), or any JSON value
 arrays = numbers | st.lists(numbers | st.lists(numbers, max_size=3), max_size=3) | json_values
 
-_TAGS = ["const", "block", "lin", "sum", "scale", "abspow", "min", "max", "clamp", "pwl", "osc", "?"]
-_FIELDS = ["value", "index", "dim", "matrix", "factor", "exponent", "lo", "hi", "xs", "ys",
-           "amp", "weights", "phase"]
-
-
-def _node(children):
-    optional = {f: arrays for f in _FIELDS}
-    optional.update(child=children, children=st.lists(children, max_size=3) | children)
-    return st.fixed_dictionaries({"node": st.sampled_from(_TAGS)}, optional=optional)
-
-
-expr_nodes = st.recursive(json_values, _node, max_leaves=8)
 spec_json = st.fixed_dictionaries(
     {}, optional={"alphas": st.lists(numbers, max_size=3) | json_values,
                   "mults": st.lists(st.integers(), max_size=3) | json_values},
@@ -158,19 +142,6 @@ def point_pairs(draw):
 def dilations(draw):
     spec, p, _ = draw(point_pairs())
     return spec, draw(numbers), p
-
-
-@st.composite
-def levels(draw):
-    spec, p, q = draw(point_pairs())
-    return spec, draw(numbers), p, q
-
-
-@st.composite
-def level_rows(draw):
-    spec, p, q = draw(row_pairs())
-    shapes = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)
-    return spec, draw(st.floats() | hnp.arrays(float, shapes) | arrays), p, q
 
 
 def _point(x):
@@ -263,15 +234,6 @@ affine_blocks = _blocks_for(
 ) | _blocks_for([radial_generator(), radial_escape_words(3)[-1]], SPEC_RADIAL.multiplicities)
 
 
-def _expr_certificates(obj):
-    """expr_from_json, then the certificates of every node it built."""
-    nodes = [expr_from_json(obj)]
-    while nodes:
-        node = nodes.pop()
-        node.sup_bound, node.lipschitz
-        nodes += [*getattr(node, "children", ()), *filter(None, [getattr(node, "child", None)])]
-
-
 def _eval_blocks(F, blocks):
     return F.eval_blocks(blocks)
 
@@ -291,35 +253,6 @@ def _pair_to_point(spec, p, q):
 
 def _pair_to_point_bisect(spec, p, q):
     return _reads_points(lambda p, q: pair_to_point_bisect(SolvSpec(lower=spec), p, q), p, q)
-
-
-def _level_distance(spec, t, p, q):
-    return _reads_points(
-        lambda p, q: level_distance(SolvSpec(lower=spec), t, (p, None), (q, None)), p, q)
-
-
-def _suspended(spec, p):
-    """p, one point or rows, through the suspension of a similarity of the lower data; a
-    spec without lower data is rejected before the map is read. An image is finite (one
-    beyond float range is rejected), and it has the rows of p."""
-    G = spec.lower and SimMap(spec.lower, 1.5,
-                              translations=[np.full(n, 0.25) for n in spec.lower.multiplicities])
-    image = suspend_boundary_map(spec, G, 0.5)(p)
-    assert np.isfinite(image.height).all() and np.isfinite(image.x).all()
-    assert np.shape(image.height) == np.shape(p.height) and np.shape(image.x) == np.shape(p.x)
-
-
-def _suspension_shift(a):
-    """One point through the suspension of a similarity by the drawn shift ``a``: one
-    point has one height."""
-    spec = SolvSpec(lower=SPEC_ROT)
-    image = suspend_boundary_map(spec, SimMap(SPEC_ROT, 1.5), a)(SolvPoint(0.25, np.ones(3)))
-    assert isinstance(image.height, float)
-
-
-def _value_at(p):
-    """The class of a field sampled at three rows of length 3, at the drawn row ``p``."""
-    ConfField(points=np.zeros((3, 3)), values=[np.eye(2)] * 3, resolution=1.0).value_at(p)
 
 
 @st.composite
@@ -393,10 +326,6 @@ solv_spec_json = st.fixed_dictionaries(
 
 # target -> (strategy of argument tuples, callable)
 TARGETS = {
-    # a node whose certificates are beyond float range: 2.0 ** 1e10
-    "expr_from_json": (st.tuples(expr_nodes | st.just(
-        {"node": "abspow", "exponent": 1e10, "child": {"node": "const", "value": [2.0]}})),
-        _expr_certificates),
     "conf_class": (st.tuples(matrices), conf_class),
     "conf_class_stack": (st.tuples(stacks), conf_class),
     "dilatation": (st.tuples(matrices | stacks), dilatation),
@@ -412,14 +341,8 @@ TARGETS = {
     "dilate": (dilations(), _dilate),
     "pair_to_point": (point_pairs(), _pair_to_point),
     "pair_to_point_bisect": (point_pairs(), _pair_to_point_bisect),
-    "level_distance": (levels(), _level_distance),
-    "level_distance_rows": (level_rows(), _level_distance),
     "multiply": (solv_points(2), _reads_solv_points(multiply)),
     "inverse": (solv_points(1), _reads_solv_points(inverse)),
-    "SuspendedMap": (solv_points(1), _reads_solv_points(_suspended)),
-    "suspend_boundary_map_shift": (st.tuples(numbers | arrays), _suspension_shift),
-    "ConfField.value_at": (st.tuples(arrays | hnp.arrays(float, hnp.array_shapes(
-        min_dims=0, max_dims=2, max_side=4), elements=coordinates)), _value_at),
     "eval_blocks": (map_blocks, _eval_blocks),
     "FirstBlockAffineMap.eval_blocks": (affine_blocks, _eval_blocks),
     "SimMap_stack": (stretch_stacks() | st.tuples(arrays), _stack_maps),
@@ -461,7 +384,7 @@ def test_only_package_errors_escape(target, data):
 @pytest.mark.parametrize("call", [
     lambda p: distance(SPEC_ROT, p, np.zeros(3)),
     lambda p: multiply(SolvSpec(lower=SPEC_ROT), SolvPoint(0.0, p), SolvPoint(0.0, np.zeros(3))),
-    lambda p: level_distance(SolvSpec(lower=SPEC_ROT), 0.0, (p, None), (np.zeros(3), None)),
+    lambda p: _level_gaps(SolvSpec(lower=SPEC_ROT), np.zeros(()), (p, None), (np.zeros(3), None)),
     lambda p: chain_energy(SPEC_ROT, 2.0, p, np.zeros(3), ChainGrid()),
 ], ids=["distance", "multiply", "level_distance", "chain_energy"])
 def test_a_block_point_is_not_a_point_of_the_metric(call):
