@@ -84,11 +84,9 @@ from .conformal import (
     solve_circumcenter,
 )
 from .tukia import (
-    ConjugationReport,
     GroupSample,
     NormalizedSample,
-    OneDConjugator,
-    OneDGenerator,
+    PLHomeo,
     RadialReport,
     SupMeasure1D,
     conjugator_1d,

@@ -13,7 +13,7 @@ from .funcexpr import BlockVar, Const, Osc
 from .mapalg import FirstBlockAffineMap
 from .nilpotent import AlmostTranslation, ExactGenerator, ExactWord
 from .spectral import SpectralData
-from .tukia import GroupSample, OneDGenerator
+from .tukia import GroupSample, PLHomeo
 
 SPEC_R1 = SpectralData((2.0,), (1,))
 SPEC_R2 = SpectralData((2.0, 3.0), (1, 1))
@@ -21,30 +21,7 @@ SPEC_R3 = SpectralData((1.0, 2.0, 3.5), (2, 1, 2))
 SPEC_FIG1 = SPEC_R2
 
 
-# -- 1-D piecewise-derivative sample group (uniform K = 1.5) ----------------
-
-_BREAK = 0.4  # slope 1.5 on [0, 0.4), slope 2/3 on [0.4, 1), shift by 1 elsewhere
-
-
-def _pw_fn(x):
-    out, x = np.asarray(x + 1.0), np.asarray(x)  # out: a 0-d array for a scalar
-    bump = (0.0 <= x) & (x < 1.0)
-    xb = x[bump]
-    out[bump] = np.where(xb < _BREAK, 1.0 + 1.5 * xb, 1.6 + (2.0 / 3.0) * (xb - _BREAK))
-    return out
-
-
-def _pw_dfn(x):
-    x = np.asarray(x)
-    return np.where((0.0 <= x) & (x < 1.0), np.where(x < _BREAK, 1.5, 2.0 / 3.0), 1.0)
-
-
-def _pw_inv(u):
-    out, u = np.asarray(u - 1.0), np.asarray(u)
-    bump = (1.0 <= u) & (u < 2.0)
-    ub = u[bump]
-    out[bump] = np.where(ub < 1.6, (ub - 1.0) / 1.5, _BREAK + 1.5 * (ub - 1.6))
-    return out
+# -- 1-D piecewise-linear sample group (uniform K = 1.5) ----------------
 
 
 def piecewise_1d_sample(word_len: int = 12) -> GroupSample:
@@ -54,7 +31,8 @@ def piecewise_1d_sample(word_len: int = 12) -> GroupSample:
     derivatives lie in {2/3, 1, 3/2}: the group is uniformly 1.5-Bilip and
     the generator is unit-stretch.
     """
-    gen = OneDGenerator(fn=_pw_fn, dfn=_pw_dfn, inv=_pw_inv, stretch=1.0)
+    # slope 1.5 on [0, 0.4), slope 2/3 on [0.4, 1), shift by 1 elsewhere
+    gen = PLHomeo([0.0, 0.4, 1.0], [1.0, 1.6, 2.0], 1.0, 1.0)
     return GroupSample(generators=[gen], word_len=word_len, alpha1=1.0)
 
 

@@ -73,7 +73,7 @@ class FuncExpr:
 
 class Const(FuncExpr):
     def __init__(self, value):
-        self.value = floats(value, "const value").reshape(-1)
+        self.value = _finite(value, False, "const value").reshape(-1)
         self.dim = self.value.shape[0]
         with np.errstate(over="ignore"):  # a norm beyond float range reads inf, which is sound
             self._sup_bound = float(np.linalg.norm(self.value))
@@ -203,9 +203,10 @@ class _Fold(FuncExpr):
     op = None
 
     def __init__(self, children: Sequence[FuncExpr]):
-        children = tuple(children)
-        if not children or len({c.dim for c in children}) != 1:
-            raise InputError("sum, min and max children must be nonempty with equal dims")
+        children = tuple(children) if np.iterable(children) else ()
+        if (not children or not all(isinstance(c, FuncExpr) for c in children)
+                or len({c.dim for c in children}) != 1):
+            raise InputError("sum, min and max children must be nonempty nodes with equal dims")
         self.children = children
         self.dim = children[0].dim
 
@@ -293,7 +294,7 @@ class Osc(FuncExpr):
     """amp_i * sin(weights . u + phase): bounded oscillation of a linear form."""
 
     def __init__(self, amp, weights, phase: float, child: FuncExpr):
-        self.amp = floats(amp, "oscillation amplitudes").reshape(-1)
+        self.amp = _finite(amp, False, "oscillation amplitudes").reshape(-1)
         self.weights = _finite(weights, False, "oscillation weights").reshape(-1)
         self.phase = float(_finite(phase, True, "oscillation phase"))
         if self.weights.shape[0] != child.dim:

@@ -6,48 +6,112 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, DomainError, InputError
 from .mapalg import FirstBlockAffineMap
 from .nilpotent import walk_words
 from .quasimetric import dilate, distance
 from .spectral import SpectralData, floats, join_blocks, random_row_blocks, split_rows
 
 
-# -- 1-D generators ---------------------------------------------------------
+# -- 1-D piecewise-linear maps --------------------------------------------
 
 
-@dataclass(frozen=True)
-class OneDGenerator:
-    """Monotone map of the line with exact derivative and inverse.
+def _merged(xs: np.ndarray) -> np.ndarray:
+    """Indices that sort the knots, with each knot within 1e-12 max(1, |x|) of
+    the one before it dropped: float knots that agree to rounding are one knot,
+    and no piece is a sliver whose slope is rounding over rounding."""
+    order = np.argsort(xs)
+    xs = xs[order]
+    keep = np.empty(len(xs), dtype=bool)
+    keep[0] = True
+    np.greater(xs[1:] - xs[:-1], 1e-12 * np.maximum(1.0, np.abs(xs[1:])), out=keep[1:])
+    return order[keep]
 
-    ``fn``, ``dfn`` and ``inv`` map an array of points to an array of the
-    same shape, element by element (a scalar to a 0-d array; a constant
-    derivative may be a float, which broadcasts). A division by zero gives
-    an inf or NaN element, as numpy arithmetic does: the sup measure flags
-    a grid point where a word meets a zero or non-finite derivative or a
-    non-finite image, and drops that word and its extensions there.
+
+def _evaluate(x: np.ndarray, xs: np.ndarray, ys: np.ndarray, left: float, right: float):
+    """The PL map through the knots (xs, ys), with end slopes left and right, at x."""
+    # np.interp holds the end values beyond the knots; the end slopes continue them
+    return (np.interp(x, xs, ys) + left * np.minimum(x - xs[0], 0.0)
+            + right * np.maximum(x - xs[-1], 0.0))
+
+
+_TINY = np.finfo(float).tiny  # the least normal float, whose reciprocal is finite
+
+
+def _filled(f: "PLHomeo", xs, ys, left: float, right: float, stretch: float, error):
+    """f with these parts, else ``error``: the first knot and value must be finite, and
+    every slope and the stretch lie in [_TINY, inf), so that the inverse's do too. xs
+    must be increasing, and numpy's warnings off: a non-finite part reads a bad slope."""
+    slopes = np.concatenate(([left], (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1]), [right]))
+    if not (math.isfinite(xs[0]) and math.isfinite(ys[0]) and _TINY <= stretch < math.inf
+            and _TINY <= slopes.min() and slopes.max() < math.inf):
+        raise error("a PL homeomorphism needs finite knots and values, and positive "
+                    "slopes and stretch with finite reciprocals")
+    slopes.flags.writeable = False
+    f.xs, f.ys, f.left, f.right, f.stretch, f._slopes = xs, ys, left, right, stretch, slopes
+    return f
+
+
+class PLHomeo:
+    """A strictly increasing piecewise-linear homeomorphism of the line.
+
+    The knots ``xs`` (strictly increasing, at least one) map to ``ys``, and the
+    map continues with the end slopes ``left`` and ``right``. A generator
+    carries its ``stretch``, which multiplies under ``compose`` and inverts
+    under ``inverse``. ``compose`` merges the knots of both factors that agree
+    to rounding: a knot within 1e-12 max(1, |x|) of the one before it is
+    dropped. Bad parts raise InputError, and a composition or inverse beyond
+    float range DomainError.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    dfn: Callable[[np.ndarray], np.ndarray]
-    inv: Callable[[np.ndarray], np.ndarray]
-    stretch: float = 1.0
+    def __init__(self, xs, ys, left, right, stretch=1.0):
+        xs, ys = floats(xs, "knots"), floats(ys, "knot values")
+        ends = floats([left, right, stretch], "end slopes and stretch").tolist()
+        if not (xs.ndim == 1 and xs.shape == ys.shape and xs.size and (xs[1:] > xs[:-1]).all()):
+            raise InputError("a PL homeomorphism needs increasing knots, at least one, "
+                             "and one value per knot")
+        with np.errstate(all="ignore"):
+            _filled(self, xs, ys, *ends, InputError)
+
+    def __call__(self, x):
+        """The image of a point, or of an array of points element by element; an image
+        beyond float range reads inf."""
+        with np.errstate(over="ignore"):
+            return _evaluate(floats(x, "points"), self.xs, self.ys, self.left, self.right)
+
+    def slopes(self) -> np.ndarray:
+        """The slope on each piece, left to right: ``left``, one per gap between
+        knots, then ``right`` (read-only)."""
+        return self._slopes
+
+    def inverse(self) -> "PLHomeo":
+        with np.errstate(all="ignore"):
+            return _filled(object.__new__(PLHomeo), self.ys, self.xs, 1.0 / self.left,
+                           1.0 / self.right, 1.0 / self.stretch, DomainError)
+
+    def compose(self, other: "PLHomeo") -> "PLHomeo":
+        """self after other: its knots are other's and the preimages of self's."""
+        if other is _IDENTITY:  # the first letter of a walk
+            return self
+        with np.errstate(all="ignore"):
+            pulled = _evaluate(self.xs, other.ys, other.xs, 1.0 / other.left, 1.0 / other.right)
+            knots = np.concatenate((other.xs, pulled))
+            # other maps its knots to its values and the pulled knots to self's knots
+            keep = _merged(knots)
+            values = _evaluate(np.concatenate((other.ys, self.xs))[keep], self.xs, self.ys,
+                               self.left, self.right)
+            return _filled(object.__new__(PLHomeo), knots[keep], values, self.left * other.left,
+                           self.right * other.right, self.stretch * other.stretch, DomainError)
 
 
-def _chain_1d(generators: Sequence[OneDGenerator], letter, state: tuple) -> tuple:
-    """(x, derivative, stretch) after one more letter, by the chain rule."""
-    idx, sgn = letter
-    g = generators[idx]
-    x, deriv, stretch = state
-    if sgn == 1:
-        return g.fn(x), deriv * g.dfn(x), stretch * g.stretch
-    x = g.inv(x)
-    return x, deriv / g.dfn(x), stretch / g.stretch
+_IDENTITY = PLHomeo([0.0], [0.0], 1.0, 1.0)
 
 
 @dataclass
@@ -59,141 +123,75 @@ class GroupSample:
     alpha1: float = 1.0
 
 
+def _walk(maps: Sequence, depth: int):
+    """The reduced words of at most ``depth`` letters in the PLHomeos ``maps``, each
+    with its map."""
+    letters = {(i, s): g if s == 1 else g.inverse() for i, g in enumerate(maps) for s in (1, -1)}
+    return walk_words(list(letters), depth, _IDENTITY, lambda a, w: letters[a].compose(w),
+                      reduced=True)
+
+
 # -- 1-D sup measure and conjugator ----------------------------------------
 
 
 @dataclass
 class SupMeasure1D:
+    """A positive step function: ``values[i]`` between the breaks ``xs[i - 1]`` and
+    ``xs[i]``, ``values[0]`` and ``values[-1]`` beyond the first and last."""
+
     xs: np.ndarray
     values: np.ndarray
-    flagged: list[int]
 
     def __call__(self, x):
-        return np.interp(x, self.xs, self.values)
+        """The value at points that are not breaks; at a break, the value left of it."""
+        return self.values[np.searchsorted(self.xs, floats(x, "points"))]
 
 
-def sup_measure_1d(
-    sample: GroupSample, xs: np.ndarray, word_len: Optional[int] = None
-) -> SupMeasure1D:
-    """Pointwise max of stretch-normalized word derivatives on the grid.
+def sup_measure_1d(sample: GroupSample, depth: int) -> SupMeasure1D:
+    """Max of the stretch-normalized slopes |w'| / stretch(w)^alpha1 over the reduced
+    words w of at most ``depth`` letters in the sample's PLHomeo generators.
 
-    One walk over the words carries the whole grid: a word's state is its
-    images and derivatives at every grid point and the mask of the points
-    where it is live. A flagged point (see OneDGenerator) takes its value
-    over the words still live there; a word live at no point is pruned.
-    ``word_len`` overrides the sample's truncation depth; callers widen it
-    when the grid extends far beyond the probe window, so the sup stays
-    faithful at every node.
-    """
-    xs = floats(xs, "grid")
-    depth = sample.word_len if word_len is None else word_len
-    gens = sample.generators
-    letters = [(i, s) for i in range(len(gens)) for s in (1, -1)]
-    bad = np.zeros(xs.shape, dtype=bool)
-
-    def step(letter, state):
-        # a point dead for a word stays dead for every extension of it
-        x, deriv, stretch, alive = state
-        x, deriv, stretch = _chain_1d(gens, letter, (x, deriv, stretch))
-        ok = (deriv != 0.0) & np.isfinite(deriv) & np.isfinite(x)
-        if not ok.all():
-            bad[alive & ~ok] = True
-            alive = alive & ok
-        return (x, deriv, stretch, alive) if alive.any() else None
-
-    values = np.zeros_like(xs)
-    start = (xs, np.ones_like(xs), 1.0, np.ones(xs.shape, dtype=bool))
+    The max is constant between the merged knots of all words, their common
+    refinement, and is read at one point inside each piece. The words are folded
+    in batches of 256, so memory holds one batch and the walker's level."""
+    walk = (w for _, w in _walk(sample.generators, depth))
+    xs, values = np.empty(0), np.zeros(1)
     with np.errstate(all="ignore"):
-        for _, (_, deriv, stretch, alive) in walk_words(letters, depth, start, step, reduced=True):
-            np.maximum(values, np.abs(deriv) / stretch**sample.alpha1, out=values, where=alive)
-    return SupMeasure1D(xs=xs, values=values, flagged=np.flatnonzero(bad).tolist())
+        while batch := list(itertools.islice(walk, 256)):
+            new = np.concatenate([xs, *(w.xs for w in batch)])
+            new = new[_merged(new)]
+            # one point inside each piece; a piece's index is the count of knots left of it
+            inside = np.concatenate(([-math.inf], 0.5 * (new[1:] + new[:-1]), [math.inf]))
+            values = functools.reduce(np.maximum, (
+                w.slopes()[np.searchsorted(w.xs, inside)] / w.stretch**sample.alpha1
+                for w in batch), values[np.searchsorted(xs, inside)])
+            xs = new
+    return SupMeasure1D(xs=xs, values=values)
 
 
-@dataclass
-class OneDConjugator:
-    """Strictly monotone change of the first coordinate, grid-interpolated."""
-
-    xs: np.ndarray
-    values: np.ndarray
-
-    def fn(self, x):
-        return np.interp(x, self.xs, self.values)
-
-    def inv(self, u):
-        return np.interp(u, self.values, self.xs)
-
-    def __call__(self, x):
-        return self.fn(x)
+def conjugator_1d(mu: SupMeasure1D) -> PLHomeo:
+    """The antiderivative of the sup measure anchored at 0: a PLHomeo with a knot
+    at each break and the measure's value as its slope. InputError unless every
+    value is positive and finite."""
+    ys = np.concatenate(([0.0], np.cumsum(np.diff(mu.xs) * mu.values[1:-1])))
+    ys -= _evaluate(0.0, mu.xs, ys, mu.values[0], mu.values[-1])
+    return PLHomeo(mu.xs, ys, mu.values[0], mu.values[-1])
 
 
-def conjugator_1d(mu: SupMeasure1D) -> OneDConjugator:
-    """Antiderivative of the sup measure, anchored at 0 (trapezoid rule)."""
-    if np.any(mu.values <= 0.0):
-        raise InputError("sup measure must be positive on the whole grid")
-    steps = np.diff(mu.xs) * 0.5 * (mu.values[1:] + mu.values[:-1])
-    vals = np.concatenate(([0.0], np.cumsum(steps)))
-    vals -= np.interp(0.0, mu.xs, vals)
-    return OneDConjugator(xs=mu.xs.copy(), values=vals)
+def verify_conjugation(sample: GroupSample, F: PLHomeo, lo: float, hi: float) -> dict:
+    """Per word w of 1 to ``word_len`` letters in the sample's PLHomeo generators,
+    the largest relative deviation of a slope of F w F^-1, on a piece that meets
+    the window (lo, hi), from the word's single slope stretch(w)^alpha1. All 0
+    means the conjugated sample acts on the window by similarities."""
 
+    def defect(c: PLHomeo) -> float:
+        # the pieces from the one holding lo to the one holding hi
+        s = c.slopes()[np.searchsorted(c.xs, lo, side="right"):np.searchsorted(c.xs, hi) + 1]
+        s = s / c.stretch**sample.alpha1
+        return float(max(s.max() - 1.0, 1.0 - s.min()))
 
-@dataclass(frozen=True)
-class WordVerdict:
-    word: tuple
-    defect: float
-    mean_scale: float
-
-
-@dataclass
-class ConjugationReport:
-    verdicts: list[WordVerdict]
-    max_defect: float
-    passed: bool
-
-
-def verify_conjugation(
-    sample: GroupSample,
-    F: OneDConjugator,
-    probes: np.ndarray,
-    probe_step: float = 0.5,
-    tol: float = 1e-3,
-) -> ConjugationReport:
-    """Classify every conjugated word, up to the sample's ``word_len``, by its
-    first-block derivative spread.
-
-    The defect of a word is the maximal relative deviation of the
-    conjugated slope (measured over probe intervals) from its geometric
-    mean; all defects at most tol means the conjugated sample acts by
-    similarities on the line.
-    """
-    probes = floats(probes, "probes")
-    span = F.fn(float(probes.max() + probe_step)) - F.fn(float(probes.min()))
-    if not span > 0:
-        raise InputError("conjugator is not increasing on the probe range")
-    gens = sample.generators
-    letters = [(i, s) for i in range(len(gens)) for s in (1, -1)]
-    # one row of interval endpoints per probe
-    us = F.fn(np.stack([probes, probes + probe_step], axis=1))
-    gaps = us[:, 1] - us[:, 0]
-
-    def step(letter, images):
-        idx, sgn = letter
-        return gens[idx].fn(images) if sgn == 1 else gens[idx].inv(images)
-
-    verdicts = []
-    for w, images in walk_words(letters, sample.word_len, F.inv(us), step, reduced=True):
-        if not w:
-            continue
-        vs = F.fn(images)
-        slopes = np.abs((vs[:, 1] - vs[:, 0]) / gaps)
-        # a zero slope makes the mean 0 and the defect NaN, which fails the report
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gmean = float(np.exp(np.log(slopes).mean()))
-            defect = float(np.max(np.abs(slopes / gmean - 1.0)))
-        verdicts.append(WordVerdict(word=w, defect=defect, mean_scale=gmean))
-    # np.max propagates NaN, so a word whose images left the conjugator's grid
-    # (a zero slope, hence a NaN defect) shows in max_defect and fails the report
-    worst = float(np.max([v.defect for v in verdicts], initial=0.0))
-    return ConjugationReport(verdicts=verdicts, max_defect=worst, passed=worst <= tol)
+    conjugated = [F.compose(g.compose(F.inverse())) for g in sample.generators]
+    return {w: defect(c) for w, c in _walk(conjugated, sample.word_len) if w}
 
 
 # -- stretch normalization --------------------------------------------------

@@ -3,17 +3,12 @@ the 1-D conjugation tests, and a unit translation for the kernel tests."""
 
 from solvrigid import AlmostTranslation, Const
 from solvrigid.fixtures import SPEC_R1
-from solvrigid.tukia import GroupSample, OneDGenerator
+from solvrigid.tukia import GroupSample, PLHomeo
 
 
 def similarity_1d_sample(word_len: int = 6) -> GroupSample:
     """Pure similarities of the line: scaling by 2 about the origin."""
-    gen = OneDGenerator(
-        fn=lambda x: 2.0 * x,
-        dfn=lambda x: 2.0,
-        inv=lambda x: 0.5 * x,
-        stretch=2.0,
-    )
+    gen = PLHomeo([0.0], [0.0], 2.0, 2.0, stretch=2.0)
     return GroupSample(generators=[gen], word_len=word_len, alpha1=1.0)
 
 

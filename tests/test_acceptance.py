@@ -139,7 +139,7 @@ def test_symmetric_space_suite():
 
 def test_one_dimensional_conjugation():
     with _Criterion("1d-conjugation", 120.0):
-        cfg = cli.RunConfig(word_len=12, grid_resolution=1e-3)
+        cfg = cli.RunConfig(word_len=12)
         _assert_passed(*cli.run_conjugate(cfg, np.random.default_rng(0)))
 
 

@@ -12,6 +12,7 @@ from solvrigid.cli import RunConfig
 from solvrigid.conformal import conf_class
 from solvrigid.mapalg import SimMap
 from solvrigid.nilpotent import ExactWord
+from solvrigid.tukia import PLHomeo
 
 from injected_faults import low_epsilon_bound, skewed_compose
 
@@ -36,14 +37,32 @@ def _squeezed_similarities(monkeypatch):
         0.9 * b if i == 0 else b for i, b in enumerate(apply(self, blocks))])
 
 
+class _FlatSlopes(PLHomeo):
+    """A PLHomeo that reports one flat piece: a real one rejects a zero slope when it is
+    built, so the fault changes what the conjugator reports."""
+
+    def slopes(self):
+        s = super().slopes().copy()
+        s[len(s) // 2] = 0.0
+        return s
+
+
 def _flat_conjugator(monkeypatch):
-    # one grid step of the conjugator made flat
     def flat(conj, *_):
-        values = conj.values.copy()
-        values[len(values) // 2] = values[len(values) // 2 - 1]
-        return dataclasses.replace(conj, values=values)
+        conj.__class__ = _FlatSlopes
+        return conj
 
     _wrap(monkeypatch, "conjugator_1d", flat)
+
+
+def _moved_break(monkeypatch):
+    # the measure's break at 0, where it jumps from 1 to 3/2, moved right by 2^-20
+    def moved(mu, *_):
+        xs = mu.xs.copy()
+        xs[np.searchsorted(xs, 0.0)] += 2.0**-20
+        return dataclasses.replace(mu, xs=xs)
+
+    _wrap(monkeypatch, "sup_measure_1d", moved)
 
 
 # (suite, check) -> a fault that must make the check fail
@@ -76,10 +95,7 @@ FAULTS = {
         mp, "solve_circumcenter", lambda res, *_: dataclasses.replace(
             res, lower=np.zeros_like(res.lower))),
     ("conjugate", "conjugator-strictly-increasing"): _flat_conjugator,
-    # a smooth change of coordinate that is not affine
-    ("conjugate", "conjugated-words-similar"): lambda mp: _wrap(
-        mp, "conjugator_1d", lambda conj, *_: dataclasses.replace(
-            conj, values=conj.values + 0.1 * np.sin(conj.values))),
+    ("conjugate", "conjugated-words-similar"): _moved_break,
     **{("roots", f"root-{name}-power-exact"): lambda mp: _wrap(
         mp, "root_power_word", lambda word, cert, gens: word * ExactWord(gens, [(0, 1)]))
        for name in ("r1", "r2")},

@@ -12,7 +12,7 @@ import pytest
 
 from solvrigid import cli, conformal, fixtures, mapalg, nilpotent, quasimetric, solvgroup, spectral
 from solvrigid.conformal import act, conf_class, kdist
-from solvrigid.cli import MAX_GRID_POINTS, ConfigError, RunConfig, main
+from solvrigid.cli import ConfigError, RunConfig, main
 from solvrigid.funcexpr import BlockVar, Const, Osc
 from solvrigid.mapalg import ASimMap, SimMap
 from solvrigid.nilpotent import AlmostTranslation, epsilon_bound
@@ -70,7 +70,7 @@ class TestConfigSchema:
             ({"spec": {"alphas": ["two", "three"], "mults": [1, 1]}}, [], "/spec"),
             ({"spec": {"alphas": [2.0], "mults": [1.5]}}, [], "/spec"),
             ({"grid": {"resolution": 1e-9}}, [], "/grid/resolution"),
-            ({"word_len": 10**9}, [], "/grid/resolution"),
+            ({"grid": {"resolution": 0.01}}, [], "/grid/resolution"),
             ({"grid": {"lo": float("-inf")}}, [], "/grid/lo"),
             ({"grid": {"resolution": float("inf")}}, [], "/grid/resolution"),
             ({"beta": -1.0}, [], "/beta"),
@@ -107,7 +107,8 @@ class TestConfigSchema:
             assert json.loads(default) == defaults[key], key
 
     @pytest.mark.parametrize("obj, message", [
-        ({"grid": {"resolution": 0}}, "/grid/resolution: must be greater than 0"),
+        # the conjugation has no grid: its old resolution key is unknown
+        ({"grid": {"resolution": 0}}, "/grid/resolution: unknown config key"),
         ({"grid": {"hi": True}}, "/grid/hi: expected"),
         ({"grid": {"lo": "1"}}, "/grid/lo: expected"),
         ({"grid": {"step": 0.1}}, "/grid/step: unknown config key"),
@@ -121,13 +122,6 @@ class TestConfigSchema:
         # each member is checked against its own field, with its own pointer
         with pytest.raises(ConfigError, match=message):
             RunConfig.from_json(obj)
-
-    def test_grid_point_cap_is_inclusive(self):
-        # default lo, hi and word_len: the grid spans [-3 - 8, 3 + 8], 22 units
-        cell = 22.0 / MAX_GRID_POINTS
-        RunConfig.from_json({"grid": {"resolution": cell * 1.001}})
-        with pytest.raises(ConfigError, match="/grid/resolution"):
-            RunConfig.from_json({"grid": {"resolution": cell * 0.999}})
 
 
 @pytest.mark.parametrize(
@@ -171,9 +165,9 @@ def test_determinism_byte_identical(tmp_path):
 # samples, each named by its content hash. A change that changes a digest
 # updates this pin and records the old and new names.
 PINNED_FILES = {
-    0: ["all-2ad66313c115551d.json", "geodesic-samples-baa50f3bb6bab6b4.csv"],
-    5: ["all-7e57510892ca3337.json", "geodesic-samples-f9bbccf18b892fde.csv"],
-    11: ["all-b5fe9d020a0e24a3.json", "geodesic-samples-07bc8fb764b6ee5c.csv"],
+    0: ["all-3ae30146f3226a22.json", "geodesic-samples-baa50f3bb6bab6b4.csv"],
+    5: ["all-eeb6a2c900355631.json", "geodesic-samples-f9bbccf18b892fde.csv"],
+    11: ["all-4f9a15a01dd12a63.json", "geodesic-samples-07bc8fb764b6ee5c.csv"],
 }
 
 
@@ -187,12 +181,12 @@ def test_report_digests_are_pinned(seed, tmp_path):
 # exponent is 1 (the default spec, (2, 3), has none), at the default counts.
 UNIT_EXPONENT_SPEC = {"alphas": [1.0, 2.0, 3.5], "mults": [2, 1, 2]}
 PINNED_UNIT_EXPONENT_FILES = {
-    (0, "metric"): ["metric-31fce3eb42bfc9a4.json"],
-    (0, "geodesic"): ["geodesic-ba2ac8b331801a4d.json", "geodesic-samples-c40b4e2c16f78ffd.csv"],
-    (5, "metric"): ["metric-52a4541cea97ad64.json"],
-    (5, "geodesic"): ["geodesic-3c5a6e821133c47d.json", "geodesic-samples-180b3b935ad4d6ee.csv"],
-    (11, "metric"): ["metric-5a63900bea605615.json"],
-    (11, "geodesic"): ["geodesic-1c2e45be263dbd1f.json", "geodesic-samples-20e3f98eda7c3154.csv"],
+    (0, "metric"): ["metric-df958ff6093b00a9.json"],
+    (0, "geodesic"): ["geodesic-8b0572861dee1c56.json", "geodesic-samples-c40b4e2c16f78ffd.csv"],
+    (5, "metric"): ["metric-cdec076b54293154.json"],
+    (5, "geodesic"): ["geodesic-267841c89c973fcb.json", "geodesic-samples-180b3b935ad4d6ee.csv"],
+    (11, "metric"): ["metric-7b6044f3879b2995.json"],
+    (11, "geodesic"): ["geodesic-dd073773d1723d6b.json", "geodesic-samples-20e3f98eda7c3154.csv"],
 }
 
 
@@ -255,9 +249,10 @@ def test_unreadable_config_exits_2(text, tmp_path, capsys):
 
 def test_invariant_failure_exits_1_with_report(tmp_path):
     cfg = tmp_path / "cfg.json"
-    # a tolerance below the discretization floor makes the conjugation
-    # suite fail honestly; the report must still be written
-    cfg.write_text(json.dumps({"conjugation_tol": 1e-15}))
+    # the float conjugation reads a rounding-level defect (about 3e-15 at the default
+    # config, not 0), so a tolerance of 1e-300 makes the suite fail honestly; the report
+    # must still be written
+    cfg.write_text(json.dumps({"conjugation_tol": 1e-300}))
     out = tmp_path / "r"
     assert main(["conjugate", "--config", str(cfg), "--out", str(out)]) == 1
     payload = json.loads(_reports(out)[0].read_text())
@@ -400,8 +395,8 @@ def test_epsilon_check_reads_a_gap_whose_square_overflows(monkeypatch):
     assert eps["passed"] and 0.19 < eps["defect"] < 0.2
 
 
-@pytest.mark.parametrize("probes, report", [(1000, "roots-d845b4c4ec7de247.json"),
-                                            (20_000, "roots-095c053cf6dc4ff7.json")])
+@pytest.mark.parametrize("probes, report", [(1000, "roots-d92d34e06c03f08d.json"),
+                                            (20_000, "roots-e960103398443ad0.json")])
 def test_roots_reports_pinned_and_linear_in_probe_count(probes, report, tmp_path):
     start = time.perf_counter()
     assert cli.run("roots", RunConfig(probe_count=probes), tmp_path) == 0

@@ -1,9 +1,10 @@
-"""Conjugation pipeline: sup measures, conjugators, stretch normalization,
-and the radial iteration."""
+"""Conjugation pipeline: piecewise-linear maps, sup measures, conjugators,
+stretch normalization, and the radial iteration."""
 
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from solvrigid import (
     FirstBlockAffineMap,
     GroupSample,
     InputError,
-    OneDConjugator,
-    OneDGenerator,
+    PLHomeo,
     conjugator_1d,
     dilate,
     normalize_stretch,
@@ -23,8 +23,7 @@ from solvrigid import (
     sup_measure_1d,
     verify_conjugation,
 )
-from solvrigid import tukia
-from solvrigid.cli import RunConfig, _conjugate_grid_range
+from solvrigid.cli import RunConfig
 from solvrigid.fixtures import (
     SPEC_RADIAL,
     normalized_dilation_sample,
@@ -36,19 +35,26 @@ from solvrigid.fixtures import (
 )
 from solvrigid.nilpotent import walk_words
 from solvrigid.spectral import join_blocks, split_rows
-from solvrigid.tukia import WordVerdict, _chain_1d
+from solvrigid import tukia
+from solvrigid.tukia import SupMeasure1D
 
 import affine_reference
+import pl_reference
 from builders import similarity_1d_sample
 from metric_reference import isclose
 
+HALF_SHIFT = PLHomeo([0.0], [0.5], 1.0, 1.0)
 
-def _pipeline(sample, lo=-3.0, hi=3.0, h=0.01):
-    pad = sample.word_len + 2
-    xs = np.arange(lo - pad + 0.5 * h, hi + pad, h)
-    sup_len = int(max(abs(lo - pad), abs(hi + pad))) + 2
-    mu = sup_measure_1d(sample, xs, word_len=sup_len)
+
+def _pipeline(sample, lo=-3.0, hi=3.0):
+    """The measure and conjugator at the depth the CLI takes for the window (lo, hi)."""
+    mu = sup_measure_1d(sample, math.ceil(max(-lo, hi)) + sample.word_len + 1)
     return mu, conjugator_1d(mu)
+
+
+def _two_generator_sample(word_len):
+    sample = piecewise_1d_sample(word_len)
+    return dataclasses.replace(sample, generators=sample.generators + [HALF_SHIFT])
 
 
 # -- enumerate-then-fold reference: every word is listed, then folded from
@@ -71,69 +77,40 @@ def _ref_reduced_words(n_generators, word_len):
     return out
 
 
-def _ref_word_apply(generators, word, x):
-    for idx, sgn in reversed(word):
-        g = generators[idx]
-        x = g.fn(x) if sgn == 1 else g.inv(x)
-    return x
-
-
 def _ref_word_derivative(generators, word, x):
-    deriv = 1.0
+    """(slopes at the points x, stretch) of the word by the chain rule, one letter at a time."""
+    deriv = np.ones_like(x)
     stretch = 1.0
     for idx, sgn in reversed(word):
-        g = generators[idx]
-        if sgn == 1:
-            deriv *= g.dfn(x)
-            x = g.fn(x)
-            stretch *= g.stretch
-        else:
-            x = g.inv(x)
-            deriv /= g.dfn(x)
-            stretch /= g.stretch
+        g = generators[idx] if sgn == 1 else generators[idx].inverse()
+        deriv = deriv * g.slopes()[np.searchsorted(g.xs, x)]
+        x = g(x)
+        stretch *= g.stretch
     return deriv, stretch
 
 
-def _ref_sup_measure(sample, xs, word_len):
+def _ref_sup_measure(sample, x, word_len):
     words = _ref_reduced_words(len(sample.generators), word_len)
-    values = np.empty_like(xs)
-    flagged = []
-    for i, x in enumerate(xs):
-        best = 0.0
-        bad = False
-        for w in words:
-            try:
-                deriv, stretch = _ref_word_derivative(sample.generators, w, float(x))
-            except ZeroDivisionError:
-                bad = True
-                continue
-            if deriv == 0.0 or not math.isfinite(deriv):
-                bad = True
-                continue
-            best = max(best, abs(deriv) / stretch**sample.alpha1)
-        values[i] = best
-        if bad:
-            flagged.append(i)
-    return values, flagged
+    return np.max([d / s**sample.alpha1 for d, s in (
+        _ref_word_derivative(sample.generators, w, x) for w in words)], axis=0)
 
 
-def _ref_verdicts(sample, F, probes, probe_step, word_len):
-    verdicts = []
-    for w in _ref_reduced_words(len(sample.generators), word_len):
-        if not w:
-            continue
-        slopes = []
-        for x in probes:
-            u0 = F.fn(float(x))
-            u1 = F.fn(float(x) + probe_step)
-            v0 = F.fn(_ref_word_apply(sample.generators, w, F.inv(u0)))
-            v1 = F.fn(_ref_word_apply(sample.generators, w, F.inv(u1)))
-            slopes.append(abs((v1 - v0) / (u1 - u0)))
-        logs = np.log(np.asarray(slopes))
-        gmean = float(np.exp(logs.mean()))
-        defect = float(np.max(np.abs(np.asarray(slopes) / gmean - 1.0)))
-        verdicts.append(WordVerdict(word=w, defect=defect, mean_scale=gmean))
-    return verdicts
+def _ref_fold(maps, word):
+    c = tukia._IDENTITY
+    for idx, sgn in reversed(word):
+        c = (maps[idx] if sgn == 1 else maps[idx].inverse()).compose(c)
+    return c
+
+
+def _ref_defects(sample, F, lo, hi):
+    conj = [F.compose(g.compose(F.inverse())) for g in sample.generators]
+    defects = {}
+    for w in _ref_reduced_words(len(conj), sample.word_len)[1:]:
+        c = _ref_fold(conj, w)
+        inside = (np.append(c.xs, math.inf) > lo) & (np.insert(c.xs, 0, -math.inf) < hi)
+        slope = c.stretch**sample.alpha1
+        defects[w] = float(np.max(np.abs(c.slopes()[inside] / slope - 1.0)))
+    return defects
 
 
 def _ref_mu_of(gens, word_len, alpha1):
@@ -158,66 +135,6 @@ def _ref_mu_of(gens, word_len, alpha1):
         return best
 
     return mu_of
-
-
-# -- the piecewise fixture as scalar branches, the reference for its np.where form
-
-_BREAK = 0.4
-
-
-def _scalar_pw_fn(x):
-    if x < 0.0:
-        return x + 1.0
-    if x < _BREAK:
-        return 1.0 + 1.5 * x
-    if x < 1.0:
-        return 1.6 + (2.0 / 3.0) * (x - _BREAK)
-    return x + 1.0
-
-
-def _scalar_pw_dfn(x):
-    if 0.0 <= x < _BREAK:
-        return 1.5
-    if _BREAK <= x < 1.0:
-        return 2.0 / 3.0
-    return 1.0
-
-
-def _scalar_pw_inv(u):
-    if u < 1.0:
-        return u - 1.0
-    if u < 1.6:
-        return (u - 1.0) / 1.5
-    if u < 2.0:
-        return _BREAK + 1.5 * (u - 1.6)
-    return u - 1.0
-
-
-def _scalar_piecewise_sample(word_len):
-    gen = OneDGenerator(fn=_scalar_pw_fn, dfn=_scalar_pw_dfn, inv=_scalar_pw_inv)
-    return GroupSample(generators=[gen], word_len=word_len, alpha1=1.0)
-
-
-def _flat_sample(word_len):
-    flat = OneDGenerator(
-        fn=lambda x: x, dfn=lambda x: np.where(x == 0.0, 0.0, 1.0), inv=lambda x: x
-    )
-    return GroupSample(generators=[flat], word_len=word_len)
-
-
-def _pruning_sample(word_len):
-    """A shift whose derivative is 0 at -1 and infinite at 2, and a dilation.
-
-    The shift's inverse divides by zero two letters deep from x = 1, so
-    the sup measure prunes words beyond depth 1.
-    """
-    shift = OneDGenerator(
-        fn=lambda x: x + 1.0,
-        dfn=lambda x: np.where(x == -1.0, 0.0, np.where(x == 2.0, math.inf, 1.0)),
-        inv=lambda x: x - 1.0,
-    )
-    dil = similarity_1d_sample().generators[0]
-    return GroupSample(generators=[shift, dil], word_len=word_len)
 
 
 def _walked_reduced_words(n_generators, word_len):
@@ -247,241 +164,219 @@ class TestWords:
                 assert not (a[0] == b[0] and a[1] == -b[1])
 
     def test_word_apply_and_derivative(self):
-        sample = piecewise_1d_sample()
-        g = sample.generators
-        w = ((0, 1), (0, 1), (0, -1))
-
-        def chain(x):
-            # the walker's state of w: (image, derivative, stretch)
-            walk = walk_words([(0, 1), (0, -1)], 3, (x, 1.0, 1.0),
-                              lambda a, s: _chain_1d(g, a, s))
-            return dict(walk)[w]
-
-        x = -2.3
-        image, deriv, stretch = chain(x)
-        assert image == pytest.approx(g[0].fn(x))
-        assert stretch == pytest.approx(1.0)
+        g = piecewise_1d_sample().generators[0]
+        letters = {(0, 1): g, (0, -1): g.inverse()}
+        walk = walk_words(list(letters), 3, PLHomeo([0.0], [0.0], 1.0, 1.0),
+                          lambda a, w: letters[a].compose(w))
+        # g g g^-1 is g, as a map and in its slopes
+        w = dict(walk)[(0, 1), (0, 1), (0, -1)]
+        x = np.linspace(-2.5, 2.5, 41) + 1.0 / 7.0  # no knot among them
+        assert np.allclose(w(x), g(x), rtol=0, atol=1e-15)
         step = 1e-7
-        fd = (chain(x + step)[0] - image) / step
-        assert deriv == pytest.approx(fd, rel=1e-5)
+        assert np.allclose((w(x + step) - w(x)) / step, SupMeasure1D(w.xs, w.slopes())(x),
+                           rtol=1e-6)
+
+
+class TestPLHomeo:
+    def test_call_continues_with_the_end_slopes(self):
+        g = piecewise_1d_sample().generators[0]
+        x = np.array([-5.0, 0.0, 0.2, 0.4, 0.7, 1.0, 7.5])
+        assert g(x).tolist() == pytest.approx([-4.0, 1.0, 1.3, 1.6, 1.8, 2.0, 8.5], abs=1e-15)
+        assert g(-5.0) == -4.0 and np.ndim(g(-5.0)) == 0
+        assert g.slopes().tolist() == pytest.approx([1.0, 1.5, 2.0 / 3.0, 1.0], rel=1e-15)
+
+    def test_inverse_and_compose_are_closed_forms(self):
+        g = piecewise_1d_sample().generators[0]
+        x = np.linspace(-4.0, 4.0, 161)
+        assert np.allclose(g.inverse()(g(x)), x, rtol=0, atol=1e-15)
+        gg = g.compose(g)
+        assert np.allclose(gg(x), g(g(x)), rtol=0, atol=1e-15)
+        # g g has g's knots and their preimages under g: -1, -0.6 and 0, the last shared
+        assert gg.xs.tolist() == pytest.approx([-1.0, -0.6, 0.0, 0.4, 1.0], abs=1e-15)
+        assert (gg.left, gg.right, gg.stretch) == (1.0, 1.0, 1.0)
+        dil = similarity_1d_sample().generators[0]
+        assert dil.compose(dil.inverse()).stretch == 1.0 and dil.compose(dil).stretch == 4.0
+
+    def test_knots_that_agree_to_rounding_merge(self):
+        # the preimage of 1 + 1e-16 under a unit shift is 1e-16 from f's knot 0 (after
+        # rounding): one knot, and no sliver between them
+        f = PLHomeo([0.0, 1.0], [0.0, 2.0], 1.0, 1.0)
+        shift = PLHomeo([0.0], [1e-16], 1.0, 1.0)
+        c = f.compose(shift)
+        assert len(c.xs) == 2
+        assert c.slopes().tolist() == pytest.approx([1.0, 2.0, 1.0], rel=1e-12)
+
+    @pytest.mark.parametrize("xs, ys, left, right, stretch", [
+        ([0.0, 1.0], [0.0, 0.0], 1.0, 1.0, 1.0),  # a flat piece
+        ([0.0, 1.0], [1.0, 0.0], 1.0, 1.0, 1.0),  # decreasing
+        ([1.0, 0.0], [0.0, 1.0], 1.0, 1.0, 1.0),  # knots out of order
+        ([0.0, 0.0], [0.0, 1.0], 1.0, 1.0, 1.0),  # a repeated knot: an infinite slope
+        ([0.0], [0.0], 0.0, 1.0, 1.0),  # a zero end slope
+        ([0.0], [0.0], 1.0, math.inf, 1.0),
+        ([0.0, math.nan], [0.0, 1.0], 1.0, 1.0, 1.0),
+        ([0.0], [0.0], 1.0, 1.0, -2.0),
+        ([], [], 1.0, 1.0, 1.0),
+        ([0.0, 1.0], [0.0], 1.0, 1.0, 1.0),
+        ([[0.0]], [[0.0]], 1.0, 1.0, 1.0),
+        (["a"], [0.0], 1.0, 1.0, 1.0),
+        ([0.0], [0.0], [1.0, 2.0], 1.0, 1.0),
+    ])
+    def test_no_zero_or_non_finite_slope(self, xs, ys, left, right, stretch):
+        with pytest.raises(InputError):
+            PLHomeo(xs, ys, left, right, stretch)
 
 
 class TestSupMeasure:
     def test_similarities_give_unit_measure(self):
-        sample = similarity_1d_sample()
-        mu = sup_measure_1d(sample, np.linspace(-2, 2, 41))
-        assert np.allclose(mu.values, 1.0, atol=1e-12)
+        mu = sup_measure_1d(similarity_1d_sample(), 6)
+        assert np.allclose(mu.values, 1.0, rtol=0, atol=1e-12)
 
     def test_monotone_in_word_len(self):
         sample = piecewise_1d_sample()
-        xs = np.linspace(-4, 4, 81)
-        short = sup_measure_1d(sample, xs, word_len=2)
-        long = sup_measure_1d(sample, xs, word_len=8)
-        assert np.all(long.values >= short.values - 1e-15)
+        x = np.linspace(-4, 4, 81) + 1.0 / 7.0
+        short = sup_measure_1d(sample, 2)(x)
+        long = sup_measure_1d(sample, 8)(x)
+        assert np.all(long >= short - 1e-15)
+        assert np.any(long > short)
 
     def test_piecewise_measure_values(self):
-        # the one-shot bump puts every normalized derivative in {2/3, 1, 3/2}
-        sample = piecewise_1d_sample()
-        mu = sup_measure_1d(sample, np.array([-0.8, 0.2, 0.5, 1.3]), word_len=12)
-        assert set(np.round(mu.values, 12)) <= {1.0, 1.5}
-
-    def test_vanishing_derivative_flagged(self):
-        mu = sup_measure_1d(_flat_sample(word_len=1), np.array([-1.0, 0.0, 1.0]))
-        assert mu.flagged == [1]
-
-    def test_deep_division_by_zero_flagged(self):
-        sample = _pruning_sample(word_len=3)
-        assert sup_measure_1d(sample, np.array([1.0]), word_len=1).flagged == []
-        assert sup_measure_1d(sample, np.array([1.0])).flagged == [0]
+        # the one-shot bump puts every normalized slope in {2/3, 1, 3/2}
+        mu = sup_measure_1d(piecewise_1d_sample(), 12)
+        assert set(np.round(mu.values, 12)) == {1.0, 1.5}
 
     @pytest.mark.parametrize("word_len", [1, 3, 5])
     def test_walk_equals_enumerate_then_fold(self, word_len):
-        xs = np.arange(-4.0, 4.25, 0.25)
-        samples = (_flat_sample(word_len), _pruning_sample(word_len), piecewise_1d_sample(word_len))
-        for sample in samples:
-            mu = sup_measure_1d(sample, xs)
-            # the reference folds 0-d arrays, where dividing by a zero
-            # derivative gives inf or NaN instead of raising
-            with np.errstate(divide="ignore", invalid="ignore"):
-                values, flagged = _ref_sup_measure(sample, xs, word_len)
-            assert np.array_equal(mu.values, values)
-            assert mu.flagged == flagged
+        # two generators at depth 5 walk 485 words, more than one batch of 256
+        x = np.random.default_rng(word_len).uniform(-8.0, 8.0, 400)
+        for sample in (piecewise_1d_sample(), _two_generator_sample(6), similarity_1d_sample()):
+            mu = sup_measure_1d(sample, word_len)
+            assert np.allclose(mu(x), _ref_sup_measure(sample, x, word_len),
+                               rtol=1e-13, atol=0)
 
-    def test_cli_grid_equals_scalar_reference(self):
-        # the reference runs the fixture's scalar branches, so this also
-        # checks its np.where form element by element
+    def test_cli_measure_equals_the_fraction_oracle(self):
+        # the float measure at the CLI's default depth against the exact one: the same
+        # breaks to rounding, and the same value on every piece
         cfg = RunConfig()
-        lo, hi = _conjugate_grid_range(cfg.grid_lo, cfg.grid_hi, cfg.word_len)
-        xs = np.arange(lo + 0.5 * 0.01, hi, 0.01)
-        mu = sup_measure_1d(piecewise_1d_sample(), xs, word_len=13)
-        values, flagged = _ref_sup_measure(_scalar_piecewise_sample(13), xs, 13)
-        assert len(xs) == 2200
-        assert np.array_equal(mu.values, values)
-        assert mu.flagged == flagged
+        mu, _ = _pipeline(piecewise_1d_sample(cfg.word_len), cfg.grid_lo, cfg.grid_hi)
+        breaks, values = pl_reference.sup_measure(pl_reference.BUMP, 10)
+        assert np.allclose(mu.xs, [float(b) for b in breaks], rtol=0, atol=1e-14)
+        assert np.allclose(mu.values, [float(v) for v in values], rtol=1e-14, atol=0)
 
-    def test_reciprocal_flags_where_scalar_division_raised(self):
-        # on floats 1/0 raises ZeroDivisionError; on arrays it is inf
-        recip = OneDGenerator(
-            fn=lambda x: 1.0 / x, dfn=lambda x: -1.0 / (x * x), inv=lambda x: 1.0 / x
-        )
-        shift = OneDGenerator(fn=lambda x: x + 0.5, dfn=lambda x: 1.0, inv=lambda x: x - 0.5)
-        sample = GroupSample(generators=[recip, shift], word_len=3)
-        xs = np.arange(-2.0, 2.25, 0.25)
-
-        def raises(word, x):
-            try:
-                _ref_word_derivative(sample.generators, word, x)
-            except ZeroDivisionError:
-                return True
-            return False
-
-        words = _ref_reduced_words(2, 3)
-        raised = [i for i, x in enumerate(xs) if any(raises(w, float(x)) for w in words)]
-        mu = sup_measure_1d(sample, xs)
-        values, flagged = _ref_sup_measure(sample, xs, 3)
-        assert 0 < len(raised) < len(xs)
-        assert mu.flagged == raised == flagged
-        assert np.array_equal(mu.values, values)
-
-    def test_branch_dead_at_every_point_is_not_extended(self, monkeypatch):
-        steps = []
-
-        def counting_walk(letters, depth, start, step, reduced=False):
-            def counted(letter, state):
-                steps.append(letter)
-                return step(letter, state)
-
-            return walk_words(letters, depth, start, counted, reduced)
-
-        monkeypatch.setattr(tukia, "walk_words", counting_walk)
-        sample = _pruning_sample(word_len=3)
-        # four letters, three children per word: 4 + 12 + 36 steps when
-        # every word stays live, as at x = 10
-        assert sup_measure_1d(sample, np.array([1.0, 10.0])).flagged == [0]
-        assert len(steps) == 52
-        # at x = 1 three words of length 2 die (s s, S S and s d), so the
-        # third level takes 9 * 3 steps instead of 12 * 3
-        steps.clear()
-        assert sup_measure_1d(sample, np.array([1.0])).flagged == [0]
-        assert len(steps) == 4 + 12 + 27
-
-    def test_one_derivative_call_per_word_and_grid_point(self):
+    def test_one_composition_per_word(self, monkeypatch):
         calls = []
-        sample = piecewise_1d_sample(word_len=6)
-        g = sample.generators[0]
-        counted = dataclasses.replace(g, dfn=lambda x: calls.append(x) or g.dfn(x))
-        sample = dataclasses.replace(sample, generators=[counted])
-        xs = np.linspace(-2.0, 2.0, 9)
-        mu = sup_measure_1d(sample, xs)
-        assert mu.flagged == []
-        words = len(_ref_reduced_words(1, 6)) - 1
-        assert len(calls) == words
-        assert sum(np.size(x) for x in calls) == len(xs) * words
+        compose = PLHomeo.compose
+        monkeypatch.setattr(PLHomeo, "compose", lambda f, g: calls.append(1) or compose(f, g))
+        sup_measure_1d(_two_generator_sample(6), 4)
+        # every word but the identity: 4 + 12 + 36 + 108
+        assert len(calls) == len(_ref_reduced_words(2, 4)) - 1 == 160
 
 
 class TestConjugator:
     def test_unit_measure_gives_identity(self):
-        sample = similarity_1d_sample()
-        mu = sup_measure_1d(sample, np.linspace(-2, 2, 41))
-        conj = conjugator_1d(mu)
+        conj = conjugator_1d(sup_measure_1d(similarity_1d_sample(), 6))
         for x in (-1.7, 0.0, 0.3, 1.9):
-            assert conj.fn(x) == pytest.approx(x, abs=1e-12)
-            assert conj.inv(x) == pytest.approx(x, abs=1e-12)
+            assert conj(x) == pytest.approx(x, abs=1e-12)
+            assert conj.inverse()(x) == pytest.approx(x, abs=1e-12)
 
     def test_constant_measure_scales(self):
-        from solvrigid.tukia import SupMeasure1D
+        conj = conjugator_1d(SupMeasure1D(xs=np.array([-1.0, 2.0]), values=np.full(3, 2.5)))
+        assert conj(1.2) == pytest.approx(3.0, abs=1e-12)
+        assert conj(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert conj(-4.0) == pytest.approx(-10.0, abs=1e-12)
 
-        xs = np.linspace(-2, 2, 41)
-        mu = SupMeasure1D(xs=xs, values=np.full_like(xs, 2.5), flagged=[])
-        conj = conjugator_1d(mu)
-        assert conj.fn(1.2) == pytest.approx(3.0, abs=1e-12)
-        assert conj.fn(0.0) == pytest.approx(0.0, abs=1e-12)
+    def test_slopes_are_the_measure(self):
+        mu, conj = _pipeline(piecewise_1d_sample(word_len=4))
+        assert np.array_equal(conj.xs, mu.xs)
+        assert np.allclose(conj.slopes(), mu.values, rtol=1e-13, atol=0)
 
     def test_conjugator_and_measure_take_arrays(self):
-        mu, conj = _pipeline(piecewise_1d_sample(word_len=4), h=0.05)
+        mu, conj = _pipeline(piecewise_1d_sample(word_len=4))
         x = np.array([[-1.3, 0.2], [0.7, 2.9]])
-        for f in (mu, conj.fn, conj.inv, conj):
+        for f in (mu, conj, conj.inverse()):
             assert np.array_equal(f(x), [[f(v) for v in row] for row in x])
 
     def test_nonpositive_measure_rejected(self):
-        from solvrigid.tukia import SupMeasure1D
-
-        xs = np.linspace(-1, 1, 11)
-        mu = SupMeasure1D(xs=xs, values=np.zeros_like(xs), flagged=[])
+        mu = SupMeasure1D(xs=np.array([-1.0, 1.0]), values=np.array([1.0, 0.0, 1.0]))
         with pytest.raises(InputError):
             conjugator_1d(mu)
 
 
 class TestVerifyConjugation:
     def test_similarity_sample_with_identity_conjugator(self):
-        sample = similarity_1d_sample(word_len=4)
-        xs = np.linspace(-40, 40, 161)
-        ident = OneDConjugator(xs=xs, values=xs.copy())
-        report = verify_conjugation(sample, ident, np.linspace(-1, 1, 5))
-        assert report.passed
-        assert report.max_defect <= 1e-12
-
-    def test_images_off_the_grid_fail(self):
-        # word images leave [-2, 2], np.interp clamps them, a slope becomes 0
-        # and the defect NaN: the report must fail and show it
-        sample = similarity_1d_sample(word_len=4)
-        xs = np.linspace(-2, 2, 81)
-        ident = OneDConjugator(xs=xs, values=xs.copy())
-        report = verify_conjugation(sample, ident, np.linspace(-1, 1, 5))
-        assert any(math.isnan(v.defect) for v in report.verdicts)
-        assert math.isnan(report.max_defect)
-        assert report.passed is False
+        ident = PLHomeo([0.0], [0.0], 1.0, 1.0)
+        defects = verify_conjugation(similarity_1d_sample(word_len=4), ident, -1.0, 1.0)
+        assert len(defects) == 8 and max(defects.values()) <= 1e-12
+        # a word's single slope is its stretch: x -> 2^k x read as unit-stretch is 2^k - 1 off
+        unit = GroupSample(generators=[PLHomeo([0.0], [0.0], 2.0, 2.0)], word_len=4)
+        assert max(verify_conjugation(unit, ident, -1.0, 1.0).values()) == 15.0
 
     def test_pipeline_output_passes(self):
         sample = piecewise_1d_sample(word_len=6)
         _, conj = _pipeline(sample)
-        report = verify_conjugation(
-            sample, conj, np.linspace(-3, 2, 7), probe_step=1.0, tol=1e-3
-        )
-        assert report.passed, f"max defect {report.max_defect}"
+        defects = verify_conjugation(sample, conj, -3.0, 3.0)
+        assert max(defects.values()) <= 1e-12, defects
+        assert len(defects) == 12
 
     def test_wrong_conjugator_fails(self):
+        # unconjugated, g itself has the slopes 3/2 and 2/3
+        ident = PLHomeo([0.0], [0.0], 1.0, 1.0)
+        defects = verify_conjugation(piecewise_1d_sample(word_len=6), ident, -3.0, 3.0)
+        assert max(defects.values()) == pytest.approx(0.5, rel=1e-12)
+
+    def test_a_break_moved_by_a_millionth_fails(self):
         sample = piecewise_1d_sample(word_len=6)
-        xs = np.arange(-11.0, 11.0, 0.01)
-        ident = OneDConjugator(xs=xs, values=xs.copy())
-        report = verify_conjugation(
-            sample, ident, np.linspace(-3, 2, 7), probe_step=1.0, tol=1e-3
-        )
-        assert not report.passed
-        assert report.max_defect > 0.1
+        mu, _ = _pipeline(sample)
+        xs = mu.xs.copy()
+        xs[np.searchsorted(xs, 0.0)] += 2.0**-20
+        conj = conjugator_1d(dataclasses.replace(mu, xs=xs))
+        assert max(verify_conjugation(sample, conj, -3.0, 3.0).values()) == pytest.approx(0.5)
 
     def test_walk_equals_enumerate_then_fold(self):
         sample = piecewise_1d_sample(word_len=4)
-        _, conj = _pipeline(sample, h=0.05)
-        half = OneDGenerator(fn=lambda x: x + 0.5, dfn=lambda x: 1.0, inv=lambda x: x - 0.5)
-        two = dataclasses.replace(sample, generators=sample.generators + [half])
-        probes = np.linspace(-3, 2, 7)
-        for s in (sample, two):
-            report = verify_conjugation(s, conj, probes, probe_step=1.0)
-            assert report.verdicts == _ref_verdicts(s, conj, probes, 1.0, 4)
+        _, conj = _pipeline(sample)
+        for s in (sample, _two_generator_sample(4)):
+            assert verify_conjugation(s, conj, -3.0, 2.0) == _ref_defects(s, conj, -3.0, 2.0)
 
     def test_conjugated_sample_passes_with_identity(self):
-        # idempotence: wrap the pipeline output into new generators and
-        # verify them against the identity conjugator
+        # idempotence: the pipeline's conjugated generator, verified against the identity
         sample = piecewise_1d_sample(word_len=4)
-        _, conj = _pipeline(sample, h=0.002)
-        g = sample.generators[0]
+        _, conj = _pipeline(sample, -8.0, 8.0)
+        wrapped = conj.compose(sample.generators[0].compose(conj.inverse()))
+        defects = verify_conjugation(GroupSample(generators=[wrapped], word_len=4),
+                                     PLHomeo([0.0], [0.0], 1.0, 1.0), -2.0, 2.0)
+        assert max(defects.values()) <= 1e-12, defects
 
-        def fn(x, _g=g, _c=conj):
-            return _c.fn(_g.fn(_c.inv(x)))
 
-        def inv(x, _g=g, _c=conj):
-            return _c.fn(_g.inv(_c.inv(x)))
+class TestFractionOracle:
+    """The pipeline in Fractions: the conjugated words have exactly one slope."""
 
-        wrapped = OneDGenerator(fn=fn, dfn=lambda x: 1.0, inv=inv, stretch=1.0)
-        new_sample = GroupSample(generators=[wrapped], word_len=4)
-        span = 8.0
-        xs = np.linspace(-span, span, 1601)
-        ident = OneDConjugator(xs=xs, values=xs.copy())
-        report = verify_conjugation(
-            new_sample, ident, np.linspace(-2, 2, 5), probe_step=1.0, tol=2e-3
-        )
-        assert report.passed, f"max defect {report.max_defect}"
+    def test_the_fixture_is_the_oracle_table(self):
+        g, exact = piecewise_1d_sample().generators[0], pl_reference.BUMP
+        assert g.xs.tolist() == [float(x) for x in exact.xs]
+        assert g.ys.tolist() == [float(y) for y in exact.ys]
+        assert (g.left, g.right) == (exact.left, exact.right)
+
+    def test_every_conjugated_word_has_the_single_slope_one(self):
+        # word_len 12, as the acceptance criterion, on [-8, 8]: depth 8 + 12 + 1
+        h = pl_reference.conjugator(*pl_reference.sup_measure(pl_reference.BUMP, 21))
+        slopes = pl_reference.conjugated_slopes(h, pl_reference.BUMP, 12, -8, 8)
+        assert sorted(slopes) == [k for k in range(-12, 13) if k]
+        assert all(s == {Fraction(1)} for s in slopes.values())
+
+    def test_a_shallower_measure_is_not_exact(self):
+        # at depth 8 + 12 - 1 the measure falls short of the bump at points g^-12 reads, and
+        # g^-12 keeps a piece of slope 2/3
+        h = pl_reference.conjugator(*pl_reference.sup_measure(pl_reference.BUMP, 19))
+        slopes = pl_reference.conjugated_slopes(h, pl_reference.BUMP, 12, -8, 8)
+        assert {k: s for k, s in slopes.items() if s != {1}} == {-12: {1, Fraction(2, 3)}}
+
+    def test_the_float_pipeline_follows_the_oracle(self):
+        sample = piecewise_1d_sample(word_len=12)
+        _, conj = _pipeline(sample, -8.0, 8.0)
+        h = pl_reference.conjugator(*pl_reference.sup_measure(pl_reference.BUMP, 21))
+        assert np.allclose(conj.xs, [float(x) for x in h.xs], rtol=0, atol=1e-13)
+        assert np.allclose(conj.ys, [float(y) for y in h.ys], rtol=0, atol=1e-13)
+        assert max(verify_conjugation(sample, conj, -8.0, 8.0).values()) <= 1e-12
 
 
 class TestNormalizeStretch:

@@ -24,11 +24,14 @@ from solvrigid import (
     InputError,
     Lin,
     Osc,
+    PLHomeo,
+    PMax,
     Pwl,
     Scale,
     SimMap,
     SolvRigidError,
     SpectralData,
+    Sum,
     chain_energy,
     conf_class,
     ddist,
@@ -285,6 +288,22 @@ def _certified(node_type, *child):
     return build
 
 
+@st.composite
+def pl_parts(draw):
+    """Knots and values of one length, each strictly increasing from anywhere in float
+    range, and end slopes in (1e-300, 1e300)."""
+    knots = hnp.arrays(float, draw(st.integers(1, 4)), unique=True,
+                       elements=st.floats(allow_nan=False, allow_infinity=False)).map(np.sort)
+    return draw(knots), draw(knots), *draw(st.lists(st.floats(1e-300, 1e300), min_size=2,
+                                                    max_size=2))
+
+
+def _pl_homeo(xs, ys, left, right):
+    """A PL homeomorphism of drawn parts, composed with itself and its inverse, evaluated."""
+    f = PLHomeo(xs, ys, left, right)
+    return f.compose(f)(np.linspace(-2.0, 2.0, 5)), f.compose(f.inverse()).slopes()
+
+
 def _almost_translation(K):
     """An almost translation of the drawn constant ``K``, evaluated."""
     a = AlmostTranslation(SpectralData((1.0,), (1,)), [Const([0.5])], K)
@@ -354,10 +373,14 @@ TARGETS = {
     "Lin": (st.tuples(matrices), _certified(Lin, BlockVar(0, 2))),
     "Pwl": (st.tuples(arrays, arrays), _certified(Pwl, BlockVar(1, 1))),
     "Osc": (st.tuples(arrays, arrays, arrays), _certified(Osc, BlockVar(1, 1))),
+    "Sum": (st.tuples(arrays | st.lists(st.just(BlockVar(1, 1)) | numbers, max_size=3)),
+            _certified(Sum)),
     "Scale": (st.tuples(numbers | arrays), _certified(Scale, BlockVar(0, 1))),
     "AbsPow": (st.tuples(numbers | arrays), _certified(AbsPow, BlockVar(0, 1))),
     "Clamp": (st.tuples(numbers | arrays, numbers | arrays), _certified(Clamp, BlockVar(0, 1))),
     "AlmostTranslation_K": (st.tuples(numbers | arrays), _almost_translation),
+    "PLHomeo": (pl_parts() | st.tuples(*[arrays | hnp.arrays(float, st.integers(0, 4))] * 2,
+                                       *[numbers | arrays] * 2), _pl_homeo),
     "SimMap": (st.tuples(st.floats(0.1, 10.0) | numbers | arrays, rotations, translations),
                _sim_map),
     "invariant_structure": (st.tuples(grids), _invariant_structure),
@@ -367,6 +390,24 @@ TARGETS = {
                                          numbers | arrays), _circumcenter),
     "SolvSpec.from_json": (st.tuples(solv_spec_json), SolvSpec.from_json),
 }
+
+
+# constructor arguments a node cannot use; each raises InputError when the node is built
+BAD_NODES = {
+    "const-nan": lambda: Const([math.nan]),
+    "const-inf": lambda: Const([1.0, -math.inf]),
+    "osc-amp-nan": lambda: Osc([math.nan], [1.0], 0.0, BlockVar(1, 1)),
+    "sum-number": lambda: Sum(5),
+    "sum-of-numbers": lambda: Sum([1.0, 2.0]),
+    "max-with-a-number": lambda: PMax([BlockVar(1, 1), 2.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_NODES))
+def test_nodes_reject_arguments_they_cannot_use(name):
+    # Const([nan]) and Osc's NaN amplitudes built, with a NaN sup_bound; Sum(5) raised TypeError
+    with pytest.raises(InputError):
+        BAD_NODES[name]()
 
 
 @pytest.mark.parametrize("target", list(TARGETS))
