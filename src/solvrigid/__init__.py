@@ -23,16 +23,10 @@ from .quasimetric import (
     estimate_qsim_constants,
 )
 from .funcexpr import (
-    AbsPow,
     BlockVar,
-    Clamp,
     Const,
     FuncExpr,
-    Lin,
     Osc,
-    PMax,
-    PMin,
-    Pwl,
     Scale,
     Sum,
 )

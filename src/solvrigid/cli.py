@@ -49,6 +49,7 @@ class ConfigError(SolvRigidError):
 
 
 _NUMBER = (int, float)
+_GRID_BOUND = 300  # the largest |grid/lo| and |grid/hi|
 
 
 def _as_float(val) -> float:
@@ -59,12 +60,12 @@ def _as_float(val) -> float:
         return math.inf
 
 
-def _key(pointer: str, types, default, least=None, strict=False):
+def _key(pointer: str, types, default, least=None, strict=False, most=None):
     """A config field: its JSON pointer, accepted JSON types, default, and least
-    allowed value (None for no bound; ``strict`` excludes the value itself).
-    Every number must also be finite, since Python's json reads NaN and
-    Infinity and a report must stay standard JSON."""
-    meta = {"pointer": pointer, "schema": (types, least, strict)}
+    and most allowed values (None for no bound; ``strict`` excludes the least
+    value itself). Every number must also be finite, since Python's json reads
+    NaN and Infinity and a report must stay standard JSON."""
+    meta = {"pointer": pointer, "schema": (types, least, strict, most)}
     if callable(default):
         return field(default_factory=default, metadata=meta)
     return field(default=default, metadata=meta)
@@ -83,8 +84,9 @@ class RunConfig:
     triples: int = _key("triples", int, 2000, least=1)
     pairs: int = _key("pairs", int, 2000, least=1)
     beta: float = _key("beta", _NUMBER, 3.0, least=0, strict=True)
-    grid_lo: float = _key("grid/lo", _NUMBER, -3.0)
-    grid_hi: float = _key("grid/hi", _NUMBER, 3.0)
+    # the conjugate suite's depth, cost and rounding grow with the window
+    grid_lo: float = _key("grid/lo", _NUMBER, -3.0, least=-_GRID_BOUND, most=_GRID_BOUND)
+    grid_hi: float = _key("grid/hi", _NUMBER, 3.0, least=-_GRID_BOUND, most=_GRID_BOUND)
     word_len: int = _key("word_len", int, 6, least=1)
     tolerance: float = _key("tolerance", _NUMBER, 1e-9, least=0, strict=True)
     conjugation_tol: float = _key("conjugation_tol", _NUMBER, 1e-12, least=0, strict=True)
@@ -110,7 +112,7 @@ class RunConfig:
             pointer = "".join("/" + str(key).replace("~", "~0").replace("/", "~1") for key in path)
             if path not in _FIELDS:
                 raise ConfigError(f"{pointer}: unknown config key")
-            types, least, strict = _FIELDS[path].metadata["schema"]
+            types, least, strict, most = _FIELDS[path].metadata["schema"]
             if not isinstance(val, types) or isinstance(val, bool):
                 raise ConfigError(f"{pointer}: expected {types}, got {type(val).__name__}")
             if types is dict:
@@ -123,6 +125,8 @@ class RunConfig:
             elif least is not None and (val <= least if strict else val < least):
                 bound = "greater than" if strict else "at least"
                 raise ConfigError(f"{pointer}: must be {bound} {least}, got {val}")
+            elif most is not None and val > most:
+                raise ConfigError(f"{pointer}: must be at most {most}, got {val}")
             setattr(cfg, _FIELDS[path].name, float(val) if types is _NUMBER else val)
         if not cfg.grid_lo < cfg.grid_hi:
             raise ConfigError(f"/grid: requires lo < hi, got {cfg.grid_lo} and {cfg.grid_hi}")

@@ -13,9 +13,7 @@ composition rules propagate them conservatively.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -118,30 +116,6 @@ class BlockVar(FuncExpr):
         return INF
 
 
-class Lin(FuncExpr):
-    def __init__(self, matrix, child: FuncExpr):
-        self.matrix = floats(matrix, "linear matrix")
-        # the operator norm's SVD fails on a NaN entry
-        if (self.matrix.ndim != 2 or self.matrix.shape[1] != child.dim
-                or not np.isfinite(self.matrix).all()):
-            raise InputError("linear node needs a finite matrix of the child's width")
-        self.child = child
-        self.dim = self.matrix.shape[0]
-        self._opnorm = float(np.linalg.norm(self.matrix, 2))
-
-    def _eval(self, blocks):
-        # np.matvec gives each row of a stack the bits of the one-vector product
-        return np.matvec(self.matrix, self.child._eval(blocks))
-
-    @property
-    def lipschitz(self):
-        return _product(self._opnorm, self.child.lipschitz)
-
-    @property
-    def sup_bound(self):
-        return _product(self._opnorm, self.child.sup_bound)
-
-
 class Scale(FuncExpr):
     def __init__(self, factor: float, child: FuncExpr):
         self.factor = float(_finite(factor, True, "scale factor"))
@@ -160,134 +134,28 @@ class Scale(FuncExpr):
         return _product(abs(self.factor), self.child.sup_bound)
 
 
-class AbsPow(FuncExpr):
-    """Componentwise |u|^c for c > 0."""
-
-    def __init__(self, exponent: float, child: FuncExpr):
-        self.exponent = float(_finite(exponent, True, "power exponent"))
-        if not self.exponent > 0:
-            raise InputError("power exponent must be positive")
-        self.child = child
-        self.dim = child.dim
-
-    def _eval(self, blocks):
-        return np.abs(self.child._eval(blocks)) ** self.exponent
-
-    @property
-    def lipschitz(self):
-        c = self.exponent
-        if c == 1.0:
-            return self.child.lipschitz
-        if c > 1.0 and math.isfinite(self.child.sup_bound):
-            with contextlib.suppress(OverflowError):  # a power beyond float range reads inf
-                return c * self.child.sup_bound ** (c - 1.0) * self.child.lipschitz
-        return INF
-
-    @property
-    def sup_bound(self):
-        s, c = self.child.sup_bound, self.exponent
-        if math.isfinite(s):
-            with contextlib.suppress(OverflowError):  # a power beyond float range reads inf
-                # the sum of |u_k|^2c over dim entries is at most S^2c for c >= 1, and at most
-                # dim^(1 - c) S^2c for c < 1 (concavity of t^c)
-                return s**c * (self.dim ** ((1.0 - c) / 2) if c < 1.0 else 1.0)
-        return INF
-
-
-class _Fold(FuncExpr):
-    """Componentwise fold of children of one dim by ``op``, with the children's certificates
-    combined by ``_combined``. Each entry of a minimum or maximum is at most its children's
-    largest in modulus, and so is each entry's move: theirs are the children's largest for
-    dim 1 and their root sum of squares beyond."""
-
-    op = None
+class Sum(FuncExpr):
+    """Pointwise sum of children of one dim; each certificate is the sum of the children's."""
 
     def __init__(self, children: Sequence[FuncExpr]):
         children = tuple(children) if np.iterable(children) else ()
         if (not children or not all(isinstance(c, FuncExpr) for c in children)
                 or len({c.dim for c in children}) != 1):
-            raise InputError("sum, min and max children must be nonempty nodes with equal dims")
+            raise InputError("sum children must be nonempty nodes with equal dims")
         self.children = children
         self.dim = children[0].dim
 
     def _eval(self, blocks):
         # pairwise, so that a const child broadcasts over the rows
-        return functools.reduce(type(self).op, (c._eval(blocks) for c in self.children))
-
-    def _combined(self, bounds: list[float]) -> float:
-        return max(bounds) if self.dim == 1 else math.hypot(*bounds)
+        return functools.reduce(np.add, (c._eval(blocks) for c in self.children))
 
     @property
     def lipschitz(self):
-        return self._combined([c.lipschitz for c in self.children])
+        return sum(c.lipschitz for c in self.children)
 
     @property
     def sup_bound(self):
-        return self._combined([c.sup_bound for c in self.children])
-
-
-class Sum(_Fold):
-    op = np.add
-
-    def _combined(self, bounds: list[float]) -> float:
-        return sum(bounds)
-
-
-class PMin(_Fold):
-    op = np.minimum
-
-
-class PMax(_Fold):
-    op = np.maximum
-
-
-class Clamp(FuncExpr):
-    def __init__(self, lo: float, hi: float, child: FuncExpr):
-        self.lo, self.hi = (float(_finite(b, True, "clamp bound")) for b in (lo, hi))
-        if self.lo > self.hi:
-            raise InputError("clamp bounds out of order")
-        self.child = child
-        self.dim = child.dim
-
-    def _eval(self, blocks):
-        return np.clip(self.child._eval(blocks), self.lo, self.hi)
-
-    @property
-    def lipschitz(self):
-        return self.child.lipschitz
-
-    @property
-    def sup_bound(self):
-        bound = max(abs(self.lo), abs(self.hi)) * math.sqrt(self.dim)
-        return min(bound, self.child.sup_bound)
-
-
-class Pwl(FuncExpr):
-    """Scalar piecewise-linear table with constant extension beyond the ends."""
-
-    def __init__(self, xs, ys, child: FuncExpr):
-        self.xs = _finite(xs, False, "piecewise-linear knots")
-        self.ys = _finite(ys, False, "piecewise-linear values")
-        if child.dim != 1 or self.xs.ndim != 1 or not self.xs.shape == self.ys.shape != (0,):
-            raise InputError("pwl table needs a scalar child and nonempty knots, one value each")
-        if np.any(np.diff(self.xs) <= 0):
-            raise InputError("piecewise-linear knots must be strictly increasing")
-        self.child = child
-        self.dim = 1
-        slopes = np.diff(self.ys) / np.diff(self.xs)
-        self._max_slope = float(np.abs(slopes).max()) if slopes.size else 0.0
-
-    def _eval(self, blocks):
-        u = self.child._eval(blocks)
-        return np.interp(u, self.xs, self.ys)
-
-    @property
-    def lipschitz(self):
-        return _product(self._max_slope, self.child.lipschitz)
-
-    @property
-    def sup_bound(self):
-        return float(np.abs(self.ys).max())
+        return sum(c.sup_bound for c in self.children)
 
 
 class Osc(FuncExpr):
@@ -366,5 +234,4 @@ def _finite(value, scalar: bool, what: str) -> np.ndarray:
 
 # per node class, the attribute that holds its child node ("child") or its nodes
 # ("children"), which the base deps reads; None for a leaf
-_CHILDREN = {Const: None, Lin: "child", Sum: "children", Scale: "child", AbsPow: "child",
-             PMin: "children", PMax: "children", Clamp: "child", Pwl: "child", Osc: "child"}
+_CHILDREN = {Const: None, Sum: "children", Scale: "child", Osc: "child"}

@@ -3,7 +3,6 @@ the pair-to-point map, and the boundary correspondence for height isometries."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,26 +29,6 @@ class SolvSpec:
     @property
     def pure(self) -> bool:
         return self.upper is None
-
-    def to_json(self) -> dict:
-        out = {}
-        if self.lower is not None:
-            out["lower"] = self.lower.to_json()
-        if self.upper is not None:
-            out["upper"] = self.upper.to_json()
-        return out
-
-    @staticmethod
-    def from_json(obj: dict | str) -> "SolvSpec":
-        """The spec under 'lower' and 'upper' of a JSON object or its text; InputError otherwise."""
-        try:
-            if isinstance(obj, str):
-                obj = json.loads(obj)
-            lower, upper = (SpectralData.from_json(obj[k]) if k in obj else None
-                            for k in ("lower", "upper"))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"solvable spec must be a JSON object: {exc}") from None
-        return SolvSpec(lower=lower, upper=upper)
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,12 @@ class TestConfigSchema:
             ({"tolerance": float("inf")}, [], "/tolerance"),
             ({"conjugation_tol": float("nan")}, [], "/conjugation_tol"),
             ({"conjugation_tol": -1e-3}, [], "/conjugation_tol"),
+            # the conjugate suite's depth grows with the window: at lo -3000 its rounding
+            # alone failed the default conjugation_tol
+            ({"grid": {"lo": -3000.0}}, [], "/grid/lo"),
+            ({"grid": {"lo": -301}}, [], "/grid/lo"),
+            ({"grid": {"hi": 300.5}}, [], "/grid/hi"),
+            ({"grid": {"lo": 400, "hi": 500}}, [], "/grid/lo"),
         ],
     )
     def test_out_of_bounds_exits_2_pointered(self, obj, args, pointer, tmp_path, capsys):
@@ -90,6 +96,14 @@ class TestConfigSchema:
         assert f"config error: {pointer}:" in capsys.readouterr().err
         assert not out.exists()
 
+
+    def test_the_window_bound_admits_its_ends(self):
+        cfg = RunConfig.from_json({"grid": {"lo": -300, "hi": 300.0}})
+        assert (cfg.grid_lo, cfg.grid_hi) == (-300.0, 300.0)
+        with pytest.raises(ConfigError, match="/grid/lo: must be at least -300, got -300.5"):
+            RunConfig.from_json({"grid": {"lo": -300.5}})
+        with pytest.raises(ConfigError, match="/grid/hi: must be at most 300, got 301"):
+            RunConfig.from_json({"grid": {"hi": 301}})
 
     def test_doc_table_matches_the_field_metadata(self):
         text = (Path(__file__).resolve().parents[1] / "docs" / "report-schema.md").read_text()

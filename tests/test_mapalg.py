@@ -21,7 +21,6 @@ from solvrigid import (
     FirstBlockAffineMap,
     FuncExpr,
     InputError,
-    Lin,
     NotInUniformSubgroup,
     Osc,
     Scale,
@@ -507,6 +506,31 @@ class Precompose(FuncExpr):
     @property
     def sup_bound(self):
         return self.child.sup_bound
+
+
+class Lin(FuncExpr):
+    """A matrix applied to a child expression; its certificates multiply the child's by
+    the matrix's operator norm, as a conjugated word's do."""
+
+    def __init__(self, matrix, child: FuncExpr):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.child = child
+        self.dim = self.matrix.shape[0]
+        self._opnorm = float(np.linalg.norm(self.matrix, 2))
+
+    def _eval(self, blocks):
+        return np.matvec(self.matrix, self.child._eval(blocks))
+
+    def deps(self):
+        return self.child.deps()
+
+    @property
+    def lipschitz(self):
+        return self._opnorm * self.child.lipschitz
+
+    @property
+    def sup_bound(self):
+        return self._opnorm * self.child.sup_bound
 
 
 def _tree_compose(s, o):

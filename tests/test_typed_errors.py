@@ -13,20 +13,15 @@ from hypothesis.extra import numpy as hnp
 
 from solvrigid import (
     ASimMap,
-    AbsPow,
     AlmostTranslation,
     BlockPoint,
     BlockVar,
     ChainGrid,
-    Clamp,
     Const,
     FirstBlockAffineMap,
     InputError,
-    Lin,
     Osc,
     PLHomeo,
-    PMax,
-    Pwl,
     Scale,
     SimMap,
     SolvRigidError,
@@ -339,8 +334,6 @@ def _circumcenter(classes, tol):
 
 
 grids = hnp.arrays(float, st.tuples(st.integers(0, 4), st.just(3)), elements=coordinates) | arrays
-solv_spec_json = st.fixed_dictionaries(
-    {}, optional={"lower": spec_json, "upper": spec_json}) | spec_json
 
 
 # target -> (strategy of argument tuples, callable)
@@ -370,14 +363,10 @@ TARGETS = {
     "boundary_of_height_isometry_stack": (st.tuples(
         arrays | hnp.arrays(float, st.integers(0, 4))), _boundary_of_height_isometry),
     "Const": (st.tuples(arrays), _certified(Const)),
-    "Lin": (st.tuples(matrices), _certified(Lin, BlockVar(0, 2))),
-    "Pwl": (st.tuples(arrays, arrays), _certified(Pwl, BlockVar(1, 1))),
     "Osc": (st.tuples(arrays, arrays, arrays), _certified(Osc, BlockVar(1, 1))),
     "Sum": (st.tuples(arrays | st.lists(st.just(BlockVar(1, 1)) | numbers, max_size=3)),
             _certified(Sum)),
     "Scale": (st.tuples(numbers | arrays), _certified(Scale, BlockVar(0, 1))),
-    "AbsPow": (st.tuples(numbers | arrays), _certified(AbsPow, BlockVar(0, 1))),
-    "Clamp": (st.tuples(numbers | arrays, numbers | arrays), _certified(Clamp, BlockVar(0, 1))),
     "AlmostTranslation_K": (st.tuples(numbers | arrays), _almost_translation),
     "PLHomeo": (pl_parts() | st.tuples(*[arrays | hnp.arrays(float, st.integers(0, 4))] * 2,
                                        *[numbers | arrays] * 2), _pl_homeo),
@@ -388,7 +377,6 @@ TARGETS = {
                            _circumcenter),
     "solve_circumcenter_tol": (st.tuples(st.just([np.eye(2), np.diag([2.0, 0.5])]),
                                          numbers | arrays), _circumcenter),
-    "SolvSpec.from_json": (st.tuples(solv_spec_json), SolvSpec.from_json),
 }
 
 
@@ -399,7 +387,7 @@ BAD_NODES = {
     "osc-amp-nan": lambda: Osc([math.nan], [1.0], 0.0, BlockVar(1, 1)),
     "sum-number": lambda: Sum(5),
     "sum-of-numbers": lambda: Sum([1.0, 2.0]),
-    "max-with-a-number": lambda: PMax([BlockVar(1, 1), 2.0]),
+    "sum-with-a-number": lambda: Sum([BlockVar(1, 1), 2.0]),
 }
 
 
