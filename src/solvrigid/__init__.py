@@ -58,7 +58,6 @@ from .mapalg import (
 from .solvgroup import (
     SolvPoint,
     SolvSpec,
-    VerticalGeodesic,
     boundary_of_height_isometry,
     inverse,
     multiply,

@@ -38,7 +38,6 @@ from .solvgroup import (
     multiply,
     pair_to_point,
     pair_to_point_bisect,
-    VerticalGeodesic,
 )
 from .spectral import SpectralData, join_blocks, random_row_blocks, split_rows
 from .tukia import conjugator_1d, sup_measure_1d, verify_conjugation
@@ -87,7 +86,7 @@ class RunConfig:
     # the conjugate suite's depth, cost and rounding grow with the window
     grid_lo: float = _key("grid/lo", _NUMBER, -3.0, least=-_GRID_BOUND, most=_GRID_BOUND)
     grid_hi: float = _key("grid/hi", _NUMBER, 3.0, least=-_GRID_BOUND, most=_GRID_BOUND)
-    word_len: int = _key("word_len", int, 6, least=1)
+    word_len: int = _key("word_len", int, 6, least=1, most=300)
     tolerance: float = _key("tolerance", _NUMBER, 1e-9, least=0, strict=True)
     conjugation_tol: float = _key("conjugation_tol", _NUMBER, 1e-12, least=0, strict=True)
     root_order: int = _key("root_order", int, 2, least=1)
@@ -286,7 +285,7 @@ def run_metric(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
                             rounds=est.rounds, last_decrement=est.last_decrement, exit=est.exit)]
 
 
-def run_geodesic(cfg: RunConfig, rng: np.random.Generator, out_dir: Path | None = None) -> list[dict]:
+def run_geodesic(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     spec = SolvSpec(lower=cfg.spec)
     checks = [_pair_to_point_check(spec, random_row_blocks(cfg.spec, rng, cfg.pairs, 2, 3.0))]
     # the closed form on one pair at a time (the one-point path of
@@ -312,14 +311,6 @@ def run_geodesic(cfg: RunConfig, rng: np.random.Generator, out_dir: Path | None 
                         np.max(np.abs(assoc.x - assoc2.x)),
                         np.max(np.abs(inv.height)), np.max(np.abs(inv.x))])
     checks.append(_check("group-law", grp_worst, 1e-12))
-    if out_dir is not None:
-        geo = VerticalGeodesic(anchor=(rng.uniform(-1, 1, cfg.spec.total_dim), None))
-        rows = geo.sample_csv_rows(np.linspace(-2.0, 2.0, 41))
-        text = "\n".join(",".join(f"{v:.12g}" for v in row) for row in rows) + "\n"
-        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-        path = out_dir / f"geodesic-samples-{digest}.csv"
-        if not path.exists():
-            path.write_text(text)
     return checks
 
 
@@ -345,29 +336,15 @@ def run_classify(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     ]
 
 
-def _draw_stacks(rng: np.random.Generator, count: int, spd: int, gl: int):
-    """``count`` samples of ``spd`` class draws (rng.normal(size=(3, 3)), then
-    rng.uniform(-1.2, 1.2, 3)) followed by ``gl`` action draws (two
-    rng.normal(size=(3, 3)), then rng.uniform(0.5, 2.0, 3)), as (count,
-    spd + 2 gl, 3, 3) normals and (count, spd + gl, 3) uniforms. The generator
-    writes the same stream in place, so both equal the per-call draws bit for
-    bit: numpy's normal is 0.0 + z and its uniform lo + (hi - lo) u."""
-    normals, uniforms = np.empty((count, spd + 2 * gl, 3, 3)), np.empty((count, spd + gl, 3))
-    for i in range(count):
-        for j in range(spd):
-            rng.standard_normal(out=normals[i, j])
-            rng.random(out=uniforms[i, j])
-        for j in range(spd, spd + gl):
-            rng.standard_normal(out=normals[i, 2 * j - spd:2 * j - spd + 2])
-            rng.random(out=uniforms[i, j])
-    lo, hi = np.repeat([[-1.2, 1.2], [0.5, 2.0]], [spd, gl], axis=0).T[..., None]
-    return normals + 0.0, lo + (hi - lo) * uniforms
-
-
 def _draw_classes(rng: np.random.Generator, count: int, spd: int, gl: int):
-    """_draw_stacks' samples as (count, spd, 3, 3) classes and (count, gl, 3, 3) actions; the
-    classes' moderate log-eigenvalue spread keeps eigh well inside the kdist tolerance, 1e-10."""
-    normals, uniforms = _draw_stacks(rng, count, spd, gl)
+    """``count`` samples of ``spd`` classes and ``gl`` actions, as (count, spd, 3, 3) and
+    (count, gl, 3, 3) stacks, from one normal and one uniform draw: per sample, a class is
+    Q diag(e^u) Q^T with u in [-1.2, 1.2) and an action U diag(s) V with s in [0.5, 2.0),
+    Q, U and V the orthogonal factors of standard normal matrices. The classes' moderate
+    log-eigenvalue spread keeps eigh well inside the kdist tolerance, 1e-10."""
+    normals = rng.standard_normal((count, spd + 2 * gl, 3, 3))
+    lo, hi = np.repeat([[-1.2, 1.2], [0.5, 2.0]], [spd, gl], axis=0).T[..., None]
+    uniforms = lo + (hi - lo) * rng.random((count, spd + gl, 3))
     q = np.linalg.qr(normals[:, :spd])[0]
     classes = conf_class(((q * np.exp(uniforms[:, :spd])[..., None, :]) @ q.mT).reshape(-1, 3, 3))
     u, v = np.linalg.qr(normals[:, spd::2])[0], np.linalg.qr(normals[:, spd + 1::2])[0]
@@ -375,15 +352,15 @@ def _draw_classes(rng: np.random.Generator, count: int, spd: int, gl: int):
 
 
 def run_conformal(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
-    # per sample, in the generator's order: classes a, b, c, then an action x
+    # 200 samples of classes a, b, c and an action x
     abc, x = _draw_classes(rng, 200, 3, 1)
     checks = _kdist_checks(abc, x[:, 0])
     # an uncertified center (gap above tolerance) fails its check instead of
     # ending the run
     a = _draw_classes(rng, 1, 1, 0)[0][:, 0]
     sym = solve_circumcenter(np.stack([a, np.linalg.inv(a)], axis=1), tol=cfg.tolerance)
-    # per set, in the generator's order: 5 classes, then an action x; one
-    # batch solves each set moved by x and as drawn
+    # 5 sets of 5 classes and an action x each; one batch solves each set
+    # moved by x and as drawn
     sets, xs = _draw_classes(rng, 5, 5, 1)
     eq = solve_circumcenter(_moved_and_drawn(sets, xs[:, 0]), tol=cfg.tolerance)
     return checks + _circumcenter_checks(sym, eq, xs[:, 0], cfg.tolerance)
@@ -394,11 +371,13 @@ def run_conjugate(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     # the measure is exact at x once its depth reaches the bump [0, 1) from x; the check reads
     # it on the window and on the window moved by words of word_len letters
     depth = math.ceil(max(-cfg.grid_lo, cfg.grid_hi)) + cfg.word_len + 1
-    conj = conjugator_1d(sup_measure_1d(sample, depth))
+    mu = sup_measure_1d(sample, depth)
+    conj = conjugator_1d(mu)
     defects = verify_conjugation(sample, conj, cfg.grid_lo, cfg.grid_hi)
-    # the slopes that are not positive, NaN among them
-    flat = np.count_nonzero(~(conj.slopes() > 0.0))
-    return [_check("conjugator-strictly-increasing", flat, 0.0),
+    # the conjugator is the measure's antiderivative: its slope on each piece, the two end
+    # pieces included, is the measure's value there
+    return [_check("conjugator-slopes-are-the-measure",
+                   _worst(np.abs(conj.slopes() / mu.values - 1.0)), 1e-12),
             _check("conjugated-words-similar", _worst(list(defects.values())),
                    cfg.conjugation_tol, words=len(defects))]
 
@@ -440,11 +419,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir: Path, verbose: bool = False) -
     names = list(_SUITES) if subcommand == "all" else [subcommand]
     checks = []
     for name in names:
-        rng = np.random.default_rng(cfg.seed)
-        if name == "geodesic":
-            results = run_geodesic(cfg, rng, out_dir=out_dir)
-        else:
-            results = _SUITES[name](cfg, rng)
+        results = _SUITES[name](cfg, np.random.default_rng(cfg.seed))
         for c in results:
             c["suite"] = name
         checks.extend(results)

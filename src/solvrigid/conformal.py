@@ -144,8 +144,7 @@ def kdist(A, B):
     Raw symmetric classes are read as given, not scaled to determinant one.
     """
     w = _rel_eigvals(A, B)
-    d = np.maximum(np.maximum(_per_element(math.log, w[..., -1]),
-                              -_per_element(math.log, w[..., 0])), 0.0)
+    d = np.maximum(np.maximum(np.log(w[..., -1]), -np.log(w[..., 0])), 0.0)
     return float(d) if w.ndim == 1 else d
 
 

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
+from .quasimetric import _block_norm
 from .spectral import finite_blocks, floats, require_blocks
 
 INF = float("inf")
@@ -74,7 +75,7 @@ class Const(FuncExpr):
         self.value = _finite(value, False, "const value").reshape(-1)
         self.dim = self.value.shape[0]
         with np.errstate(over="ignore"):  # a norm beyond float range reads inf, which is sound
-            self._sup_bound = float(np.linalg.norm(self.value))
+            self._sup_bound = float(_block_norm(self.value))
 
     def _eval(self, blocks):
         return self.value.copy()
@@ -170,8 +171,8 @@ class Osc(FuncExpr):
         self.child = child
         self.dim = self.amp.shape[0]
         with np.errstate(over="ignore"):  # a norm beyond float range reads inf, which is sound
-            self._sup_bound = float(np.linalg.norm(self.amp))
-            self._gain = _product(self._sup_bound, float(np.linalg.norm(self.weights)))
+            self._sup_bound = float(_block_norm(self.amp))
+            self._gain = _product(self._sup_bound, float(_block_norm(self.weights)))
 
     def _eval(self, blocks):
         # np.vecdot gives each row the bits of the one-point inner product;

@@ -36,7 +36,7 @@ def _block_norm(diff: np.ndarray):
 
 
 def _rescaled_norm(diff: np.ndarray) -> np.ndarray:
-    big = np.max(np.abs(diff), axis=-1, keepdims=True)
+    big = np.max(np.abs(diff), axis=-1, keepdims=True, initial=0.0)  # an empty block reads 0
     if not np.isfinite(big).all():
         raise InputError("point has a non-finite coordinate (or a block gap beyond float range)")
     unit = np.divide(diff, big, out=np.zeros_like(diff), where=big > 0.0)

@@ -1,5 +1,5 @@
-"""The solvable model space: group law, level metrics, vertical geodesics,
-the pair-to-point map, and the boundary correspondence for height isometries."""
+"""The solvable model space: group law, level metrics, the pair-to-point map,
+and the boundary correspondence for height isometries."""
 
 from __future__ import annotations
 
@@ -176,25 +176,6 @@ def _level_distance(t: np.ndarray, signed: np.ndarray, gaps: np.ndarray) -> np.n
         # one row of terms per block; (sign alpha_i) t is sign (t alpha_i) exactly
         exponents = np.multiply.outer(signed, np.broadcast_to(t, gaps.shape[1:]))
     return np.maximum(_level_terms(exponents, gaps).max(axis=0), 0.0)
-
-
-@dataclass(frozen=True)
-class VerticalGeodesic:
-    """The curve t -> (orientation * t, anchor); its class is a boundary point."""
-
-    anchor: tuple[Optional[np.ndarray], Optional[np.ndarray]]  # (total_dim,) arrays
-    orientation: str = "downward"  # downward geodesics hit the lower boundary
-
-    def __post_init__(self):
-        if self.orientation not in ("upward", "downward"):
-            raise InputError("orientation must be 'upward' or 'downward'")
-
-    def sample_csv_rows(self, ts) -> list[list[float]]:
-        """Per parameter t the row (height, anchor coordinates)."""
-        t = floats(ts, "geodesic parameters")
-        anchor = np.concatenate([np.zeros(0), *(a for a in self.anchor if a is not None)])
-        heights = -t if self.orientation == "downward" else t
-        return np.column_stack([heights, np.tile(anchor, (len(t), 1))]).tolist()
 
 
 def pair_to_point(spec: SolvSpec, P, Q):

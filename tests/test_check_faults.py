@@ -37,22 +37,16 @@ def _squeezed_similarities(monkeypatch):
         0.9 * b if i == 0 else b for i, b in enumerate(apply(self, blocks))])
 
 
-class _FlatSlopes(PLHomeo):
-    """A PLHomeo that reports one flat piece: a real one rejects a zero slope when it is
-    built, so the fault changes what the conjugator reports."""
+def _moved_knot_value(monkeypatch):
+    # the conjugator's largest interior knot value moved by 1e-9 relative: the slopes of
+    # the two pieces at that knot leave the measure's values
+    def moved(conj, *_):
+        ys = conj.ys.copy()
+        k = 1 + np.argmax(np.abs(ys[1:-1]))
+        ys[k] *= 1.0 + 1e-9
+        return PLHomeo(conj.xs, ys, conj.left, conj.right)
 
-    def slopes(self):
-        s = super().slopes().copy()
-        s[len(s) // 2] = 0.0
-        return s
-
-
-def _flat_conjugator(monkeypatch):
-    def flat(conj, *_):
-        conj.__class__ = _FlatSlopes
-        return conj
-
-    _wrap(monkeypatch, "conjugator_1d", flat)
+    _wrap(monkeypatch, "conjugator_1d", moved)
 
 
 def _moved_break(monkeypatch):
@@ -94,7 +88,7 @@ FAULTS = {
     ("conformal", "circumcenter-certified"): lambda mp: _wrap(
         mp, "solve_circumcenter", lambda res, *_: dataclasses.replace(
             res, lower=np.zeros_like(res.lower))),
-    ("conjugate", "conjugator-strictly-increasing"): _flat_conjugator,
+    ("conjugate", "conjugator-slopes-are-the-measure"): _moved_knot_value,
     ("conjugate", "conjugated-words-similar"): _moved_break,
     **{("roots", f"root-{name}-power-exact"): lambda mp: _wrap(
         mp, "root_power_word", lambda word, cert, gens: word * ExactWord(gens, [(0, 1)]))

@@ -86,6 +86,8 @@ class TestConfigSchema:
             ({"grid": {"lo": -301}}, [], "/grid/lo"),
             ({"grid": {"hi": 300.5}}, [], "/grid/hi"),
             ({"grid": {"lo": 400, "hi": 500}}, [], "/grid/lo"),
+            # the conjugate suite's depth grows with word_len too
+            ({"word_len": 301}, [], "/word_len"),
         ],
     )
     def test_out_of_bounds_exits_2_pointered(self, obj, args, pointer, tmp_path, capsys):
@@ -104,6 +106,11 @@ class TestConfigSchema:
             RunConfig.from_json({"grid": {"lo": -300.5}})
         with pytest.raises(ConfigError, match="/grid/hi: must be at most 300, got 301"):
             RunConfig.from_json({"grid": {"hi": 301}})
+
+    def test_the_word_len_bound_admits_300(self):
+        assert RunConfig.from_json({"word_len": 300}).word_len == 300
+        with pytest.raises(ConfigError, match="/word_len: must be at most 300, got 301"):
+            RunConfig.from_json({"word_len": 301})
 
     def test_doc_table_matches_the_field_metadata(self):
         text = (Path(__file__).resolve().parents[1] / "docs" / "report-schema.md").read_text()
@@ -158,6 +165,14 @@ def test_all_runs_every_suite(tmp_path):
     assert suites == {"metric", "geodesic", "classify", "conformal", "conjugate", "roots"}
 
 
+@pytest.mark.parametrize("sub", [*cli._SUITES, "all"])
+def test_each_subcommand_writes_only_its_report(sub, tmp_path, capsys):
+    assert main([sub, "--out", str(tmp_path)]) == 0
+    (written,) = tmp_path.iterdir()
+    assert written.name.startswith(f"{sub}-") and written.suffix == ".json"
+    assert capsys.readouterr().out == f"{written}\n"
+
+
 def test_report_named_by_content_hash_and_appended_once(tmp_path):
     main(["metric", "--out", str(tmp_path)])
     first = _reports(tmp_path)[0]
@@ -175,13 +190,13 @@ def test_determinism_byte_identical(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
-# The files `solvrigid all --seed <n>` writes: the report and the geodesic
-# samples, each named by its content hash. A change that changes a digest
-# updates this pin and records the old and new names.
+# The file `solvrigid all --seed <n>` writes: its report, named by its content
+# hash. A change that changes a digest updates this pin and records the old
+# and new names.
 PINNED_FILES = {
-    0: ["all-3ae30146f3226a22.json", "geodesic-samples-baa50f3bb6bab6b4.csv"],
-    5: ["all-eeb6a2c900355631.json", "geodesic-samples-f9bbccf18b892fde.csv"],
-    11: ["all-4f9a15a01dd12a63.json", "geodesic-samples-07bc8fb764b6ee5c.csv"],
+    0: ["all-636ce2b574a96ae1.json"],
+    5: ["all-b2aa77ccef5eedc7.json"],
+    11: ["all-fe41e3e93cf3051c.json"],
 }
 
 
@@ -196,11 +211,11 @@ def test_report_digests_are_pinned(seed, tmp_path):
 UNIT_EXPONENT_SPEC = {"alphas": [1.0, 2.0, 3.5], "mults": [2, 1, 2]}
 PINNED_UNIT_EXPONENT_FILES = {
     (0, "metric"): ["metric-df958ff6093b00a9.json"],
-    (0, "geodesic"): ["geodesic-8b0572861dee1c56.json", "geodesic-samples-c40b4e2c16f78ffd.csv"],
+    (0, "geodesic"): ["geodesic-8b0572861dee1c56.json"],
     (5, "metric"): ["metric-cdec076b54293154.json"],
-    (5, "geodesic"): ["geodesic-267841c89c973fcb.json", "geodesic-samples-180b3b935ad4d6ee.csv"],
+    (5, "geodesic"): ["geodesic-267841c89c973fcb.json"],
     (11, "metric"): ["metric-7b6044f3879b2995.json"],
-    (11, "geodesic"): ["geodesic-dd073773d1723d6b.json", "geodesic-samples-20e3f98eda7c3154.csv"],
+    (11, "geodesic"): ["geodesic-dd073773d1723d6b.json"],
 }
 
 
@@ -335,15 +350,6 @@ def test_every_record_of_a_default_report_obeys_the_one_pass_rule(tmp_path):
         assert math.copysign(1.0, c["defect"]) == 1.0, c  # no -0.0
 
 
-def test_geodesic_emits_csv(tmp_path):
-    main(["geodesic", "--out", str(tmp_path)])
-    csvs = sorted(tmp_path.glob("geodesic-samples-*.csv"))
-    assert len(csvs) == 1
-    rows = csvs[0].read_text().strip().splitlines()
-    assert len(rows) == 41
-    assert len(rows[0].split(",")) == 3  # height plus two lower coordinates
-
-
 def _recording_row_blocks(monkeypatch) -> list:
     drawn = []
 
@@ -419,25 +425,36 @@ def test_roots_reports_pinned_and_linear_in_probe_count(probes, report, tmp_path
     assert [p.name for p in _reports(tmp_path)] == [report]
 
 
+def _whole_array_draws(rng, count, spd, gl):
+    """The two draws of cli._draw_classes: per sample, spd class and 2 gl action normal
+    matrices, then spd class log-eigenvalues in [-1.2, 1.2) and gl action scales in
+    [0.5, 2.0), three each."""
+    normals = rng.standard_normal((count, spd + 2 * gl, 3, 3))
+    uniforms = rng.random((count, spd + gl, 3))
+    return normals, np.concatenate([-1.2 + 2.4 * uniforms[:, :spd],
+                                    0.5 + 1.5 * uniforms[:, spd:]], axis=1)
+
+
 def _per_sample_conformal(rng) -> tuple[float, float]:
     """The kdist-triangle and kdist-gl-invariance defects of the per-sample
-    loop that the stacked pass of run_conformal replaced."""
+    loop that the stacked pass of run_conformal replaced, on the same draws."""
+    normals, uniforms = _whole_array_draws(rng, 200, 3, 1)
 
-    def random_spd(n=3):
-        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
-        return conf_class(q @ np.diag(np.exp(rng.uniform(-1.2, 1.2, n))) @ q.T)
+    def random_spd(i, j):
+        q = np.linalg.qr(normals[i, j])[0]
+        return conf_class(q @ np.diag(np.exp(uniforms[i, j])) @ q.T)
 
-    def random_gl(n=3):
-        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        return u @ np.diag(rng.uniform(0.5, 2.0, n)) @ v
+    def random_gl(i):
+        u, _ = np.linalg.qr(normals[i, 3])
+        v, _ = np.linalg.qr(normals[i, 4])
+        return u @ np.diag(uniforms[i, 3]) @ v
 
     tri_worst = 0.0
     inv_worst = 0.0
-    for _ in range(200):
-        a, b, c = random_spd(), random_spd(), random_spd()
+    for i in range(200):
+        a, b, c = random_spd(i, 0), random_spd(i, 1), random_spd(i, 2)
         tri_worst = max(tri_worst, kdist(a, c) - kdist(a, b) - kdist(b, c))
-        x = random_gl()
+        x = random_gl(i)
         inv_worst = max(inv_worst, abs(kdist(act(x, a), act(x, b)) - kdist(a, b)))
     return tri_worst, inv_worst
 
@@ -463,39 +480,28 @@ def test_conformal_suite_computes_kdist_on_stacks(count_calls):
     assert len(acts) <= 3
 
 
-def _per_call_draws(rng, count, spd, gl):
-    """What run_conformal's per-sample draws made, one generator call per block:
-    per sample, spd classes, then gl action matrices."""
-    normals, uniforms = [], []
-    for _ in range(count):
-        for _ in range(spd):
-            normals.append(rng.normal(size=(3, 3)))
-            uniforms.append(rng.uniform(-1.2, 1.2, 3))
-        for _ in range(gl):
-            normals += [rng.normal(size=(3, 3)), rng.normal(size=(3, 3))]
-            uniforms.append(rng.uniform(0.5, 2.0, 3))
-    return (np.reshape(normals, (count, spd + 2 * gl, 3, 3)),
-            np.reshape(uniforms, (count, spd + gl, 3)))
+class _CountingRng:
+    """A generator that records the name of each method read off it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
 
 
-@pytest.mark.parametrize("layout", [(200, 3, 1), (1, 1, 0), (5, 5, 1)])
-def test_drawn_stacks_equal_the_per_call_draws(layout):
-    # numpy's uniform computes lo + (hi - lo) * u in C; where that is
-    # contracted to a fused multiply-add the identity breaks, and so must this
-    for seed in range(60):
-        rng, per_call = np.random.default_rng(seed), np.random.default_rng(seed)
-        got, want = cli._draw_stacks(rng, *layout), _per_call_draws(per_call, *layout)
-        # bit for bit, the sign of a zero included
-        assert all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(got, want))
-        assert rng.random() == per_call.random()  # the same stream was used up
+def test_conformal_suite_draws_each_layout_in_two_calls():
+    # the per-block draws made 831 standard_normal and 831 random calls; each of
+    # the three layouts is one normal and one uniform draw
+    rng = _CountingRng(np.random.default_rng(0))
+    assert all(c["passed"] for c in cli.run_conformal(RunConfig(), rng))
+    assert sorted(rng.calls) == ["random"] * 3 + ["standard_normal"] * 3
 
 
 def _per_solve_circumcenter_checks(cfg, rng) -> dict:
     """The three circumcenter checks of run_conformal as the loop that solved
-    one class set per call (11 calls) computed them, after the same draws."""
-
-    def spd_draw():
-        return rng.normal(size=(3, 3)), rng.uniform(-1.2, 1.2, 3)
+    one class set per call (11 calls) computed them, on the same draws."""
 
     def random_spd(normals, logs):
         q = np.linalg.qr(normals)[0]
@@ -505,9 +511,7 @@ def _per_solve_circumcenter_checks(cfg, rng) -> dict:
         u, v = np.linalg.qr(u_normals)[0], np.linalg.qr(v_normals)[0]
         return (u * scales[..., None, :]) @ v
 
-    for _ in range(200):  # the stacked kdist samples
-        spd_draw(), spd_draw(), spd_draw()
-        rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.uniform(0.5, 2.0, 3)
+    _whole_array_draws(rng, 200, 3, 1)  # the stacked kdist samples
 
     def center_of(classes, solved):
         res = conformal.solve_circumcenter(classes, tol=cfg.tolerance)
@@ -515,13 +519,14 @@ def _per_solve_circumcenter_checks(cfg, rng) -> dict:
         return res.center
 
     solved = []
-    a = random_spd(*spd_draw())
+    normals, logs = _whole_array_draws(rng, 1, 1, 0)
+    a = random_spd(normals[0, 0], logs[0, 0])
     sym_defect = kdist(np.eye(3), center_of([a, np.linalg.inv(a)], solved))
     eq_worst = 0.0
-    for _ in range(5):
-        draws = [spd_draw() for _ in range(5)]
-        pts = random_spd(*[np.stack(col) for col in zip(*draws)])
-        x = random_gl(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.uniform(0.5, 2.0, 3))
+    normals, uniforms = _whole_array_draws(rng, 5, 5, 1)
+    for i in range(5):
+        pts = random_spd(normals[i, :5], uniforms[i, :5])
+        x = random_gl(normals[i, 5], normals[i, 6], uniforms[i, 5])
         moved = center_of(act(x, pts), solved)
         eq_worst = max(eq_worst, conformal.ddist(moved, act(x, center_of(pts, solved))))
     exits = [res.exit for res in solved]

@@ -43,23 +43,31 @@ def test_sum_and_scale():
 
 
 def test_norm_certificates_beyond_float_range_are_silent():
-    # np.linalg.norm warned "overflow encountered in dot" from numpy's own
-    # module, which the filter for warnings raised in solvrigid does not catch
+    # np.linalg.norm squared the entries, so 2e154 read inf, and it warned "overflow
+    # encountered in dot" from numpy's own module, which the filter for warnings raised
+    # in solvrigid does not catch; the per-block norm rescales instead
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert Const([1e200, 1e200]).sup_bound == math.inf
+        assert Const([2e154]).sup_bound == 2e154
+        assert Const([]).sup_bound == 0.0  # an empty value, as np.linalg.norm read it
+        assert Const([1e200, 1e200]).sup_bound == 1e200 * math.sqrt(2.0)
         osc = Osc([1e200, 1e200], [1e200, 1e200], 0.0, BlockVar(0, 2))
-        assert osc.sup_bound == osc.lipschitz == math.inf
-    # a map that needs a finite sup certificate rejects such a node
+        assert osc.sup_bound == 1e200 * math.sqrt(2.0) and osc.lipschitz == math.inf
+        # a true norm beyond float range reads inf, which is sound
+        assert Const([1.5e308, 1.5e308]).sup_bound == math.inf
+        wide = Osc([1.5e308, 1.5e308], [1.0, 1.0], 0.0, BlockVar(0, 2))
+        assert wide.sup_bound == wide.lipschitz == math.inf
+    # a map that needs a finite sup certificate rejects such a node, and takes a bounded one
     with pytest.raises(InputError):
-        AlmostTranslation(SPEC, [Const([1e200, 1e200]), Const([0.0])])
+        AlmostTranslation(SPEC, [Const([1.5e308, 1.5e308]), Const([0.0])])
+    assert AlmostTranslation(SPEC_NIL, [ROOT_LIKE, Const([1.0])]).perturbations[0] is ROOT_LIKE
 
 
 def _word_lipschitz(word):
     return [b.lipschitz for b in word.perturbations]
 
 
-ROOT_LIKE = Osc([1.0], [1e200], 0.0, BlockVar(1, 1))  # bounded, Lipschitz certificate inf
+ROOT_LIKE = Osc([1e200], [1e200], 0.0, BlockVar(1, 1))  # bounded, Lipschitz certificate inf
 
 
 # a zero factor beside an infinite one, where the plain product 0 * inf is NaN
@@ -71,7 +79,7 @@ ROOT_LIKE = Osc([1.0], [1e200], 0.0, BlockVar(1, 1))  # bounded, Lipschitz certi
             AlmostTranslation(SPEC_NIL, [ROOT_LIKE, Const([1.0])]))), [math.inf, 0.0]),
     (lambda: _word_lipschitz(AlmostTranslation(
         SpectralData((1.0, 2.0, 3.0), (2, 1, 1)),
-        [Const([0.5, 0.5]), Osc([1.0], [1e200], 0.0, BlockVar(2, 1)), Const([1.0])],
+        [Const([0.5, 0.5]), Osc([1e200], [1e200], 0.0, BlockVar(2, 1)), Const([1.0])],
     ).inverse()), [0.0, math.inf, 0.0]),
 ], ids=["osc-gain", "osc-child", "word-compose", "word-inverse"])
 def test_a_zero_factor_keeps_a_certificate_zero(certificates, want):

@@ -15,7 +15,6 @@ from solvrigid import (
     SolvPoint,
     SolvSpec,
     SpectralData,
-    VerticalGeodesic,
     boundary_of_height_isometry,
     distance,
     inverse,
@@ -350,27 +349,6 @@ class TestPairToPoint:
     def test_bisection_takes_rows_only(self):
         with pytest.raises(DimensionMismatch):
             pair_to_point_bisect(PURE, np.zeros(2), np.ones(2))
-
-
-class TestVerticalGeodesic:
-    def test_orientation_validation(self):
-        with pytest.raises(InputError):
-            VerticalGeodesic(anchor=(np.zeros(2), None), orientation="sideways")
-
-    def test_downward_points_decrease_height(self):
-        geo = VerticalGeodesic(anchor=(np.zeros(2), None))
-        rows = geo.sample_csv_rows([0.0, 1.0, 2.0])
-        assert [r[0] for r in rows] == [0.0, -1.0, -2.0]
-
-    def test_csv_rows_equal_the_per_parameter_loop(self):
-        # the row at t is (t, anchor) upward and (-t, anchor) downward
-        x, z = random_point(SPEC_R2, RNG).flat(), random_point(SPEC_R3, RNG).flat()
-        ts = np.linspace(-2.0, 2.0, 41)
-        for anchor in ((x, None), (None, z), (x, z)):
-            coords = [v for a in anchor if a is not None for v in a.tolist()]
-            for orientation, sign in (("upward", 1.0), ("downward", -1.0)):
-                geo = VerticalGeodesic(anchor, orientation)
-                assert geo.sample_csv_rows(ts) == [[sign * t, *coords] for t in ts.tolist()]
 
 
 class TestBoundaryCorrespondence:
